@@ -1,7 +1,8 @@
-// Timeline export: run one cold start with timeline recording and write a
-// Chrome-trace JSON (open in chrome://tracing or ui.perfetto.dev). The
-// resulting picture is the paper's Figure 9 — PCIe loads, NVLink migration,
-// and execution overlapping across tracks — generated from an actual
+// Timeline export: run one cold start with a trace recorder attached to the
+// engine and the fabric, and write a Chrome-trace JSON (open in
+// chrome://tracing or ui.perfetto.dev). The resulting picture is the paper's
+// Figure 9 — PCIe loads, NVLink migration, and execution overlapping across
+// tracks, with per-link bandwidth counters — generated from an actual
 // simulated run.
 //
 //   ./build/examples/timeline_export --model=bert_base --strategy=pt_dha
@@ -37,21 +38,24 @@ int main(int argc, char** argv) {
   Simulator sim;
   ServerFabric fabric(&sim, &topology);
   Engine engine(&sim, &fabric, &perf);
-  ColdRunOptions options = MakeColdRunOptions(strategy);
-  options.record_timeline = true;
+  TraceRecorder recorder;
+  const int pid = recorder.RegisterProcess(StrategyName(strategy));
+  engine.set_telemetry(&recorder, pid);
+  fabric.fabric().set_telemetry(&recorder, nullptr, pid);
   InferenceResult result;
   engine.RunCold(model, plan, 0,
-                 TransmissionPlanner::ChooseSecondaries(topology, 0, degree), options,
+                 TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
+                 MakeColdRunOptions(strategy),
                  [&](const InferenceResult& r) { result = r; });
   sim.Run();
 
-  if (!ChromeTraceWriter::WriteTo(flags.GetString("out"), result.timeline)) {
+  if (!recorder.WriteTo(flags.GetString("out"))) {
     std::cerr << "failed to write " << flags.GetString("out") << "\n";
     return 1;
   }
   std::cout << StrategyName(strategy) << " cold start of " << model.name() << ": "
-            << FormatDuration(result.latency) << " (" << result.timeline.size()
-            << " timeline events)\n"
+            << FormatDuration(result.latency) << " (" << recorder.size()
+            << " trace events)\n"
             << "wrote " << flags.GetString("out")
             << " — open in chrome://tracing or ui.perfetto.dev\n";
   return 0;

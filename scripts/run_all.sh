@@ -178,6 +178,14 @@ fi
 echo "== trace_lint"
 "$BUILD_DIR/tools/trace_lint" "$TRACE_FILE"
 
+# The single-cold-start Figure 9 picture goes through the same recorder and
+# the same lint: PCIe/NVLink intervals, exec slices and bandwidth counters.
+echo "== timeline_export + trace_lint"
+TIMELINE_FILE="$RESULTS_DIR/timeline_bert_base.json"
+"$BUILD_DIR/examples/timeline_export" --model=bert_base --strategy=pt_dha \
+  --out="$TIMELINE_FILE" >"$RESULTS_DIR/timeline_export.txt"
+"$BUILD_DIR/tools/trace_lint" "$TIMELINE_FILE"
+
 # Critical-path profiling: capture a causal journal from a short profiled
 # replay, re-analyze it with the offline tool, and lint the report JSON
 # schema (attribution must tile each request's latency exactly). The profiled

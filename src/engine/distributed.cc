@@ -1,5 +1,6 @@
 #include "src/engine/distributed.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/sim/stream.h"
@@ -8,11 +9,22 @@
 
 namespace deepplan {
 
+struct DistributedEngine::Run {
+  Nanos start = 0;
+  InferenceResult result;
+  std::vector<SyncEvent> arrived;  // per layer, on its partition's GPU
+  std::vector<Stream> load;        // per partition
+  Stream exec;
+  bool finished = false;
+};
+
 DistributedEngine::DistributedEngine(Simulator* sim, ServerFabric* fabric,
                                      const PerfModel* perf)
     : sim_(sim), fabric_(fabric), perf_(perf) {
   DP_CHECK(sim != nullptr && fabric != nullptr && perf != nullptr);
 }
+
+DistributedEngine::~DistributedEngine() = default;
 
 std::int64_t DistributedEngine::BoundaryBytes(const Layer& layer, int batch) {
   // The output activation is roughly half the layer's in+out traffic; floor
@@ -29,63 +41,39 @@ void DistributedEngine::RunCold(const Model& model, const ExecutionPlan& plan,
   DP_CHECK(plan.num_layers() == n);
   DP_CHECK(static_cast<int>(gpus.size()) >= plan.num_partitions());
 
-  struct Run {
-    Nanos start = 0;
-    InferenceResult result;
-    std::vector<std::unique_ptr<SyncEvent>> arrived;
-    std::unique_ptr<Stream> exec;
-  };
-  auto run = std::make_shared<Run>();
+  std::erase_if(runs_, [](const std::unique_ptr<Run>& r) { return r->finished; });
+  Run* run = runs_.emplace_back(std::make_unique<Run>()).get();
   run->start = sim_->now();
   run->result.cold = true;
   run->result.partitions.resize(Idx(plan.num_partitions()));
   run->arrived.resize(n);
-  run->exec = std::make_unique<Stream>(sim_, "exec/distributed");
+  run->load.resize(Idx(plan.num_partitions()));
+  run->exec.Reset(sim_, "exec/distributed");
 
-  // Per-partition PCIe load chains to each partition's own GPU.
-  std::vector<std::vector<std::size_t>> part_layers(Idx(plan.num_partitions()));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plan.method(i) == ExecMethod::kLoad && model.layer(i).has_params()) {
-      part_layers[Idx(plan.partition(i))].push_back(i);
-      run->arrived[i] = std::make_unique<SyncEvent>(sim_);
-      run->result.partitions[Idx(plan.partition(i))].bytes += model.layer(i).param_bytes;
-    }
-  }
+  // Per-partition PCIe load streams to each partition's own GPU: one
+  // transfer per layer, then a marker that lands it.
   for (int p = 0; p < plan.num_partitions(); ++p) {
-    if (part_layers[Idx(p)].empty()) {
-      continue;
-    }
     const GpuId target = gpus[Idx(p)];
-    // Capture the per-layer byte list by value: the chain outlives this frame.
-    std::vector<std::pair<std::size_t, std::int64_t>> items;
-    items.reserve(part_layers[Idx(p)].size());
-    for (const std::size_t li : part_layers[Idx(p)]) {
-      items.emplace_back(li, model.layer(li).param_bytes);
-    }
-    // Weak self-capture: a strong one would be a shared_ptr cycle leaking the
-    // closure and the run state it captures (see Engine::RunCold). In-flight
-    // completions hold the strong reference until the chain drains.
-    auto chain = std::make_shared<std::function<void(std::size_t)>>();
-    std::weak_ptr<std::function<void(std::size_t)>> weak_chain = chain;
-    *chain = [this, run, p, target, items = std::move(items),
-              weak_chain](std::size_t k) {
-      if (k >= items.size()) {
-        return;
+    Stream& load = run->load[Idx(p)];
+    load.Reset(sim_, "pcie/gpu" + std::to_string(target));
+    for (std::size_t i = 0; i < n; ++i) {
+      const Layer& layer = model.layer(i);
+      if (plan.partition(i) != p || plan.method(i) != ExecMethod::kLoad ||
+          !layer.has_params()) {
+        continue;
       }
-      auto self = weak_chain.lock();
-      DP_CHECK(self != nullptr);  // the caller holds a strong reference
-      fabric_->fabric().Start(
-          fabric_->HostToGpuPath(target), items[k].second,
-          perf_->calibration().pcie_transfer_overhead,
-          [this, run, p, li = items[k].first, k, self](Nanos) {
-            run->arrived[li]->Fire();
-            run->result.partitions[Idx(p)].pcie_done = sim_->now() - run->start;
-            run->result.load_done =
-                std::max(run->result.load_done, sim_->now() - run->start);
-            (*self)(k + 1);
-          });
-    };
-    (*chain)(0);
+      run->arrived[i].Reset(sim_);
+      run->result.partitions[Idx(p)].bytes += layer.param_bytes;
+      load.EnqueueTransfer(&fabric_->fabric(), fabric_->HostToGpuPath(target),
+                           layer.param_bytes,
+                           perf_->calibration().pcie_transfer_overhead);
+      load.EnqueueMarker([this, run, p, i]() {
+        run->arrived[i].Fire();
+        run->result.partitions[Idx(p)].pcie_done = sim_->now() - run->start;
+        run->result.load_done =
+            std::max(run->result.load_done, sim_->now() - run->start);
+      });
+    }
   }
 
   // Execution stream: walk layers in order; cross NVLink with the activation
@@ -99,29 +87,25 @@ void DistributedEngine::RunCold(const Model& model, const ExecutionPlan& plan,
       const GpuId to = gpus[Idx(p)];
       const std::int64_t bytes =
           i > 0 ? BoundaryBytes(model.layer(i - 1), options.batch) : 4096;
-      run->exec->Enqueue([this, from, to, bytes, options,
-                          run](std::function<void()> op_done) {
-        fabric_->fabric().Start(
-            fabric_->GpuToGpuPath(from, to), bytes,
-            fabric_->topology().nvlink().transfer_latency +
-                options.boundary_sync_overhead,
-            [op_done = std::move(op_done)](Nanos) { op_done(); });
-      });
+      run->exec.EnqueueTransfer(
+          &fabric_->fabric(), fabric_->GpuToGpuPath(from, to), bytes,
+          fabric_->topology().nvlink().transfer_latency + options.boundary_sync_overhead);
       prev_part = p;
     }
     if (plan.method(i) == ExecMethod::kLoad && layer.has_params()) {
-      run->exec->EnqueueWait(run->arrived[i].get());
+      run->exec.EnqueueWait(&run->arrived[i]);
     }
     const Nanos exec = plan.method(i) == ExecMethod::kDirectHostAccess
                            ? perf_->ExecDha(layer, options.batch)
                            : perf_->ExecInMemory(layer, options.batch);
-    run->exec->EnqueueDelay(exec);
+    run->exec.EnqueueDelay(exec);
     run->result.exec_busy += exec;
   }
-  run->exec->EnqueueMarker([this, run, done = std::move(done)]() {
+  run->exec.EnqueueMarker([this, run, done = std::move(done)]() {
     run->result.latency = sim_->now() - run->start;
-    run->result.stall = run->exec->wait_time();
+    run->result.stall = run->exec.wait_time();
     done(run->result);
+    run->finished = true;
   });
 }
 

@@ -10,6 +10,7 @@
 #define SRC_ENGINE_DISTRIBUTED_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -26,6 +27,7 @@ struct DistributedRunOptions {
 class DistributedEngine {
  public:
   DistributedEngine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf);
+  ~DistributedEngine();
 
   // Cold start: partition p of `plan` loads onto gpus[p] over its own PCIe
   // lane (no NVLink weight forwarding); execution walks the layers in order,
@@ -47,9 +49,15 @@ class DistributedEngine {
   // Activation bytes crossing a boundary after layer i (its output tensor).
   static std::int64_t BoundaryBytes(const Layer& layer, int batch);
 
+  struct Run;  // one cold run's events and streams (distributed.cc)
+
   Simulator* sim_;
   ServerFabric* fabric_;
   const PerfModel* perf_;
+  // Runs in flight plus those finished since the last RunCold: a run's
+  // execute stream still unwinds after its `done` returns, so it is freed at
+  // the next RunCold.
+  std::vector<std::unique_ptr<Run>> runs_;
 };
 
 }  // namespace deepplan

@@ -64,14 +64,14 @@ std::vector<CpHop> ServerFabric::CausalHops(const std::vector<LinkId>& path) con
 
 namespace engine_internal {
 
-// One transfer unit on a PCIe/NVLink chain: one layer, or several
+// One transfer unit on a PCIe load stream: one layer, or several
 // consecutive layers coalesced into a transmission group (PipeSwitch-style
 // grouping amortizes per-copy overhead at the cost of coarser pipelining).
 struct LoadItem {
   std::vector<std::size_t> layer_indices;
   std::int64_t bytes = 0;
-  // Label for timeline/recorder/causal output; left empty (not built) when no
-  // consumer is attached, which is the serving hot path.
+  // Label for recorder/causal output; left empty (not built) when no
+  // observer is attached, which is the serving hot path.
   std::string name;
 };
 
@@ -80,17 +80,21 @@ struct LoadItem {
 // lists — so a million-cold-start replay reuses the same buffers instead of
 // allocating hundreds of heap objects per run. The record stays owned by the
 // pool for the engine's lifetime, so the raw pointers captured by in-flight
-// closures can never dangle.
+// ops can never dangle. Stream names double as trace/causal tracks.
 struct ColdRun {
   Nanos start = 0;
   InferenceResult result;
   std::vector<SyncEvent> arrived;       // per layer, primary GPU
   std::vector<SyncEvent> at_secondary;  // per layer, secondary GPU
   SyncEvent all_loaded;                 // Baseline gate
-  Stream exec;
-  std::vector<Stream> migration;  // per partition (index 0 unused)
+  Stream exec;                          // "exec/gpu<primary>"
+  std::vector<Stream> load;             // per partition, "pcie/gpu<target>"
+  std::vector<Stream> migration;  // per partition, "nvlink/<src>-><primary>"
+                                  // (index 0 unused)
   std::vector<std::vector<LoadItem>> part_items;
   int pending_arrivals = 0;
+  // A trace recorder or causal graph wants this run's ops.
+  bool observed = false;
   // Causal-graph cursors (only populated when the run records profiling
   // nodes): chains thread happens-before edges through these.
   int causal_request = -1;
@@ -101,6 +105,22 @@ struct ColdRun {
   std::vector<CpNodeId> mig_prev;          // per-partition migration cursor
   CpNodeId last_exec = -1;
   CpNodeId all_loaded_source = -1;  // node whose arrival fired all_loaded
+
+  // Layer `layer` of `partition` became resident on the primary GPU.
+  void Arrive(std::size_t layer, int partition, Nanos now) {
+    arrived[layer].Fire();
+    auto& ps = result.partitions[Idx(partition)];
+    ps.arrival_done = std::max(ps.arrival_done, now - start);
+    result.load_done = std::max(result.load_done, now - start);
+    if (--pending_arrivals == 0) {
+      if (causal_request >= 0) {
+        // The node that delivered the last layer is what a non-pipelined
+        // Baseline's gated exec ops causally wait on.
+        all_loaded_source = layer_source[layer];
+      }
+      all_loaded.Fire();
+    }
+  }
 };
 
 }  // namespace engine_internal
@@ -132,6 +152,35 @@ void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
   pid_ = pid;
 }
 
+CpNodeId Engine::Observe(int request, CpKind kind, const std::string& track,
+                         const std::string& name, Nanos start,
+                         const std::vector<LinkId>& path, std::int64_t bytes,
+                         Nanos latency) {
+  const bool transfer = kind != CpKind::kExec;
+  if (recorder_ != nullptr) {
+    if (transfer) {
+      // Async interval, not a complete slice: another run's stream may be
+      // draining through the same link at the same time.
+      const std::uint64_t aid = next_async_id_++;
+      recorder_->AsyncBegin(pid_, track, name, aid, start);
+      recorder_->AsyncEnd(pid_, track, name, aid, sim_->now());
+    } else {
+      recorder_->Span(pid_, track, name, start, sim_->now() - start);
+    }
+  }
+  if (request < 0) {
+    return -1;
+  }
+  if (!transfer) {
+    return causal_->AddNode(request, kind, name, track, start, sim_->now());
+  }
+  const CpNodeId node =
+      causal_->AddNode(request, kind, name, track, start, sim_->now(), bytes,
+                       fabric_->fabric().SoloDuration(path, bytes, latency));
+  causal_->SetNodePath(node, fabric_->CausalHops(path));
+  return node;
+}
+
 void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                      std::vector<GpuId> secondaries, const ColdRunOptions& options,
                      std::function<void(InferenceResult)> done) {
@@ -158,7 +207,6 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   run->result.cold = true;
   run->result.partitions.clear();
   run->result.partitions.resize(parts);
-  run->result.timeline.clear();
   run->result.causal_terminal = -1;
   if (run->arrived.size() < n) {
     run->arrived.resize(n);
@@ -166,7 +214,8 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   }
   run->all_loaded.Reset(sim_);
   run->exec.Reset(sim_, "exec/gpu" + std::to_string(primary));
-  if (run->migration.size() < parts) {
+  if (run->load.size() < parts) {
+    run->load.resize(parts);
     run->migration.resize(parts);
   }
   for (auto& items : run->part_items) {
@@ -195,12 +244,10 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     run->last_exec = run->causal_root;
     run->all_loaded_source = run->causal_root;
   }
-
-  // Item labels are consumed only by the timeline, the trace recorder, and
-  // the causal graph; skip the string building entirely when none of those
-  // is active for this run (the serving hot path).
-  const bool want_names = options.record_timeline || recorder_ != nullptr ||
-                          run->causal_request >= 0;
+  // Item labels are consumed only by the trace recorder and the causal
+  // graph; skip the string building entirely when neither is active for this
+  // run (the serving hot path).
+  run->observed = recorder_ != nullptr || run->causal_request >= 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     const Layer& layer = model.layer(i);
@@ -212,12 +259,12 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
           static_cast<int>(items.back().layer_indices.size()) < group) {
         items.back().layer_indices.push_back(i);
         items.back().bytes += layer.param_bytes;
-        if (want_names) {
+        if (run->observed) {
           items.back().name += "+" + layer.name;
         }
       } else {
         items.push_back(LoadItem{
-            {i}, layer.param_bytes, want_names ? layer.name : std::string()});
+            {i}, layer.param_bytes, run->observed ? layer.name : std::string()});
       }
       run->arrived[i].Reset(sim_);
       run->at_secondary[i].Reset(sim_);
@@ -229,214 +276,119 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     run->all_loaded.Fire();
   }
 
-  auto on_arrival = [this, run](std::size_t layer_index, int partition) {
-    run->arrived[layer_index].Fire();
-    auto& ps = run->result.partitions[Idx(partition)];
-    ps.arrival_done = std::max(ps.arrival_done, sim_->now() - run->start);
-    run->result.load_done = std::max(run->result.load_done, sim_->now() - run->start);
-    if (--run->pending_arrivals == 0) {
-      if (run->causal_request >= 0) {
-        // The node that delivered the last layer is what a non-pipelined
-        // Baseline's gated exec ops causally wait on.
-        run->all_loaded_source = run->layer_source[layer_index];
-      }
-      run->all_loaded.Fire();
-    }
-  };
-
-  // PCIe load chains: one sequential chain per partition, each through its
-  // own GPU's PCIe lane (primary for partition 0, secondaries for the rest).
-  // The per-transfer DMA-setup overhead is the fabric latency term, so it
-  // serializes into the chain exactly as back-to-back cudaMemcpyAsync calls.
+  // PCIe load streams: one per partition, each through its own GPU's PCIe
+  // lane (primary for partition 0, secondaries for the rest). The
+  // per-transfer DMA-setup overhead is the fabric latency term, so it
+  // serializes into the stream exactly as back-to-back cudaMemcpyAsync calls.
+  // After each transfer a marker lands its layers: on the primary they are
+  // ready to execute, on a secondary they are ready to migrate.
+  const Nanos pcie_overhead = perf_->calibration().pcie_transfer_overhead;
   for (int p = 0; p < plan.num_partitions(); ++p) {
-    if (run->part_items[Idx(p)].empty()) {
+    const auto& items = run->part_items[Idx(p)];
+    if (items.empty()) {
       continue;
     }
     const GpuId target = p == 0 ? primary : secondaries[Idx(p - 1)];
     run->result.partitions[Idx(p)].pcie_start = 0;
-    const bool record = options.record_timeline;
-    // The stored closure must hold only a weak reference to itself: a strong
-    // self-capture is a shared_ptr cycle that leaks the closure. Each
-    // in-flight fabric completion re-locks a strong reference, so the chain
-    // stays alive exactly until it drains.
-    auto chain = std::make_shared<std::function<void(std::size_t)>>();
-    std::weak_ptr<std::function<void(std::size_t)>> weak_chain = chain;
-    *chain = [this, run, p, target, weak_chain, on_arrival, record](std::size_t k) {
-      const auto& items = run->part_items[Idx(p)];
-      if (k >= items.size()) {
-        return;
-      }
-      auto self = weak_chain.lock();
-      DP_CHECK(self != nullptr);  // the caller holds a strong reference
-      const Nanos op_start = sim_->now() - run->start;
-      fabric_->fabric().Start(
-          fabric_->HostToGpuPath(target), items[k].bytes,
-          perf_->calibration().pcie_transfer_overhead,
-          [this, run, p, k, self, on_arrival, record, target, op_start](Nanos) {
-            run->result.partitions[Idx(p)].pcie_done = sim_->now() - run->start;
-            if (record) {
-              run->result.timeline.push_back(
-                  TimelineEvent{"load " + run->part_items[Idx(p)][k].name,
-                                "pcie/gpu" + std::to_string(target), op_start,
-                                sim_->now() - run->start - op_start});
+    Stream* load = &run->load[Idx(p)];
+    load->Reset(sim_, "pcie/gpu" + std::to_string(target));
+    for (std::size_t k = 0; k < items.size(); ++k) {
+      load->EnqueueTransfer(&fabric_->fabric(), fabric_->HostToGpuPath(target),
+                            items[k].bytes, pcie_overhead);
+      load->EnqueueMarker([this, run, p, k, target]() {
+        PartitionStats& ps = run->result.partitions[Idx(p)];
+        // The transfer began when the previous one on this lane finished.
+        const Nanos started = run->start + ps.pcie_done;
+        ps.pcie_done = sim_->now() - run->start;
+        const LoadItem& item = run->part_items[Idx(p)][k];
+        if (run->observed) {
+          const CpNodeId node = Observe(
+              run->causal_request, CpKind::kPcie, run->load[Idx(p)].name(),
+              "load " + item.name, started, fabric_->HostToGpuPath(target),
+              item.bytes, perf_->calibration().pcie_transfer_overhead);
+          if (run->causal_request >= 0) {
+            causal_->AddEdge(run->pcie_prev[Idx(p)], node);
+            run->pcie_prev[Idx(p)] = node;
+            for (const std::size_t li : item.layer_indices) {
+              (p == 0 ? run->layer_source : run->secondary_source)[li] = node;
             }
-            if (recorder_ != nullptr) {
-              // Async interval, not a complete slice: another run's chain may
-              // be draining through this PCIe lane at the same time.
-              const std::uint64_t aid = next_async_id_++;
-              const std::string track = "pcie/gpu" + std::to_string(target);
-              const std::string name = "load " + run->part_items[Idx(p)][k].name;
-              recorder_->AsyncBegin(pid_, track, name, aid, run->start + op_start);
-              recorder_->AsyncEnd(pid_, track, name, aid, sim_->now());
-            }
-            if (run->causal_request >= 0) {
-              const LoadItem& item = run->part_items[Idx(p)][k];
-              const CpNodeId node = causal_->AddNode(
-                  run->causal_request, CpKind::kPcie, "load " + item.name,
-                  "pcie/gpu" + std::to_string(target), run->start + op_start,
-                  sim_->now(), item.bytes,
-                  fabric_->fabric().SoloDuration(
-                      fabric_->HostToGpuPath(target), item.bytes,
-                      perf_->calibration().pcie_transfer_overhead));
-              causal_->SetNodePath(node,
-                                   fabric_->CausalHops(fabric_->HostToGpuPath(target)));
-              causal_->AddEdge(run->pcie_prev[Idx(p)], node);
-              run->pcie_prev[Idx(p)] = node;
-              for (const std::size_t li : item.layer_indices) {
-                (p == 0 ? run->layer_source : run->secondary_source)[li] = node;
-              }
-            }
-            for (const std::size_t li : run->part_items[Idx(p)][k].layer_indices) {
-              if (p == 0) {
-                on_arrival(li, p);
-              } else {
-                run->at_secondary[li].Fire();
-              }
-            }
-            (*self)(k + 1);
-          });
-    };
-    (*chain)(0);
+          }
+        }
+        for (const std::size_t li : item.layer_indices) {
+          if (p == 0) {
+            run->Arrive(li, p, sim_->now());
+          } else {
+            run->at_secondary[li].Fire();
+          }
+        }
+      });
+    }
   }
 
   // NVLink migration: forward partitions > 0 from their secondary GPU to the
-  // primary, either per layer (parallel-pipeline) or as one bulk transfer.
+  // primary. Pipelined mode forwards each load item as soon as it lands
+  // (parallel-pipeline); bulk mode forwards the whole partition as one item
+  // once all of it has landed.
   const NvlinkSpec& nvlink = fabric_->topology().nvlink();
   for (int p = 1; p < plan.num_partitions(); ++p) {
-    if (run->part_items[Idx(p)].empty()) {
+    const auto& items = run->part_items[Idx(p)];
+    if (items.empty()) {
       continue;
     }
-    run->migration[Idx(p)].Reset(sim_, "migrate/p" + std::to_string(p));
-    Stream* mig = &run->migration[Idx(p)];
     const GpuId src = secondaries[Idx(p - 1)];
-    if (options.migration == MigrationMode::kPipelined) {
-      const bool record = options.record_timeline;
-      // Closures reference items by (partition, index): part_items is fully
-      // built before any chain starts and never mutated during the run, so
-      // indices stay valid and nothing copies the item's label or layer list.
-      const std::size_t num_items = run->part_items[Idx(p)].size();
-      for (std::size_t k = 0; k < num_items; ++k) {
-        for (const std::size_t li : run->part_items[Idx(p)][k].layer_indices) {
-          mig->EnqueueWait(&run->at_secondary[li]);
-        }
-        mig->Enqueue([this, run, p, k, src, primary, nvlink, record,
-                      on_arrival](std::function<void()> op_done) {
-          const Nanos op_start = sim_->now() - run->start;
-          fabric_->fabric().Start(
-              fabric_->GpuToGpuPath(src, primary), run->part_items[Idx(p)][k].bytes,
-              nvlink.transfer_latency,
-              [this, run, p, k, src, primary, nvlink, record, op_start,
-               on_arrival, op_done = std::move(op_done)](Nanos) {
-                const LoadItem& item = run->part_items[Idx(p)][k];
-                if (record) {
-                  run->result.timeline.push_back(TimelineEvent{
-                      "migrate " + item.name,
-                      "nvlink/" + std::to_string(src) + "->" + std::to_string(primary),
-                      op_start, sim_->now() - run->start - op_start});
-                }
-                if (recorder_ != nullptr) {
-                  const std::uint64_t aid = next_async_id_++;
-                  const std::string track =
-                      "nvlink/" + std::to_string(src) + "->" + std::to_string(primary);
-                  recorder_->AsyncBegin(pid_, track, "migrate " + item.name, aid,
-                                        run->start + op_start);
-                  recorder_->AsyncEnd(pid_, track, "migrate " + item.name, aid,
-                                      sim_->now());
-                }
-                if (run->causal_request >= 0) {
-                  const CpNodeId node = causal_->AddNode(
-                      run->causal_request, CpKind::kNvlink, "migrate " + item.name,
-                      "nvlink/" + std::to_string(src) + "->" +
-                          std::to_string(primary),
-                      run->start + op_start, sim_->now(), item.bytes,
-                      fabric_->fabric().SoloDuration(
-                          fabric_->GpuToGpuPath(src, primary), item.bytes,
-                          nvlink.transfer_latency));
-                  causal_->SetNodePath(
-                      node, fabric_->CausalHops(fabric_->GpuToGpuPath(src, primary)));
-                  causal_->AddEdge(run->mig_prev[Idx(p)], node);
-                  // The migration waited on this item's PCIe delivery to the
-                  // secondary GPU (one PCIe node covers the whole item).
-                  causal_->AddEdge(
-                      run->secondary_source[item.layer_indices.front()], node);
-                  run->mig_prev[Idx(p)] = node;
-                  for (const std::size_t li : item.layer_indices) {
-                    run->layer_source[li] = node;
-                  }
-                }
-                for (const std::size_t li : item.layer_indices) {
-                  on_arrival(li, p);
-                }
-                op_done();
-              });
-        });
-      }
-    } else {
+    Stream* mig = &run->migration[Idx(p)];
+    mig->Reset(sim_, "nvlink/" + std::to_string(src) + "->" + std::to_string(primary));
+    const bool bulk = options.migration == MigrationMode::kBulk;
+    const std::size_t span = bulk ? items.size() : 1;
+    for (std::size_t first = 0; first < items.size(); first += span) {
+      const std::size_t last = first + span;
       std::int64_t bytes = 0;
-      for (const LoadItem& item : run->part_items[Idx(p)]) {
-        for (const std::size_t li : item.layer_indices) {
+      for (std::size_t k = first; k < last; ++k) {
+        for (const std::size_t li : items[k].layer_indices) {
           mig->EnqueueWait(&run->at_secondary[li]);
         }
-        bytes += item.bytes;
+        bytes += items[k].bytes;
       }
-      mig->Enqueue([this, run, p, src, primary, bytes, nvlink,
-                    on_arrival](std::function<void()> op_done) {
-        const Nanos op_start = sim_->now() - run->start;
-        fabric_->fabric().Start(
-            fabric_->GpuToGpuPath(src, primary), bytes, nvlink.transfer_latency,
-            [this, run, p, src, primary, bytes, nvlink, op_start, on_arrival,
-             op_done = std::move(op_done)](Nanos) {
-              if (run->causal_request >= 0) {
-                const CpNodeId node = causal_->AddNode(
-                    run->causal_request, CpKind::kNvlink,
-                    "migrate bulk p" + std::to_string(p),
-                    "nvlink/" + std::to_string(src) + "->" +
-                        std::to_string(primary),
-                    run->start + op_start, sim_->now(), bytes,
-                    fabric_->fabric().SoloDuration(
-                        fabric_->GpuToGpuPath(src, primary), bytes,
-                        nvlink.transfer_latency));
-                causal_->SetNodePath(
-                    node, fabric_->CausalHops(fabric_->GpuToGpuPath(src, primary)));
-                causal_->AddEdge(run->mig_prev[Idx(p)], node);
-                for (const LoadItem& item : run->part_items[Idx(p)]) {
-                  causal_->AddEdge(
-                      run->secondary_source[item.layer_indices.front()], node);
-                }
-                run->mig_prev[Idx(p)] = node;
-                for (const LoadItem& item : run->part_items[Idx(p)]) {
-                  for (const std::size_t li : item.layer_indices) {
-                    run->layer_source[li] = node;
-                  }
-                }
+      mig->EnqueueTransfer(&fabric_->fabric(), fabric_->GpuToGpuPath(src, primary),
+                           bytes, nvlink.transfer_latency);
+      mig->EnqueueMarker([this, run, p, first, last, bulk, src, primary, bytes]() {
+        const auto& part = run->part_items[Idx(p)];
+        if (run->observed) {
+          // The transfer began once the stream was free (the previous
+          // migration landed) and every layer it waited on had reached the
+          // secondary GPU.
+          Nanos started = run->start + run->result.partitions[Idx(p)].arrival_done;
+          for (std::size_t k = first; k < last; ++k) {
+            for (const std::size_t li : part[k].layer_indices) {
+              started = std::max(started, run->at_secondary[li].fire_time());
+            }
+          }
+          const CpNodeId node = Observe(
+              run->causal_request, CpKind::kNvlink, run->migration[Idx(p)].name(),
+              bulk ? "migrate bulk p" + std::to_string(p) : "migrate " + part[first].name,
+              started, fabric_->GpuToGpuPath(src, primary), bytes,
+              fabric_->topology().nvlink().transfer_latency);
+          if (run->causal_request >= 0) {
+            causal_->AddEdge(run->mig_prev[Idx(p)], node);
+            // The migration waited on each item's PCIe delivery to the
+            // secondary GPU (one PCIe node covers a whole item).
+            for (std::size_t k = first; k < last; ++k) {
+              causal_->AddEdge(run->secondary_source[part[k].layer_indices.front()],
+                               node);
+            }
+            run->mig_prev[Idx(p)] = node;
+            for (std::size_t k = first; k < last; ++k) {
+              for (const std::size_t li : part[k].layer_indices) {
+                run->layer_source[li] = node;
               }
-              for (const LoadItem& item : run->part_items[Idx(p)]) {
-                for (const std::size_t li : item.layer_indices) {
-                  on_arrival(li, p);
-                }
-              }
-              op_done();
-            });
+            }
+          }
+        }
+        for (std::size_t k = first; k < last; ++k) {
+          for (const std::size_t li : part[k].layer_indices) {
+            run->Arrive(li, p, sim_->now());
+          }
+        }
       });
     }
   }
@@ -450,58 +402,31 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
       run->exec.EnqueueWait(options.pipelined ? &run->arrived[i]
                                               : &run->all_loaded);
     }
-    const Nanos exec = plan.method(i) == ExecMethod::kDirectHostAccess
-                           ? perf_->ExecDha(layer, options.batch)
+    const bool dha = plan.method(i) == ExecMethod::kDirectHostAccess;
+    const Nanos exec = dha ? perf_->ExecDha(layer, options.batch)
                            : perf_->ExecInMemory(layer, options.batch);
-    if (options.record_timeline || recorder_ != nullptr ||
-        run->causal_request >= 0) {
-      const bool dha = plan.method(i) == ExecMethod::kDirectHostAccess;
-      const bool record = options.record_timeline;
-      const bool pipelined = options.pipelined;
-      const Nanos dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0;
-      run->exec.Enqueue([this, run, exec, dha, dha_pcie, primary, record, i,
-                         loads, pipelined,
-                         name = layer.name](std::function<void()> op_done) {
-        const Nanos op_start = sim_->now() - run->start;
-        sim_->ScheduleAfter(exec, [this, run, op_start, dha, dha_pcie, primary,
-                                   record, i, loads, pipelined, name,
-                                   op_done = std::move(op_done)]() {
-          if (record) {
-            run->result.timeline.push_back(
-                TimelineEvent{(dha ? "exec(DHA) " : "exec ") + name,
-                              "exec/gpu" + std::to_string(primary), op_start,
-                              sim_->now() - run->start - op_start});
-          }
-          if (recorder_ != nullptr) {
-            recorder_->Span(pid_, "exec/gpu" + std::to_string(primary),
-                            (dha ? "exec(DHA) " : "exec ") + name,
-                            run->start + op_start,
-                            sim_->now() - run->start - op_start);
-          }
-          if (run->causal_request >= 0) {
-            const CpNodeId node = causal_->AddNode(
-                run->causal_request, CpKind::kExec,
-                (dha ? "exec(DHA) " : "exec ") + name,
-                "exec/gpu" + std::to_string(primary), run->start + op_start,
-                sim_->now());
-            if (dha_pcie > 0) {
-              causal_->SetNodeDhaPcie(node, dha_pcie);
-            }
-            causal_->AddEdge(run->last_exec, node);
-            if (loads) {
-              causal_->AddEdge(pipelined ? run->layer_source[i]
-                                         : run->all_loaded_source,
-                               node);
-            }
-            run->last_exec = node;
-          }
-          op_done();
-        });
-      });
-    } else {
-      run->exec.EnqueueDelay(exec);
-    }
+    run->exec.EnqueueDelay(exec);
     run->result.exec_busy += exec;
+    if (!run->observed) {
+      continue;
+    }
+    run->exec.EnqueueMarker([this, run, i, exec, loads, pipelined = options.pipelined,
+                             dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0,
+                             label = (dha ? "exec(DHA) " : "exec ") + layer.name]() {
+      const CpNodeId node = Observe(run->causal_request, CpKind::kExec,
+                                    run->exec.name(), label, sim_->now() - exec);
+      if (run->causal_request >= 0) {
+        if (dha_pcie > 0) {
+          causal_->SetNodeDhaPcie(node, dha_pcie);
+        }
+        causal_->AddEdge(run->last_exec, node);
+        if (loads) {
+          causal_->AddEdge(pipelined ? run->layer_source[i] : run->all_loaded_source,
+                           node);
+        }
+        run->last_exec = node;
+      }
+    });
   }
   run->exec.EnqueueMarker([this, run, done = std::move(done)]() {
     run->result.latency = sim_->now() - run->start;

@@ -4,16 +4,24 @@
 // GPUs loading at once) only the engine is accurate, because transfers share
 // PCIe switch uplinks through the max-min fair fabric.
 //
-// Per Section 4.3.4, a cold run uses three kinds of streams: a load stream
-// per partition (host->GPU over PCIe), a migration stream per secondary GPU
-// (GPU->GPU over NVLink), and one execute stream on the primary GPU gated on
-// per-layer arrival events (cudaStreamWaitEvent semantics).
+// Per Section 4.3.4, a cold run uses three kinds of streams (src/sim/stream):
+// a load stream per partition (a Transfer op per layer or transmission group
+// over the GPU's PCIe lane, each followed by a Marker that lands its layers),
+// a migration stream per secondary GPU (Wait ops on the layers reaching it,
+// then one NVLink Transfer and a landing Marker per forwarded item), and one
+// execute stream on the primary GPU: a Wait on each loaded layer's arrival
+// event (cudaStreamWaitEvent semantics) and a Delay per layer.
+//
+// Observation has one path: when a trace recorder or causal graph is
+// attached, a Marker after each finished op computes the op's name, track
+// (the stream's name) and interval once and writes them to both.
 #ifndef SRC_ENGINE_ENGINE_H_
 #define SRC_ENGINE_ENGINE_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/plan.h"
@@ -24,7 +32,6 @@
 #include "src/perf/perf_model.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
-#include "src/util/chrome_trace.h"
 #include "src/util/time.h"
 
 namespace deepplan {
@@ -76,9 +83,6 @@ struct InferenceResult {
   Nanos load_done = 0;   // all parameters resident on the primary GPU
   bool cold = false;
   std::vector<PartitionStats> partitions;
-  // Per-operation timeline (only populated when ColdRunOptions.record_timeline
-  // is set); exportable via ChromeTraceWriter.
-  std::vector<TimelineEvent> timeline;
   // Last exec node recorded in the causal graph (-1 unless a graph was
   // attached and ColdRunOptions.causal_request was set); the caller passes it
   // to CausalGraph::EndRequest as the request's terminal node.
@@ -91,9 +95,6 @@ struct ColdRunOptions {
   // is resident.
   bool pipelined = true;
   MigrationMode migration = MigrationMode::kPipelined;
-  // Record a per-operation timeline into InferenceResult::timeline (costs a
-  // few allocations per layer; off in the serving hot path).
-  bool record_timeline = false;
   // Consecutive parameterized layers coalesced into one PCIe transfer.
   // 1 = per-layer transmission (the paper's framing); larger groups amortize
   // the per-copy DMA setup like PipeSwitch's transmission groups, at the
@@ -119,11 +120,11 @@ class Engine {
   ~Engine();
 
   // Attaches a trace recorder: every cold-run load/migrate/exec operation is
-  // then recorded as a span in *absolute* simulation time (track names match
-  // the per-run timeline: "pcie/gpu<g>", "nvlink/<a>-><b>", "exec/gpu<g>"),
-  // so one recorder covers all GPUs and requests of a whole server run —
-  // independent of ColdRunOptions::record_timeline, which stays per-run and
-  // run-relative. nullptr detaches; the disabled cost is one pointer test.
+  // then recorded in *absolute* simulation time on the track of the stream
+  // that ran it ("pcie/gpu<g>", "nvlink/<a>-><b>", "exec/gpu<g>"), so one
+  // recorder covers all GPUs and requests of a whole server run. Transfers
+  // export as async intervals, layer executions as complete slices. nullptr
+  // detaches; the disabled cost is one pointer test.
   void set_telemetry(TraceRecorder* recorder, int pid = 0);
 
   // Attaches a causal graph: cold runs whose options carry a causal_request
@@ -167,6 +168,16 @@ class Engine {
   Simulator* sim_;
   ServerFabric* fabric_;
   const PerfModel* perf_;
+
+  // Writes one finished cold-run op, [start, now()] on `track`, to the trace
+  // recorder and (when `request` >= 0) the causal graph. Transfer kinds carry
+  // `path`, `bytes` and `latency` into the graph's solo duration and route.
+  // Returns the causal node, or -1 when none was recorded.
+  CpNodeId Observe(int request, CpKind kind, const std::string& track,
+                   const std::string& name, Nanos start,
+                   const std::vector<LinkId>& path = {}, std::int64_t bytes = 0,
+                   Nanos latency = 0);
+
   TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;
   int pid_ = 0;

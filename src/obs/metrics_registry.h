@@ -23,16 +23,27 @@
 #ifndef SRC_OBS_METRICS_REGISTRY_H_
 #define SRC_OBS_METRICS_REGISTRY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 
-#include "src/util/histogram.h"
 #include "src/util/json.h"
 #include "src/util/stats.h"
 #include "src/util/thread_annotations.h"
 
 namespace deepplan {
+
+// Percentile summary of one sample histogram, as exported in the snapshot.
+struct HistogramSummary {
+  std::size_t count = 0;
+  double mean = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
 
 class MetricsRegistry {
  public:

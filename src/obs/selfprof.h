@@ -132,7 +132,7 @@ class SelfProfiler {
   // enabled-overhead gate.
   //
   // Re-entering the phase of the innermost open node collapses to a count
-  // bump (recursion guard: Stream::MaybeStartNext re-enters synchronously).
+  // bump (recursion guard: Stream::Pump re-enters synchronously).
   bool ReenterCurrent(Phase phase) {
     if (current_ < 0 ||
         nodes_[static_cast<std::size_t>(current_)].phase != phase) {

@@ -11,19 +11,12 @@ void SyncEvent::Fire() {
   DP_CHECK(!fired_);
   fired_ = true;
   fire_time_ = sim_->now();
-  std::vector<std::function<void()>> waiters;
-  waiters.swap(waiters_);
-  for (auto& w : waiters) {
-    w();
+  // No stream can start waiting once fired_ is set, so the list is stable
+  // while the waiters resume.
+  for (Stream* waiter : waiters_) {
+    waiter->EndWait();
   }
-}
-
-void SyncEvent::OnFire(std::function<void()> cb) {
-  if (fired_) {
-    cb();
-  } else {
-    waiters_.push_back(std::move(cb));
-  }
+  waiters_.clear();
 }
 
 Stream::Stream(Simulator* sim, std::string name) : sim_(sim), name_(std::move(name)) {
@@ -32,70 +25,105 @@ Stream::Stream(Simulator* sim, std::string name) : sim_(sim), name_(std::move(na
 
 void Stream::Reset(Simulator* sim, std::string name) {
   DP_CHECK(sim != nullptr);
-  DP_CHECK(!running_ && queue_.empty());
+  DP_CHECK(idle());
   sim_ = sim;
   name_ = std::move(name);
   wait_time_ = 0;
   last_start_ = -1;
 }
 
-void Stream::Enqueue(Op op) {
-  queue_.push_back(std::move(op));
-  MaybeStartNext();
-}
-
 void Stream::EnqueueDelay(Nanos duration) {
   DP_CHECK(duration >= 0);
-  Enqueue([this, duration](std::function<void()> done) {
-    sim_->ScheduleAfter(duration, std::move(done));
-  });
-}
-
-void Stream::EnqueueRecord(SyncEvent* event) {
-  Enqueue([event](std::function<void()> done) {
-    event->Fire();
-    done();
-  });
+  Push({.kind = OpKind::kDelay, .duration = duration});
 }
 
 void Stream::EnqueueWait(SyncEvent* event) {
-  Enqueue([this, event](std::function<void()> done) {
-    const Nanos wait_start = sim_->now();
-    event->OnFire([this, wait_start, done = std::move(done)]() {
-      wait_time_ += sim_->now() - wait_start;
-      done();
-    });
-  });
+  Push({.kind = OpKind::kWait, .event = event});
+}
+
+void Stream::EnqueueRecord(SyncEvent* event) {
+  Push({.kind = OpKind::kRecord, .event = event});
+}
+
+void Stream::EnqueueTransfer(Fabric* fabric, std::vector<LinkId> path,
+                             std::int64_t bytes, Nanos latency) {
+  Push({.kind = OpKind::kTransfer,
+        .duration = latency,
+        .fabric = fabric,
+        .path = std::move(path),
+        .bytes = bytes});
 }
 
 void Stream::EnqueueMarker(std::function<void()> fn) {
-  Enqueue([fn = std::move(fn)](std::function<void()> done) {
-    fn();
-    done();
-  });
+  Push({.kind = OpKind::kMarker, .fn = std::move(fn)});
 }
 
-void Stream::MaybeStartNext() {
-  if (running_ || queue_.empty()) {
+void Stream::Push(Op&& op) {
+  if (next_ == ops_.size()) {
+    // Every enqueued op has started (and moved out what it still needs).
+    ops_.clear();
+    next_ = 0;
+  }
+  ops_.push_back(std::move(op));
+  Pump();
+}
+
+void Stream::Finish() {
+  running_ = false;
+  Pump();
+}
+
+void Stream::EndWait() {
+  wait_time_ += sim_->now() - wait_start_;
+  Finish();
+}
+
+void Stream::Pump() {
+  if (running_ || next_ == ops_.size()) {
     return;
   }
-  // After the early-outs so only real op starts are attributed; ops whose
-  // done callback fires synchronously re-enter this function and collapse
-  // into the already-open scope (count bump, no nested timing).
+  // After the early-outs so only real op starts are attributed; a Record or
+  // Marker that releases another stream pumps it inside this scope, which
+  // collapses into a count bump (no nested timing).
   DP_SELFPROF_SCOPE(kExecStream);
-  running_ = true;
-  check::SimValidator::OnStreamOpStart(name_, last_start_, sim_->now());
-  last_start_ = sim_->now();
-  Op op = std::move(queue_.front());
-  queue_.pop_front();
-  // The done callback may fire synchronously (marker/record ops); guard
-  // against recursion by deferring continuation through the event queue only
-  // when needed — here we simply re-enter MaybeStartNext after clearing
-  // running_, which is safe because Enqueue during an op lands behind us.
-  op([this]() {
-    running_ = false;
-    MaybeStartNext();
-  });
+  while (!running_ && next_ < ops_.size()) {
+    check::SimValidator::OnStreamOpStart(name_, last_start_, sim_->now());
+    last_start_ = sim_->now();
+    // `op` dangles once a callback below enqueues onto this stream, so each
+    // case takes what it needs first. An inline op clears running_ only
+    // after its side effects, so an op enqueued meanwhile starts after them.
+    Op& op = ops_[next_++];
+    running_ = true;
+    switch (op.kind) {
+      case OpKind::kDelay:
+        sim_->ScheduleAfter(op.duration, [this]() { Finish(); });
+        break;
+      case OpKind::kTransfer:
+        op.fabric->Start(std::move(op.path), op.bytes, op.duration,
+                         [this](Nanos) { Finish(); });
+        break;
+      case OpKind::kWait:
+        if (op.event->fired()) {
+          running_ = false;
+        } else {
+          wait_start_ = sim_->now();
+          op.event->waiters_.push_back(this);
+        }
+        break;
+      case OpKind::kRecord: {
+        SyncEvent* event = op.event;
+        event->Fire();
+        running_ = false;
+        break;
+      }
+      case OpKind::kMarker: {
+        const std::function<void()> fn = std::move(op.fn);
+        fn();
+        running_ = false;
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace deepplan

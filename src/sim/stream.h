@@ -5,22 +5,24 @@
 #ifndef SRC_SIM_STREAM_H_
 #define SRC_SIM_STREAM_H_
 
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
 #include "src/util/time.h"
 
 namespace deepplan {
 
-// One-shot synchronization point. Fires once; waiters registered before the
-// fire run at fire time, waiters registered after run immediately. A
-// default-constructed event is inert until Reset attaches a simulator;
-// Reset also rearms a fired event for reuse (pooled cold-run bookkeeping
-// retains the waiter vector's capacity across runs).
+class Stream;
+
+// One-shot synchronization point. Fires once; streams waiting on it resume
+// at fire time in the order they started waiting, and a wait reached after
+// the fire passes inline. A default-constructed event is inert until Reset
+// attaches a simulator; Reset also rearms a fired event for reuse (pooled
+// cold-run bookkeeping retains the waiter vector's capacity across runs).
 class SyncEvent {
  public:
   SyncEvent() = default;
@@ -36,27 +38,28 @@ class SyncEvent {
   bool fired() const { return fired_; }
   Nanos fire_time() const { return fire_time_; }
 
-  // Marks the event fired at the current simulated time and releases waiters.
+  // Marks the event fired at the current simulated time and resumes waiters.
   void Fire();
 
-  // Invokes `cb` once the event has fired (immediately if already fired).
-  void OnFire(std::function<void()> cb);
-
  private:
+  friend class Stream;
+
   Simulator* sim_ = nullptr;
   bool fired_ = false;
   Nanos fire_time_ = -1;
-  std::vector<std::function<void()>> waiters_;
+  std::vector<Stream*> waiters_;  // streams blocked on a Wait op
 };
 
-// In-order asynchronous work queue. Each op receives a `done` callback it must
-// invoke exactly once (possibly at a later simulated time); the next op starts
-// only after the previous one finished.
+// In-order asynchronous work queue of typed ops. The next op starts only
+// after the previous one finished. Delay, Transfer, and a Wait on an unfired
+// event finish later (from a simulator event, the fabric's completion
+// callback, or SyncEvent::Fire); Record, Marker, and a Wait on a fired event
+// finish inline. Whoever finishes an op also starts the ops after it, up to
+// the next one that finishes later, before returning: a Transfer followed by
+// a Marker runs the Marker inside the transfer's completion callback, then
+// starts the op after it, and schedules no event of its own.
 class Stream {
  public:
-  // An op begins when the stream reaches it and calls `done` when finished.
-  using Op = std::function<void(std::function<void()> done)>;
-
   // A default-constructed stream is inert until Reset attaches a simulator.
   Stream() = default;
   Stream(Simulator* sim, std::string name);
@@ -66,21 +69,23 @@ class Stream {
   void Reset(Simulator* sim, std::string name);
 
   const std::string& name() const { return name_; }
-  bool idle() const { return !running_ && queue_.empty(); }
+  bool idle() const { return !running_ && next_ == ops_.size(); }
 
-  // Appends an op.
-  void Enqueue(Op op);
-
-  // Convenience: an op that just occupies the stream for `duration`.
+  // Occupies the stream for `duration` (one simulator event).
   void EnqueueDelay(Nanos duration);
 
-  // Convenience: fire `event` when the stream reaches this point.
-  void EnqueueRecord(SyncEvent* event);
-
-  // Convenience: block the stream until `event` fires.
+  // Blocks the stream until `event` fires.
   void EnqueueWait(SyncEvent* event);
 
-  // Convenience: run `fn` inline (zero duration) when the stream reaches it.
+  // Fires `event` when the stream reaches this point.
+  void EnqueueRecord(SyncEvent* event);
+
+  // Moves `bytes` across `path` of `fabric` as one Fabric::Start (`latency`
+  // is the transfer's completion tail); finishes when the transfer does.
+  void EnqueueTransfer(Fabric* fabric, std::vector<LinkId> path, std::int64_t bytes,
+                       Nanos latency);
+
+  // Runs `fn` inline (zero duration) when the stream reaches it.
   void EnqueueMarker(std::function<void()> fn);
 
   // Total time this stream spent with work enqueued but blocked on a wait op
@@ -88,12 +93,36 @@ class Stream {
   Nanos wait_time() const { return wait_time_; }
 
  private:
-  void MaybeStartNext();
+  friend class SyncEvent;
+
+  enum class OpKind { kDelay, kWait, kRecord, kTransfer, kMarker };
+
+  struct Op {
+    OpKind kind = OpKind::kDelay;
+    Nanos duration = 0;          // kDelay: occupancy; kTransfer: latency tail
+    SyncEvent* event = nullptr;  // kWait, kRecord
+    Fabric* fabric = nullptr;    // kTransfer
+    std::vector<LinkId> path{};  // kTransfer
+    std::int64_t bytes = 0;      // kTransfer
+    std::function<void()> fn{};  // kMarker
+  };
+
+  void Push(Op&& op);
+  // Starts queued ops until one finishes later or the queue drains.
+  void Pump();
+  // The in-flight op finished (delay elapsed or transfer completed).
+  void Finish();
+  // The event the in-flight Wait op blocked on fired.
+  void EndWait();
 
   Simulator* sim_ = nullptr;
   std::string name_;
-  std::deque<Op> queue_;
+  // Enqueued ops; those before next_ have started. The storage is reused
+  // once every op has started, so a pooled stream stops allocating.
+  std::vector<Op> ops_;
+  std::size_t next_ = 0;
   bool running_ = false;
+  Nanos wait_start_ = 0;  // when the in-flight Wait op blocked
   Nanos wait_time_ = 0;
   // When the most recent op started; the validator asserts in-order starts.
   Nanos last_start_ = -1;

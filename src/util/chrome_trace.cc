@@ -79,16 +79,6 @@ bool EventBefore(const TraceEvent& a, const TraceEvent& b) {
 
 }  // namespace
 
-std::string ChromeTraceWriter::ToJson(const std::vector<TimelineEvent>& events) {
-  TraceDocument doc;
-  doc.events.reserve(events.size());
-  for (const TimelineEvent& e : events) {
-    doc.events.push_back(
-        TraceEvent{TracePhase::kSpan, 0, e.track, e.name, e.start, e.duration, 0.0});
-  }
-  return ToJson(doc);
-}
-
 std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
   std::vector<TraceEvent> events = doc.events;
   std::stable_sort(events.begin(), events.end(), EventBefore);
@@ -191,16 +181,6 @@ std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
   }
   os << "]}";
   return os.str();
-}
-
-bool ChromeTraceWriter::WriteTo(const std::string& path,
-                                const std::vector<TimelineEvent>& events) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson(events);
-  return static_cast<bool>(out);
 }
 
 bool ChromeTraceWriter::WriteTo(const std::string& path, const TraceDocument& doc) {

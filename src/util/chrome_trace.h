@@ -1,14 +1,10 @@
 // Chrome-trace (chrome://tracing / Perfetto) JSON export for simulated
-// timelines. Two input shapes are supported:
-//
-//  - the engine's flat per-run TimelineEvent list (complete "X" slices on
-//    named tracks) — the pictures in Figures 7-9 of the paper, but generated
-//    from a real run;
-//  - a TraceDocument, the obs-layer TraceRecorder's multi-process event set:
-//    span ("X"), instant ("i"), and counter ("C") events grouped under named
-//    processes ("M" process_name / thread_name metadata records), so a whole
-//    server or cluster run opens in Perfetto as per-GPU/per-link tracks with
-//    bandwidth and queue-depth graphs overlaid.
+// timelines. The input is a TraceDocument, the obs-layer TraceRecorder's
+// multi-process event set: span ("X"), instant ("i"), counter ("C") and async
+// ("b"/"e") events grouped under named processes ("M" process_name /
+// thread_name metadata records), so a whole server or cluster run opens in
+// Perfetto as per-GPU/per-link tracks with bandwidth and queue-depth graphs
+// overlaid — the pictures in Figures 7-9 of the paper, generated from a run.
 //
 // Output is byte-stable: event/track names are JSON-escaped (including
 // control characters), events are sorted by timestamp with deterministic
@@ -24,13 +20,6 @@
 #include "src/util/time.h"
 
 namespace deepplan {
-
-struct TimelineEvent {
-  std::string name;   // e.g. layer name
-  std::string track;  // e.g. "pcie/gpu0", "nvlink", "exec"
-  Nanos start = 0;
-  Nanos duration = 0;
-};
 
 enum class TracePhase {
   kSpan,        // complete slice ("X"): [ts, ts+duration) on a thread track
@@ -69,12 +58,9 @@ class ChromeTraceWriter {
  public:
   // Renders events as a Chrome trace JSON document (trace-event format,
   // "traceEvents" array, microsecond timestamps).
-  static std::string ToJson(const std::vector<TimelineEvent>& events);
   static std::string ToJson(const TraceDocument& doc);
 
   // Writes the JSON to `path`; returns false on I/O failure.
-  static bool WriteTo(const std::string& path,
-                      const std::vector<TimelineEvent>& events);
   static bool WriteTo(const std::string& path, const TraceDocument& doc);
 };
 

@@ -260,32 +260,30 @@ TEST(TimelineTest, RecordingCapturesLoadsMigrationsAndExecs) {
   Simulator sim;
   ServerFabric fabric(&sim, &topology);
   Engine engine(&sim, &fabric, &perf);
-  ColdRunOptions options;
-  options.record_timeline = true;
+  TraceRecorder recorder;
+  engine.set_telemetry(&recorder);
   InferenceResult result;
-  engine.RunCold(model, plan, 0, {2}, options,
+  engine.RunCold(model, plan, 0, {2}, ColdRunOptions{},
                  [&](const InferenceResult& r) { result = r; });
   sim.Run();
-  ASSERT_FALSE(result.timeline.empty());
+  ASSERT_FALSE(recorder.empty());
   bool saw_load = false;
   bool saw_migrate = false;
   bool saw_exec = false;
-  for (const TimelineEvent& e : result.timeline) {
-    EXPECT_GE(e.start, 0);
+  std::size_t execs = 0;
+  for (const TraceEvent& e : recorder.document().events) {
+    EXPECT_GE(e.ts, 0);
     EXPECT_GE(e.duration, 0);
-    EXPECT_LE(e.start + e.duration, result.latency);
+    EXPECT_LE(e.ts + e.duration, result.latency);
     saw_load |= e.track.rfind("pcie/", 0) == 0;
     saw_migrate |= e.track.rfind("nvlink/", 0) == 0;
     saw_exec |= e.track.rfind("exec/", 0) == 0;
+    execs += e.phase == TracePhase::kSpan && e.track.rfind("exec/", 0) == 0 ? 1 : 0;
   }
   EXPECT_TRUE(saw_load);
   EXPECT_TRUE(saw_migrate);
   EXPECT_TRUE(saw_exec);
-  // Exactly one exec event per layer.
-  std::size_t execs = 0;
-  for (const TimelineEvent& e : result.timeline) {
-    execs += e.track.rfind("exec/", 0) == 0 ? 1 : 0;
-  }
+  // Exactly one exec slice per layer.
   EXPECT_EQ(execs, model.num_layers());
 }
 
@@ -300,10 +298,12 @@ TEST(TimelineTest, RecordingDoesNotChangeLatency) {
     Simulator sim;
     ServerFabric fabric(&sim, &topology);
     Engine engine(&sim, &fabric, &perf);
-    ColdRunOptions options;
-    options.record_timeline = recording == 1;
+    TraceRecorder recorder;
+    if (recording == 1) {
+      engine.set_telemetry(&recorder);
+    }
     InferenceResult result;
-    engine.RunCold(model, plan, 0, {}, options,
+    engine.RunCold(model, plan, 0, {}, ColdRunOptions{},
                    [&](const InferenceResult& r) { result = r; });
     sim.Run();
     latency[recording] = result.latency;
@@ -312,11 +312,12 @@ TEST(TimelineTest, RecordingDoesNotChangeLatency) {
 }
 
 TEST(ChromeTraceTest, JsonIsWellFormedAndEscaped) {
-  std::vector<TimelineEvent> events = {
-      {"load \"emb\"", "pcie/gpu0", Micros(1), Micros(10)},
-      {"exec emb", "exec/gpu0", Micros(11), Micros(5)},
+  TraceDocument doc;
+  doc.events = {
+      {TracePhase::kSpan, 0, "pcie/gpu0", "load \"emb\"", Micros(1), Micros(10)},
+      {TracePhase::kSpan, 0, "exec/gpu0", "exec emb", Micros(11), Micros(5)},
   };
-  const std::string json = ChromeTraceWriter::ToJson(events);
+  const std::string json = ChromeTraceWriter::ToJson(doc);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("load \\\"emb\\\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -326,7 +327,9 @@ TEST(ChromeTraceTest, JsonIsWellFormedAndEscaped) {
 
 TEST(ChromeTraceTest, WriteToFile) {
   const std::string path = ::testing::TempDir() + "/trace_test.json";
-  EXPECT_TRUE(ChromeTraceWriter::WriteTo(path, {{"a", "t", 0, 10}}));
+  TraceDocument doc;
+  doc.events = {{TracePhase::kSpan, 0, "t", "a", 0, 10}};
+  EXPECT_TRUE(ChromeTraceWriter::WriteTo(path, doc));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::remove(path.c_str());

@@ -333,8 +333,7 @@ class ColdStartTraceTest : public ::testing::Test {
  protected:
   static std::string RunOnce(TraceRecorder* out_recorder,
                              MetricsRegistry* out_registry,
-                             bool record_timeline,
-                             std::vector<TimelineEvent>* out_timeline) {
+                             CausalGraph* causal = nullptr) {
     const Topology topology = Topology::A5000Box();
     const PerfModel perf(topology.gpu(), topology.pcie());
     Simulator sim;
@@ -357,16 +356,17 @@ class ColdStartTraceTest : public ::testing::Test {
     pipeline.nvlink = topology.nvlink();
     const ExecutionPlan plan = MakeStrategyPlan(strategy, profile, degree, pipeline);
     ColdRunOptions options = MakeColdRunOptions(strategy);
-    options.record_timeline = record_timeline;
+    if (causal != nullptr) {
+      engine.set_causal(causal);
+      options.causal_request =
+          causal->BeginRequest(causal->RegisterProcess("PT+DHA cold start"), 0, 0);
+    }
     InferenceResult result;
     engine.RunCold(model, plan, /*primary=*/0,
                    TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
                    options, [&](const InferenceResult& r) { result = r; });
     sim.Run();
     EXPECT_GT(result.latency, 0);
-    if (out_timeline != nullptr) {
-      *out_timeline = result.timeline;
-    }
     return recorder->ToJson();
   }
 };
@@ -374,8 +374,7 @@ class ColdStartTraceTest : public ::testing::Test {
 TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
   TraceRecorder recorder(/*enabled=*/true);
   MetricsRegistry registry;
-  const std::string json = RunOnce(&recorder, &registry,
-                                   /*record_timeline=*/false, nullptr);
+  const std::string json = RunOnce(&recorder, &registry);
   EXPECT_FALSE(recorder.empty());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   // Per-GPU PCIe load tracks (PT splits the model over both GPUs), the
@@ -393,24 +392,19 @@ TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
 }
 
 TEST_F(ColdStartTraceTest, IdenticalRunsExportIdenticalBytes) {
-  const std::string a = RunOnce(nullptr, nullptr, false, nullptr);
-  const std::string b = RunOnce(nullptr, nullptr, false, nullptr);
+  const std::string a = RunOnce(nullptr, nullptr);
+  const std::string b = RunOnce(nullptr, nullptr);
   EXPECT_EQ(a, b);
 }
 
-TEST_F(ColdStartTraceTest, RecorderMirrorsTimelineWithoutRecordingIt) {
-  // The recorder re-emits the engine's per-operation timeline even when the
-  // per-run InferenceResult timeline stays off; interval counts must agree.
-  // Exec operations export as complete slices; load/migrate intervals export
-  // as async begin/end pairs (they may overlap across concurrent runs).
-  std::vector<TimelineEvent> timeline;
-  RunOnce(nullptr, nullptr, /*record_timeline=*/true, &timeline);
-  ASSERT_FALSE(timeline.empty());
-
+TEST_F(ColdStartTraceTest, RecorderAndCausalGraphSeeTheSameOps) {
+  // Both observers are written from one place per finished op, so the trace
+  // holds one interval per causal work node. Exec operations export as
+  // complete slices; load/migrate intervals export as async begin/end pairs
+  // (they may overlap across concurrent runs).
   TraceRecorder recorder(/*enabled=*/true);
-  std::vector<TimelineEvent> no_timeline;
-  RunOnce(&recorder, nullptr, /*record_timeline=*/false, &no_timeline);
-  EXPECT_TRUE(no_timeline.empty());
+  CausalGraph causal(/*enabled=*/true);
+  RunOnce(&recorder, nullptr, &causal);
   std::size_t intervals = 0;
   std::size_t async_begins = 0;
   std::size_t async_ends = 0;
@@ -427,7 +421,11 @@ TEST_F(ColdStartTraceTest, RecorderMirrorsTimelineWithoutRecordingIt) {
   }
   EXPECT_GT(async_begins, 0u);  // the PT plan always streams some layers
   EXPECT_EQ(async_begins, async_ends);
-  EXPECT_EQ(intervals, timeline.size());
+  std::size_t work_nodes = 0;
+  for (const CpNode& node : causal.nodes()) {
+    work_nodes += node.kind != CpKind::kArrival ? 1 : 0;
+  }
+  EXPECT_EQ(intervals, work_nodes);
 }
 
 TEST(FabricTelemetryTest, ContendedLinkEmitsChangingCounterSamples) {

@@ -156,7 +156,7 @@ TEST(SelfProfTest, ReenteringInnermostPhaseCollapsesToCountBump) {
   {
     InstallLane install(&lane);
     ScopedPhase outer(Phase::kExecStream);
-    ScopedPhase inner(Phase::kExecStream);  // Stream::MaybeStartNext recursion
+    ScopedPhase inner(Phase::kExecStream);  // Stream::Pump re-entry
     ScopedPhase innermost(Phase::kExecStream);
   }
   const SelfProfiler::Node* exec = Child(lane, lane.root(), Phase::kExecStream);

@@ -340,5 +340,80 @@ TEST(StreamTest, RecordFiresEventInOrder) {
   EXPECT_EQ(exec_start, 200);
 }
 
+TEST(SyncEventTest, WaitersResumeInRegistrationOrder) {
+  Simulator sim;
+  SyncEvent event(&sim);
+  Stream first(&sim, "first");
+  Stream second(&sim, "second");
+  std::vector<int> order;
+  second.EnqueueWait(&event);
+  second.EnqueueMarker([&] { order.push_back(2); });
+  first.EnqueueWait(&event);
+  first.EnqueueMarker([&] { order.push_back(1); });
+  sim.ScheduleAfter(100, [&] { event.Fire(); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(first.wait_time(), 100);
+  EXPECT_EQ(second.wait_time(), 100);
+}
+
+TEST(SyncEventTest, WaitAfterFireCompletesInlineWithoutAnEvent) {
+  Simulator sim;
+  SyncEvent event(&sim);
+  event.Fire();
+  Stream stream(&sim, "s");
+  const std::uint64_t scheduled = sim.event_queue().total_scheduled();
+  bool passed = false;
+  stream.EnqueueWait(&event);
+  stream.EnqueueMarker([&] { passed = true; });
+  EXPECT_TRUE(passed);  // before the simulator ran at all
+  EXPECT_TRUE(stream.idle());
+  EXPECT_EQ(sim.event_queue().total_scheduled(), scheduled);
+}
+
+// Transfer A, then a marker, then transfer B, on a link a second flow
+// contends for: through a stream, or hand-chained through the fabric's
+// completion callbacks.
+struct ChainTimes {
+  Nanos marker = -1;
+  Nanos done = -1;
+  std::uint64_t scheduled = 0;
+};
+
+ChainTimes RunTransferChain(bool through_stream) {
+  Simulator sim;
+  Fabric fabric(&sim);
+  const LinkId link = fabric.AddLink("link", 1e9);
+  fabric.Start({link}, 3'000'000, Micros(5), [](Nanos) {});
+  ChainTimes t;
+  Stream stream(&sim, "s");
+  if (through_stream) {
+    stream.EnqueueTransfer(&fabric, {link}, 1'000'000, Micros(5));
+    stream.EnqueueMarker([&] { t.marker = sim.now(); });
+    stream.EnqueueTransfer(&fabric, {link}, 1'000'000, Micros(5));
+    stream.EnqueueMarker([&] { t.done = sim.now(); });
+  } else {
+    fabric.Start({link}, 1'000'000, Micros(5), [&](Nanos) {
+      t.marker = sim.now();
+      fabric.Start({link}, 1'000'000, Micros(5), [&](Nanos) { t.done = sim.now(); });
+    });
+  }
+  sim.Run();
+  t.scheduled = sim.event_queue().total_scheduled();
+  return t;
+}
+
+TEST(StreamTest, TransferThenMarkerRunsInsideTheCompletionCallback) {
+  const ChainTimes stream = RunTransferChain(true);
+  const ChainTimes chained = RunTransferChain(false);
+  EXPECT_GT(stream.marker, 0);
+  EXPECT_GT(stream.done, stream.marker);
+  // Same completion times and not one extra event: the marker and the next
+  // transfer start from within the first transfer's completion callback.
+  EXPECT_EQ(stream.marker, chained.marker);
+  EXPECT_EQ(stream.done, chained.done);
+  EXPECT_EQ(stream.scheduled, chained.scheduled);
+}
+
 }  // namespace
 }  // namespace deepplan

@@ -10,7 +10,6 @@
 #include "src/util/chrome_trace.h"
 #include "src/util/flags.h"
 #include "src/util/json.h"
-#include "src/util/histogram.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -216,39 +215,6 @@ TEST(PercentilesTest, EmptySampleIsDefinedZero) {
   EXPECT_DOUBLE_EQ(p.Percentile(50), 7.0);
 }
 
-// ---------------------------------------------------------------- histogram
-
-TEST(HistogramTest, PercentileUpperBoundsValue) {
-  LatencyHistogram h(0.1, 1000.0, 50);
-  for (int i = 1; i <= 1000; ++i) {
-    h.Add(static_cast<double>(i) / 10.0);  // 0.1 .. 100
-  }
-  const double p50 = h.Percentile(50);
-  EXPECT_GE(p50, 50.0 * 0.95);
-  EXPECT_LE(p50, 50.0 * 1.10);
-  const double p99 = h.Percentile(99);
-  EXPECT_GE(p99, 99.0 * 0.95);
-  EXPECT_LE(p99, 99.0 * 1.10);
-}
-
-TEST(HistogramTest, ClampsOutOfRange) {
-  LatencyHistogram h(1.0, 100.0);
-  h.Add(0.001);
-  h.Add(1e9);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_GT(h.Percentile(99), 99.0);
-}
-
-TEST(HistogramTest, MergeAddsCounts) {
-  LatencyHistogram a(1.0, 100.0);
-  LatencyHistogram b(1.0, 100.0);
-  a.Add(10.0);
-  b.Add(20.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.Mean(), 15.0);
-}
-
 // ---------------------------------------------------------------- table
 
 TEST(TableTest, PrintsAlignedColumns) {
@@ -330,20 +296,22 @@ TEST(JsonTest, ObjectsKeepInsertionOrderAndNest) {
 
 using testutil::JsonChecker;
 
-std::vector<TimelineEvent> SampleTimeline() {
-  return {
-      {"embedding", "pcie/gpu0", Micros(1500), Millis(2)},
-      {"layer \"0\"", "exec", 1500, 2500},  // 1.5 us / 2.5 us: sub-us precision
-      {"fwd\\path", "nvlink", Millis(1), Micros(250)},
+TraceDocument SampleTimeline() {
+  TraceDocument doc;
+  doc.events = {
+      {TracePhase::kSpan, 0, "pcie/gpu0", "embedding", Micros(1500), Millis(2)},
+      // 1.5 us / 2.5 us: sub-us precision
+      {TracePhase::kSpan, 0, "exec", "layer \"0\"", 1500, 2500},
+      {TracePhase::kSpan, 0, "nvlink", "fwd\\path", Millis(1), Micros(250)},
   };
+  return doc;
 }
 
 TEST(ChromeTraceTest, EmittedJsonParses) {
   const std::string json = ChromeTraceWriter::ToJson(SampleTimeline());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   // Also parses for an empty timeline.
-  const std::string empty =
-      ChromeTraceWriter::ToJson(std::vector<TimelineEvent>{});
+  const std::string empty = ChromeTraceWriter::ToJson(TraceDocument{});
   EXPECT_TRUE(JsonChecker(empty).Valid()) << empty;
   EXPECT_NE(empty.find("\"traceEvents\""), std::string::npos);
 }
@@ -370,14 +338,14 @@ TEST(ChromeTraceTest, RoundTripsTrackAndNameFields) {
 }
 
 TEST(ChromeTraceTest, WriteToRoundTripsAndReportsIoFailure) {
-  const std::vector<TimelineEvent> events = SampleTimeline();
+  const TraceDocument events = SampleTimeline();
   const std::string path = ::testing::TempDir() + "/chrome_trace_test.json";
   ASSERT_TRUE(ChromeTraceWriter::WriteTo(path, events));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), ChromeTraceWriter::ToJson(events));
+  EXPECT_EQ(buffer.str(), ChromeTraceWriter::ToJson(events) + "\n");
   EXPECT_FALSE(
       ChromeTraceWriter::WriteTo("/nonexistent-dir/trace.json", events));
 }
