@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the simulation substrate: event-queue
-// throughput, fabric transfer scheduling under contention, cold-run
-// simulation, and workload generation. These bound the wall-clock cost of the
-// serving experiments (Figures 13-15).
+// throughput (boxed lambdas and plain Actions), stream ops, fabric transfer
+// scheduling alone and under contention, cold-run simulation, and workload
+// generation. These bound the wall-clock cost of the serving experiments
+// (Figures 13-15); each layer's ns/op reads on its own.
 #include <benchmark/benchmark.h>
 
 #include "src/deepplan.h"
+#include "src/sim/stream.h"
 
 namespace deepplan {
 namespace {
@@ -20,6 +22,69 @@ void BM_EventQueueScheduleFire(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleFire);
+
+// The same 1000 events as plain Actions, the record the simulator's hot paths
+// schedule: the lambda case above minus boxing.
+struct FireCounter {
+  std::int64_t fired = 0;
+  void Fire() { ++fired; }
+};
+
+void BM_ScheduleActionFire(benchmark::State& state) {
+  FireCounter counter;
+  for (auto _ : state) {
+    Simulator sim;
+    for (int i = 0; i < 1000; ++i) {
+      sim.ScheduleAfter(i, MakeAction<&FireCounter::Fire>(&counter));
+    }
+    sim.Run();
+  }
+  benchmark::DoNotOptimize(counter.fired);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_ScheduleActionFire);
+
+// One stream op: 1000 back-to-back Delay ops, each one event.
+void BM_StreamDelayOps(benchmark::State& state) {
+  for (auto _ : state) {
+    Simulator sim;
+    Stream stream(&sim, "exec");
+    for (int i = 0; i < 1000; ++i) {
+      stream.EnqueueDelay(10);
+    }
+    sim.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_StreamDelayOps);
+
+// One uncontended transfer: each of 1000 starts from the previous one's
+// completion on a two-link route, so every Start and drain re-solves a
+// single-transfer component and schedules its completion and latency tail.
+struct TransferChain {
+  Fabric* fabric;
+  LinkPath route;
+  int left = 1000;
+  void Next() {
+    if (left-- > 0) {
+      fabric->Start(route, 1'000'000, 1000, [this](Nanos) { Next(); });
+    }
+  }
+};
+
+void BM_FabricStartComplete(benchmark::State& state) {
+  for (auto _ : state) {
+    Simulator sim;
+    Fabric fabric(&sim);
+    const LinkId uplink = fabric.AddLink("uplink", 12e9);
+    const LinkId lane = fabric.AddLink("lane", 12e9);
+    TransferChain chain{&fabric, {uplink, lane}};
+    chain.Next();
+    sim.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_FabricStartComplete);
 
 void BM_FabricContendedTransfers(benchmark::State& state) {
   const int transfers = static_cast<int>(state.range(0));

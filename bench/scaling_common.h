@@ -67,10 +67,40 @@ struct ScalingPointResult {
   double wall_ms = 0.0;
 };
 
-// Replays one scaling point. Arrivals are fed through a chained feeder (each
-// Submit schedules the next), so pending events track server activity — not
-// trace length; event_slot_peak stays O(outstanding work) even at 1M
-// requests, which is the arena-reuse property the scaling test pins.
+// The point's count-exact synthetic trace.
+inline Trace ScalingTrace(const ScalingPointOptions& options) {
+  SyntheticScaleOptions w;
+  w.num_requests = options.num_requests;
+  w.rate_per_sec = options.rate_per_sec;
+  w.num_instances = options.num_instances;
+  w.zipf_exponent = options.zipf_exponent;
+  w.seed = options.seed;
+  return GenerateSyntheticScaleTrace(w);
+}
+
+// Feeds a trace's arrivals to a server one at a time: each Submit schedules
+// the next arrival, so pending events track server activity, not trace
+// length.
+struct ChainedFeeder {
+  const std::vector<Arrival>* arrivals;
+  Simulator* sim;
+  Server* server;
+  std::size_t next = 0;
+  void ScheduleNext() {
+    if (next >= arrivals->size()) {
+      return;
+    }
+    const Arrival& a = (*arrivals)[next++];
+    sim->ScheduleAt(a.time, [this, instance = a.instance] {
+      server->Submit(instance);
+      ScheduleNext();
+    });
+  }
+};
+
+// Replays one scaling point. Arrivals are fed through a ChainedFeeder, so
+// event_slot_peak stays O(outstanding work) even at 1M requests, which is
+// the arena-reuse property the scaling test pins.
 inline ScalingPointResult RunScalingPoint(const ScalingPointOptions& options) {
   // deepplan-lint: allow(raw-entropy, wall-clock measurement; only feeds wall_ms, which the golden gate ignores)
   const auto wall_start = std::chrono::steady_clock::now();
@@ -82,13 +112,7 @@ inline ScalingPointResult RunScalingPoint(const ScalingPointOptions& options) {
     // accumulate here. No-op unless options.selfprof.
     selfprof::InstallLane profile(options.selfprof ? &r.selfprof : nullptr);
 
-    SyntheticScaleOptions w;
-    w.num_requests = options.num_requests;
-    w.rate_per_sec = options.rate_per_sec;
-    w.num_instances = options.num_instances;
-    w.zipf_exponent = options.zipf_exponent;
-    w.seed = options.seed;
-    const Trace trace = GenerateSyntheticScaleTrace(w);
+    const Trace trace = ScalingTrace(options);
 
     // Setup scope held in an optional: the objects it times must outlive it.
     std::optional<selfprof::ScopedPhase> setup(std::in_place,
@@ -119,23 +143,7 @@ inline ScalingPointResult RunScalingPoint(const ScalingPointOptions& options) {
     setup.reset();
     server.Warmup();
 
-    struct Feeder {
-      const std::vector<Arrival>* arrivals;
-      Simulator* sim;
-      Server* server;
-      std::size_t next = 0;
-      void ScheduleNext() {
-        if (next >= arrivals->size()) {
-          return;
-        }
-        const Arrival& a = (*arrivals)[next++];
-        sim->ScheduleAt(a.time, [this, instance = a.instance] {
-          server->Submit(instance);
-          ScheduleNext();
-        });
-      }
-    };
-    Feeder feeder{&trace.arrivals(), &sim, &server};
+    ChainedFeeder feeder{&trace.arrivals(), &sim, &server};
     feeder.ScheduleNext();
     sim.Run();
 

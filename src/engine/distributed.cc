@@ -36,7 +36,7 @@ std::int64_t DistributedEngine::BoundaryBytes(const Layer& layer, int batch) {
 void DistributedEngine::RunCold(const Model& model, const ExecutionPlan& plan,
                                 const std::vector<GpuId>& gpus,
                                 const DistributedRunOptions& options,
-                                std::function<void(InferenceResult)> done) {
+                                std::function<void(const InferenceResult&)> done) {
   const std::size_t n = model.num_layers();
   DP_CHECK(plan.num_layers() == n);
   DP_CHECK(static_cast<int>(gpus.size()) >= plan.num_partitions());

@@ -36,7 +36,7 @@ class DistributedEngine {
   // partition.
   void RunCold(const Model& model, const ExecutionPlan& plan,
                const std::vector<GpuId>& gpus, const DistributedRunOptions& options,
-               std::function<void(InferenceResult)> done);
+               std::function<void(const InferenceResult&)> done);
 
   // Steady-state latency once all partitions are resident: execution plus the
   // recurring boundary transfers. This is the "additional latency even for

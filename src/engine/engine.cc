@@ -35,12 +35,12 @@ ServerFabric::ServerFabric(Simulator* sim, const Topology* topology)
   }
 }
 
-std::vector<LinkId> ServerFabric::HostToGpuPath(GpuId gpu) const {
+LinkPath ServerFabric::HostToGpuPath(GpuId gpu) const {
   DP_CHECK(gpu >= 0 && gpu < topology_->num_gpus());
   return {uplink_of_switch_[Idx(topology_->switch_of(gpu))], pcie_of_gpu_[Idx(gpu)]};
 }
 
-std::vector<LinkId> ServerFabric::GpuToGpuPath(GpuId from, GpuId to) const {
+LinkPath ServerFabric::GpuToGpuPath(GpuId from, GpuId to) const {
   DP_CHECK(from >= 0 && from < topology_->num_gpus());
   DP_CHECK(to >= 0 && to < topology_->num_gpus());
   const LinkId link = nvlink_[Idx(from)][Idx(to)];
@@ -53,7 +53,10 @@ LinkId ServerFabric::pcie_link(GpuId gpu) const {
   return pcie_of_gpu_[Idx(gpu)];
 }
 
-std::vector<CpHop> ServerFabric::CausalHops(const std::vector<LinkId>& path) const {
+// Every route the fabric can carry fits a journal node, and back.
+static_assert(LinkPath::kMax == kCpMaxHops);
+
+std::vector<CpHop> ServerFabric::CausalHops(const LinkPath& path) const {
   std::vector<CpHop> hops;
   hops.reserve(path.size());
   for (const LinkId l : path) {
@@ -67,23 +70,60 @@ namespace engine_internal {
 // One transfer unit on a PCIe load stream: one layer, or several
 // consecutive layers coalesced into a transmission group (PipeSwitch-style
 // grouping amortizes per-copy overhead at the cost of coarser pipelining).
+// The item is its own stream markers' context: Loaded lands it after its
+// PCIe transfer, Migrated after the NVLink transfer that forwards it.
 struct LoadItem {
+  ColdRun* run = nullptr;
+  int partition = 0;
+  std::size_t index = 0;  // position in its partition's item list
   std::vector<std::size_t> layer_indices;
   std::int64_t bytes = 0;
   // Label for recorder/causal output; left empty (not built) when no
   // observer is attached, which is the serving hot path.
   std::string name;
+
+  void Loaded();
+  // Forwards `count` items of this partition, starting with this one.
+  void Migrated(std::uint64_t count);
+};
+
+// A partition's load items. Records past `size` are left over from earlier
+// runs and are reused, buffers and all, before any new one is constructed.
+struct ItemList {
+  std::vector<LoadItem> items;
+  std::size_t size = 0;
+
+  LoadItem& Add() {
+    if (size == items.size()) {
+      items.emplace_back();
+    }
+    return items[size++];
+  }
+  LoadItem& back() { return items[size - 1]; }
+};
+
+// What the exec stream's per-layer marker records (observed runs only).
+struct ExecStep {
+  Nanos duration = 0;
+  Nanos dha_pcie = 0;
+  bool loads = false;  // waits on a loaded layer's arrival
+  std::string label;
 };
 
 // All mutable state of one in-flight cold run. Runs are pooled: the engine
 // recycles a retired run's record — sync events, streams, per-partition item
 // lists — so a million-cold-start replay reuses the same buffers instead of
 // allocating hundreds of heap objects per run. The record stays owned by the
-// pool for the engine's lifetime, so the raw pointers captured by in-flight
-// ops can never dangle. Stream names double as trace/causal tracks.
+// pool for the engine's lifetime, so the raw pointers in in-flight ops' marker
+// Actions can never dangle. Stream names double as trace/causal tracks.
 struct ColdRun {
+  Engine* engine = nullptr;
   Nanos start = 0;
+  GpuId primary = 0;
+  bool pipelined = true;
+  bool bulk_migration = false;
   InferenceResult result;
+  std::function<void(const InferenceResult&)> done;
   std::vector<SyncEvent> arrived;       // per layer, primary GPU
   std::vector<SyncEvent> at_secondary;  // per layer, secondary GPU
   SyncEvent all_loaded;                 // Baseline gate
@@ -91,7 +131,9 @@ struct ColdRun {
   std::vector<Stream> load;             // per partition, "pcie/gpu<target>"
   std::vector<Stream> migration;  // per partition, "nvlink/<src>-><primary>"
                                   // (index 0 unused)
-  std::vector<std::vector<LoadItem>> part_items;
+  std::vector<GpuId> part_gpu;    // per partition, the GPU it loads onto
+  std::vector<ItemList> part_items;
+  std::vector<ExecStep> exec_steps;  // per layer (observed runs only)
   int pending_arrivals = 0;
   // A trace recorder or causal graph wants this run's ops.
   bool observed = false;
@@ -121,11 +163,18 @@ struct ColdRun {
       all_loaded.Fire();
     }
   }
+
+  // Exec-stream markers: layer `layer` executed (observed runs), and the
+  // last op of the run finished.
+  void Executed(std::uint64_t layer);
+  void Finish();
 };
 
 }  // namespace engine_internal
 
 using engine_internal::ColdRun;
+using engine_internal::ExecStep;
+using engine_internal::ItemList;
 using engine_internal::LoadItem;
 
 // Pool of reusable ColdRun records plus the deferred-release list. A run
@@ -138,6 +187,117 @@ struct EngineScratch {
   ObjectPool<ColdRun> pool;
   std::vector<ColdRun*> retired;
 };
+
+namespace engine_internal {
+
+void LoadItem::Loaded() {
+  Engine& e = *run->engine;
+  const Nanos now = e.sim_->now();
+  PartitionStats& ps = run->result.partitions[Idx(partition)];
+  // The transfer began when the previous one on this lane finished.
+  const Nanos started = run->start + ps.pcie_done;
+  ps.pcie_done = now - run->start;
+  if (run->observed) {
+    const CpNodeId node =
+        e.Observe(run->causal_request, CpKind::kPcie, run->load[Idx(partition)].name(),
+                  "load " + name, started,
+                  e.fabric_->HostToGpuPath(run->part_gpu[Idx(partition)]), bytes,
+                  e.perf_->calibration().pcie_transfer_overhead);
+    if (run->causal_request >= 0) {
+      e.causal_->AddEdge(run->pcie_prev[Idx(partition)], node);
+      run->pcie_prev[Idx(partition)] = node;
+      for (const std::size_t li : layer_indices) {
+        (partition == 0 ? run->layer_source : run->secondary_source)[li] = node;
+      }
+    }
+  }
+  for (const std::size_t li : layer_indices) {
+    if (partition == 0) {
+      run->Arrive(li, partition, now);
+    } else {
+      run->at_secondary[li].Fire();
+    }
+  }
+}
+
+void LoadItem::Migrated(std::uint64_t count) {
+  Engine& e = *run->engine;
+  const Nanos now = e.sim_->now();
+  const std::vector<LoadItem>& part = run->part_items[Idx(partition)].items;
+  const std::size_t first = index;
+  const std::size_t last = first + count;
+  if (run->observed) {
+    // The transfer began once the stream was free (the previous migration
+    // landed) and every layer it waited on had reached the secondary GPU.
+    Nanos started = run->start + run->result.partitions[Idx(partition)].arrival_done;
+    std::int64_t moved = 0;
+    for (std::size_t k = first; k < last; ++k) {
+      for (const std::size_t li : part[k].layer_indices) {
+        started = std::max(started, run->at_secondary[li].fire_time());
+      }
+      moved += part[k].bytes;
+    }
+    const CpNodeId node = e.Observe(
+        run->causal_request, CpKind::kNvlink, run->migration[Idx(partition)].name(),
+        run->bulk_migration ? "migrate bulk p" + std::to_string(partition) : "migrate " + name,
+        started, e.fabric_->GpuToGpuPath(run->part_gpu[Idx(partition)], run->primary), moved,
+        e.fabric_->topology().nvlink().transfer_latency);
+    if (run->causal_request >= 0) {
+      e.causal_->AddEdge(run->mig_prev[Idx(partition)], node);
+      // The migration waited on each item's PCIe delivery to the secondary
+      // GPU (one PCIe node covers a whole item).
+      for (std::size_t k = first; k < last; ++k) {
+        e.causal_->AddEdge(run->secondary_source[part[k].layer_indices.front()], node);
+      }
+      run->mig_prev[Idx(partition)] = node;
+      for (std::size_t k = first; k < last; ++k) {
+        for (const std::size_t li : part[k].layer_indices) {
+          run->layer_source[li] = node;
+        }
+      }
+    }
+  }
+  for (std::size_t k = first; k < last; ++k) {
+    for (const std::size_t li : part[k].layer_indices) {
+      run->Arrive(li, partition, now);
+    }
+  }
+}
+
+void ColdRun::Executed(std::uint64_t layer) {
+  const ExecStep& step = exec_steps[layer];
+  const CpNodeId node = engine->Observe(causal_request, CpKind::kExec, exec.name(), step.label,
+                                        engine->sim_->now() - step.duration);
+  if (causal_request >= 0) {
+    CausalGraph& causal = *engine->causal_;
+    if (step.dha_pcie > 0) {
+      causal.SetNodeDhaPcie(node, step.dha_pcie);
+    }
+    causal.AddEdge(last_exec, node);
+    if (step.loads) {
+      causal.AddEdge(pipelined ? layer_source[layer] : all_loaded_source, node);
+    }
+    last_exec = node;
+  }
+}
+
+void ColdRun::Finish() {
+  result.latency = engine->sim_->now() - start;
+  result.stall = exec.wait_time();
+  if (causal_request >= 0 && last_exec != causal_root) {
+    result.causal_terminal = last_exec;
+  }
+  // Moved out so the callable dies after this call, as a one-shot should.
+  const std::function<void(const InferenceResult&)> callback = std::move(done);
+  done = nullptr;
+  callback(result);
+  // The run is over, but its execute stream still unwinds after this
+  // marker returns (and `callback` may have synchronously started new work),
+  // so the record only retires here; the next RunCold recycles it.
+  engine->scratch_->retired.push_back(this);
+}
+
+}  // namespace engine_internal
 
 Engine::Engine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf)
     : sim_(sim), fabric_(fabric), perf_(perf),
@@ -153,9 +313,8 @@ void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
 }
 
 CpNodeId Engine::Observe(int request, CpKind kind, const std::string& track,
-                         const std::string& name, Nanos start,
-                         const std::vector<LinkId>& path, std::int64_t bytes,
-                         Nanos latency) {
+                         const std::string& name, Nanos start, const LinkPath& path,
+                         std::int64_t bytes, Nanos latency) {
   const bool transfer = kind != CpKind::kExec;
   if (recorder_ != nullptr) {
     if (transfer) {
@@ -183,7 +342,7 @@ CpNodeId Engine::Observe(int request, CpKind kind, const std::string& track,
 
 void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                      std::vector<GpuId> secondaries, const ColdRunOptions& options,
-                     std::function<void(InferenceResult)> done) {
+                     std::function<void(const InferenceResult&)> done) {
   // Times the synchronous DAG construction (per-layer op enqueues); the ops
   // themselves execute later under sim.dispatch / exec.stream.
   DP_SELFPROF_SCOPE(kColdStart);
@@ -199,7 +358,12 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
 
   ColdRun* run = scratch_->pool.Acquire();
   const std::size_t parts = Idx(plan.num_partitions());
+  run->engine = this;
   run->start = sim_->now();
+  run->primary = primary;
+  run->pipelined = options.pipelined;
+  run->bulk_migration = options.migration == MigrationMode::kBulk;
+  run->done = std::move(done);
   run->result.latency = 0;
   run->result.exec_busy = 0;
   run->result.stall = 0;
@@ -217,12 +381,14 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   if (run->load.size() < parts) {
     run->load.resize(parts);
     run->migration.resize(parts);
-  }
-  for (auto& items : run->part_items) {
-    items.clear();
-  }
-  if (run->part_items.size() < parts) {
+    run->part_gpu.resize(parts);
     run->part_items.resize(parts);
+  }
+  for (ItemList& items : run->part_items) {
+    items.size = 0;
+  }
+  for (std::size_t p = 0; p < parts; ++p) {
+    run->part_gpu[p] = p == 0 ? primary : secondaries[p - 1];
   }
   run->pending_arrivals = 0;
   run->causal_request = -1;
@@ -248,23 +414,36 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   // graph; skip the string building entirely when neither is active for this
   // run (the serving hot path).
   run->observed = recorder_ != nullptr || run->causal_request >= 0;
+  if (run->observed && run->exec_steps.size() < n) {
+    run->exec_steps.resize(n);
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     const Layer& layer = model.layer(i);
     if (plan.method(i) == ExecMethod::kLoad && layer.has_params()) {
       const int p = plan.partition(i);
-      auto& items = run->part_items[Idx(p)];
+      ItemList& items = run->part_items[Idx(p)];
       const int group = options.transfer_group_layers;
-      if (!items.empty() &&
-          static_cast<int>(items.back().layer_indices.size()) < group) {
-        items.back().layer_indices.push_back(i);
-        items.back().bytes += layer.param_bytes;
+      if (items.size > 0 && static_cast<int>(items.back().layer_indices.size()) < group) {
+        LoadItem& item = items.back();
+        item.layer_indices.push_back(i);
+        item.bytes += layer.param_bytes;
         if (run->observed) {
-          items.back().name += "+" + layer.name;
+          item.name += '+';
+          item.name += layer.name;
         }
       } else {
-        items.push_back(LoadItem{
-            {i}, layer.param_bytes, run->observed ? layer.name : std::string()});
+        LoadItem& item = items.Add();
+        item.run = run;
+        item.partition = p;
+        item.index = items.size - 1;
+        item.layer_indices.assign(1, i);
+        item.bytes = layer.param_bytes;
+        if (run->observed) {
+          item.name = layer.name;
+        } else {
+          item.name.clear();
+        }
       }
       run->arrived[i].Reset(sim_);
       run->at_secondary[i].Reset(sim_);
@@ -283,45 +462,19 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   // After each transfer a marker lands its layers: on the primary they are
   // ready to execute, on a secondary they are ready to migrate.
   const Nanos pcie_overhead = perf_->calibration().pcie_transfer_overhead;
-  for (int p = 0; p < plan.num_partitions(); ++p) {
-    const auto& items = run->part_items[Idx(p)];
-    if (items.empty()) {
+  for (std::size_t p = 0; p < parts; ++p) {
+    ItemList& items = run->part_items[p];
+    if (items.size == 0) {
       continue;
     }
-    const GpuId target = p == 0 ? primary : secondaries[Idx(p - 1)];
-    run->result.partitions[Idx(p)].pcie_start = 0;
-    Stream* load = &run->load[Idx(p)];
+    const GpuId target = run->part_gpu[p];
+    run->result.partitions[p].pcie_start = 0;
+    Stream* load = &run->load[p];
     load->Reset(sim_, "pcie/gpu" + std::to_string(target));
-    for (std::size_t k = 0; k < items.size(); ++k) {
-      load->EnqueueTransfer(&fabric_->fabric(), fabric_->HostToGpuPath(target),
-                            items[k].bytes, pcie_overhead);
-      load->EnqueueMarker([this, run, p, k, target]() {
-        PartitionStats& ps = run->result.partitions[Idx(p)];
-        // The transfer began when the previous one on this lane finished.
-        const Nanos started = run->start + ps.pcie_done;
-        ps.pcie_done = sim_->now() - run->start;
-        const LoadItem& item = run->part_items[Idx(p)][k];
-        if (run->observed) {
-          const CpNodeId node = Observe(
-              run->causal_request, CpKind::kPcie, run->load[Idx(p)].name(),
-              "load " + item.name, started, fabric_->HostToGpuPath(target),
-              item.bytes, perf_->calibration().pcie_transfer_overhead);
-          if (run->causal_request >= 0) {
-            causal_->AddEdge(run->pcie_prev[Idx(p)], node);
-            run->pcie_prev[Idx(p)] = node;
-            for (const std::size_t li : item.layer_indices) {
-              (p == 0 ? run->layer_source : run->secondary_source)[li] = node;
-            }
-          }
-        }
-        for (const std::size_t li : item.layer_indices) {
-          if (p == 0) {
-            run->Arrive(li, p, sim_->now());
-          } else {
-            run->at_secondary[li].Fire();
-          }
-        }
-      });
+    const LinkPath route = fabric_->HostToGpuPath(target);
+    for (std::size_t k = 0; k < items.size; ++k) {
+      load->EnqueueTransfer(&fabric_->fabric(), route, items.items[k].bytes, pcie_overhead);
+      load->EnqueueMarker(MakeAction<&LoadItem::Loaded>(&items.items[k]));
     }
   }
 
@@ -330,66 +483,26 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   // (parallel-pipeline); bulk mode forwards the whole partition as one item
   // once all of it has landed.
   const NvlinkSpec& nvlink = fabric_->topology().nvlink();
-  for (int p = 1; p < plan.num_partitions(); ++p) {
-    const auto& items = run->part_items[Idx(p)];
-    if (items.empty()) {
+  for (std::size_t p = 1; p < parts; ++p) {
+    ItemList& items = run->part_items[p];
+    if (items.size == 0) {
       continue;
     }
-    const GpuId src = secondaries[Idx(p - 1)];
-    Stream* mig = &run->migration[Idx(p)];
+    const GpuId src = run->part_gpu[p];
+    Stream* mig = &run->migration[p];
     mig->Reset(sim_, "nvlink/" + std::to_string(src) + "->" + std::to_string(primary));
-    const bool bulk = options.migration == MigrationMode::kBulk;
-    const std::size_t span = bulk ? items.size() : 1;
-    for (std::size_t first = 0; first < items.size(); first += span) {
-      const std::size_t last = first + span;
+    const LinkPath route = fabric_->GpuToGpuPath(src, primary);
+    const std::size_t span = run->bulk_migration ? items.size : 1;
+    for (std::size_t first = 0; first < items.size; first += span) {
       std::int64_t bytes = 0;
-      for (std::size_t k = first; k < last; ++k) {
-        for (const std::size_t li : items[k].layer_indices) {
+      for (std::size_t k = first; k < first + span; ++k) {
+        for (const std::size_t li : items.items[k].layer_indices) {
           mig->EnqueueWait(&run->at_secondary[li]);
         }
-        bytes += items[k].bytes;
+        bytes += items.items[k].bytes;
       }
-      mig->EnqueueTransfer(&fabric_->fabric(), fabric_->GpuToGpuPath(src, primary),
-                           bytes, nvlink.transfer_latency);
-      mig->EnqueueMarker([this, run, p, first, last, bulk, src, primary, bytes]() {
-        const auto& part = run->part_items[Idx(p)];
-        if (run->observed) {
-          // The transfer began once the stream was free (the previous
-          // migration landed) and every layer it waited on had reached the
-          // secondary GPU.
-          Nanos started = run->start + run->result.partitions[Idx(p)].arrival_done;
-          for (std::size_t k = first; k < last; ++k) {
-            for (const std::size_t li : part[k].layer_indices) {
-              started = std::max(started, run->at_secondary[li].fire_time());
-            }
-          }
-          const CpNodeId node = Observe(
-              run->causal_request, CpKind::kNvlink, run->migration[Idx(p)].name(),
-              bulk ? "migrate bulk p" + std::to_string(p) : "migrate " + part[first].name,
-              started, fabric_->GpuToGpuPath(src, primary), bytes,
-              fabric_->topology().nvlink().transfer_latency);
-          if (run->causal_request >= 0) {
-            causal_->AddEdge(run->mig_prev[Idx(p)], node);
-            // The migration waited on each item's PCIe delivery to the
-            // secondary GPU (one PCIe node covers a whole item).
-            for (std::size_t k = first; k < last; ++k) {
-              causal_->AddEdge(run->secondary_source[part[k].layer_indices.front()],
-                               node);
-            }
-            run->mig_prev[Idx(p)] = node;
-            for (std::size_t k = first; k < last; ++k) {
-              for (const std::size_t li : part[k].layer_indices) {
-                run->layer_source[li] = node;
-              }
-            }
-          }
-        }
-        for (std::size_t k = first; k < last; ++k) {
-          for (const std::size_t li : part[k].layer_indices) {
-            run->Arrive(li, p, sim_->now());
-          }
-        }
-      });
+      mig->EnqueueTransfer(&fabric_->fabric(), route, bytes, nvlink.transfer_latency);
+      mig->EnqueueMarker(MakeAction<&LoadItem::Migrated>(&items.items[first], span));
     }
   }
 
@@ -410,36 +523,15 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     if (!run->observed) {
       continue;
     }
-    run->exec.EnqueueMarker([this, run, i, exec, loads, pipelined = options.pipelined,
-                             dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0,
-                             label = (dha ? "exec(DHA) " : "exec ") + layer.name]() {
-      const CpNodeId node = Observe(run->causal_request, CpKind::kExec,
-                                    run->exec.name(), label, sim_->now() - exec);
-      if (run->causal_request >= 0) {
-        if (dha_pcie > 0) {
-          causal_->SetNodeDhaPcie(node, dha_pcie);
-        }
-        causal_->AddEdge(run->last_exec, node);
-        if (loads) {
-          causal_->AddEdge(pipelined ? run->layer_source[i] : run->all_loaded_source,
-                           node);
-        }
-        run->last_exec = node;
-      }
-    });
+    ExecStep& step = run->exec_steps[i];
+    step.duration = exec;
+    step.dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0;
+    step.loads = loads;
+    step.label = dha ? "exec(DHA) " : "exec ";
+    step.label += layer.name;
+    run->exec.EnqueueMarker(MakeAction<&ColdRun::Executed>(run, i));
   }
-  run->exec.EnqueueMarker([this, run, done = std::move(done)]() {
-    run->result.latency = sim_->now() - run->start;
-    run->result.stall = run->exec.wait_time();
-    if (run->causal_request >= 0 && run->last_exec != run->causal_root) {
-      run->result.causal_terminal = run->last_exec;
-    }
-    done(run->result);
-    // The run is over, but its execute stream still unwinds after this
-    // marker returns (and `done` may have synchronously started new work),
-    // so the record only retires here; the next RunCold recycles it.
-    scratch_->retired.push_back(run);
-  });
+  run->exec.EnqueueMarker(MakeAction<&ColdRun::Finish>(run));
 }
 
 Nanos Engine::WarmDuration(const Model& model, const ExecutionPlan& plan,
@@ -467,12 +559,9 @@ Nanos Engine::WarmDhaPcieTime(const Model& model, const ExecutionPlan& plan,
 }
 
 void Engine::RunWarm(const Model& model, const ExecutionPlan& plan, int batch,
-                     std::function<void(InferenceResult)> done) {
-  RunWarmFor(WarmDuration(model, plan, batch), std::move(done));
-}
-
-void Engine::RunWarmFor(Nanos duration, std::function<void(InferenceResult)> done) {
+                     std::function<void(const InferenceResult&)> done) {
   const Nanos start = sim_->now();
+  const Nanos duration = WarmDuration(model, plan, batch);
   sim_->ScheduleAfter(duration, [this, start, duration, done = std::move(done)]() {
     InferenceResult result;
     result.latency = sim_->now() - start;

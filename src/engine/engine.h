@@ -45,14 +45,14 @@ class ServerFabric {
   Fabric& fabric() { return fabric_; }
   const Topology& topology() const { return *topology_; }
 
-  std::vector<LinkId> HostToGpuPath(GpuId gpu) const;
-  std::vector<LinkId> GpuToGpuPath(GpuId from, GpuId to) const;
+  LinkPath HostToGpuPath(GpuId gpu) const;
+  LinkPath GpuToGpuPath(GpuId from, GpuId to) const;
 
   LinkId pcie_link(GpuId gpu) const;
 
   // The route as causal-journal hops (link name + capacity), the per-link
   // overlap export the what-if replay engine rebuilds its fabric from.
-  std::vector<CpHop> CausalHops(const std::vector<LinkId>& path) const;
+  std::vector<CpHop> CausalHops(const LinkPath& path) const;
 
  private:
   Simulator* sim_;
@@ -113,6 +113,10 @@ struct ColdRunOptions {
 // recycles sync events, streams, and per-partition item lists instead of
 // allocating them per run.
 struct EngineScratch;
+namespace engine_internal {
+struct ColdRun;
+struct LoadItem;
+}  // namespace engine_internal
 
 class Engine {
  public:
@@ -140,21 +144,17 @@ class Engine {
   // shared fabric.
   void RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                std::vector<GpuId> secondaries, const ColdRunOptions& options,
-               std::function<void(InferenceResult)> done);
+               std::function<void(const InferenceResult&)> done);
 
   // Warm inference: parameters already placed per `plan` (DHA layers execute
   // from host memory even when warm — that is DeepPlan's residency tradeoff).
   // Pass a default all-load plan for fully GPU-resident models.
   void RunWarm(const Model& model, const ExecutionPlan& plan, int batch,
-               std::function<void(InferenceResult)> done);
-
-  // Warm inference with a precomputed duration: behaves exactly like RunWarm
-  // called on a (model, plan, batch) whose WarmDuration equals `duration`.
-  // Serving hot loops cache WarmDuration per registered model (it is a pure
-  // function of the plan) instead of re-summing every layer per request.
-  void RunWarmFor(Nanos duration, std::function<void(InferenceResult)> done);
+               std::function<void(const InferenceResult&)> done);
 
   // Duration a warm inference takes (closed form; RunWarm occupies this).
+  // Serving hot loops cache it per registered model (it is a pure function
+  // of the plan) and schedule the warm completion themselves.
   Nanos WarmDuration(const Model& model, const ExecutionPlan& plan, int batch) const;
 
   // PCIe-bandwidth-dependent share of WarmDuration: the summed DHA parameter
@@ -165,6 +165,10 @@ class Engine {
                         int batch) const;
 
  private:
+  // Cold-run markers call back into the engine (Observe, causal_, scratch_).
+  friend struct engine_internal::ColdRun;
+  friend struct engine_internal::LoadItem;
+
   Simulator* sim_;
   ServerFabric* fabric_;
   const PerfModel* perf_;
@@ -174,9 +178,8 @@ class Engine {
   // `path`, `bytes` and `latency` into the graph's solo duration and route.
   // Returns the causal node, or -1 when none was recorded.
   CpNodeId Observe(int request, CpKind kind, const std::string& track,
-                   const std::string& name, Nanos start,
-                   const std::vector<LinkId>& path = {}, std::int64_t bytes = 0,
-                   Nanos latency = 0);
+                   const std::string& name, Nanos start, const LinkPath& path = {},
+                   std::int64_t bytes = 0, Nanos latency = 0);
 
   TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;

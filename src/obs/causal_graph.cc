@@ -466,6 +466,11 @@ bool CausalGraph::FromJson(const std::string& text, CausalGraph* out,
         *error = "node \"path\" is not an array";
         return false;
       }
+      if (path->items().size() > kCpMaxHops) {
+        *error = "node \"path\" has " + std::to_string(path->items().size()) +
+                 " hops; a route has at most " + std::to_string(kCpMaxHops);
+        return false;
+      }
       for (const JsonValue& h : path->items()) {
         if (!h.is_object()) {
           *error = "path hop is not an object";

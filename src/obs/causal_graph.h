@@ -72,6 +72,12 @@ struct CpHop {
   bool operator==(const CpHop&) const = default;
 };
 
+// Most hops a transfer node's route can have: the fabric's inline route
+// (LinkPath::kMax in src/sim/fabric.h) holds no more, so the journal readers
+// reject longer paths instead of handing the what-if replay an unroutable
+// node.
+inline constexpr std::size_t kCpMaxHops = 4;
+
 struct CpNode {
   CpNodeId id = -1;
   int request = -1;

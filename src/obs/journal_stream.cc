@@ -19,6 +19,15 @@ namespace {
 // as damage rather than data (real chunks flush at ~1 MiB).
 constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;
 
+// Fewest payload bytes each chunk record can encode in (every varint takes
+// at least one byte): a string is its length; a node is ten fields; a
+// request is seven header fields, its node and edge counts and at least one
+// node; an edge is three deltas.
+constexpr std::size_t kMinStringBytes = 1;
+constexpr std::size_t kMinNodeBytes = 10;
+constexpr std::size_t kMinRequestBytes = 7 + 2 + kMinNodeBytes;
+constexpr std::size_t kMinEdgeBytes = 3;
+
 std::string Hex32(std::uint32_t v) {
   char buf[11];
   std::snprintf(buf, sizeof(buf), "0x%08x", v);
@@ -572,6 +581,16 @@ bool JournalReader::DecodeChunk(const std::string& payload,
     *error = what;
     return false;
   };
+  // A count read from the payload can claim at most as many records as the
+  // bytes left could encode at `min_bytes` each. A larger count is corrupt,
+  // and reserving it would throw length_error or bad_alloc.
+  const auto fits = [&](std::uint64_t count, std::size_t min_bytes) {
+    return count <= (data.size() - pos) / min_bytes;
+  };
+  const auto too_many = [](const std::string& what, std::uint64_t count) {
+    return what + " count " + std::to_string(count) +
+           " exceeds what the rest of the payload can hold";
+  };
   const auto read_string = [&](std::string* out) {
     std::uint64_t len = 0;
     if (!ReadVarint(data, &pos, &len) || len > data.size() - pos) {
@@ -600,6 +619,9 @@ bool JournalReader::DecodeChunk(const std::string& payload,
   if (!ReadVarint(data, &pos, &num_strings)) {
     return fail("payload ends inside the string table");
   }
+  if (!fits(num_strings, kMinStringBytes)) {
+    return fail(too_many("string", num_strings));
+  }
   std::vector<std::string> strings;
   strings.reserve(num_strings);
   for (std::uint64_t i = 0; i < num_strings; ++i) {
@@ -613,6 +635,9 @@ bool JournalReader::DecodeChunk(const std::string& payload,
   std::uint64_t num_requests = 0;
   if (!ReadVarint(data, &pos, &num_requests)) {
     return fail("payload ends before the request count");
+  }
+  if (!fits(num_requests, kMinRequestBytes)) {
+    return fail(too_many("request", num_requests));
   }
   chunk->requests.reserve(num_requests);
   for (std::uint64_t ri = 0; ri < num_requests; ++ri) {
@@ -674,6 +699,9 @@ bool JournalReader::DecodeChunk(const std::string& payload,
     if (num_nodes == 0) {
       return fail(ctx + ": has no nodes (every request roots at an arrival)");
     }
+    if (!fits(num_nodes, kMinNodeBytes)) {
+      return fail(ctx + ": " + too_many("node", num_nodes));
+    }
     rec.nodes.reserve(num_nodes);
     std::int64_t prev_id = 0;
     for (std::uint64_t ni = 0; ni < num_nodes; ++ni) {
@@ -734,6 +762,11 @@ bool JournalReader::DecodeChunk(const std::string& payload,
       if (!ReadVarint(data, &pos, &num_hops)) {
         return fail(ctx + ": truncated node");
       }
+      if (num_hops > kCpMaxHops) {
+        return fail(ctx + ": node " + std::to_string(node_id) + " has " +
+                    std::to_string(num_hops) + " hops; a route has at most " +
+                    std::to_string(kCpMaxHops));
+      }
       n.path.reserve(num_hops);
       for (std::uint64_t hi = 0; hi < num_hops; ++hi) {
         CpHop hop;
@@ -785,6 +818,9 @@ bool JournalReader::DecodeChunk(const std::string& payload,
     std::uint64_t num_edges = 0;
     if (!ReadVarint(data, &pos, &num_edges)) {
       return fail(ctx + ": truncated record");
+    }
+    if (!fits(num_edges, kMinEdgeBytes)) {
+      return fail(ctx + ": " + too_many("edge", num_edges));
     }
     rec.edges.reserve(num_edges);
     std::int64_t prev_seq = -1;

@@ -326,14 +326,12 @@ class Replayer {
       return;
     }
     const int process = n.request >= 0 ? src_.request(n.request).process : 0;
-    std::vector<LinkId> path;
-    path.reserve(n.path.size());
+    LinkPath path;
     for (const CpHop& hop : n.path) {
       path.push_back(LinkFor(process, hop));
     }
-    FabricFor(process).Start(
-        std::move(path), n.bytes, latency,
-        [this, id](Nanos elapsed) { FinishNode(id, elapsed); });
+    FabricFor(process).Start(path, n.bytes, latency,
+                             [this, id](Nanos elapsed) { FinishNode(id, elapsed); });
   }
 
   void FinishAfter(CpNodeId id, Nanos duration) {

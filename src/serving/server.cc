@@ -30,6 +30,16 @@ struct PendingRequest {
   int causal = -1;  // causal-graph request id (-1 when profiling is off)
 };
 
+// The request a GPU is serving. A GPU runs one request at a time, so its
+// completion events carry only the GPU id and read the rest from here.
+struct InFlight {
+  PendingRequest req;
+  Nanos start = 0;
+  Nanos evict_delay = 0;
+  int num_evicted = 0;
+  CpNodeId causal_root = -1;  // evict node, or the request's arrival node
+};
+
 struct Server::Impl {
   Topology topology;
   PerfModel perf;
@@ -45,6 +55,7 @@ struct Server::Impl {
   std::vector<int> instance_model;  // instance id -> model type
   std::vector<std::deque<PendingRequest>> queues;  // per GPU
   std::vector<bool> gpu_busy;
+  std::vector<InFlight> running;  // per GPU, valid while gpu_busy
   int next_gpu = 0;  // round-robin placement cursor
   int outstanding = 0;
   bool warmed_up = false;
@@ -74,6 +85,7 @@ struct Server::Impl {
         topology.num_gpus(), options.usable_bytes_per_gpu, options.eviction_policy);
     queues.resize(Idx(topology.num_gpus()));
     gpu_busy.assign(Idx(topology.num_gpus()), false);
+    running.resize(Idx(topology.num_gpus()));
     sim->AddProgressCounter(&retired);
   }
 
@@ -84,6 +96,10 @@ struct Server::Impl {
   }
 
   void Dispatch(GpuId gpu);
+  // Event actions (arg = GPU): the warm inference finished; the eviction
+  // delay elapsed and the cold start begins.
+  void FinishWarm(std::uint64_t gpu);
+  void StartCold(std::uint64_t gpu);
   void FinishRequest(GpuId gpu, int instance, const PendingRequest& req, Nanos start,
                      bool cold, Nanos evict_delay, Nanos load_done, int num_evicted,
                      CpNodeId causal_terminal = -1);
@@ -243,22 +259,18 @@ void Server::Impl::Dispatch(GpuId gpu) {
   NoteQueueDepth(gpu);
 
   const int instance = req.instance;
-  const int type = instance_model[Idx(instance)];
-  const ModelEntry& entry = models[Idx(type)];
+  const ModelEntry& entry = models[Idx(instance_model[Idx(instance)])];
   const Nanos start = sim->now();
   instances->SetBusy(instance, true);
 
+  InFlight& flight = running[Idx(gpu)];
+  flight = InFlight{.req = req, .start = start};
   if (instances->instance(instance).resident) {
     instances->MarkUsed(instance, start);
     if (registry != nullptr) {
       registry->AddCounter("server.warm_hits");
     }
-    engine->RunWarmFor(entry.warm_duration,
-                       [this, gpu, instance, req, start](const InferenceResult&) {
-                         FinishRequest(gpu, instance, req, start, /*cold=*/false,
-                                       /*evict_delay=*/0, /*load_done=*/0,
-                                       /*num_evicted=*/0);
-                       });
+    sim->ScheduleAfter(entry.warm_duration, MakeAction<&Impl::FinishWarm>(this, Idx(gpu)));
     return;
   }
 
@@ -267,49 +279,53 @@ void Server::Impl::Dispatch(GpuId gpu) {
   std::vector<int> evicted;
   const bool fits = instances->MakeResident(instance, start, &evicted);
   DP_CHECK(fits && "instance footprint exceeds GPU capacity");
-  const int num_evicted = static_cast<int>(evicted.size());
+  flight.num_evicted = static_cast<int>(evicted.size());
   if (registry != nullptr) {
     registry->AddCounter("server.cold_starts");
-    registry->AddCounter("server.evictions", num_evicted);
+    registry->AddCounter("server.evictions", flight.num_evicted);
   }
-  const Nanos evict_delay =
-      options.eviction_cost * static_cast<Nanos>(evicted.size());
-  CpNodeId causal_root = -1;
+  flight.evict_delay = options.eviction_cost * static_cast<Nanos>(evicted.size());
   if (causal != nullptr && req.causal >= 0) {
     causal->MarkCold(req.causal);
-    causal_root = causal->arrival_node(req.causal);
-    if (evict_delay > 0) {
+    flight.causal_root = causal->arrival_node(req.causal);
+    if (flight.evict_delay > 0) {
       // Eviction spans [start, start + evict_delay] deterministically, so
       // the node can be recorded up front.
       const CpNodeId evict_node = causal->AddNode(
-          req.causal, CpKind::kEvict,
-          "evict x" + std::to_string(num_evicted),
-          "gpu" + std::to_string(gpu), start, start + evict_delay);
-      causal->AddEdge(causal_root, evict_node);
-      causal_root = evict_node;
+          req.causal, CpKind::kEvict, "evict x" + std::to_string(flight.num_evicted),
+          "gpu" + std::to_string(gpu), start, start + flight.evict_delay);
+      causal->AddEdge(flight.causal_root, evict_node);
+      flight.causal_root = evict_node;
     }
   }
-  sim->ScheduleAfter(evict_delay, [this, gpu, instance, req, start, type,
-                                   evict_delay, num_evicted, causal_root]() {
-    const ModelEntry& cold_entry = models[Idx(type)];
-    std::vector<GpuId> secondaries;
-    if (cold_entry.plan.num_partitions() > 1) {
-      secondaries = TransmissionPlanner::ChooseSecondaries(
-          topology, gpu, cold_entry.plan.num_partitions());
-    }
-    ColdRunOptions cold_options =
-        MakeColdRunOptions(cold_entry.strategy, options.batch);
-    cold_options.causal_request = req.causal;
-    cold_options.causal_root = causal_root;
-    engine->RunCold(cold_entry.model, cold_entry.plan, gpu, secondaries,
-                    cold_options,
-                    [this, gpu, instance, req, start, evict_delay,
-                     num_evicted](const InferenceResult& result) {
-                      FinishRequest(gpu, instance, req, start, /*cold=*/true,
-                                    evict_delay, result.load_done, num_evicted,
-                                    result.causal_terminal);
-                    });
-  });
+  sim->ScheduleAfter(flight.evict_delay, MakeAction<&Impl::StartCold>(this, Idx(gpu)));
+}
+
+void Server::Impl::FinishWarm(std::uint64_t gpu) {
+  const InFlight flight = running[gpu];
+  FinishRequest(static_cast<GpuId>(gpu), flight.req.instance, flight.req, flight.start,
+                /*cold=*/false, /*evict_delay=*/0, /*load_done=*/0, /*num_evicted=*/0);
+}
+
+void Server::Impl::StartCold(std::uint64_t gpu_arg) {
+  const auto gpu = static_cast<GpuId>(gpu_arg);
+  const InFlight& flight = running[gpu_arg];
+  const ModelEntry& entry = models[Idx(instance_model[Idx(flight.req.instance)])];
+  std::vector<GpuId> secondaries;
+  if (entry.plan.num_partitions() > 1) {
+    secondaries =
+        TransmissionPlanner::ChooseSecondaries(topology, gpu, entry.plan.num_partitions());
+  }
+  ColdRunOptions cold_options = MakeColdRunOptions(entry.strategy, options.batch);
+  cold_options.causal_request = flight.req.causal;
+  cold_options.causal_root = flight.causal_root;
+  engine->RunCold(entry.model, entry.plan, gpu, secondaries, cold_options,
+                  [this, gpu](const InferenceResult& result) {
+                    const InFlight done = running[Idx(gpu)];
+                    FinishRequest(gpu, done.req.instance, done.req, done.start,
+                                  /*cold=*/true, done.evict_delay, result.load_done,
+                                  done.num_evicted, result.causal_terminal);
+                  });
 }
 
 void Server::Warmup() {
@@ -392,7 +408,10 @@ ServingMetrics Server::Run(const Trace& trace) {
   Warmup();
   for (const Arrival& a : trace.arrivals()) {
     DP_CHECK(a.instance >= 0 && a.instance < s.instances->num_instances());
-    s.sim->ScheduleAt(a.time, [this, a]() { Submit(a.instance); });
+    s.sim->ScheduleAt(a.time, {[](void* server, std::uint64_t instance) {
+                                 static_cast<Server*>(server)->Submit(static_cast<int>(instance));
+                               },
+                               this, Idx(a.instance)});
   }
   s.sim->Run();
   return s.metrics;

@@ -42,7 +42,7 @@ void Fabric::set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
   pid_ = pid;
 }
 
-TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos latency,
+TransferId Fabric::Start(LinkPath path, std::int64_t bytes, Nanos latency,
                          std::function<void(Nanos elapsed)> done) {
   DP_CHECK(bytes >= 0);
   for (LinkId l : path) {
@@ -61,17 +61,12 @@ TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos lat
                        static_cast<double>(cumulative_bytes_));
   }
   if (bytes == 0 || path.empty()) {
-    const Nanos started = sim_->now();
-    sim_->ScheduleAfter(latency, [done = std::move(done), started, this]() {
-      if (done) {
-        done(sim_->now() - started);
-      }
-    });
+    ScheduleTail(latency, sim_->now(), std::move(done));
     return id;
   }
   Transfer t;
   t.id = id;
-  t.path = std::move(path);
+  t.path = path;
   t.total_bytes = static_cast<double>(bytes);
   t.remaining_bytes = static_cast<double>(bytes);
   t.last_update = sim_->now();
@@ -84,7 +79,7 @@ TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos lat
   return id;
 }
 
-Nanos Fabric::SoloDuration(const std::vector<LinkId>& path, std::int64_t bytes,
+Nanos Fabric::SoloDuration(const LinkPath& path, std::int64_t bytes,
                            Nanos latency) const {
   if (bytes == 0 || path.empty()) {
     return latency;
@@ -313,18 +308,19 @@ void Fabric::ScheduleCompletions() {
     DP_CHECK(t.rate > 0);
     const double secs = t.remaining_bytes / t.rate;
     const auto delay = static_cast<Nanos>(std::ceil(secs * kNanosPerSecond));
-    const TransferId id = t.id;
-    t.completion_event = sim_->ScheduleAfter(delay, [this, id]() {
-      for (std::size_t j = 0; j < active_.size(); ++j) {
-        if (active_[j].id == id) {
-          Complete(j);
-          return;
-        }
-      }
-      DP_CHECK(false && "completion for unknown transfer");
-    });
+    t.completion_event = sim_->ScheduleAfter(delay, MakeAction<&Fabric::OnDrained>(this, t.id));
     t.has_completion_event = true;
   }
+}
+
+void Fabric::OnDrained(std::uint64_t id) {
+  for (std::size_t j = 0; j < active_.size(); ++j) {
+    if (active_[j].id == id) {
+      Complete(j);
+      return;
+    }
+  }
+  DP_CHECK(false && "completion for unknown transfer");
 }
 
 void Fabric::Complete(std::size_t index) {
@@ -354,12 +350,28 @@ void Fabric::Complete(std::size_t index) {
     ScheduleCompletions();
   }
   EmitLinkCounters();
-  const Nanos started = t.started;
-  sim_->ScheduleAfter(t.latency, [this, started, done = std::move(t.done)]() {
-    if (done) {
-      done(sim_->now() - started);
-    }
-  });
+  ScheduleTail(t.latency, t.started, std::move(t.done));
+}
+
+void Fabric::ScheduleTail(Nanos latency, Nanos started, std::function<void(Nanos)> done) {
+  const SlotPool<Tail>::Handle h = tails_.Alloc();
+  Tail& tail = tails_.Get(h);
+  tail.started = started;
+  tail.done = std::move(done);
+  sim_->ScheduleAfter(latency, MakeAction<&Fabric::OnTail>(this, h.Pack()));
+}
+
+void Fabric::OnTail(std::uint64_t handle) {
+  const SlotPool<Tail>::Handle h = SlotPool<Tail>::Handle::Unpack(handle);
+  Tail& tail = tails_.Get(h);
+  const Nanos started = tail.started;
+  // Moved out first: `done` may start transfers whose tails recycle this slot.
+  const std::function<void(Nanos)> done = std::move(tail.done);
+  tail.done = nullptr;
+  tails_.Free(h);
+  if (done) {
+    done(sim_->now() - started);
+  }
 }
 
 void Fabric::Reallocate(const std::vector<std::size_t>& seeds, bool seeds_closed) {

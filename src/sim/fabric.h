@@ -7,20 +7,60 @@
 #ifndef SRC_SIM_FABRIC_H_
 #define SRC_SIM_FABRIC_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace_recorder.h"
 #include "src/sim/simulator.h"
+#include "src/util/arena.h"
+#include "src/util/logging.h"
 #include "src/util/time.h"
 
 namespace deepplan {
 
 using LinkId = int;
 using TransferId = std::uint64_t;
+
+// A transfer's route: at most kMax links, stored inline so paths are copied
+// by value and no transfer allocates one. Server routes have one (NVLink) or
+// two (switch uplink + GPU lane) links. Converts implicitly from a brace
+// list and from a vector; more than kMax links DP_CHECK-fails.
+class LinkPath {
+ public:
+  static constexpr std::size_t kMax = 4;
+
+  LinkPath() = default;
+  LinkPath(std::initializer_list<LinkId> links) {
+    for (const LinkId l : links) {
+      push_back(l);
+    }
+  }
+  LinkPath(const std::vector<LinkId>& links) {
+    for (const LinkId l : links) {
+      push_back(l);
+    }
+  }
+
+  void push_back(LinkId link) {
+    DP_CHECK(size_ < kMax && "LinkPath holds at most LinkPath::kMax links");
+    links_[size_++] = link;
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  LinkId operator[](std::size_t i) const { return links_[i]; }
+  const LinkId* begin() const { return links_.data(); }
+  const LinkId* end() const { return links_.data() + size_; }
+
+ private:
+  std::array<LinkId, kMax> links_{};
+  std::uint32_t size_ = 0;
+};
 
 class Fabric {
  public:
@@ -37,7 +77,7 @@ class Fabric {
   // the last byte drains (DMA setup + completion signalling). `done` fires at
   // completion with the transfer's elapsed time. Zero-byte transfers complete
   // after just the latency. Returns an id (informational).
-  TransferId Start(std::vector<LinkId> path, std::int64_t bytes, Nanos latency,
+  TransferId Start(LinkPath path, std::int64_t bytes, Nanos latency,
                    std::function<void(Nanos elapsed)> done);
 
   // Number of in-flight transfers (draining bytes; excludes latency tails).
@@ -52,8 +92,7 @@ class Fabric {
   // scheduler applies) plus the latency tail. The profiling layer charges
   // actual - solo to contention; fair sharing can only slow a transfer, so
   // actual >= solo always.
-  Nanos SoloDuration(const std::vector<LinkId>& path, std::int64_t bytes,
-                     Nanos latency) const;
+  Nanos SoloDuration(const LinkPath& path, std::int64_t bytes, Nanos latency) const;
 
   // Attaches telemetry (either pointer may be nullptr). While a recorder is
   // attached, every progressive-filling rate change emits one counter sample
@@ -76,7 +115,7 @@ class Fabric {
 
   struct Transfer {
     TransferId id;
-    std::vector<LinkId> path;
+    LinkPath path;
     double total_bytes = 0.0;
     double remaining_bytes;
     double rate = 0.0;       // current allocation, bytes/sec
@@ -112,12 +151,24 @@ class Fabric {
   void CollectComponent(const std::vector<std::size_t>& seeds,
                         std::vector<std::size_t>& out);
   void ScheduleCompletions();
+  // Completion event of transfer `id` (an Action arg): drained its bytes.
+  void OnDrained(std::uint64_t id);
   void Complete(std::size_t index);
+  // Schedules `done(elapsed since started)` after `latency`.
+  void ScheduleTail(Nanos latency, Nanos started, std::function<void(Nanos)> done);
+  // Latency-tail event (an Action arg: the tails_ handle).
+  void OnTail(std::uint64_t handle);
   void EmitLinkCounters();
 
   Simulator* sim_;
   std::vector<Link> links_;
   std::vector<Transfer> active_;
+  // Transfers in their latency tail: drained, `done` not yet called.
+  struct Tail {
+    Nanos started = 0;
+    std::function<void(Nanos)> done;
+  };
+  SlotPool<Tail> tails_;
   TransferId next_id_ = 1;
   bool force_full_resolve_ = false;
 

@@ -1,11 +1,12 @@
 // Single-threaded discrete-event simulator: a clock plus an event queue.
-// Components schedule callbacks; Run() drains events in time order.
+// Components schedule actions; Run() drains events in time order.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -15,7 +16,7 @@ namespace deepplan {
 
 class Simulator {
  public:
-  using Callback = EventQueue::Callback;
+  using Action = EventQueue::Action;
 
   // Picks up the process-wide DEEPPLAN_PROGRESS heartbeat period (0 when
   // unset/disabled).
@@ -23,10 +24,22 @@ class Simulator {
 
   Nanos now() const { return now_; }
 
-  // Schedules `cb` to run `delay` after the current time (delay >= 0).
-  EventQueue::EventId ScheduleAfter(Nanos delay, Callback cb);
-  // Schedules `cb` at absolute simulated time `when` (>= now()).
-  EventQueue::EventId ScheduleAt(Nanos when, Callback cb);
+  // Schedules `action` to run `delay` after the current time (delay >= 0).
+  EventQueue::EventId ScheduleAfter(Nanos delay, Action action);
+  // Schedules `action` at absolute simulated time `when` (>= now()).
+  EventQueue::EventId ScheduleAt(Nanos when, Action action);
+  // The same for any other callable, boxed by the event queue
+  // (EventQueue::Box).
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Action>)
+  EventQueue::EventId ScheduleAfter(Nanos delay, F&& fn) {
+    return ScheduleAfter(delay, EventQueue::Box(std::forward<F>(fn)));
+  }
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Action>)
+  EventQueue::EventId ScheduleAt(Nanos when, F&& fn) {
+    return ScheduleAt(when, EventQueue::Box(std::forward<F>(fn)));
+  }
   bool Cancel(EventQueue::EventId id) { return queue_.Cancel(id); }
 
   // Runs until the queue is empty. Returns the final clock value.

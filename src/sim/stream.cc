@@ -23,6 +23,14 @@ Stream::Stream(Simulator* sim, std::string name) : sim_(sim), name_(std::move(na
   DP_CHECK(sim != nullptr);
 }
 
+Stream::~Stream() {
+  for (std::size_t i = next_; i < ops_.size(); ++i) {
+    if (ops_[i].kind == OpKind::kMarker) {
+      EventQueue::Discard(ops_[i].marker);
+    }
+  }
+}
+
 void Stream::Reset(Simulator* sim, std::string name) {
   DP_CHECK(sim != nullptr);
   DP_CHECK(idle());
@@ -45,26 +53,26 @@ void Stream::EnqueueRecord(SyncEvent* event) {
   Push({.kind = OpKind::kRecord, .event = event});
 }
 
-void Stream::EnqueueTransfer(Fabric* fabric, std::vector<LinkId> path,
-                             std::int64_t bytes, Nanos latency) {
+void Stream::EnqueueTransfer(Fabric* fabric, LinkPath path, std::int64_t bytes,
+                             Nanos latency) {
   Push({.kind = OpKind::kTransfer,
         .duration = latency,
         .fabric = fabric,
-        .path = std::move(path),
+        .path = path,
         .bytes = bytes});
 }
 
-void Stream::EnqueueMarker(std::function<void()> fn) {
-  Push({.kind = OpKind::kMarker, .fn = std::move(fn)});
+void Stream::EnqueueMarker(EventQueue::Action marker) {
+  Push({.kind = OpKind::kMarker, .marker = marker});
 }
 
-void Stream::Push(Op&& op) {
+void Stream::Push(const Op& op) {
   if (next_ == ops_.size()) {
-    // Every enqueued op has started (and moved out what it still needs).
+    // Every enqueued op has started.
     ops_.clear();
     next_ = 0;
   }
-  ops_.push_back(std::move(op));
+  ops_.push_back(op);
   Pump();
 }
 
@@ -96,11 +104,10 @@ void Stream::Pump() {
     running_ = true;
     switch (op.kind) {
       case OpKind::kDelay:
-        sim_->ScheduleAfter(op.duration, [this]() { Finish(); });
+        sim_->ScheduleAfter(op.duration, MakeAction<&Stream::Finish>(this));
         break;
       case OpKind::kTransfer:
-        op.fabric->Start(std::move(op.path), op.bytes, op.duration,
-                         [this](Nanos) { Finish(); });
+        op.fabric->Start(op.path, op.bytes, op.duration, [this](Nanos) { Finish(); });
         break;
       case OpKind::kWait:
         if (op.event->fired()) {
@@ -117,8 +124,8 @@ void Stream::Pump() {
         break;
       }
       case OpKind::kMarker: {
-        const std::function<void()> fn = std::move(op.fn);
-        fn();
+        const EventQueue::Action marker = op.marker;
+        marker();
         running_ = false;
         break;
       }

@@ -6,8 +6,8 @@
 #define SRC_SIM_STREAM_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/fabric.h"
@@ -58,11 +58,30 @@ class SyncEvent {
 // the next one that finishes later, before returning: a Transfer followed by
 // a Marker runs the Marker inside the transfer's completion callback, then
 // starts the op after it, and schedules no event of its own.
+//
+// An op is one trivially-copyable record (enum + POD payload): a Transfer
+// carries its LinkPath inline and a Marker an EventQueue::Action, so
+// enqueueing and running ops never allocates once the op vector has grown.
 class Stream {
  public:
+  enum class OpKind { kDelay, kWait, kRecord, kTransfer, kMarker };
+
+  struct Op {
+    OpKind kind = OpKind::kDelay;
+    Nanos duration = 0;          // kDelay: occupancy; kTransfer: latency tail
+    SyncEvent* event = nullptr;  // kWait, kRecord
+    Fabric* fabric = nullptr;    // kTransfer
+    LinkPath path{};             // kTransfer
+    std::int64_t bytes = 0;      // kTransfer
+    EventQueue::Action marker{};  // kMarker
+  };
+
   // A default-constructed stream is inert until Reset attaches a simulator.
   Stream() = default;
   Stream(Simulator* sim, std::string name);
+  // Discards the markers of ops that never started (EventQueue::Discard).
+  ~Stream();
+  Stream(Stream&&) = default;
 
   // Rearms a drained stream for reuse (pooled cold-run bookkeeping). The
   // stream must be idle: no queued ops, no op in flight.
@@ -82,11 +101,17 @@ class Stream {
 
   // Moves `bytes` across `path` of `fabric` as one Fabric::Start (`latency`
   // is the transfer's completion tail); finishes when the transfer does.
-  void EnqueueTransfer(Fabric* fabric, std::vector<LinkId> path, std::int64_t bytes,
-                       Nanos latency);
+  void EnqueueTransfer(Fabric* fabric, LinkPath path, std::int64_t bytes, Nanos latency);
 
-  // Runs `fn` inline (zero duration) when the stream reaches it.
-  void EnqueueMarker(std::function<void()> fn);
+  // Runs `marker` inline (zero duration) when the stream reaches it. Its
+  // context must outlive the op (pooled cold runs pass their own records).
+  void EnqueueMarker(EventQueue::Action marker);
+  // The same for any other callable (EventQueue::Box).
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, EventQueue::Action>)
+  void EnqueueMarker(F&& fn) {
+    EnqueueMarker(EventQueue::Box(std::forward<F>(fn)));
+  }
 
   // Total time this stream spent with work enqueued but blocked on a wait op
   // (approximate pipeline-stall accounting for diagnostics).
@@ -95,19 +120,7 @@ class Stream {
  private:
   friend class SyncEvent;
 
-  enum class OpKind { kDelay, kWait, kRecord, kTransfer, kMarker };
-
-  struct Op {
-    OpKind kind = OpKind::kDelay;
-    Nanos duration = 0;          // kDelay: occupancy; kTransfer: latency tail
-    SyncEvent* event = nullptr;  // kWait, kRecord
-    Fabric* fabric = nullptr;    // kTransfer
-    std::vector<LinkId> path{};  // kTransfer
-    std::int64_t bytes = 0;      // kTransfer
-    std::function<void()> fn{};  // kMarker
-  };
-
-  void Push(Op&& op);
+  void Push(const Op& op);
   // Starts queued ops until one finishes later or the queue drains.
   void Pump();
   // The in-flight op finished (delay elapsed or transfer completed).
@@ -127,6 +140,8 @@ class Stream {
   // When the most recent op started; the validator asserts in-order starts.
   Nanos last_start_ = -1;
 };
+
+static_assert(std::is_trivially_copyable_v<Stream::Op>);
 
 }  // namespace deepplan
 

@@ -96,6 +96,14 @@ class SlotPool {
   struct Handle {
     Index index = 0;
     Generation generation = 0;
+
+    // As one u64, generation in the high half (event ids, Action args).
+    std::uint64_t Pack() const {
+      return (static_cast<std::uint64_t>(generation) << 32) | index;
+    }
+    static Handle Unpack(std::uint64_t packed) {
+      return {static_cast<Index>(packed & 0xffffffffu), static_cast<Generation>(packed >> 32)};
+    }
   };
 
   // Allocates a slot (recycling a freed one when available).

@@ -390,6 +390,136 @@ TEST_F(JournalCorruptionTest, ReadJournalToGraphRefusesCorruptInput) {
   EXPECT_NE(error.find("CRC mismatch"), std::string::npos) << error;
 }
 
+// Counts inside a chunk whose CRC is valid: each payload below is framed
+// with its own CRC, so the decoder, not the CRC check, has to refuse it.
+// Unbounded, each count would be reserved as is and end the process with
+// length_error or bad_alloc.
+class JournalCountTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  // A journal of one chunk frame carrying `payload`.
+  static std::string Journal(const std::string& payload) {
+    std::string bytes(kJournalMagic, sizeof(kJournalMagic));
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<char>(kJournalVersion >> shift));
+    }
+    bytes.push_back(static_cast<char>(kJournalChunkMarker));
+    AppendVarint(&bytes, payload.size());
+    const std::uint32_t crc = Crc32(payload);
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<char>(crc >> shift));
+    }
+    return bytes + payload;
+  }
+
+  // Process table {"p"}, a string table of `strings` one-letter strings, and
+  // one request (id 0, process 0, no completion) whose header announces
+  // `num_nodes` nodes.
+  static std::string RequestHeader(std::uint64_t strings, std::uint64_t num_nodes) {
+    std::string p;
+    AppendVarint(&p, 1);
+    AppendVarint(&p, 1);
+    p += 'p';
+    AppendVarint(&p, strings);
+    for (std::uint64_t i = 0; i < strings; ++i) {
+      AppendVarint(&p, 1);
+      p += 'x';
+    }
+    AppendVarint(&p, 1);   // requests
+    AppendZigzag(&p, 0);   // id
+    AppendVarint(&p, 0);   // process
+    AppendZigzag(&p, 0);   // instance
+    p += '\0';             // flags
+    AppendZigzag(&p, 0);   // arrival
+    AppendZigzag(&p, 0);   // arrival node
+    AppendZigzag(&p, -1);  // terminal node
+    AppendVarint(&p, num_nodes);
+    return p;
+  }
+
+  // One arrival node (id 0, labels from string 0) up to its hop count.
+  static void AppendNode(std::string* p, std::uint64_t hops) {
+    AppendZigzag(p, 0);  // id delta
+    p->push_back(static_cast<char>(CpKind::kArrival));
+    AppendVarint(p, 0);   // label
+    AppendVarint(p, 0);   // resource
+    AppendZigzag(p, 0);   // start delta
+    AppendVarint(p, 0);   // duration
+    AppendZigzag(p, 0);   // bytes
+    AppendZigzag(p, -1);  // solo
+    AppendVarint(p, 0);   // dha
+    AppendVarint(p, hops);
+  }
+
+  void ExpectRejected(const std::string& payload, const std::string& needle) {
+    WriteFileBytes(path_, Journal(payload));
+    JournalReader reader;
+    ASSERT_TRUE(reader.Open(path_)) << reader.error();
+    JournalChunk chunk;
+    EXPECT_EQ(reader.Next(&chunk), JournalReadStatus::kError);
+    EXPECT_NE(reader.error().find(needle), std::string::npos) << reader.error();
+  }
+
+  std::string path_ = TempPath("journal_counts.dpj");
+};
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 60;
+
+TEST_F(JournalCountTest, WellFormedChunkDecodes) {
+  std::string p = RequestHeader(/*strings=*/1, /*num_nodes=*/1);
+  AppendNode(&p, /*hops=*/0);
+  AppendVarint(&p, 0);  // edges
+  WriteFileBytes(path_, Journal(p));
+  JournalReader reader;
+  ASSERT_TRUE(reader.Open(path_)) << reader.error();
+  JournalChunk chunk;
+  ASSERT_EQ(reader.Next(&chunk), JournalReadStatus::kChunk) << reader.error();
+  ASSERT_EQ(chunk.requests.size(), 1u);
+  EXPECT_EQ(chunk.requests[0].nodes.size(), 1u);
+}
+
+TEST_F(JournalCountTest, StringCountBeyondThePayloadIsRejected) {
+  std::string p;
+  AppendVarint(&p, 0);
+  AppendVarint(&p, kHugeCount);
+  ExpectRejected(p, "string count 1152921504606846976 exceeds");
+}
+
+TEST_F(JournalCountTest, RequestCountBeyondThePayloadIsRejected) {
+  std::string p;
+  AppendVarint(&p, 0);
+  AppendVarint(&p, 0);
+  AppendVarint(&p, kHugeCount);
+  ExpectRejected(p, "request count 1152921504606846976 exceeds");
+}
+
+TEST_F(JournalCountTest, NodeCountBeyondThePayloadIsRejected) {
+  // Two nodes' worth of bytes cannot hold three nodes.
+  std::string p = RequestHeader(/*strings=*/1, /*num_nodes=*/3);
+  AppendNode(&p, 0);
+  AppendNode(&p, 0);
+  ExpectRejected(p, "request 0: node count 3 exceeds");
+  // Padding keeps the request count plausible, so the node count is what
+  // fails.
+  ExpectRejected(RequestHeader(1, kHugeCount) + std::string(32, '\0'),
+                 "request 0: node count 1152921504606846976 exceeds");
+}
+
+TEST_F(JournalCountTest, EdgeCountBeyondThePayloadIsRejected) {
+  std::string p = RequestHeader(/*strings=*/1, /*num_nodes=*/1);
+  AppendNode(&p, 0);
+  AppendVarint(&p, kHugeCount);
+  ExpectRejected(p, "request 0: edge count 1152921504606846976 exceeds");
+}
+
+TEST_F(JournalCountTest, NodeWithMoreHopsThanARouteIsRejected) {
+  std::string p = RequestHeader(/*strings=*/1, /*num_nodes=*/1);
+  AppendNode(&p, kCpMaxHops + 1);
+  ExpectRejected(p + std::string(32, '\0'),
+                 "request 0: node 0 has 5 hops; a route has at most 4");
+}
+
 TEST(JournalLintTest, DanglingEdgeNamesTheRequestAndNode) {
   // Hand-fed record whose edge points outside the request: the writer
   // encodes it (it trusts the recorder), the reader must call it out.

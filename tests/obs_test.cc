@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,39 +16,8 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace_recorder.h"
 #include "src/util/chrome_trace.h"
+#include "tests/counting_new.h"
 #include "tests/json_checker.h"
-
-// Global allocation counter: the disabled-recorder test pins the "zero cost
-// when off" contract by proving dropped events never touch the heap.
-namespace {
-std::size_t g_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-// The nothrow variant must be replaced too: libstdc++'s temporary buffers
-// (e.g. stable_sort) allocate through it, and under ASan an unreplaced
-// nothrow new paired with the replaced free-based delete is flagged as an
-// alloc-dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-// All global operators are replaced as a matched malloc/free set, but GCC's
-// pairing analysis only sees free() applied to new-expression results.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace deepplan {
 namespace {

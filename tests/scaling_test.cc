@@ -5,7 +5,8 @@
 // and (3) demonstrate the arena-reuse invariant: callback slots ever created
 // stay orders of magnitude below total events scheduled. Also unit-pins the
 // count-exact synthetic generator (src/workload/synthetic.h) the scaling
-// curve is built from.
+// curve is built from, and the event path's heap-allocation budget per
+// request.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "bench/scaling_common.h"
 #include "src/obs/whatif/whatif.h"
 #include "src/workload/synthetic.h"
+#include "tests/counting_new.h"
 
 namespace deepplan {
 namespace {
@@ -172,6 +174,40 @@ TEST_F(ScalingReplayTest, WindowedIdentityReplayMatchesRecordedLatencies) {
         << "request " << i;
   }
   EXPECT_LT(journal.max_resident_requests(), 200000u / 10);
+}
+
+TEST(AllocationBudgetTest, SteadyStateReplayBarelyTouchesTheHeap) {
+  // The allocations-per-request work counter: the 44k point replayed as
+  // RunScalingPoint does, counting global operator new calls from the first
+  // arrival until the queue drains. Events, stream ops, transfers, warm
+  // completions and pooled cold runs must not allocate per request; what
+  // remains is per cold start (the GPU memory arena's bookkeeping, the
+  // evicted and secondaries vectors) and amortized growth such as the
+  // metrics record vector.
+  const bench::ScalingPointOptions point;  // the 44k golden point
+  const Trace trace = bench::ScalingTrace(point);
+  const Topology topology = Topology::P3_8xlarge();
+  const PerfModel perf(topology.gpu(), topology.pcie());
+  ServerOptions options;
+  options.strategy = point.strategy;
+  options.slo = point.slo;
+  Simulator sim;
+  Server server(&sim, topology, perf, options);
+  server.AddInstances(server.RegisterModelType(ModelZoo::BertBase()), point.num_instances);
+  server.Warmup();
+
+  bench::ChainedFeeder feeder{&trace.arrivals(), &sim, &server};
+  const std::size_t before = g_allocations;
+  feeder.ScheduleNext();
+  sim.Run();
+  const std::size_t allocations = g_allocations - before;
+
+  ASSERT_EQ(server.metrics().count(), trace.size());
+  EXPECT_LT(static_cast<double>(allocations) / static_cast<double>(trace.size()), 0.5)
+      << allocations << " allocations for " << trace.size() << " requests";
+  // Not one event moved: the 44k point of bench/golden/BENCH_scaling.json.
+  EXPECT_EQ(sim.event_queue().total_scheduled(), 1056690u);
+  EXPECT_EQ(sim.event_queue().slot_capacity(), 10u);
 }
 
 TEST(ScalingDeterminismTest, ByteIdenticalAcrossJobCounts) {

@@ -3,7 +3,7 @@
 // bench_history.h), and the DEEPPLAN_PROGRESS heartbeat. Pins the subsystem's
 // three contracts:
 //   - zero cost disabled: with no lane installed, scopes and counters never
-//     touch the heap (replaced global operator new, mirroring obs_test.cc);
+//     touch the heap (tests/counting_new.h counts global operator new);
 //   - exactness: counts are exact, sampled entries only run under timed
 //     ancestors, so exclusive_ns arithmetic balances exactly (lint-checked);
 //   - determinism: the deterministic projection is byte-identical across
@@ -11,11 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -26,38 +24,7 @@
 #include "src/sim/simulator.h"
 #include "src/util/json_parse.h"
 #include "src/util/sweep.h"
-
-// Global allocation counter: the disabled-profiler test pins the "zero cost
-// when off" contract by proving uninstrumented scopes never touch the heap.
-namespace {
-std::size_t g_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-// The nothrow variant must be replaced too: libstdc++'s temporary buffers
-// (e.g. stable_sort) allocate through it, and under ASan an unreplaced
-// nothrow new paired with the replaced free-based delete is flagged as an
-// alloc-dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-// All global operators are replaced as a matched malloc/free set, but GCC's
-// pairing analysis only sees free() applied to new-expression results.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
+#include "tests/counting_new.h"
 
 namespace deepplan {
 namespace {

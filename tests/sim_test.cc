@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -133,6 +137,72 @@ TEST(EventQueueTest, ScheduleDuringPopAtSameTimeFiresAfterExistingTies) {
     q.PopNext().second();
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// The event record and a stream op are plain bytes: scheduling, popping and
+// enqueueing copy them and never run a constructor or touch the heap.
+static_assert(std::is_trivially_copyable_v<EventQueue::Action>);
+static_assert(std::is_trivially_copyable_v<Stream::Op>);
+
+struct OrderLog {
+  std::vector<int> order;
+  void Append(std::uint64_t value) { order.push_back(static_cast<int>(value)); }
+};
+
+TEST(EventQueueTest, ActionsAndBoxedCallablesShareOneScheduleOrder) {
+  EventQueue q;
+  OrderLog log;
+  std::function<void()> boxed = [&] { log.order.push_back(1); };
+  q.Schedule(100, MakeAction<&OrderLog::Append>(&log, 0));
+  q.Schedule(100, boxed);
+  q.Schedule(100, [&, big = std::vector<int>(4)] { log.order.push_back(2); });
+  q.Schedule(100, MakeAction<&OrderLog::Append>(&log, 3));
+  while (!q.empty()) {
+    q.PopNext().second();
+  }
+  EXPECT_EQ(log.order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueTest, CancelDestroysABoxedCallableAtOnce) {
+  EventQueue q;
+  const auto owned = std::make_shared<int>(7);
+  const auto id = q.Schedule(10, [owned] { ++*owned; });
+  q.Schedule(20, [] {});
+  EXPECT_EQ(owned.use_count(), 2);
+  ASSERT_TRUE(q.Cancel(id));
+  // The copy inside the queue is gone now, not when its tombstone is pruned.
+  EXPECT_EQ(owned.use_count(), 1);
+  q.PopNext().second();
+  EXPECT_EQ(*owned, 7);
+}
+
+TEST(EventQueueTest, NeverFiredBoxedCallablesDieWithTheQueue) {
+  const auto owned = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    q.Schedule(10, [owned] {});
+    EXPECT_EQ(owned.use_count(), 2);
+  }
+  EXPECT_EQ(owned.use_count(), 1);
+}
+
+// ---------------------------------------------------------------- link paths
+
+TEST(LinkPathTest, BuildsFromABraceListAndFromAVector) {
+  const LinkPath listed = {3, 1};
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[0], 3);
+  EXPECT_EQ(listed[1], 1);
+  const std::vector<LinkId> links = {5, 6, 7, 8};
+  const LinkPath converted = links;
+  EXPECT_EQ(std::vector<LinkId>(converted.begin(), converted.end()), links);
+  EXPECT_TRUE(LinkPath{}.empty());
+}
+
+TEST(LinkPathDeathTest, AFifthLinkFailsTheCheck) {
+  LinkPath path = {0, 1, 2, 3};
+  EXPECT_DEATH(path.push_back(4), "LinkPath");
+  EXPECT_DEATH(LinkPath(std::vector<LinkId>{0, 1, 2, 3, 4}), "LinkPath");
 }
 
 // ---------------------------------------------------------------- simulator
@@ -369,6 +439,20 @@ TEST(SyncEventTest, WaitAfterFireCompletesInlineWithoutAnEvent) {
   EXPECT_TRUE(passed);  // before the simulator ran at all
   EXPECT_TRUE(stream.idle());
   EXPECT_EQ(sim.event_queue().total_scheduled(), scheduled);
+}
+
+TEST(StreamTest, UnreachedMarkersDieWithTheStream) {
+  Simulator sim;
+  SyncEvent never(&sim);
+  const auto owned = std::make_shared<int>(0);
+  {
+    Stream stream(&sim, "s");
+    stream.EnqueueWait(&never);
+    stream.EnqueueMarker([owned] { ++*owned; });
+    EXPECT_EQ(owned.use_count(), 2);
+  }
+  EXPECT_EQ(owned.use_count(), 1);
+  EXPECT_EQ(*owned, 0);
 }
 
 // Transfer A, then a marker, then transfer B, on a link a second flow
