@@ -13,7 +13,6 @@
 // trace length (id-indexed bookkeeping never shrank), so this curve is where
 // the calendar queue + arena work shows up — and the 1M point completing in
 // bounded memory is itself part of the claim (tests/scaling_test.cc).
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,12 +32,7 @@ int main(int argc, char** argv) {
       "journal_out", "",
       "stream a binary causal journal per point to <journal_out>.<requests> "
       "(bounded-memory recording; adds a \"journal\" block to each point)");
-  const char* selfprof_env = std::getenv("DEEPPLAN_SELFPROF");
-  flags.DefineString(
-      "selfprof_out", selfprof_env != nullptr ? selfprof_env : "",
-      "write a host self-profiling report (per-point wall-clock attribution "
-      "lanes + aggregate) to this path; profiling is enabled iff non-empty "
-      "(default: $DEEPPLAN_SELFPROF)");
+  bench::DefineOutputFlag(&flags, bench::kSelfprofOut);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -47,7 +41,7 @@ int main(int argc, char** argv) {
   const double rate = flags.GetDouble("rate");
   const int instances = static_cast<int>(flags.GetInt("instances"));
   const std::string journal_out = flags.GetString("journal_out");
-  const std::string selfprof_out = flags.GetString("selfprof_out");
+  const std::string selfprof_out = flags.GetString(bench::kSelfprofOut.name);
 
   std::vector<std::size_t> sizes;
   for (const std::size_t n : {std::size_t{44000}, std::size_t{200000},
@@ -123,13 +117,9 @@ int main(int argc, char** argv) {
                        &results[i].selfprof});
     }
     lanes.push_back({"main", &main_lane});
-    if (!selfprof::WriteReport(selfprof_out,
-                               selfprof::ReportJson("scaling", lanes))) {
-      std::cerr << "error: cannot write selfprof report to " << selfprof_out
-                << "\n";
+    if (!bench::WriteSelfprof("scaling", lanes, selfprof_out)) {
       return 1;
     }
-    std::cerr << "selfprof report: " << selfprof_out << "\n";
   }
   return 0;
 }

@@ -1,7 +1,9 @@
 // Shared helpers for the figure/table reproduction benches: single-run and
 // repeated cold-start measurement on a chosen topology, with exact or noisy
 // profiling. Every bench prints the paper's rows through util::Table and can
-// additionally emit a machine-readable BENCH_<name>.json via BenchReport.
+// additionally emit a machine-readable BENCH_<name>.json via BenchReport and
+// observation artifacts (trace, causal journal, what-if and selfprof
+// reports) through the output flags and writers at the end of this file.
 //
 // Repetition loops run on SweepRunner: tasks fan out over DEEPPLAN_JOBS
 // worker threads, results aggregate in task order, so bench output is
@@ -13,6 +15,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <iostream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -214,6 +217,68 @@ class BenchReport {
   JsonObject config_;
   std::deque<JsonObject> points_;  // deque: AddPoint() references stay valid
 };
+
+// Observation outputs: each is a `--<name>=<path>` flag whose default is read
+// from a DEEPPLAN_* variable; an empty path turns the output off. The four
+// flags are defined here once, and a bench offers the ones it supports with
+// DefineOutputFlag.
+struct OutputFlag {
+  const char* name;  // flag name
+  const char* env;   // variable the default is read from
+  const char* what;  // the artifact, for --help
+};
+inline constexpr OutputFlag kTraceOut{"trace_out", "DEEPPLAN_TRACE",
+                                      "a Chrome/Perfetto trace JSON"};
+inline constexpr OutputFlag kProfileOut{"profile_out", "DEEPPLAN_PROFILE",
+                                        "the causal journal (binary DPJL)"};
+inline constexpr OutputFlag kWhatIfOut{"whatif_out", "DEEPPLAN_WHATIF",
+                                       "the what-if report JSON"};
+inline constexpr OutputFlag kSelfprofOut{"selfprof_out", "DEEPPLAN_SELFPROF",
+                                         "a host self-profiling report"};
+
+inline void DefineOutputFlag(Flags* flags, const OutputFlag& flag) {
+  const char* env = std::getenv(flag.env);
+  flags->DefineString(flag.name, env != nullptr ? env : "",
+                      std::string("write ") + flag.what +
+                          " here (default: $" + flag.env +
+                          "; empty disables)");
+}
+
+// Notes an artifact on stderr, "wrote <what> <path>" or "cannot write <what>
+// <path>[: <error>]", so stdout keeps only the bench's tables. Returns `ok`;
+// a bench exits 1 when a write fails.
+inline bool NoteWrite(bool ok, const char* what, const std::string& path,
+                      const std::string& error = "") {
+  std::cerr << (ok ? "wrote " : "cannot write ") << what << " " << path
+            << (ok || error.empty() ? "" : ": " + error) << "\n";
+  return ok;
+}
+
+inline bool WriteTrace(const TraceRecorder& trace, const std::string& path) {
+  return NoteWrite(trace.WriteTo(path), "trace", path);
+}
+
+inline bool WriteJournal(const CausalGraph& graph, const std::string& path) {
+  std::string error;
+  const bool ok = WriteGraphToJournal(graph, path, {}, nullptr, &error);
+  return NoteWrite(ok, "profile journal", path, error);
+}
+
+inline bool WriteWhatIf(const WhatIfReport& report, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (out) {
+    out << WhatIfReportJson(report) << "\n";
+  }
+  return NoteWrite(static_cast<bool>(out), "what-if report", path);
+}
+
+inline bool WriteSelfprof(const std::string& bench,
+                          const std::vector<selfprof::LaneView>& lanes,
+                          const std::string& path) {
+  return NoteWrite(
+      selfprof::WriteReport(path, selfprof::ReportJson(bench, lanes)),
+      "selfprof report", path);
+}
 
 }  // namespace bench
 }  // namespace deepplan

@@ -5,18 +5,17 @@
 // Paper shape: BERT/RoBERTa stall 73-75%; ResNet and GPT-2 roughly 25-45%.
 //
 // With --profile_out=<path> (default: $DEEPPLAN_PROFILE) every cold start
-// records its happens-before DAG into a causal journal written to <path>,
-// and a second table re-derives the decomposition from critical-path
-// attribution — the engine's own stall accounting and the profiler's must
-// agree exactly (DP_CHECK), which is the cross-check that keeps the
-// attribution taxonomy honest.
+// records its happens-before DAG into a causal journal written to <path> in
+// the binary DPJL format (read it with tools/profile_report), and a second
+// table re-derives the decomposition from critical-path attribution — the
+// engine's own stall accounting and the profiler's must agree exactly
+// (DP_CHECK), which is the cross-check that keeps the attribution taxonomy
+// honest.
 //
 // With --whatif_out=<path> (default: $DEEPPLAN_WHATIF) the run additionally
 // replays its journal under the default virtual-hardware experiments
 // (src/obs/whatif) and writes the {"whatif_report":...} JSON to <path>;
 // journaling turns on even without --profile_out.
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,20 +28,14 @@ int main(int argc, char** argv) {
   using namespace deepplan::bench;
 
   Flags flags;
-  const char* profile_env = std::getenv("DEEPPLAN_PROFILE");
-  flags.DefineString("profile_out", profile_env != nullptr ? profile_env : "",
-                     "write the causal journal JSON here (default: "
-                     "$DEEPPLAN_PROFILE; empty disables profiling)");
-  const char* whatif_env = std::getenv("DEEPPLAN_WHATIF");
-  flags.DefineString("whatif_out", whatif_env != nullptr ? whatif_env : "",
-                     "write the what-if report JSON here (default: "
-                     "$DEEPPLAN_WHATIF; empty disables what-if replay)");
+  DefineOutputFlag(&flags, kProfileOut);
+  DefineOutputFlag(&flags, kWhatIfOut);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
-  const std::string profile_out = flags.GetString("profile_out");
+  const std::string profile_out = flags.GetString(kProfileOut.name);
   const bool profiling = !profile_out.empty();
-  const std::string whatif_out = flags.GetString("whatif_out");
+  const std::string whatif_out = flags.GetString(kWhatIfOut.name);
   const bool journaling = profiling || !whatif_out.empty();
 
   const Topology topology = Topology::P3_8xlarge();
@@ -97,11 +90,7 @@ int main(int argc, char** argv) {
     derived.Print(std::cout);
     std::cout << "\nAttribution agrees with the engine's stall accounting "
                  "for every model (checked).\n";
-    if (graph.WriteTo(profile_out)) {
-      std::cerr << "wrote profile journal " << profile_out << " ("
-                << graph.nodes().size() << " nodes)\n";
-    } else {
-      std::cerr << "cannot write profile journal " << profile_out << "\n";
+    if (!WriteJournal(graph, profile_out)) {
       return 1;
     }
   }
@@ -113,15 +102,9 @@ int main(int argc, char** argv) {
     DP_CHECK(whatif.baseline_matches_journal);
     std::cout << "\n";
     PrintWhatIfReport(whatif, std::cout);
-    std::ofstream out(whatif_out, std::ios::binary);
-    if (out) {
-      out << WhatIfReportJson(whatif) << "\n";
-    }
-    if (!out) {
-      std::cerr << "cannot write what-if report " << whatif_out << "\n";
+    if (!WriteWhatIf(whatif, whatif_out)) {
       return 1;
     }
-    std::cerr << "wrote what-if report " << whatif_out << "\n";
   }
   return 0;
 }

@@ -14,12 +14,12 @@
 // of the figure — record telemetry; their recorders stitch into one Chrome
 // trace and their metrics snapshots land in the matching BENCH points. With
 // --profile_out=<path> (default: $DEEPPLAN_PROFILE) the same knee points
-// record causal journals; the stitched journal is written to <path> and the
-// critical-path attribution report prints after the tables. With
-// --selfprof_out=<path> (default: $DEEPPLAN_SELFPROF) every point carries a
-// host self-profiling lane (src/obs/selfprof.h) and the per-point wall-clock
-// attribution report lands at <path> (inspect with tools/selfprof_report).
-#include <cstdlib>
+// record causal journals; the stitched journal is written to <path> in the
+// binary DPJL format and the critical-path attribution report prints after
+// the tables. With --selfprof_out=<path> (default: $DEEPPLAN_SELFPROF) every
+// point carries a host self-profiling lane (src/obs/selfprof.h) and the
+// per-point wall-clock attribution report lands at <path> (inspect with
+// tools/selfprof_report).
 #include <iostream>
 #include <utility>
 
@@ -104,29 +104,19 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.DefineInt("requests", 1000, "requests per concurrency point");
   flags.DefineDouble("rate", 100.0, "offered load (requests/second)");
-  const char* trace_env = std::getenv("DEEPPLAN_TRACE");
-  flags.DefineString("trace_out", trace_env != nullptr ? trace_env : "",
-                     "write a Chrome/Perfetto trace JSON here (default: "
-                     "$DEEPPLAN_TRACE; empty disables telemetry)");
-  const char* profile_env = std::getenv("DEEPPLAN_PROFILE");
-  flags.DefineString("profile_out", profile_env != nullptr ? profile_env : "",
-                     "write the causal journal JSON here (default: "
-                     "$DEEPPLAN_PROFILE; empty disables profiling)");
-  const char* selfprof_env = std::getenv("DEEPPLAN_SELFPROF");
-  flags.DefineString("selfprof_out", selfprof_env != nullptr ? selfprof_env : "",
-                     "write a host self-profiling report (one wall-clock "
-                     "attribution lane per point) here (default: "
-                     "$DEEPPLAN_SELFPROF; empty disables)");
+  bench::DefineOutputFlag(&flags, bench::kTraceOut);
+  bench::DefineOutputFlag(&flags, bench::kProfileOut);
+  bench::DefineOutputFlag(&flags, bench::kSelfprofOut);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
   const int requests = static_cast<int>(flags.GetInt("requests"));
   const double rate = flags.GetDouble("rate");
-  const std::string trace_out = flags.GetString("trace_out");
+  const std::string trace_out = flags.GetString(bench::kTraceOut.name);
   const bool tracing = !trace_out.empty();
-  const std::string profile_out = flags.GetString("profile_out");
+  const std::string profile_out = flags.GetString(bench::kProfileOut.name);
   const bool profiling = !profile_out.empty();
-  const std::string selfprof_out = flags.GetString("selfprof_out");
+  const std::string selfprof_out = flags.GetString(bench::kSelfprofOut.name);
 
   // Enumerate every independent point up front, then sweep them in parallel.
   std::vector<PointSpec> specs;
@@ -216,11 +206,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
     PrintProfileReport(BuildProfileReport(merged), std::cout);
-    if (merged.WriteTo(profile_out)) {
-      std::cerr << "wrote profile journal " << profile_out << " ("
-                << merged.nodes().size() << " nodes)\n";
-    } else {
-      std::cerr << "cannot write profile journal " << profile_out << "\n";
+    if (!bench::WriteJournal(merged, profile_out)) {
       return 1;
     }
   }
@@ -232,11 +218,7 @@ int main(int argc, char** argv) {
         merged.Adopt(std::move(points[i].recorder));
       }
     }
-    if (merged.WriteTo(trace_out)) {
-      std::cerr << "wrote trace " << trace_out << " (" << merged.size()
-                << " events)\n";
-    } else {
-      std::cerr << "cannot write trace " << trace_out << "\n";
+    if (!bench::WriteTrace(merged, trace_out)) {
       return 1;
     }
   }
@@ -249,13 +231,10 @@ int main(int argc, char** argv) {
                            (specs[i].tight ? " tight" : ""),
                        &points[i].selfprof});
     }
-    if (!selfprof::WriteReport(
-            selfprof_out,
-            selfprof::ReportJson("fig13_concurrency_sweep", lanes))) {
-      std::cerr << "cannot write selfprof report " << selfprof_out << "\n";
+    if (!bench::WriteSelfprof("fig13_concurrency_sweep", lanes,
+                              selfprof_out)) {
       return 1;
     }
-    std::cerr << "selfprof report: " << selfprof_out << "\n";
   }
   return 0;
 }

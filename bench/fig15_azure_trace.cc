@@ -16,20 +16,17 @@
 // order into one Perfetto-loadable Chrome trace, and each strategy's metrics
 // snapshot lands in its BENCH point. With --profile_out=<path> (default:
 // $DEEPPLAN_PROFILE) each replay additionally records a causal journal; the
-// stitched journal is written to <path> and the critical-path attribution
-// report prints after the tables. With --whatif_out=<path> (default:
-// $DEEPPLAN_WHATIF) the stitched journal is replayed under the default
-// virtual-hardware experiments (src/obs/whatif) and the
-// {"whatif_report":...} JSON lands at <path>; journaling turns on even
-// without --profile_out. With --journal_out=<path> the stitched journal is
-// additionally written in the chunked binary DPJL format
-// (src/obs/journal_stream.h) — the same graph, exactly convertible to/from
-// the JSON journal with tools/journal_convert. With --selfprof_out=<path>
-// (default: $DEEPPLAN_SELFPROF) each replay carries a host self-profiling
-// lane (src/obs/selfprof.h) and the per-strategy wall-clock attribution
-// report lands at <path> (inspect with tools/selfprof_report).
-#include <cstdlib>
-#include <fstream>
+// stitched journal is written to <path> in the binary DPJL format
+// (src/obs/journal_stream.h) and the critical-path attribution report prints
+// after the tables. With --whatif_out=<path> (default: $DEEPPLAN_WHATIF) the
+// stitched journal is replayed under the default virtual-hardware
+// experiments (src/obs/whatif) and the {"whatif_report":...} JSON lands at
+// <path> — byte-identical to tools/whatif_report on the --profile_out
+// journal; journaling turns on even without --profile_out. With
+// --selfprof_out=<path> (default: $DEEPPLAN_SELFPROF) each replay carries a
+// host self-profiling lane (src/obs/selfprof.h) and the per-strategy
+// wall-clock attribution report lands at <path> (inspect with
+// tools/selfprof_report).
 #include <iostream>
 #include <utility>
 
@@ -102,39 +99,21 @@ int main(int argc, char** argv) {
   // the paper's over-committed deployment.
   flags.DefineInt("instances", 135, "total model instances (4:4:1 mix)");
   flags.DefineString("trace", "", "optional MAF-derived CSV to replay instead");
-  const char* trace_env = std::getenv("DEEPPLAN_TRACE");
-  flags.DefineString("trace_out", trace_env != nullptr ? trace_env : "",
-                     "write a Chrome/Perfetto trace JSON here (default: "
-                     "$DEEPPLAN_TRACE; empty disables telemetry)");
-  const char* profile_env = std::getenv("DEEPPLAN_PROFILE");
-  flags.DefineString("profile_out", profile_env != nullptr ? profile_env : "",
-                     "write the causal journal JSON here (default: "
-                     "$DEEPPLAN_PROFILE; empty disables profiling)");
-  const char* whatif_env = std::getenv("DEEPPLAN_WHATIF");
-  flags.DefineString("whatif_out", whatif_env != nullptr ? whatif_env : "",
-                     "write the what-if report JSON here (default: "
-                     "$DEEPPLAN_WHATIF; empty disables what-if replay)");
-  flags.DefineString("journal_out", "",
-                     "additionally write the stitched causal journal in the "
-                     "binary DPJL format here (empty disables)");
-  const char* selfprof_env = std::getenv("DEEPPLAN_SELFPROF");
-  flags.DefineString("selfprof_out", selfprof_env != nullptr ? selfprof_env : "",
-                     "write a host self-profiling report (one wall-clock "
-                     "attribution lane per strategy) here (default: "
-                     "$DEEPPLAN_SELFPROF; empty disables)");
+  bench::DefineOutputFlag(&flags, bench::kTraceOut);
+  bench::DefineOutputFlag(&flags, bench::kProfileOut);
+  bench::DefineOutputFlag(&flags, bench::kWhatIfOut);
+  bench::DefineOutputFlag(&flags, bench::kSelfprofOut);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
   const int instances = static_cast<int>(flags.GetInt("instances"));
-  const std::string trace_out = flags.GetString("trace_out");
+  const std::string trace_out = flags.GetString(bench::kTraceOut.name);
   const bool tracing = !trace_out.empty();
-  const std::string profile_out = flags.GetString("profile_out");
+  const std::string profile_out = flags.GetString(bench::kProfileOut.name);
   const bool profiling = !profile_out.empty();
-  const std::string whatif_out = flags.GetString("whatif_out");
-  const std::string journal_out = flags.GetString("journal_out");
-  const bool journaling =
-      profiling || !whatif_out.empty() || !journal_out.empty();
-  const std::string selfprof_out = flags.GetString("selfprof_out");
+  const std::string whatif_out = flags.GetString(bench::kWhatIfOut.name);
+  const bool journaling = profiling || !whatif_out.empty();
+  const std::string selfprof_out = flags.GetString(bench::kSelfprofOut.name);
 
   Trace trace;
   if (!flags.GetString("trace").empty()) {
@@ -252,22 +231,9 @@ int main(int argc, char** argv) {
     if (profiling) {
       std::cout << "\n";
       PrintProfileReport(BuildProfileReport(merged), std::cout);
-      if (merged.WriteTo(profile_out)) {
-        std::cerr << "wrote profile journal " << profile_out << " ("
-                  << merged.nodes().size() << " nodes)\n";
-      } else {
-        std::cerr << "cannot write profile journal " << profile_out << "\n";
+      if (!bench::WriteJournal(merged, profile_out)) {
         return 1;
       }
-    }
-    if (!journal_out.empty()) {
-      std::string error;
-      if (!WriteGraphToJournal(merged, journal_out, {}, nullptr, &error)) {
-        std::cerr << "cannot write binary journal: " << error << "\n";
-        return 1;
-      }
-      std::cerr << "wrote binary journal " << journal_out << " ("
-                << merged.nodes().size() << " nodes)\n";
     }
     if (!whatif_out.empty()) {
       const WhatIfReport whatif =
@@ -277,15 +243,9 @@ int main(int argc, char** argv) {
       DP_CHECK(whatif.baseline_matches_journal);
       std::cout << "\n";
       PrintWhatIfReport(whatif, std::cout);
-      std::ofstream out(whatif_out, std::ios::binary);
-      if (out) {
-        out << WhatIfReportJson(whatif) << "\n";
-      }
-      if (!out) {
-        std::cerr << "cannot write what-if report " << whatif_out << "\n";
+      if (!bench::WriteWhatIf(whatif, whatif_out)) {
         return 1;
       }
-      std::cerr << "wrote what-if report " << whatif_out << "\n";
     }
   }
   report.Write(&std::cerr);
@@ -294,11 +254,7 @@ int main(int argc, char** argv) {
     for (Outcome& out : outcomes) {
       merged.Adopt(std::move(out.recorder));
     }
-    if (merged.WriteTo(trace_out)) {
-      std::cerr << "wrote trace " << trace_out << " (" << merged.size()
-                << " events)\n";
-    } else {
-      std::cerr << "cannot write trace " << trace_out << "\n";
+    if (!bench::WriteTrace(merged, trace_out)) {
       return 1;
     }
   }
@@ -308,13 +264,9 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < strategies.size(); ++s) {
       lanes.push_back({StrategyName(strategies[s]), &outcomes[s].selfprof});
     }
-    if (!selfprof::WriteReport(selfprof_out,
-                               selfprof::ReportJson("fig15_azure_trace",
-                                                    lanes))) {
-      std::cerr << "cannot write selfprof report " << selfprof_out << "\n";
+    if (!bench::WriteSelfprof("fig15_azure_trace", lanes, selfprof_out)) {
       return 1;
     }
-    std::cerr << "selfprof report: " << selfprof_out << "\n";
   }
   return 0;
 }

@@ -14,8 +14,6 @@
 // prediction within 1% of the re-simulation. The {"whatif_report":...} JSON
 // lands at <path> (lint with `trace_lint --whatif`).
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -98,16 +96,7 @@ int ValidateWhatIf(const Topology& gen4, const PerfModel& perf4,
             << " predictions within 1% of re-simulation (max error "
             << Table::Pct(max_err, 3) << ").\n";
 
-  std::ofstream out(whatif_out, std::ios::binary);
-  if (out) {
-    out << WhatIfReportJson(report) << "\n";
-  }
-  if (!out) {
-    std::cerr << "cannot write what-if report " << whatif_out << "\n";
-    return 1;
-  }
-  std::cerr << "wrote what-if report " << whatif_out << "\n";
-  return 0;
+  return WriteWhatIf(report, whatif_out) ? 0 : 1;
 }
 
 }  // namespace
@@ -115,15 +104,12 @@ int ValidateWhatIf(const Topology& gen4, const PerfModel& perf4,
 int main(int argc, char** argv) {
   Flags flags;
   flags.DefineInt("runs", 100, "repetitions per (model, strategy)");
-  const char* whatif_env = std::getenv("DEEPPLAN_WHATIF");
-  flags.DefineString("whatif_out", whatif_env != nullptr ? whatif_env : "",
-                     "write the PCIe3->PCIe4 what-if validation report JSON "
-                     "here (default: $DEEPPLAN_WHATIF; empty disables)");
+  DefineOutputFlag(&flags, kWhatIfOut);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
   const int runs = static_cast<int>(flags.GetInt("runs"));
-  const std::string whatif_out = flags.GetString("whatif_out");
+  const std::string whatif_out = flags.GetString(kWhatIfOut.name);
 
   const Topology topology = Topology::A5000Box();
   const PerfModel perf(topology.gpu(), topology.pcie());

@@ -1,12 +1,10 @@
 #include "src/obs/causal_graph.h"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
 #include "src/obs/selfprof.h"
 #include "src/util/json.h"
-#include "src/util/json_parse.h"
 #include "src/util/logging.h"
 
 namespace deepplan {
@@ -26,21 +24,6 @@ const char* CpKindName(CpKind kind) {
   }
   return "unknown";
 }
-
-namespace {
-
-bool KindFromName(const std::string& name, CpKind* kind) {
-  for (const CpKind k : {CpKind::kArrival, CpKind::kEvict, CpKind::kPcie,
-                         CpKind::kNvlink, CpKind::kExec}) {
-    if (name == CpKindName(k)) {
-      *kind = k;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 int CausalGraph::RegisterProcess(std::string_view name) {
   if (!enabled_) {
@@ -336,8 +319,8 @@ std::string CausalGraph::ToJson() const {
         .Set("end_ns", static_cast<std::int64_t>(node.end))
         .Set("bytes", node.bytes)
         .Set("solo_ns", static_cast<std::int64_t>(node.solo));
-    // Optional fields, omitted when unset so journals without them round-trip
-    // byte-identically.
+    // Optional fields, omitted when unset so journals recorded without them
+    // export the same bytes.
     if (!node.path.empty()) {
       JsonArray hops;
       for (const CpHop& hop : node.path) {
@@ -367,232 +350,6 @@ std::string CausalGraph::ToJson() const {
   return doc.Render();
 }
 
-bool CausalGraph::WriteTo(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson() << "\n";
-  return static_cast<bool>(out);
-}
-
-namespace {
-
-bool GetInt(const JsonValue& obj, const char* key, std::int64_t* out,
-            std::string* error, const char* context) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_number()) {
-    *error = std::string(context) + ": missing numeric \"" + key + "\"";
-    return false;
-  }
-  *out = static_cast<std::int64_t>(v->AsNumber());
-  return true;
-}
-
-bool GetString(const JsonValue& obj, const char* key, std::string* out,
-               std::string* error, const char* context) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_string()) {
-    *error = std::string(context) + ": missing string \"" + key + "\"";
-    return false;
-  }
-  *out = v->AsString();
-  return true;
-}
-
-}  // namespace
-
-bool CausalGraph::FromJson(const std::string& text, CausalGraph* out,
-                           std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
-  }
-  const JsonParseResult parsed = ParseJson(text);
-  if (!parsed.ok) {
-    *error = "not valid JSON: " + parsed.error;
-    return false;
-  }
-  const JsonValue* journal =
-      parsed.value.is_object() ? parsed.value.Find("causal_journal") : nullptr;
-  if (journal == nullptr || !journal->is_object()) {
-    *error = "missing \"causal_journal\" object";
-    return false;
-  }
-  CausalGraph graph(/*enabled=*/true);
-  const JsonValue* processes = journal->Find("processes");
-  if (processes == nullptr || !processes->is_array()) {
-    *error = "missing \"processes\" array";
-    return false;
-  }
-  for (const JsonValue& p : processes->items()) {
-    if (!p.is_string()) {
-      *error = "process name is not a string";
-      return false;
-    }
-    graph.process_names_.push_back(p.AsString());
-  }
-  const JsonValue* nodes = journal->Find("nodes");
-  if (nodes == nullptr || !nodes->is_array()) {
-    *error = "missing \"nodes\" array";
-    return false;
-  }
-  for (const JsonValue& n : nodes->items()) {
-    if (!n.is_object()) {
-      *error = "node is not an object";
-      return false;
-    }
-    CpNode node;
-    std::int64_t id = 0, request = 0, start = 0, end = 0, bytes = 0, solo = 0;
-    std::string kind;
-    if (!GetInt(n, "id", &id, error, "node") ||
-        !GetInt(n, "request", &request, error, "node") ||
-        !GetString(n, "kind", &kind, error, "node") ||
-        !GetString(n, "label", &node.label, error, "node") ||
-        !GetString(n, "resource", &node.resource, error, "node") ||
-        !GetInt(n, "start_ns", &start, error, "node") ||
-        !GetInt(n, "end_ns", &end, error, "node") ||
-        !GetInt(n, "bytes", &bytes, error, "node") ||
-        !GetInt(n, "solo_ns", &solo, error, "node")) {
-      return false;
-    }
-    if (!KindFromName(kind, &node.kind)) {
-      *error = "unknown node kind \"" + kind + "\"";
-      return false;
-    }
-    // Optional: fabric route of a transfer node.
-    if (const JsonValue* path = n.Find("path"); path != nullptr) {
-      if (!path->is_array()) {
-        *error = "node \"path\" is not an array";
-        return false;
-      }
-      if (path->items().size() > kCpMaxHops) {
-        *error = "node \"path\" has " + std::to_string(path->items().size()) +
-                 " hops; a route has at most " + std::to_string(kCpMaxHops);
-        return false;
-      }
-      for (const JsonValue& h : path->items()) {
-        if (!h.is_object()) {
-          *error = "path hop is not an object";
-          return false;
-        }
-        CpHop hop;
-        if (!GetString(h, "link", &hop.link, error, "path hop")) {
-          return false;
-        }
-        const JsonValue* capacity = h.Find("capacity");
-        if (capacity == nullptr || !capacity->is_number() ||
-            capacity->AsNumber() <= 0.0) {
-          *error = "path hop: missing positive numeric \"capacity\"";
-          return false;
-        }
-        hop.capacity = capacity->AsNumber();
-        node.path.push_back(std::move(hop));
-      }
-    }
-    // Optional: PCIe-bandwidth-dependent share of an exec node.
-    if (const JsonValue* dha = n.Find("dha_pcie_ns"); dha != nullptr) {
-      if (!dha->is_number() || dha->AsNumber() < 0.0) {
-        *error = "node \"dha_pcie_ns\" is not a non-negative number";
-        return false;
-      }
-      node.dha_pcie = static_cast<Nanos>(dha->AsNumber());
-    }
-    if (id != static_cast<std::int64_t>(graph.nodes_.size())) {
-      *error = "node ids must be dense and in order";
-      return false;
-    }
-    node.id = static_cast<CpNodeId>(id);
-    node.request = static_cast<int>(request);
-    node.start = start;
-    node.end = end;
-    node.bytes = bytes;
-    node.solo = solo;
-    if (node.end < node.start) {
-      *error = "node " + std::to_string(id) + " ends before it starts";
-      return false;
-    }
-    graph.nodes_.push_back(std::move(node));
-  }
-  const JsonValue* requests = journal->Find("requests");
-  if (requests == nullptr || !requests->is_array()) {
-    *error = "missing \"requests\" array";
-    return false;
-  }
-  for (const JsonValue& r : requests->items()) {
-    if (!r.is_object()) {
-      *error = "request is not an object";
-      return false;
-    }
-    CpRequest req;
-    std::int64_t id = 0, process = 0, instance = 0, arrival = 0, completion = 0,
-                 arrival_node = 0, terminal_node = 0;
-    if (!GetInt(r, "id", &id, error, "request") ||
-        !GetInt(r, "process", &process, error, "request") ||
-        !GetInt(r, "instance", &instance, error, "request") ||
-        !GetInt(r, "arrival_ns", &arrival, error, "request") ||
-        !GetInt(r, "completion_ns", &completion, error, "request") ||
-        !GetInt(r, "arrival_node", &arrival_node, error, "request") ||
-        !GetInt(r, "terminal_node", &terminal_node, error, "request")) {
-      return false;
-    }
-    const JsonValue* cold = r.Find("cold");
-    if (cold == nullptr || !cold->is_bool()) {
-      *error = "request: missing bool \"cold\"";
-      return false;
-    }
-    if (id != static_cast<std::int64_t>(graph.requests_.size())) {
-      *error = "request ids must be dense and in order";
-      return false;
-    }
-    const auto num_nodes = static_cast<std::int64_t>(graph.nodes_.size());
-    if (arrival_node < 0 || arrival_node >= num_nodes || terminal_node < -1 ||
-        terminal_node >= num_nodes) {
-      *error = "request " + std::to_string(id) + " references unknown nodes";
-      return false;
-    }
-    req.id = static_cast<int>(id);
-    req.process = static_cast<int>(process);
-    req.instance = static_cast<int>(instance);
-    req.cold = cold->AsBool();
-    req.arrival = arrival;
-    req.completion = completion;
-    req.arrival_node = static_cast<CpNodeId>(arrival_node);
-    req.terminal_node = static_cast<CpNodeId>(terminal_node);
-    graph.requests_.push_back(req);
-  }
-  for (const CpNode& node : graph.nodes_) {
-    if (node.request < 0 ||
-        node.request >= static_cast<int>(graph.requests_.size())) {
-      *error = "node " + std::to_string(node.id) + " references unknown request";
-      return false;
-    }
-  }
-  const JsonValue* edges = journal->Find("edges");
-  if (edges == nullptr || !edges->is_array()) {
-    *error = "missing \"edges\" array";
-    return false;
-  }
-  for (const JsonValue& e : edges->items()) {
-    if (!e.is_array() || e.items().size() != 2 || !e.items()[0].is_number() ||
-        !e.items()[1].is_number()) {
-      *error = "edge is not a [from, to] pair";
-      return false;
-    }
-    const auto from = static_cast<std::int64_t>(e.items()[0].AsNumber());
-    const auto to = static_cast<std::int64_t>(e.items()[1].AsNumber());
-    const auto num_nodes = static_cast<std::int64_t>(graph.nodes_.size());
-    if (from < 0 || from >= num_nodes || to < 0 || to >= num_nodes) {
-      *error = "edge references unknown node";
-      return false;
-    }
-    graph.edges_.emplace_back(static_cast<CpNodeId>(from),
-                              static_cast<CpNodeId>(to));
-  }
-  *out = std::move(graph);
-  return true;
-}
-
 bool CausalGraph::Assemble(std::vector<std::string> processes,
                            std::vector<CpRequest> requests,
                            std::vector<CpNode> nodes,
@@ -607,7 +364,9 @@ bool CausalGraph::Assemble(std::vector<std::string> processes,
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const CpRequest& r = requests[i];
     if (r.id != static_cast<int>(i)) {
-      *error = "request ids must be dense and in order";
+      *error = "request ids are not dense and sorted (duplicate, missing or "
+               "out-of-order request " +
+               std::to_string(i) + ")";
       return false;
     }
     if (r.arrival_node < 0 || r.arrival_node >= num_nodes ||
@@ -619,7 +378,9 @@ bool CausalGraph::Assemble(std::vector<std::string> processes,
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const CpNode& n = nodes[i];
     if (n.id != static_cast<CpNodeId>(i)) {
-      *error = "node ids must be dense and in order";
+      *error = "node ids are not dense and sorted (duplicate, missing or "
+               "out-of-order node " +
+               std::to_string(i) + ")";
       return false;
     }
     if (n.request < 0 || n.request >= num_requests) {

@@ -19,8 +19,14 @@
 //
 // Determinism: the simulator is single-threaded, so nodes append in
 // simulation order; parallel sweeps build one graph per task and stitch them
-// with Adopt() in task order, making the exported journal byte-identical for
+// with Adopt() in task order, making the written journal byte-identical for
 // any DEEPPLAN_JOBS value.
+//
+// On disk a journal is always binary DPJL (src/obs/journal_stream.h):
+// WriteGraphToJournal dumps an accumulated graph, a JournalWriter sink
+// records a streaming one, and ReadJournalToGraph materializes either back
+// through Assemble(). ToJson() is an export for humans and goldens only.
+//
 // Streaming mode: AttachSink() switches an enabled graph from accumulation
 // to retirement — every call is buffered only per open request, and
 // EndRequest hands the request's nodes/edges to a CausalSink (the binary
@@ -204,19 +210,16 @@ class CausalGraph {
   void Adopt(CausalGraph&& other);
 
   // {"causal_journal":{"processes":[...],"requests":[...],"nodes":[...],
-  //  "edges":[[from,to],...]}} — deterministic bytes for a given graph.
+  //  "edges":[[from,to],...]}} — deterministic bytes for a given graph. An
+  // export only (journal_convert --to-json, the engine golden): journals on
+  // disk are DPJL (src/obs/journal_stream.h), and nothing parses this back.
   std::string ToJson() const;
-  bool WriteTo(const std::string& path) const;
 
-  // Parses a journal produced by ToJson(). Returns false and sets `error`
-  // on malformed input (bad structure, dangling node/request references).
-  static bool FromJson(const std::string& text, CausalGraph* out,
-                       std::string* error);
-
-  // Reassembles a graph from complete, id-ordered parts — the binary journal
-  // reader's materialization path (src/obs/journal_stream.h). Requests and
-  // nodes must already be dense and sorted by id; cross-references are
-  // validated the same way FromJson validates them.
+  // The one way to build a graph from parts: reassembles a graph from
+  // complete, id-ordered parts, as the binary journal reader materializes it
+  // (src/obs/journal_stream.h). Returns false and sets `error` unless
+  // requests and nodes are dense and sorted by id, every node/request
+  // reference resolves, and no node ends before it starts.
   static bool Assemble(std::vector<std::string> processes,
                        std::vector<CpRequest> requests,
                        std::vector<CpNode> nodes,
@@ -231,7 +234,7 @@ class CausalGraph {
   // synchronized: retirement is the PDES hand-off point, so every field is
   // GUARDED_BY the state's own mutex and helpers that expect it held are
   // REQUIRES-annotated. The state lives behind a unique_ptr so the graph
-  // stays implicitly movable (Adopt, FromJson, Assemble all move-assign)
+  // stays implicitly movable (Adopt and Assemble move-assign)
   // despite owning a Mutex. Lock order: stream_->mu before the sink's
   // internal lock (RetireLive calls the sink while holding mu), never the
   // reverse — the sink never calls back into the graph.

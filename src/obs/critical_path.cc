@@ -58,6 +58,13 @@ ProfileSummary AnalyzeCriticalPaths(const CausalGraph& graph) {
   for (const auto& [from, to] : graph.edges()) {
     preds[static_cast<std::size_t>(to)].push_back(from);
   }
+  // Per-request exec-busy sums, also in one pass over the nodes.
+  std::vector<Nanos> exec_busy(graph.requests().size(), 0);
+  for (const CpNode& node : graph.nodes()) {
+    if (node.kind == CpKind::kExec) {
+      exec_busy[static_cast<std::size_t>(node.request)] += node.end - node.start;
+    }
+  }
 
   ProfileSummary summary;
   summary.requests.reserve(graph.requests().size());
@@ -125,12 +132,7 @@ ProfileSummary AnalyzeCriticalPaths(const CausalGraph& graph) {
     }
     // Anything left before the first on-path node is queue wait.
     profile.attribution.queue += std::max<Nanos>(0, cursor - req.arrival);
-
-    for (const CpNode& node : graph.nodes()) {
-      if (node.request == req.id && node.kind == CpKind::kExec) {
-        profile.exec_busy += node.end - node.start;
-      }
-    }
+    profile.exec_busy = exec_busy[static_cast<std::size_t>(req.id)];
 
     std::reverse(rpath.begin(), rpath.end());
     profile.path = std::move(rpath);

@@ -378,9 +378,10 @@ bool JournalReader::Open(const std::string& path) {
   if (std::memcmp(header, kJournalMagic, sizeof(kJournalMagic)) != 0) {
     if (header[0] == '{') {
       return Fail(
-          "not a binary journal (content looks like JSON — lint it with "
-          "trace_lint --profile/--whatif, or convert it with journal_convert "
-          "--to-binary)");
+          "not a binary journal (content looks like JSON): causal journals "
+          "are recorded as DPJL, and JSON is only an export "
+          "(journal_convert --to-json) that no tool reads back; lint a JSON "
+          "report with trace_lint --profile/--whatif");
     }
     return Fail("bad magic (want \"DPJL\"): not a DeepPlan binary journal");
   }
@@ -861,16 +862,6 @@ bool JournalReader::DecodeChunk(const std::string& payload,
 
 // ---------------------------------------------------------------- converters
 
-bool IsBinaryJournalFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  char magic[4];
-  return ReadExact(in, magic, sizeof(magic)) &&
-         std::memcmp(magic, kJournalMagic, sizeof(magic)) == 0;
-}
-
 bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
                         std::string* error) {
   std::string local_error;
@@ -911,27 +902,12 @@ bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
   }
   // Requests retire in completion order; node ids and edge seqs are global
   // append order. Sorting by id/seq reconstructs the exact in-memory layout,
-  // which is what makes the JSON export byte-identical.
+  // which is what makes the JSON export byte-identical. Assemble() rejects
+  // duplicate or missing ids.
   std::sort(requests.begin(), requests.end(),
             [](const CpRequest& a, const CpRequest& b) { return a.id < b.id; });
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].id != static_cast<int>(i)) {
-      *error = path + ": journal request ids are not dense (duplicate or "
-                      "missing request " +
-               std::to_string(i) + ")";
-      return false;
-    }
-  }
   std::sort(nodes.begin(), nodes.end(),
             [](const CpNode& a, const CpNode& b) { return a.id < b.id; });
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].id != static_cast<CpNodeId>(i)) {
-      *error = path + ": journal node ids are not dense (duplicate or "
-                      "missing node " +
-               std::to_string(i) + ")";
-      return false;
-    }
-  }
   std::sort(seq_edges.begin(), seq_edges.end());
   std::vector<std::pair<CpNodeId, CpNodeId>> edges;
   edges.reserve(seq_edges.size());

@@ -1,12 +1,13 @@
-// Streaming binary causal journal (schema v1). The JSON journal
-// (CausalGraph::ToJson) is lossless but needs the whole graph in memory; this
-// format is its scale-ready twin: a streaming JournalWriter consumes retired
+// Binary causal journal (DPJL, schema v1): the one format a causal journal
+// is recorded in and read from. A streaming JournalWriter consumes retired
 // requests from a streaming CausalGraph (CausalSink) and appends them in
 // CRC-guarded chunks, so recording a million-request run costs only the
-// in-flight state, and a chunk-iterator JournalReader lets consumers (the
-// windowed what-if engine, the lint mode, the JSON converter) bound their
-// resident set to a window of chunks. JSON stays the export format — the
-// conversion is exact in both directions, byte-identical to ToJson().
+// in-flight state; WriteGraphToJournal dumps an accumulated graph the same
+// way. A chunk-iterator JournalReader lets consumers (the windowed what-if
+// engine, the lint mode, ReadJournalToGraph) bound their resident set to a
+// window of chunks. JSON (CausalGraph::ToJson) is an export only:
+// `journal_convert --to-json` writes it, byte-identical to ToJson() of the
+// recording run, and no reader accepts it.
 //
 // File layout (all integers little-endian; varint = LEB128, zigzag for
 // signed):
@@ -227,10 +228,6 @@ class JournalReader {
 };
 
 // --- whole-journal conversions ---
-
-// True if `path` starts with the binary journal magic (cheap sniff for tools
-// that accept either representation).
-bool IsBinaryJournalFile(const std::string& path);
 
 // Reads a complete binary journal into an in-memory CausalGraph. Requires a
 // clean footer; reassembles global node-id and edge-seq order, so

@@ -1,9 +1,12 @@
 // Tests for the causal critical-path profiler: hand-built DAGs with known
 // critical paths, exact attribution sums, contention accounting against the
-// real fabric, journal round-trips, sweep determinism across thread counts,
-// the profile-report schema linter, and the bench_diff regression gate.
+// real fabric, sweep journals byte-identical across thread counts, the
+// profile-report schema linter, and the bench_diff regression gate.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "src/check/trace_lint.h"
 #include "src/obs/causal_graph.h"
 #include "src/obs/critical_path.h"
+#include "src/obs/journal_stream.h"
 #include "src/obs/profile_report.h"
 #include "src/obs/utilization.h"
 #include "src/sim/fabric.h"
@@ -311,6 +315,13 @@ TEST(CriticalPathTest, RecordingIsTimingNeutral) {
   EXPECT_GT(graph.nodes().size(), 1u);
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 // The stitched journal (and therefore the whole report) must be
 // byte-identical whether the sweep ran on 1 thread or 8.
 TEST(CriticalPathTest, SweepJournalDeterministicAcrossJobs) {
@@ -336,47 +347,29 @@ TEST(CriticalPathTest, SweepJournalDeterministicAcrossJobs) {
     for (CausalGraph& graph : graphs) {
       merged.Adopt(std::move(graph));
     }
-    return merged.ToJson();
+    return merged;
   };
-  const std::string serial = run(1);
-  const std::string parallel = run(8);
-  EXPECT_EQ(serial, parallel);
-
-  CausalGraph parsed;
+  const CausalGraph serial = run(1);
+  const std::string serial_path = ::testing::TempDir() + "/sweep_jobs1.dpj";
+  const std::string parallel_path = ::testing::TempDir() + "/sweep_jobs8.dpj";
   std::string error;
-  ASSERT_TRUE(CausalGraph::FromJson(serial, &parsed, &error)) << error;
-  EXPECT_EQ(ProfileReportJson(BuildProfileReport(parsed)),
-            ProfileReportJson(BuildProfileReport(parsed)));
+  ASSERT_TRUE(WriteGraphToJournal(serial, serial_path, {}, nullptr, &error))
+      << error;
+  ASSERT_TRUE(WriteGraphToJournal(run(8), parallel_path, {}, nullptr, &error))
+      << error;
+  EXPECT_EQ(ReadFileBytes(serial_path), ReadFileBytes(parallel_path));
+
+  // The report from the journal read back equals the in-process one.
+  CausalGraph parsed;
+  ASSERT_TRUE(ReadJournalToGraph(serial_path, &parsed, &error)) << error;
   EXPECT_EQ(parsed.requests().size(), models.size());
+  EXPECT_EQ(ProfileReportJson(BuildProfileReport(parsed)),
+            ProfileReportJson(BuildProfileReport(serial)));
+  std::remove(serial_path.c_str());
+  std::remove(parallel_path.c_str());
 }
 
-// ------------------------------------------------ journal round-trip
-
-TEST(CausalGraphTest, JournalRoundTripsThroughJson) {
-  const CausalGraph graph = KnownPathGraph();
-  const std::string journal = graph.ToJson();
-  CausalGraph parsed;
-  std::string error;
-  ASSERT_TRUE(CausalGraph::FromJson(journal, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.ToJson(), journal);
-  EXPECT_EQ(parsed.processes(), graph.processes());
-  ASSERT_EQ(parsed.nodes().size(), graph.nodes().size());
-  EXPECT_EQ(parsed.edges(), graph.edges());
-}
-
-TEST(CausalGraphTest, FromJsonRejectsDanglingReferences) {
-  CausalGraph parsed;
-  std::string error;
-  EXPECT_FALSE(CausalGraph::FromJson("not json", &parsed, &error));
-  EXPECT_FALSE(error.empty());
-  // A node pointing at a request that does not exist.
-  const std::string bad =
-      "{\"causal_journal\":{\"processes\":[\"p\"],\"requests\":[],"
-      "\"nodes\":[{\"id\":0,\"request\":3,\"kind\":\"exec\",\"label\":\"x\","
-      "\"resource\":\"gpu0\",\"start_ns\":0,\"end_ns\":1,\"bytes\":0,"
-      "\"solo_ns\":-1}],\"edges\":[]}}";
-  EXPECT_FALSE(CausalGraph::FromJson(bad, &parsed, &error));
-}
+// ------------------------------------------------ graph recording
 
 TEST(CausalGraphTest, DisabledGraphRecordsNothing) {
   CausalGraph graph(/*enabled=*/false);
@@ -541,6 +534,15 @@ TEST(CriticalPathTest, ServedWorkloadAttributionIsExactForEveryRequest) {
             metrics.ColdStartCount());
   for (const RequestProfile& p : summary.requests) {
     EXPECT_EQ(p.attribution.Total(), p.latency);
+    // exec_busy counts this request's own exec nodes, on-path or not.
+    Nanos exec_busy = 0;
+    for (const CpNode& node : graph.nodes()) {
+      if (node.request == p.request && node.kind == CpKind::kExec) {
+        exec_busy += node.end - node.start;
+      }
+    }
+    EXPECT_GT(exec_busy, 0) << "request " << p.request;
+    EXPECT_EQ(p.exec_busy, exec_busy) << "request " << p.request;
   }
   const ProfileReport report = BuildProfileReport(graph);
   EXPECT_TRUE(LintProfileReport(ProfileReportJson(report)).ok());

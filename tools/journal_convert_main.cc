@@ -1,17 +1,14 @@
-// journal_convert: lossless conversion between the two causal-journal
-// representations — {"causal_journal":...} JSON (human-greppable, Perfetto
-// tooling, goldens) and the chunked binary DPJL format (streaming recorder,
-// windowed replay). The conversion is exact: binary -> JSON emits the same
-// bytes CausalGraph::ToJson() would have produced for the recording run, and
-// JSON -> binary -> JSON is the identity.
+// journal_convert: the one producer of the {"causal_journal":...} JSON
+// export. Causal journals are recorded and read as binary DPJL
+// (src/obs/journal_stream.h); --to-json renders one as JSON for people and
+// external tooling, byte-identical to CausalGraph::ToJson() of the recording
+// run. No tool reads the JSON back. --info validates a journal and prints its
+// totals.
 //
-//   journal_convert --to-json   results/journal_fig15.dpj out.json
-//   journal_convert --to-binary results/profile_fig15.json out.dpj
-//   journal_convert --info      results/journal_fig15.dpj
+//   journal_convert --to-json results/profile_fig15.dpj out.json
+//   journal_convert --info    results/profile_fig15.dpj
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "src/obs/causal_graph.h"
@@ -19,40 +16,11 @@
 
 namespace {
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-bool LoadGraph(const std::string& path, deepplan::CausalGraph* graph,
-               std::string* error) {
-  if (deepplan::IsBinaryJournalFile(path)) {
-    return deepplan::ReadJournalToGraph(path, graph, error);
-  }
-  std::string text;
-  if (!ReadFile(path, &text)) {
-    *error = path + ": cannot read file";
-    return false;
-  }
-  if (!deepplan::CausalGraph::FromJson(text, graph, error)) {
-    *error = path + ": " + *error;
-    return false;
-  }
-  return true;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --to-json <journal> <out.json>\n"
-               "       %s --to-binary <journal> <out.dpj>\n"
-               "       %s --info <journal>\n"
-               "<journal> may be JSON ({\"causal_journal\":...}) or binary "
-               "(DPJL); the header decides.\n",
-               argv0, argv0, argv0);
+               "usage: %s --to-json <journal.dpj> <out.json>\n"
+               "       %s --info <journal.dpj>\n",
+               argv0, argv0);
   return 2;
 }
 
@@ -64,65 +32,47 @@ int main(int argc, char** argv) {
   }
   const std::string mode = argv[1];
   const std::string in_path = argv[2];
-  std::string error;
 
-  if (mode == "--info") {
-    if (argc != 3) {
-      return Usage(argv[0]);
-    }
-    if (deepplan::IsBinaryJournalFile(in_path)) {
-      deepplan::JournalLintInfo info;
-      const deepplan::check::TraceLintResult result =
-          deepplan::LintJournalFile(in_path, &info);
-      if (!result.ok()) {
-        for (const std::string& e : result.errors) {
-          std::fprintf(stderr, "%s\n", e.c_str());
-        }
-        return 1;
+  if (mode == "--info" && argc == 3) {
+    deepplan::JournalLintInfo info;
+    const deepplan::check::TraceLintResult result =
+        deepplan::LintJournalFile(in_path, &info);
+    if (!result.ok()) {
+      for (const std::string& e : result.errors) {
+        std::fprintf(stderr, "%s\n", e.c_str());
       }
-      std::printf(
-          "binary journal v%u: %llu requests (%llu incomplete), %llu nodes, "
-          "%llu edges in %llu chunks, %llu process(es)\n",
-          deepplan::kJournalVersion,
-          static_cast<unsigned long long>(info.totals.requests),
-          static_cast<unsigned long long>(info.totals.incomplete_requests),
-          static_cast<unsigned long long>(info.totals.nodes),
-          static_cast<unsigned long long>(info.totals.edges),
-          static_cast<unsigned long long>(info.totals.chunks),
-          static_cast<unsigned long long>(info.processes));
-      return 0;
-    }
-    deepplan::CausalGraph graph;
-    if (!LoadGraph(in_path, &graph, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    std::printf("JSON journal: %zu requests, %zu nodes, %zu edges, "
-                "%zu process(es)\n",
-                graph.requests().size(), graph.nodes().size(),
-                graph.edges().size(), graph.processes().size());
+    std::printf(
+        "binary journal v%u: %llu requests (%llu incomplete), %llu nodes, "
+        "%llu edges in %llu chunks, %llu process(es)\n",
+        deepplan::kJournalVersion,
+        static_cast<unsigned long long>(info.totals.requests),
+        static_cast<unsigned long long>(info.totals.incomplete_requests),
+        static_cast<unsigned long long>(info.totals.nodes),
+        static_cast<unsigned long long>(info.totals.edges),
+        static_cast<unsigned long long>(info.totals.chunks),
+        static_cast<unsigned long long>(info.processes));
     return 0;
   }
 
-  if ((mode != "--to-json" && mode != "--to-binary") || argc != 4) {
+  if (mode != "--to-json" || argc != 4) {
     return Usage(argv[0]);
   }
   const std::string out_path = argv[3];
   deepplan::CausalGraph graph;
-  if (!LoadGraph(in_path, &graph, &error)) {
+  std::string error;
+  if (!deepplan::ReadJournalToGraph(in_path, &graph, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  if (mode == "--to-json") {
-    if (!graph.WriteTo(out_path)) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  } else {
-    if (!deepplan::WriteGraphToJournal(graph, out_path, {}, nullptr, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
+  std::ofstream out(out_path, std::ios::binary);
+  if (out) {
+    out << graph.ToJson() << "\n";
+  }
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    return 1;
   }
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return 0;

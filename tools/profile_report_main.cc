@@ -1,37 +1,18 @@
 // profile_report: offline critical-path analysis of a causal journal. Reads
-// the {"causal_journal":...} document a bench run writes via --profile_out,
-// runs the critical-path engine and utilization module, and prints the
-// deterministic text report; --json=<path> additionally writes the
-// {"profile_report":...} document for tools (lint with `trace_lint
-// --profile`).
+// the binary DPJL journal a bench run writes via --profile_out, runs the
+// critical-path engine and utilization module, and prints the deterministic
+// text report; --json=<path> additionally writes the {"profile_report":...}
+// document for tools (lint with `trace_lint --profile`).
 //
-// Accepts either journal representation: {"causal_journal":...} JSON or the
-// binary DPJL format (--journal_out) — the file header decides.
-//
-//   profile_report results/profile_fig15.json [--json=results/report.json]
-//   profile_report results/journal_fig15.dpj
+//   profile_report results/profile_fig15.dpj [--json=results/report.json]
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
 #include "src/obs/profile_report.h"
-
-namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string journal_path;
@@ -48,29 +29,16 @@ int main(int argc, char** argv) {
     }
   }
   if (journal_path.empty()) {
-    std::fprintf(stderr, "usage: %s <journal.json> [--json=<report.json>]\n",
+    std::fprintf(stderr, "usage: %s <journal.dpj> [--json=<report.json>]\n",
                  argv[0]);
     return 2;
   }
 
   deepplan::CausalGraph graph;
   std::string error;
-  if (deepplan::IsBinaryJournalFile(journal_path)) {
-    if (!deepplan::ReadJournalToGraph(journal_path, &graph, &error)) {
-      std::fprintf(stderr, "bad journal: %s\n", error.c_str());
-      return 1;
-    }
-  } else {
-    std::string text;
-    if (!ReadFile(journal_path, &text)) {
-      std::fprintf(stderr, "cannot read %s\n", journal_path.c_str());
-      return 2;
-    }
-    if (!deepplan::CausalGraph::FromJson(text, &graph, &error)) {
-      std::fprintf(stderr, "bad journal %s: %s\n", journal_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
+  if (!deepplan::ReadJournalToGraph(journal_path, &graph, &error)) {
+    std::fprintf(stderr, "bad journal: %s\n", error.c_str());
+    return 1;
   }
 
   const deepplan::ProfileReport report = deepplan::BuildProfileReport(graph);

@@ -1,44 +1,24 @@
 // whatif_report: offline virtual-hardware experiments over a causal journal.
-// Reads the {"causal_journal":...} document a bench run writes via
-// --profile_out (or --whatif_out), replays the happens-before DAG under each
-// requested experiment, and prints the deterministic text report (predicted
-// latency quantiles per experiment plus the ranked knob-sensitivity table);
-// --json=<path> additionally writes the {"whatif_report":...} document for
-// tools (lint with `trace_lint --whatif`).
+// Reads the binary DPJL journal a bench run writes via --profile_out,
+// replays the happens-before DAG under each requested experiment with the
+// bounded-memory windowed engine, and prints the deterministic text report
+// (predicted latency quantiles per experiment plus the ranked
+// knob-sensitivity table); --json=<path> additionally writes the
+// {"whatif_report":...} document for tools (lint with `trace_lint
+// --whatif`). The report is byte-identical to the one the bench's own
+// --whatif_out replay writes in process for the same run.
 //
-// Accepts either journal representation: {"causal_journal":...} JSON is
-// replayed by the in-memory engine; a binary DPJL journal (--journal_out) is
-// replayed by the bounded-memory windowed engine. Both produce byte-identical
-// reports for the same journal.
-//
-//   whatif_report results/profile_fig15.json
-//   whatif_report results/journal_fig15.dpj
-//   whatif_report results/profile_fig15.json --exp=pcie=1.92 --exp=noevict
+//   whatif_report results/profile_fig15.dpj
+//   whatif_report results/profile_fig15.dpj --exp=pcie=1.92 --exp=noevict
 //       --json=results/whatif.json
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/obs/causal_graph.h"
-#include "src/obs/journal_stream.h"
 #include "src/obs/whatif/whatif.h"
 #include "src/obs/whatif/whatif_report.h"
-
-namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string journal_path;
@@ -65,7 +45,7 @@ int main(int argc, char** argv) {
   }
   if (journal_path.empty()) {
     std::fprintf(stderr,
-                 "usage: %s <journal.json> [--exp=<spec>]... "
+                 "usage: %s <journal.dpj> [--exp=<spec>]... "
                  "[--json=<report.json>]\n"
                  "  spec clauses: pcie=K nvlink=K exec=K nocontention "
                  "noevict baseline (comma-separated)\n",
@@ -76,29 +56,14 @@ int main(int argc, char** argv) {
     experiments = deepplan::DefaultWhatIfExperiments();
   }
 
-  deepplan::WhatIfReport report;
+  deepplan::WindowedJournal journal;
   std::string error;
-  if (deepplan::IsBinaryJournalFile(journal_path)) {
-    deepplan::WindowedJournal journal;
-    if (!journal.Open(journal_path, &error)) {
-      std::fprintf(stderr, "bad journal: %s\n", error.c_str());
-      return 1;
-    }
-    report = deepplan::BuildWhatIfReportWindowed(journal, experiments);
-  } else {
-    std::string text;
-    if (!ReadFile(journal_path, &text)) {
-      std::fprintf(stderr, "cannot read %s\n", journal_path.c_str());
-      return 2;
-    }
-    deepplan::CausalGraph graph;
-    if (!deepplan::CausalGraph::FromJson(text, &graph, &error)) {
-      std::fprintf(stderr, "bad journal %s: %s\n", journal_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    report = deepplan::BuildWhatIfReport(graph, experiments);
+  if (!journal.Open(journal_path, &error)) {
+    std::fprintf(stderr, "bad journal: %s\n", error.c_str());
+    return 1;
   }
+  const deepplan::WhatIfReport report =
+      deepplan::BuildWhatIfReportWindowed(journal, experiments);
   deepplan::PrintWhatIfReport(report, std::cout);
 
   if (!json_path.empty()) {
