@@ -1,21 +1,35 @@
 // Tests for the src/check correctness tooling: the runtime invariant
 // validator (each invariant class must abort on a broken fixture and stay
-// silent on a healthy run) and the offline Chrome-trace linter.
+// silent on a healthy run), the offline Chrome-trace linter, and a mutation
+// golden pinning every field check of the four JSON artifact schemas.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/check/trace_lint.h"
 #include "src/check/validator.h"
+#include "src/hw/topology.h"
+#include "src/model/zoo.h"
 #include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
+#include "src/obs/profile_report.h"
+#include "src/obs/selfprof.h"
+#include "src/obs/trace_recorder.h"
+#include "src/obs/whatif/whatif.h"
+#include "src/obs/whatif/whatif_report.h"
+#include "src/perf/perf_model.h"
 #include "src/serving/instance.h"
+#include "src/serving/server.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
 #include "src/util/chrome_trace.h"
+#include "src/util/json.h"
+#include "src/util/json_parse.h"
+#include "src/workload/poisson.h"
 
 namespace deepplan {
 namespace {
@@ -24,6 +38,9 @@ using check::ArenaSpan;
 using check::FabricLinkShare;
 using check::LintChromeTrace;
 using check::LintChromeTraceFile;
+using check::LintProfileReport;
+using check::LintSelfprofReport;
+using check::LintWhatIfReport;
 using check::SimValidator;
 using check::TraceLintResult;
 
@@ -335,6 +352,283 @@ TEST(TraceLintTest, UnreadableFileIsALintError) {
   EXPECT_FALSE(r.ok());
   ASSERT_FALSE(r.errors.empty());
   EXPECT_NE(r.errors[0].find("cannot read"), std::string::npos);
+}
+
+// ------------------------------------------- schema mutation golden
+//
+// One valid document per JSON schema (Chrome trace, profile report, what-if
+// report, selfprof report). Every object member is removed, and separately
+// set to null, in the first element of each array and, in traceEvents, in
+// the first event of each phase (metadata records by record name). Each
+// mutant must be rejected unless its label is in the schema's list of
+// mutants the linter accepts; the lists name exactly the fields no check
+// covers.
+
+enum class Mutation { kRemove, kNull };
+
+// Renders `value` as JSON text with member `index` of the object at
+// `target` dropped (kRemove) or replaced by null (kNull).
+void RenderMutant(const JsonValue& value, const JsonValue* target,
+                  std::size_t index, Mutation mutation, std::string* out) {
+  if (value.is_object()) {
+    out->push_back('{');
+    bool first = true;
+    for (std::size_t i = 0; i < value.fields().size(); ++i) {
+      const bool hit = &value == target && i == index;
+      if (hit && mutation == Mutation::kRemove) {
+        continue;
+      }
+      if (!first) {
+        out->push_back(',');
+      }
+      first = false;
+      *out += Json::Str(value.fields()[i].first) + ":";
+      if (hit) {
+        *out += "null";
+      } else {
+        RenderMutant(value.fields()[i].second, target, index, mutation, out);
+      }
+    }
+    out->push_back('}');
+  } else if (value.is_array()) {
+    out->push_back('[');
+    for (std::size_t i = 0; i < value.items().size(); ++i) {
+      if (i != 0) {
+        out->push_back(',');
+      }
+      RenderMutant(value.items()[i], target, index, mutation, out);
+    }
+    out->push_back(']');
+  } else if (value.is_string()) {
+    *out += Json::Str(value.AsString());
+  } else if (value.is_number()) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value.AsNumber());
+    *out += buffer;
+  } else if (value.is_bool()) {
+    *out += value.AsBool() ? "true" : "false";
+  } else {
+    *out += "null";
+  }
+}
+
+struct MemberSite {
+  const JsonValue* object;
+  std::size_t index;
+  std::string label;  // dotted path, e.g. "profile_report.totals.exec_ns"
+};
+
+// Every mutation site under `value`, in document order.
+void CollectMembers(const JsonValue& value, const std::string& label,
+                    std::vector<MemberSite>* out) {
+  if (value.is_array() && !value.items().empty()) {
+    CollectMembers(value.items()[0], label + "[0]", out);
+  }
+  if (!value.is_object()) {
+    return;
+  }
+  for (std::size_t i = 0; i < value.fields().size(); ++i) {
+    const auto& [key, field] = value.fields()[i];
+    const std::string path = label.empty() ? key : label + "." + key;
+    out->push_back({&value, i, path});
+    if (key != "traceEvents" || !field.is_array()) {
+      CollectMembers(field, path, out);
+      continue;
+    }
+    std::set<std::string> seen;
+    for (const JsonValue& event : field.items()) {
+      std::string kind = event.Find("ph")->AsString();
+      if (kind == "M") {
+        kind += " " + event.Find("name")->AsString();
+      }
+      if (seen.insert(kind).second) {
+        CollectMembers(event, path + "[" + kind + "]", out);
+      }
+    }
+  }
+}
+
+// The paths of the members of `json` whose mutants `lint` accepts: the bare
+// path when both mutants pass, else "<path> removed" or "<path> null".
+// `json` itself must lint clean.
+template <typename Lint>
+std::vector<std::string> AcceptedMutants(const std::string& json, Lint lint) {
+  const TraceLintResult clean = lint(json);
+  EXPECT_TRUE(clean.ok()) << (clean.errors.empty() ? "" : clean.errors[0]);
+  const JsonParseResult parsed = ParseJson(json);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  std::vector<MemberSite> sites;
+  CollectMembers(parsed.value, "", &sites);
+  EXPECT_GT(sites.size(), 10u);
+  const auto passes = [&](const MemberSite& site, Mutation mutation) {
+    std::string mutant;
+    RenderMutant(parsed.value, site.object, site.index, mutation, &mutant);
+    return lint(mutant).ok();
+  };
+  std::vector<std::string> accepted;
+  for (const MemberSite& site : sites) {
+    const bool removed = passes(site, Mutation::kRemove);
+    const bool nulled = passes(site, Mutation::kNull);
+    if (removed && nulled) {
+      accepted.push_back(site.label);
+    } else if (removed || nulled) {
+      accepted.push_back(site.label + (removed ? " removed" : " null"));
+    }
+  }
+  return accepted;
+}
+
+// A served workload small enough for a unit test that still evicts and
+// cold-starts: 16 BERT-Base instances over GPUs with room for a few.
+const CausalGraph& ServedGraph() {
+  static const CausalGraph* graph = [] {
+    const Topology topology = Topology::P3_8xlarge();
+    const PerfModel perf(topology.gpu(), topology.pcie());
+    ServerOptions options;
+    options.strategy = Strategy::kDeepPlanDha;
+    options.usable_bytes_per_gpu = 600'000'000;
+    Server server(topology, perf, options);
+    server.AddInstances(server.RegisterModelType(ModelZoo::BertBase()), 16);
+    auto* recorded = new CausalGraph(/*enabled=*/true);
+    server.set_causal(recorded, recorded->RegisterProcess("serve"));
+    PoissonOptions w;
+    w.rate_per_sec = 100.0;
+    w.num_instances = 16;
+    w.duration = Seconds(0.5);
+    w.seed = 3;
+    server.Run(GeneratePoissonTrace(w));
+    return recorded;
+  }();
+  return *graph;
+}
+
+TEST(SchemaMutationTest, ChromeTrace) {
+  TraceRecorder recorder;
+  const int pid = recorder.RegisterProcess("server0");
+  recorder.Span(pid, "exec/gpu0", "request", Micros(10), Micros(100));
+  recorder.Instant(pid, "router", "route", Micros(12));
+  recorder.Counter(pid, "cum/requests", "count", Micros(15), 1.0);
+  recorder.AsyncBegin(pid, "queue/gpu0", "wait", 1, Micros(10));
+  recorder.AsyncEnd(pid, "queue/gpu0", "wait", 1, Micros(40));
+  const std::vector<std::string> expected = {"traceEvents[i].s"};
+  EXPECT_EQ(AcceptedMutants(recorder.ToJson(),
+                            [](const std::string& json) {
+                              return LintChromeTrace(json);
+                            }),
+            expected);
+}
+
+TEST(SchemaMutationTest, ProfileReport) {
+  const std::string json =
+      ProfileReportJson(BuildProfileReport(ServedGraph()));
+  // Only the per-request rows and utilization entries are checked field by
+  // field; the per-process rollups are free-form.
+  const std::string process = "profile_report.processes[0].";
+  const std::string request = "profile_report.per_request[0].";
+  const std::string resource = "profile_report.utilization[0].";
+  const std::vector<std::string> expected = {
+      process + "process",
+      process + "name",
+      process + "requests",
+      process + "cold_requests",
+      process + "attribution",
+      process + "attribution.queue_ns",
+      process + "attribution.evict_ns",
+      process + "attribution.pcie_ns",
+      process + "attribution.pcie_contention_ns",
+      process + "attribution.nvlink_ns",
+      process + "attribution.exec_ns",
+      process + "attribution.sync_ns",
+      process + "total_latency_ns",
+      process + "exec_busy_ns",
+      request + "request",
+      request + "process",
+      request + "instance",
+      request + "cold",
+      request + "arrival_ns",
+      request + "completion_ns",
+      request + "exec_busy_ns",
+      request + "path",
+      resource + "process",
+      resource + "kind",
+      resource + "utilization",
+      resource + "intervals",
+  };
+  EXPECT_EQ(AcceptedMutants(json,
+                            [](const std::string& text) {
+                              return LintProfileReport(text);
+                            }),
+            expected);
+}
+
+TEST(SchemaMutationTest, WhatIfReport) {
+  const std::string json = WhatIfReportJson(
+      BuildWhatIfReport(ServedGraph(), DefaultWhatIfExperiments()));
+  // Per-process outcomes inside an experiment are free-form.
+  const std::string process = "whatif_report.experiments[0].processes[0].";
+  const std::vector<std::string> expected = {
+      "whatif_report.experiments[0].processes",
+      process + "process",
+      process + "name",
+      process + "requests",
+      process + "baseline",
+      process + "baseline.p50_ms",
+      process + "baseline.p95_ms",
+      process + "baseline.p99_ms",
+      process + "baseline.mean_ms",
+      process + "baseline.max_ms",
+      process + "predicted",
+      process + "predicted.p50_ms",
+      process + "predicted.p95_ms",
+      process + "predicted.p99_ms",
+      process + "predicted.mean_ms",
+      process + "predicted.max_ms",
+      "whatif_report.experiments[0].per_request[0].cold",
+  };
+  EXPECT_EQ(AcceptedMutants(json,
+                            [](const std::string& text) {
+                              return LintWhatIfReport(text);
+                            }),
+            expected);
+}
+
+// Opens `phase` on `lane`, runs `body`, and closes it as `ns` long: a fixed
+// stand-in for the wall clock, so every duration check sees the same input.
+template <typename Body>
+void TimedPhase(selfprof::SelfProfiler* lane, selfprof::Phase phase,
+                std::int64_t ns, Body body) {
+  ASSERT_TRUE(lane->Enter(phase));
+  body();
+  lane->ExitTimed(ns);
+}
+
+TEST(SchemaMutationTest, SelfprofReport) {
+  using selfprof::Counter;
+  using selfprof::Phase;
+  selfprof::SelfProfiler a;
+  selfprof::SelfProfiler b;
+  TimedPhase(&a, Phase::kTotal, 1000, [&] {
+    TimedPhase(&a, Phase::kSimDispatch, 400, [&] {
+      TimedPhase(&a, Phase::kExecStream, 100, [] {});
+    });
+  });
+  TimedPhase(&b, Phase::kTotal, 200, [&] {
+    TimedPhase(&b, Phase::kWorkloadGen, 50, [] {});
+  });
+  // Non-zero in the first lane, so dropping one breaks the aggregate sum.
+  a.Add(Counter::kEventsDispatched, 7);
+  a.Add(Counter::kValidatorChecks, 3);
+  a.Add(Counter::kHeartbeats, 1);
+  const std::string json =
+      selfprof::ReportJson("mutation", {{"a", &a}, {"b", &b}});
+  // The host block is optional (deterministic projections omit it), but
+  // when present it must be an object.
+  const std::vector<std::string> expected = {"selfprof_report.host removed"};
+  EXPECT_EQ(AcceptedMutants(json,
+                            [](const std::string& text) {
+                              return LintSelfprofReport(text);
+                            }),
+            expected);
 }
 
 // ------------------------------------------- binary journal lint mode
