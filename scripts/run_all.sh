@@ -255,7 +255,6 @@ cmp "$WHATIF_FIG15_BENCH" "$WHATIF_FIG15"
 # place a {"causal_journal":...} document is written) parses as JSON.
 echo "== journal leg (lint + JSON export)"
 "$BUILD_DIR/tools/trace_lint" --journal "$PROFILE_JOURNAL"
-"$BUILD_DIR/tools/journal_convert" --info "$PROFILE_JOURNAL"
 JOURNAL_EXPORT="$RESULTS_DIR/profile_fig15_export.json"
 "$BUILD_DIR/tools/journal_convert" --to-json "$PROFILE_JOURNAL" \
   "$JOURNAL_EXPORT" 2>/dev/null

@@ -7,51 +7,103 @@
 #include <sstream>
 #include <utility>
 
-#include "src/util/json_parse.h"
-
 namespace deepplan {
 namespace check {
 
 namespace {
 
+using Kind = JsonValue::Kind;
+using Sign = SchemaChecker::Sign;
+
+// Diagnostic names of the JSON kinds, in JsonValue::Kind order.
+constexpr const char* kKindNames[] = {"null",   "boolean", "numeric",
+                                      "string", "array",   "object"};
+
+// Calls `fn(item, "<ctx>[i]")` for each object of `array`; any other item is
+// an error.
+template <typename Fn>
+void ForEachObject(SchemaChecker& check, const JsonValue& array,
+                   const std::string& ctx, Fn fn) {
+  for (std::size_t i = 0; i < array.items().size(); ++i) {
+    const std::string item_ctx = ctx + "[" + std::to_string(i) + "]";
+    if (array.items()[i].is_object()) {
+      fn(array.items()[i], item_ctx);
+    } else {
+      check.Error(item_ctx + ": not an object");
+    }
+  }
+}
+
+}  // namespace
+
+void SchemaChecker::Error(const std::string& message) {
+  ++result_->num_errors;
+  if (result_->errors.size() < kMaxReportedErrors) {
+    result_->errors.push_back(message);
+  }
+}
+
+const JsonValue* SchemaChecker::Root(const std::string& json_text,
+                                     const char* key, Kind kind) {
+  JsonParseResult parsed = ParseJson(json_text);
+  if (!parsed.ok) {
+    Error("not valid JSON: " + parsed.error);
+    return nullptr;
+  }
+  doc_ = std::move(parsed.value);
+  return Field(doc_, "top level", key, kind);
+}
+
+const JsonValue* SchemaChecker::Field(const JsonValue& obj,
+                                      const std::string& ctx, const char* key,
+                                      Kind kind) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr || v->kind() != kind) {
+    Error(ctx + ": missing " + kKindNames[static_cast<int>(kind)] + " \"" +
+          key + "\"");
+    return nullptr;
+  }
+  return v;
+}
+
+std::optional<double> SchemaChecker::Number(const JsonValue& obj,
+                                            const std::string& ctx,
+                                            const char* key, Sign sign) {
+  const JsonValue* v = Field(obj, ctx, key, Kind::kNumber);
+  if (v == nullptr) {
+    return std::nullopt;
+  }
+  const double value = v->AsNumber();
+  if (sign == Sign::kNonNegative && value < 0.0) {
+    Error(ctx + ": negative \"" + key + "\"");
+    return std::nullopt;
+  }
+  if (sign == Sign::kPositive && value <= 0.0) {
+    Error(ctx + ": non-positive \"" + key + "\"");
+    return std::nullopt;
+  }
+  return value;
+}
+
+namespace {
+
+// ------------------------------------------------------------ Chrome trace
+
 // Timestamps are microseconds rendered at nanosecond precision; allow half a
 // nanosecond of floating-point slack in interval comparisons.
 constexpr double kTsSlackUs = 5e-4;
 
-class Linter {
+using Track = std::pair<long long, long long>;  // (pid, tid)
+
+class TraceLinter {
  public:
-  Linter(const TraceLintOptions& options, TraceLintResult* result)
-      : options_(options), result_(result) {}
-
-  void Error(std::size_t index, const std::string& what) {
-    ++result_->num_errors;
-    if (result_->errors.size() < options_.max_reported_errors) {
-      std::ostringstream os;
-      os << "event " << index << ": " << what;
-      result_->errors.push_back(os.str());
-    }
-  }
-
-  void DocError(const std::string& what) {
-    ++result_->num_errors;
-    if (result_->errors.size() < options_.max_reported_errors) {
-      result_->errors.push_back(what);
-    }
-  }
+  explicit TraceLinter(TraceLintResult* result)
+      : check_(result), result_(result) {}
 
   void Lint(const std::string& json_text) {
-    const JsonParseResult parsed = ParseJson(json_text);
-    if (!parsed.ok) {
-      DocError("not valid JSON: " + parsed.error);
-      return;
-    }
-    if (!parsed.value.is_object()) {
-      DocError("top level is not an object");
-      return;
-    }
-    const JsonValue* events = parsed.value.Find("traceEvents");
-    if (events == nullptr || !events->is_array()) {
-      DocError("missing \"traceEvents\" array");
+    const JsonValue* events =
+        check_.Root(json_text, "traceEvents", Kind::kArray);
+    if (events == nullptr) {
       return;
     }
     result_->num_events = events->items().size();
@@ -72,220 +124,201 @@ class Linter {
     std::string name;
   };
 
-  static const JsonValue* Field(const JsonValue& e, const char* key) {
-    return e.is_object() ? e.Find(key) : nullptr;
+  struct AsyncState {
+    int open = 0;
+    double last_begin = 0.0;
+  };
+
+  static std::string EventCtx(std::size_t i) {
+    return "event " + std::to_string(i);
   }
 
-  bool RequireNumber(std::size_t i, const JsonValue& e, const char* key,
-                     double* out) {
-    const JsonValue* v = Field(e, key);
-    if (v == nullptr || !v->is_number()) {
-      Error(i, std::string("missing numeric \"") + key + "\"");
-      return false;
-    }
-    if (out != nullptr) {
-      *out = v->AsNumber();
-    }
-    return true;
+  // Reports `what` under the context of event `i`.
+  void EventError(std::size_t i, const std::string& what) {
+    check_.Error(EventCtx(i) + ": " + what);
   }
 
-  bool RequireString(std::size_t i, const JsonValue& e, const char* key,
-                     std::string* out) {
-    const JsonValue* v = Field(e, key);
-    if (v == nullptr || !v->is_string()) {
-      Error(i, std::string("missing string \"") + key + "\"");
-      return false;
-    }
-    if (out != nullptr) {
-      *out = v->AsString();
-    }
-    return true;
+  Track ThreadTrack(double pid, double tid) {
+    const Track track(static_cast<long long>(pid), static_cast<long long>(tid));
+    thread_tracks_.insert(track);
+    used_pids_.insert(track.first);
+    return track;
   }
 
   void LintEvent(std::size_t i, const JsonValue& e) {
+    const std::string ctx = EventCtx(i);
     if (!e.is_object()) {
-      Error(i, "not an object");
+      check_.Error(ctx + ": not an object");
       return;
     }
-    std::string ph;
-    if (!RequireString(i, e, "ph", &ph)) {
+    const JsonValue* ph_value = check_.Field(e, ctx, "ph", Kind::kString);
+    if (ph_value == nullptr) {
       return;
     }
-    double pid = 0.0;
-    if (!RequireNumber(i, e, "pid", &pid)) {
+    const std::string& ph = ph_value->AsString();
+    const std::optional<double> pid = check_.Number(e, ctx, "pid");
+    if (!pid) {
       return;
     }
     if (ph == "M") {
-      LintMetadata(i, e, pid);
+      LintMetadata(ctx, e, *pid);
       return;
     }
-    double ts = 0.0;
-    if (!RequireNumber(i, e, "ts", &ts)) {
+    const std::optional<double> ts = check_.Number(e, ctx, "ts");
+    if (!ts) {
       return;
     }
     // The writer emits events sorted by timestamp (metadata first).
-    if (seen_ts_ && ts < last_ts_ - kTsSlackUs) {
+    if (seen_ts_ && *ts < last_ts_ - kTsSlackUs) {
       std::ostringstream os;
-      os << "ts " << ts << "us out of order (previous event at " << last_ts_
+      os << "ts " << *ts << "us out of order (previous event at " << last_ts_
          << "us)";
-      Error(i, os.str());
+      EventError(i, os.str());
     }
     seen_ts_ = true;
-    last_ts_ = std::max(last_ts_, ts);
+    last_ts_ = std::max(last_ts_, *ts);
 
     if (ph == "X" || ph == "i") {
-      double tid = 0.0;
-      std::string name;
-      if (!RequireNumber(i, e, "tid", &tid) ||
-          !RequireString(i, e, "name", &name)) {
+      const std::optional<double> tid = check_.Number(e, ctx, "tid");
+      const JsonValue* name =
+          tid ? check_.Field(e, ctx, "name", Kind::kString) : nullptr;
+      if (name == nullptr) {
         return;
       }
-      const auto track = std::make_pair(static_cast<long long>(pid),
-                                        static_cast<long long>(tid));
-      thread_tracks_.insert(track);
-      used_pids_.insert(track.first);
+      const Track track = ThreadTrack(*pid, *tid);
       if (ph == "X") {
         ++result_->num_spans;
-        double dur = 0.0;
-        if (!RequireNumber(i, e, "dur", &dur)) {
-          return;
+        const std::optional<double> dur =
+            check_.Number(e, ctx, "dur", Sign::kNonNegative);
+        if (dur) {
+          spans_[track].push_back(Span{i, *ts, *ts + *dur, name->AsString()});
         }
-        if (dur < 0.0) {
-          std::ostringstream os;
-          os << "negative dur " << dur << "us";
-          Error(i, os.str());
-          return;
-        }
-        spans_[track].push_back(Span{i, ts, ts + dur, name});
       }
       return;
     }
     if (ph == "C") {
       ++result_->num_counters;
-      used_pids_.insert(static_cast<long long>(pid));
-      std::string name;
-      if (!RequireString(i, e, "name", &name)) {
+      used_pids_.insert(static_cast<long long>(*pid));
+      const JsonValue* name = check_.Field(e, ctx, "name", Kind::kString);
+      const JsonValue* args =
+          name != nullptr ? check_.Field(e, ctx, "args", Kind::kObject)
+                          : nullptr;
+      if (args == nullptr) {
         return;
       }
-      const JsonValue* args = Field(e, "args");
-      if (args == nullptr || !args->is_object() || args->fields().empty()) {
-        Error(i, "counter without args series");
+      if (args->fields().empty()) {
+        EventError(i, "counter without args series");
         return;
       }
       for (const auto& [series, value] : args->fields()) {
         if (!value.is_number()) {
-          Error(i, "counter series \"" + series + "\" is not numeric");
+          EventError(i, "counter series \"" + series + "\" is not numeric");
           continue;
         }
         // Counters namespaced "cum/" promise to be cumulative: samples on
         // one (pid, name, series) track must never decrease.
-        if (name.rfind("cum/", 0) == 0) {
-          std::ostringstream key;
-          key << pid << "/" << name << "/" << series;
-          auto [it, fresh] =
-              cumulative_.emplace(key.str(), value.AsNumber());
-          if (!fresh) {
-            if (value.AsNumber() < it->second - 1e-9) {
-              std::ostringstream os;
-              os << "cumulative counter \"" << name << "\" series \"" << series
-                 << "\" decreased: " << it->second << " -> "
-                 << value.AsNumber();
-              Error(i, os.str());
-            }
-            it->second = std::max(it->second, value.AsNumber());
-          }
+        if (name->AsString().rfind("cum/", 0) == 0) {
+          CheckCumulative(i, *pid, name->AsString(), series, value.AsNumber());
         }
       }
       return;
     }
     if (ph == "b" || ph == "e") {
       ++result_->num_asyncs;
-      double tid = 0.0;
-      std::string cat;
-      if (!RequireNumber(i, e, "tid", &tid) ||
-          !RequireString(i, e, "cat", &cat) ||
-          !RequireString(i, e, "name", nullptr)) {
+      const std::optional<double> tid = check_.Number(e, ctx, "tid");
+      const JsonValue* cat =
+          tid ? check_.Field(e, ctx, "cat", Kind::kString) : nullptr;
+      if (cat == nullptr ||
+          check_.Field(e, ctx, "name", Kind::kString) == nullptr) {
         return;
       }
-      const JsonValue* id = Field(e, "id");
+      const JsonValue* id = e.Find("id");
       if (id == nullptr || (!id->is_number() && !id->is_string())) {
-        Error(i, "async event without id");
+        EventError(i, "async event without id");
         return;
       }
-      const auto track = std::make_pair(static_cast<long long>(pid),
-                                        static_cast<long long>(tid));
-      thread_tracks_.insert(track);
-      used_pids_.insert(track.first);
+      ThreadTrack(*pid, *tid);
       std::ostringstream key;
-      key << pid << "/" << cat << "/";
+      key << *pid << "/" << cat->AsString() << "/";
       if (id->is_number()) {
         key << id->AsNumber();
       } else {
         key << id->AsString();
       }
-      auto& state = asyncs_[key.str()];
+      AsyncState& state = asyncs_[key.str()];
       if (ph == "b") {
         ++state.open;
-        state.last_begin = ts;
+        state.last_begin = *ts;
+      } else if (state.open == 0) {
+        EventError(i, "async end without matching begin (" + key.str() + ")");
       } else {
-        if (state.open == 0) {
-          Error(i, "async end without matching begin (" + key.str() + ")");
-        } else {
-          --state.open;
-          if (ts < state.last_begin - kTsSlackUs) {
-            Error(i, "async end before its begin (" + key.str() + ")");
-          }
+        --state.open;
+        if (*ts < state.last_begin - kTsSlackUs) {
+          EventError(i, "async end before its begin (" + key.str() + ")");
         }
       }
       return;
     }
-    Error(i, "unknown phase \"" + ph + "\"");
+    EventError(i, "unknown phase \"" + ph + "\"");
   }
 
-  void LintMetadata(std::size_t i, const JsonValue& e, double pid) {
-    std::string name;
-    if (!RequireString(i, e, "name", &name)) {
+  void CheckCumulative(std::size_t i, double pid, const std::string& name,
+                       const std::string& series, double value) {
+    std::ostringstream key;
+    key << pid << "/" << name << "/" << series;
+    auto [it, fresh] = cumulative_.emplace(key.str(), value);
+    if (fresh) {
       return;
     }
-    const JsonValue* args = Field(e, "args");
-    const JsonValue* arg_name =
-        args != nullptr && args->is_object() ? args->Find("name") : nullptr;
-    if (arg_name == nullptr || !arg_name->is_string()) {
-      Error(i, "metadata without args.name");
+    if (value < it->second - 1e-9) {
+      std::ostringstream os;
+      os << "cumulative counter \"" << name << "\" series \"" << series
+         << "\" decreased: " << it->second << " -> " << value;
+      EventError(i, os.str());
+    }
+    it->second = std::max(it->second, value);
+  }
+
+  void LintMetadata(const std::string& ctx, const JsonValue& e, double pid) {
+    const JsonValue* name = check_.Field(e, ctx, "name", Kind::kString);
+    const JsonValue* args =
+        name != nullptr ? check_.Field(e, ctx, "args", Kind::kObject)
+                        : nullptr;
+    if (args == nullptr ||
+        check_.Field(*args, ctx + " args", "name", Kind::kString) ==
+            nullptr) {
       return;
     }
-    if (name == "process_name") {
+    if (name->AsString() == "process_name") {
       named_pids_.insert(static_cast<long long>(pid));
       has_process_names_ = true;
       return;
     }
-    if (name == "thread_name") {
-      double tid = 0.0;
-      if (!RequireNumber(i, e, "tid", &tid)) {
-        return;
+    if (name->AsString() == "thread_name") {
+      if (const std::optional<double> tid = check_.Number(e, ctx, "tid")) {
+        named_tracks_.emplace(static_cast<long long>(pid),
+                              static_cast<long long>(*tid));
       }
-      named_tracks_.insert(std::make_pair(static_cast<long long>(pid),
-                                          static_cast<long long>(tid)));
       return;
     }
-    Error(i, "unknown metadata record \"" + name + "\"");
+    check_.Error(ctx + ": unknown metadata record \"" + name->AsString() +
+                 "\"");
   }
 
   void CheckMetadataCoverage() {
-    for (const auto& track : thread_tracks_) {
+    for (const Track& track : thread_tracks_) {
       if (named_tracks_.count(track) == 0) {
         std::ostringstream os;
         os << "no thread_name metadata for pid " << track.first << " tid "
            << track.second;
-        DocError(os.str());
+        check_.Error(os.str());
       }
     }
     if (has_process_names_) {
       for (const long long pid : used_pids_) {
         if (named_pids_.count(pid) == 0) {
-          std::ostringstream os;
-          os << "no process_name metadata for pid " << pid;
-          DocError(os.str());
+          check_.Error("no process_name metadata for pid " +
+                       std::to_string(pid));
         }
       }
     }
@@ -314,7 +347,7 @@ class Linter {
              << track.second << " partially overlaps \"" << stack.back()->name
              << "\" [" << stack.back()->ts << ", " << stack.back()->end
              << ")us — slices must nest or be disjoint";
-          Error(span.index, os.str());
+          EventError(span.index, os.str());
         }
         stack.push_back(&span);
       }
@@ -324,742 +357,506 @@ class Linter {
   void CheckAsyncBalance() {
     for (const auto& [key, state] : asyncs_) {
       if (state.open != 0) {
-        DocError("async begin without matching end (" + key + ")");
+        check_.Error("async begin without matching end (" + key + ")");
       }
     }
   }
 
-  struct AsyncState {
-    int open = 0;
-    double last_begin = 0.0;
-  };
-
-  const TraceLintOptions& options_;
+  SchemaChecker check_;
   TraceLintResult* result_;
 
   bool seen_ts_ = false;
   double last_ts_ = 0.0;
-  std::set<std::pair<long long, long long>> thread_tracks_;
-  std::set<std::pair<long long, long long>> named_tracks_;
+  std::set<Track> thread_tracks_;
+  std::set<Track> named_tracks_;
   std::set<long long> used_pids_;
   std::set<long long> named_pids_;
   bool has_process_names_ = false;
-  std::map<std::pair<long long, long long>, std::vector<Span>> spans_;
+  std::map<Track, std::vector<Span>> spans_;
   std::map<std::string, AsyncState> asyncs_;
   std::map<std::string, double> cumulative_;  // (pid/name/series) -> last value
 };
 
 }  // namespace
 
-TraceLintResult LintChromeTrace(const std::string& json_text,
-                                const TraceLintOptions& options) {
+TraceLintResult LintChromeTrace(const std::string& json_text) {
   TraceLintResult result;
-  Linter(options, &result).Lint(json_text);
+  TraceLinter(&result).Lint(json_text);
   return result;
 }
 
-TraceLintResult LintChromeTraceFile(const std::string& path,
-                                    const TraceLintOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    TraceLintResult result;
-    ++result.num_errors;
-    result.errors.push_back("cannot read " + path);
-    return result;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return LintChromeTrace(buffer.str(), options);
-}
+// ---------------------------------------------------------- profile report
 
 namespace {
 
-// Small schema-checking helper for LintProfileReport.
-class ProfileLinter {
- public:
-  ProfileLinter(const TraceLintOptions& options, TraceLintResult* result)
-      : options_(options), result_(result) {}
-
-  void Error(const std::string& what) {
-    ++result_->num_errors;
-    if (result_->errors.size() < options_.max_reported_errors) {
-      result_->errors.push_back(what);
-    }
+// Sums an attribution object's seven non-negative components; nullopt when
+// the object is missing or a component is invalid.
+std::optional<double> AttributionSum(SchemaChecker& check,
+                                     const JsonValue* attribution,
+                                     const std::string& ctx) {
+  if (attribution == nullptr) {
+    return std::nullopt;
   }
-
-  const JsonValue* Number(const JsonValue& obj, const std::string& context,
-                          const char* key) {
-    const JsonValue* v = obj.Find(key);
-    if (v == nullptr || !v->is_number()) {
-      Error(context + ": missing numeric \"" + key + "\"");
-      return nullptr;
+  double sum = 0.0;
+  for (const char* field : {"queue_ns", "evict_ns", "pcie_ns",
+                            "pcie_contention_ns", "nvlink_ns", "exec_ns",
+                            "sync_ns"}) {
+    const std::optional<double> v =
+        check.Number(*attribution, ctx, field, Sign::kNonNegative);
+    if (!v) {
+      return std::nullopt;
     }
-    return v;
+    sum += *v;
   }
+  return sum;
+}
 
-  // Sums the seven attribution components; returns false on schema error.
-  bool AttributionSum(const JsonValue& obj, const std::string& context,
-                      double* out) {
-    static const char* const kFields[] = {
-        "queue_ns", "evict_ns",  "pcie_ns", "pcie_contention_ns",
-        "nvlink_ns", "exec_ns", "sync_ns"};
-    const JsonValue* attribution = obj.Find("attribution");
-    if (attribution == nullptr || !attribution->is_object()) {
-      Error(context + ": missing \"attribution\" object");
-      return false;
-    }
-    double sum = 0.0;
-    for (const char* field : kFields) {
-      const JsonValue* v = Number(*attribution, context, field);
-      if (v == nullptr) {
-        return false;
-      }
-      if (v->AsNumber() < 0.0) {
-        Error(context + ": negative component \"" + std::string(field) + "\"");
-        return false;
-      }
-      sum += v->AsNumber();
-    }
-    *out = sum;
-    return true;
+}  // namespace
+
+TraceLintResult LintProfileReport(const std::string& json_text) {
+  TraceLintResult result;
+  SchemaChecker check(&result);
+  const JsonValue* report =
+      check.Root(json_text, "profile_report", Kind::kObject);
+  if (report == nullptr) {
+    return result;
   }
+  const std::string ctx = "profile_report";
+  const std::optional<double> requests = check.Number(*report, ctx, "requests");
+  check.Number(*report, ctx, "cold_requests");
+  const std::optional<double> total_latency =
+      check.Number(*report, ctx, "total_latency_ns");
+  check.Field(*report, ctx, "bottleneck", Kind::kString);
+  const std::optional<double> totals = AttributionSum(
+      check, check.Field(*report, ctx, "totals", Kind::kObject), "totals");
+  if (totals && total_latency && *totals != *total_latency) {
+    std::ostringstream os;
+    os << "totals components sum to " << *totals
+       << "ns but total_latency_ns is " << *total_latency;
+    check.Error(os.str());
+  }
+  check.Field(*report, ctx, "processes", Kind::kArray);
+  if (const JsonValue* per_request =
+          check.Field(*report, ctx, "per_request", Kind::kArray)) {
+    if (requests &&
+        static_cast<double>(per_request->items().size()) != *requests) {
+      check.Error("\"requests\" disagrees with per_request length");
+    }
+    ForEachObject(
+        check, *per_request, "per_request",
+        [&check](const JsonValue& entry, const std::string& entry_ctx) {
+          const std::optional<double> latency =
+              check.Number(entry, entry_ctx, "latency_ns");
+          const std::optional<double> sum = AttributionSum(
+              check, check.Field(entry, entry_ctx, "attribution", Kind::kObject),
+              entry_ctx);
+          if (latency && sum && *sum != *latency) {
+            std::ostringstream os;
+            os << entry_ctx << ": attribution sums to " << *sum
+               << "ns but latency_ns is " << *latency;
+            check.Error(os.str());
+          }
+        });
+  }
+  if (const JsonValue* utilization =
+          check.Field(*report, ctx, "utilization", Kind::kArray)) {
+    ForEachObject(
+        check, *utilization, "utilization",
+        [&check](const JsonValue& entry, const std::string& entry_ctx) {
+          check.Field(entry, entry_ctx, "resource", Kind::kString);
+          const std::optional<double> busy =
+              check.Number(entry, entry_ctx, "busy_ns");
+          const std::optional<double> contended =
+              check.Number(entry, entry_ctx, "contended_ns");
+          const std::optional<double> span =
+              check.Number(entry, entry_ctx, "span_ns");
+          if (busy && contended && *contended > *busy) {
+            check.Error(entry_ctx + ": contended_ns exceeds busy_ns");
+          }
+          if (busy && span && *busy > *span) {
+            check.Error(entry_ctx + ": busy_ns exceeds span_ns");
+          }
+        });
+  }
+  return result;
+}
 
-  void Lint(const std::string& json_text) {
-    const JsonParseResult parsed = ParseJson(json_text);
-    if (!parsed.ok) {
-      Error("not valid JSON: " + parsed.error);
+// ---------------------------------------------------------- what-if report
+
+namespace {
+
+// A latency quantile object must carry all five fields, non-negative and
+// ordered p50 <= p95 <= p99 <= max.
+void LintQuantiles(SchemaChecker& check, const JsonValue& parent,
+                   const std::string& parent_ctx, const char* key) {
+  const JsonValue* q = check.Field(parent, parent_ctx, key, Kind::kObject);
+  if (q == nullptr) {
+    return;
+  }
+  const std::string ctx = parent_ctx + "." + key;
+  static const char* const kOrdered[] = {"p50_ms", "p95_ms", "p99_ms",
+                                         "max_ms"};
+  std::optional<double> values[4];
+  for (std::size_t i = 0; i < 4; ++i) {
+    values[i] = check.Number(*q, ctx, kOrdered[i], Sign::kNonNegative);
+  }
+  check.Number(*q, ctx, "mean_ms");
+  if (!values[0] || !values[1] || !values[2] || !values[3]) {
+    return;
+  }
+  for (std::size_t i = 1; i < 4; ++i) {
+    if (*values[i] < *values[i - 1]) {
+      check.Error(ctx + ": quantiles not monotone (" + kOrdered[i - 1] +
+                  " > " + kOrdered[i] + ")");
       return;
     }
-    const JsonValue* report =
-        parsed.value.is_object() ? parsed.value.Find("profile_report") : nullptr;
-    if (report == nullptr || !report->is_object()) {
-      Error("missing \"profile_report\" object");
-      return;
+  }
+}
+
+void LintExperiment(SchemaChecker& check, const JsonValue& exp,
+                    const std::string& ctx, double expected_requests) {
+  check.Field(exp, ctx, "name", Kind::kString);
+  for (const char* key : {"pcie_scale", "nvlink_scale", "exec_scale"}) {
+    check.Number(exp, ctx, key, Sign::kPositive);
+  }
+  for (const char* key : {"zero_contention", "remove_evictions"}) {
+    check.Field(exp, ctx, key, Kind::kBool);
+  }
+  LintQuantiles(check, exp, ctx, "predicted");
+  if (const JsonValue* delta = check.Field(exp, ctx, "delta", Kind::kObject)) {
+    for (const char* key :
+         {"p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms"}) {
+      check.Number(*delta, ctx + ".delta", key);
     }
-    const JsonValue* requests = Number(*report, "profile_report", "requests");
-    Number(*report, "profile_report", "cold_requests");
-    const JsonValue* total_latency =
-        Number(*report, "profile_report", "total_latency_ns");
-    const JsonValue* bottleneck = report->Find("bottleneck");
-    if (bottleneck == nullptr || !bottleneck->is_string()) {
-      Error("profile_report: missing string \"bottleneck\"");
-    }
-    double totals_sum = 0.0;
-    const JsonValue* totals = report->Find("totals");
-    if (totals == nullptr || !totals->is_object()) {
-      Error("profile_report: missing \"totals\" object");
-    } else {
-      // Reuse the attribution checker by wrapping totals under the expected
-      // key name.
-      JsonValue wrapper = JsonValue::Object({{"attribution", *totals}});
-      if (AttributionSum(wrapper, "totals", &totals_sum) &&
-          total_latency != nullptr &&
-          totals_sum != total_latency->AsNumber()) {
-        std::ostringstream os;
-        os << "totals components sum to " << totals_sum
-           << "ns but total_latency_ns is " << total_latency->AsNumber();
-        Error(os.str());
-      }
-    }
-    for (const char* key : {"processes", "per_request", "utilization"}) {
-      const JsonValue* arr = report->Find(key);
-      if (arr == nullptr || !arr->is_array()) {
-        Error(std::string("profile_report: missing \"") + key + "\" array");
-      }
-    }
-    const JsonValue* per_request = report->Find("per_request");
-    if (per_request != nullptr && per_request->is_array()) {
-      if (requests != nullptr &&
-          static_cast<double>(per_request->items().size()) !=
-              requests->AsNumber()) {
-        Error("\"requests\" disagrees with per_request length");
-      }
-      for (std::size_t i = 0; i < per_request->items().size(); ++i) {
-        const JsonValue& entry = per_request->items()[i];
-        std::ostringstream ctx;
-        ctx << "per_request[" << i << "]";
-        if (!entry.is_object()) {
-          Error(ctx.str() + ": not an object");
-          continue;
-        }
-        const JsonValue* latency = Number(entry, ctx.str(), "latency_ns");
-        double sum = 0.0;
-        if (latency != nullptr &&
-            AttributionSum(entry, ctx.str(), &sum) &&
-            sum != latency->AsNumber()) {
+  }
+  const JsonValue* per_request =
+      check.Field(exp, ctx, "per_request", Kind::kArray);
+  if (per_request == nullptr) {
+    return;
+  }
+  if (static_cast<double>(per_request->items().size()) != expected_requests) {
+    check.Error(ctx + ": per_request length disagrees with \"requests\"");
+  }
+  ForEachObject(
+      check, *per_request, ctx + ".per_request",
+      [&check](const JsonValue& row, const std::string& row_ctx) {
+        check.Number(row, row_ctx, "request");
+        check.Number(row, row_ctx, "process");
+        const std::optional<double> baseline =
+            check.Number(row, row_ctx, "baseline_ns", Sign::kNonNegative);
+        const std::optional<double> predicted =
+            check.Number(row, row_ctx, "predicted_ns", Sign::kNonNegative);
+        const std::optional<double> delta =
+            check.Number(row, row_ctx, "delta_ns");
+        if (baseline && predicted && delta &&
+            *delta != *predicted - *baseline) {
           std::ostringstream os;
-          os << ctx.str() << ": attribution sums to " << sum
-             << "ns but latency_ns is " << latency->AsNumber();
-          Error(os.str());
+          os << row_ctx << ": delta_ns " << *delta
+             << " != predicted_ns - baseline_ns (" << *predicted - *baseline
+             << ")";
+          check.Error(os.str());
         }
-      }
-    }
-    const JsonValue* utilization = report->Find("utilization");
-    if (utilization != nullptr && utilization->is_array()) {
-      for (std::size_t i = 0; i < utilization->items().size(); ++i) {
-        const JsonValue& entry = utilization->items()[i];
-        std::ostringstream ctx;
-        ctx << "utilization[" << i << "]";
-        if (!entry.is_object()) {
-          Error(ctx.str() + ": not an object");
-          continue;
-        }
-        const JsonValue* resource = entry.Find("resource");
-        if (resource == nullptr || !resource->is_string()) {
-          Error(ctx.str() + ": missing string \"resource\"");
-        }
-        const JsonValue* busy = Number(entry, ctx.str(), "busy_ns");
-        const JsonValue* contended = Number(entry, ctx.str(), "contended_ns");
-        const JsonValue* span = Number(entry, ctx.str(), "span_ns");
-        if (busy != nullptr && contended != nullptr &&
-            contended->AsNumber() > busy->AsNumber()) {
-          Error(ctx.str() + ": contended_ns exceeds busy_ns");
-        }
-        if (busy != nullptr && span != nullptr &&
-            busy->AsNumber() > span->AsNumber()) {
-          Error(ctx.str() + ": busy_ns exceeds span_ns");
-        }
-      }
-    }
-  }
-
- private:
-  const TraceLintOptions& options_;
-  TraceLintResult* result_;
-};
+      });
+}
 
 }  // namespace
 
-TraceLintResult LintProfileReport(const std::string& json_text,
-                                  const TraceLintOptions& options) {
+TraceLintResult LintWhatIfReport(const std::string& json_text) {
   TraceLintResult result;
-  ProfileLinter(options, &result).Lint(json_text);
+  SchemaChecker check(&result);
+  const JsonValue* report =
+      check.Root(json_text, "whatif_report", Kind::kObject);
+  if (report == nullptr) {
+    return result;
+  }
+  const std::string ctx = "whatif_report";
+  const std::optional<double> requests = check.Number(*report, ctx, "requests");
+  check.Number(*report, ctx, "skipped_requests");
+  const JsonValue* matches =
+      check.Field(*report, ctx, "baseline_matches_journal", Kind::kBool);
+  if (matches != nullptr && !matches->AsBool() && requests && *requests > 0) {
+    // Predictions are only as good as the identity replay they rest on.
+    check.Error(ctx + ": baseline replay does not match the journal");
+  }
+  LintQuantiles(check, *report, ctx, "baseline");
+  check.Field(*report, ctx, "processes", Kind::kArray);
+  const JsonValue* experiments =
+      check.Field(*report, ctx, "experiments", Kind::kArray);
+  if (experiments != nullptr && requests) {
+    ForEachObject(check, *experiments, "experiments",
+                  [&](const JsonValue& exp, const std::string& exp_ctx) {
+                    LintExperiment(check, exp, exp_ctx, *requests);
+                  });
+  }
+  const JsonValue* sensitivity =
+      check.Field(*report, ctx, "sensitivity", Kind::kArray);
+  if (sensitivity == nullptr) {
+    return result;
+  }
+  ForEachObject(
+      check, *sensitivity, "sensitivity",
+      [&check](const JsonValue& row, const std::string& row_ctx) {
+        const JsonValue* knob = check.Field(row, row_ctx, "knob", Kind::kString);
+        if (knob != nullptr && knob->AsString() != "pcie" &&
+            knob->AsString() != "nvlink" && knob->AsString() != "exec") {
+          check.Error(row_ctx + ": \"knob\" must be pcie, nvlink, or exec");
+        }
+        for (const char* key : {"delta_p50_ms", "delta_p95_ms", "delta_p99_ms",
+                                "knob_time_mean_ms", "p99_leverage"}) {
+          check.Number(row, row_ctx, key);
+        }
+      });
   return result;
 }
 
-TraceLintResult LintProfileReportFile(const std::string& path,
-                                      const TraceLintOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    TraceLintResult result;
-    ++result.num_errors;
-    result.errors.push_back("cannot read " + path);
-    return result;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return LintProfileReport(buffer.str(), options);
-}
+// --------------------------------------------------------- selfprof report
 
 namespace {
 
-// Schema-checking helper for LintWhatIfReport.
-class WhatIfLinter {
- public:
-  WhatIfLinter(const TraceLintOptions& options, TraceLintResult* result)
-      : options_(options), result_(result) {}
-
-  void Error(const std::string& what) {
-    ++result_->num_errors;
-    if (result_->errors.size() < options_.max_reported_errors) {
-      result_->errors.push_back(what);
-    }
-  }
-
-  const JsonValue* Number(const JsonValue& obj, const std::string& context,
-                          const char* key) {
-    const JsonValue* v = obj.Find(key);
-    if (v == nullptr || !v->is_number()) {
-      Error(context + ": missing numeric \"" + key + "\"");
-      return nullptr;
-    }
-    return v;
-  }
-
-  // A latency quantile object must carry all five fields, non-negative and
-  // ordered p50 <= p95 <= p99 <= max.
-  void Quantiles(const JsonValue& parent, const std::string& context,
-                 const char* key) {
-    const JsonValue* q = parent.Find(key);
-    if (q == nullptr || !q->is_object()) {
-      Error(context + ": missing \"" + std::string(key) + "\" object");
-      return;
-    }
-    const std::string ctx = context + "." + key;
-    double values[4] = {0, 0, 0, 0};
-    static const char* const kOrdered[] = {"p50_ms", "p95_ms", "p99_ms",
-                                           "max_ms"};
-    bool complete = true;
-    for (std::size_t i = 0; i < 4; ++i) {
-      const JsonValue* v = Number(*q, ctx, kOrdered[i]);
-      if (v == nullptr) {
-        complete = false;
-        continue;
-      }
-      if (v->AsNumber() < 0.0) {
-        Error(ctx + ": negative \"" + std::string(kOrdered[i]) + "\"");
-        complete = false;
-      }
-      values[i] = v->AsNumber();
-    }
-    Number(*q, ctx, "mean_ms");
-    if (complete) {
-      for (std::size_t i = 1; i < 4; ++i) {
-        if (values[i] < values[i - 1]) {
-          Error(ctx + ": quantiles not monotone (" +
-                std::string(kOrdered[i - 1]) + " > " +
-                std::string(kOrdered[i]) + ")");
-          break;
-        }
-      }
-    }
-  }
-
-  void LintExperiment(const JsonValue& exp, const std::string& ctx,
-                      double expected_requests) {
-    const JsonValue* name = exp.Find("name");
-    if (name == nullptr || !name->is_string()) {
-      Error(ctx + ": missing string \"name\"");
-    }
-    for (const char* key : {"pcie_scale", "nvlink_scale", "exec_scale"}) {
-      const JsonValue* v = Number(exp, ctx, key);
-      if (v != nullptr && v->AsNumber() <= 0.0) {
-        Error(ctx + ": non-positive \"" + std::string(key) + "\"");
-      }
-    }
-    for (const char* key : {"zero_contention", "remove_evictions"}) {
-      const JsonValue* v = exp.Find(key);
-      if (v == nullptr || !v->is_bool()) {
-        Error(ctx + ": missing boolean \"" + std::string(key) + "\"");
-      }
-    }
-    Quantiles(exp, ctx, "predicted");
-    const JsonValue* delta = exp.Find("delta");
-    if (delta == nullptr || !delta->is_object()) {
-      Error(ctx + ": missing \"delta\" object");
-    } else {
-      for (const char* key :
-           {"p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms"}) {
-        Number(*delta, ctx + ".delta", key);
-      }
-    }
-    const JsonValue* per_request = exp.Find("per_request");
-    if (per_request == nullptr || !per_request->is_array()) {
-      Error(ctx + ": missing \"per_request\" array");
-      return;
-    }
-    if (static_cast<double>(per_request->items().size()) !=
-        expected_requests) {
-      Error(ctx + ": per_request length disagrees with \"requests\"");
-    }
-    for (std::size_t i = 0; i < per_request->items().size(); ++i) {
-      const JsonValue& row = per_request->items()[i];
-      std::ostringstream rctx;
-      rctx << ctx << ".per_request[" << i << "]";
-      if (!row.is_object()) {
-        Error(rctx.str() + ": not an object");
-        continue;
-      }
-      Number(row, rctx.str(), "request");
-      Number(row, rctx.str(), "process");
-      const JsonValue* baseline = Number(row, rctx.str(), "baseline_ns");
-      const JsonValue* predicted = Number(row, rctx.str(), "predicted_ns");
-      const JsonValue* delta_ns = Number(row, rctx.str(), "delta_ns");
-      if (baseline != nullptr && baseline->AsNumber() < 0.0) {
-        Error(rctx.str() + ": negative baseline_ns");
-      }
-      if (predicted != nullptr && predicted->AsNumber() < 0.0) {
-        Error(rctx.str() + ": negative predicted_ns");
-      }
-      if (baseline != nullptr && predicted != nullptr && delta_ns != nullptr &&
-          delta_ns->AsNumber() !=
-              predicted->AsNumber() - baseline->AsNumber()) {
-        std::ostringstream os;
-        os << rctx.str() << ": delta_ns " << delta_ns->AsNumber()
-           << " != predicted_ns - baseline_ns ("
-           << predicted->AsNumber() - baseline->AsNumber() << ")";
-        Error(os.str());
-      }
-    }
-  }
-
-  void Lint(const std::string& json_text) {
-    const JsonParseResult parsed = ParseJson(json_text);
-    if (!parsed.ok) {
-      Error("not valid JSON: " + parsed.error);
-      return;
-    }
-    const JsonValue* report =
-        parsed.value.is_object() ? parsed.value.Find("whatif_report") : nullptr;
-    if (report == nullptr || !report->is_object()) {
-      Error("missing \"whatif_report\" object");
-      return;
-    }
-    const JsonValue* requests = Number(*report, "whatif_report", "requests");
-    Number(*report, "whatif_report", "skipped_requests");
-    const JsonValue* matches = report->Find("baseline_matches_journal");
-    if (matches == nullptr || !matches->is_bool()) {
-      Error("whatif_report: missing boolean \"baseline_matches_journal\"");
-    } else if (!matches->AsBool() && requests != nullptr &&
-               requests->AsNumber() > 0) {
-      // Predictions are only as good as the identity replay they rest on.
-      Error("whatif_report: baseline replay does not match the journal");
-    }
-    Quantiles(*report, "whatif_report", "baseline");
-    const JsonValue* processes = report->Find("processes");
-    if (processes == nullptr || !processes->is_array()) {
-      Error("whatif_report: missing \"processes\" array");
-    }
-    const JsonValue* experiments = report->Find("experiments");
-    if (experiments == nullptr || !experiments->is_array()) {
-      Error("whatif_report: missing \"experiments\" array");
-    } else if (requests != nullptr) {
-      for (std::size_t i = 0; i < experiments->items().size(); ++i) {
-        std::ostringstream ctx;
-        ctx << "experiments[" << i << "]";
-        if (!experiments->items()[i].is_object()) {
-          Error(ctx.str() + ": not an object");
-          continue;
-        }
-        LintExperiment(experiments->items()[i], ctx.str(),
-                       requests->AsNumber());
-      }
-    }
-    const JsonValue* sensitivity = report->Find("sensitivity");
-    if (sensitivity == nullptr || !sensitivity->is_array()) {
-      Error("whatif_report: missing \"sensitivity\" array");
-      return;
-    }
-    for (std::size_t i = 0; i < sensitivity->items().size(); ++i) {
-      const JsonValue& row = sensitivity->items()[i];
-      std::ostringstream ctx;
-      ctx << "sensitivity[" << i << "]";
-      if (!row.is_object()) {
-        Error(ctx.str() + ": not an object");
-        continue;
-      }
-      const JsonValue* knob = row.Find("knob");
-      if (knob == nullptr || !knob->is_string() ||
-          (knob->AsString() != "pcie" && knob->AsString() != "nvlink" &&
-           knob->AsString() != "exec")) {
-        Error(ctx.str() + ": \"knob\" must be pcie, nvlink, or exec");
-      }
-      for (const char* key : {"delta_p50_ms", "delta_p95_ms", "delta_p99_ms",
-                              "knob_time_mean_ms", "p99_leverage"}) {
-        Number(row, ctx.str(), key);
-      }
-    }
-  }
-
- private:
-  const TraceLintOptions& options_;
-  TraceLintResult* result_;
-};
-
-}  // namespace
-
-TraceLintResult LintWhatIfReport(const std::string& json_text,
-                                 const TraceLintOptions& options) {
-  TraceLintResult result;
-  WhatIfLinter(options, &result).Lint(json_text);
-  return result;
-}
-
-TraceLintResult LintWhatIfReportFile(const std::string& path,
-                                     const TraceLintOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    TraceLintResult result;
-    ++result.num_errors;
-    result.errors.push_back("cannot read " + path);
-    return result;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return LintWhatIfReport(buffer.str(), options);
-}
-
-namespace {
-
-// Schema-checking helper for LintSelfprofReport. A report node's tally,
-// keyed by its phase path ("total/sim.dispatch/exec.stream"), for the
-// aggregate-equals-sum-of-lanes check.
+// A phase node's counts summed by phase path ("total/sim.dispatch/
+// exec.stream"), for the aggregate-equals-sum-of-lanes check.
 struct PhaseTally {
   double count = 0;
   double sampled = 0;
 };
+using PhaseTallies = std::map<std::string, PhaseTally>;
+using CounterSums = std::map<std::string, double>;
 
-class SelfprofLinter {
- public:
-  SelfprofLinter(const TraceLintOptions& options, TraceLintResult* result)
-      : options_(options), result_(result) {}
+// Walks one phase node (the lane root when `parent_path` is empty) and
+// accumulates its counts into `tally`.
+void LintNode(SchemaChecker& check, const JsonValue& node,
+              const std::string& ctx, const std::string& parent_path,
+              double parent_count, PhaseTallies* tally) {
+  const bool is_root = parent_path.empty();
+  const JsonValue* phase = check.Field(node, ctx, "phase", Kind::kString);
+  if (phase == nullptr) {
+    return;
+  }
+  const std::string& name = phase->AsString();
+  if (name.empty()) {
+    check.Error(ctx + ": empty \"phase\"");
+    return;
+  }
+  if (is_root && name != "total") {
+    check.Error(ctx + ": root phase is \"" + name + "\", expected \"total\"");
+  }
+  const std::string path = is_root ? name : parent_path + "/" + name;
+  const std::string node_ctx = ctx + " (" + path + ")";
 
-  void Error(const std::string& what) {
-    ++result_->num_errors;
-    if (result_->errors.size() < options_.max_reported_errors) {
-      result_->errors.push_back(what);
+  // A required non-negative field, or -1 when it is missing or negative.
+  const auto count_field = [&](const char* key) {
+    return check.Number(node, node_ctx, key, Sign::kNonNegative).value_or(-1.0);
+  };
+  const double count = count_field("count");
+  const double sampled = count_field("sampled");
+  if (count >= 0.0 && sampled >= 0.0) {
+    if (sampled > count) {
+      check.Error(node_ctx + ": sampled exceeds count");
+    }
+    if (!is_root && count > 0.0 && parent_count == 0.0) {
+      check.Error(node_ctx + ": counted child under a never-entered parent");
+    }
+    (*tally)[path].count += count;
+    (*tally)[path].sampled += sampled;
+  }
+
+  // Duration fields travel together: the full report has all three, the
+  // deterministic projection none.
+  const int present = (node.Find("inclusive_ns") != nullptr ? 1 : 0) +
+                      (node.Find("exclusive_ns") != nullptr ? 1 : 0) +
+                      (node.Find("estimated_ns") != nullptr ? 1 : 0);
+  if (present != 0 && present != 3) {
+    check.Error(node_ctx +
+                ": inclusive_ns/exclusive_ns/estimated_ns must appear together");
+  }
+  const bool timed = present == 3;
+  double inclusive_ns = -1.0;
+  double exclusive_ns = -1.0;
+  if (timed) {
+    inclusive_ns = count_field("inclusive_ns");
+    exclusive_ns = count_field("exclusive_ns");
+    const double estimated_ns = count_field("estimated_ns");
+    if (inclusive_ns >= 0.0 && exclusive_ns > inclusive_ns) {
+      check.Error(node_ctx + ": exclusive_ns exceeds inclusive_ns");
+    }
+    if (inclusive_ns >= 0.0 && estimated_ns >= 0.0 &&
+        estimated_ns < inclusive_ns) {
+      check.Error(node_ctx + ": estimated_ns below measured inclusive_ns");
+    }
+    if (sampled == 0.0 && inclusive_ns > 0.0) {
+      check.Error(node_ctx + ": inclusive_ns without any sampled entries");
     }
   }
 
-  // Returns the value of a required non-negative numeric field, or -1.
-  double Count(const JsonValue& obj, const std::string& ctx, const char* key) {
-    const JsonValue* v = obj.Find(key);
-    if (v == nullptr || !v->is_number()) {
-      Error(ctx + ": missing numeric \"" + key + "\"");
-      return -1.0;
-    }
-    if (v->AsNumber() < 0.0) {
-      Error(ctx + ": negative \"" + key + "\"");
-      return -1.0;
-    }
-    return v->AsNumber();
-  }
-
-  // Walks one phase node; `tally` (when non-null) accumulates counts by
-  // phase path for the aggregate cross-check.
-  void LintNode(const JsonValue& node, const std::string& ctx,
-                const std::string& parent_path, bool is_root, double parent_count,
-                std::map<std::string, PhaseTally>* tally) {
-    if (!node.is_object()) {
-      Error(ctx + ": node is not an object");
+  double children_inclusive = 0.0;
+  if (const JsonValue* children = node.Find("children")) {
+    if (!children->is_array()) {
+      check.Error(node_ctx + ": \"children\" is not an array");
       return;
     }
-    const JsonValue* phase = node.Find("phase");
-    if (phase == nullptr || !phase->is_string() || phase->AsString().empty()) {
-      Error(ctx + ": missing non-empty string \"phase\"");
-      return;
-    }
-    const std::string& name = phase->AsString();
-    if (is_root && name != "total") {
-      Error(ctx + ": root phase is \"" + name + "\", expected \"total\"");
-    }
-    const std::string path =
-        parent_path.empty() ? name : parent_path + "/" + name;
-    const std::string node_ctx = ctx + " (" + path + ")";
-
-    const double count = Count(node, node_ctx, "count");
-    const double sampled = Count(node, node_ctx, "sampled");
-    if (count >= 0.0 && sampled >= 0.0) {
-      if (sampled > count) {
-        Error(node_ctx + ": sampled exceeds count");
-      }
-      if (!is_root && count > 0.0 && parent_count == 0.0) {
-        Error(node_ctx + ": counted child under a never-entered parent");
-      }
-      if (tally != nullptr) {
-        (*tally)[path].count += count;
-        (*tally)[path].sampled += sampled;
-      }
-    }
-
-    // Duration fields travel together: the full report has all three, the
-    // deterministic projection none.
-    const JsonValue* inclusive = node.Find("inclusive_ns");
-    const JsonValue* exclusive = node.Find("exclusive_ns");
-    const JsonValue* estimated = node.Find("estimated_ns");
-    const int present = (inclusive != nullptr ? 1 : 0) +
-                        (exclusive != nullptr ? 1 : 0) +
-                        (estimated != nullptr ? 1 : 0);
-    if (present != 0 && present != 3) {
-      Error(node_ctx +
-            ": inclusive_ns/exclusive_ns/estimated_ns must appear together");
-    }
-    double inclusive_ns = 0.0;
-    const bool timed = present == 3;
-    if (timed) {
-      inclusive_ns = Count(node, node_ctx, "inclusive_ns");
-      const double exclusive_ns = Count(node, node_ctx, "exclusive_ns");
-      const double estimated_ns = Count(node, node_ctx, "estimated_ns");
-      if (inclusive_ns >= 0.0 && exclusive_ns > inclusive_ns) {
-        Error(node_ctx + ": exclusive_ns exceeds inclusive_ns");
-      }
-      if (inclusive_ns >= 0.0 && estimated_ns >= 0.0 &&
-          estimated_ns < inclusive_ns) {
-        Error(node_ctx + ": estimated_ns below measured inclusive_ns");
-      }
-      if (sampled == 0.0 && inclusive_ns > 0.0) {
-        Error(node_ctx + ": inclusive_ns without any sampled entries");
-      }
-    }
-
-    double children_inclusive = 0.0;
-    const JsonValue* children = node.Find("children");
-    if (children != nullptr) {
-      if (!children->is_array()) {
-        Error(node_ctx + ": \"children\" is not an array");
-        return;
-      }
-      std::set<std::string> seen;
-      for (std::size_t i = 0; i < children->items().size(); ++i) {
-        const JsonValue& child = children->items()[i];
-        const JsonValue* child_phase = child.Find("phase");
-        if (child_phase != nullptr && child_phase->is_string()) {
-          if (!seen.insert(child_phase->AsString()).second) {
-            Error(node_ctx + ": duplicate child phase \"" +
-                  child_phase->AsString() + "\"");
+    std::set<std::string> seen;
+    ForEachObject(
+        check, *children, node_ctx + ".children",
+        [&](const JsonValue& child, const std::string& child_ctx) {
+          const JsonValue* child_phase = child.Find("phase");
+          if (child_phase != nullptr && child_phase->is_string() &&
+              !seen.insert(child_phase->AsString()).second) {
+            check.Error(node_ctx + ": duplicate child phase \"" +
+                        child_phase->AsString() + "\"");
           }
-        }
-        LintNode(child, node_ctx + ".children[" + std::to_string(i) + "]",
-                 path, /*is_root=*/false, count, tally);
-        if (timed && child.is_object()) {
+          LintNode(check, child, child_ctx, path, count, tally);
           const JsonValue* child_inclusive = child.Find("inclusive_ns");
           if (child_inclusive != nullptr && child_inclusive->is_number()) {
             children_inclusive += child_inclusive->AsNumber();
           }
-        }
-      }
-    }
-    if (timed && inclusive_ns >= 0.0) {
-      // Exact by construction (suppression rule): measured child time always
-      // nests inside measured parent time.
-      const JsonValue* exclusive_v = node.Find("exclusive_ns");
-      if (exclusive_v != nullptr && exclusive_v->is_number() &&
-          exclusive_v->AsNumber() + children_inclusive != inclusive_ns) {
-        Error(node_ctx +
-              ": exclusive_ns + sum(child inclusive_ns) != inclusive_ns");
-      }
-    }
+        });
   }
-
-  // Lints one lane object; fills `tally` by phase path when requested.
-  void LintLane(const JsonValue& lane, const std::string& ctx,
-                std::map<std::string, PhaseTally>* tally,
-                std::map<std::string, double>* counters_out) {
-    if (!lane.is_object()) {
-      Error(ctx + ": lane is not an object");
-      return;
-    }
-    const JsonValue* name = lane.Find("name");
-    if (name == nullptr || !name->is_string() || name->AsString().empty()) {
-      Error(ctx + ": missing non-empty string \"name\"");
-    }
-    const JsonValue* counters = lane.Find("counters");
-    if (counters == nullptr || !counters->is_object()) {
-      Error(ctx + ": missing \"counters\" object");
-    } else {
-      for (const auto& [key, value] : counters->fields()) {
-        if (!value.is_number() || value.AsNumber() < 0.0) {
-          Error(ctx + ": counter \"" + key + "\" is not a non-negative number");
-        } else if (counters_out != nullptr) {
-          (*counters_out)[key] += value.AsNumber();
-        }
-      }
-    }
-    const JsonValue* tree = lane.Find("tree");
-    if (tree == nullptr) {
-      Error(ctx + ": missing \"tree\"");
-      return;
-    }
-    LintNode(*tree, ctx + ".tree", "", /*is_root=*/true, 0.0, tally);
+  // Exact by construction (suppression rule): measured child time always
+  // nests inside measured parent time.
+  if (inclusive_ns >= 0.0 && exclusive_ns >= 0.0 &&
+      exclusive_ns + children_inclusive != inclusive_ns) {
+    check.Error(node_ctx +
+                ": exclusive_ns + sum(child inclusive_ns) != inclusive_ns");
   }
+}
 
-  void Lint(const std::string& json_text) {
-    const JsonParseResult parsed = ParseJson(json_text);
-    if (!parsed.ok) {
-      Error("JSON parse error: " + parsed.error);
-      return;
-    }
-    const JsonValue* report = parsed.value.is_object()
-                                  ? parsed.value.Find("selfprof_report")
-                                  : nullptr;
-    if (report == nullptr || !report->is_object()) {
-      Error("top level: missing \"selfprof_report\" object");
-      return;
-    }
-    const JsonValue* version = report->Find("schema_version");
-    if (version == nullptr || !version->is_number() ||
-        version->AsNumber() < 1.0) {
-      Error("selfprof_report: missing \"schema_version\" >= 1");
-    }
-    const JsonValue* label = report->Find("label");
-    if (label == nullptr || !label->is_string()) {
-      Error("selfprof_report: missing string \"label\"");
-    }
-    const JsonValue* lanes = report->Find("lanes");
-    if (lanes == nullptr || !lanes->is_array() || lanes->items().empty()) {
-      Error("selfprof_report: missing non-empty \"lanes\" array");
-      return;
-    }
-    std::set<std::string> lane_names;
-    std::map<std::string, PhaseTally> lane_sum;
-    std::map<std::string, double> counter_sum;
-    for (std::size_t i = 0; i < lanes->items().size(); ++i) {
-      const JsonValue& lane = lanes->items()[i];
-      const std::string ctx = "lanes[" + std::to_string(i) + "]";
-      const JsonValue* name = lane.Find("name");
-      if (name != nullptr && name->is_string() &&
-          !lane_names.insert(name->AsString()).second) {
-        Error(ctx + ": duplicate lane name \"" + name->AsString() + "\"");
-      }
-      LintLane(lane, ctx, &lane_sum, &counter_sum);
-    }
-    result_->num_tracks = lanes->items().size();
-
-    const JsonValue* aggregate = report->Find("aggregate");
-    if (aggregate == nullptr || !aggregate->is_object()) {
-      Error("selfprof_report: missing \"aggregate\" object");
-      return;
-    }
-    std::map<std::string, PhaseTally> agg;
-    std::map<std::string, double> agg_counters;
-    LintLane(*aggregate, "aggregate", &agg, &agg_counters);
-    for (const auto& [path, sum] : lane_sum) {
-      const auto it = agg.find(path);
-      if (it == agg.end()) {
-        Error("aggregate: phase \"" + path + "\" missing (present in lanes)");
-      } else if (it->second.count != sum.count ||
-                 it->second.sampled != sum.sampled) {
-        Error("aggregate: phase \"" + path +
-              "\" counts do not equal the sum over lanes");
-      }
-    }
-    for (const auto& [key, sum] : counter_sum) {
-      const auto it = agg_counters.find(key);
-      if (it == agg_counters.end()) {
-        Error("aggregate: counter \"" + key + "\" missing (present in lanes)");
-      } else if (it->second != sum) {
-        Error("aggregate: counter \"" + key +
-              "\" does not equal the sum over lanes");
-      }
-    }
-
-    const JsonValue* host = report->Find("host");
-    if (host != nullptr) {
-      if (!host->is_object()) {
-        Error("selfprof_report: \"host\" is not an object");
+// Lints one lane object, adding its phase counts and counters to the sums.
+void LintLane(SchemaChecker& check, const JsonValue& lane,
+              const std::string& ctx, PhaseTallies* tally,
+              CounterSums* counter_sums) {
+  const JsonValue* name = check.Field(lane, ctx, "name", Kind::kString);
+  if (name != nullptr && name->AsString().empty()) {
+    check.Error(ctx + ": empty \"name\"");
+  }
+  if (const JsonValue* counters =
+          check.Field(lane, ctx, "counters", Kind::kObject)) {
+    for (const auto& [key, value] : counters->fields()) {
+      if (!value.is_number() || value.AsNumber() < 0.0) {
+        check.Error(ctx + ": counter \"" + key +
+                    "\" is not a non-negative number");
       } else {
-        Count(*host, "host", "rss_kb");
-        Count(*host, "host", "rss_peak_kb");
+        (*counter_sums)[key] += value.AsNumber();
       }
     }
   }
-
- private:
-  const TraceLintOptions& options_;
-  TraceLintResult* result_;
-};
+  if (const JsonValue* tree = check.Field(lane, ctx, "tree", Kind::kObject)) {
+    LintNode(check, *tree, ctx + ".tree", "", 0.0, tally);
+  }
+}
 
 }  // namespace
 
-TraceLintResult LintSelfprofReport(const std::string& json_text,
-                                   const TraceLintOptions& options) {
+TraceLintResult LintSelfprofReport(const std::string& json_text) {
   TraceLintResult result;
-  SelfprofLinter(options, &result).Lint(json_text);
+  SchemaChecker check(&result);
+  const JsonValue* report =
+      check.Root(json_text, "selfprof_report", Kind::kObject);
+  if (report == nullptr) {
+    return result;
+  }
+  const std::string ctx = "selfprof_report";
+  const std::optional<double> version =
+      check.Number(*report, ctx, "schema_version");
+  if (version && *version < 1.0) {
+    check.Error(ctx + ": \"schema_version\" below 1");
+  }
+  check.Field(*report, ctx, "label", Kind::kString);
+  const JsonValue* lanes = check.Field(*report, ctx, "lanes", Kind::kArray);
+  if (lanes == nullptr) {
+    return result;
+  }
+  if (lanes->items().empty()) {
+    check.Error(ctx + ": empty \"lanes\" array");
+    return result;
+  }
+  std::set<std::string> lane_names;
+  PhaseTallies lane_sum;
+  CounterSums counter_sum;
+  ForEachObject(check, *lanes, "lanes",
+                [&](const JsonValue& lane, const std::string& lane_ctx) {
+                  const JsonValue* name = lane.Find("name");
+                  if (name != nullptr && name->is_string() &&
+                      !lane_names.insert(name->AsString()).second) {
+                    check.Error(lane_ctx + ": duplicate lane name \"" +
+                                name->AsString() + "\"");
+                  }
+                  LintLane(check, lane, lane_ctx, &lane_sum, &counter_sum);
+                });
+  result.num_tracks = lanes->items().size();
+
+  const JsonValue* aggregate =
+      check.Field(*report, ctx, "aggregate", Kind::kObject);
+  if (aggregate == nullptr) {
+    return result;
+  }
+  PhaseTallies agg;
+  CounterSums agg_counters;
+  LintLane(check, *aggregate, "aggregate", &agg, &agg_counters);
+  for (const auto& [path, sum] : lane_sum) {
+    const auto it = agg.find(path);
+    if (it == agg.end()) {
+      check.Error("aggregate: phase \"" + path +
+                  "\" missing (present in lanes)");
+    } else if (it->second.count != sum.count ||
+               it->second.sampled != sum.sampled) {
+      check.Error("aggregate: phase \"" + path +
+                  "\" counts do not equal the sum over lanes");
+    }
+  }
+  for (const auto& [key, sum] : counter_sum) {
+    const auto it = agg_counters.find(key);
+    if (it == agg_counters.end()) {
+      check.Error("aggregate: counter \"" + key +
+                  "\" missing (present in lanes)");
+    } else if (it->second != sum) {
+      check.Error("aggregate: counter \"" + key +
+                  "\" does not equal the sum over lanes");
+    }
+  }
+
+  // The host block is optional (the deterministic projection drops it).
+  const JsonValue* host = report->Find("host");
+  if (host != nullptr && !host->is_object()) {
+    check.Error(ctx + ": \"host\" is not an object");
+  } else if (host != nullptr) {
+    check.Number(*host, "host", "rss_kb", Sign::kNonNegative);
+    check.Number(*host, "host", "rss_peak_kb", Sign::kNonNegative);
+  }
   return result;
 }
 
-TraceLintResult LintSelfprofReportFile(const std::string& path,
-                                       const TraceLintOptions& options) {
+namespace {
+
+// Reads `path` and lints its text with `lint`.
+TraceLintResult LintFile(const std::string& path,
+                         TraceLintResult (*lint)(const std::string&)) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     TraceLintResult result;
-    ++result.num_errors;
-    result.errors.push_back("cannot read " + path);
+    SchemaChecker(&result).Error("cannot read " + path);
     return result;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return LintSelfprofReport(buffer.str(), options);
+  return lint(buffer.str());
+}
+
+}  // namespace
+
+TraceLintResult LintChromeTraceFile(const std::string& path) {
+  return LintFile(path, LintChromeTrace);
+}
+
+TraceLintResult LintProfileReportFile(const std::string& path) {
+  return LintFile(path, LintProfileReport);
+}
+
+TraceLintResult LintWhatIfReportFile(const std::string& path) {
+  return LintFile(path, LintWhatIfReport);
+}
+
+TraceLintResult LintSelfprofReportFile(const std::string& path) {
+  return LintFile(path, LintSelfprofReport);
 }
 
 }  // namespace check

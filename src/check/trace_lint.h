@@ -1,68 +1,49 @@
-// Offline re-validation of exported Chrome/Perfetto JSON traces: the
-// standalone `trace_lint` tool (tools/trace_lint_main.cc) and CI run this
-// over captured artifacts so a malformed trace fails loudly instead of
-// rendering wrong in ui.perfetto.dev. Checks, per document:
-//
-//   structure  — top-level object with a "traceEvents" array of objects;
-//                every event carries a known "ph" and the fields that phase
-//                requires (pid everywhere; tid+name+ts for thread events;
-//                dur >= 0 for complete slices; one numeric series per
-//                counter sample; cat+id for async begin/end)
-//   ordering   — non-metadata events sorted by ts (the writer guarantees
-//                byte-stable sorted output; unsorted output breaks both
-//                determinism diffs and stream-processing consumers)
-//   metadata   — every (pid, tid) referenced by a thread event has a
-//                thread_name record, and when process_name records exist
-//                every referenced pid has one
-//   nesting    — complete slices ("X") on one (pid, tid) track are properly
-//                nested or disjoint (partially-overlapping slices are
-//                dropped or mis-rendered by trace viewers)
-//   async      — begin/end pairs ("b"/"e") balance per (pid, cat, id) with
-//                end no earlier than begin
-//   counters   — cumulative counter tracks (name prefixed "cum/", e.g.
-//                "cum/fabric.bytes", "cum/requests") never decrease per
-//                (pid, name, series)
-//
-// LintProfileReport validates the {"profile_report":{...}} JSON emitted by
-// tools/profile_report and the bench --profile_out flag: required fields and
-// types, attribution components summing exactly to each request's latency,
-// and utilization entries staying within their observation span.
-//
-// LintWhatIfReport validates the {"whatif_report":{...}} JSON emitted by
-// tools/whatif_report and the bench --whatif_out flag: required fields and
-// types, positive hardware scales, quantile monotonicity (p50 <= p95 <= p99
-// <= max), per-request rows matching the request count with delta_ns equal
-// to predicted - baseline, and the identity replay's self-check flag
-// (baseline_matches_journal false is a lint error — predictions from a
-// replay that cannot reproduce its own journal are untrustworthy).
-// LintSelfprofReport validates the {"selfprof_report":{...}} JSON emitted by
-// the bench --selfprof_out flags (src/obs/selfprof.h): schema version,
-// non-empty uniquely-named lanes, phase-tree well-formedness (root phase
-// "total", no duplicate child phases, counts and sampled counts consistent),
-// the exactness invariant exclusive_ns = inclusive_ns - sum(child inclusive)
-// with exclusive_ns >= 0 and estimated_ns >= inclusive_ns, and the aggregate
-// lane's counts/counters equalling the per-lane sums. Accepts both the full
-// report and its deterministic projection (which carries no *_ns fields).
+// Offline validation of the artifacts this repo writes, so CI, `trace_lint`
+// and the benchmark fail loudly on a malformed file. Every check here and
+// LintJournalFile (src/obs/journal_stream.h) report through one
+// SchemaChecker. Lint*File reads a file first (unreadable is an error).
+// LintChromeTrace: a "traceEvents" array whose events carry a known "ph"
+//   and that phase's fields (pid; tid, name and ts for thread events;
+//   dur >= 0 for "X"; one numeric args series per "C"; cat and id for async
+//   "b"/"e"); timestamps sorted; every (pid, tid) named by thread_name
+//   metadata, and every pid by process_name once any exists; "X" slices per
+//   track nested or disjoint; async begin/end balanced and ordered per
+//   (pid, cat, id); "cum/" counter series never decreasing.
+// LintProfileReport: {"profile_report":...} fields and types, attribution
+//   components summing exactly to each request's latency (and the totals
+//   to total_latency_ns), utilization busy <= span and contended <= busy.
+// LintWhatIfReport: {"whatif_report":...} fields and types, positive
+//   hardware scales, quantiles p50 <= p95 <= p99 <= max, one per-request
+//   row per request with delta_ns = predicted_ns - baseline_ns, and
+//   baseline_matches_journal true (predictions from a replay that cannot
+//   reproduce its own journal are untrustworthy).
+// LintSelfprofReport: {"selfprof_report":...} schema version, non-empty
+//   uniquely named lanes, phase trees rooted at "total" without duplicate
+//   children and with consistent counts, exclusive_ns = inclusive_ns -
+//   sum(child inclusive_ns) with estimated_ns >= inclusive_ns, and the
+//   aggregate lane equal to the per-lane sums. Full reports and their
+//   deterministic projection (no *_ns fields, no host block) both pass.
 #ifndef SRC_CHECK_TRACE_LINT_H_
 #define SRC_CHECK_TRACE_LINT_H_
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "src/util/json_parse.h"
 
 namespace deepplan {
 namespace check {
 
-struct TraceLintOptions {
-  // Stop collecting (but keep counting) errors past this many.
-  std::size_t max_reported_errors = 20;
-};
+// Every error is counted; only the first this many are kept as messages.
+inline constexpr std::size_t kMaxReportedErrors = 20;
 
 struct TraceLintResult {
   bool ok() const { return num_errors == 0; }
 
   std::size_t num_errors = 0;
-  std::vector<std::string> errors;  // first max_reported_errors, with context
+  std::vector<std::string> errors;  // first kMaxReportedErrors, with context
 
   std::size_t num_events = 0;    // entries of traceEvents
   std::size_t num_spans = 0;     // "X"
@@ -71,34 +52,49 @@ struct TraceLintResult {
   std::size_t num_tracks = 0;    // distinct (pid, tid) thread tracks
 };
 
-// Lints `json_text` as one Chrome-trace JSON document.
-TraceLintResult LintChromeTrace(const std::string& json_text,
-                                const TraceLintOptions& options = {});
+// The checker every lint reports through. Diagnostics name a context path
+// and a key, e.g. `per_request[3]: missing numeric "latency_ns"`.
+class SchemaChecker {
+ public:
+  explicit SchemaChecker(TraceLintResult* result) : result_(result) {}
 
-// Convenience for tools: reads `path` and lints it; an unreadable file is a
-// lint error.
-TraceLintResult LintChromeTraceFile(const std::string& path,
-                                    const TraceLintOptions& options = {});
+  // Counts `message`, keeping it while fewer than kMaxReportedErrors are.
+  void Error(const std::string& message);
 
-// Schema check for profile-report JSON (see header comment). Reuses
-// TraceLintResult for error accounting; the trace-specific counters stay 0.
-TraceLintResult LintProfileReport(const std::string& json_text,
-                                  const TraceLintOptions& options = {});
-TraceLintResult LintProfileReportFile(const std::string& path,
-                                      const TraceLintOptions& options = {});
+  // Parses `json_text` and returns its top-level object's `key` member when
+  // that has `kind`; otherwise reports why and returns nullptr. The parsed
+  // document lives as long as the checker.
+  const JsonValue* Root(const std::string& json_text, const char* key,
+                        JsonValue::Kind kind);
 
-// Schema check for what-if report JSON (see header comment).
-TraceLintResult LintWhatIfReport(const std::string& json_text,
-                                 const TraceLintOptions& options = {});
-TraceLintResult LintWhatIfReportFile(const std::string& path,
-                                     const TraceLintOptions& options = {});
+  // `obj`'s `key` member when it has `kind`; otherwise reports
+  // `<ctx>: missing <kind> "<key>"` and returns nullptr.
+  const JsonValue* Field(const JsonValue& obj, const std::string& ctx,
+                         const char* key, JsonValue::Kind kind);
 
-// Schema + consistency check for self-profiling report JSON (see header
-// comment). num_tracks reports the number of lanes on success.
-TraceLintResult LintSelfprofReport(const std::string& json_text,
-                                   const TraceLintOptions& options = {});
-TraceLintResult LintSelfprofReportFile(const std::string& path,
-                                       const TraceLintOptions& options = {});
+  enum class Sign { kAny, kNonNegative, kPositive };
+  // The value of `obj`'s numeric `key` member when it satisfies `sign`;
+  // otherwise reports it (missing, `negative` or `non-positive`) and
+  // returns nullopt.
+  std::optional<double> Number(const JsonValue& obj, const std::string& ctx,
+                               const char* key, Sign sign = Sign::kAny);
+
+ private:
+  TraceLintResult* result_;
+  JsonValue doc_ = JsonValue::Null();
+};
+
+TraceLintResult LintChromeTrace(const std::string& json_text);
+TraceLintResult LintChromeTraceFile(const std::string& path);
+
+// The report checks leave the trace counters 0, except that
+// LintSelfprofReport sets num_tracks to the number of lanes.
+TraceLintResult LintProfileReport(const std::string& json_text);
+TraceLintResult LintProfileReportFile(const std::string& path);
+TraceLintResult LintWhatIfReport(const std::string& json_text);
+TraceLintResult LintWhatIfReportFile(const std::string& path);
+TraceLintResult LintSelfprofReport(const std::string& json_text);
+TraceLintResult LintSelfprofReportFile(const std::string& path);
 
 }  // namespace check
 }  // namespace deepplan

@@ -558,17 +558,4 @@ Nanos Engine::WarmDhaPcieTime(const Model& model, const ExecutionPlan& plan,
   return total;
 }
 
-void Engine::RunWarm(const Model& model, const ExecutionPlan& plan, int batch,
-                     std::function<void(const InferenceResult&)> done) {
-  const Nanos start = sim_->now();
-  const Nanos duration = WarmDuration(model, plan, batch);
-  sim_->ScheduleAfter(duration, [this, start, duration, done = std::move(done)]() {
-    InferenceResult result;
-    result.latency = sim_->now() - start;
-    result.exec_busy = duration;
-    result.cold = false;
-    done(result);
-  });
-}
-
 }  // namespace deepplan

@@ -146,15 +146,12 @@ class Engine {
                std::vector<GpuId> secondaries, const ColdRunOptions& options,
                std::function<void(const InferenceResult&)> done);
 
-  // Warm inference: parameters already placed per `plan` (DHA layers execute
-  // from host memory even when warm — that is DeepPlan's residency tradeoff).
-  // Pass a default all-load plan for fully GPU-resident models.
-  void RunWarm(const Model& model, const ExecutionPlan& plan, int batch,
-               std::function<void(const InferenceResult&)> done);
-
-  // Duration a warm inference takes (closed form; RunWarm occupies this).
-  // Serving hot loops cache it per registered model (it is a pure function
-  // of the plan) and schedule the warm completion themselves.
+  // Duration a warm inference takes (closed form): parameters already placed
+  // per `plan`, with DHA layers executing from host memory even when warm —
+  // that is DeepPlan's residency tradeoff. Pass a default all-load plan for
+  // fully GPU-resident models. Serving hot loops cache it per registered
+  // model (it is a pure function of the plan) and schedule the warm
+  // completion themselves.
   Nanos WarmDuration(const Model& model, const ExecutionPlan& plan, int batch) const;
 
   // PCIe-bandwidth-dependent share of WarmDuration: the summed DHA parameter

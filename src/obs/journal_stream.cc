@@ -993,25 +993,19 @@ bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
 // ---------------------------------------------------------------------- lint
 
 check::TraceLintResult LintJournalFile(const std::string& path,
-                                       JournalLintInfo* info,
-                                       const check::TraceLintOptions& options) {
+                                       JournalLintInfo* info) {
   check::TraceLintResult result;
-  const auto add_error = [&result, &options](const std::string& message) {
-    ++result.num_errors;
-    if (result.errors.size() < options.max_reported_errors) {
-      result.errors.push_back(message);
-    }
-  };
+  check::SchemaChecker check(&result);
   JournalReader reader;
   if (!reader.Open(path)) {
-    add_error(reader.error());
+    check.Error(reader.error());
     return result;
   }
   for (;;) {
     JournalChunk chunk;
     const JournalReadStatus status = reader.Next(&chunk);
     if (status == JournalReadStatus::kError) {
-      add_error(reader.error());
+      check.Error(reader.error());
       break;
     }
     if (status == JournalReadStatus::kFooter) {

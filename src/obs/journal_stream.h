@@ -255,10 +255,9 @@ struct JournalLintInfo {
 // Walks the whole journal through the validating reader: header/version
 // check, per-chunk CRC verification, record-level reference checks
 // (including dangling-edge diagnosis), and footer/truncation diagnosis.
-// Reuses TraceLintResult for error accounting (num_events = requests seen).
-check::TraceLintResult LintJournalFile(
-    const std::string& path, JournalLintInfo* info = nullptr,
-    const check::TraceLintOptions& options = {});
+// Reports through check::SchemaChecker (num_events = requests seen).
+check::TraceLintResult LintJournalFile(const std::string& path,
+                                       JournalLintInfo* info = nullptr);
 
 }  // namespace deepplan
 

@@ -1,11 +1,13 @@
 #include "src/obs/selfprof.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 
 #include "src/util/json.h"
+#include "src/util/json_parse.h"
 #include "src/util/logging.h"
 
 namespace deepplan {
@@ -161,104 +163,143 @@ std::uint64_t EstimatedNs(const SelfProfiler::Node& node) {
       (static_cast<double>(node.count) / static_cast<double>(node.sampled)));
 }
 
-std::string NodeJson(const SelfProfiler& lane, std::int32_t index,
-                     bool deterministic) {
+std::string NodeJson(const SelfProfiler& lane, std::int32_t index) {
   const SelfProfiler::Node& node =
       lane.nodes()[static_cast<std::size_t>(index)];
-  JsonObject out;
-  out.Set("phase", PhaseName(node.phase))
-      .Set("count", static_cast<std::int64_t>(node.count))
-      .Set("sampled", static_cast<std::int64_t>(node.sampled));
-  if (!deterministic) {
-    std::uint64_t children_ns = 0;
-    for (int slot = 0; slot < kNumPhases; ++slot) {
-      const std::int32_t child = node.child[static_cast<std::size_t>(slot)];
-      if (child >= 0) {
-        children_ns +=
-            lane.nodes()[static_cast<std::size_t>(child)].inclusive_ns;
-      }
-    }
-    // The suppression rule (timed entries only run under timed ancestors)
-    // makes this subtraction exact and non-negative; the selfprof lint
-    // re-checks it on every report.
-    DP_CHECK(children_ns <= node.inclusive_ns);
-    out.Set("inclusive_ns", static_cast<std::int64_t>(node.inclusive_ns))
-        .Set("exclusive_ns",
-             static_cast<std::int64_t>(node.inclusive_ns - children_ns))
-        .Set("estimated_ns", static_cast<std::int64_t>(EstimatedNs(node)));
-  }
+  std::uint64_t children_ns = 0;
   JsonArray children;
   for (int slot = 0; slot < kNumPhases; ++slot) {
     const std::int32_t child = node.child[static_cast<std::size_t>(slot)];
     if (child >= 0) {
-      children.AddRaw(NodeJson(lane, child, deterministic));
+      children_ns += lane.nodes()[static_cast<std::size_t>(child)].inclusive_ns;
+      children.AddRaw(NodeJson(lane, child));
     }
   }
+  // The suppression rule (timed entries only run under timed ancestors)
+  // makes this subtraction exact and non-negative; the selfprof lint
+  // re-checks it on every report.
+  DP_CHECK(children_ns <= node.inclusive_ns);
+  JsonObject out;
+  out.Set("phase", PhaseName(node.phase))
+      .Set("count", static_cast<std::int64_t>(node.count))
+      .Set("sampled", static_cast<std::int64_t>(node.sampled))
+      .Set("inclusive_ns", static_cast<std::int64_t>(node.inclusive_ns))
+      .Set("exclusive_ns",
+           static_cast<std::int64_t>(node.inclusive_ns - children_ns))
+      .Set("estimated_ns", static_cast<std::int64_t>(EstimatedNs(node)));
   if (!children.empty()) {
     out.SetRaw("children", children.Render());
   }
   return out.Render();
 }
 
-std::string CountersJson(const SelfProfiler& lane, bool deterministic) {
-  JsonObject out;
-  for (int c = 0; c < kNumCounters; ++c) {
-    const auto counter = static_cast<Counter>(c);
-    if (deterministic && !CounterDeterministic(counter)) {
-      continue;
-    }
-    out.Set(CounterName(counter),
-            static_cast<std::int64_t>(lane.counter(counter)));
-  }
-  return out.Render();
-}
-
-std::string LaneJson(const LaneView& view, bool deterministic) {
+std::string LaneJson(const LaneView& view) {
   DP_CHECK(view.lane != nullptr);
   DP_CHECK(view.lane->closed());  // reports are built from finished lanes
+  JsonObject counters;
+  for (int c = 0; c < kNumCounters; ++c) {
+    const auto counter = static_cast<Counter>(c);
+    counters.Set(CounterName(counter),
+                 static_cast<std::int64_t>(view.lane->counter(counter)));
+  }
   JsonObject out;
   out.Set("name", view.name)
-      .SetRaw("counters", CountersJson(*view.lane, deterministic))
-      .SetRaw("tree", NodeJson(*view.lane, 0, deterministic));
+      .SetRaw("counters", counters.Render())
+      .SetRaw("tree", NodeJson(*view.lane, 0));
   return out.Render();
 }
 
-std::string BuildReport(const std::string& label,
-                        const std::vector<LaneView>& lanes,
-                        bool deterministic) {
-  JsonObject body;
-  body.Set("schema_version", std::int64_t{kSelfprofSchemaVersion})
-      .Set("label", label);
-  JsonArray lane_array;
-  SelfProfiler aggregate;
-  for (const LaneView& view : lanes) {
-    lane_array.AddRaw(LaneJson(view, deterministic));
-    aggregate.Merge(*view.lane);
+// True for the keys the deterministic projection drops: durations, the host
+// block and wall-dependent counters.
+bool WallDependentKey(const std::string& key) {
+  if (key == "host" ||
+      (key.size() > 3 && key.compare(key.size() - 3, 3, "_ns") == 0)) {
+    return true;
   }
-  body.SetRaw("lanes", lane_array.Render());
-  body.SetRaw("aggregate",
-              LaneJson(LaneView{"aggregate", &aggregate}, deterministic));
-  if (!deterministic) {
-    body.SetRaw("host", JsonObject()
-                            .Set("rss_kb", CurrentRssKb())
-                            .Set("rss_peak_kb", PeakRssKb())
-                            .Render());
+  for (int c = 0; c < kNumCounters; ++c) {
+    const auto counter = static_cast<Counter>(c);
+    if (!CounterDeterministic(counter) && key == CounterName(counter)) {
+      return true;
+    }
   }
-  JsonObject top;
-  top.SetRaw("selfprof_report", body.Render());
-  return top.Render();
+  return false;
+}
+
+void RenderProjection(const JsonValue& value, std::string* out) {
+  if (value.is_object()) {
+    out->push_back('{');
+    bool first = true;
+    for (const auto& [key, field] : value.fields()) {
+      if (WallDependentKey(key)) {
+        continue;
+      }
+      if (!first) {
+        out->push_back(',');
+      }
+      first = false;
+      *out += Json::Str(key);
+      out->push_back(':');
+      RenderProjection(field, out);
+    }
+    out->push_back('}');
+  } else if (value.is_array()) {
+    out->push_back('[');
+    for (std::size_t i = 0; i < value.items().size(); ++i) {
+      if (i != 0) {
+        out->push_back(',');
+      }
+      RenderProjection(value.items()[i], out);
+    }
+    out->push_back(']');
+  } else if (value.is_string()) {
+    *out += Json::Str(value.AsString());
+  } else if (value.is_number()) {
+    // Surviving numbers are integral counts: no decimal point, so the
+    // output is byte-stable.
+    const double number = value.AsNumber();
+    char buffer[32];
+    if (number == std::floor(number) && std::fabs(number) < 9.0e15) {
+      std::snprintf(buffer, sizeof(buffer), "%lld",
+                    static_cast<long long>(number));
+    } else {
+      std::snprintf(buffer, sizeof(buffer), "%.12g", number);
+    }
+    *out += buffer;
+  } else if (value.is_bool()) {
+    *out += Json::Bool(value.AsBool());
+  } else {
+    *out += "null";
+  }
 }
 
 }  // namespace
 
 std::string ReportJson(const std::string& label,
                        const std::vector<LaneView>& lanes) {
-  return BuildReport(label, lanes, /*deterministic=*/false);
+  JsonObject body;
+  body.Set("schema_version", std::int64_t{kSelfprofSchemaVersion})
+      .Set("label", label);
+  JsonArray lane_array;
+  SelfProfiler aggregate;
+  for (const LaneView& view : lanes) {
+    lane_array.AddRaw(LaneJson(view));
+    aggregate.Merge(*view.lane);
+  }
+  body.SetRaw("lanes", lane_array.Render());
+  body.SetRaw("aggregate", LaneJson(LaneView{"aggregate", &aggregate}));
+  body.SetRaw("host", JsonObject()
+                          .Set("rss_kb", CurrentRssKb())
+                          .Set("rss_peak_kb", PeakRssKb())
+                          .Render());
+  JsonObject top;
+  top.SetRaw("selfprof_report", body.Render());
+  return top.Render();
 }
 
-std::string DeterministicReportJson(const std::string& label,
-                                    const std::vector<LaneView>& lanes) {
-  return BuildReport(label, lanes, /*deterministic=*/true);
+std::string DeterministicProjection(const JsonValue& report) {
+  std::string out;
+  RenderProjection(report, &out);
+  return out;
 }
 
 bool WriteReport(const std::string& path, const std::string& json) {

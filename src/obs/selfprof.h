@@ -21,7 +21,7 @@
 //
 // Determinism contract: phase *counts* (and `sampled` counts) are a pure
 // function of the simulated run, so they are byte-identical across
-// DEEPPLAN_JOBS — DeterministicReportJson() renders exactly that surface
+// DEEPPLAN_JOBS — DeterministicProjection() renders exactly that surface
 // (counts + tree shape + deterministic counters, no *_ns fields, no host
 // stats) and tests compare it across jobs 1/2/8. Durations are measured on
 // the real clock and live only under *_ns keys / the "host" block, mirroring
@@ -52,6 +52,9 @@
 #include "src/util/logging.h"
 
 namespace deepplan {
+
+class JsonValue;
+
 namespace selfprof {
 
 // Phase identity doubles as the child slot index inside a tree node, so the
@@ -330,11 +333,12 @@ inline constexpr int kSelfprofSchemaVersion = 1;
 std::string ReportJson(const std::string& label,
                        const std::vector<LaneView>& lanes);
 
-// The byte-deterministic projection of the same report: tree shape + counts
-// + deterministic counters only (no *_ns, no host block, no wall-dependent
-// counters). Identical across DEEPPLAN_JOBS for the same run.
-std::string DeterministicReportJson(const std::string& label,
-                                    const std::vector<LaneView>& lanes);
+// The byte-deterministic projection of a parsed report (ReportJson output or
+// a report file): the document re-rendered without *_ns fields, the host
+// block and wall-dependent counters, leaving tree shape, counts and
+// deterministic counters. Identical across DEEPPLAN_JOBS for the same run,
+// and itself a report trace_lint --selfprof accepts.
+std::string DeterministicProjection(const JsonValue& report);
 
 // Writes `json` (plus trailing newline) to `path`; false on I/O failure.
 bool WriteReport(const std::string& path, const std::string& json);

@@ -10,6 +10,15 @@
 
 namespace deepplan {
 
+namespace {
+
+// Fixed cost of unloading one evicted instance (stream teardown + free).
+constexpr Nanos kEvictionCost = Micros(200);
+// Seed of the noisy profiling run behind each registered model's plan.
+constexpr std::uint64_t kProfilerSeed = 42;
+
+}  // namespace
+
 struct Server::ModelEntry {
   Model model;
   ModelProfile profile;
@@ -125,7 +134,7 @@ int Server::RegisterModelType(Model model, Strategy strategy_override) {
   entry.strategy = strategy_override;
   ProfilerOptions popts;
   popts.batch = s.options.batch;
-  popts.seed = s.options.profiler_seed;
+  popts.seed = kProfilerSeed;
   Profiler profiler(&s.perf, popts);
   entry.profile = profiler.Profile(model);
   PipelineOptions pipeline;
@@ -284,7 +293,7 @@ void Server::Impl::Dispatch(GpuId gpu) {
     registry->AddCounter("server.cold_starts");
     registry->AddCounter("server.evictions", flight.num_evicted);
   }
-  flight.evict_delay = options.eviction_cost * static_cast<Nanos>(evicted.size());
+  flight.evict_delay = kEvictionCost * static_cast<Nanos>(evicted.size());
   if (causal != nullptr && req.causal >= 0) {
     causal->MarkCold(req.causal);
     flight.causal_root = causal->arrival_node(req.causal);
@@ -339,8 +348,7 @@ void Server::Warmup() {
 void Server::WarmupInstances(const std::vector<int>& instances) {
   DP_SELFPROF_SCOPE(kWarmup);
   Impl& s = *impl_;
-  if (s.warmed_up || !s.options.warmup) {
-    s.warmed_up = true;
+  if (s.warmed_up) {
     return;
   }
   s.warmed_up = true;

@@ -35,13 +35,8 @@ struct ServerOptions {
   // V100 reproduces the paper's instance capacities (100 PipeSwitch / 124
   // DeepPlan BERT-Base instances on 4 GPUs, Figure 13).
   std::int64_t usable_bytes_per_gpu = 10'950'000'000;
-  // Fixed cost of unloading one evicted instance (stream teardown + free).
-  Nanos eviction_cost = Micros(200);
   // Victim selection when GPU memory runs out (LRU in the paper).
   EvictionPolicy eviction_policy = EvictionPolicy::kLru;
-  // Pre-provision instances round-robin until GPUs are full before replay.
-  bool warmup = true;
-  std::uint64_t profiler_seed = 42;
 };
 
 class Server {

@@ -1,11 +1,44 @@
 #include "src/util/flags.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "src/util/logging.h"
 
 namespace deepplan {
+
+namespace {
+
+// strtoll/strtod skip leading space and stop at the first character they
+// cannot use: a whole value is non-empty, starts with no space and leaves
+// nothing behind.
+bool Whole(const std::string& text, const char* end) {
+  return !text.empty() &&
+         std::isspace(static_cast<unsigned char>(text[0])) == 0 &&
+         *end == '\0';
+}
+
+bool IsInt(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  std::strtoll(text.c_str(), &end, 10);
+  return Whole(text, end) && errno != ERANGE;
+}
+
+}  // namespace
+
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (!Whole(text, end) || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 Flags& Flags::DefineInt(const std::string& name, std::int64_t default_value,
                         const std::string& help) {
@@ -61,6 +94,30 @@ bool Flags::Parse(int argc, char** argv) {
       }
     } else {
       it->second.value = arg.substr(eq + 1);
+    }
+    const std::string& value = it->second.value;
+    double number = 0.0;
+    const char* expected = nullptr;  // set when the value does not parse
+    switch (it->second.kind) {
+      case Kind::kInt:
+        expected = IsInt(value) ? nullptr : "an integer";
+        break;
+      case Kind::kDouble:
+        expected = ParseDouble(value, &number) ? nullptr : "a finite number";
+        break;
+      case Kind::kBool:
+        expected = value == "true" || value == "false" || value == "1" ||
+                           value == "0"
+                       ? nullptr
+                       : "true, false, 1 or 0";
+        break;
+      case Kind::kString:
+        break;
+    }
+    if (expected != nullptr) {
+      std::fprintf(stderr, "bad value for --%s: \"%s\" (expected %s)\n",
+                   name.c_str(), value.c_str(), expected);
+      return false;
     }
   }
   return true;

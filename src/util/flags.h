@@ -1,5 +1,6 @@
 // Tiny --key=value command-line parser for examples and benches. Unknown flags
-// are errors so typos fail loudly.
+// and values that do not parse whole as the flag's type are errors so typos
+// fail loudly.
 #ifndef SRC_UTIL_FLAGS_H_
 #define SRC_UTIL_FLAGS_H_
 
@@ -10,9 +11,15 @@
 
 namespace deepplan {
 
+// Parses all of `text` as one finite number (no trailing characters, no
+// inf/nan); false otherwise. Shared by Flags and the tools' own parsers.
+bool ParseDouble(const std::string& text, double* out);
+
 class Flags {
  public:
-  // Parses argv; on --help or error, prints usage and returns false.
+  // Parses argv; on --help or error, prints usage (or names the bad flag and
+  // value) and returns false. Int flags take a whole integer, double flags a
+  // finite number, bool flags true, false, 1 or 0.
   bool Parse(int argc, char** argv);
 
   // Registration (call before Parse). Returns *this for chaining.

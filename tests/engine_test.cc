@@ -59,16 +59,6 @@ TEST_F(EngineTest, WarmWithDhaPlanIsSlowerThanAllInMemory) {
             engine_.WarmDuration(model, all_load, 1));
 }
 
-TEST_F(EngineTest, RunWarmCompletesAfterWarmDuration) {
-  const Model model = ModelZoo::ResNet50();
-  const ExecutionPlan plan(model.name(), model.num_layers());
-  InferenceResult result;
-  engine_.RunWarm(model, plan, 1, [&](const InferenceResult& r) { result = r; });
-  sim_.Run();
-  EXPECT_EQ(result.latency, engine_.WarmDuration(model, plan, 1));
-  EXPECT_FALSE(result.cold);
-}
-
 TEST_F(EngineTest, BaselineColdIsLoadPlusExec) {
   const Model model = ModelZoo::BertBase();
   const ExecutionPlan plan(model.name(), model.num_layers());

@@ -173,6 +173,13 @@ TEST(SelfProfTest, CountersAttributeToInstalledLaneOnly) {
 
 // ------------------------------------------------------------------ report
 
+// The deterministic projection of a rendered report.
+std::string Projection(const std::string& report_json) {
+  const JsonParseResult parsed = ParseJson(report_json);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  return selfprof::DeterministicProjection(parsed.value);
+}
+
 // A small two-lane report exercising nesting, sampling, and counters.
 std::string TwoLaneReport(SelfProfiler* a, SelfProfiler* b,
                           bool deterministic = false) {
@@ -190,8 +197,8 @@ std::string TwoLaneReport(SelfProfiler* a, SelfProfiler* b,
     DP_SELFPROF_SCOPE(kWorkloadGen);
   }
   const std::vector<LaneView> lanes = {{"a", a}, {"b", b}};
-  return deterministic ? selfprof::DeterministicReportJson("test", lanes)
-                       : selfprof::ReportJson("test", lanes);
+  const std::string json = selfprof::ReportJson("test", lanes);
+  return deterministic ? Projection(json) : json;
 }
 
 TEST(SelfProfReportTest, ReportPassesLintAndCarriesBothSurfaces) {
@@ -368,7 +375,7 @@ TEST(SelfProfSweepTest, DeterministicReportIdenticalAcrossJobs) {
       lanes.push_back(
           {std::to_string(r.requests) + " requests", &r.selfprof});
     }
-    return selfprof::DeterministicReportJson("sweep", lanes);
+    return Projection(selfprof::ReportJson("sweep", lanes));
   };
   const std::string jobs1 = run(1);
   const std::string jobs2 = run(2);

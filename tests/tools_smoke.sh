@@ -7,19 +7,22 @@
 #   2. profile_report --json reads the journal, and trace_lint --profile
 #      lints the report;
 #   3. whatif_report --json on the journal must equal fig02's own report
-#      byte for byte;
+#      byte for byte, and trace_lint --whatif lints it;
 #   4. journal_convert --to-json exports the journal (and it must parse as
-#      JSON), journal_convert --info and trace_lint --journal validate it;
+#      JSON), and trace_lint --journal validates it;
 #   5. every journal reader handed that JSON export exits non-zero with the
-#      DPJL diagnostic.
+#      DPJL diagnostic;
+#   6. selfprof_report --min_coverage and bench_history --max_slowdown refuse
+#      a value that is not a number with exit 2.
 #
 # usage: tools_smoke.sh <fig02_stall_decomposition> <profile_report>
 #                       <whatif_report> <journal_convert> <trace_lint>
+#                       <selfprof_report> <bench_history>
 set -euo pipefail
 
-if [ "$#" -ne 5 ]; then
+if [ "$#" -ne 7 ]; then
   echo "usage: $0 <fig02> <profile_report> <whatif_report>" \
-    "<journal_convert> <trace_lint>" >&2
+    "<journal_convert> <trace_lint> <selfprof_report> <bench_history>" >&2
   exit 2
 fi
 fig02="$1"
@@ -27,6 +30,8 @@ profile_report="$2"
 whatif_report="$3"
 journal_convert="$4"
 trace_lint="$5"
+selfprof_report="$6"
+bench_history="$7"
 
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -40,11 +45,12 @@ echo "== profile_report --json, trace_lint --profile"
   >"$dir/profile.txt"
 "$trace_lint" --profile "$dir/profile.json"
 
-echo "== whatif_report --json matches fig02 --whatif_out"
+echo "== whatif_report --json matches fig02 --whatif_out, trace_lint --whatif"
 "$whatif_report" "$dir/fig02.dpj" --json="$dir/whatif_tool.json" >/dev/null
 cmp "$dir/whatif_bench.json" "$dir/whatif_tool.json"
+"$trace_lint" --whatif "$dir/whatif_bench.json"
 
-echo "== journal_convert --to-json/--info, trace_lint --journal"
+echo "== journal_convert --to-json, trace_lint --journal"
 "$journal_convert" --to-json "$dir/fig02.dpj" "$dir/fig02.json"
 if command -v python3 >/dev/null 2>&1; then
   python3 -c 'import json, sys; json.load(open(sys.argv[1]))["causal_journal"]' \
@@ -52,7 +58,6 @@ if command -v python3 >/dev/null 2>&1; then
 else
   grep -q '^{"causal_journal":' "$dir/fig02.json"
 fi
-"$journal_convert" --info "$dir/fig02.dpj"
 "$trace_lint" --journal "$dir/fig02.dpj"
 
 echo "== JSON input is refused with the DPJL diagnostic"
@@ -70,7 +75,19 @@ expect_refused() {  # expect_refused <command...>
 expect_refused "$profile_report" "$dir/fig02.json"
 expect_refused "$whatif_report" "$dir/fig02.json"
 expect_refused "$journal_convert" --to-json "$dir/fig02.json" "$dir/again.json"
-expect_refused "$journal_convert" --info "$dir/fig02.json"
 expect_refused "$trace_lint" --journal "$dir/fig02.json"
 
-echo "PASS: journal tools read DPJL and refuse JSON"
+echo "== malformed gate values exit 2"
+expect_exit_2() {  # expect_exit_2 <command...>
+  local status=0
+  "$@" >"$dir/bad_value.txt" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: '$*' exited $status, expected 2:" >&2
+    sed 's/^/  | /' "$dir/bad_value.txt" >&2
+    exit 1
+  fi
+}
+expect_exit_2 "$selfprof_report" --min_coverage=abc "$dir/whatif_bench.json"
+expect_exit_2 "$bench_history" --max_slowdown=abc "$dir"
+
+echo "PASS: journal tools read DPJL and refuse JSON; gate values are checked"

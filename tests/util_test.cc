@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/util/chrome_trace.h"
@@ -261,6 +262,41 @@ TEST(FlagsTest, UnknownFlagFails) {
   flags.DefineInt("n", 5, "count");
   const char* argv[] = {"prog", "--bogus=1"};
   EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
+}
+
+// Parses one `--<name>=<value>` argument against a fresh set of typed flags.
+bool ParseOne(const std::string& arg) {
+  Flags flags;
+  flags.DefineInt("n", 5, "count").DefineDouble("rate", 1.5, "rate");
+  flags.DefineBool("fast", false, "fast");
+  const char* argv[] = {"prog", arg.c_str()};
+  return flags.Parse(2, const_cast<char**>(argv));
+}
+
+TEST(FlagsTest, IntFlagRejectsAnythingButAWholeInteger) {
+  EXPECT_TRUE(ParseOne("--n=-12"));
+  for (const char* arg : {"--n=abc", "--n=2x", "--n=", "--n=1.5", "--n= 3",
+                          "--n=99999999999999999999"}) {
+    EXPECT_FALSE(ParseOne(arg)) << arg;
+  }
+}
+
+TEST(FlagsTest, DoubleFlagRejectsAnythingButAWholeFiniteNumber) {
+  EXPECT_TRUE(ParseOne("--rate=2.5e-3"));
+  for (const char* arg : {"--rate=abc", "--rate=0.5x", "--rate=", "--rate=inf",
+                          "--rate=nan", "--rate=1e999"}) {
+    EXPECT_FALSE(ParseOne(arg)) << arg;
+  }
+}
+
+TEST(FlagsTest, BoolFlagRejectsAnythingButTrueFalseOneZero) {
+  for (const char* arg : {"--fast=true", "--fast=false", "--fast=1",
+                          "--fast=0"}) {
+    EXPECT_TRUE(ParseOne(arg)) << arg;
+  }
+  for (const char* arg : {"--fast=yes", "--fast=", "--fast=TRUE", "--fast=2"}) {
+    EXPECT_FALSE(ParseOne(arg)) << arg;
+  }
 }
 
 TEST(FlagsTest, PositionalArgumentsCollected) {

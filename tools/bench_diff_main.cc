@@ -5,13 +5,13 @@
 //
 //   bench_diff [--tol=0.1] bench/golden/BENCH_fig15.json results/BENCH_fig15.json
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/check/bench_diff.h"
+#include "src/util/flags.h"
 
 namespace {
 
@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--tol=", 0) == 0) {
-      char* end = nullptr;
-      options.rel_tol = std::strtod(arg.c_str() + 6, &end);
-      if (end == nullptr || *end != '\0' || options.rel_tol < 0.0) {
+      if (!deepplan::ParseDouble(arg.substr(6), &options.rel_tol) ||
+          options.rel_tol < 0.0) {
         std::fprintf(stderr, "bad --tol value: %s\n", arg.c_str());
         return 2;
       }

@@ -15,11 +15,11 @@
 //                    the ratios without failing.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/check/bench_history.h"
+#include "src/util/flags.h"
 
 int main(int argc, char** argv) {
   using deepplan::check::BenchComparison;
@@ -30,7 +30,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--max_slowdown=", 0) == 0) {
-      max_slowdown = std::strtod(arg.c_str() + 15, nullptr);
+      if (!deepplan::ParseDouble(arg.substr(15), &max_slowdown)) {
+        std::fprintf(stderr, "bad --max_slowdown value: %s\n", arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--candidate=", 0) == 0) {
       candidate_dirs.push_back(arg.substr(12));
     } else if (arg.rfind("--", 0) == 0) {

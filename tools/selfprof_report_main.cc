@@ -13,22 +13,22 @@
 //                    estimated time must cover at least fraction F of the
 //                    root's measured wall-clock; exit 1 below (CI uses 0.9 —
 //                    "where does the wall-clock go" must stay answerable).
-// --deterministic    re-render the report's deterministic projection (drop
-//                    *_ns fields, the host block, and wall-dependent
-//                    counters) to stdout; running it on reports from
-//                    different DEEPPLAN_JOBS values must produce
+// --deterministic    print the report's deterministic projection
+//                    (selfprof::DeterministicProjection: no *_ns fields,
+//                    host block or wall-dependent counters); running it on
+//                    reports from different DEEPPLAN_JOBS values must produce
 //                    byte-identical output (cmp-able determinism legs).
 // --diff A B         per-phase-path count and estimated-time deltas between
 //                    two reports' aggregate lanes (bench trajectory triage).
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/obs/selfprof.h"
+#include "src/util/flags.h"
 #include "src/util/json_parse.h"
 
 namespace {
@@ -155,58 +155,6 @@ double AggregateCoverage(const JsonValue& report) {
   return ChildrenEstimatedNs(*tree) / root_ns;
 }
 
-// --- deterministic projection ------------------------------------------------
-
-// Re-renders `value` with duration fields ("*_ns"), the report's "host"
-// block, and wall-dependent counters ("heartbeats") removed. Numbers in the
-// surviving fields are integral counts, rendered without a decimal point so
-// output is byte-stable.
-void RenderDeterministic(const JsonValue& value, std::string* out) {
-  if (value.is_object()) {
-    out->push_back('{');
-    bool first = true;
-    for (const auto& [key, field] : value.fields()) {
-      const bool ns_key =
-          key.size() > 3 && key.compare(key.size() - 3, 3, "_ns") == 0;
-      if (ns_key || key == "host" || key == "heartbeats") {
-        continue;
-      }
-      if (!first) out->push_back(',');
-      first = false;
-      out->push_back('"');
-      out->append(key);
-      out->append("\":");
-      RenderDeterministic(field, out);
-    }
-    out->push_back('}');
-  } else if (value.is_array()) {
-    out->push_back('[');
-    bool first = true;
-    for (const JsonValue& item : value.items()) {
-      if (!first) out->push_back(',');
-      first = false;
-      RenderDeterministic(item, out);
-    }
-    out->push_back(']');
-  } else if (value.is_string()) {
-    out->push_back('"');
-    out->append(value.AsString());  // report strings carry no escapes
-    out->push_back('"');
-  } else if (value.is_number()) {
-    char buffer[32];
-    const double number = value.AsNumber();
-    if (number == std::floor(number) && std::fabs(number) < 9.0e15) {
-      std::snprintf(buffer, sizeof(buffer), "%lld",
-                    static_cast<long long>(number));
-    } else {
-      std::snprintf(buffer, sizeof(buffer), "%.12g", number);
-    }
-    out->append(buffer);
-  } else {
-    out->append("null");
-  }
-}
-
 // --- diff --------------------------------------------------------------------
 
 struct PhaseStat {
@@ -300,7 +248,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--diff") {
       diff = true;
     } else if (arg.rfind("--min_coverage=", 0) == 0) {
-      min_coverage = std::strtod(arg.c_str() + 15, nullptr);
+      if (!deepplan::ParseDouble(arg.substr(15), &min_coverage)) {
+        std::fprintf(stderr, "bad --min_coverage value: %s\n", arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -330,9 +281,7 @@ int main(int argc, char** argv) {
   }
 
   if (deterministic) {
-    std::string out;
-    RenderDeterministic(*doc.Find("selfprof_report"), &out);
-    std::printf("{\"selfprof_report\":%s}\n", out.c_str());
+    std::printf("%s\n", deepplan::selfprof::DeterministicProjection(doc).c_str());
     return 0;
   }
 

@@ -1,44 +1,103 @@
-// trace_lint: re-validates exported JSON artifacts so CI can lint any
-// captured file. Default mode checks Chrome/Perfetto traces (structure,
-// sorted timestamps, pid/tid metadata, slice nesting, async balance,
-// cumulative-counter monotonicity); --profile switches to the
-// {"profile_report":...} schema check (attribution sums, utilization
-// bounds); --whatif switches to the {"whatif_report":...} schema check
-// (scales, quantile monotonicity, per-request deltas, baseline self-check);
-// --selfprof switches to the {"selfprof_report":...} schema check (lane
-// uniqueness, phase-tree exclusive/inclusive arithmetic, aggregate equal to
-// the per-lane sums — full reports and deterministic projections both pass);
-// --journal switches to the binary causal-journal check (DPJL header and
-// version, per-chunk CRC32, string-table/process references, dangling-edge
-// and truncation diagnosis). Exit 0 when every file is clean.
+// trace_lint: the one validating command for every artifact this repo
+// writes, so CI can lint any captured file (checks: src/check/trace_lint.h,
+// and LintJournalFile in src/obs/journal_stream.h). The default mode checks
+// Chrome/Perfetto traces (structure, sorted timestamps, pid/tid metadata,
+// slice nesting, async balance, cumulative-counter monotonicity); --profile
+// the {"profile_report":...} schema (attribution sums, utilization bounds);
+// --whatif the {"whatif_report":...} schema (scales, quantile monotonicity,
+// per-request deltas, baseline self-check); --selfprof the
+// {"selfprof_report":...} schema (lane uniqueness, phase-tree
+// exclusive/inclusive arithmetic, aggregate equal to the per-lane sums —
+// full reports and deterministic projections both pass); --journal the
+// binary DPJL causal journal (header and version, per-chunk CRC32,
+// string-table/process references, dangling-edge and truncation diagnosis),
+// printing its totals. Exit 0 when every file is clean.
 //
 //   trace_lint results/trace_fig15.json [more.json ...]
 //   trace_lint --profile results/profile_report.json
 //   trace_lint --whatif results/whatif_report.json
 //   trace_lint --selfprof results/selfprof_scaling.json
-//   trace_lint --journal results/journal_fig15.dpj
+//   trace_lint --journal results/profile_fig15.dpj
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "src/check/trace_lint.h"
 #include "src/obs/journal_stream.h"
 
+namespace {
+
+using deepplan::JournalLintInfo;
+using deepplan::check::TraceLintResult;
+
+struct Mode {
+  const char* flag;  // nullptr for the default mode
+  TraceLintResult (*lint)(const char* path, JournalLintInfo* info);
+  void (*print_ok)(const char* path, const TraceLintResult& result,
+                   const JournalLintInfo& info);
+};
+
+const Mode kModes[] = {
+    {nullptr,
+     [](const char* path, JournalLintInfo*) {
+       return deepplan::check::LintChromeTraceFile(path);
+     },
+     [](const char* path, const TraceLintResult& r, const JournalLintInfo&) {
+       std::printf(
+           "OK %s: %zu events (%zu spans, %zu counters, %zu async) on %zu "
+           "tracks\n",
+           path, r.num_events, r.num_spans, r.num_counters, r.num_asyncs,
+           r.num_tracks);
+     }},
+    {"--profile",
+     [](const char* path, JournalLintInfo*) {
+       return deepplan::check::LintProfileReportFile(path);
+     },
+     [](const char* path, const TraceLintResult&, const JournalLintInfo&) {
+       std::printf("OK %s: profile report schema clean\n", path);
+     }},
+    {"--whatif",
+     [](const char* path, JournalLintInfo*) {
+       return deepplan::check::LintWhatIfReportFile(path);
+     },
+     [](const char* path, const TraceLintResult&, const JournalLintInfo&) {
+       std::printf("OK %s: what-if report schema clean\n", path);
+     }},
+    {"--selfprof",
+     [](const char* path, JournalLintInfo*) {
+       return deepplan::check::LintSelfprofReportFile(path);
+     },
+     [](const char* path, const TraceLintResult& r, const JournalLintInfo&) {
+       std::printf("OK %s: selfprof report schema clean (%zu lanes)\n", path,
+                   r.num_tracks);
+     }},
+    {"--journal",
+     [](const char* path, JournalLintInfo* info) {
+       return deepplan::LintJournalFile(path, info);
+     },
+     [](const char* path, const TraceLintResult&, const JournalLintInfo& info) {
+       std::printf(
+           "OK %s: %llu requests (%llu incomplete), %llu nodes, %llu edges "
+           "in %llu chunks across %llu process(es)\n",
+           path, static_cast<unsigned long long>(info.totals.requests),
+           static_cast<unsigned long long>(info.totals.incomplete_requests),
+           static_cast<unsigned long long>(info.totals.nodes),
+           static_cast<unsigned long long>(info.totals.edges),
+           static_cast<unsigned long long>(info.totals.chunks),
+           static_cast<unsigned long long>(info.processes));
+     }},
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  enum class Mode { kTrace, kProfile, kWhatIf, kSelfprof, kJournal };
-  Mode mode = Mode::kTrace;
+  const Mode* mode = &kModes[0];
   int first_file = 1;
-  if (argc > 1 && std::strcmp(argv[1], "--profile") == 0) {
-    mode = Mode::kProfile;
-    first_file = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "--whatif") == 0) {
-    mode = Mode::kWhatIf;
-    first_file = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "--selfprof") == 0) {
-    mode = Mode::kSelfprof;
-    first_file = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "--journal") == 0) {
-    mode = Mode::kJournal;
-    first_file = 2;
+  for (const Mode& m : kModes) {
+    if (m.flag != nullptr && argc > 1 && std::strcmp(argv[1], m.flag) == 0) {
+      mode = &m;
+      first_file = 2;
+    }
   }
   if (first_file >= argc) {
     std::fprintf(stderr,
@@ -49,37 +108,10 @@ int main(int argc, char** argv) {
   }
   int failures = 0;
   for (int i = first_file; i < argc; ++i) {
-    deepplan::JournalLintInfo info;
-    const deepplan::check::TraceLintResult result =
-        mode == Mode::kProfile ? deepplan::check::LintProfileReportFile(argv[i])
-        : mode == Mode::kWhatIf ? deepplan::check::LintWhatIfReportFile(argv[i])
-        : mode == Mode::kSelfprof
-            ? deepplan::check::LintSelfprofReportFile(argv[i])
-        : mode == Mode::kJournal ? deepplan::LintJournalFile(argv[i], &info)
-                                 : deepplan::check::LintChromeTraceFile(argv[i]);
+    JournalLintInfo info;
+    const TraceLintResult result = mode->lint(argv[i], &info);
     if (result.ok()) {
-      if (mode == Mode::kProfile) {
-        std::printf("OK %s: profile report schema clean\n", argv[i]);
-      } else if (mode == Mode::kWhatIf) {
-        std::printf("OK %s: what-if report schema clean\n", argv[i]);
-      } else if (mode == Mode::kSelfprof) {
-        std::printf("OK %s: selfprof report schema clean (%zu lanes)\n",
-                    argv[i], result.num_tracks);
-      } else if (mode == Mode::kJournal) {
-        std::printf(
-            "OK %s: %llu requests (%llu incomplete), %llu nodes, %llu edges "
-            "in %llu chunks across %llu process(es)\n",
-            argv[i], static_cast<unsigned long long>(info.totals.requests),
-            static_cast<unsigned long long>(info.totals.incomplete_requests),
-            static_cast<unsigned long long>(info.totals.nodes),
-            static_cast<unsigned long long>(info.totals.edges),
-            static_cast<unsigned long long>(info.totals.chunks),
-            static_cast<unsigned long long>(info.processes));
-      } else {
-        std::printf("OK %s: %zu events (%zu spans, %zu counters, %zu async) on %zu tracks\n",
-                    argv[i], result.num_events, result.num_spans,
-                    result.num_counters, result.num_asyncs, result.num_tracks);
-      }
+      mode->print_ok(argv[i], result, info);
       continue;
     }
     ++failures;
