@@ -67,7 +67,7 @@ struct TransferChain {
   int left = 1000;
   void Next() {
     if (left-- > 0) {
-      fabric->Start(route, 1'000'000, 1000, [this](Nanos) { Next(); });
+      fabric->Start(route, 1'000'000, 1000, MakeTransferDone<&TransferChain::Next>(this));
     }
   }
 };
@@ -95,7 +95,7 @@ void BM_FabricContendedTransfers(benchmark::State& state) {
     const LinkId a = fabric.AddLink("a", 12e9);
     const LinkId b = fabric.AddLink("b", 12e9);
     for (int i = 0; i < transfers; ++i) {
-      fabric.Start({uplink, i % 2 == 0 ? a : b}, 1'000'000, 0, nullptr);
+      fabric.Start({uplink, i % 2 == 0 ? a : b}, 1'000'000, 0);
     }
     sim.Run();
   }

@@ -43,7 +43,7 @@ void Fabric::set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
 }
 
 TransferId Fabric::Start(LinkPath path, std::int64_t bytes, Nanos latency,
-                         std::function<void(Nanos elapsed)> done) {
+                         TransferDone done) {
   DP_CHECK(bytes >= 0);
   for (LinkId l : path) {
     DP_CHECK(l >= 0 && l < num_links());
@@ -61,7 +61,7 @@ TransferId Fabric::Start(LinkPath path, std::int64_t bytes, Nanos latency,
                        static_cast<double>(cumulative_bytes_));
   }
   if (bytes == 0 || path.empty()) {
-    ScheduleTail(latency, sim_->now(), std::move(done));
+    ScheduleTail(latency, sim_->now(), done);
     return id;
   }
   Transfer t;
@@ -72,7 +72,7 @@ TransferId Fabric::Start(LinkPath path, std::int64_t bytes, Nanos latency,
   t.last_update = sim_->now();
   t.started = sim_->now();
   t.latency = latency;
-  t.done = std::move(done);
+  t.done = done;
   active_.push_back(std::move(t));
   start_seeds_.assign(1, active_.size() - 1);
   Reallocate(start_seeds_, /*seeds_closed=*/false);
@@ -350,14 +350,14 @@ void Fabric::Complete(std::size_t index) {
     ScheduleCompletions();
   }
   EmitLinkCounters();
-  ScheduleTail(t.latency, t.started, std::move(t.done));
+  ScheduleTail(t.latency, t.started, t.done);
 }
 
-void Fabric::ScheduleTail(Nanos latency, Nanos started, std::function<void(Nanos)> done) {
+void Fabric::ScheduleTail(Nanos latency, Nanos started, TransferDone done) {
   const SlotPool<Tail>::Handle h = tails_.Alloc();
   Tail& tail = tails_.Get(h);
   tail.started = started;
-  tail.done = std::move(done);
+  tail.done = done;
   sim_->ScheduleAfter(latency, MakeAction<&Fabric::OnTail>(this, h.Pack()));
 }
 
@@ -365,11 +365,10 @@ void Fabric::OnTail(std::uint64_t handle) {
   const SlotPool<Tail>::Handle h = SlotPool<Tail>::Handle::Unpack(handle);
   Tail& tail = tails_.Get(h);
   const Nanos started = tail.started;
-  // Moved out first: `done` may start transfers whose tails recycle this slot.
-  const std::function<void(Nanos)> done = std::move(tail.done);
-  tail.done = nullptr;
+  // Copied out first: `done` may start transfers whose tails recycle this slot.
+  const TransferDone done = tail.done;
   tails_.Free(h);
-  if (done) {
+  if (done.fn != nullptr) {
     done(sim_->now() - started);
   }
 }

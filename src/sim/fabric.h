@@ -9,9 +9,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <initializer_list>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics_registry.h"
@@ -62,6 +65,62 @@ class LinkPath {
   std::uint32_t size_ = 0;
 };
 
+// What a finished transfer calls: fn(ctx, arg, elapsed), with the
+// transfer's elapsed time. Trivially copyable like EventQueue::Action, so a
+// transfer and its latency tail carry it by value and never allocate. A
+// default-constructed callback does nothing.
+struct TransferDone {
+  void (*fn)(void* ctx, std::uint64_t arg, Nanos elapsed) = nullptr;
+  void* ctx = nullptr;
+  std::uint64_t arg = 0;
+
+  void operator()(Nanos elapsed) const { fn(ctx, arg, elapsed); }
+
+  // Packs a trivially-copyable callable of up to 16 bytes (a lambda
+  // capturing a pointer or two) into ctx/arg; larger state goes behind one
+  // captured pointer.
+  template <typename F>
+  static TransferDone Pack(F fn);
+};
+
+static_assert(std::is_trivially_copyable_v<TransferDone>);
+
+// A TransferDone that calls obj->Method(arg, elapsed), obj->Method(elapsed)
+// or obj->Method(), whichever the method takes.
+template <auto Method, typename T>
+TransferDone MakeTransferDone(T* obj, std::uint64_t arg = 0) {
+  return {[](void* ctx, std::uint64_t a, Nanos elapsed) {
+            T* self = static_cast<T*>(ctx);
+            if constexpr (std::is_invocable_v<decltype(Method), T*, std::uint64_t, Nanos>) {
+              (self->*Method)(a, elapsed);
+            } else if constexpr (std::is_invocable_v<decltype(Method), T*, Nanos>) {
+              (self->*Method)(elapsed);
+            } else {
+              (self->*Method)();
+            }
+          },
+          obj, arg};
+}
+
+template <typename F>
+TransferDone TransferDone::Pack(F fn) {
+  static_assert(std::is_invocable_v<F&, Nanos>, "a transfer callback takes the elapsed time");
+  static_assert(std::is_trivially_copyable_v<F> && sizeof(F) <= 16 && alignof(F) <= 8,
+                "a transfer callback packs into 16 trivially-copyable bytes");
+  alignas(8) unsigned char bytes[16] = {};
+  ::new (bytes) F(std::move(fn));
+  TransferDone done;
+  done.fn = [](void* ctx, std::uint64_t arg, Nanos elapsed) {
+    alignas(8) unsigned char packed[16];
+    std::memcpy(packed, &ctx, 8);
+    std::memcpy(packed + 8, &arg, 8);
+    (*std::launder(reinterpret_cast<F*>(packed)))(elapsed);
+  };
+  std::memcpy(&done.ctx, bytes, 8);
+  std::memcpy(&done.arg, bytes + 8, 8);
+  return done;
+}
+
 class Fabric {
  public:
   explicit Fabric(Simulator* sim);
@@ -77,8 +136,13 @@ class Fabric {
   // the last byte drains (DMA setup + completion signalling). `done` fires at
   // completion with the transfer's elapsed time. Zero-byte transfers complete
   // after just the latency. Returns an id (informational).
-  TransferId Start(LinkPath path, std::int64_t bytes, Nanos latency,
-                   std::function<void(Nanos elapsed)> done);
+  TransferId Start(LinkPath path, std::int64_t bytes, Nanos latency, TransferDone done = {});
+  // The same for a small callable (TransferDone::Pack).
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, TransferDone>)
+  TransferId Start(LinkPath path, std::int64_t bytes, Nanos latency, F&& done) {
+    return Start(path, bytes, latency, TransferDone::Pack(std::forward<F>(done)));
+  }
 
   // Number of in-flight transfers (draining bytes; excludes latency tails).
   int active_transfers() const { return static_cast<int>(active_.size()); }
@@ -122,7 +186,7 @@ class Fabric {
     Nanos last_update = 0;   // sim time when remaining_bytes was settled
     Nanos started = 0;
     Nanos latency = 0;
-    std::function<void(Nanos)> done;
+    TransferDone done;
     EventQueue::EventId completion_event = 0;
     bool has_completion_event = false;
   };
@@ -155,7 +219,7 @@ class Fabric {
   void OnDrained(std::uint64_t id);
   void Complete(std::size_t index);
   // Schedules `done(elapsed since started)` after `latency`.
-  void ScheduleTail(Nanos latency, Nanos started, std::function<void(Nanos)> done);
+  void ScheduleTail(Nanos latency, Nanos started, TransferDone done);
   // Latency-tail event (an Action arg: the tails_ handle).
   void OnTail(std::uint64_t handle);
   void EmitLinkCounters();
@@ -166,7 +230,7 @@ class Fabric {
   // Transfers in their latency tail: drained, `done` not yet called.
   struct Tail {
     Nanos started = 0;
-    std::function<void(Nanos)> done;
+    TransferDone done;
   };
   SlotPool<Tail> tails_;
   TransferId next_id_ = 1;

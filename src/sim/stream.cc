@@ -107,7 +107,7 @@ void Stream::Pump() {
         sim_->ScheduleAfter(op.duration, MakeAction<&Stream::Finish>(this));
         break;
       case OpKind::kTransfer:
-        op.fabric->Start(op.path, op.bytes, op.duration, [this](Nanos) { Finish(); });
+        op.fabric->Start(op.path, op.bytes, op.duration, MakeTransferDone<&Stream::Finish>(this));
         break;
       case OpKind::kWait:
         if (op.event->fired()) {

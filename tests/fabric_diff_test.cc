@@ -94,16 +94,23 @@ FabricLog Replay(const FabricWorkload& w, bool full_resolve) {
     fabric.AddLink("link" + std::to_string(l), w.capacities[l]);
   }
   FabricLog log;
+  // A completion callback packs into 16 bytes: the transfer index plus one
+  // pointer to everything it records.
+  struct Recorder {
+    Simulator* sim;
+    Fabric* fabric;
+    FabricLog* log;
+  } recorder{&sim, &fabric, &log};
   for (std::size_t t = 0; t < w.transfers.size(); ++t) {
     const TransferSpec& spec = w.transfers[t];
-    sim.ScheduleAt(spec.start, [&fabric, &sim, &log, &spec, t] {
+    sim.ScheduleAt(spec.start, [&fabric, &recorder, &spec, t] {
       fabric.Start(spec.path, spec.bytes, spec.latency,
-                   [&fabric, &sim, &log, t](Nanos elapsed) {
-                     log.completed.push_back(t);
-                     log.finish_times.push_back(sim.now());
-                     log.elapsed.push_back(elapsed);
-                     for (LinkId l = 0; l < fabric.num_links(); ++l) {
-                       log.allocations.push_back(fabric.AllocatedOn(l));
+                   [r = &recorder, t](Nanos elapsed) {
+                     r->log->completed.push_back(t);
+                     r->log->finish_times.push_back(r->sim->now());
+                     r->log->elapsed.push_back(elapsed);
+                     for (LinkId l = 0; l < r->fabric->num_links(); ++l) {
+                       r->log->allocations.push_back(r->fabric->AllocatedOn(l));
                      }
                    });
     });
