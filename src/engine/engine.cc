@@ -56,11 +56,10 @@ LinkId ServerFabric::pcie_link(GpuId gpu) const {
 // Every route the fabric can carry fits a journal node, and back.
 static_assert(LinkPath::kMax == kCpMaxHops);
 
-std::vector<CpHop> ServerFabric::CausalHops(const LinkPath& path) const {
-  std::vector<CpHop> hops;
-  hops.reserve(path.size());
+CpRoute ServerFabric::CausalHops(const LinkPath& path) const {
+  CpRoute hops;
   for (const LinkId l : path) {
-    hops.push_back(CpHop{fabric_.link_name(l), fabric_.link_capacity(l)});
+    hops.push_back(CpNamedHop{fabric_.link_name(l), fabric_.link_capacity(l)});
   }
   return hops;
 }

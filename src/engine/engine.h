@@ -51,8 +51,9 @@ class ServerFabric {
   LinkId pcie_link(GpuId gpu) const;
 
   // The route as causal-journal hops (link name + capacity), the per-link
-  // overlap export the what-if replay engine rebuilds its fabric from.
-  std::vector<CpHop> CausalHops(const LinkPath& path) const;
+  // overlap export the what-if replay engine rebuilds its fabric from. The
+  // names view this fabric's links.
+  CpRoute CausalHops(const LinkPath& path) const;
 
  private:
   Simulator* sim_;

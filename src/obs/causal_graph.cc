@@ -9,6 +9,19 @@
 
 namespace deepplan {
 
+CpStrings::CpStrings() { Intern(""); }
+
+CpStrId CpStrings::Intern(std::string_view s) {
+  const auto it = ids_.find(s);
+  if (it != ids_.end()) {
+    return it->second;
+  }
+  const auto id = static_cast<CpStrId>(strings_.size());
+  strings_.emplace_back(s);
+  ids_.emplace(strings_.back(), id);
+  return id;
+}
+
 const char* CpKindName(CpKind kind) {
   switch (kind) {
     case CpKind::kArrival:
@@ -62,12 +75,12 @@ CpNode* CausalGraph::LiveNode(CpNodeId node) {
 }
 
 void CausalGraph::RetireLive(std::map<int, CpRequestRecord>::iterator it) {
-  CpRequestRecord record = std::move(it->second);
+  const CpRequestRecord record = std::move(it->second);
   for (const CpNode& node : record.nodes) {
     stream_->live_node_owner.erase(node.id);
   }
   stream_->live.erase(it);
-  stream_->sink->OnRequestRetired(std::move(record));
+  stream_->sink->OnRequestRetired(record, strings_);
 }
 
 void CausalGraph::FlushOpenRequests() {
@@ -106,41 +119,41 @@ int CausalGraph::BeginRequest(int process, int instance, Nanos arrival) {
   return req.id;
 }
 
-CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string label,
-                              std::string resource, Nanos start, Nanos end,
+CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string_view label,
+                              std::string_view resource, Nanos start, Nanos end,
                               std::int64_t bytes, Nanos solo) {
   if (!enabled_ || request < 0) {
     return -1;
   }
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
-    return AddNodeLocked(request, kind, std::move(label), std::move(resource),
-                         start, end, bytes, solo);
+    return AddNodeLocked(request, kind, label, resource, start, end, bytes,
+                         solo);
   }
   CpNode node;
   node.request = request;
   node.kind = kind;
-  node.label = std::move(label);
-  node.resource = std::move(resource);
+  node.label = strings_.Intern(label);
+  node.resource = strings_.Intern(resource);
   node.start = start;
   node.end = end;
   node.bytes = bytes;
   node.solo = solo;
   DP_CHECK(request < static_cast<int>(requests_.size()));
   node.id = static_cast<CpNodeId>(nodes_.size());
-  nodes_.push_back(std::move(node));
-  return nodes_.back().id;
+  nodes_.push_back(node);
+  return node.id;
 }
 
 CpNodeId CausalGraph::AddNodeLocked(int request, CpKind kind,
-                                    std::string label, std::string resource,
-                                    Nanos start, Nanos end, std::int64_t bytes,
-                                    Nanos solo) {
+                                    std::string_view label,
+                                    std::string_view resource, Nanos start,
+                                    Nanos end, std::int64_t bytes, Nanos solo) {
   CpNode node;
   node.request = request;
   node.kind = kind;
-  node.label = std::move(label);
-  node.resource = std::move(resource);
+  node.label = strings_.Intern(label);
+  node.resource = strings_.Intern(resource);
   node.start = start;
   node.end = end;
   node.bytes = bytes;
@@ -149,21 +162,29 @@ CpNodeId CausalGraph::AddNodeLocked(int request, CpKind kind,
   DP_CHECK(it != stream_->live.end());
   node.id = static_cast<CpNodeId>(stream_->next_node++);
   stream_->live_node_owner.emplace(node.id, request);
-  it->second.nodes.push_back(std::move(node));
-  return it->second.nodes.back().id;
+  it->second.nodes.push_back(node);
+  return node.id;
 }
 
-void CausalGraph::SetNodePath(CpNodeId node, std::vector<CpHop> path) {
+CpPath CausalGraph::InternPath(const CpRoute& route) {
+  CpPath path;
+  for (const CpNamedHop& hop : route) {
+    path.push_back(CpHop{strings_.Intern(hop.link), hop.capacity});
+  }
+  return path;
+}
+
+void CausalGraph::SetNodePath(CpNodeId node, const CpRoute& route) {
   if (!enabled_ || node < 0) {
     return;
   }
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
-    LiveNode(node)->path = std::move(path);
+    LiveNode(node)->path = InternPath(route);
     return;
   }
   DP_CHECK(node < static_cast<CpNodeId>(nodes_.size()));
-  nodes_[static_cast<std::size_t>(node)].path = std::move(path);
+  nodes_[static_cast<std::size_t>(node)].path = InternPath(route);
 }
 
 void CausalGraph::SetNodeDhaPcie(CpNodeId node, Nanos dha_pcie) {
@@ -184,6 +205,8 @@ void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
   if (!enabled_ || from < 0 || to < 0) {
     return;
   }
+  // Edges run forward in append order, so no recorder can close a cycle.
+  DP_CHECK(from < to);
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
     const auto from_owner = stream_->live_node_owner.find(from);
@@ -262,6 +285,10 @@ void CausalGraph::Adopt(CausalGraph&& other) {
   for (std::string& name : other.process_names_) {
     process_names_.push_back(std::move(name));
   }
+  std::vector<CpStrId> remap(other.strings_.size());
+  for (std::size_t i = 0; i < remap.size(); ++i) {
+    remap[i] = strings_.Intern(other.strings_[static_cast<CpStrId>(i)]);
+  }
   for (CpRequest& req : other.requests_) {
     req.id += request_base;
     req.process += process_base;
@@ -271,12 +298,17 @@ void CausalGraph::Adopt(CausalGraph&& other) {
     if (req.terminal_node >= 0) {
       req.terminal_node += node_base;
     }
-    requests_.push_back(std::move(req));
+    requests_.push_back(req);
   }
   for (CpNode& node : other.nodes_) {
     node.id += node_base;
     node.request += request_base;
-    nodes_.push_back(std::move(node));
+    node.label = remap[node.label];
+    node.resource = remap[node.resource];
+    for (CpHop& hop : node.path) {
+      hop.link = remap[hop.link];
+    }
+    nodes_.push_back(node);
   }
   for (const auto& [from, to] : other.edges_) {
     edges_.emplace_back(from + node_base, to + node_base);
@@ -313,8 +345,8 @@ std::string CausalGraph::ToJson() const {
     n.Set("id", node.id)
         .Set("request", node.request)
         .Set("kind", CpKindName(node.kind))
-        .Set("label", node.label)
-        .Set("resource", node.resource)
+        .Set("label", strings_[node.label])
+        .Set("resource", strings_[node.resource])
         .Set("start_ns", static_cast<std::int64_t>(node.start))
         .Set("end_ns", static_cast<std::int64_t>(node.end))
         .Set("bytes", node.bytes)
@@ -325,7 +357,7 @@ std::string CausalGraph::ToJson() const {
       JsonArray hops;
       for (const CpHop& hop : node.path) {
         hops.AddRaw(JsonObject()
-                        .Set("link", hop.link)
+                        .Set("link", strings_[hop.link])
                         .Set("capacity", hop.capacity)
                         .Render());
       }
@@ -351,7 +383,7 @@ std::string CausalGraph::ToJson() const {
 }
 
 bool CausalGraph::Assemble(std::vector<std::string> processes,
-                           std::vector<CpRequest> requests,
+                           CpStrings strings, std::vector<CpRequest> requests,
                            std::vector<CpNode> nodes,
                            std::vector<std::pair<CpNodeId, CpNodeId>> edges,
                            CausalGraph* out, std::string* error) {
@@ -375,6 +407,9 @@ bool CausalGraph::Assemble(std::vector<std::string> processes,
       return false;
     }
   }
+  const auto known_string = [&strings](CpStrId id) {
+    return id < strings.size();
+  };
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const CpNode& n = nodes[i];
     if (n.id != static_cast<CpNodeId>(i)) {
@@ -391,15 +426,33 @@ bool CausalGraph::Assemble(std::vector<std::string> processes,
       *error = "node " + std::to_string(n.id) + " ends before it starts";
       return false;
     }
+    bool strings_known = known_string(n.label) && known_string(n.resource);
+    for (const CpHop& hop : n.path) {
+      strings_known = strings_known && known_string(hop.link);
+    }
+    if (!strings_known) {
+      *error = "node " + std::to_string(n.id) + " references unknown strings";
+      return false;
+    }
   }
   for (const auto& [from, to] : edges) {
     if (from < 0 || from >= num_nodes || to < 0 || to >= num_nodes) {
       *error = "edge references unknown node";
       return false;
     }
+    const int request = nodes[static_cast<std::size_t>(to)].request;
+    if (from >= to || nodes[static_cast<std::size_t>(from)].request != request) {
+      *error = "request " + std::to_string(request) + ": edge (" +
+               std::to_string(from) + " -> " + std::to_string(to) +
+               ") does not run forward within the request; every recorder "
+               "adds an edge into the node it just created, so this one "
+               "could close a cycle";
+      return false;
+    }
   }
   CausalGraph graph(/*enabled=*/true);
   graph.process_names_ = std::move(processes);
+  graph.strings_ = std::move(strings);
   graph.requests_ = std::move(requests);
   graph.nodes_ = std::move(nodes);
   graph.edges_ = std::move(edges);

@@ -39,7 +39,10 @@
 #ifndef SRC_OBS_CAUSAL_GRAPH_H_
 #define SRC_OBS_CAUSAL_GRAPH_H_
 
+#include <array>
 #include <cstdint>
+#include <deque>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,12 +51,39 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/logging.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/time.h"
 
 namespace deepplan {
 
 using CpNodeId = std::int32_t;
+// Index into a string table: the CausalGraph's own (CausalGraph::str) or a
+// decoded journal chunk's (JournalChunk::str in src/obs/journal_stream.h).
+using CpStrId = std::uint32_t;
+
+// Interned strings: each distinct string once, addressed by a dense id in
+// first-intern order. Id 0 is the empty string. Strings never move, so the
+// index's views stay valid as the table grows and when it is moved.
+class CpStrings {
+ public:
+  CpStrings();
+  CpStrings(CpStrings&&) = default;
+  CpStrings& operator=(CpStrings&&) = default;
+  CpStrings(const CpStrings&) = delete;
+  CpStrings& operator=(const CpStrings&) = delete;
+
+  CpStrId Intern(std::string_view s);
+  const std::string& operator[](CpStrId id) const {
+    DP_CHECK(id < strings_.size());
+    return strings_[id];
+  }
+  std::size_t size() const { return strings_.size(); }
+
+ private:
+  std::deque<std::string> strings_;
+  std::unordered_map<std::string_view, CpStrId> ids_;  // views into strings_
+};
 
 enum class CpKind {
   kArrival,  // request root: zero-duration point at arrival time
@@ -66,36 +96,76 @@ enum class CpKind {
 // Canonical lowercase name ("arrival", "evict", "pcie", "nvlink", "exec").
 const char* CpKindName(CpKind kind);
 
-// One fabric link a transfer crossed, with its configured capacity. The
-// what-if replay engine (src/obs/whatif) rebuilds the fabric from these hops,
-// so per-link overlap — and therefore contention — can be re-derived under
-// perturbed link speeds. Hops are identified by name ("uplink/sw0",
-// "pcie/gpu1", "nvlink/0-1"), which needs no remapping under Adopt().
-struct CpHop {
-  std::string link;
-  double capacity = 0.0;  // bytes/second
-
-  bool operator==(const CpHop&) const = default;
-};
-
 // Most hops a transfer node's route can have: the fabric's inline route
 // (LinkPath::kMax in src/sim/fabric.h) holds no more, so the journal readers
 // reject longer paths instead of handing the what-if replay an unroutable
 // node.
 inline constexpr std::size_t kCpMaxHops = 4;
 
+// One fabric link a transfer crossed, with its configured capacity. The
+// what-if replay engine (src/obs/whatif) rebuilds the fabric from these hops,
+// so per-link overlap — and therefore contention — can be re-derived under
+// perturbed link speeds. `link` is the link's name ("uplink/sw0",
+// "pcie/gpu1", "nvlink/0-1") as an id into the owning string table.
+struct CpHop {
+  CpStrId link = 0;
+  double capacity = 0.0;  // bytes/second
+};
+
+// A hop as a recorder hands it over: the link's name as text, which
+// CausalGraph::SetNodePath interns.
+struct CpNamedHop {
+  std::string_view link;
+  double capacity = 0.0;  // bytes/second
+};
+
+// A route of at most kCpMaxHops hops, stored inline so a node owns no heap
+// memory. More than kCpMaxHops hops DP_CHECK-fails.
+template <typename Hop>
+class CpHops {
+ public:
+  CpHops() = default;
+  CpHops(std::initializer_list<Hop> hops) {
+    for (const Hop& hop : hops) {
+      push_back(hop);
+    }
+  }
+
+  void push_back(const Hop& hop) {
+    DP_CHECK(size_ < kCpMaxHops && "a route has at most kCpMaxHops hops");
+    hops_[size_++] = hop;
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Hop& operator[](std::size_t i) const { return hops_[i]; }
+  Hop& operator[](std::size_t i) { return hops_[i]; }
+  const Hop* begin() const { return hops_.data(); }
+  const Hop* end() const { return hops_.data() + size_; }
+  Hop* begin() { return hops_.data(); }
+  Hop* end() { return hops_.data() + size_; }
+
+ private:
+  std::array<Hop, kCpMaxHops> hops_{};
+  std::uint8_t size_ = 0;
+};
+
+using CpPath = CpHops<CpHop>;        // a node's route, link names interned
+using CpRoute = CpHops<CpNamedHop>;  // a route as a recorder names it
+
+// One node of the DAG. `label` and `resource` are ids into the string table
+// of the graph or decoded chunk that owns the node, so a node is plain data.
 struct CpNode {
   CpNodeId id = -1;
   int request = -1;
   CpKind kind = CpKind::kExec;
-  std::string label;     // e.g. "load encoder.3.attn", "exec(DHA) pooler"
-  std::string resource;  // e.g. "pcie/gpu0", "nvlink/1->0", "gpu0"
+  CpStrId label = 0;     // e.g. "load encoder.3.attn", "exec(DHA) pooler"
+  CpStrId resource = 0;  // e.g. "pcie/gpu0", "nvlink/1->0", "gpu0"
   Nanos start = 0;
   Nanos end = 0;
   std::int64_t bytes = 0;  // transfers only
   Nanos solo = -1;         // transfers: contention-free duration; -1 = n/a
   // Transfers: the links crossed, in route order (empty when not recorded).
-  std::vector<CpHop> path;
+  CpPath path;
   // Exec nodes: the slice of the duration spent streaming parameters over
   // PCIe (direct-host-access), which scales inversely with PCIe bandwidth
   // while the rest of the node does not. 0 for non-DHA work.
@@ -126,7 +196,8 @@ struct CpEdgeRec {
 
 // A retired request with everything recorded for it: the self-contained unit
 // the streaming journal writer chunks. Nodes are in id (= append) order and
-// edges in seq order; node and edge ids stay global.
+// edges in seq order; node and edge ids stay global, and the nodes' string
+// ids index the retiring graph's table.
 struct CpRequestRecord {
   CpRequest request;
   std::vector<CpNode> nodes;
@@ -135,11 +206,14 @@ struct CpRequestRecord {
 
 // Receives retired requests from a streaming CausalGraph (and process
 // registrations, which always precede the first request that uses them).
+// `strings` is the graph's string table the record's ids index; it is the
+// same table on every call.
 class CausalSink {
  public:
   virtual ~CausalSink() = default;
   virtual void OnProcess(int id, const std::string& name) = 0;
-  virtual void OnRequestRetired(CpRequestRecord&& record) = 0;
+  virtual void OnRequestRetired(const CpRequestRecord& record,
+                                const CpStrings& strings) = 0;
 };
 
 class CausalGraph {
@@ -157,22 +231,26 @@ class CausalGraph {
   // request id (-1 when disabled).
   int BeginRequest(int process, int instance, Nanos arrival);
 
-  // Records one unit of causally-ordered work. Returns the node id (-1 when
-  // disabled or `request` is -1).
-  CpNodeId AddNode(int request, CpKind kind, std::string label,
-                   std::string resource, Nanos start, Nanos end,
+  // Records one unit of causally-ordered work; the graph interns `label`
+  // and `resource`. Returns the node id (-1 when disabled or `request` is
+  // -1).
+  CpNodeId AddNode(int request, CpKind kind, std::string_view label,
+                   std::string_view resource, Nanos start, Nanos end,
                    std::int64_t bytes = 0, Nanos solo = -1);
 
   // Attaches the fabric route a transfer node crossed (link names +
-  // capacities). No-op when disabled or `node` is -1.
-  void SetNodePath(CpNodeId node, std::vector<CpHop> path);
+  // capacities; the graph interns the names). No-op when disabled or `node`
+  // is -1.
+  void SetNodePath(CpNodeId node, const CpRoute& route);
 
   // Records the PCIe-bandwidth-dependent share of an exec node's duration
   // (direct-host-access parameter streaming). No-op when disabled or -1.
   void SetNodeDhaPcie(CpNodeId node, Nanos dha_pcie);
 
   // Happens-before edge `from` -> `to`. Ignores -1 endpoints so call sites
-  // can thread "previous node" cursors without branching.
+  // can thread "previous node" cursors without branching. Every recorder
+  // adds an edge into the node it just created, so `from` < `to`
+  // (DP_CHECKed): the graph is acyclic by construction.
   void AddEdge(CpNodeId from, CpNodeId to);
 
   // Flags a request as a cold start (known at dispatch, not at arrival).
@@ -184,6 +262,9 @@ class CausalGraph {
   CpNodeId arrival_node(int request) const;
 
   const std::vector<std::string>& processes() const { return process_names_; }
+  // The string table nodes' label, resource and hop ids index.
+  const CpStrings& strings() const { return strings_; }
+  const std::string& str(CpStrId id) const { return strings_[id]; }
   const std::vector<CpRequest>& requests() const { return requests_; }
   const std::vector<CpNode>& nodes() const { return nodes_; }
   const std::vector<std::pair<CpNodeId, CpNodeId>>& edges() const {
@@ -205,8 +286,9 @@ class CausalGraph {
   void FlushOpenRequests();
 
   // Merges `other` into this graph, remapping its processes, requests, and
-  // node ids past the ones already present (stitches per-task graphs from a
-  // parallel sweep, in deterministic task order).
+  // node ids past the ones already present and its string ids into this
+  // graph's table (stitches per-task graphs from a parallel sweep, in
+  // deterministic task order).
   void Adopt(CausalGraph&& other);
 
   // {"causal_journal":{"processes":[...],"requests":[...],"nodes":[...],
@@ -218,9 +300,10 @@ class CausalGraph {
   // The one way to build a graph from parts: reassembles a graph from
   // complete, id-ordered parts, as the binary journal reader materializes it
   // (src/obs/journal_stream.h). Returns false and sets `error` unless
-  // requests and nodes are dense and sorted by id, every node/request
-  // reference resolves, and no node ends before it starts.
-  static bool Assemble(std::vector<std::string> processes,
+  // requests and nodes are dense and sorted by id, every node/request/string
+  // reference resolves, no node ends before it starts, and every edge runs
+  // from a lower node id to a higher one within one request.
+  static bool Assemble(std::vector<std::string> processes, CpStrings strings,
                        std::vector<CpRequest> requests,
                        std::vector<CpNode> nodes,
                        std::vector<std::pair<CpNodeId, CpNodeId>> edges,
@@ -250,10 +333,11 @@ class CausalGraph {
     std::unordered_map<CpNodeId, int> live_node_owner GUARDED_BY(mu);
   };
 
-  CpNodeId AddNodeLocked(int request, CpKind kind, std::string label,
-                         std::string resource, Nanos start, Nanos end,
+  CpNodeId AddNodeLocked(int request, CpKind kind, std::string_view label,
+                         std::string_view resource, Nanos start, Nanos end,
                          std::int64_t bytes, Nanos solo)
       REQUIRES(stream_->mu);
+  CpPath InternPath(const CpRoute& route);
   CpNode* LiveNode(CpNodeId node) REQUIRES(stream_->mu);
   void RetireLive(std::map<int, CpRequestRecord>::iterator it)
       REQUIRES(stream_->mu);
@@ -262,7 +346,10 @@ class CausalGraph {
   // Accumulation surface: thread-confined (one graph per sweep task, stitched
   // deterministically with Adopt in task order) — deliberately NOT locked,
   // because append order here is part of the byte-identical-output contract.
+  // A streaming graph interns into strings_ under stream_->mu, which its
+  // sink reads it under too.
   std::vector<std::string> process_names_;
+  CpStrings strings_;
   std::vector<CpRequest> requests_;
   std::vector<CpNode> nodes_;
   std::vector<std::pair<CpNodeId, CpNodeId>> edges_;

@@ -109,20 +109,41 @@ bool ReadZigzag(std::string_view data, std::size_t* pos, std::int64_t* out) {
 }
 
 std::uint32_t Crc32(std::string_view data) {
+  // Slicing-by-8: table[0] is the bytewise table, and table[k][b] advances
+  // table[0][b] over k more zero bytes, so one step folds in eight bytes.
   static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
+  const auto byte = [&data](std::size_t i) {
+    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(data[i]));
+  };
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    const std::uint32_t lo = crc ^ (byte(i) | byte(i + 1) << 8 |
+                                    byte(i + 2) << 16 | byte(i + 3) << 24);
+    const std::uint32_t hi = byte(i + 4) | byte(i + 5) << 8 |
+                             byte(i + 6) << 16 | byte(i + 7) << 24;
+    crc = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^
+          table[5][(lo >> 16) & 0xFF] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+          table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; i < data.size(); ++i) {
+    crc = table[0][(crc ^ byte(i)) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -168,18 +189,23 @@ void JournalWriter::OnProcess(int id, const std::string& name) {
   pending_processes_.push_back(name);
 }
 
-std::uint64_t JournalWriter::Intern(const std::string& s) {
-  const auto it = string_ids_.find(s);
-  if (it != string_ids_.end()) {
-    return it->second;
+std::uint64_t JournalWriter::ChunkString(CpStrId id, const CpStrings& strings) {
+  if (id >= chunk_index_of_.size()) {
+    chunk_index_of_.resize(strings.size(), 0);
   }
-  const std::uint64_t id = strings_.size();
-  strings_.push_back(s);
-  string_ids_.emplace(s, id);
-  return id;
+  std::uint32_t& slot = chunk_index_of_[id];
+  if (slot == 0) {
+    const std::string& s = strings[id];
+    AppendVarint(&string_table_, s.size());
+    string_table_ += s;
+    chunk_strings_.push_back(id);
+    slot = static_cast<std::uint32_t>(chunk_strings_.size());
+  }
+  return slot - 1;
 }
 
-void JournalWriter::EncodeRecord(const CpRequestRecord& record) {
+void JournalWriter::EncodeRecord(const CpRequestRecord& record,
+                                 const CpStrings& strings) {
   std::string* b = &body_;
   const CpRequest& r = record.request;
   DP_CHECK(r.id >= 0);
@@ -206,8 +232,8 @@ void JournalWriter::EncodeRecord(const CpRequestRecord& record) {
     AppendZigzag(b, static_cast<std::int64_t>(n.id) - prev_id);
     prev_id = n.id;
     b->push_back(static_cast<char>(static_cast<std::uint8_t>(n.kind)));
-    AppendVarint(b, Intern(n.label));
-    AppendVarint(b, Intern(n.resource));
+    AppendVarint(b, ChunkString(n.label, strings));
+    AppendVarint(b, ChunkString(n.resource, strings));
     AppendZigzag(b, n.start - r.arrival);
     DP_CHECK(n.end >= n.start);
     AppendVarint(b, static_cast<std::uint64_t>(n.end - n.start));
@@ -217,7 +243,7 @@ void JournalWriter::EncodeRecord(const CpRequestRecord& record) {
     AppendVarint(b, static_cast<std::uint64_t>(n.dha_pcie));
     AppendVarint(b, n.path.size());
     for (const CpHop& hop : n.path) {
-      AppendVarint(b, Intern(hop.link));
+      AppendVarint(b, ChunkString(hop.link, strings));
       // Raw IEEE-754 bits, so capacities round-trip exactly.
       std::uint64_t bits = 0;
       static_assert(sizeof(bits) == sizeof(hop.capacity));
@@ -247,13 +273,14 @@ void JournalWriter::EncodeRecord(const CpRequestRecord& record) {
   chunk_edges_ += record.edges.size();
 }
 
-void JournalWriter::OnRequestRetired(CpRequestRecord&& record) {
+void JournalWriter::OnRequestRetired(const CpRequestRecord& record,
+                                     const CpStrings& strings) {
   MutexLock lock(mu_);
   DP_CHECK(open_ && !finished_);
   if (!ok_) {
     return;
   }
-  EncodeRecord(record);
+  EncodeRecord(record, strings);
   if (chunk_requests_ >= options_.chunk_requests ||
       body_.size() >= options_.chunk_bytes) {
     FlushChunk();
@@ -290,11 +317,8 @@ void JournalWriter::FlushChunk() {
     AppendVarint(&payload, name.size());
     payload += name;
   }
-  AppendVarint(&payload, strings_.size());
-  for (const std::string& s : strings_) {
-    AppendVarint(&payload, s.size());
-    payload += s;
-  }
+  AppendVarint(&payload, chunk_strings_.size());
+  payload += string_table_;
   AppendVarint(&payload, chunk_requests_);
   payload += body_;
   WriteFrame(kJournalChunkMarker, payload);
@@ -319,8 +343,11 @@ void JournalWriter::FlushChunk() {
   }
 
   pending_processes_.clear();
-  strings_.clear();
-  string_ids_.clear();
+  string_table_.clear();
+  for (const CpStrId id : chunk_strings_) {
+    chunk_index_of_[id] = 0;
+  }
+  chunk_strings_.clear();
   body_.clear();
   chunk_requests_ = 0;
   chunk_incomplete_ = 0;
@@ -474,9 +501,8 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
     return JournalReadStatus::kFooter;
   }
   std::uint8_t marker = 0;
-  std::string payload;
   bool at_eof = false;
-  if (!ReadFrame(&marker, &payload, &at_eof)) {
+  if (!ReadFrame(&marker, &chunk->text, &at_eof)) {
     if (at_eof) {
       Fail("journal ends without a footer after chunk " +
            std::to_string(seen_.chunks) +
@@ -487,7 +513,7 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
     return JournalReadStatus::kError;
   }
   if (marker == kJournalFooterMarker) {
-    std::string_view data(payload);
+    std::string_view data(chunk->text);
     std::size_t pos = 0;
     JournalTotals footer;
     if (!ReadVarint(data, &pos, &footer.requests) ||
@@ -519,22 +545,20 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
     return JournalReadStatus::kFooter;
   }
   std::string decode_error;
-  chunk->new_processes.clear();
-  chunk->requests.clear();
-  if (!DecodeChunk(payload, process_count_, chunk, &decode_error)) {
+  if (!DecodeChunk(process_count_, chunk, &decode_error)) {
     Fail("chunk " + std::to_string(seen_.chunks + 1) + ": " + decode_error);
     return JournalReadStatus::kError;
   }
   process_count_ += chunk->new_processes.size();
   ++seen_.chunks;
-  for (const CpRequestRecord& rec : chunk->requests) {
-    ++seen_.requests;
+  seen_.requests += chunk->requests.size();
+  for (const JournalChunk::Record& rec : chunk->requests) {
     if (rec.request.completion < 0) {
       ++seen_.incomplete_requests;
     }
-    seen_.nodes += rec.nodes.size();
-    seen_.edges += rec.edges.size();
   }
+  seen_.nodes += chunk->nodes.size();
+  seen_.edges += chunk->edges.size();
   return JournalReadStatus::kChunk;
 }
 
@@ -548,9 +572,8 @@ bool JournalReader::ReadChunkAt(std::uint64_t offset,
   const std::uint64_t saved_offset = offset_;
   offset_ = offset;
   std::uint8_t marker = 0;
-  std::string payload;
   bool at_eof = false;
-  const bool frame_ok = ReadFrame(&marker, &payload, &at_eof);
+  const bool frame_ok = ReadFrame(&marker, &chunk->text, &at_eof);
   offset_ = saved_offset;
   if (!frame_ok) {
     if (at_eof) {
@@ -562,21 +585,23 @@ bool JournalReader::ReadChunkAt(std::uint64_t offset,
     return Fail("frame at offset " + std::to_string(offset) +
                 " is not a chunk");
   }
-  chunk->new_processes.clear();
-  chunk->requests.clear();
   std::string decode_error;
-  if (!DecodeChunk(payload, process_bound, chunk, &decode_error)) {
+  if (!DecodeChunk(process_bound, chunk, &decode_error)) {
     return Fail("chunk at offset " + std::to_string(offset) + ": " +
                 decode_error);
   }
   return true;
 }
 
-bool JournalReader::DecodeChunk(const std::string& payload,
-                                std::uint64_t process_bound,
+bool JournalReader::DecodeChunk(std::uint64_t process_bound,
                                 JournalChunk* chunk,
                                 std::string* error) const {
-  const std::string_view data(payload);
+  const std::string_view data(chunk->text);
+  chunk->new_processes.clear();
+  chunk->requests.clear();
+  chunk->nodes.clear();
+  chunk->edges.clear();
+  chunk->string_spans.clear();
   std::size_t pos = 0;
   const auto fail = [error](const std::string& what) {
     *error = what;
@@ -592,12 +617,13 @@ bool JournalReader::DecodeChunk(const std::string& payload,
     return what + " count " + std::to_string(count) +
            " exceeds what the rest of the payload can hold";
   };
-  const auto read_string = [&](std::string* out) {
+  // The [offset, size) of a length-prefixed string at pos.
+  const auto read_span = [&](std::pair<std::uint32_t, std::uint32_t>* span) {
     std::uint64_t len = 0;
     if (!ReadVarint(data, &pos, &len) || len > data.size() - pos) {
       return false;
     }
-    out->assign(data.substr(pos, len));
+    *span = {static_cast<std::uint32_t>(pos), static_cast<std::uint32_t>(len)};
     pos += len;
     return true;
   };
@@ -607,11 +633,11 @@ bool JournalReader::DecodeChunk(const std::string& payload,
     return fail("payload ends inside the process table");
   }
   for (std::uint64_t i = 0; i < num_processes; ++i) {
-    std::string name;
-    if (!read_string(&name)) {
+    std::pair<std::uint32_t, std::uint32_t> span;
+    if (!read_span(&span)) {
       return fail("payload ends inside the process table");
     }
-    chunk->new_processes.push_back(std::move(name));
+    chunk->new_processes.emplace_back(data.substr(span.first, span.second));
   }
   const std::uint64_t total_processes =
       process_bound + chunk->new_processes.size();
@@ -623,14 +649,11 @@ bool JournalReader::DecodeChunk(const std::string& payload,
   if (!fits(num_strings, kMinStringBytes)) {
     return fail(too_many("string", num_strings));
   }
-  std::vector<std::string> strings;
-  strings.reserve(num_strings);
-  for (std::uint64_t i = 0; i < num_strings; ++i) {
-    std::string s;
-    if (!read_string(&s)) {
+  chunk->string_spans.resize(num_strings);
+  for (auto& span : chunk->string_spans) {
+    if (!read_span(&span)) {
       return fail("payload ends inside the string table");
     }
-    strings.push_back(std::move(s));
   }
 
   std::uint64_t num_requests = 0;
@@ -642,7 +665,7 @@ bool JournalReader::DecodeChunk(const std::string& payload,
   }
   chunk->requests.reserve(num_requests);
   for (std::uint64_t ri = 0; ri < num_requests; ++ri) {
-    CpRequestRecord rec;
+    JournalChunk::Record& rec = chunk->requests.emplace_back();
     CpRequest& r = rec.request;
     std::int64_t id = 0;
     if (!ReadZigzag(data, &pos, &id) || id < 0 ||
@@ -650,38 +673,39 @@ bool JournalReader::DecodeChunk(const std::string& payload,
       return fail("record " + std::to_string(ri) + ": bad request id");
     }
     r.id = static_cast<int>(id);
-    const std::string ctx = "request " + std::to_string(r.id);
+    // Names the record in a diagnostic; built only when a check fails.
+    const auto ctx = [&r] { return "request " + std::to_string(r.id); };
     std::uint64_t process = 0;
     if (!ReadVarint(data, &pos, &process)) {
-      return fail(ctx + ": truncated record");
+      return fail(ctx() + ": truncated record");
     }
     if (process >= total_processes) {
-      return fail(ctx + ": references process " + std::to_string(process) +
+      return fail(ctx() + ": references process " + std::to_string(process) +
                   " but only " + std::to_string(total_processes) +
                   " are defined");
     }
     r.process = static_cast<int>(process);
     std::int64_t instance = 0;
     if (!ReadZigzag(data, &pos, &instance)) {
-      return fail(ctx + ": truncated record");
+      return fail(ctx() + ": truncated record");
     }
     r.instance = static_cast<int>(instance);
     if (pos >= data.size()) {
-      return fail(ctx + ": truncated record");
+      return fail(ctx() + ": truncated record");
     }
     const auto flags = static_cast<std::uint8_t>(data[pos]);
     ++pos;
     if ((flags & ~0x3) != 0) {
-      return fail(ctx + ": unknown request flag bits");
+      return fail(ctx() + ": unknown request flag bits");
     }
     r.cold = (flags & 1) != 0;
     if (!ReadZigzag(data, &pos, &r.arrival)) {
-      return fail(ctx + ": truncated record");
+      return fail(ctx() + ": truncated record");
     }
     if ((flags & 2) != 0) {
       std::uint64_t latency = 0;
       if (!ReadVarint(data, &pos, &latency)) {
-        return fail(ctx + ": truncated record");
+        return fail(ctx() + ": truncated record");
       }
       r.completion = r.arrival + static_cast<Nanos>(latency);
     } else {
@@ -690,61 +714,62 @@ bool JournalReader::DecodeChunk(const std::string& payload,
     std::int64_t arrival_node = 0, terminal_node = 0;
     if (!ReadZigzag(data, &pos, &arrival_node) ||
         !ReadZigzag(data, &pos, &terminal_node)) {
-      return fail(ctx + ": truncated record");
+      return fail(ctx() + ": truncated record");
     }
 
     std::uint64_t num_nodes = 0;
     if (!ReadVarint(data, &pos, &num_nodes)) {
-      return fail(ctx + ": truncated record");
+      return fail(ctx() + ": truncated record");
     }
     if (num_nodes == 0) {
-      return fail(ctx + ": has no nodes (every request roots at an arrival)");
+      return fail(ctx() + ": has no nodes (every request roots at an arrival)");
     }
     if (!fits(num_nodes, kMinNodeBytes)) {
-      return fail(ctx + ": " + too_many("node", num_nodes));
+      return fail(ctx() + ": " + too_many("node", num_nodes));
     }
-    rec.nodes.reserve(num_nodes);
+    rec.first_node = static_cast<std::uint32_t>(chunk->nodes.size());
+    rec.num_nodes = static_cast<std::uint32_t>(num_nodes);
     std::int64_t prev_id = 0;
     for (std::uint64_t ni = 0; ni < num_nodes; ++ni) {
-      CpNode n;
+      CpNode& n = chunk->nodes.emplace_back();
       n.request = r.id;
       std::int64_t delta = 0;
       if (!ReadZigzag(data, &pos, &delta)) {
-        return fail(ctx + ": truncated node");
+        return fail(ctx() + ": truncated node");
       }
       const std::int64_t node_id = prev_id + delta;
       if (node_id < 0 || node_id > std::numeric_limits<CpNodeId>::max() ||
           (ni > 0 && node_id <= prev_id)) {
-        return fail(ctx + ": node ids are not strictly increasing");
+        return fail(ctx() + ": node ids are not strictly increasing");
       }
       prev_id = node_id;
       n.id = static_cast<CpNodeId>(node_id);
       if (pos >= data.size()) {
-        return fail(ctx + ": truncated node");
+        return fail(ctx() + ": truncated node");
       }
       const auto kind = static_cast<std::uint8_t>(data[pos]);
       ++pos;
       if (kind > static_cast<std::uint8_t>(CpKind::kExec)) {
-        return fail(ctx + ": node " + std::to_string(node_id) +
+        return fail(ctx() + ": node " + std::to_string(node_id) +
                     " has unknown kind " + std::to_string(kind));
       }
       n.kind = static_cast<CpKind>(kind);
       std::uint64_t label_idx = 0, resource_idx = 0;
       if (!ReadVarint(data, &pos, &label_idx) ||
           !ReadVarint(data, &pos, &resource_idx)) {
-        return fail(ctx + ": truncated node");
+        return fail(ctx() + ": truncated node");
       }
-      if (label_idx >= strings.size() || resource_idx >= strings.size()) {
-        return fail(ctx + ": node " + std::to_string(node_id) +
+      if (label_idx >= num_strings || resource_idx >= num_strings) {
+        return fail(ctx() + ": node " + std::to_string(node_id) +
                     " references a string outside the chunk string table");
       }
-      n.label = strings[label_idx];
-      n.resource = strings[resource_idx];
+      n.label = static_cast<CpStrId>(label_idx);
+      n.resource = static_cast<CpStrId>(resource_idx);
       std::int64_t start_delta = 0;
       std::uint64_t duration = 0;
       if (!ReadZigzag(data, &pos, &start_delta) ||
           !ReadVarint(data, &pos, &duration)) {
-        return fail(ctx + ": truncated node");
+        return fail(ctx() + ": truncated node");
       }
       n.start = r.arrival + start_delta;
       n.end = n.start + static_cast<Nanos>(duration);
@@ -752,36 +777,35 @@ bool JournalReader::DecodeChunk(const std::string& payload,
       if (!ReadZigzag(data, &pos, &n.bytes) ||
           !ReadZigzag(data, &pos, &n.solo) ||
           !ReadVarint(data, &pos, &dha)) {
-        return fail(ctx + ": truncated node");
+        return fail(ctx() + ": truncated node");
       }
       if (n.solo < -1) {
-        return fail(ctx + ": node " + std::to_string(node_id) +
+        return fail(ctx() + ": node " + std::to_string(node_id) +
                     " has solo < -1");
       }
       n.dha_pcie = static_cast<Nanos>(dha);
       std::uint64_t num_hops = 0;
       if (!ReadVarint(data, &pos, &num_hops)) {
-        return fail(ctx + ": truncated node");
+        return fail(ctx() + ": truncated node");
       }
       if (num_hops > kCpMaxHops) {
-        return fail(ctx + ": node " + std::to_string(node_id) + " has " +
+        return fail(ctx() + ": node " + std::to_string(node_id) + " has " +
                     std::to_string(num_hops) + " hops; a route has at most " +
                     std::to_string(kCpMaxHops));
       }
-      n.path.reserve(num_hops);
       for (std::uint64_t hi = 0; hi < num_hops; ++hi) {
         CpHop hop;
         std::uint64_t link_idx = 0;
         if (!ReadVarint(data, &pos, &link_idx)) {
-          return fail(ctx + ": truncated hop");
+          return fail(ctx() + ": truncated hop");
         }
-        if (link_idx >= strings.size()) {
-          return fail(ctx + ": hop references a string outside the chunk "
-                            "string table");
+        if (link_idx >= num_strings) {
+          return fail(ctx() + ": hop references a string outside the chunk "
+                              "string table");
         }
-        hop.link = strings[link_idx];
+        hop.link = static_cast<CpStrId>(link_idx);
         if (data.size() - pos < 8) {
-          return fail(ctx + ": truncated hop");
+          return fail(ctx() + ": truncated hop");
         }
         std::uint64_t bits = 0;
         for (int bi = 7; bi >= 0; --bi) {
@@ -791,67 +815,87 @@ bool JournalReader::DecodeChunk(const std::string& payload,
         pos += 8;
         std::memcpy(&hop.capacity, &bits, sizeof(hop.capacity));
         if (!std::isfinite(hop.capacity) || hop.capacity <= 0.0) {
-          return fail(ctx + ": hop \"" + hop.link +
+          return fail(ctx() + ": hop \"" + std::string(chunk->str(hop.link)) +
                       "\" capacity must be a positive finite number");
         }
-        n.path.push_back(std::move(hop));
+        n.path.push_back(hop);
       }
-      rec.nodes.push_back(std::move(n));
     }
 
-    const auto is_member = [&rec](std::int64_t node_id) {
+    // The index in `nodes` of the request's node `node_id`, or -1.
+    const auto index_of = [chunk, &rec](std::int64_t node_id) -> std::int64_t {
+      const auto begin = chunk->nodes.begin() + rec.first_node;
+      const auto end = begin + rec.num_nodes;
       const auto it = std::lower_bound(
-          rec.nodes.begin(), rec.nodes.end(), node_id,
+          begin, end, node_id,
           [](const CpNode& n, std::int64_t v) { return n.id < v; });
-      return it != rec.nodes.end() && it->id == node_id;
+      return it != end && it->id == node_id ? it - chunk->nodes.begin() : -1;
     };
-    if (!is_member(arrival_node)) {
-      return fail(ctx + ": arrival_node " + std::to_string(arrival_node) +
+    const std::int64_t arrival_index = index_of(arrival_node);
+    if (arrival_index < 0) {
+      return fail(ctx() + ": arrival_node " + std::to_string(arrival_node) +
                   " is not a node of the request");
     }
-    if (terminal_node != -1 && !is_member(terminal_node)) {
-      return fail(ctx + ": terminal_node " + std::to_string(terminal_node) +
-                  " is not a node of the request");
+    rec.arrival_index = static_cast<std::uint32_t>(arrival_index);
+    if (terminal_node != -1) {
+      rec.terminal_index = index_of(terminal_node);
+      if (rec.terminal_index < 0) {
+        return fail(ctx() + ": terminal_node " + std::to_string(terminal_node) +
+                    " is not a node of the request");
+      }
     }
     r.arrival_node = static_cast<CpNodeId>(arrival_node);
     r.terminal_node = static_cast<CpNodeId>(terminal_node);
 
     std::uint64_t num_edges = 0;
     if (!ReadVarint(data, &pos, &num_edges)) {
-      return fail(ctx + ": truncated record");
+      return fail(ctx() + ": truncated record");
     }
     if (!fits(num_edges, kMinEdgeBytes)) {
-      return fail(ctx + ": " + too_many("edge", num_edges));
+      return fail(ctx() + ": " + too_many("edge", num_edges));
     }
-    rec.edges.reserve(num_edges);
+    rec.first_edge = static_cast<std::uint32_t>(chunk->edges.size());
+    rec.num_edges = static_cast<std::uint32_t>(num_edges);
     std::int64_t prev_seq = -1;
-    const std::int64_t base = rec.nodes.front().id;
+    const std::int64_t base = chunk->nodes[rec.first_node].id;
     for (std::uint64_t ei = 0; ei < num_edges; ++ei) {
       std::int64_t seq_delta = 0, from_delta = 0, to_delta = 0;
       if (!ReadZigzag(data, &pos, &seq_delta) ||
           !ReadZigzag(data, &pos, &from_delta) ||
           !ReadZigzag(data, &pos, &to_delta)) {
-        return fail(ctx + ": truncated edge");
+        return fail(ctx() + ": truncated edge");
       }
       const std::int64_t seq = prev_seq + seq_delta;
       if (seq <= prev_seq || seq < 0) {
-        return fail(ctx + ": edge seqs are not strictly increasing");
+        return fail(ctx() + ": edge seqs are not strictly increasing");
       }
       prev_seq = seq;
       const std::int64_t from = base + from_delta;
       const std::int64_t to = base + to_delta;
-      if (!is_member(from) || !is_member(to)) {
-        const std::int64_t dangling = is_member(from) ? to : from;
-        return fail(ctx + ": edge (" + std::to_string(from) + " -> " +
+      const std::int64_t from_index = index_of(from);
+      const std::int64_t to_index = index_of(to);
+      if (from_index < 0 || to_index < 0) {
+        const std::int64_t dangling = from_index >= 0 ? to : from;
+        return fail(ctx() + ": edge (" + std::to_string(from) + " -> " +
                     std::to_string(to) + ") is dangling — node " +
                     std::to_string(dangling) +
                     " is not a node of this request (corrupt journal or "
                     "writer bug)");
       }
-      rec.edges.push_back(CpEdgeRec{seq, static_cast<CpNodeId>(from),
-                                    static_cast<CpNodeId>(to)});
+      if (from >= to) {
+        return fail(ctx() + ": edge (" + std::to_string(from) + " -> " +
+                    std::to_string(to) +
+                    ") does not run from a lower node id to a higher one — "
+                    "every recorder adds an edge into the node it just "
+                    "created, so this one could close a cycle (corrupt "
+                    "journal or writer bug)");
+      }
+      chunk->edges.push_back(
+          JournalChunk::Edge{CpEdgeRec{seq, static_cast<CpNodeId>(from),
+                                       static_cast<CpNodeId>(to)},
+                             static_cast<std::uint32_t>(from_index),
+                             static_cast<std::uint32_t>(to_index)});
     }
-    chunk->requests.push_back(std::move(rec));
   }
   if (pos != data.size()) {
     return fail("chunk has " + std::to_string(data.size() - pos) +
@@ -874,11 +918,13 @@ bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
     return false;
   }
   std::vector<std::string> processes;
+  CpStrings strings;
+  std::vector<CpStrId> remap;  // chunk string id -> graph string id
   std::vector<CpRequest> requests;
   std::vector<CpNode> nodes;
   std::vector<std::tuple<std::int64_t, CpNodeId, CpNodeId>> seq_edges;
+  JournalChunk chunk;
   for (;;) {
-    JournalChunk chunk;
     const JournalReadStatus status = reader.Next(&chunk);
     if (status == JournalReadStatus::kError) {
       *error = reader.error();
@@ -890,14 +936,23 @@ bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
     for (std::string& name : chunk.new_processes) {
       processes.push_back(std::move(name));
     }
-    for (CpRequestRecord& rec : chunk.requests) {
+    remap.resize(chunk.num_strings());
+    for (std::size_t i = 0; i < remap.size(); ++i) {
+      remap[i] = strings.Intern(chunk.str(static_cast<CpStrId>(i)));
+    }
+    for (const JournalChunk::Record& rec : chunk.requests) {
       requests.push_back(rec.request);
-      for (CpNode& n : rec.nodes) {
-        nodes.push_back(std::move(n));
+    }
+    for (CpNode n : chunk.nodes) {
+      n.label = remap[n.label];
+      n.resource = remap[n.resource];
+      for (CpHop& hop : n.path) {
+        hop.link = remap[hop.link];
       }
-      for (const CpEdgeRec& e : rec.edges) {
-        seq_edges.emplace_back(e.seq, e.from, e.to);
-      }
+      nodes.push_back(n);
+    }
+    for (const JournalChunk::Edge& e : chunk.edges) {
+      seq_edges.emplace_back(e.rec.seq, e.rec.from, e.rec.to);
     }
   }
   // Requests retire in completion order; node ids and edge seqs are global
@@ -921,8 +976,9 @@ bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
     prev_seq = seq;
     edges.emplace_back(from, to);
   }
-  if (!CausalGraph::Assemble(std::move(processes), std::move(requests),
-                             std::move(nodes), std::move(edges), out, error)) {
+  if (!CausalGraph::Assemble(std::move(processes), std::move(strings),
+                             std::move(requests), std::move(nodes),
+                             std::move(edges), out, error)) {
     *error = path + ": " + *error;
     return false;
   }
@@ -981,7 +1037,7 @@ bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
       record.nodes.push_back(nodes[ni]);
     }
     record.edges = std::move(req_edges[ri]);
-    writer.OnRequestRetired(std::move(record));
+    writer.OnRequestRetired(record, graph.strings());
   }
   if (!writer.Finish()) {
     *error = writer.error();
@@ -1001,8 +1057,8 @@ check::TraceLintResult LintJournalFile(const std::string& path,
     check.Error(reader.error());
     return result;
   }
+  JournalChunk chunk;
   for (;;) {
-    JournalChunk chunk;
     const JournalReadStatus status = reader.Next(&chunk);
     if (status == JournalReadStatus::kError) {
       check.Error(reader.error());

@@ -27,8 +27,9 @@
 // cross requests): request meta, nodes (id-delta, kind, label/resource as
 // string-table indices, start relative to arrival, duration, bytes, solo,
 // dha_pcie, hops as link index + raw f64 capacity bits), then edges (seq
-// delta + endpoints relative to the first node id). The footer carries the
-// journal totals, which readers cross-check against the chunks they saw.
+// delta + endpoints relative to the first node id; every edge runs from a
+// lower node id to a higher one). The footer carries the journal totals,
+// which readers cross-check against the chunks they saw.
 //
 // Determinism: the encoding has no timestamps, pointers, or hashes of
 // addresses — the same run produces the same bytes, for any DEEPPLAN_JOBS.
@@ -39,7 +40,6 @@
 #include <fstream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -115,7 +115,8 @@ class JournalWriter : public CausalSink {
             MetricsRegistry* metrics = nullptr) EXCLUDES(mu_);
 
   void OnProcess(int id, const std::string& name) override EXCLUDES(mu_);
-  void OnRequestRetired(CpRequestRecord&& record) override EXCLUDES(mu_);
+  void OnRequestRetired(const CpRequestRecord& record,
+                        const CpStrings& strings) override EXCLUDES(mu_);
 
   // Flushes the tail chunk, writes the footer, and closes. Returns false if
   // any write failed. Safe to call once; the destructor calls it if needed.
@@ -139,8 +140,12 @@ class JournalWriter : public CausalSink {
   }
 
  private:
-  std::uint64_t Intern(const std::string& s) REQUIRES(mu_);
-  void EncodeRecord(const CpRequestRecord& record) REQUIRES(mu_);
+  // The chunk string-table index of the graph's string `id`, added in
+  // first-use order.
+  std::uint64_t ChunkString(CpStrId id, const CpStrings& strings)
+      REQUIRES(mu_);
+  void EncodeRecord(const CpRequestRecord& record, const CpStrings& strings)
+      REQUIRES(mu_);
   void FlushChunk() REQUIRES(mu_);
   void WriteFrame(std::uint8_t marker, const std::string& payload)
       REQUIRES(mu_);
@@ -155,10 +160,14 @@ class JournalWriter : public CausalSink {
   MetricsRegistry* metrics_ GUARDED_BY(mu_) = nullptr;
   JournalTotals totals_ GUARDED_BY(mu_);
   std::uint64_t bytes_written_ GUARDED_BY(mu_) = 0;
-  // Current-chunk state, reset at every flush.
+  // Current-chunk state, reset at every flush. The chunk's string table is
+  // kept encoded; chunk_index_of_ maps a graph string id to its chunk index
+  // + 1 (0: not used in this chunk yet), and chunk_strings_ lists the graph
+  // ids set there, so the reset touches only those.
   std::vector<std::string> pending_processes_ GUARDED_BY(mu_);
-  std::vector<std::string> strings_ GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::uint64_t> string_ids_ GUARDED_BY(mu_);
+  std::string string_table_ GUARDED_BY(mu_);
+  std::vector<CpStrId> chunk_strings_ GUARDED_BY(mu_);
+  std::vector<std::uint32_t> chunk_index_of_ GUARDED_BY(mu_);
   std::string body_ GUARDED_BY(mu_);
   std::uint64_t chunk_requests_ GUARDED_BY(mu_) = 0;
   std::uint64_t chunk_incomplete_ GUARDED_BY(mu_) = 0;
@@ -166,11 +175,45 @@ class JournalWriter : public CausalSink {
   std::uint64_t chunk_edges_ GUARDED_BY(mu_) = 0;
 };
 
-// One decoded chunk: process names registered in it (ids continue the
-// cumulative sequence) plus its request records, in file order.
+// One decoded chunk, flat: every request record's nodes in one array and
+// its edges in another, with each record's slice of both. Node label,
+// resource and hop ids index the chunk's own string table (str()). Decoding
+// into a chunk that held an earlier one reuses its storage, so a reader that
+// keeps one chunk stops allocating once the chunk has grown.
 struct JournalChunk {
-  std::vector<std::string> new_processes;
-  std::vector<CpRequestRecord> requests;
+  // One request record and its slices of `nodes` and `edges`. The arrival
+  // and terminal nodes are given as indices into `nodes` too (terminal -1
+  // when the request has none).
+  struct Record {
+    CpRequest request;
+    std::uint32_t first_node = 0;
+    std::uint32_t num_nodes = 0;
+    std::uint32_t first_edge = 0;
+    std::uint32_t num_edges = 0;
+    std::uint32_t arrival_index = 0;
+    std::int64_t terminal_index = -1;
+  };
+  // An edge with its endpoints also given as indices into `nodes`.
+  struct Edge {
+    CpEdgeRec rec;
+    std::uint32_t from_index = 0;
+    std::uint32_t to_index = 0;
+  };
+
+  std::string_view str(CpStrId id) const {
+    const auto& [offset, size] = string_spans[id];
+    return std::string_view(text).substr(offset, size);
+  }
+  std::size_t num_strings() const { return string_spans.size(); }
+
+  std::vector<std::string> new_processes;  // ids continue the sequence
+  std::vector<Record> requests;            // in file order
+  std::vector<CpNode> nodes;   // record by record, id order within each
+  std::vector<Edge> edges;     // record by record, seq order within each
+  // String storage: str(i) is text[offset, offset + size) of span i. A
+  // decoded chunk's text is the frame payload itself.
+  std::string text;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> string_spans;
 };
 
 enum class JournalReadStatus { kChunk, kFooter, kError };
@@ -178,9 +221,10 @@ enum class JournalReadStatus { kChunk, kFooter, kError };
 // Sequential chunk iterator with full structural validation: header magic
 // and version, per-frame CRC, in-range string/process references, strictly
 // increasing node ids, edge endpoints resolving to nodes of the same request
-// (dangling edges are rejected here, not downstream), and footer totals
-// matching the chunks read. Any failure latches error() with an actionable
-// message and Next() returns kError from then on.
+// (dangling edges are rejected here, not downstream), edges running from a
+// lower node id to a higher one (so no journal it accepts has a cycle), and
+// footer totals matching the chunks read. Any failure latches error() with
+// an actionable message and Next() returns kError from then on.
 class JournalReader {
  public:
   JournalReader() = default;
@@ -213,8 +257,9 @@ class JournalReader {
  private:
   bool Fail(const std::string& message);
   bool ReadFrame(std::uint8_t* marker, std::string* payload, bool* at_eof);
-  bool DecodeChunk(const std::string& payload, std::uint64_t process_bound,
-                   JournalChunk* chunk, std::string* error) const;
+  // Decodes the payload held in chunk->text into the rest of `chunk`.
+  bool DecodeChunk(std::uint64_t process_bound, JournalChunk* chunk,
+                   std::string* error) const;
 
   std::ifstream in_;
   std::string path_;

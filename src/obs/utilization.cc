@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 #include <utility>
 
 namespace deepplan {
@@ -33,10 +34,12 @@ UtilizationReport ComputeUtilization(const CausalGraph& graph) {
   }
 
   // Bucket node intervals by (process, resource). std::map keys give the
-  // deterministic (process, resource-name) output order for free.
-  std::map<std::pair<int, std::string>, std::vector<RawInterval>> buckets;
+  // deterministic (process, resource-name) output order for free; the names
+  // view the graph's string table.
+  std::map<std::pair<int, std::string_view>, std::vector<RawInterval>> buckets;
   for (const CpNode& node : graph.nodes()) {
-    if (node.resource.empty() || node.end <= node.start) {
+    const std::string& resource = graph.str(node.resource);
+    if (resource.empty() || node.end <= node.start) {
       continue;
     }
     const CpRequest& req =
@@ -48,7 +51,7 @@ UtilizationReport ComputeUtilization(const CausalGraph& graph) {
     if (node.solo >= 0) {
       raw.contended = std::max<Nanos>(0, (node.end - node.start) - node.solo);
     }
-    buckets[{req.process, node.resource}].push_back(raw);
+    buckets[{req.process, resource}].push_back(raw);
   }
 
   UtilizationReport report;

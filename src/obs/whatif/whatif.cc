@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,12 +22,6 @@
 namespace deepplan {
 
 namespace {
-
-// NVLink links are named "nvlink/..."; everything else ("pcie/...",
-// "uplink/...") is PCIe infrastructure and follows the PCIe knob.
-bool IsNvlinkName(const std::string& link) {
-  return link.rfind("nvlink", 0) == 0;
-}
 
 // ceil(bytes / rate) in nanoseconds — the same rounding Fabric::SoloDuration
 // and its completion scheduler apply, so identity replay lands on the exact
@@ -68,89 +61,229 @@ std::string CanonicalName(const WhatIfExperiment& e) {
   return out.empty() ? "baseline" : out;
 }
 
-// The data plane the Replayer schedules against. Two implementations: the
-// whole graph pinned in memory (InMemorySource), or a chunked binary journal
-// whose per-request node/edge state is loaded lazily and freed as requests
-// finish replaying (WindowedSource). The Replayer is the only component that
-// talks to the Simulator, so as long as a source serves identical data, the
-// event sequence — and every prediction — is identical too.
+// True when the replay re-schedules a request: the journal completed it at
+// a terminal node. Other requests are skipped entirely.
+bool Replayed(const CpRequest& r) {
+  return r.completion >= 0 && r.terminal_node >= 0;
+}
+
+// Replayed requests chained into dispatch domains: requests sharing a
+// (process, terminal resource) domain, in request-id order.
+struct DomainChain {
+  std::vector<int> next;   // request id -> next request of its domain, or -1
+  std::vector<char> head;  // request id -> first request of its domain
+};
+
+// `resource[i]` is request i's terminal resource as any dense id.
+DomainChain ChainDomains(const std::vector<CpRequest>& requests,
+                         const std::vector<std::int64_t>& resource) {
+  DomainChain chain;
+  chain.next.assign(requests.size(), -1);
+  chain.head.assign(requests.size(), 0);
+  std::map<std::pair<int, std::int64_t>, int> tail;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const CpRequest& r = requests[i];
+    if (!Replayed(r)) {
+      continue;
+    }
+    const auto [it, first] =
+        tail.try_emplace({r.process, resource[i]}, r.id);
+    if (first) {
+      chain.head[i] = 1;
+    } else {
+      chain.next[Idx(it->second)] = r.id;
+      it->second = r.id;
+    }
+  }
+  return chain;
+}
+
+// One of the events a replay starts with: a domain's first release or a
+// request's arrival, for request arg >> 1 (arg & 1: the arrival). `order` is
+// its place in request-id order, which is the order the replay would
+// schedule them in up front.
+struct StartEvent {
+  Nanos when = 0;
+  std::uint64_t order = 0;
+  std::uint64_t arg = 0;
+};
+
+// The start events sorted by (when, order), the order they fire in.
+std::vector<StartEvent> StartEvents(const std::vector<CpRequest>& requests,
+                                    const DomainChain& domains) {
+  std::vector<StartEvent> events;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!Replayed(requests[i])) {
+      continue;
+    }
+    const Nanos when = requests[i].arrival;
+    if (domains.head[i] != 0) {
+      events.push_back({when, events.size(), std::uint64_t{i} << 1});
+    }
+    events.push_back({when, events.size(), (std::uint64_t{i} << 1) | 1});
+  }
+  std::sort(events.begin(), events.end(),
+            [](const StartEvent& a, const StartEvent& b) {
+              return a.when != b.when ? a.when < b.when : a.order < b.order;
+            });
+  return events;
+}
+
+// A span of the journal the replay holds in memory: a decoded chunk (or the
+// whole in-memory graph laid out the same way) plus one replay's scheduling
+// state for its nodes, which are addressed by their index in chunk.nodes.
+struct ResidentChunk {
+  JournalChunk chunk;
+  // CSR over chunk.edges: node i's successors, in seq order, are
+  // succ[succ_begin[i] .. succ_begin[i + 1]).
+  std::vector<std::uint32_t> succ_begin;
+  std::vector<std::uint32_t> succ;
+  // Per node: predecessors not yet finished, plus the release token of a
+  // non-arrival node; the duration a timed finish was scheduled with.
+  std::vector<std::int32_t> pending;
+  std::vector<Nanos> timed;
+  // Per record of a replayed request: nodes not yet finished, plus its
+  // release and its completion. The request leaves the window at 0.
+  std::vector<std::uint32_t> remaining;
+  // Chunk string id -> the replay's link-name id, resolved on first use.
+  std::vector<std::int32_t> link_of_string;
+  std::uint32_t index = 0;     // which chunk of the source this is
+  std::uint32_t replayed = 0;  // requests of the chunk the replay runs
+  std::uint32_t open = 0;      // of those, still in the window
+};
+
+// What the Replayer reads. Request metadata, the dispatch-domain chain and
+// each request's place are indexed up front; nodes live in chunks that are
+// loaded into ResidentChunk slots on first touch and retired once every
+// replayed request in them has finished. Two implementations: the whole
+// graph pinned in memory as one chunk (InMemorySource), or a binary
+// journal's chunks decoded from the file (WindowedJournal::Impl). Both feed
+// the one Replayer, so identical data gives an identical event sequence —
+// and identical predictions.
 class ReplaySource {
  public:
   virtual ~ReplaySource() = default;
 
-  virtual std::size_t num_requests() const = 0;
+  virtual const std::vector<CpRequest>& requests() const = 0;
   virtual int num_processes() const = 0;
-  // Request metadata; always available (windowed sources index it up front).
-  virtual const CpRequest& request(int id) const = 0;
-  // Resource of the request's terminal node (dispatch-domain key). Only
-  // called for completed requests with a terminal.
-  virtual const std::string& terminal_resource(int id) const = 0;
-  // The request's non-arrival nodes in id order. Makes the request's window
-  // resident; the returned reference is valid until the request finishes.
-  virtual const std::vector<CpNodeId>& request_nodes(int id) = 0;
-  // Hook before the arrival node of `id` is finished at its recorded time —
-  // windowed sources page the request in here.
-  virtual void BeforeArrival(int id) = 0;
-  // Node-addressed state; valid only while the owning request is resident.
-  virtual const CpNode& node(CpNodeId id) = 0;
-  virtual const std::vector<CpNodeId>& successors(CpNodeId id) = 0;
-  virtual int& pending(CpNodeId id) = 0;
-  // Retirement hooks, fired by the Replayer in this order for a terminal
-  // node: OnRequestDone(request), then OnNodeFinished(node). After
-  // OnNodeFinished(n) no state of node n is touched again.
-  virtual void OnNodeFinished(CpNodeId id) = 0;
-  virtual void OnRequestDone(int id) = 0;
+  virtual std::size_t num_chunks() const = 0;
+  // Fills `out` with chunk `index`, reusing its storage.
+  virtual void Load(std::uint32_t index, JournalChunk* out) = 0;
+
+  // A free slot; its buffers keep their capacity from earlier loads.
+  std::uint32_t AcquireSlot() {
+    if (free_slots_.empty()) {
+      slots_.push_back(std::make_unique<ResidentChunk>());
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  void ReleaseSlot(std::uint32_t slot) { free_slots_.push_back(slot); }
+  ResidentChunk& slot(std::uint32_t s) { return *slots_[s]; }
+
+  DomainChain domains;
+  std::vector<StartEvent> start_events;  // StartEvents(requests, domains)
+  std::vector<std::uint32_t> chunk_of;   // request id -> chunk index
+  std::vector<std::uint32_t> record_of;  // request id -> record in its chunk
+  std::size_t max_resident = 0;          // replayed requests, high-water mark
+
+ private:
+  std::vector<std::unique_ptr<ResidentChunk>> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
-// ReplaySource over a fully materialized CausalGraph (the original engine).
+// ReplaySource over a fully materialized CausalGraph: one chunk holding
+// every request, its nodes regrouped request by request.
 class InMemorySource : public ReplaySource {
  public:
   explicit InMemorySource(const CausalGraph& graph) : graph_(graph) {
-    const auto& nodes = graph_.nodes();
-    succ_.assign(nodes.size(), {});
-    pending_.assign(nodes.size(), 0);
-    for (const auto& [from, to] : graph_.edges()) {
-      succ_[Idx(from)].push_back(to);
-      ++pending_[Idx(to)];
-    }
-    req_nodes_.assign(graph_.requests().size(), {});
-    for (const auto& n : nodes) {
-      if (n.request >= 0 && n.kind != CpKind::kArrival) {
-        ++pending_[Idx(n.id)];  // the release token
-        req_nodes_[Idx(n.request)].push_back(n.id);
+    const std::vector<CpRequest>& requests = graph_.requests();
+    std::vector<std::int64_t> resource(requests.size(), -1);
+    record_of.resize(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      record_of[i] = static_cast<std::uint32_t>(i);
+      if (requests[i].terminal_node >= 0) {
+        resource[i] = graph_.nodes()[Idx(requests[i].terminal_node)].resource;
       }
     }
+    chunk_of.assign(requests.size(), 0);
+    domains = ChainDomains(requests, resource);
+    start_events = StartEvents(requests, domains);
   }
 
-  std::size_t num_requests() const override {
-    return graph_.requests().size();
+  const std::vector<CpRequest>& requests() const override {
+    return graph_.requests();
   }
   int num_processes() const override {
     return static_cast<int>(graph_.processes().size());
   }
-  const CpRequest& request(int id) const override {
-    return graph_.requests()[Idx(id)];
+  std::size_t num_chunks() const override { return 1; }
+
+  void Load(std::uint32_t, JournalChunk* out) override {
+    const std::vector<CpRequest>& requests = graph_.requests();
+    const std::vector<CpNode>& nodes = graph_.nodes();
+    const auto& edges = graph_.edges();
+    out->requests.assign(requests.size(), {});
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      out->requests[r].request = requests[r];
+    }
+    // Lay nodes out request by request (id order within each) and edges by
+    // the request of their source (append order within each).
+    for (const CpNode& n : nodes) {
+      ++out->requests[Idx(n.request)].num_nodes;
+    }
+    for (const auto& [from, to] : edges) {
+      ++out->requests[Idx(nodes[Idx(from)].request)].num_edges;
+    }
+    std::uint32_t node_cursor = 0;
+    std::uint32_t edge_cursor = 0;
+    for (JournalChunk::Record& rec : out->requests) {
+      rec.first_node = node_cursor;
+      rec.first_edge = edge_cursor;
+      node_cursor += rec.num_nodes;
+      edge_cursor += rec.num_edges;
+    }
+    std::vector<std::uint32_t> position(nodes.size());  // id -> chunk index
+    std::vector<std::uint32_t> filled(requests.size(), 0);
+    out->nodes.resize(nodes.size());
+    for (const CpNode& n : nodes) {
+      const JournalChunk::Record& rec = out->requests[Idx(n.request)];
+      const std::uint32_t at = rec.first_node + filled[Idx(n.request)]++;
+      out->nodes[at] = n;
+      position[Idx(n.id)] = at;
+    }
+    for (JournalChunk::Record& rec : out->requests) {
+      rec.arrival_index = position[Idx(rec.request.arrival_node)];
+      rec.terminal_index =
+          rec.request.terminal_node >= 0
+              ? static_cast<std::int64_t>(position[Idx(rec.request.terminal_node)])
+              : -1;
+    }
+    out->edges.resize(edges.size());
+    filled.assign(requests.size(), 0);
+    for (std::size_t seq = 0; seq < edges.size(); ++seq) {
+      const auto [from, to] = edges[seq];
+      const int owner = nodes[Idx(from)].request;
+      const JournalChunk::Record& rec = out->requests[Idx(owner)];
+      out->edges[rec.first_edge + filled[Idx(owner)]++] = JournalChunk::Edge{
+          CpEdgeRec{static_cast<std::int64_t>(seq), from, to},
+          position[Idx(from)], position[Idx(to)]};
+    }
+    const CpStrings& strings = graph_.strings();
+    out->text.clear();
+    out->string_spans.clear();
+    for (std::size_t i = 0; i < strings.size(); ++i) {
+      const std::string& s = strings[static_cast<CpStrId>(i)];
+      out->string_spans.emplace_back(static_cast<std::uint32_t>(out->text.size()),
+                                     static_cast<std::uint32_t>(s.size()));
+      out->text += s;
+    }
   }
-  const std::string& terminal_resource(int id) const override {
-    return graph_.nodes()[Idx(request(id).terminal_node)].resource;
-  }
-  const std::vector<CpNodeId>& request_nodes(int id) override {
-    return req_nodes_[Idx(id)];
-  }
-  void BeforeArrival(int) override {}
-  const CpNode& node(CpNodeId id) override { return graph_.nodes()[Idx(id)]; }
-  const std::vector<CpNodeId>& successors(CpNodeId id) override {
-    return succ_[Idx(id)];
-  }
-  int& pending(CpNodeId id) override { return pending_[Idx(id)]; }
-  void OnNodeFinished(CpNodeId) override {}
-  void OnRequestDone(int) override {}
 
  private:
   const CausalGraph& graph_;
-  std::vector<std::vector<CpNodeId>> succ_;
-  std::vector<int> pending_;
-  std::vector<std::vector<CpNodeId>> req_nodes_;
 };
 
 // Event-driven forward re-scheduling of the journal DAG. Every non-arrival
@@ -161,68 +294,143 @@ class InMemorySource : public ReplaySource {
 // domain request's replayed completion). Transfers run through a per-process
 // fair-share Fabric rebuilt from the recorded hops at scaled capacities, so
 // contention re-emerges from the replayed overlap instead of being copied.
+//
+// A node is addressed by a handle: its resident slot in the high 32 bits and
+// its index in the slot's chunk in the low 32, so every per-node step is
+// array indexing, and every event is an Action carrying the handle.
 class Replayer {
  public:
   Replayer(ReplaySource& src, const WhatIfExperiment& exp)
-      : src_(src), exp_(exp) {}
+      : src_(src), exp_(exp), requests_(src.requests()) {}
 
   WhatIfReplay Run() {
-    const std::size_t num_requests = src_.num_requests();
+    const std::size_t num_requests = requests_.size();
     out_.latency.assign(num_requests, -1);
     out_.pcie_time.assign(num_requests, 0);
     out_.nvlink_time.assign(num_requests, 0);
     out_.exec_time.assign(num_requests, 0);
 
     int num_processes = src_.num_processes();
-    for (std::size_t id = 0; id < num_requests; ++id) {
-      num_processes =
-          std::max(num_processes, src_.request(static_cast<int>(id)).process + 1);
+    for (const CpRequest& r : requests_) {
+      num_processes = std::max(num_processes, r.process + 1);
     }
     fabrics_.resize(Idx(num_processes));
     links_.resize(Idx(num_processes));
+    slot_of_chunk_.assign(src_.num_chunks(), kNotLoaded);
 
-    // Chain completed requests into dispatch domains; requests the journal
-    // never completed are skipped entirely (their nodes stay unscheduled).
-    next_in_domain_.assign(num_requests, -1);
-    std::map<std::pair<int, std::string>, int> domain_tail;
-    for (std::size_t i = 0; i < num_requests; ++i) {
-      const CpRequest& r = src_.request(static_cast<int>(i));
-      if (r.completion < 0 || r.terminal_node < 0) {
-        continue;
-      }
-      const auto key = std::make_pair(r.process, src_.terminal_resource(r.id));
-      const auto it = domain_tail.find(key);
-      if (it == domain_tail.end()) {
-        const int id = r.id;
-        sim_.ScheduleAt(r.arrival, [this, id] { Release(id); });
-      } else {
-        next_in_domain_[Idx(it->second)] = r.id;
-      }
-      domain_tail[key] = r.id;
-      const CpNodeId arrival_node = r.arrival_node;
-      if (arrival_node >= 0) {
-        const int rid = r.id;
-        sim_.ScheduleAt(r.arrival, [this, rid, arrival_node] {
-          src_.BeforeArrival(rid);
-          FinishNode(arrival_node, 0);
-        });
-      }
+    // Each domain's first request releases at its arrival; every replayed
+    // request's arrival node finishes at its recorded time. These events
+    // take their sequence numbers up front, so they fire exactly where they
+    // would if all were queued now, but are fed one at a time: the queue
+    // holds only the events in flight, not one per request.
+    if (!src_.start_events.empty()) {
+      start_seq_ = sim_.ReserveSeq(src_.start_events.size());
+      ScheduleStart(0);
     }
 
     sim_.Run();
 
     for (std::size_t i = 0; i < num_requests; ++i) {
-      const CpRequest& r = src_.request(static_cast<int>(i));
-      if (r.completion >= 0 && r.terminal_node >= 0) {
-        // A stuck replay means the journal's edges are cyclic or reference
-        // work from a request that never completed.
-        DP_CHECK(out_.latency[Idx(r.id)] >= 0);
+      if (Replayed(requests_[i])) {
+        // A stuck replay means a node never became ready; the readers
+        // reject the cyclic and cross-request edges that could cause it.
+        DP_CHECK(out_.latency[i] >= 0);
       }
     }
     return std::move(out_);
   }
 
  private:
+  static constexpr std::int64_t kNotLoaded = -1;
+  static constexpr std::int64_t kRetired = -2;
+
+  static std::uint64_t Handle(std::uint32_t slot, std::uint32_t index) {
+    return (std::uint64_t{slot} << 32) | index;
+  }
+  static std::uint32_t SlotOf(std::uint64_t handle) {
+    return static_cast<std::uint32_t>(handle >> 32);
+  }
+  static std::uint32_t IndexOf(std::uint64_t handle) {
+    return static_cast<std::uint32_t>(handle);
+  }
+
+  // The slot holding request `id`'s chunk, loading the chunk on first touch.
+  std::uint32_t Resident(int id) {
+    const std::uint32_t c = src_.chunk_of[Idx(id)];
+    std::int64_t& state = slot_of_chunk_[c];
+    if (state >= 0) {
+      return static_cast<std::uint32_t>(state);
+    }
+    // A chunk retires only after all its requests are done, so none of
+    // them can touch it again.
+    DP_CHECK(state == kNotLoaded);
+    const std::uint32_t slot = src_.AcquireSlot();
+    ResidentChunk& rc = src_.slot(slot);
+    src_.Load(c, &rc.chunk);
+    Prepare(c, &rc);
+    state = slot;
+    resident_ += rc.replayed;
+    src_.max_resident = std::max(src_.max_resident, resident_);
+    return slot;
+  }
+
+  // Builds one replay's scheduling state over a freshly loaded chunk.
+  static void Prepare(std::uint32_t index, ResidentChunk* rc) {
+    const JournalChunk& chunk = rc->chunk;
+    const std::size_t n = chunk.nodes.size();
+    rc->index = index;
+    rc->succ_begin.assign(n + 1, 0);
+    rc->pending.assign(n, 0);
+    for (const JournalChunk::Edge& e : chunk.edges) {
+      ++rc->succ_begin[e.from_index + 1];
+      ++rc->pending[e.to_index];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      rc->succ_begin[i + 1] += rc->succ_begin[i];
+    }
+    // Filling advances each node's begin to its end, i.e. the next node's
+    // begin; shifting by one restores the begins.
+    rc->succ.resize(chunk.edges.size());
+    for (const JournalChunk::Edge& e : chunk.edges) {
+      rc->succ[rc->succ_begin[e.from_index]++] = e.to_index;
+    }
+    for (std::size_t i = n; i > 0; --i) {
+      rc->succ_begin[i] = rc->succ_begin[i - 1];
+    }
+    rc->succ_begin[0] = 0;
+    rc->timed.resize(n);
+    rc->remaining.assign(chunk.requests.size(), 0);
+    rc->replayed = 0;
+    for (std::size_t k = 0; k < chunk.requests.size(); ++k) {
+      const JournalChunk::Record& rec = chunk.requests[k];
+      if (!Replayed(rec.request)) {
+        continue;  // never replayed: its nodes are never touched
+      }
+      ++rc->replayed;
+      rc->remaining[k] = rec.num_nodes + 2;
+      for (std::uint32_t i = rec.first_node; i < rec.first_node + rec.num_nodes;
+           ++i) {
+        if (chunk.nodes[i].kind != CpKind::kArrival) {
+          ++rc->pending[i];  // the release token
+        }
+      }
+    }
+    rc->open = rc->replayed;
+    rc->link_of_string.assign(chunk.num_strings(), -1);
+  }
+
+  // Counts one of a replayed request's window tokens down; the chunk
+  // retires when its last request leaves the window.
+  void Settle(std::uint32_t slot, int request) {
+    ResidentChunk& rc = src_.slot(slot);
+    if (--rc.remaining[src_.record_of[Idx(request)]] != 0 || --rc.open != 0) {
+      return;
+    }
+    slot_of_chunk_[rc.index] = kRetired;
+    resident_ -= rc.replayed;
+    src_.ReleaseSlot(slot);
+  }
+
   Fabric& FabricFor(int process) {
     auto& fabric = fabrics_[Idx(process)];
     if (!fabric) {
@@ -231,36 +439,94 @@ class Replayer {
     return *fabric;
   }
 
-  double ScaleFor(const std::string& link) const {
-    return IsNvlinkName(link) ? exp_.nvlink_scale : exp_.pcie_scale;
-  }
-
-  LinkId LinkFor(int process, const CpHop& hop) {
-    auto& map = links_[Idx(process)];
-    const auto it = map.find(hop.link);
-    if (it != map.end()) {
-      DP_CHECK(it->second.second == hop.capacity);  // journal self-consistency
-      return it->second.first;
+  // The replay's id for the link a hop names, resolved once per chunk
+  // string.
+  std::int32_t LinkName(ResidentChunk& rc, CpStrId link) {
+    std::int32_t& id = rc.link_of_string[link];
+    if (id < 0) {
+      const std::string_view name = rc.chunk.str(link);
+      id = static_cast<std::int32_t>(link_names_.Intern(name));
+      if (Idx(id) >= link_nvlink_.size()) {
+        // NVLink links are named "nvlink/..."; everything else ("pcie/...",
+        // "uplink/...") is PCIe infrastructure and follows the PCIe knob.
+        link_nvlink_.resize(Idx(id) + 1, 0);
+        link_nvlink_[Idx(id)] = name.starts_with("nvlink") ? 1 : 0;
+      }
     }
-    const LinkId id =
-        FabricFor(process).AddLink(hop.link, hop.capacity * ScaleFor(hop.link));
-    map.emplace(hop.link, std::make_pair(id, hop.capacity));
     return id;
   }
 
-  void Release(int request) {
-    // request_nodes() pages the request's window in (windowed source); no
-    // node of a request is touched before its Release or BeforeArrival.
-    for (const CpNodeId n : src_.request_nodes(request)) {
-      Arm(n);
+  double ScaleFor(std::int32_t link) const {
+    return link_nvlink_[Idx(link)] != 0 ? exp_.nvlink_scale : exp_.pcie_scale;
+  }
+
+  LinkId LinkFor(int process, std::int32_t link, double capacity) {
+    auto& table = links_[Idx(process)];
+    if (Idx(link) >= table.size()) {
+      table.resize(Idx(link) + 1);
+    }
+    LinkSlot& slot = table[Idx(link)];
+    if (slot.id >= 0) {
+      DP_CHECK(slot.capacity == capacity);  // journal self-consistency
+      return slot.id;
+    }
+    slot.id = FabricFor(process).AddLink(link_names_[static_cast<CpStrId>(link)],
+                                         capacity * ScaleFor(link));
+    slot.capacity = capacity;
+    return slot.id;
+  }
+
+  void ScheduleStart(std::uint64_t pos) {
+    const StartEvent& e = src_.start_events[pos];
+    sim_.ScheduleReserved(e.when, start_seq_ + e.order,
+                          MakeAction<&Replayer::FireStart>(this, pos));
+  }
+
+  // Event: start event `pos` is due; the next one is queued first.
+  void FireStart(std::uint64_t pos) {
+    if (pos + 1 < src_.start_events.size()) {
+      ScheduleStart(pos + 1);
+    }
+    const std::uint64_t arg = src_.start_events[pos].arg;
+    if ((arg & 1) != 0) {
+      Arrive(arg >> 1);
+    } else {
+      Release(arg >> 1);
     }
   }
 
-  void Arm(CpNodeId node) {
-    int& pending = src_.pending(node);
+  // Event: request `id` is dispatched; its non-arrival nodes get their
+  // release token.
+  void Release(std::uint64_t id) {
+    const int request = static_cast<int>(id);
+    const std::uint32_t slot = Resident(request);
+    const JournalChunk& chunk = src_.slot(slot).chunk;
+    const JournalChunk::Record& rec =
+        chunk.requests[src_.record_of[Idx(request)]];
+    for (std::uint32_t i = rec.first_node; i < rec.first_node + rec.num_nodes;
+         ++i) {
+      if (chunk.nodes[i].kind != CpKind::kArrival) {
+        Arm(Handle(slot, i));
+      }
+    }
+    Settle(slot, request);
+  }
+
+  // Event: request `id`'s arrival node finishes at its recorded time.
+  void Arrive(std::uint64_t id) {
+    const int request = static_cast<int>(id);
+    const std::uint32_t slot = Resident(request);
+    const JournalChunk& chunk = src_.slot(slot).chunk;
+    FinishNode(Handle(slot, chunk.requests[src_.record_of[Idx(request)]]
+                                .arrival_index),
+               0);
+  }
+
+  void Arm(std::uint64_t handle) {
+    std::int32_t& pending = src_.slot(SlotOf(handle)).pending[IndexOf(handle)];
     DP_CHECK(pending > 0);
     if (--pending == 0) {
-      StartNode(node);
+      StartNode(handle);
     }
   }
 
@@ -272,31 +538,32 @@ class Replayer {
                               (exp_.exec_scale * exp_.pcie_scale));
   }
 
-  void StartNode(CpNodeId id) {
-    const CpNode& n = src_.node(id);
+  void StartNode(std::uint64_t handle) {
+    ResidentChunk& rc = src_.slot(SlotOf(handle));
+    const CpNode& n = rc.chunk.nodes[IndexOf(handle)];
     const Nanos recorded = n.end - n.start;
     switch (n.kind) {
       case CpKind::kArrival:
         DP_CHECK(false);  // arrivals are scheduled directly, never armed
         break;
       case CpKind::kEvict:
-        FinishAfter(id, exp_.remove_evictions ? 0 : recorded);
+        FinishAfter(handle, exp_.remove_evictions ? 0 : recorded);
         break;
       case CpKind::kExec: {
         const Nanos dha = std::clamp<Nanos>(n.dha_pcie, 0, recorded);
         const auto rest = static_cast<Nanos>(
             static_cast<double>(recorded - dha) / exp_.exec_scale);
-        FinishAfter(id, rest + ScaledDhaShare(n));
+        FinishAfter(handle, rest + ScaledDhaShare(n));
         break;
       }
       case CpKind::kPcie:
       case CpKind::kNvlink:
-        ReplayTransfer(id, n);
+        ReplayTransfer(handle, rc, n);
         break;
     }
   }
 
-  void ReplayTransfer(CpNodeId id, const CpNode& n) {
+  void ReplayTransfer(std::uint64_t handle, ResidentChunk& rc, const CpNode& n) {
     const Nanos recorded = n.end - n.start;
     const double knob =
         n.kind == CpKind::kNvlink ? exp_.nvlink_scale : exp_.pcie_scale;
@@ -305,14 +572,15 @@ class Replayer {
       // scaling the recorded (or, contention-free, the solo) duration.
       const Nanos base =
           exp_.zero_contention && n.solo >= 0 ? n.solo : recorded;
-      FinishAfter(id, static_cast<Nanos>(static_cast<double>(base) / knob));
+      FinishAfter(handle, static_cast<Nanos>(static_cast<double>(base) / knob));
       return;
     }
     double min_cap = std::numeric_limits<double>::infinity();
     double min_scaled = std::numeric_limits<double>::infinity();
     for (const CpHop& hop : n.path) {
       min_cap = std::min(min_cap, hop.capacity);
-      min_scaled = std::min(min_scaled, hop.capacity * ScaleFor(hop.link));
+      min_scaled =
+          std::min(min_scaled, hop.capacity * ScaleFor(LinkName(rc, hop.link)));
     }
     // The recorded solo is body-at-min-capacity + latency tail, so the
     // bandwidth-independent tail (DMA setup, completion signalling) falls out
@@ -322,34 +590,39 @@ class Replayer {
             ? std::max<Nanos>(0, n.solo - CeilTransferBody(n.bytes, min_cap))
             : 0;
     if (exp_.zero_contention) {
-      FinishAfter(id, CeilTransferBody(n.bytes, min_scaled) + latency);
+      FinishAfter(handle, CeilTransferBody(n.bytes, min_scaled) + latency);
       return;
     }
-    const int process = n.request >= 0 ? src_.request(n.request).process : 0;
+    const int process = n.request >= 0 ? requests_[Idx(n.request)].process : 0;
     LinkPath path;
     for (const CpHop& hop : n.path) {
-      path.push_back(LinkFor(process, hop));
+      path.push_back(LinkFor(process, LinkName(rc, hop.link), hop.capacity));
     }
     FabricFor(process).Start(path, n.bytes, latency,
-                             [this, id](Nanos elapsed) { FinishNode(id, elapsed); });
+                             MakeTransferDone<&Replayer::FinishNode>(this, handle));
   }
 
-  void FinishAfter(CpNodeId id, Nanos duration) {
+  void FinishAfter(std::uint64_t handle, Nanos duration) {
     DP_CHECK(duration >= 0);
-    sim_.ScheduleAfter(duration,
-                       [this, id, duration] { FinishNode(id, duration); });
+    src_.slot(SlotOf(handle)).timed[IndexOf(handle)] = duration;
+    sim_.ScheduleAfter(duration, MakeAction<&Replayer::FinishTimed>(this, handle));
   }
 
-  void FinishNode(CpNodeId id, Nanos elapsed) {
+  void FinishTimed(std::uint64_t handle) {
+    FinishNode(handle, src_.slot(SlotOf(handle)).timed[IndexOf(handle)]);
+  }
+
+  void FinishNode(std::uint64_t handle, Nanos elapsed) {
     const Nanos now = sim_.now();
-    // Capture everything needed from the node up front: once
-    // src_.OnNodeFinished(id) runs (last statement), a windowed source may
-    // have freed the node's storage.
-    const CpNode& n = src_.node(id);
+    const std::uint32_t slot = SlotOf(handle);
+    const std::uint32_t index = IndexOf(handle);
+    // Slots are stable objects, so `rc` and `n` survive chunks loading
+    // below; the chunk can only retire in the final Settle.
+    ResidentChunk& rc = src_.slot(slot);
+    const CpNode& n = rc.chunk.nodes[index];
     const int request = n.request;
-    const CpKind kind = n.kind;
     if (request >= 0) {
-      switch (kind) {
+      switch (n.kind) {
         case CpKind::kPcie:
           out_.pcie_time[Idx(request)] += elapsed;
           break;
@@ -367,37 +640,53 @@ class Replayer {
           break;
       }
     }
-    for (const CpNodeId s : src_.successors(id)) {
-      Arm(s);
+    for (std::uint32_t k = rc.succ_begin[index]; k < rc.succ_begin[index + 1];
+         ++k) {
+      Arm(Handle(slot, rc.succ[k]));
     }
-    if (request >= 0) {
-      const CpRequest& r = src_.request(request);
-      if (r.terminal_node == id && r.completion >= 0) {
-        out_.latency[Idx(r.id)] = now - r.arrival;
-        const int next = next_in_domain_[Idx(r.id)];
-        if (next >= 0) {
-          const Nanos arrival = src_.request(next).arrival;
-          if (arrival <= now) {
-            Release(next);
-          } else {
-            sim_.ScheduleAt(arrival, [this, next] { Release(next); });
-          }
+    if (request < 0) {
+      return;
+    }
+    const CpRequest& r = requests_[Idx(request)];
+    if (r.terminal_node == n.id && r.completion >= 0) {
+      out_.latency[Idx(r.id)] = now - r.arrival;
+      const int next = src_.domains.next[Idx(r.id)];
+      if (next >= 0) {
+        const Nanos arrival = requests_[Idx(next)].arrival;
+        if (arrival <= now) {
+          Release(static_cast<std::uint64_t>(next));
+        } else {
+          sim_.ScheduleAt(arrival, MakeAction<&Replayer::Release>(
+                                       this, static_cast<std::uint64_t>(next)));
         }
-        src_.OnRequestDone(r.id);
       }
+      Settle(slot, request);
     }
-    src_.OnNodeFinished(id);
+    if (Replayed(r)) {
+      Settle(slot, request);
+    }
   }
+
+  // Per process and link name: the rebuilt fabric's link and the recorded
+  // (unscaled) capacity every hop over it must agree on.
+  struct LinkSlot {
+    LinkId id = -1;
+    double capacity = 0.0;
+  };
 
   ReplaySource& src_;
   const WhatIfExperiment& exp_;
+  const std::vector<CpRequest>& requests_;
   Simulator sim_;
   WhatIfReplay out_;
-  std::vector<int> next_in_domain_;
   std::vector<std::unique_ptr<Fabric>> fabrics_;
-  // Per process: link name -> (link id, recorded unscaled capacity).
-  std::vector<std::unordered_map<std::string, std::pair<LinkId, double>>>
-      links_;
+  CpStrings link_names_;
+  std::vector<char> link_nvlink_;  // per link name: follows the NVLink knob
+  std::vector<std::vector<LinkSlot>> links_;  // [process][link name]
+  // Per chunk: its slot while resident, else kNotLoaded or kRetired.
+  std::vector<std::int64_t> slot_of_chunk_;
+  std::size_t resident_ = 0;  // replayed requests in resident chunks
+  std::uint64_t start_seq_ = 0;  // sequence number of start event order 0
 };
 
 }  // namespace
@@ -486,29 +775,24 @@ WhatIfReplay ReplayWhatIf(const CausalGraph& graph,
 
 // ReplaySource over a binary journal with chunk-windowed residency. Open()
 // runs one sequential validating pass to build the O(requests) metadata
-// index; Replay() then loads each chunk's node/edge state the first time one
-// of its requests is dispatched (or its arrival fires) and frees a request's
-// state once its last node has finished replaying.
+// index and the dispatch-domain chain; Replay() then decodes a chunk into a
+// resident slot the first time one of its requests is dispatched (or its
+// arrival fires) and retires the slot once every replayed request in it has
+// finished.
 struct WindowedJournal::Impl : public ReplaySource {
-  // Per-request node/edge state while resident. unordered_map gives
-  // reference stability across inserts, which FinishNode relies on.
-  struct ReqState {
-    std::vector<CpNode> nodes;                // id order
-    std::vector<std::vector<CpNodeId>> succ;  // by node index, seq order
-    std::vector<int> pending;                 // by node index
-    std::vector<CpNodeId> non_arrival;        // global ids, id order
-    std::size_t unfinished = 0;
-    bool done = false;
-  };
-
   bool Open(const std::string& path, std::string* error) {
     if (!reader_.Open(path)) {
       *error = reader_.error();
       return false;
     }
+    // Terminal resources as dense ids, for the domain chain; each chunk
+    // string is looked up once.
+    CpStrings resources;
+    std::vector<std::int64_t> terminal_resource;
+    std::vector<std::int64_t> resource_of_string;
+    JournalChunk chunk;
     for (;;) {
       const std::uint64_t offset = reader_.next_offset();
-      JournalChunk chunk;
       const JournalReadStatus status = reader_.Next(&chunk);
       if (status == JournalReadStatus::kError) {
         *error = reader_.error();
@@ -522,31 +806,29 @@ struct WindowedJournal::Impl : public ReplaySource {
       for (std::string& name : chunk.new_processes) {
         processes_.push_back(std::move(name));
       }
-      for (CpRequestRecord& rec : chunk.requests) {
+      resource_of_string.assign(chunk.num_strings(), -1);
+      for (std::size_t k = 0; k < chunk.requests.size(); ++k) {
+        const JournalChunk::Record& rec = chunk.requests[k];
         const auto rid = static_cast<std::size_t>(rec.request.id);
         if (rid >= requests_.size()) {
           requests_.resize(rid + 1);
-          chunk_of_.resize(rid + 1, 0);
-          terminal_res_.resize(rid + 1, -1);
+          chunk_of.resize(rid + 1, 0);
+          record_of.resize(rid + 1, 0);
+          terminal_resource.resize(rid + 1, -1);
         }
         if (requests_[rid].id >= 0) {
           *error = path + ": duplicate request id " + std::to_string(rid);
           return false;
         }
         requests_[rid] = rec.request;
-        chunk_of_[rid] = chunk_index;
-        if (rec.request.terminal_node >= 0) {
-          const auto it = std::lower_bound(
-              rec.nodes.begin(), rec.nodes.end(), rec.request.terminal_node,
-              [](const CpNode& n, CpNodeId v) { return n.id < v; });
-          DP_CHECK(it != rec.nodes.end() &&
-                   it->id == rec.request.terminal_node);
-          const auto [rit, inserted] = resource_ids_.emplace(
-              it->resource, static_cast<int>(resources_.size()));
-          if (inserted) {
-            resources_.push_back(it->resource);
+        chunk_of[rid] = chunk_index;
+        record_of[rid] = static_cast<std::uint32_t>(k);
+        if (rec.terminal_index >= 0) {
+          const CpStrId s = chunk.nodes[Idx(rec.terminal_index)].resource;
+          if (resource_of_string[s] < 0) {
+            resource_of_string[s] = resources.Intern(chunk.str(s));
           }
-          terminal_res_[rid] = rit->second;
+          terminal_resource[rid] = resource_of_string[s];
         }
       }
     }
@@ -557,121 +839,28 @@ struct WindowedJournal::Impl : public ReplaySource {
         return false;
       }
     }
+    domains = ChainDomains(requests_, terminal_resource);
+    start_events = StartEvents(requests_, domains);
     return true;
   }
 
-  void ResetReplayState() {
-    chunk_loaded_.assign(chunk_offsets_.size(), 0);
-    states_.clear();
-    where_.clear();
-  }
-
-  void EnsureResident(int rid) {
-    const std::uint32_t c = chunk_of_[Idx(rid)];
-    if (chunk_loaded_[c] != 0) {
-      return;
-    }
-    chunk_loaded_[c] = 1;
-    JournalChunk chunk;
-    const bool ok =
-        reader_.ReadChunkAt(chunk_offsets_[c], processes_.size(), &chunk);
-    DP_CHECK(ok);  // the sequential pass already validated this chunk
-    for (CpRequestRecord& rec : chunk.requests) {
-      if (rec.request.completion < 0) {
-        continue;  // never replayed; keep it off the resident set
-      }
-      const int id = rec.request.id;
-      ReqState& st = states_[id];
-      st.nodes = std::move(rec.nodes);
-      const std::size_t n = st.nodes.size();
-      st.succ.assign(n, {});
-      st.pending.assign(n, 0);
-      st.unfinished = n;
-      const auto index_of = [&st](CpNodeId node_id) {
-        const auto it = std::lower_bound(
-            st.nodes.begin(), st.nodes.end(), node_id,
-            [](const CpNode& nd, CpNodeId v) { return nd.id < v; });
-        DP_CHECK(it != st.nodes.end() && it->id == node_id);
-        return static_cast<std::size_t>(it - st.nodes.begin());
-      };
-      for (const CpEdgeRec& e : rec.edges) {
-        st.succ[index_of(e.from)].push_back(e.to);
-        ++st.pending[index_of(e.to)];
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        where_.emplace(st.nodes[i].id, std::make_pair(id, i));
-        if (st.nodes[i].kind != CpKind::kArrival) {
-          ++st.pending[i];  // the release token
-          st.non_arrival.push_back(st.nodes[i].id);
-        }
-      }
-    }
-    max_resident_ = std::max(max_resident_, states_.size());
-  }
-
-  std::pair<ReqState*, std::size_t> Locate(CpNodeId id) {
-    const auto it = where_.find(id);
-    DP_CHECK(it != where_.end());  // touched a non-resident node
-    return {&states_.at(it->second.first), it->second.second};
-  }
-
   // --- ReplaySource ---
-  std::size_t num_requests() const override { return requests_.size(); }
+  const std::vector<CpRequest>& requests() const override { return requests_; }
   int num_processes() const override {
     return static_cast<int>(processes_.size());
   }
-  const CpRequest& request(int id) const override {
-    return requests_[Idx(id)];
+  std::size_t num_chunks() const override { return chunk_offsets_.size(); }
+  void Load(std::uint32_t index, JournalChunk* out) override {
+    const bool ok =
+        reader_.ReadChunkAt(chunk_offsets_[index], processes_.size(), out);
+    DP_CHECK(ok);  // the sequential pass already validated this chunk
   }
-  const std::string& terminal_resource(int id) const override {
-    return resources_[Idx(terminal_res_[Idx(id)])];
-  }
-  const std::vector<CpNodeId>& request_nodes(int id) override {
-    EnsureResident(id);
-    return states_.at(id).non_arrival;
-  }
-  void BeforeArrival(int id) override { EnsureResident(id); }
-  const CpNode& node(CpNodeId id) override {
-    const auto [st, i] = Locate(id);
-    return st->nodes[i];
-  }
-  const std::vector<CpNodeId>& successors(CpNodeId id) override {
-    const auto [st, i] = Locate(id);
-    return st->succ[i];
-  }
-  int& pending(CpNodeId id) override {
-    const auto [st, i] = Locate(id);
-    return st->pending[i];
-  }
-  void OnNodeFinished(CpNodeId id) override {
-    const auto it = where_.find(id);
-    DP_CHECK(it != where_.end());
-    const int rid = it->second.first;
-    where_.erase(it);
-    const auto sit = states_.find(rid);
-    DP_CHECK(sit != states_.end() && sit->second.unfinished > 0);
-    if (--sit->second.unfinished == 0 && sit->second.done) {
-      states_.erase(sit);  // the window shrinks as requests retire
-    }
-  }
-  void OnRequestDone(int id) override { states_.at(id).done = true; }
 
   // Metadata index (sequential pass; resident for the journal's lifetime).
   JournalReader reader_;
   std::vector<std::string> processes_;
   std::vector<CpRequest> requests_;
-  std::vector<std::uint32_t> chunk_of_;   // request id -> chunk index
-  std::vector<int> terminal_res_;         // request id -> resources_ index
-  std::vector<std::string> resources_;    // interned terminal resources
-  std::unordered_map<std::string, int> resource_ids_;
   std::vector<std::uint64_t> chunk_offsets_;
-
-  // Per-replay windowed state.
-  std::vector<char> chunk_loaded_;
-  std::unordered_map<int, ReqState> states_;
-  // node id -> (request id, index into its ReqState vectors)
-  std::unordered_map<CpNodeId, std::pair<int, std::size_t>> where_;
-  std::size_t max_resident_ = 0;
 };
 
 WindowedJournal::WindowedJournal() : impl_(std::make_unique<Impl>()) {}
@@ -691,12 +880,11 @@ const std::vector<CpRequest>& WindowedJournal::requests() const {
 }
 
 WhatIfReplay WindowedJournal::Replay(const WhatIfExperiment& exp) {
-  impl_->ResetReplayState();
   return Replayer(*impl_, exp).Run();
 }
 
 std::size_t WindowedJournal::max_resident_requests() const {
-  return impl_->max_resident_;
+  return impl_->max_resident;
 }
 
 }  // namespace deepplan

@@ -49,9 +49,25 @@ std::int64_t EventQueue::EpochOf(Nanos when) const {
 }
 
 EventQueue::EventId EventQueue::Schedule(Nanos when, Action action) {
+  return Insert(when, seq_++, action);
+}
+
+std::uint64_t EventQueue::ReserveSeq(std::uint64_t n) {
+  const std::uint64_t first = seq_;
+  seq_ += n;
+  return first;
+}
+
+EventQueue::EventId EventQueue::ScheduleReserved(Nanos when, std::uint64_t seq,
+                                                 Action action) {
+  DP_CHECK(seq < seq_);
+  return Insert(when, seq, action);
+}
+
+EventQueue::EventId EventQueue::Insert(Nanos when, std::uint64_t seq, Action action) {
   const SlotPool<Action>::Handle h = slots_.Alloc();
   slots_.Get(h) = action;
-  const Entry entry{when, seq_++, h.index, h.generation};
+  const Entry entry{when, seq, h.index, h.generation};
 
   if (total_entries_ == 0) {
     // Physically empty: re-anchor the calendar at this event instead of

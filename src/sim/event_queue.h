@@ -63,6 +63,16 @@ class EventQueue {
     return Schedule(when, Box(std::forward<F>(fn)));
   }
 
+  // Reserves `n` consecutive sequence numbers and returns the first. An
+  // event scheduled later with one of them (ScheduleReserved) fires exactly
+  // where it would have had it been scheduled at the reservation: before
+  // every event of the same time scheduled since. That lets a producer of
+  // many future events feed them one at a time, keeping the queue small,
+  // without changing the pop order. The caller must schedule a reserved
+  // event before any event that would pop after it has popped.
+  std::uint64_t ReserveSeq(std::uint64_t n);
+  EventId ScheduleReserved(Nanos when, std::uint64_t seq, Action action);
+
   // Turns `fn` into an Action that runs it once. A trivially-copyable
   // callable of up to 16 bytes (a lambda capturing a pointer and an int,
   // say) is packed into ctx/arg and needs no storage at all; anything else
@@ -95,7 +105,8 @@ class EventQueue {
   bool PopUntil(Nanos deadline, Nanos* when, Action* action);
 
   // --- introspection (tests + bench_scaling) ---
-  // Total events ever scheduled on this queue.
+  // Total events ever scheduled on this queue (reserved sequence numbers
+  // included).
   std::uint64_t total_scheduled() const { return seq_; }
   // Event slots ever created; bounded by max simultaneously-pending
   // events, not total_scheduled() — the arena-reuse invariant scaling_test
@@ -120,6 +131,7 @@ class EventQueue {
   static void RunBoxed(void* ctx, std::uint64_t arg);
   // Pops the entry EnsureFront positioned at cur_[head_].
   std::pair<Nanos, Action> PopFront();
+  EventId Insert(Nanos when, std::uint64_t seq, Action action);
 
   static bool EntryLess(const Entry& a, const Entry& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;

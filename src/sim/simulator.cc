@@ -45,6 +45,13 @@ EventQueue::EventId Simulator::ScheduleAt(Nanos when, Action action) {
   return queue_.Schedule(when, action);
 }
 
+EventQueue::EventId Simulator::ScheduleReserved(Nanos when, std::uint64_t seq,
+                                               Action action) {
+  check::SimValidator::OnSchedule(now_, when);
+  DP_CHECK(when >= now_);
+  return queue_.ScheduleReserved(when, seq, action);
+}
+
 Nanos Simulator::Run() { return RunUntil(std::numeric_limits<Nanos>::max()); }
 
 Nanos Simulator::RunUntil(Nanos deadline) {

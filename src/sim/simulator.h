@@ -41,6 +41,10 @@ class Simulator {
     return ScheduleAt(when, EventQueue::Box(std::forward<F>(fn)));
   }
   bool Cancel(EventQueue::EventId id) { return queue_.Cancel(id); }
+  // EventQueue::ReserveSeq / ScheduleReserved, at absolute time `when`
+  // (>= now()).
+  std::uint64_t ReserveSeq(std::uint64_t n) { return queue_.ReserveSeq(n); }
+  EventQueue::EventId ScheduleReserved(Nanos when, std::uint64_t seq, Action action);
 
   // Runs until the queue is empty. Returns the final clock value.
   Nanos Run();

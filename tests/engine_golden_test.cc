@@ -75,10 +75,17 @@ struct ColdCase {
   std::vector<Launch> launches = {Launch{}};
 };
 
+// A causal node with its interned names resolved.
+struct NamedNode {
+  CpNode node;
+  std::string label;
+  std::string resource;
+};
+
 struct ColdOutput {
   std::string text;
   TraceDocument trace;
-  std::vector<CpNode> nodes;
+  std::vector<NamedNode> nodes;
 };
 
 ColdOutput RunCase(const ColdCase& c) {
@@ -133,7 +140,11 @@ ColdOutput RunCase(const ColdCase& c) {
   }
   os << "trace\n" << OnePerLine(recorder.ToJson()) << "\n";
   os << "causal\n" << OnePerLine(causal.ToJson()) << "\n";
-  return ColdOutput{os.str(), recorder.document(), causal.nodes()};
+  ColdOutput out{os.str(), recorder.document(), {}};
+  for (const CpNode& node : causal.nodes()) {
+    out.nodes.push_back({node, causal.str(node.label), causal.str(node.resource)});
+  }
+  return out;
 }
 
 std::vector<ColdCase> Cases() {
@@ -182,15 +193,16 @@ std::string DistributedOutput() {
 
 // Whether `trace` holds an async interval on the node's track, with its
 // label, spanning exactly [start, end].
-bool HasAsyncInterval(const TraceDocument& trace, const CpNode& node) {
+bool HasAsyncInterval(const TraceDocument& trace, const NamedNode& named) {
+  const CpNode& node = named.node;
   for (const TraceEvent& begin : trace.events) {
-    if (begin.phase != TracePhase::kAsyncBegin || begin.track != node.resource ||
-        begin.name != node.label || begin.ts != node.start) {
+    if (begin.phase != TracePhase::kAsyncBegin || begin.track != named.resource ||
+        begin.name != named.label || begin.ts != node.start) {
       continue;
     }
     for (const TraceEvent& end : trace.events) {
       if (end.phase == TracePhase::kAsyncEnd && end.id == begin.id &&
-          end.track == node.resource && end.ts == node.end) {
+          end.track == named.resource && end.ts == node.end) {
         return true;
       }
     }
@@ -201,11 +213,11 @@ bool HasAsyncInterval(const TraceDocument& trace, const CpNode& node) {
 TEST(EngineGoldenTest, EveryTransferNodeHasATraceInterval) {
   for (const ColdCase& c : Cases()) {
     const ColdOutput out = RunCase(c);
-    for (const CpNode& node : out.nodes) {
-      if (node.kind == CpKind::kPcie || node.kind == CpKind::kNvlink) {
-        EXPECT_TRUE(HasAsyncInterval(out.trace, node))
-            << c.label << ": no trace interval for " << node.label << " on "
-            << node.resource;
+    for (const NamedNode& named : out.nodes) {
+      if (named.node.kind == CpKind::kPcie || named.node.kind == CpKind::kNvlink) {
+        EXPECT_TRUE(HasAsyncInterval(out.trace, named))
+            << c.label << ": no trace interval for " << named.label << " on "
+            << named.resource;
       }
     }
   }

@@ -4,9 +4,10 @@
 // graph's) on engine- and server-recorded journals,
 // streaming-writer equivalence with the batch dump, corruption and
 // version-mismatch rejection with actionable messages, dangling-edge
-// diagnosis, and the headline differential — windowed chunk-at-a-time
-// replay must be bit-identical to in-memory replay while keeping fewer
-// requests resident than the journal holds.
+// diagnosis, cyclic-edge rejection, and the headline differential —
+// windowed chunk-at-a-time replay must be bit-identical to in-memory replay
+// while keeping fewer requests resident than the journal holds and barely
+// touching the heap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "src/serving/server.h"
 #include "src/workload/azure_trace.h"
 #include "src/workload/poisson.h"
+#include "tests/counting_new.h"
 
 namespace deepplan {
 namespace {
@@ -109,6 +112,31 @@ TEST(JournalEncodingTest, Crc32MatchesTheStandardCheckValue) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
   EXPECT_NE(Crc32("abc"), Crc32("abd"));
+  // Against a byte-at-a-time reference over every length 0-256 at every
+  // start offset 0-7, so each alignment meets the 8-byte steps and every
+  // tail length.
+  const auto reference = [](std::string_view data) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const char ch : data) {
+      crc ^= static_cast<std::uint8_t>(ch);
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::string bytes(256 + 8, '\0');
+  std::uint32_t x = 12345;
+  for (char& ch : bytes) {
+    x = x * 1103515245u + 12345u;
+    ch = static_cast<char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::string_view data(bytes.data() + offset, len);
+      ASSERT_EQ(Crc32(data), reference(data)) << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 // ------------------------------------------------ recorded-journal fixtures
@@ -388,6 +416,7 @@ TEST(JournalRoundTripTest, ReadJournalToGraphRefusesDuplicateRequestIds) {
   JournalWriter writer;
   ASSERT_TRUE(writer.Open(path));
   writer.OnProcess(0, "p");
+  CpStrings strings;
   for (CpNodeId id = 0; id < 2; ++id) {
     CpRequestRecord rec;
     rec.request.id = 0;
@@ -398,9 +427,9 @@ TEST(JournalRoundTripTest, ReadJournalToGraphRefusesDuplicateRequestIds) {
     arrival.id = id;
     arrival.request = 0;
     arrival.kind = CpKind::kArrival;
-    arrival.label = "arrival";
+    arrival.label = strings.Intern("arrival");
     rec.nodes = {arrival};
-    writer.OnRequestRetired(std::move(rec));
+    writer.OnRequestRetired(rec, strings);
   }
   ASSERT_TRUE(writer.Finish());
   CausalGraph out(/*enabled=*/true);
@@ -498,7 +527,8 @@ TEST_F(JournalCountTest, WellFormedChunkDecodes) {
   JournalChunk chunk;
   ASSERT_EQ(reader.Next(&chunk), JournalReadStatus::kChunk) << reader.error();
   ASSERT_EQ(chunk.requests.size(), 1u);
-  EXPECT_EQ(chunk.requests[0].nodes.size(), 1u);
+  EXPECT_EQ(chunk.requests[0].num_nodes, 1u);
+  EXPECT_EQ(chunk.nodes.size(), 1u);
 }
 
 TEST_F(JournalCountTest, StringCountBeyondThePayloadIsRejected) {
@@ -542,13 +572,16 @@ TEST_F(JournalCountTest, NodeWithMoreHopsThanARouteIsRejected) {
                  "request 0: node 0 has 5 hops; a route has at most 4");
 }
 
-TEST(JournalLintTest, DanglingEdgeNamesTheRequestAndNode) {
-  // Hand-fed record whose edge points outside the request: the writer
-  // encodes it (it trusts the recorder), the reader must call it out.
-  const std::string path = TempPath("journal_dangling.dpj");
+// One request (id 0, completed at node 2) with nodes 0 (arrival), 1 and 2
+// (exec) and the given edges, handed straight to the writer: it encodes
+// whatever it is given (it trusts the recorder), so the readers have to
+// refuse what a recorder could never produce.
+void WriteHandMadeJournal(const std::string& path,
+                          const std::vector<CpEdgeRec>& edges) {
   JournalWriter writer;
   ASSERT_TRUE(writer.Open(path));
   writer.OnProcess(0, "p");
+  CpStrings strings;
   CpRequestRecord rec;
   rec.request.id = 0;
   rec.request.process = 0;
@@ -556,29 +589,96 @@ TEST(JournalLintTest, DanglingEdgeNamesTheRequestAndNode) {
   rec.request.arrival = 0;
   rec.request.completion = 100;
   rec.request.arrival_node = 0;
-  rec.request.terminal_node = 1;
+  rec.request.terminal_node = 2;
   CpNode arrival;
   arrival.id = 0;
   arrival.request = 0;
   arrival.kind = CpKind::kArrival;
-  arrival.label = "arrival";
-  arrival.resource = "arrival";
+  arrival.label = strings.Intern("arrival");
+  arrival.resource = strings.Intern("arrival");
   CpNode exec = arrival;
-  exec.id = 1;
   exec.kind = CpKind::kExec;
-  exec.label = "exec";
-  exec.resource = "exec/gpu0";
+  exec.label = strings.Intern("exec");
+  exec.resource = strings.Intern("exec/gpu0");
   exec.end = 100;
-  rec.nodes = {arrival, exec};
-  rec.edges = {{/*seq=*/0, /*from=*/0, /*to=*/7}};  // node 7 does not exist
-  writer.OnRequestRetired(std::move(rec));
+  CpNode first = exec;
+  first.id = 1;
+  CpNode second = exec;
+  second.id = 2;
+  rec.nodes = {arrival, first, second};
+  rec.edges = edges;
+  writer.OnRequestRetired(rec, strings);
   ASSERT_TRUE(writer.Finish());
+}
+
+TEST(JournalLintTest, DanglingEdgeNamesTheRequestAndNode) {
+  const std::string path = TempPath("journal_dangling.dpj");
+  // Node 7 does not exist.
+  WriteHandMadeJournal(path, {{/*seq=*/0, /*from=*/0, /*to=*/7}});
 
   const check::TraceLintResult r = LintJournalFile(path);
   EXPECT_FALSE(r.ok());
   ASSERT_FALSE(r.errors.empty());
   EXPECT_NE(r.errors[0].find("dangling"), std::string::npos) << r.errors[0];
   EXPECT_NE(r.errors[0].find("request 0"), std::string::npos) << r.errors[0];
+  std::remove(path.c_str());
+}
+
+// A cycle (1 -> 2 -> 1) and a self-loop (2 -> 2) both pass the CRC and
+// every reference check; left in, the replay would wait forever on node 2
+// and abort. Every reader refuses the backward edge, naming the request and
+// both nodes.
+TEST(JournalLintTest, CyclicEdgesAreRejectedByEveryReader) {
+  struct Shape {
+    std::vector<CpEdgeRec> edges;
+    std::string edge;  // as the diagnostic names it
+  };
+  const std::vector<Shape> shapes = {
+      {{{0, 0, 1}, {1, 1, 2}, {2, 2, 1}}, "edge (2 -> 1)"},
+      {{{0, 0, 1}, {1, 1, 2}, {2, 2, 2}}, "edge (2 -> 2)"},
+  };
+  const std::string path = TempPath("journal_cyclic.dpj");
+  for (const Shape& shape : shapes) {
+    WriteHandMadeJournal(path, shape.edges);
+    const auto expect_diagnostic = [&shape](const std::string& error) {
+      EXPECT_NE(error.find("request 0: " + shape.edge), std::string::npos)
+          << error;
+      EXPECT_NE(error.find("does not run from a lower node id to a higher one"),
+                std::string::npos)
+          << error;
+    };
+
+    const check::TraceLintResult lint = LintJournalFile(path);
+    EXPECT_FALSE(lint.ok()) << shape.edge;
+    ASSERT_FALSE(lint.errors.empty()) << shape.edge;
+    expect_diagnostic(lint.errors[0]);
+
+    CausalGraph graph(/*enabled=*/true);
+    std::string error;
+    EXPECT_FALSE(ReadJournalToGraph(path, &graph, &error)) << shape.edge;
+    expect_diagnostic(error);
+
+    WindowedJournal journal;
+    error.clear();
+    EXPECT_FALSE(journal.Open(path, &error)) << shape.edge;
+    expect_diagnostic(error);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(JournalLintTest, ForwardEdgesOfTheSameShapeAreAccepted) {
+  // The control for the test above: the same request with its edges
+  // pointing forward lints clean and replays its recorded latency.
+  const std::string path = TempPath("journal_forward.dpj");
+  WriteHandMadeJournal(path, {{0, 0, 1}, {1, 1, 2}});
+  const check::TraceLintResult lint = LintJournalFile(path);
+  EXPECT_TRUE(lint.ok()) << (lint.errors.empty() ? "" : lint.errors[0]);
+  WindowedJournal journal;
+  std::string error;
+  ASSERT_TRUE(journal.Open(path, &error)) << error;
+  WhatIfExperiment identity;
+  identity.name = "baseline";
+  EXPECT_EQ(journal.Replay(identity).latency, std::vector<Nanos>{200});
   std::remove(path.c_str());
 }
 
@@ -682,6 +782,31 @@ TEST_F(WindowedReplayTest, ResidentWindowStaysBelowTheJournalSize) {
   // The bounded-memory claim: a 64-request chunk window plus in-flight
   // requests, never the whole journal.
   EXPECT_LT(journal.max_resident_requests(), journal.requests().size() / 2);
+}
+
+TEST_F(WindowedReplayTest, OneReplayBarelyTouchesTheHeap) {
+  // The replay's allocation counter: a replay decodes each chunk into
+  // reused flat arrays and schedules Actions and TransferDones, so what it
+  // allocates is per chunk, per link and per replay, never per node.
+  const CausalGraph& graph = Graph();
+  std::size_t replayed_nodes = 0;
+  for (const CpNode& node : graph.nodes()) {
+    if (graph.requests()[static_cast<std::size_t>(node.request)].completion >= 0) {
+      ++replayed_nodes;
+    }
+  }
+  ASSERT_GT(replayed_nodes, 2000u);
+  WindowedJournal journal;
+  std::string error;
+  ASSERT_TRUE(journal.Open(JournalPath(), &error)) << error;
+  WhatIfExperiment identity;
+  identity.name = "baseline";
+  const std::size_t before = g_allocations;
+  const WhatIfReplay replay = journal.Replay(identity);
+  const std::size_t allocations = g_allocations - before;
+  EXPECT_EQ(replay.latency.size(), graph.requests().size());
+  EXPECT_LT(static_cast<double>(allocations) / static_cast<double>(replayed_nodes), 0.1)
+      << allocations << " allocations for " << replayed_nodes << " replayed nodes";
 }
 
 TEST(WindowedJournalTest, OpenRejectsMissingAndCorruptFiles) {

@@ -82,7 +82,8 @@ TEST(CriticalPathTest, KnownPathAttributesEveryComponent) {
   EXPECT_EQ(p.path.front(), graph.requests()[0].arrival_node);
   EXPECT_EQ(p.path.back(), graph.requests()[0].terminal_node);
   for (const CpNodeId id : p.path) {
-    EXPECT_NE(graph.nodes()[static_cast<std::size_t>(id)].label, "warmup");
+    EXPECT_NE(graph.str(graph.nodes()[static_cast<std::size_t>(id)].label),
+              "warmup");
   }
 }
 
