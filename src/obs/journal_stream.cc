@@ -424,8 +424,7 @@ bool JournalReader::Open(const std::string& path) {
   return true;
 }
 
-bool JournalReader::ReadFrame(std::uint8_t* marker, std::string* payload,
-                              bool* at_eof) {
+bool JournalReader::ReadFrame(std::uint8_t* marker, bool* at_eof) {
   *at_eof = false;
   const int first = in_.get();
   if (first == std::char_traits<char>::eof()) {
@@ -466,16 +465,16 @@ bool JournalReader::ReadFrame(std::uint8_t* marker, std::string* payload,
   }
   header_bytes += 4;
   const std::uint32_t stored_crc = LoadU32Le(crc_bytes);
-  payload->assign(size, '\0');
+  frame_.resize(size);
   std::size_t got = 0;
-  if (size > 0 && !ReadExact(in_, payload->data(), size, &got)) {
+  if (size > 0 && !ReadExact(in_, frame_.data(), size, &got)) {
     return Fail("frame at offset " + std::to_string(offset_) + " declares " +
                 std::to_string(size) + " payload bytes but only " +
                 std::to_string(got) +
                 " remain — the file was truncated mid-write; frames before "
                 "this offset are intact");
   }
-  const std::uint32_t computed = Crc32(*payload);
+  const std::uint32_t computed = Crc32(frame_);
   if (computed != stored_crc) {
     const char* what =
         *marker == kJournalFooterMarker ? "footer" : "chunk";
@@ -502,7 +501,7 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
   }
   std::uint8_t marker = 0;
   bool at_eof = false;
-  if (!ReadFrame(&marker, &chunk->text, &at_eof)) {
+  if (!ReadFrame(&marker, &at_eof)) {
     if (at_eof) {
       Fail("journal ends without a footer after chunk " +
            std::to_string(seen_.chunks) +
@@ -513,7 +512,7 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
     return JournalReadStatus::kError;
   }
   if (marker == kJournalFooterMarker) {
-    std::string_view data(chunk->text);
+    std::string_view data(frame_);
     std::size_t pos = 0;
     JournalTotals footer;
     if (!ReadVarint(data, &pos, &footer.requests) ||
@@ -573,7 +572,7 @@ bool JournalReader::ReadChunkAt(std::uint64_t offset,
   offset_ = offset;
   std::uint8_t marker = 0;
   bool at_eof = false;
-  const bool frame_ok = ReadFrame(&marker, &chunk->text, &at_eof);
+  const bool frame_ok = ReadFrame(&marker, &at_eof);
   offset_ = saved_offset;
   if (!frame_ok) {
     if (at_eof) {
@@ -594,13 +593,13 @@ bool JournalReader::ReadChunkAt(std::uint64_t offset,
 }
 
 bool JournalReader::DecodeChunk(std::uint64_t process_bound,
-                                JournalChunk* chunk,
-                                std::string* error) const {
-  const std::string_view data(chunk->text);
+                                JournalChunk* chunk, std::string* error) const {
+  const std::string_view data(frame_);
   chunk->new_processes.clear();
   chunk->requests.clear();
   chunk->nodes.clear();
   chunk->edges.clear();
+  chunk->text.clear();
   chunk->string_spans.clear();
   std::size_t pos = 0;
   const auto fail = [error](const std::string& what) {
@@ -651,9 +650,12 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
   }
   chunk->string_spans.resize(num_strings);
   for (auto& span : chunk->string_spans) {
-    if (!read_span(&span)) {
+    std::pair<std::uint32_t, std::uint32_t> in_frame;
+    if (!read_span(&in_frame)) {
       return fail("payload ends inside the string table");
     }
+    span = {static_cast<std::uint32_t>(chunk->text.size()), in_frame.second};
+    chunk->text += data.substr(in_frame.first, in_frame.second);
   }
 
   std::uint64_t num_requests = 0;
@@ -822,23 +824,46 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
       }
     }
 
-    // The index in `nodes` of the request's node `node_id`, or -1.
-    const auto index_of = [chunk, &rec](std::int64_t node_id) -> std::int64_t {
-      const auto begin = chunk->nodes.begin() + rec.first_node;
-      const auto end = begin + rec.num_nodes;
-      const auto it = std::lower_bound(
-          begin, end, node_id,
-          [](const CpNode& n, std::int64_t v) { return n.id < v; });
-      return it != end && it->id == node_id ? it - chunk->nodes.begin() : -1;
+    // The index in `nodes` of the request's node `node_id`, or -1. The
+    // search walks a few ids from position *at (and leaves the find there)
+    // before bisecting: a recorder adds each edge into the node it just
+    // created, mostly from one created shortly before, so walking from the
+    // last edge's target finds nearly every endpoint in a step or two.
+    const auto locate = [chunk, &rec](std::int64_t node_id,
+                                      std::size_t* at) -> std::int64_t {
+      const CpNode* nodes = chunk->nodes.data() + rec.first_node;
+      const std::size_t size = rec.num_nodes;
+      std::size_t i = std::min<std::size_t>(*at, size - 1);
+      for (int step = 0; step < 8 && nodes[i].id != node_id; ++step) {
+        if (nodes[i].id < node_id && i + 1 < size) {
+          ++i;
+        } else if (nodes[i].id > node_id && i > 0) {
+          --i;
+        } else {
+          break;
+        }
+      }
+      if (nodes[i].id != node_id) {
+        const CpNode* it = std::lower_bound(
+            nodes, nodes + size, node_id,
+            [](const CpNode& n, std::int64_t v) { return n.id < v; });
+        if (it == nodes + size || it->id != node_id) {
+          return -1;
+        }
+        i = static_cast<std::size_t>(it - nodes);
+      }
+      *at = i;
+      return rec.first_node + static_cast<std::int64_t>(i);
     };
-    const std::int64_t arrival_index = index_of(arrival_node);
+    std::size_t at = 0;
+    const std::int64_t arrival_index = locate(arrival_node, &at);
     if (arrival_index < 0) {
       return fail(ctx() + ": arrival_node " + std::to_string(arrival_node) +
                   " is not a node of the request");
     }
     rec.arrival_index = static_cast<std::uint32_t>(arrival_index);
     if (terminal_node != -1) {
-      rec.terminal_index = index_of(terminal_node);
+      rec.terminal_index = locate(terminal_node, &at);
       if (rec.terminal_index < 0) {
         return fail(ctx() + ": terminal_node " + std::to_string(terminal_node) +
                     " is not a node of the request");
@@ -856,6 +881,7 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
     }
     rec.first_edge = static_cast<std::uint32_t>(chunk->edges.size());
     rec.num_edges = static_cast<std::uint32_t>(num_edges);
+    std::size_t to_at = 0;
     std::int64_t prev_seq = -1;
     const std::int64_t base = chunk->nodes[rec.first_node].id;
     for (std::uint64_t ei = 0; ei < num_edges; ++ei) {
@@ -872,8 +898,9 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
       prev_seq = seq;
       const std::int64_t from = base + from_delta;
       const std::int64_t to = base + to_delta;
-      const std::int64_t from_index = index_of(from);
-      const std::int64_t to_index = index_of(to);
+      const std::int64_t to_index = locate(to, &to_at);
+      std::size_t from_at = to_at;
+      const std::int64_t from_index = locate(from, &from_at);
       if (from_index < 0 || to_index < 0) {
         const std::int64_t dangling = from_index >= 0 ? to : from;
         return fail(ctx() + ": edge (" + std::to_string(from) + " -> " +
@@ -890,11 +917,9 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
                     "created, so this one could close a cycle (corrupt "
                     "journal or writer bug)");
       }
-      chunk->edges.push_back(
-          JournalChunk::Edge{CpEdgeRec{seq, static_cast<CpNodeId>(from),
-                                       static_cast<CpNodeId>(to)},
-                             static_cast<std::uint32_t>(from_index),
-                             static_cast<std::uint32_t>(to_index)});
+      chunk->edges.push_back(JournalChunk::Edge{
+          seq, static_cast<std::uint32_t>(from_index),
+          static_cast<std::uint32_t>(to_index)});
     }
   }
   if (pos != data.size()) {
@@ -952,7 +977,8 @@ bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
       nodes.push_back(n);
     }
     for (const JournalChunk::Edge& e : chunk.edges) {
-      seq_edges.emplace_back(e.rec.seq, e.rec.from, e.rec.to);
+      seq_edges.emplace_back(e.seq, chunk.nodes[e.from].id,
+                             chunk.nodes[e.to].id);
     }
   }
   // Requests retire in completion order; node ids and edge seqs are global

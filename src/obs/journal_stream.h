@@ -193,11 +193,12 @@ struct JournalChunk {
     std::uint32_t arrival_index = 0;
     std::int64_t terminal_index = -1;
   };
-  // An edge with its endpoints also given as indices into `nodes`.
+  // An edge: its global append-order sequence number and its endpoints as
+  // indices into `nodes` (their ids are nodes[from].id and nodes[to].id).
   struct Edge {
-    CpEdgeRec rec;
-    std::uint32_t from_index = 0;
-    std::uint32_t to_index = 0;
+    std::int64_t seq = -1;
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
   };
 
   std::string_view str(CpStrId id) const {
@@ -210,8 +211,7 @@ struct JournalChunk {
   std::vector<Record> requests;            // in file order
   std::vector<CpNode> nodes;   // record by record, id order within each
   std::vector<Edge> edges;     // record by record, seq order within each
-  // String storage: str(i) is text[offset, offset + size) of span i. A
-  // decoded chunk's text is the frame payload itself.
+  // String storage: str(i) is text[offset, offset + size) of span i.
   std::string text;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> string_spans;
 };
@@ -256,12 +256,14 @@ class JournalReader {
 
  private:
   bool Fail(const std::string& message);
-  bool ReadFrame(std::uint8_t* marker, std::string* payload, bool* at_eof);
-  // Decodes the payload held in chunk->text into the rest of `chunk`.
+  // Reads one frame into frame_.
+  bool ReadFrame(std::uint8_t* marker, bool* at_eof);
+  // Decodes the chunk payload held in frame_ into `chunk`.
   bool DecodeChunk(std::uint64_t process_bound, JournalChunk* chunk,
                    std::string* error) const;
 
   std::ifstream in_;
+  std::string frame_;  // the last frame's payload, storage reused
   std::string path_;
   bool open_ = false;
   bool footer_seen_ = false;

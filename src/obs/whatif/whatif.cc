@@ -139,9 +139,8 @@ struct ResidentChunk {
   std::vector<std::uint32_t> succ_begin;
   std::vector<std::uint32_t> succ;
   // Per node: predecessors not yet finished, plus the release token of a
-  // non-arrival node; the duration a timed finish was scheduled with.
+  // non-arrival node.
   std::vector<std::int32_t> pending;
-  std::vector<Nanos> timed;
   // Per record of a replayed request: nodes not yet finished, plus its
   // release and its completion. The request leaves the window at 0.
   std::vector<std::uint32_t> remaining;
@@ -268,8 +267,8 @@ class InMemorySource : public ReplaySource {
       const int owner = nodes[Idx(from)].request;
       const JournalChunk::Record& rec = out->requests[Idx(owner)];
       out->edges[rec.first_edge + filled[Idx(owner)]++] = JournalChunk::Edge{
-          CpEdgeRec{static_cast<std::int64_t>(seq), from, to},
-          position[Idx(from)], position[Idx(to)]};
+          static_cast<std::int64_t>(seq), position[Idx(from)],
+          position[Idx(to)]};
     }
     const CpStrings& strings = graph_.strings();
     out->text.clear();
@@ -382,8 +381,8 @@ class Replayer {
     rc->succ_begin.assign(n + 1, 0);
     rc->pending.assign(n, 0);
     for (const JournalChunk::Edge& e : chunk.edges) {
-      ++rc->succ_begin[e.from_index + 1];
-      ++rc->pending[e.to_index];
+      ++rc->succ_begin[e.from + 1];
+      ++rc->pending[e.to];
     }
     for (std::size_t i = 0; i < n; ++i) {
       rc->succ_begin[i + 1] += rc->succ_begin[i];
@@ -392,13 +391,12 @@ class Replayer {
     // begin; shifting by one restores the begins.
     rc->succ.resize(chunk.edges.size());
     for (const JournalChunk::Edge& e : chunk.edges) {
-      rc->succ[rc->succ_begin[e.from_index]++] = e.to_index;
+      rc->succ[rc->succ_begin[e.from]++] = e.to;
     }
     for (std::size_t i = n; i > 0; --i) {
       rc->succ_begin[i] = rc->succ_begin[i - 1];
     }
     rc->succ_begin[0] = 0;
-    rc->timed.resize(n);
     rc->remaining.assign(chunk.requests.size(), 0);
     rc->replayed = 0;
     for (std::size_t k = 0; k < chunk.requests.size(); ++k) {
@@ -538,59 +536,67 @@ class Replayer {
                               (exp_.exec_scale * exp_.pcie_scale));
   }
 
-  void StartNode(std::uint64_t handle) {
-    ResidentChunk& rc = src_.slot(SlotOf(handle));
-    const CpNode& n = rc.chunk.nodes[IndexOf(handle)];
+  // The bandwidth-independent tail of a recorded transfer (DMA setup,
+  // completion signalling): the recorded solo is body-at-min-capacity plus
+  // this tail, so it falls out exactly.
+  static Nanos TransferLatency(const CpNode& n) {
+    if (n.solo < 0) {
+      return 0;
+    }
+    double min_cap = std::numeric_limits<double>::infinity();
+    for (const CpHop& hop : n.path) {
+      min_cap = std::min(min_cap, hop.capacity);
+    }
+    return std::max<Nanos>(0, n.solo - CeilTransferBody(n.bytes, min_cap));
+  }
+
+  // How long node `n` runs under the experiment, or -1 for a transfer the
+  // rebuilt fabric times. A pure function of the node and the experiment,
+  // so a timed finish recomputes it instead of storing it.
+  Nanos TimedDuration(ResidentChunk& rc, const CpNode& n) {
     const Nanos recorded = n.end - n.start;
     switch (n.kind) {
       case CpKind::kArrival:
         DP_CHECK(false);  // arrivals are scheduled directly, never armed
         break;
       case CpKind::kEvict:
-        FinishAfter(handle, exp_.remove_evictions ? 0 : recorded);
-        break;
+        return exp_.remove_evictions ? 0 : recorded;
       case CpKind::kExec: {
         const Nanos dha = std::clamp<Nanos>(n.dha_pcie, 0, recorded);
         const auto rest = static_cast<Nanos>(
             static_cast<double>(recorded - dha) / exp_.exec_scale);
-        FinishAfter(handle, rest + ScaledDhaShare(n));
-        break;
+        return rest + ScaledDhaShare(n);
       }
       case CpKind::kPcie:
       case CpKind::kNvlink:
-        ReplayTransfer(handle, rc, n);
         break;
     }
-  }
-
-  void ReplayTransfer(std::uint64_t handle, ResidentChunk& rc, const CpNode& n) {
-    const Nanos recorded = n.end - n.start;
-    const double knob =
-        n.kind == CpKind::kNvlink ? exp_.nvlink_scale : exp_.pcie_scale;
     if (n.path.empty()) {
       // Journal predates hop recording: no fabric to rebuild, so degrade to
       // scaling the recorded (or, contention-free, the solo) duration.
+      const double knob =
+          n.kind == CpKind::kNvlink ? exp_.nvlink_scale : exp_.pcie_scale;
       const Nanos base =
           exp_.zero_contention && n.solo >= 0 ? n.solo : recorded;
-      FinishAfter(handle, static_cast<Nanos>(static_cast<double>(base) / knob));
-      return;
+      return static_cast<Nanos>(static_cast<double>(base) / knob);
     }
-    double min_cap = std::numeric_limits<double>::infinity();
+    if (!exp_.zero_contention) {
+      return -1;
+    }
     double min_scaled = std::numeric_limits<double>::infinity();
     for (const CpHop& hop : n.path) {
-      min_cap = std::min(min_cap, hop.capacity);
       min_scaled =
           std::min(min_scaled, hop.capacity * ScaleFor(LinkName(rc, hop.link)));
     }
-    // The recorded solo is body-at-min-capacity + latency tail, so the
-    // bandwidth-independent tail (DMA setup, completion signalling) falls out
-    // exactly.
-    const Nanos latency =
-        n.solo >= 0
-            ? std::max<Nanos>(0, n.solo - CeilTransferBody(n.bytes, min_cap))
-            : 0;
-    if (exp_.zero_contention) {
-      FinishAfter(handle, CeilTransferBody(n.bytes, min_scaled) + latency);
+    return CeilTransferBody(n.bytes, min_scaled) + TransferLatency(n);
+  }
+
+  void StartNode(std::uint64_t handle) {
+    ResidentChunk& rc = src_.slot(SlotOf(handle));
+    const CpNode& n = rc.chunk.nodes[IndexOf(handle)];
+    const Nanos duration = TimedDuration(rc, n);
+    if (duration >= 0) {
+      sim_.ScheduleAfter(duration, MakeAction<&Replayer::FinishTimed>(this, handle));
       return;
     }
     const int process = n.request >= 0 ? requests_[Idx(n.request)].process : 0;
@@ -598,18 +604,13 @@ class Replayer {
     for (const CpHop& hop : n.path) {
       path.push_back(LinkFor(process, LinkName(rc, hop.link), hop.capacity));
     }
-    FabricFor(process).Start(path, n.bytes, latency,
+    FabricFor(process).Start(path, n.bytes, TransferLatency(n),
                              MakeTransferDone<&Replayer::FinishNode>(this, handle));
   }
 
-  void FinishAfter(std::uint64_t handle, Nanos duration) {
-    DP_CHECK(duration >= 0);
-    src_.slot(SlotOf(handle)).timed[IndexOf(handle)] = duration;
-    sim_.ScheduleAfter(duration, MakeAction<&Replayer::FinishTimed>(this, handle));
-  }
-
   void FinishTimed(std::uint64_t handle) {
-    FinishNode(handle, src_.slot(SlotOf(handle)).timed[IndexOf(handle)]);
+    ResidentChunk& rc = src_.slot(SlotOf(handle));
+    FinishNode(handle, TimedDuration(rc, rc.chunk.nodes[IndexOf(handle)]));
   }
 
   void FinishNode(std::uint64_t handle, Nanos elapsed) {
@@ -790,7 +791,9 @@ struct WindowedJournal::Impl : public ReplaySource {
     CpStrings resources;
     std::vector<std::int64_t> terminal_resource;
     std::vector<std::int64_t> resource_of_string;
-    JournalChunk chunk;
+    // Decoded into a resident slot's chunk, whose storage the replays reuse.
+    const std::uint32_t scratch = AcquireSlot();
+    JournalChunk& chunk = slot(scratch).chunk;
     for (;;) {
       const std::uint64_t offset = reader_.next_offset();
       const JournalReadStatus status = reader_.Next(&chunk);
@@ -839,6 +842,7 @@ struct WindowedJournal::Impl : public ReplaySource {
         return false;
       }
     }
+    ReleaseSlot(scratch);
     domains = ChainDomains(requests_, terminal_resource);
     start_events = StartEvents(requests_, domains);
     return true;
