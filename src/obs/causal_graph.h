@@ -12,6 +12,11 @@
 // fabric applies); the critical-path engine turns the excess over solo into
 // the PCIe-contention component.
 //
+// Nodes are plain data: labels, resources and hop link names are interned
+// once into the graph's string table (CpStrings) and a node holds their ids,
+// so recording, decoding and replaying a node copy no strings. Every export
+// (ToJson, utilization, the profile report) resolves the ids back to names.
+//
 // Cost model mirrors TraceRecorder: components hold a `CausalGraph*` that is
 // nullptr when profiling is off, and a graph constructed disabled drops every
 // call without touching its buffers, so the disabled hot path stays a pointer
@@ -137,8 +142,6 @@ class CpHops {
   }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  const Hop& operator[](std::size_t i) const { return hops_[i]; }
-  Hop& operator[](std::size_t i) { return hops_[i]; }
   const Hop* begin() const { return hops_.data(); }
   const Hop* end() const { return hops_.data() + size_; }
   Hop* begin() { return hops_.data(); }

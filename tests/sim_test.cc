@@ -139,6 +139,42 @@ TEST(EventQueueTest, ScheduleDuringPopAtSameTimeFiresAfterExistingTies) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(EventQueueTest, ReservedSequenceNumbersPopAsIfScheduledAtTheReservation) {
+  // Start events at 10, 10 and 20 are either all scheduled up front, or
+  // reserved up front and fed one at a time from the previous one's
+  // callback. Events scheduled after them at the same times fire after
+  // them either way.
+  const auto run = [](bool feed) {
+    EventQueue q;
+    std::vector<int> order;
+    const Nanos start[] = {10, 10, 20};
+    std::uint64_t first = 0;
+    std::function<void(int)> fire = [&](int i) {
+      order.push_back(i);
+      if (feed && i < 2) {
+        q.ScheduleReserved(start[i + 1], first + static_cast<std::uint64_t>(i) + 1,
+                           EventQueue::Box([&fire, i] { fire(i + 1); }));
+      }
+    };
+    if (feed) {
+      first = q.ReserveSeq(3);
+      q.ScheduleReserved(start[0], first, EventQueue::Box([&fire] { fire(0); }));
+    } else {
+      for (int i = 0; i < 3; ++i) {
+        q.Schedule(start[i], [&fire, i] { fire(i); });
+      }
+    }
+    q.Schedule(20, [&] { order.push_back(21); });
+    q.Schedule(10, [&] { order.push_back(11); });
+    while (!q.empty()) {
+      q.PopNext().second();
+    }
+    return order;
+  };
+  EXPECT_EQ(run(false), (std::vector<int>{0, 1, 11, 2, 21}));
+  EXPECT_EQ(run(true), run(false));
+}
+
 // The event record and a stream op are plain bytes: scheduling, popping and
 // enqueueing copy them and never run a constructor or touch the heap.
 static_assert(std::is_trivially_copyable_v<EventQueue::Action>);
