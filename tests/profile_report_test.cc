@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -382,6 +383,35 @@ TEST(CausalGraphTest, DisabledGraphRecordsNothing) {
   graph.EndRequest(req, 1, -1);
   EXPECT_TRUE(graph.empty());
   EXPECT_TRUE(graph.nodes().empty());
+}
+
+TEST(CausalGraphTest, AdoptRemapsInternedStrings) {
+  // Each task's graph numbers its strings in its own order; after Adopt
+  // every node still names its own label, resource and links, and a name
+  // both tasks use is one string of the merged table.
+  const auto task = [](std::string_view label, std::string_view lane) {
+    CausalGraph graph(/*enabled=*/true);
+    const int req = graph.BeginRequest(graph.RegisterProcess(label), 0, 0);
+    const CpNodeId node =
+        graph.AddNode(req, CpKind::kPcie, label, lane, 0, 10, 10, 10);
+    graph.SetNodePath(node, {{"uplink/sw0", 2e9}, {lane, 1e9}});
+    graph.AddEdge(graph.arrival_node(req), node);
+    graph.EndRequest(req, 10, node);
+    return graph;
+  };
+  CausalGraph merged(/*enabled=*/true);
+  merged.Adopt(task("load a", "pcie/gpu0"));
+  merged.Adopt(task("load b", "pcie/gpu1"));
+  ASSERT_EQ(merged.nodes().size(), 4u);
+  const CpNode& a = merged.nodes()[1];
+  const CpNode& b = merged.nodes()[3];
+  EXPECT_EQ(merged.str(a.label), "load a");
+  EXPECT_EQ(merged.str(b.label), "load b");
+  EXPECT_EQ(merged.str(b.resource), "pcie/gpu1");
+  ASSERT_EQ(b.path.size(), 2u);
+  EXPECT_EQ(merged.str(b.path.begin()[0].link), "uplink/sw0");
+  EXPECT_EQ(merged.str(b.path.begin()[1].link), "pcie/gpu1");
+  EXPECT_EQ(b.path.begin()[0].link, a.path.begin()[0].link);
 }
 
 // ------------------------------------------------ report + schema linter
