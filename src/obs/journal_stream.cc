@@ -756,6 +756,15 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
                     " has unknown kind " + std::to_string(kind));
       }
       n.kind = static_cast<CpKind>(kind);
+      // A request roots at one arrival node, its first (BeginRequest
+      // creates it before anything else); the replay finishes that node at
+      // the recorded arrival and would stall or finish twice on any other.
+      if ((n.kind == CpKind::kArrival) != (ni == 0)) {
+        return fail(ctx() + ": node " + std::to_string(node_id) +
+                    (ni == 0 ? " is the request's first node but not an arrival"
+                             : " is a second arrival node") +
+                    "; a request roots at one arrival node, its first");
+      }
       std::uint64_t label_idx = 0, resource_idx = 0;
       if (!ReadVarint(data, &pos, &label_idx) ||
           !ReadVarint(data, &pos, &resource_idx)) {
@@ -860,6 +869,10 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
     if (arrival_index < 0) {
       return fail(ctx() + ": arrival_node " + std::to_string(arrival_node) +
                   " is not a node of the request");
+    }
+    if (arrival_index != rec.first_node) {
+      return fail(ctx() + ": arrival_node " + std::to_string(arrival_node) +
+                  " is not the request's first node");
     }
     rec.arrival_index = static_cast<std::uint32_t>(arrival_index);
     if (terminal_node != -1) {

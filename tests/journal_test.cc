@@ -572,12 +572,17 @@ TEST_F(JournalCountTest, NodeWithMoreHopsThanARouteIsRejected) {
                  "request 0: node 0 has 5 hops; a route has at most 4");
 }
 
-// One request (id 0, completed at node 2) with nodes 0 (arrival), 1 and 2
-// (exec) and the given edges, handed straight to the writer: it encodes
-// whatever it is given (it trusts the recorder), so the readers have to
-// refuse what a recorder could never produce.
+// One request (id 0, completed at node 2) with nodes 0, 1 and 2 of the
+// given kinds (by default an arrival and two execs), rooted at
+// `arrival_node`, with the given edges, handed straight to the writer: it
+// encodes whatever it is given (it trusts the recorder), so the readers have
+// to refuse what a recorder could never produce.
 void WriteHandMadeJournal(const std::string& path,
-                          const std::vector<CpEdgeRec>& edges) {
+                          const std::vector<CpEdgeRec>& edges,
+                          const std::vector<CpKind>& kinds = {CpKind::kArrival,
+                                                              CpKind::kExec,
+                                                              CpKind::kExec},
+                          CpNodeId arrival_node = 0) {
   JournalWriter writer;
   ASSERT_TRUE(writer.Open(path));
   writer.OnProcess(0, "p");
@@ -588,7 +593,7 @@ void WriteHandMadeJournal(const std::string& path,
   rec.request.instance = 0;
   rec.request.arrival = 0;
   rec.request.completion = 100;
-  rec.request.arrival_node = 0;
+  rec.request.arrival_node = arrival_node;
   rec.request.terminal_node = 2;
   CpNode arrival;
   arrival.id = 0;
@@ -606,6 +611,9 @@ void WriteHandMadeJournal(const std::string& path,
   CpNode second = exec;
   second.id = 2;
   rec.nodes = {arrival, first, second};
+  for (std::size_t i = 0; i < rec.nodes.size(); ++i) {
+    rec.nodes[i].kind = kinds[i];
+  }
   rec.edges = edges;
   writer.OnRequestRetired(rec, strings);
   ASSERT_TRUE(writer.Finish());
@@ -662,6 +670,38 @@ TEST(JournalLintTest, CyclicEdgesAreRejectedByEveryReader) {
     error.clear();
     EXPECT_FALSE(journal.Open(path, &error)) << shape.edge;
     expect_diagnostic(error);
+  }
+  std::remove(path.c_str());
+}
+
+// A request whose first node is not its one arrival would make the replay
+// finish a node twice or wait forever, so every reader refuses it.
+TEST(JournalLintTest, RequestsRootAtOneFirstArrivalNode) {
+  struct Shape {
+    std::vector<CpKind> kinds;
+    CpNodeId arrival_node;
+    std::string diagnostic;
+  };
+  const std::vector<Shape> shapes = {
+      {{CpKind::kArrival, CpKind::kArrival, CpKind::kExec}, 0,
+       "request 0: node 1 is a second arrival node"},
+      {{CpKind::kExec, CpKind::kExec, CpKind::kExec}, 0,
+       "request 0: node 0 is the request's first node but not an arrival"},
+      {{CpKind::kArrival, CpKind::kExec, CpKind::kExec}, 1,
+       "request 0: arrival_node 1 is not the request's first node"},
+  };
+  const std::string path = TempPath("journal_rootless.dpj");
+  for (const Shape& shape : shapes) {
+    WriteHandMadeJournal(path, {{0, 0, 1}, {1, 1, 2}}, shape.kinds,
+                         shape.arrival_node);
+    const check::TraceLintResult lint = LintJournalFile(path);
+    ASSERT_FALSE(lint.errors.empty()) << shape.diagnostic;
+    EXPECT_NE(lint.errors[0].find(shape.diagnostic), std::string::npos)
+        << lint.errors[0];
+    WindowedJournal journal;
+    std::string error;
+    EXPECT_FALSE(journal.Open(path, &error)) << shape.diagnostic;
+    EXPECT_NE(error.find(shape.diagnostic), std::string::npos) << error;
   }
   std::remove(path.c_str());
 }
