@@ -152,6 +152,13 @@ TEST_F(ScalingReplayTest, JournalTotalsCoverTheWholeRun) {
   std::ifstream in(JournalPath(), std::ios::binary | std::ios::ate);
   ASSERT_TRUE(in.is_open());
   EXPECT_EQ(static_cast<std::uint64_t>(in.tellg()), r.journal_bytes);
+  // The DPJL bytes themselves, pinned: the 200k point of bench_scaling
+  // --journal_out. A change to the encoder, or to what the engine and server
+  // record, moves them.
+  EXPECT_EQ(r.journal_bytes, 68761269u);
+  in.seekg(0);
+  const std::string bytes(std::istreambuf_iterator<char>(in), {});
+  EXPECT_EQ(Crc32(bytes), 0x738dfee1u);
 }
 
 TEST_F(ScalingReplayTest, WindowedIdentityReplayMatchesRecordedLatencies) {
