@@ -1,9 +1,15 @@
 // google-benchmark microbenchmarks for the simulation substrate: event-queue
 // throughput (boxed lambdas and plain Actions), stream ops, fabric transfer
-// scheduling alone and under contention, cold-run simulation, and workload
-// generation. These bound the wall-clock cost of the serving experiments
-// (Figures 13-15); each layer's ns/op reads on its own.
+// scheduling alone and under contention, cold-run simulation with and
+// without streaming causal-journal recording, the recording of one warm
+// request, and workload generation. These bound the wall-clock cost of the
+// serving experiments (Figures 13-15); each layer's ns/op reads on its own.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "src/deepplan.h"
 #include "src/sim/stream.h"
@@ -103,7 +109,40 @@ void BM_FabricContendedTransfers(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricContendedTransfers)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_ColdRunBertBase(benchmark::State& state) {
+// A streaming causal journal, as journal_record records one: the graph
+// retires each request into a writer on a scratch file, removed at the end.
+class StreamingJournal {
+ public:
+  explicit StreamingJournal(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() / name).string()) {
+    if (!writer_.Open(path_)) {
+      std::fprintf(stderr, "cannot open %s\n", path_.c_str());
+      std::abort();
+    }
+    graph_.AttachSink(&writer_);
+    process_ = graph_.RegisterProcess("micro_sim");
+  }
+  ~StreamingJournal() {
+    graph_.FlushOpenRequests();
+    writer_.Finish();
+    std::remove(path_.c_str());
+  }
+
+  CausalGraph& graph() { return graph_; }
+  int process() const { return process_; }
+
+ private:
+  std::string path_;
+  JournalWriter writer_;  // outlives the graph that streams into it
+  CausalGraph graph_{/*enabled=*/true};
+  int process_ = 0;
+};
+
+// One BERT-Base PT+DHA cold start per iteration on a simulator, fabric and
+// engine kept across iterations, as a server keeps them, so every run after
+// the first reuses a pooled cold-run record. With `journal` set, each cold
+// start is one recorded request.
+void ColdStartsBertBase(benchmark::State& state, StreamingJournal* journal) {
   const Topology topology = Topology::P3_8xlarge();
   const PerfModel perf(topology.gpu(), topology.pcie());
   const Model model = ModelZoo::BertBase();
@@ -112,15 +151,58 @@ void BM_ColdRunBertBase(benchmark::State& state) {
   const ModelProfile profile = Profiler(&perf, opts).Profile(model);
   const ExecutionPlan plan =
       MakeStrategyPlan(Strategy::kDeepPlanPtDha, profile, 2);
+  Simulator sim;
+  ServerFabric fabric(&sim, &topology);
+  Engine engine(&sim, &fabric, &perf);
+  CausalGraph* graph = journal != nullptr ? &journal->graph() : nullptr;
+  engine.set_causal(graph);
   for (auto _ : state) {
-    Simulator sim;
-    ServerFabric fabric(&sim, &topology);
-    Engine engine(&sim, &fabric, &perf);
-    engine.RunCold(model, plan, 0, {2}, ColdRunOptions{}, [](const InferenceResult&) {});
+    ColdRunOptions options;
+    if (graph != nullptr) {
+      options.causal_request = graph->BeginRequest(journal->process(), 0, sim.now());
+    }
+    InferenceResult result;
+    engine.RunCold(model, plan, 0, {2}, options,
+                   [&result](const InferenceResult& r) { result = r; });
     sim.Run();
+    if (graph != nullptr) {
+      graph->EndRequest(options.causal_request, sim.now(), result.causal_terminal);
+    }
   }
 }
+
+void BM_ColdRunBertBase(benchmark::State& state) { ColdStartsBertBase(state, nullptr); }
 BENCHMARK(BM_ColdRunBertBase);
+
+// The same cold starts recording every op into a streaming journal: the
+// difference of the two rows is the recording cost of one cold start.
+void BM_ColdRunBertBaseRecorded(benchmark::State& state) {
+  StreamingJournal journal("micro_sim_cold_run.dpj");
+  ColdStartsBertBase(state, &journal);
+}
+BENCHMARK(BM_ColdRunBertBaseRecorded);
+
+// The recording calls the server makes for one warm request: its arrival,
+// one exec node with a DHA share, one edge, and its retirement into the
+// journal writer. A warm request costs nothing else to record.
+void BM_RecordWarmRequest(benchmark::State& state) {
+  StreamingJournal journal("micro_sim_warm.dpj");
+  CausalGraph& graph = journal.graph();
+  const CpStrId label = graph.Intern("warm i7");
+  const CpStrId track = graph.Intern("exec/gpu0");
+  Nanos now = 0;
+  for (auto _ : state) {
+    const int request = graph.BeginRequest(journal.process(), 7, now);
+    const CpNodeId exec =
+        graph.AddNode(request, CpKind::kExec, label, track, now, now + 1000);
+    graph.SetNodeDhaPcie(exec, 300);
+    graph.AddEdge(graph.arrival_node(request), exec);
+    graph.EndRequest(request, now + 1000, exec);
+    now += 1000;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecordWarmRequest);
 
 void BM_PoissonTraceGeneration(benchmark::State& state) {
   PoissonOptions opts;

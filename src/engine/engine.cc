@@ -56,14 +56,6 @@ LinkId ServerFabric::pcie_link(GpuId gpu) const {
 // Every route the fabric can carry fits a journal node, and back.
 static_assert(LinkPath::kMax == kCpMaxHops);
 
-CpRoute ServerFabric::CausalHops(const LinkPath& path) const {
-  CpRoute hops;
-  for (const LinkId l : path) {
-    hops.push_back(CpNamedHop{fabric_.link_name(l), fabric_.link_capacity(l)});
-  }
-  return hops;
-}
-
 namespace engine_internal {
 
 // One transfer unit on a PCIe load stream: one layer, or several
@@ -77,9 +69,13 @@ struct LoadItem {
   std::size_t index = 0;  // position in its partition's item list
   std::vector<std::size_t> layer_indices;
   std::int64_t bytes = 0;
-  // Label for recorder/causal output; left empty (not built) when no
-  // observer is attached, which is the serving hot path.
-  std::string name;
+  // Observed runs only (left empty otherwise: the serving hot path): the
+  // names of this item's load and migration ops, as text for the trace
+  // recorder and, when the run records causal nodes, as interned ids.
+  std::string load_name;     // "load <layer>[+<layer>...]"
+  std::string migrate_name;  // "migrate <layer>[+...]" or "migrate bulk p<k>"
+  CpStrId load_label = 0;
+  CpStrId migrate_label = 0;
 
   void Loaded();
   // Forwards `count` items of this partition, starting with this one.
@@ -106,7 +102,8 @@ struct ExecStep {
   Nanos duration = 0;
   Nanos dha_pcie = 0;
   bool loads = false;  // waits on a loaded layer's arrival
-  std::string label;
+  std::string name;    // "exec <layer>" or "exec(DHA) <layer>"
+  CpStrId label = 0;   // `name` in the causal graph
 };
 
 // All mutable state of one in-flight cold run. Runs are pooled: the engine
@@ -114,7 +111,8 @@ struct ExecStep {
 // lists — so a million-cold-start replay reuses the same buffers instead of
 // allocating hundreds of heap objects per run. The record stays owned by the
 // pool for the engine's lifetime, so the raw pointers in in-flight ops' marker
-// Actions can never dangle. Stream names double as trace/causal tracks.
+// Actions can never dangle. Stream names double as trace/causal tracks; a run
+// that records causal nodes interns them (and its op names) once, up front.
 struct ColdRun {
   Engine* engine = nullptr;
   Nanos start = 0;
@@ -130,6 +128,10 @@ struct ColdRun {
   std::vector<Stream> load;             // per partition, "pcie/gpu<target>"
   std::vector<Stream> migration;  // per partition, "nvlink/<src>-><primary>"
                                   // (index 0 unused)
+  // The streams' names in the causal graph (runs that record causal nodes).
+  CpStrId exec_track = 0;
+  std::vector<CpStrId> load_track;
+  std::vector<CpStrId> migration_track;
   std::vector<GpuId> part_gpu;    // per partition, the GPU it loads onto
   std::vector<ItemList> part_items;
   std::vector<ExecStep> exec_steps;  // per layer (observed runs only)
@@ -198,8 +200,9 @@ void LoadItem::Loaded() {
   ps.pcie_done = now - run->start;
   if (run->observed) {
     const CpNodeId node =
-        e.Observe(run->causal_request, CpKind::kPcie, run->load[Idx(partition)].name(),
-                  "load " + name, started,
+        e.Observe(run->causal_request, CpKind::kPcie,
+                  {run->load[Idx(partition)].name(), run->load_track[Idx(partition)]},
+                  {load_name, load_label}, started,
                   e.fabric_->HostToGpuPath(run->part_gpu[Idx(partition)]), bytes,
                   e.perf_->calibration().pcie_transfer_overhead);
     if (run->causal_request >= 0) {
@@ -237,9 +240,10 @@ void LoadItem::Migrated(std::uint64_t count) {
       moved += part[k].bytes;
     }
     const CpNodeId node = e.Observe(
-        run->causal_request, CpKind::kNvlink, run->migration[Idx(partition)].name(),
-        run->bulk_migration ? "migrate bulk p" + std::to_string(partition) : "migrate " + name,
-        started, e.fabric_->GpuToGpuPath(run->part_gpu[Idx(partition)], run->primary), moved,
+        run->causal_request, CpKind::kNvlink,
+        {run->migration[Idx(partition)].name(), run->migration_track[Idx(partition)]},
+        {migrate_name, migrate_label}, started,
+        e.fabric_->GpuToGpuPath(run->part_gpu[Idx(partition)], run->primary), moved,
         e.fabric_->topology().nvlink().transfer_latency);
     if (run->causal_request >= 0) {
       e.causal_->AddEdge(run->mig_prev[Idx(partition)], node);
@@ -265,8 +269,9 @@ void LoadItem::Migrated(std::uint64_t count) {
 
 void ColdRun::Executed(std::uint64_t layer) {
   const ExecStep& step = exec_steps[layer];
-  const CpNodeId node = engine->Observe(causal_request, CpKind::kExec, exec.name(), step.label,
-                                        engine->sim_->now() - step.duration);
+  const CpNodeId node =
+      engine->Observe(causal_request, CpKind::kExec, {exec.name(), exec_track},
+                      {step.name, step.label}, engine->sim_->now() - step.duration);
   if (causal_request >= 0) {
     CausalGraph& causal = *engine->causal_;
     if (step.dha_pcie > 0) {
@@ -311,31 +316,50 @@ void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
   pid_ = pid;
 }
 
-CpNodeId Engine::Observe(int request, CpKind kind, const std::string& track,
-                         const std::string& name, Nanos start, const LinkPath& path,
-                         std::int64_t bytes, Nanos latency) {
+void Engine::set_causal(CausalGraph* graph) {
+  causal_ = graph;
+  link_label_.clear();
+  if (graph != nullptr) {
+    const Fabric& fabric = fabric_->fabric();
+    for (LinkId l = 0; l < fabric.num_links(); ++l) {
+      link_label_.push_back(graph->Intern(fabric.link_name(l)));
+    }
+  }
+}
+
+CpNodeId Engine::Observe(int request, CpKind kind, OpName track, OpName name,
+                         Nanos start, const LinkPath& path, std::int64_t bytes,
+                         Nanos latency) {
   const bool transfer = kind != CpKind::kExec;
   if (recorder_ != nullptr) {
     if (transfer) {
       // Async interval, not a complete slice: another run's stream may be
       // draining through the same link at the same time.
       const std::uint64_t aid = next_async_id_++;
-      recorder_->AsyncBegin(pid_, track, name, aid, start);
-      recorder_->AsyncEnd(pid_, track, name, aid, sim_->now());
+      recorder_->AsyncBegin(pid_, track.text, name.text, aid, start);
+      recorder_->AsyncEnd(pid_, track.text, name.text, aid, sim_->now());
     } else {
-      recorder_->Span(pid_, track, name, start, sim_->now() - start);
+      recorder_->Span(pid_, track.text, name.text, start, sim_->now() - start);
     }
   }
   if (request < 0) {
     return -1;
   }
   if (!transfer) {
-    return causal_->AddNode(request, kind, name, track, start, sim_->now());
+    return causal_->AddNode(request, kind, name.id, track.id, start, sim_->now());
   }
+  Fabric& fabric = fabric_->fabric();
   const CpNodeId node =
-      causal_->AddNode(request, kind, name, track, start, sim_->now(), bytes,
-                       fabric_->fabric().SoloDuration(path, bytes, latency));
-  causal_->SetNodePath(node, fabric_->CausalHops(path));
+      causal_->AddNode(request, kind, name.id, track.id, start, sim_->now(), bytes,
+                       fabric.SoloDuration(path, bytes, latency));
+  // The route, the per-link overlap export the what-if replay rebuilds its
+  // fabric from.
+  CpPath hops;
+  for (const LinkId l : path) {
+    DP_CHECK(Idx(l) < link_label_.size());
+    hops.push_back(CpHop{link_label_[Idx(l)], fabric.link_capacity(l)});
+  }
+  causal_->SetNodePath(node, hops);
   return node;
 }
 
@@ -380,6 +404,8 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   if (run->load.size() < parts) {
     run->load.resize(parts);
     run->migration.resize(parts);
+    run->load_track.resize(parts);
+    run->migration_track.resize(parts);
     run->part_gpu.resize(parts);
     run->part_items.resize(parts);
   }
@@ -409,10 +435,15 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     run->last_exec = run->causal_root;
     run->all_loaded_source = run->causal_root;
   }
-  // Item labels are consumed only by the trace recorder and the causal
-  // graph; skip the string building entirely when neither is active for this
-  // run (the serving hot path).
+  // Op names are consumed only by the trace recorder and the causal graph;
+  // skip the string building entirely when neither is active for this run
+  // (the serving hot path). A run that records causal nodes interns each
+  // name once, here, so its markers hand the graph ids.
   run->observed = recorder_ != nullptr || run->causal_request >= 0;
+  const bool causal = run->causal_request >= 0;
+  if (causal) {
+    run->exec_track = causal_->Intern(run->exec.name());
+  }
   if (run->observed && run->exec_steps.size() < n) {
     run->exec_steps.resize(n);
   }
@@ -428,8 +459,10 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
         item.layer_indices.push_back(i);
         item.bytes += layer.param_bytes;
         if (run->observed) {
-          item.name += '+';
-          item.name += layer.name;
+          for (std::string* name : {&item.load_name, &item.migrate_name}) {
+            *name += '+';
+            *name += layer.name;
+          }
         }
       } else {
         LoadItem& item = items.Add();
@@ -439,9 +472,11 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
         item.layer_indices.assign(1, i);
         item.bytes = layer.param_bytes;
         if (run->observed) {
-          item.name = layer.name;
+          item.load_name.assign("load ").append(layer.name);
+          item.migrate_name.assign("migrate ").append(layer.name);
         } else {
-          item.name.clear();
+          item.load_name.clear();
+          item.migrate_name.clear();
         }
       }
       run->arrived[i].Reset(sim_);
@@ -470,10 +505,17 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     run->result.partitions[p].pcie_start = 0;
     Stream* load = &run->load[p];
     load->Reset(sim_, "pcie/gpu" + std::to_string(target));
+    if (causal) {
+      run->load_track[p] = causal_->Intern(load->name());
+    }
     const LinkPath route = fabric_->HostToGpuPath(target);
     for (std::size_t k = 0; k < items.size; ++k) {
-      load->EnqueueTransfer(&fabric_->fabric(), route, items.items[k].bytes, pcie_overhead);
-      load->EnqueueMarker(MakeAction<&LoadItem::Loaded>(&items.items[k]));
+      LoadItem& item = items.items[k];
+      if (causal) {
+        item.load_label = causal_->Intern(item.load_name);
+      }
+      load->EnqueueTransfer(&fabric_->fabric(), route, item.bytes, pcie_overhead);
+      load->EnqueueMarker(MakeAction<&LoadItem::Loaded>(&item));
     }
   }
 
@@ -490,9 +532,18 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     const GpuId src = run->part_gpu[p];
     Stream* mig = &run->migration[p];
     mig->Reset(sim_, "nvlink/" + std::to_string(src) + "->" + std::to_string(primary));
+    if (causal) {
+      run->migration_track[p] = causal_->Intern(mig->name());
+    }
     const LinkPath route = fabric_->GpuToGpuPath(src, primary);
     const std::size_t span = run->bulk_migration ? items.size : 1;
+    if (run->bulk_migration && run->observed) {
+      items.items[0].migrate_name = "migrate bulk p" + std::to_string(p);
+    }
     for (std::size_t first = 0; first < items.size; first += span) {
+      if (causal) {
+        items.items[first].migrate_label = causal_->Intern(items.items[first].migrate_name);
+      }
       std::int64_t bytes = 0;
       for (std::size_t k = first; k < first + span; ++k) {
         for (const std::size_t li : items.items[k].layer_indices) {
@@ -526,8 +577,10 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     step.duration = exec;
     step.dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0;
     step.loads = loads;
-    step.label = dha ? "exec(DHA) " : "exec ";
-    step.label += layer.name;
+    step.name.assign(dha ? "exec(DHA) " : "exec ").append(layer.name);
+    if (causal) {
+      step.label = causal_->Intern(step.name);
+    }
     run->exec.EnqueueMarker(MakeAction<&ColdRun::Executed>(run, i));
   }
   run->exec.EnqueueMarker(MakeAction<&ColdRun::Finish>(run));

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/plan.h"
@@ -49,11 +50,6 @@ class ServerFabric {
   LinkPath GpuToGpuPath(GpuId from, GpuId to) const;
 
   LinkId pcie_link(GpuId gpu) const;
-
-  // The route as causal-journal hops (link name + capacity), the per-link
-  // overlap export the what-if replay engine rebuilds its fabric from. The
-  // names view this fabric's links.
-  CpRoute CausalHops(const LinkPath& path) const;
 
  private:
   Simulator* sim_;
@@ -134,10 +130,11 @@ class Engine {
 
   // Attaches a causal graph: cold runs whose options carry a causal_request
   // then record every PCIe transfer, NVLink migration, and layer execution as
-  // a happens-before DAG node (with solo durations on transfers for
-  // contention attribution). nullptr detaches; disabled cost is one pointer
+  // a happens-before DAG node (with solo durations and routes on transfers
+  // for contention attribution). The fabric's link names are interned here,
+  // once per attached graph. nullptr detaches; disabled cost is one pointer
   // test per operation.
-  void set_causal(CausalGraph* graph) { causal_ = graph; }
+  void set_causal(CausalGraph* graph);
 
   // Cold start: provision `model` according to `plan` onto `primary`
   // (partitions k>0 load via secondaries[k-1]) and execute one inference.
@@ -171,16 +168,25 @@ class Engine {
   ServerFabric* fabric_;
   const PerfModel* perf_;
 
+  // A cold-run op's track or name: the text the trace recorder writes and
+  // its id in the causal graph (interned once per run in RunCold; 0 when the
+  // run records no causal nodes).
+  struct OpName {
+    std::string_view text;
+    CpStrId id = 0;
+  };
+
   // Writes one finished cold-run op, [start, now()] on `track`, to the trace
   // recorder and (when `request` >= 0) the causal graph. Transfer kinds carry
   // `path`, `bytes` and `latency` into the graph's solo duration and route.
   // Returns the causal node, or -1 when none was recorded.
-  CpNodeId Observe(int request, CpKind kind, const std::string& track,
-                   const std::string& name, Nanos start, const LinkPath& path = {},
+  CpNodeId Observe(int request, CpKind kind, OpName track, OpName name,
+                   Nanos start, const LinkPath& path = {},
                    std::int64_t bytes = 0, Nanos latency = 0);
 
   TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;
+  std::vector<CpStrId> link_label_;  // per fabric link, its name in causal_
   int pid_ = 0;
   // Pairs async begin/end events for load/migrate intervals: concurrent cold
   // runs share PCIe/NVLink tracks, so their transfer slices may overlap and

@@ -52,6 +52,32 @@ int CausalGraph::RegisterProcess(std::string_view name) {
   return id;
 }
 
+CpStrId CausalGraph::Intern(std::string_view s) {
+  if (!enabled_) {
+    return 0;
+  }
+  if (stream_ != nullptr) {
+    MutexLock lock(stream_->mu);
+    return strings_.Intern(s);
+  }
+  return strings_.Intern(s);
+}
+
+CpStrId CausalGraph::ArrivalLabel() {
+  if (arrival_label_ == 0) {
+    arrival_label_ = strings_.Intern("arrival");
+  }
+  return arrival_label_;
+}
+
+bool CausalGraph::KnownStrings(const CpNode& node) const {
+  bool known = node.label < strings_.size() && node.resource < strings_.size();
+  for (const CpHop& hop : node.path) {
+    known = known && hop.link < strings_.size();
+  }
+  return known;
+}
+
 void CausalGraph::AttachSink(CausalSink* sink) {
   DP_CHECK(sink != nullptr);
   DP_CHECK(enabled_);
@@ -62,32 +88,54 @@ void CausalGraph::AttachSink(CausalSink* sink) {
   stream_ = std::make_unique<StreamState>(sink);
 }
 
-CpNode* CausalGraph::LiveNode(CpNodeId node) {
-  const auto owner = stream_->live_node_owner.find(node);
-  DP_CHECK(owner != stream_->live_node_owner.end());
-  CpRequestRecord& rec = stream_->live.find(owner->second)->second;
-  // Node ids within a request are strictly increasing (global append order).
-  const auto it = std::lower_bound(
-      rec.nodes.begin(), rec.nodes.end(), node,
-      [](const CpNode& n, CpNodeId id) { return n.id < id; });
-  DP_CHECK(it != rec.nodes.end() && it->id == node);
-  return &*it;
+bool CausalGraph::IsOpen(int request) const {
+  StreamState& s = *stream_;
+  return s.open.contains(request) && s.open[request] != nullptr;
 }
 
-void CausalGraph::RetireLive(std::map<int, CpRequestRecord>::iterator it) {
-  const CpRequestRecord record = std::move(it->second);
-  for (const CpNode& node : record.nodes) {
-    stream_->live_node_owner.erase(node.id);
+CpRequestRecord* CausalGraph::OpenRecord(int request) const {
+  DP_CHECK(IsOpen(request) && "the request is open");
+  return stream_->open[request];
+}
+
+CausalGraph::NodeSlot CausalGraph::LiveSlot(CpNodeId node) const {
+  StreamState& s = *stream_;
+  DP_CHECK(s.nodes.contains(node) && "the node's request is open");
+  const NodeSlot slot = s.nodes[node];
+  DP_CHECK(IsOpen(slot.request) && "the node's request is open");
+  return slot;
+}
+
+CpNode* CausalGraph::LiveNode(CpNodeId node) {
+  const NodeSlot slot = LiveSlot(node);
+  return &stream_->open[slot.request]->nodes[slot.index];
+}
+
+void CausalGraph::RetireLocked(int request) {
+  StreamState& s = *stream_;
+  CpRequestRecord* record = OpenRecord(request);
+  s.sink->OnRequestRetired(*record, strings_);
+  record->nodes.clear();
+  record->edges.clear();
+  s.free_records.push_back(record);
+  s.open[request] = nullptr;
+  // Advance both windows past the retired prefix: the oldest open request,
+  // and the oldest node still owned by an open request.
+  while (!s.open.empty() && s.open[s.open.begin()] == nullptr) {
+    s.open.pop_front();
   }
-  stream_->live.erase(it);
-  stream_->sink->OnRequestRetired(record, strings_);
+  while (!s.nodes.empty() && !IsOpen(s.nodes[s.nodes.begin()].request)) {
+    s.nodes.pop_front();
+  }
 }
 
 void CausalGraph::FlushOpenRequests() {
   DP_CHECK(stream_ != nullptr);
   MutexLock lock(stream_->mu);
-  while (!stream_->live.empty()) {
-    RetireLive(stream_->live.begin());
+  // The oldest open request is always live (RetireLocked drops retired ones
+  // off the front), so this retires in request-id order.
+  while (!stream_->open.empty()) {
+    RetireLocked(static_cast<int>(stream_->open.begin()));
   }
 }
 
@@ -99,24 +147,58 @@ int CausalGraph::BeginRequest(int process, int instance, Nanos arrival) {
   req.process = process;
   req.instance = instance;
   req.arrival = arrival;
+  CpNode root;
+  root.kind = CpKind::kArrival;
+  root.start = arrival;
+  root.end = arrival;
   if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    req.id = static_cast<int>(stream_->next_request++);
-    CpRequestRecord rec;
-    rec.request = req;
-    stream_->live.emplace(req.id, std::move(rec));
-    const CpNodeId root = AddNodeLocked(req.id, CpKind::kArrival, "arrival",
-                                        "", arrival, arrival,
-                                        /*bytes=*/0, /*solo=*/-1);
-    stream_->live.find(req.id)->second.request.arrival_node = root;
+    StreamState& s = *stream_;
+    MutexLock lock(s.mu);
+    req.id = static_cast<int>(s.open.end());
+    CpRequestRecord* record = nullptr;
+    if (s.free_records.empty()) {
+      record = &s.records.emplace_back();
+    } else {
+      record = s.free_records.back();
+      s.free_records.pop_back();
+    }
+    record->request = req;
+    s.open.push_back(record);
+    root.label = ArrivalLabel();
+    record->request.arrival_node = AddNodeLocked(req.id, root);
     return req.id;
   }
   req.id = static_cast<int>(requests_.size());
   requests_.push_back(req);
-  const CpNodeId root = AddNode(req.id, CpKind::kArrival, "arrival", "",
-                                arrival, arrival);
-  requests_.back().arrival_node = root;
+  requests_.back().arrival_node =
+      AddNode(req.id, root.kind, ArrivalLabel(), 0, arrival, arrival);
   return req.id;
+}
+
+CpNodeId CausalGraph::AddNode(int request, CpKind kind, CpStrId label,
+                              CpStrId resource, Nanos start, Nanos end,
+                              std::int64_t bytes, Nanos solo) {
+  if (!enabled_ || request < 0) {
+    return -1;
+  }
+  CpNode node;
+  node.request = request;
+  node.kind = kind;
+  node.label = label;
+  node.resource = resource;
+  node.start = start;
+  node.end = end;
+  node.bytes = bytes;
+  node.solo = solo;
+  if (stream_ != nullptr) {
+    MutexLock lock(stream_->mu);
+    return AddNodeLocked(request, node);
+  }
+  DP_CHECK(KnownStrings(node));
+  DP_CHECK(request < static_cast<int>(requests_.size()));
+  node.id = static_cast<CpNodeId>(nodes_.size());
+  nodes_.push_back(node);
+  return node.id;
 }
 
 CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string_view label,
@@ -125,66 +207,35 @@ CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string_view label,
   if (!enabled_ || request < 0) {
     return -1;
   }
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    return AddNodeLocked(request, kind, label, resource, start, end, bytes,
-                         solo);
-  }
-  CpNode node;
-  node.request = request;
-  node.kind = kind;
-  node.label = strings_.Intern(label);
-  node.resource = strings_.Intern(resource);
-  node.start = start;
-  node.end = end;
-  node.bytes = bytes;
-  node.solo = solo;
-  DP_CHECK(request < static_cast<int>(requests_.size()));
-  node.id = static_cast<CpNodeId>(nodes_.size());
-  nodes_.push_back(node);
-  return node.id;
+  return AddNode(request, kind, Intern(label), Intern(resource), start, end,
+                 bytes, solo);
 }
 
-CpNodeId CausalGraph::AddNodeLocked(int request, CpKind kind,
-                                    std::string_view label,
-                                    std::string_view resource, Nanos start,
-                                    Nanos end, std::int64_t bytes, Nanos solo) {
-  CpNode node;
-  node.request = request;
-  node.kind = kind;
-  node.label = strings_.Intern(label);
-  node.resource = strings_.Intern(resource);
-  node.start = start;
-  node.end = end;
-  node.bytes = bytes;
-  node.solo = solo;
-  const auto it = stream_->live.find(request);
-  DP_CHECK(it != stream_->live.end());
-  node.id = static_cast<CpNodeId>(stream_->next_node++);
-  stream_->live_node_owner.emplace(node.id, request);
-  it->second.nodes.push_back(node);
-  return node.id;
+CpNodeId CausalGraph::AddNodeLocked(int request, const CpNode& node) {
+  StreamState& s = *stream_;
+  CpRequestRecord* record = OpenRecord(request);
+  const auto id = static_cast<CpNodeId>(s.nodes.end());
+  s.nodes.push_back(
+      NodeSlot{request, static_cast<std::uint32_t>(record->nodes.size())});
+  CpNode& added = record->nodes.emplace_back(node);
+  added.id = id;
+  added.request = request;
+  return id;
 }
 
-CpPath CausalGraph::InternPath(const CpRoute& route) {
-  CpPath path;
-  for (const CpNamedHop& hop : route) {
-    path.push_back(CpHop{strings_.Intern(hop.link), hop.capacity});
-  }
-  return path;
-}
-
-void CausalGraph::SetNodePath(CpNodeId node, const CpRoute& route) {
+void CausalGraph::SetNodePath(CpNodeId node, const CpPath& path) {
   if (!enabled_ || node < 0) {
     return;
   }
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
-    LiveNode(node)->path = InternPath(route);
+    LiveNode(node)->path = path;
     return;
   }
   DP_CHECK(node < static_cast<CpNodeId>(nodes_.size()));
-  nodes_[static_cast<std::size_t>(node)].path = InternPath(route);
+  CpNode& n = nodes_[static_cast<std::size_t>(node)];
+  n.path = path;
+  DP_CHECK(KnownStrings(n));
 }
 
 void CausalGraph::SetNodeDhaPcie(CpNodeId node, Nanos dha_pcie) {
@@ -209,15 +260,12 @@ void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
   DP_CHECK(from < to);
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
-    const auto from_owner = stream_->live_node_owner.find(from);
-    const auto to_owner = stream_->live_node_owner.find(to);
-    DP_CHECK(from_owner != stream_->live_node_owner.end());
-    DP_CHECK(to_owner != stream_->live_node_owner.end());
+    const int owner = LiveSlot(to).request;
     // The chunked journal's self-containment invariant: edges never cross
     // requests (every recorder chains a request's own nodes).
-    DP_CHECK(from_owner->second == to_owner->second);
-    stream_->live.find(to_owner->second)
-        ->second.edges.push_back(CpEdgeRec{stream_->next_edge++, from, to});
+    DP_CHECK(LiveSlot(from).request == owner && "an edge stays in one request");
+    stream_->open[owner]->edges.push_back(
+        CpEdgeRec{stream_->next_edge++, from, to});
     return;
   }
   DP_CHECK(from < static_cast<CpNodeId>(nodes_.size()));
@@ -231,9 +279,7 @@ void CausalGraph::MarkCold(int request) {
   }
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
-    const auto it = stream_->live.find(request);
-    DP_CHECK(it != stream_->live.end());
-    it->second.request.cold = true;
+    OpenRecord(request)->request.cold = true;
     return;
   }
   DP_CHECK(request < static_cast<int>(requests_.size()));
@@ -246,12 +292,10 @@ void CausalGraph::EndRequest(int request, Nanos completion, CpNodeId terminal) {
   }
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
-    const auto it = stream_->live.find(request);
-    DP_CHECK(it != stream_->live.end());
-    CpRequest& req = it->second.request;
+    CpRequest& req = OpenRecord(request)->request;
     req.completion = completion;
     req.terminal_node = terminal >= 0 ? terminal : req.arrival_node;
-    RetireLive(it);
+    RetireLocked(request);
     return;
   }
   DP_CHECK(request < static_cast<int>(requests_.size()));
@@ -266,9 +310,7 @@ CpNodeId CausalGraph::arrival_node(int request) const {
   }
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
-    const auto it = stream_->live.find(request);
-    DP_CHECK(it != stream_->live.end());
-    return it->second.request.arrival_node;
+    return OpenRecord(request)->request.arrival_node;
   }
   DP_CHECK(request < static_cast<int>(requests_.size()));
   return requests_[static_cast<std::size_t>(request)].arrival_node;

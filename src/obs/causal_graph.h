@@ -14,8 +14,10 @@
 //
 // Nodes are plain data: labels, resources and hop link names are interned
 // once into the graph's string table (CpStrings) and a node holds their ids,
-// so recording, decoding and replaying a node copy no strings. Every export
-// (ToJson, utilization, the profile report) resolves the ids back to names.
+// so recording, decoding and replaying a node copy no strings. Recorders
+// intern their names up front (Intern) and hand AddNode and SetNodePath the
+// ids. Every export (ToJson, utilization, the profile report) resolves the
+// ids back to names.
 //
 // Cost model mirrors TraceRecorder: components hold a `CausalGraph*` that is
 // nullptr when profiling is off, and a graph constructed disabled drops every
@@ -40,7 +42,11 @@
 // lets the 1M-request scaling point record a journal at all. Streaming
 // relies on the recorder invariant that every edge is intra-request (engine
 // and server only ever chain nodes of the same request; DP_CHECKed), so a
-// retired request is a self-contained record.
+// retired request is a self-contained record. Request and node ids are
+// issued densely and in order, so the open requests and the owners of their
+// nodes are rings indexed by offset from the oldest open id, and retired
+// records are reused with their capacity: a steady-state recording touches
+// neither a map nor the heap.
 #ifndef SRC_OBS_CAUSAL_GRAPH_H_
 #define SRC_OBS_CAUSAL_GRAPH_H_
 
@@ -48,7 +54,6 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -117,43 +122,32 @@ struct CpHop {
   double capacity = 0.0;  // bytes/second
 };
 
-// A hop as a recorder hands it over: the link's name as text, which
-// CausalGraph::SetNodePath interns.
-struct CpNamedHop {
-  std::string_view link;
-  double capacity = 0.0;  // bytes/second
-};
-
-// A route of at most kCpMaxHops hops, stored inline so a node owns no heap
-// memory. More than kCpMaxHops hops DP_CHECK-fails.
-template <typename Hop>
-class CpHops {
+// A node's route, in route order: at most kCpMaxHops hops, stored inline so
+// a node owns no heap memory. More than kCpMaxHops hops DP_CHECK-fails.
+class CpPath {
  public:
-  CpHops() = default;
-  CpHops(std::initializer_list<Hop> hops) {
-    for (const Hop& hop : hops) {
+  CpPath() = default;
+  CpPath(std::initializer_list<CpHop> hops) {
+    for (const CpHop& hop : hops) {
       push_back(hop);
     }
   }
 
-  void push_back(const Hop& hop) {
+  void push_back(const CpHop& hop) {
     DP_CHECK(size_ < kCpMaxHops && "a route has at most kCpMaxHops hops");
     hops_[size_++] = hop;
   }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  const Hop* begin() const { return hops_.data(); }
-  const Hop* end() const { return hops_.data() + size_; }
-  Hop* begin() { return hops_.data(); }
-  Hop* end() { return hops_.data() + size_; }
+  const CpHop* begin() const { return hops_.data(); }
+  const CpHop* end() const { return hops_.data() + size_; }
+  CpHop* begin() { return hops_.data(); }
+  CpHop* end() { return hops_.data() + size_; }
 
  private:
-  std::array<Hop, kCpMaxHops> hops_{};
+  std::array<CpHop, kCpMaxHops> hops_{};
   std::uint8_t size_ = 0;
 };
-
-using CpPath = CpHops<CpHop>;        // a node's route, link names interned
-using CpRoute = CpHops<CpNamedHop>;  // a route as a recorder names it
 
 // One node of the DAG. `label` and `resource` are ids into the string table
 // of the graph or decoded chunk that owns the node, so a node is plain data.
@@ -230,21 +224,30 @@ class CausalGraph {
   // to tag requests with. Disabled graphs return 0 without allocating.
   int RegisterProcess(std::string_view name);
 
+  // The id of `s` in this graph's string table, added on first use: the
+  // label, resource and hop link ids AddNode and SetNodePath take. Disabled
+  // graphs return 0 without touching the table.
+  CpStrId Intern(std::string_view s);
+
   // Opens a request rooted at a zero-duration arrival node. Returns the
   // request id (-1 when disabled).
   int BeginRequest(int process, int instance, Nanos arrival);
 
-  // Records one unit of causally-ordered work; the graph interns `label`
-  // and `resource`. Returns the node id (-1 when disabled or `request` is
+  // Records one unit of causally-ordered work; `label` and `resource` are
+  // ids from Intern. Returns the node id (-1 when disabled or `request` is
   // -1).
+  CpNodeId AddNode(int request, CpKind kind, CpStrId label, CpStrId resource,
+                   Nanos start, Nanos end, std::int64_t bytes = 0,
+                   Nanos solo = -1);
+  // The same, interning `label` and `resource` first: for hand-built graphs
+  // (tests, tools), where a lookup per node does not matter.
   CpNodeId AddNode(int request, CpKind kind, std::string_view label,
                    std::string_view resource, Nanos start, Nanos end,
                    std::int64_t bytes = 0, Nanos solo = -1);
 
-  // Attaches the fabric route a transfer node crossed (link names +
-  // capacities; the graph interns the names). No-op when disabled or `node`
-  // is -1.
-  void SetNodePath(CpNodeId node, const CpRoute& route);
+  // Attaches the fabric route a transfer node crossed (link name ids from
+  // Intern + capacities). No-op when disabled or `node` is -1.
+  void SetNodePath(CpNodeId node, const CpPath& path);
 
   // Records the PCIe-bandwidth-dependent share of an exec node's duration
   // (direct-host-access parameter streaming). No-op when disabled or -1.
@@ -313,37 +316,89 @@ class CausalGraph {
                        CausalGraph* out, std::string* error);
 
  private:
-  // Streaming mode: open requests keyed by id (ordered, so FlushOpenRequests
-  // retires deterministically) plus a live-node index for the node-addressed
-  // mutators. Both shrink as requests retire — this is the bounded-memory
-  // state, and it is the one part of the graph that is internally
-  // synchronized: retirement is the PDES hand-off point, so every field is
-  // GUARDED_BY the state's own mutex and helpers that expect it held are
-  // REQUIRES-annotated. The state lives behind a unique_ptr so the graph
-  // stays implicitly movable (Adopt and Assemble move-assign)
-  // despite owning a Mutex. Lock order: stream_->mu before the sink's
-  // internal lock (RetireLive calls the sink while holding mu), never the
-  // reverse — the sink never calls back into the graph.
+  // Per-id state for ids issued densely and in order: the window
+  // [begin(), end()) of a ring indexed by id modulo its power-of-two size.
+  // push_back appends id end(), pop_front drops id begin(). The ring doubles
+  // when full and is otherwise reused, so a window of bounded width stops
+  // allocating.
+  template <typename T>
+  class IdRing {
+   public:
+    std::int64_t begin() const { return begin_; }
+    std::int64_t end() const { return begin_ + static_cast<std::int64_t>(size_); }
+    bool empty() const { return size_ == 0; }
+    bool contains(std::int64_t id) const { return id >= begin_ && id < end(); }
+    T& operator[](std::int64_t id) {
+      return ring_[static_cast<std::size_t>(id) & (ring_.size() - 1)];
+    }
+    void push_back(const T& value) {
+      if (size_ == ring_.size()) {
+        std::vector<T> grown(ring_.empty() ? 16 : 2 * ring_.size());
+        for (std::int64_t id = begin_; id < end(); ++id) {
+          grown[static_cast<std::size_t>(id) & (grown.size() - 1)] = (*this)[id];
+        }
+        ring_ = std::move(grown);
+      }
+      ++size_;
+      (*this)[end() - 1] = value;
+    }
+    void pop_front() {
+      ++begin_;
+      --size_;
+    }
+
+   private:
+    std::vector<T> ring_;
+    std::int64_t begin_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  // Where a streamed node lives: its request, and its index in that
+  // request's record.
+  struct NodeSlot {
+    int request = -1;
+    std::uint32_t index = 0;
+  };
+
+  // Streaming mode: the open requests' records (nullptr once retired, until
+  // the window passes them) and the slots of their nodes, each indexed by id
+  // from the oldest still open; both windows' ends are the next ids to
+  // issue. Records come from a pool that keeps retired records with their
+  // capacity. This is the bounded-memory state, and it is the one part of
+  // the graph that is internally synchronized: retirement is the PDES
+  // hand-off point, so every field is GUARDED_BY the state's own mutex and
+  // helpers that expect it held are REQUIRES-annotated. The state lives
+  // behind a unique_ptr so the graph stays implicitly movable (Adopt and
+  // Assemble move-assign) despite owning a Mutex. Lock order: stream_->mu
+  // before the sink's internal lock (RetireLocked calls the sink while
+  // holding mu), never the reverse — the sink never calls back into the
+  // graph.
   struct StreamState {
     explicit StreamState(CausalSink* s) : sink(s) {}
 
     CausalSink* const sink;
     Mutex mu;
-    std::int64_t next_request GUARDED_BY(mu) = 0;
-    std::int64_t next_node GUARDED_BY(mu) = 0;
     std::int64_t next_edge GUARDED_BY(mu) = 0;
-    std::map<int, CpRequestRecord> live GUARDED_BY(mu);
-    std::unordered_map<CpNodeId, int> live_node_owner GUARDED_BY(mu);
+    IdRing<CpRequestRecord*> open GUARDED_BY(mu);
+    IdRing<NodeSlot> nodes GUARDED_BY(mu);
+    std::deque<CpRequestRecord> records GUARDED_BY(mu);  // every record made
+    std::vector<CpRequestRecord*> free_records GUARDED_BY(mu);
   };
 
-  CpNodeId AddNodeLocked(int request, CpKind kind, std::string_view label,
-                         std::string_view resource, Nanos start, Nanos end,
-                         std::int64_t bytes, Nanos solo)
-      REQUIRES(stream_->mu);
-  CpPath InternPath(const CpRoute& route);
+  CpStrId ArrivalLabel();
+  // Whether every string id of `node` is in the table. Checked as an
+  // accumulating graph records; a streaming graph's sink checks the ids it
+  // reads (JournalWriter does).
+  bool KnownStrings(const CpNode& node) const;
+  // Streaming: whether `request` is open; its record, or `node`'s slot,
+  // DP_CHECK-failing unless that request is open.
+  bool IsOpen(int request) const REQUIRES(stream_->mu);
+  CpRequestRecord* OpenRecord(int request) const REQUIRES(stream_->mu);
+  NodeSlot LiveSlot(CpNodeId node) const REQUIRES(stream_->mu);
   CpNode* LiveNode(CpNodeId node) REQUIRES(stream_->mu);
-  void RetireLive(std::map<int, CpRequestRecord>::iterator it)
+  CpNodeId AddNodeLocked(int request, const CpNode& node)
       REQUIRES(stream_->mu);
+  void RetireLocked(int request) REQUIRES(stream_->mu);
 
   bool enabled_ = true;
   // Accumulation surface: thread-confined (one graph per sweep task, stitched
@@ -353,6 +408,7 @@ class CausalGraph {
   // sink reads it under too.
   std::vector<std::string> process_names_;
   CpStrings strings_;
+  CpStrId arrival_label_ = 0;  // "arrival"'s id, 0 until first interned
   std::vector<CpRequest> requests_;
   std::vector<CpNode> nodes_;
   std::vector<std::pair<CpNodeId, CpNodeId>> edges_;

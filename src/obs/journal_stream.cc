@@ -28,16 +28,47 @@ constexpr std::size_t kMinNodeBytes = 10;
 constexpr std::size_t kMinRequestBytes = 7 + 2 + kMinNodeBytes;
 constexpr std::size_t kMinEdgeBytes = 3;
 
+// Longest LEB128 encoding of a 64-bit value.
+constexpr std::size_t kMaxVarintBytes = 10;
+
 std::string Hex32(std::uint32_t v) {
   char buf[11];
   std::snprintf(buf, sizeof(buf), "0x%08x", v);
   return buf;
 }
 
-void AppendU32Le(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+// A number in a diagnostic, with every digit a double carries.
+std::string Number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+// Raw-cursor encoders: each writes at `p`, into room the caller reserved,
+// and returns the cursor past what it wrote.
+char* PutVarint(char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
+    v >>= 7;
   }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+char* PutZigzag(char* p, std::int64_t v) { return PutVarint(p, ZigzagEncode(v)); }
+
+char* PutLe(char* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    *p++ = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+  return p;
+}
+
+char* PutBytes(char* p, std::string_view s) {
+  if (!s.empty()) {
+    std::memcpy(p, s.data(), s.size());
+  }
+  return p + s.size();
 }
 
 std::uint32_t LoadU32Le(const char* p) {
@@ -61,11 +92,8 @@ bool ReadExact(std::ifstream& in, char* out, std::size_t n,
 }  // namespace
 
 void AppendVarint(std::string* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
+  char buf[kMaxVarintBytes];
+  out->append(buf, PutVarint(buf, v));
 }
 
 std::uint64_t ZigzagEncode(std::int64_t v) {
@@ -108,7 +136,7 @@ bool ReadZigzag(std::string_view data, std::size_t* pos, std::int64_t* out) {
   return true;
 }
 
-std::uint32_t Crc32(std::string_view data) {
+std::uint32_t Crc32(std::string_view data, std::uint32_t crc) {
   // Slicing-by-8: table[0] is the bytewise table, and table[k][b] advances
   // table[0][b] over k more zero bytes, so one step folds in eight bytes.
   static const auto table = [] {
@@ -130,7 +158,7 @@ std::uint32_t Crc32(std::string_view data) {
   const auto byte = [&data](std::size_t i) {
     return static_cast<std::uint32_t>(static_cast<std::uint8_t>(data[i]));
   };
-  std::uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   std::size_t i = 0;
   for (; i + 8 <= data.size(); i += 8) {
     const std::uint32_t lo = crc ^ (byte(i) | byte(i + 1) << 8 |
@@ -146,6 +174,19 @@ std::uint32_t Crc32(std::string_view data) {
     crc = table[0][(crc ^ byte(i)) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+char* JournalBuffer::Reserve(std::size_t n) {
+  if (capacity_ - size_ < n) {
+    const std::size_t capacity = std::max(size_ + n, 2 * capacity_);
+    auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+    if (size_ > 0) {
+      std::memcpy(grown.get(), data_.get(), size_);
+    }
+    data_ = std::move(grown);
+    capacity_ = capacity;
+  }
+  return data_.get() + size_;
 }
 
 // ------------------------------------------------------------- JournalWriter
@@ -168,13 +209,13 @@ bool JournalWriter::Open(const std::string& path,
   }
   options_ = options;
   metrics_ = metrics;
-  std::string header(kJournalMagic, sizeof(kJournalMagic));
-  AppendU32Le(&header, kJournalVersion);
-  out_.write(header.data(), static_cast<std::streamsize>(header.size()));
-  bytes_written_ = header.size();
+  char header[sizeof(kJournalMagic) + 4];
+  PutLe(PutBytes(header, std::string_view(kJournalMagic, sizeof(kJournalMagic))),
+        kJournalVersion, 4);
+  out_.write(header, sizeof(header));
+  bytes_written_ = sizeof(header);
   if (metrics_ != nullptr) {
-    metrics_->AddCounter("journal.bytes",
-                         static_cast<std::int64_t>(header.size()));
+    metrics_->AddCounter("journal.bytes", static_cast<std::int64_t>(sizeof(header)));
   }
   open_ = true;
   return static_cast<bool>(out_);
@@ -191,13 +232,14 @@ void JournalWriter::OnProcess(int id, const std::string& name) {
 
 std::uint64_t JournalWriter::ChunkString(CpStrId id, const CpStrings& strings) {
   if (id >= chunk_index_of_.size()) {
+    DP_CHECK(id < strings.size());
     chunk_index_of_.resize(strings.size(), 0);
   }
   std::uint32_t& slot = chunk_index_of_[id];
   if (slot == 0) {
     const std::string& s = strings[id];
-    AppendVarint(&string_table_, s.size());
-    string_table_ += s;
+    char* p = string_table_.Reserve(kMaxVarintBytes + s.size());
+    string_table_.Commit(PutBytes(PutVarint(p, s.size()), s));
     chunk_strings_.push_back(id);
     slot = static_cast<std::uint32_t>(chunk_strings_.size());
   }
@@ -206,64 +248,68 @@ std::uint64_t JournalWriter::ChunkString(CpStrId id, const CpStrings& strings) {
 
 void JournalWriter::EncodeRecord(const CpRequestRecord& record,
                                  const CpStrings& strings) {
-  std::string* b = &body_;
   const CpRequest& r = record.request;
   DP_CHECK(r.id >= 0);
-  DP_CHECK(!record.nodes.empty());
-  AppendZigzag(b, r.id);
   DP_CHECK(r.process >= 0);
-  AppendVarint(b, static_cast<std::uint64_t>(r.process));
-  AppendZigzag(b, r.instance);
+  DP_CHECK(!record.nodes.empty());
+  // The most bytes the record can take, every varint at its longest: the
+  // request's ten header fields; per node nine varints, its kind byte, and
+  // per hop a string index and eight capacity bytes; per edge three deltas.
+  constexpr std::size_t kNodeBound =
+      9 * kMaxVarintBytes + 1 + kCpMaxHops * (kMaxVarintBytes + 8);
+  char* p = body_.Reserve(10 * kMaxVarintBytes +
+                          record.nodes.size() * kNodeBound +
+                          record.edges.size() * 3 * kMaxVarintBytes);
+  p = PutZigzag(p, r.id);
+  p = PutVarint(p, static_cast<std::uint64_t>(r.process));
+  p = PutZigzag(p, r.instance);
   const bool completed = r.completion >= 0;
-  const std::uint8_t flags = static_cast<std::uint8_t>((r.cold ? 1 : 0) |
-                                                       (completed ? 2 : 0));
-  b->push_back(static_cast<char>(flags));
-  AppendZigzag(b, r.arrival);
+  *p++ = static_cast<char>((r.cold ? 1 : 0) | (completed ? 2 : 0));
+  p = PutZigzag(p, r.arrival);
   if (completed) {
     DP_CHECK(r.completion >= r.arrival);
-    AppendVarint(b, static_cast<std::uint64_t>(r.completion - r.arrival));
+    p = PutVarint(p, static_cast<std::uint64_t>(r.completion - r.arrival));
   }
-  AppendZigzag(b, r.arrival_node);
-  AppendZigzag(b, r.terminal_node);
+  p = PutZigzag(p, r.arrival_node);
+  p = PutZigzag(p, r.terminal_node);
 
-  AppendVarint(b, record.nodes.size());
+  p = PutVarint(p, record.nodes.size());
   CpNodeId prev_id = 0;
   for (const CpNode& n : record.nodes) {
-    AppendZigzag(b, static_cast<std::int64_t>(n.id) - prev_id);
+    p = PutZigzag(p, static_cast<std::int64_t>(n.id) - prev_id);
     prev_id = n.id;
-    b->push_back(static_cast<char>(static_cast<std::uint8_t>(n.kind)));
-    AppendVarint(b, ChunkString(n.label, strings));
-    AppendVarint(b, ChunkString(n.resource, strings));
-    AppendZigzag(b, n.start - r.arrival);
+    *p++ = static_cast<char>(static_cast<std::uint8_t>(n.kind));
+    p = PutVarint(p, ChunkString(n.label, strings));
+    p = PutVarint(p, ChunkString(n.resource, strings));
+    p = PutZigzag(p, n.start - r.arrival);
     DP_CHECK(n.end >= n.start);
-    AppendVarint(b, static_cast<std::uint64_t>(n.end - n.start));
-    AppendZigzag(b, n.bytes);
-    AppendZigzag(b, n.solo);
+    p = PutVarint(p, static_cast<std::uint64_t>(n.end - n.start));
+    p = PutZigzag(p, n.bytes);
+    p = PutZigzag(p, n.solo);
     DP_CHECK(n.dha_pcie >= 0);
-    AppendVarint(b, static_cast<std::uint64_t>(n.dha_pcie));
-    AppendVarint(b, n.path.size());
+    p = PutVarint(p, static_cast<std::uint64_t>(n.dha_pcie));
+    p = PutVarint(p, n.path.size());
     for (const CpHop& hop : n.path) {
-      AppendVarint(b, ChunkString(hop.link, strings));
+      p = PutVarint(p, ChunkString(hop.link, strings));
       // Raw IEEE-754 bits, so capacities round-trip exactly.
       std::uint64_t bits = 0;
       static_assert(sizeof(bits) == sizeof(hop.capacity));
       std::memcpy(&bits, &hop.capacity, sizeof(bits));
-      for (int i = 0; i < 8; ++i) {
-        b->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-      }
+      p = PutLe(p, bits, 8);
     }
   }
 
-  AppendVarint(b, record.edges.size());
+  p = PutVarint(p, record.edges.size());
   std::int64_t prev_seq = -1;
   const std::int64_t base = record.nodes.front().id;
   for (const CpEdgeRec& e : record.edges) {
     DP_CHECK(e.seq > prev_seq);
-    AppendZigzag(b, e.seq - prev_seq);
+    p = PutZigzag(p, e.seq - prev_seq);
     prev_seq = e.seq;
-    AppendZigzag(b, static_cast<std::int64_t>(e.from) - base);
-    AppendZigzag(b, static_cast<std::int64_t>(e.to) - base);
+    p = PutZigzag(p, static_cast<std::int64_t>(e.from) - base);
+    p = PutZigzag(p, static_cast<std::int64_t>(e.to) - base);
   }
+  body_.Commit(p);
 
   ++chunk_requests_;
   if (!completed) {
@@ -287,14 +333,23 @@ void JournalWriter::OnRequestRetired(const CpRequestRecord& record,
   }
 }
 
-void JournalWriter::WriteFrame(std::uint8_t marker, const std::string& payload) {
-  std::string head;
-  head.push_back(static_cast<char>(marker));
-  AppendVarint(&head, payload.size());
-  AppendU32Le(&head, Crc32(payload));
-  out_.write(head.data(), static_cast<std::streamsize>(head.size()));
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  const std::uint64_t frame_bytes = head.size() + payload.size();
+void JournalWriter::WriteFrame(std::uint8_t marker,
+                               std::initializer_list<std::string_view> pieces) {
+  std::uint64_t size = 0;
+  std::uint32_t crc = 0;
+  for (const std::string_view piece : pieces) {
+    size += piece.size();
+    crc = Crc32(piece, crc);
+  }
+  char head[1 + kMaxVarintBytes + 4];
+  head[0] = static_cast<char>(marker);
+  const auto head_size =
+      static_cast<std::size_t>(PutLe(PutVarint(head + 1, size), crc, 4) - head);
+  out_.write(head, static_cast<std::streamsize>(head_size));
+  for (const std::string_view piece : pieces) {
+    out_.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  }
+  const std::uint64_t frame_bytes = head_size + size;
   bytes_written_ += frame_bytes;
   if (metrics_ != nullptr) {
     metrics_->AddCounter("journal.bytes",
@@ -311,17 +366,18 @@ void JournalWriter::FlushChunk() {
     return;
   }
   DP_SELFPROF_SCOPE(kJournalSerialize);
-  std::string payload;
-  AppendVarint(&payload, pending_processes_.size());
+  std::string head;  // the new processes and the string count
+  AppendVarint(&head, pending_processes_.size());
   for (const std::string& name : pending_processes_) {
-    AppendVarint(&payload, name.size());
-    payload += name;
+    AppendVarint(&head, name.size());
+    head += name;
   }
-  AppendVarint(&payload, chunk_strings_.size());
-  payload += string_table_;
-  AppendVarint(&payload, chunk_requests_);
-  payload += body_;
-  WriteFrame(kJournalChunkMarker, payload);
+  AppendVarint(&head, chunk_strings_.size());
+  char count[kMaxVarintBytes];
+  const std::string_view requests(
+      count, static_cast<std::size_t>(PutVarint(count, chunk_requests_) - count));
+  WriteFrame(kJournalChunkMarker,
+             {head, string_table_.view(), requests, body_.view()});
 
   ++totals_.chunks;
   totals_.requests += chunk_requests_;
@@ -343,12 +399,12 @@ void JournalWriter::FlushChunk() {
   }
 
   pending_processes_.clear();
-  string_table_.clear();
+  string_table_.Clear();
   for (const CpStrId id : chunk_strings_) {
     chunk_index_of_[id] = 0;
   }
   chunk_strings_.clear();
-  body_.clear();
+  body_.Clear();
   chunk_requests_ = 0;
   chunk_incomplete_ = 0;
   chunk_nodes_ = 0;
@@ -368,7 +424,7 @@ bool JournalWriter::Finish() {
   AppendVarint(&footer, totals_.nodes);
   AppendVarint(&footer, totals_.edges);
   AppendVarint(&footer, totals_.chunks);
-  WriteFrame(kJournalFooterMarker, footer);
+  WriteFrame(kJournalFooterMarker, {footer});
   out_.close();
   if (!out_ && ok_) {
     ok_ = false;
@@ -544,7 +600,8 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
     return JournalReadStatus::kFooter;
   }
   std::string decode_error;
-  if (!DecodeChunk(process_count_, chunk, &decode_error)) {
+  if (!DecodeChunk(process_count_, chunk, &decode_error) ||
+      !CheckLinkCapacities(*chunk, &decode_error)) {
     Fail("chunk " + std::to_string(seen_.chunks + 1) + ": " + decode_error);
     return JournalReadStatus::kError;
   }
@@ -938,6 +995,47 @@ bool JournalReader::DecodeChunk(std::uint64_t process_bound,
   if (pos != data.size()) {
     return fail("chunk has " + std::to_string(data.size() - pos) +
                 " trailing byte(s) after the last record");
+  }
+  return true;
+}
+
+bool JournalReader::CheckLinkCapacities(const JournalChunk& chunk,
+                                        std::string* error) {
+  link_of_string_.assign(chunk.num_strings(), 0);
+  for (const JournalChunk::Record& rec : chunk.requests) {
+    const auto process = static_cast<std::size_t>(rec.request.process);
+    if (process >= link_capacity_.size()) {
+      link_capacity_.resize(process + 1);
+    }
+    std::vector<double>& capacity_of = link_capacity_[process];
+    for (std::uint32_t i = rec.first_node; i < rec.first_node + rec.num_nodes;
+         ++i) {
+      const CpNode& n = chunk.nodes[i];
+      for (const CpHop& hop : n.path) {
+        CpStrId& resolved = link_of_string_[hop.link];
+        if (resolved == 0) {
+          resolved = link_names_.Intern(chunk.str(hop.link)) + 1;
+        }
+        const CpStrId link = resolved - 1;
+        if (link >= capacity_of.size()) {
+          capacity_of.resize(link + 1, 0.0);
+        }
+        double& capacity = capacity_of[link];
+        if (capacity == 0.0) {
+          capacity = hop.capacity;
+        } else if (capacity != hop.capacity) {
+          *error = "request " + std::to_string(rec.request.id) + ": node " +
+                   std::to_string(n.id) + " names link \"" +
+                   link_names_[link] + "\" at capacity " +
+                   Number(hop.capacity) + " B/s, but process " +
+                   std::to_string(process) + " named it at " +
+                   Number(capacity) +
+                   " B/s before; the what-if replay builds one link per "
+                   "process and name, so its hops must agree on the capacity";
+          return false;
+        }
+      }
+    }
   }
   return true;
 }

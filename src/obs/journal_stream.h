@@ -38,6 +38,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,8 +68,27 @@ void AppendZigzag(std::string* out, std::int64_t v);
 bool ReadVarint(std::string_view data, std::size_t* pos, std::uint64_t* out);
 bool ReadZigzag(std::string_view data, std::size_t* pos, std::int64_t* out);
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320) — Crc32("123456789") is the
-// standard check value 0xCBF43926.
-std::uint32_t Crc32(std::string_view data);
+// standard check value 0xCBF43926. `crc` is the CRC of the bytes before
+// `data`, so a CRC runs over pieces: Crc32(b, Crc32(a)) == Crc32(a + b).
+std::uint32_t Crc32(std::string_view data, std::uint32_t crc = 0);
+
+// A growable byte buffer that an encoder writes through a raw cursor:
+// Reserve(n) returns a cursor with room for n more bytes, and Commit(end)
+// ends the buffer where the cursor stopped. Reserved room is left
+// unwritten, and Clear keeps the capacity.
+class JournalBuffer {
+ public:
+  char* Reserve(std::size_t n);
+  void Commit(char* end) { size_ = static_cast<std::size_t>(end - data_.get()); }
+  void Clear() { size_ = 0; }
+  std::size_t size() const { return size_; }
+  std::string_view view() const { return {data_.get(), size_}; }
+
+ private:
+  std::unique_ptr<char[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
 
 // Footer totals; also the shape of the journal.* metrics counters.
 struct JournalTotals {
@@ -147,7 +168,10 @@ class JournalWriter : public CausalSink {
   void EncodeRecord(const CpRequestRecord& record, const CpStrings& strings)
       REQUIRES(mu_);
   void FlushChunk() REQUIRES(mu_);
-  void WriteFrame(std::uint8_t marker, const std::string& payload)
+  // Writes one frame whose payload is `pieces` in order, without joining
+  // them: the size and CRC run over the pieces.
+  void WriteFrame(std::uint8_t marker,
+                  std::initializer_list<std::string_view> pieces)
       REQUIRES(mu_);
 
   mutable Mutex mu_;
@@ -160,15 +184,16 @@ class JournalWriter : public CausalSink {
   MetricsRegistry* metrics_ GUARDED_BY(mu_) = nullptr;
   JournalTotals totals_ GUARDED_BY(mu_);
   std::uint64_t bytes_written_ GUARDED_BY(mu_) = 0;
-  // Current-chunk state, reset at every flush. The chunk's string table is
-  // kept encoded; chunk_index_of_ maps a graph string id to its chunk index
-  // + 1 (0: not used in this chunk yet), and chunk_strings_ lists the graph
-  // ids set there, so the reset touches only those.
+  // Current-chunk state, reset at every flush. The chunk's string table and
+  // its request records are kept encoded; chunk_index_of_ maps a graph
+  // string id to its chunk index + 1 (0: not used in this chunk yet), and
+  // chunk_strings_ lists the graph ids set there, so the reset touches only
+  // those.
   std::vector<std::string> pending_processes_ GUARDED_BY(mu_);
-  std::string string_table_ GUARDED_BY(mu_);
+  JournalBuffer string_table_ GUARDED_BY(mu_);
   std::vector<CpStrId> chunk_strings_ GUARDED_BY(mu_);
   std::vector<std::uint32_t> chunk_index_of_ GUARDED_BY(mu_);
-  std::string body_ GUARDED_BY(mu_);
+  JournalBuffer body_ GUARDED_BY(mu_);
   std::uint64_t chunk_requests_ GUARDED_BY(mu_) = 0;
   std::uint64_t chunk_incomplete_ GUARDED_BY(mu_) = 0;
   std::uint64_t chunk_nodes_ GUARDED_BY(mu_) = 0;
@@ -222,9 +247,11 @@ enum class JournalReadStatus { kChunk, kFooter, kError };
 // and version, per-frame CRC, in-range string/process references, strictly
 // increasing node ids, edge endpoints resolving to nodes of the same request
 // (dangling edges are rejected here, not downstream), edges running from a
-// lower node id to a higher one (so no journal it accepts has a cycle), and
-// footer totals matching the chunks read. Any failure latches error() with
-// an actionable message and Next() returns kError from then on.
+// lower node id to a higher one (so no journal it accepts has a cycle), one
+// capacity per link name within a process across all chunks (the what-if
+// replay builds one link per process and name), and footer totals matching
+// the chunks read. Any failure latches error() with an actionable message
+// and Next() returns kError from then on.
 class JournalReader {
  public:
   JournalReader() = default;
@@ -261,6 +288,9 @@ class JournalReader {
   // Decodes the chunk payload held in frame_ into `chunk`.
   bool DecodeChunk(std::uint64_t process_bound, JournalChunk* chunk,
                    std::string* error) const;
+  // Sequential pass: every hop of `chunk` names its link at the capacity its
+  // process first named it at, in this chunk or an earlier one.
+  bool CheckLinkCapacities(const JournalChunk& chunk, std::string* error);
 
   std::ifstream in_;
   std::string frame_;  // the last frame's payload, storage reused
@@ -272,6 +302,12 @@ class JournalReader {
   std::uint64_t process_count_ = 0;
   JournalTotals seen_;    // accumulated over chunks read sequentially
   JournalTotals totals_;  // from the footer
+  // Link capacities of the sequential pass: every link name seen, the
+  // current chunk's string ids resolved to those (id + 1; 0: not yet), and
+  // per process the capacity each link was first named at (0: not yet).
+  CpStrings link_names_;
+  std::vector<CpStrId> link_of_string_;
+  std::vector<std::vector<double>> link_capacity_;
 };
 
 // --- whole-journal conversions ---

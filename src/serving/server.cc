@@ -79,6 +79,12 @@ struct Server::Impl {
   std::uint64_t next_queue_span_id = 0;
   CausalGraph* causal = nullptr;
   int causal_process = 0;
+  // Names in `causal`, interned once per attached graph: per GPU its exec
+  // track and its evict resource, and per instance its warm-request label
+  // (0 until the instance first finishes a warm request).
+  std::vector<CpStrId> causal_exec_track;
+  std::vector<CpStrId> causal_gpu;
+  std::vector<CpStrId> causal_warm_label;
   std::int64_t cumulative_requests = 0;  // cum/requests counter track
   // Requests retired so far, surfaced to the simulator's DEEPPLAN_PROGRESS
   // heartbeat (registered below, removed in ~Impl).
@@ -113,6 +119,7 @@ struct Server::Impl {
                      bool cold, Nanos evict_delay, Nanos load_done, int num_evicted,
                      CpNodeId causal_terminal = -1);
   void NoteQueueDepth(GpuId gpu);
+  CpStrId WarmLabel(int instance);
 };
 
 Server::Server(const Topology& topology, const PerfModel& perf, ServerOptions options)
@@ -186,6 +193,17 @@ void Server::Impl::NoteQueueDepth(GpuId gpu) {
   }
 }
 
+CpStrId Server::Impl::WarmLabel(int instance) {
+  if (Idx(instance) >= causal_warm_label.size()) {
+    causal_warm_label.resize(Idx(instances->num_instances()), 0);
+  }
+  CpStrId& label = causal_warm_label[Idx(instance)];
+  if (label == 0) {
+    label = causal->Intern("warm i" + std::to_string(instance));
+  }
+  return label;
+}
+
 void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& req,
                                  Nanos start, bool cold, Nanos evict_delay,
                                  Nanos load_done, int num_evicted,
@@ -238,10 +256,8 @@ void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& 
     if (!cold) {
       // Warm requests never enter the engine's cold path; their whole DAG is
       // arrival -> one exec node.
-      terminal = causal->AddNode(req.causal, CpKind::kExec,
-                                 "warm i" + std::to_string(instance),
-                                 "exec/gpu" + std::to_string(gpu), start,
-                                 sim->now());
+      terminal = causal->AddNode(req.causal, CpKind::kExec, WarmLabel(instance),
+                                 causal_exec_track[Idx(gpu)], start, sim->now());
       // DHA plans stream parameters during warm execution too; record the
       // PCIe-bandwidth-dependent share for the what-if engine.
       const ModelEntry& entry = models[Idx(instance_model[Idx(instance)])];
@@ -301,8 +317,9 @@ void Server::Impl::Dispatch(GpuId gpu) {
       // Eviction spans [start, start + evict_delay] deterministically, so
       // the node can be recorded up front.
       const CpNodeId evict_node = causal->AddNode(
-          req.causal, CpKind::kEvict, "evict x" + std::to_string(flight.num_evicted),
-          "gpu" + std::to_string(gpu), start, start + flight.evict_delay);
+          req.causal, CpKind::kEvict,
+          causal->Intern("evict x" + std::to_string(flight.num_evicted)),
+          causal_gpu[Idx(gpu)], start, start + flight.evict_delay);
       causal->AddEdge(flight.causal_root, evict_node);
       flight.causal_root = evict_node;
     }
@@ -404,6 +421,15 @@ void Server::set_causal(CausalGraph* graph, int process) {
   Impl& s = *impl_;
   s.causal = graph;
   s.causal_process = process;
+  s.causal_exec_track.clear();
+  s.causal_gpu.clear();
+  s.causal_warm_label.clear();
+  if (graph != nullptr) {
+    for (GpuId g = 0; g < s.topology.num_gpus(); ++g) {
+      s.causal_exec_track.push_back(graph->Intern("exec/gpu" + std::to_string(g)));
+      s.causal_gpu.push_back(graph->Intern("gpu" + std::to_string(g)));
+    }
+  }
   s.engine->set_causal(graph);
 }
 

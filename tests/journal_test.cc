@@ -722,6 +722,159 @@ TEST(JournalLintTest, ForwardEdgesOfTheSameShapeAreAccepted) {
   std::remove(path.c_str());
 }
 
+// A process names each link at one capacity: the what-if replay builds one
+// fabric link per process and name, so two requests of one process whose
+// PCIe hops name "pcie/gpu0" at 12e9 and 24e9 B/s used to lint clean and
+// then abort the replay. The sequential reader pass refuses the journal,
+// across chunks (one request per chunk here), naming the request, the node,
+// the link and both capacities. In two processes they are two links.
+TEST(JournalLintTest, ALinkNamedAtTwoCapacitiesInOneProcessIsRejected) {
+  const auto write = [](const std::string& path, bool two_processes) {
+    CausalGraph graph(/*enabled=*/true);
+    const int first = graph.RegisterProcess("a");
+    const int second = two_processes ? graph.RegisterProcess("b") : first;
+    for (const auto& [process, capacity] :
+         {std::pair{first, 12e9}, std::pair{second, 24e9}}) {
+      const int req = graph.BeginRequest(process, 0, 0);
+      const CpNodeId load = graph.AddNode(req, CpKind::kPcie, "load",
+                                          "pcie/gpu0", 0, 1000, 12000, 1000);
+      graph.SetNodePath(load, {{graph.Intern("pcie/gpu0"), capacity}});
+      graph.AddEdge(graph.arrival_node(req), load);
+      graph.EndRequest(req, 1000, load);
+    }
+    JournalWriterOptions one_per_chunk;
+    one_per_chunk.chunk_requests = 1;
+    std::string error;
+    ASSERT_TRUE(WriteGraphToJournal(graph, path, one_per_chunk, nullptr, &error))
+        << error;
+  };
+  const std::string path = TempPath("journal_two_capacities.dpj");
+  const std::string diagnostic =
+      "chunk 2: request 1: node 3 names link \"pcie/gpu0\" at capacity "
+      "24000000000 B/s, but process 0 named it at 12000000000 B/s before";
+
+  write(path, /*two_processes=*/false);
+  const check::TraceLintResult lint = LintJournalFile(path);
+  ASSERT_FALSE(lint.errors.empty());
+  EXPECT_NE(lint.errors[0].find(diagnostic), std::string::npos) << lint.errors[0];
+  CausalGraph graph(/*enabled=*/true);
+  std::string error;
+  EXPECT_FALSE(ReadJournalToGraph(path, &graph, &error));
+  EXPECT_NE(error.find(diagnostic), std::string::npos) << error;
+  WindowedJournal rejected;
+  error.clear();
+  EXPECT_FALSE(rejected.Open(path, &error));
+  EXPECT_NE(error.find(diagnostic), std::string::npos) << error;
+
+  write(path, /*two_processes=*/true);
+  const check::TraceLintResult control = LintJournalFile(path);
+  EXPECT_TRUE(control.ok()) << (control.errors.empty() ? "" : control.errors[0]);
+  ASSERT_TRUE(ReadJournalToGraph(path, &graph, &error)) << error;
+  WindowedJournal journal;
+  ASSERT_TRUE(journal.Open(path, &error)) << error;
+  WhatIfExperiment identity;
+  identity.name = "baseline";
+  EXPECT_EQ(journal.Replay(identity).latency, (std::vector<Nanos>{1000, 1000}));
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------ streaming state
+
+// The streaming graph indexes open requests and their nodes from the oldest
+// open one: a request held open while thousands of later requests retire
+// stays addressable, and FlushOpenRequests retires it last, incomplete.
+TEST(CausalStreamTest, RequestHeldOpenIsFlushedLast) {
+  const std::string path = TempPath("journal_held_open.dpj");
+  CausalGraph graph(/*enabled=*/true);
+  JournalWriter writer;
+  ASSERT_TRUE(writer.Open(path));
+  graph.AttachSink(&writer);
+  const int process = graph.RegisterProcess("p");
+  const CpStrId exec = graph.Intern("exec");
+  const CpStrId gpu = graph.Intern("exec/gpu0");
+  const int held = graph.BeginRequest(process, 0, 0);
+  const CpNodeId held_node = graph.AddNode(held, CpKind::kExec, exec, gpu, 0, 5);
+  graph.AddEdge(graph.arrival_node(held), held_node);
+  constexpr int kLater = 5000;
+  for (int i = 1; i <= kLater; ++i) {
+    const int req = graph.BeginRequest(process, 1, i);
+    const CpNodeId node = graph.AddNode(req, CpKind::kExec, exec, gpu, i, i + 1);
+    graph.AddEdge(graph.arrival_node(req), node);
+    graph.EndRequest(req, i + 1, node);
+  }
+  graph.SetNodeDhaPcie(held_node, 3);
+  graph.FlushOpenRequests();
+  ASSERT_TRUE(writer.Finish());
+  EXPECT_EQ(writer.totals().requests, kLater + 1u);
+  EXPECT_EQ(writer.totals().incomplete_requests, 1u);
+
+  JournalReader reader;
+  ASSERT_TRUE(reader.Open(path)) << reader.error();
+  JournalChunk chunk;
+  CpRequest last;
+  while (reader.Next(&chunk) == JournalReadStatus::kChunk) {
+    last = chunk.requests.back().request;
+  }
+  ASSERT_TRUE(reader.footer_seen()) << reader.error();
+  EXPECT_EQ(last.id, held);
+  EXPECT_EQ(last.completion, -1);
+
+  CausalGraph back(/*enabled=*/true);
+  std::string error;
+  ASSERT_TRUE(ReadJournalToGraph(path, &back, &error)) << error;
+  ASSERT_EQ(back.requests().size(), kLater + 1u);
+  EXPECT_EQ(back.requests()[0].completion, -1);
+  EXPECT_EQ(back.requests()[1].completion, 2);
+  EXPECT_EQ(back.nodes()[static_cast<std::size_t>(held_node)].dha_pcie, 3);
+  std::remove(path.c_str());
+}
+
+// A streaming graph holds only open requests, each retired as one
+// self-contained record: an edge between two open requests, or a change to
+// a node of a retired one, dies rather than writing a wrong journal.
+TEST(CausalStreamDeathTest, EdgeAcrossTwoOpenRequestsDies) {
+  const std::string path = TempPath("journal_death_edge.dpj");
+  EXPECT_DEATH(
+      {
+        JournalWriter writer;
+        writer.Open(path);
+        CausalGraph graph(/*enabled=*/true);
+        graph.AttachSink(&writer);
+        const int process = graph.RegisterProcess("p");
+        const int a = graph.BeginRequest(process, 0, 0);
+        const int b = graph.BeginRequest(process, 1, 0);
+        graph.AddEdge(graph.arrival_node(a), graph.arrival_node(b));
+      },
+      "an edge stays in one request");
+  std::remove(path.c_str());
+}
+
+TEST(CausalStreamDeathTest, MutatingANodeOfARetiredRequestDies) {
+  const std::string path = TempPath("journal_death_retired.dpj");
+  // With no older request open the window has moved past the node; with one
+  // held open the node is still in the window, but its request is retired.
+  for (const bool hold_older : {false, true}) {
+    EXPECT_DEATH(
+        {
+          JournalWriter writer;
+          writer.Open(path);
+          CausalGraph graph(/*enabled=*/true);
+          graph.AttachSink(&writer);
+          const int process = graph.RegisterProcess("p");
+          if (hold_older) {
+            graph.BeginRequest(process, 0, 0);
+          }
+          const int req = graph.BeginRequest(process, 1, 0);
+          const CpNodeId node =
+              graph.AddNode(req, CpKind::kExec, "exec", "exec/gpu0", 0, 5);
+          graph.EndRequest(req, 5, node);
+          graph.SetNodeDhaPcie(node, 1);
+        },
+        "the node's request is open");
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------ windowed replay
 
 // The tentpole differential: chunk-windowed replay over the binary journal

@@ -394,7 +394,8 @@ TEST(CausalGraphTest, AdoptRemapsInternedStrings) {
     const int req = graph.BeginRequest(graph.RegisterProcess(label), 0, 0);
     const CpNodeId node =
         graph.AddNode(req, CpKind::kPcie, label, lane, 0, 10, 10, 10);
-    graph.SetNodePath(node, {{"uplink/sw0", 2e9}, {lane, 1e9}});
+    graph.SetNodePath(node, {{graph.Intern("uplink/sw0"), 2e9},
+                             {graph.Intern(lane), 1e9}});
     graph.AddEdge(graph.arrival_node(req), node);
     graph.EndRequest(req, 10, node);
     return graph;

@@ -183,14 +183,12 @@ TEST_F(ScalingReplayTest, WindowedIdentityReplayMatchesRecordedLatencies) {
   EXPECT_LT(journal.max_resident_requests(), 200000u / 10);
 }
 
-TEST(AllocationBudgetTest, SteadyStateReplayBarelyTouchesTheHeap) {
-  // The allocations-per-request work counter: the 44k point replayed as
-  // RunScalingPoint does, counting global operator new calls from the first
-  // arrival until the queue drains. Events, stream ops, transfers, warm
-  // completions and pooled cold runs must not allocate per request; what
-  // remains is per cold start (the GPU memory arena's bookkeeping, the
-  // evicted and secondaries vectors) and amortized growth such as the
-  // metrics record vector.
+// The allocations-per-request work counter: the 44k golden point replayed as
+// RunScalingPoint does, counting global operator new calls from the first
+// arrival until the queue drains (and, when `journal_path` is set, until a
+// streaming causal journal recorded there is finished). Every event stays
+// where it was: the 44k point of bench/golden/BENCH_scaling.json.
+double AllocationsPerRequest(const std::string& journal_path) {
   const bench::ScalingPointOptions point;  // the 44k golden point
   const Trace trace = bench::ScalingTrace(point);
   const Topology topology = Topology::P3_8xlarge();
@@ -201,20 +199,52 @@ TEST(AllocationBudgetTest, SteadyStateReplayBarelyTouchesTheHeap) {
   Simulator sim;
   Server server(&sim, topology, perf, options);
   server.AddInstances(server.RegisterModelType(ModelZoo::BertBase()), point.num_instances);
+  JournalWriter writer;  // outlives the graph that streams into it
+  CausalGraph causal(/*enabled=*/true);
+  const bool journal = !journal_path.empty();
+  if (journal) {
+    EXPECT_TRUE(writer.Open(journal_path));
+    causal.AttachSink(&writer);
+    server.set_causal(&causal, causal.RegisterProcess("scaling"));
+  }
   server.Warmup();
 
   bench::ChainedFeeder feeder{&trace.arrivals(), &sim, &server};
   const std::size_t before = g_allocations;
   feeder.ScheduleNext();
   sim.Run();
+  if (journal) {
+    causal.FlushOpenRequests();
+    EXPECT_TRUE(writer.Finish());
+  }
   const std::size_t allocations = g_allocations - before;
 
-  ASSERT_EQ(server.metrics().count(), trace.size());
-  EXPECT_LT(static_cast<double>(allocations) / static_cast<double>(trace.size()), 0.5)
-      << allocations << " allocations for " << trace.size() << " requests";
-  // Not one event moved: the 44k point of bench/golden/BENCH_scaling.json.
+  EXPECT_EQ(server.metrics().count(), trace.size());
   EXPECT_EQ(sim.event_queue().total_scheduled(), 1056690u);
   EXPECT_EQ(sim.event_queue().slot_capacity(), 10u);
+  if (journal) {
+    EXPECT_EQ(writer.totals().requests, trace.size());
+    EXPECT_EQ(writer.totals().incomplete_requests, 0u);
+  }
+  return static_cast<double>(allocations) / static_cast<double>(trace.size());
+}
+
+TEST(AllocationBudgetTest, SteadyStateReplayBarelyTouchesTheHeap) {
+  // Events, stream ops, transfers, warm completions and pooled cold runs
+  // must not allocate per request; what remains is per cold start (the GPU
+  // memory arena's bookkeeping, the evicted and secondaries vectors) and
+  // amortized growth such as the metrics record vector.
+  EXPECT_LT(AllocationsPerRequest(""), 0.5);
+}
+
+TEST(AllocationBudgetTest, StreamingJournalRecordingBarelyTouchesTheHeap) {
+  // The same replay recording a streaming causal journal, as the
+  // journal_record benchmark does. Open requests and their nodes live in
+  // reused rings and pooled records, recorders hand the graph interned ids,
+  // and the writer encodes into reused buffers, so recording adds less than
+  // half an allocation per request to the replay's own.
+  EXPECT_LT(AllocationsPerRequest(::testing::TempDir() + "/allocations_44k.dpj"),
+            1.0);
 }
 
 TEST(ScalingDeterminismTest, ByteIdenticalAcrossJobCounts) {

@@ -99,7 +99,7 @@ CausalGraph SingleTransferGraph() {
   const CpNodeId load =
       graph.AddNode(req, CpKind::kPcie, "load", "pcie/gpu0", 0, 1'000'000,
                     /*bytes=*/1'000'000, /*solo=*/1'000'000);
-  graph.SetNodePath(load, {{"pcie/gpu0", 1e9}});
+  graph.SetNodePath(load, {{graph.Intern("pcie/gpu0"), 1e9}});
   const CpNodeId exec = graph.AddNode(req, CpKind::kExec, "exec", "exec/gpu0",
                                       1'000'000, 1'000'100);
   graph.AddEdge(graph.arrival_node(req), load);
@@ -131,7 +131,7 @@ TEST(WhatIfReplayTest, NvlinkKnobTargetsOnlyNvlinkLinks) {
   const CpNodeId migrate =
       graph.AddNode(req, CpKind::kNvlink, "migrate", "nvlink/0-1", 0, 400'000,
                     /*bytes=*/1'000'000, /*solo=*/400'000);
-  graph.SetNodePath(migrate, {{"nvlink/0-1", 2.5e9}});
+  graph.SetNodePath(migrate, {{graph.Intern("nvlink/0-1"), 2.5e9}});
   graph.AddEdge(graph.arrival_node(req), migrate);
   graph.EndRequest(req, 400'000, migrate);
 
@@ -149,7 +149,7 @@ TEST(WhatIfReplayTest, NoEvictDropsEvictionTimeFromTheChain) {
   const CpNodeId load =
       graph.AddNode(req, CpKind::kPcie, "load", "pcie/gpu0", 200'000,
                     1'200'000, /*bytes=*/1'000'000, /*solo=*/1'000'000);
-  graph.SetNodePath(load, {{"pcie/gpu0", 1e9}});
+  graph.SetNodePath(load, {{graph.Intern("pcie/gpu0"), 1e9}});
   graph.AddEdge(graph.arrival_node(req), evict);
   graph.AddEdge(evict, load);
   graph.EndRequest(req, 1'200'000, load);
@@ -210,7 +210,7 @@ TEST(WhatIfReplayTest, RederivesContentionExactlyFromRebuiltFabric) {
     const Nanos end = elapsed[static_cast<std::size_t>(i)];
     const CpNodeId load = graph.AddNode(req, CpKind::kPcie, "load",
                                         "uplink/sw0", 0, end, bytes, solo);
-    graph.SetNodePath(load, {{"uplink/sw0", 1e9}});
+    graph.SetNodePath(load, {{graph.Intern("uplink/sw0"), 1e9}});
     // Distinct terminal resources so the two requests replay concurrently
     // (same GPU would serialize them under the FIFO dispatch rule).
     const CpNodeId exec =
