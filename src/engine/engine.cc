@@ -69,9 +69,9 @@ struct LoadItem {
   std::size_t index = 0;  // position in its partition's item list
   std::vector<std::size_t> layer_indices;
   std::int64_t bytes = 0;
-  // Observed runs only (left empty otherwise: the serving hot path): the
-  // names of this item's load and migration ops, as text for the trace
-  // recorder and, when the run records causal nodes, as interned ids.
+  // Observed runs only (see Engine::NameOps): the names of this item's load
+  // and migration ops, as text for the trace recorder and as ids in the
+  // causal graph.
   std::string load_name;     // "load <layer>[+<layer>...]"
   std::string migrate_name;  // "migrate <layer>[+...]" or "migrate bulk p<k>"
   CpStrId load_label = 0;
@@ -112,7 +112,7 @@ struct ExecStep {
 // allocating hundreds of heap objects per run. The record stays owned by the
 // pool for the engine's lifetime, so the raw pointers in in-flight ops' marker
 // Actions can never dangle. Stream names double as trace/causal tracks; a run
-// that records causal nodes interns them (and its op names) once, up front.
+// that records causal nodes interns them (and its op names) up front.
 struct ColdRun {
   Engine* engine = nullptr;
   Nanos start = 0;
@@ -132,6 +132,9 @@ struct ColdRun {
   CpStrId exec_track = 0;
   std::vector<CpStrId> load_track;
   std::vector<CpStrId> migration_track;
+  // The Engine::causal_epoch_ the op labels of this record's items and exec
+  // steps are ids in; 0 when they are ids in no attached graph.
+  std::uint64_t labels_epoch = 0;
   std::vector<GpuId> part_gpu;    // per partition, the GPU it loads onto
   std::vector<ItemList> part_items;
   std::vector<ExecStep> exec_steps;  // per layer (observed runs only)
@@ -187,6 +190,7 @@ using engine_internal::LoadItem;
 struct EngineScratch {
   ObjectPool<ColdRun> pool;
   std::vector<ColdRun*> retired;
+  std::string name;  // NameOps' buffer for the next op name
 };
 
 namespace engine_internal {
@@ -318,6 +322,7 @@ void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
 
 void Engine::set_causal(CausalGraph* graph) {
   causal_ = graph;
+  ++causal_epoch_;
   link_label_.clear();
   if (graph != nullptr) {
     const Fabric& fabric = fabric_->fabric();
@@ -436,9 +441,9 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     run->all_loaded_source = run->causal_root;
   }
   // Op names are consumed only by the trace recorder and the causal graph;
-  // skip the string building entirely when neither is active for this run
-  // (the serving hot path). A run that records causal nodes interns each
-  // name once, here, so its markers hand the graph ids.
+  // skip them entirely when neither is active for this run (the serving hot
+  // path). A run that records causal nodes interns its stream names here and
+  // its op names in NameOps, so its markers hand the graph ids.
   run->observed = recorder_ != nullptr || run->causal_request >= 0;
   const bool causal = run->causal_request >= 0;
   if (causal) {
@@ -458,12 +463,6 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
         LoadItem& item = items.back();
         item.layer_indices.push_back(i);
         item.bytes += layer.param_bytes;
-        if (run->observed) {
-          for (std::string* name : {&item.load_name, &item.migrate_name}) {
-            *name += '+';
-            *name += layer.name;
-          }
-        }
       } else {
         LoadItem& item = items.Add();
         item.run = run;
@@ -471,13 +470,6 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
         item.index = items.size - 1;
         item.layer_indices.assign(1, i);
         item.bytes = layer.param_bytes;
-        if (run->observed) {
-          item.load_name.assign("load ").append(layer.name);
-          item.migrate_name.assign("migrate ").append(layer.name);
-        } else {
-          item.load_name.clear();
-          item.migrate_name.clear();
-        }
       }
       run->arrived[i].Reset(sim_);
       run->at_secondary[i].Reset(sim_);
@@ -487,6 +479,9 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   }
   if (run->pending_arrivals == 0) {
     run->all_loaded.Fire();
+  }
+  if (run->observed) {
+    NameOps(run, model, plan);
   }
 
   // PCIe load streams: one per partition, each through its own GPU's PCIe
@@ -510,12 +505,8 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     }
     const LinkPath route = fabric_->HostToGpuPath(target);
     for (std::size_t k = 0; k < items.size; ++k) {
-      LoadItem& item = items.items[k];
-      if (causal) {
-        item.load_label = causal_->Intern(item.load_name);
-      }
-      load->EnqueueTransfer(&fabric_->fabric(), route, item.bytes, pcie_overhead);
-      load->EnqueueMarker(MakeAction<&LoadItem::Loaded>(&item));
+      load->EnqueueTransfer(&fabric_->fabric(), route, items.items[k].bytes, pcie_overhead);
+      load->EnqueueMarker(MakeAction<&LoadItem::Loaded>(&items.items[k]));
     }
   }
 
@@ -537,13 +528,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     }
     const LinkPath route = fabric_->GpuToGpuPath(src, primary);
     const std::size_t span = run->bulk_migration ? items.size : 1;
-    if (run->bulk_migration && run->observed) {
-      items.items[0].migrate_name = "migrate bulk p" + std::to_string(p);
-    }
     for (std::size_t first = 0; first < items.size; first += span) {
-      if (causal) {
-        items.items[first].migrate_label = causal_->Intern(items.items[first].migrate_name);
-      }
       std::int64_t bytes = 0;
       for (std::size_t k = first; k < first + span; ++k) {
         for (const std::size_t li : items.items[k].layer_indices) {
@@ -577,13 +562,60 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     step.duration = exec;
     step.dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0;
     step.loads = loads;
-    step.name.assign(dha ? "exec(DHA) " : "exec ").append(layer.name);
-    if (causal) {
-      step.label = causal_->Intern(step.name);
-    }
     run->exec.EnqueueMarker(MakeAction<&ColdRun::Executed>(run, i));
   }
   run->exec.EnqueueMarker(MakeAction<&ColdRun::Finish>(run));
+}
+
+void Engine::NameOps(ColdRun* run, const Model& model, const ExecutionPlan& plan) {
+  const bool causal = run->causal_request >= 0;
+  const bool current = causal && run->labels_epoch == causal_epoch_;
+  std::string& text = scratch_->name;
+  // Gives an op the name in `text`: a pooled record keeps its names and
+  // labels from run to run, so the graph is asked only for a name that
+  // changed or whose label is an id in no current graph.
+  const auto name_op = [&](std::string* name, CpStrId* label) {
+    const bool changed = *name != text;
+    if (changed) {
+      name->swap(text);
+    }
+    if (causal && (changed || !current)) {
+      *label = causal_->Intern(*name);
+    }
+  };
+  for (std::size_t p = 0; p < run->part_items.size(); ++p) {
+    ItemList& items = run->part_items[p];
+    for (std::size_t k = 0; k < items.size; ++k) {
+      LoadItem& item = items.items[k];
+      // The item's layers, as "<layer>[+<layer>...]" after `prefix`.
+      const auto layers = [&](const char* prefix) {
+        text.assign(prefix);
+        for (const std::size_t li : item.layer_indices) {
+          if (li != item.layer_indices.front()) {
+            text += '+';
+          }
+          text += model.layer(li).name;
+        }
+      };
+      layers("load ");
+      name_op(&item.load_name, &item.load_label);
+      if (p == 0 || (run->bulk_migration && k > 0)) {
+        continue;  // no migration op of its own
+      }
+      if (run->bulk_migration) {
+        text.assign("migrate bulk p").append(std::to_string(p));
+      } else {
+        layers("migrate ");
+      }
+      name_op(&item.migrate_name, &item.migrate_label);
+    }
+  }
+  for (std::size_t i = 0; i < model.num_layers(); ++i) {
+    const bool dha = plan.method(i) == ExecMethod::kDirectHostAccess;
+    text.assign(dha ? "exec(DHA) " : "exec ").append(model.layer(i).name);
+    name_op(&run->exec_steps[i].name, &run->exec_steps[i].label);
+  }
+  run->labels_epoch = causal ? causal_epoch_ : 0;
 }
 
 Nanos Engine::WarmDuration(const Model& model, const ExecutionPlan& plan,

@@ -176,6 +176,12 @@ class Engine {
     CpStrId id = 0;
   };
 
+  // Names an observed run's ops (load items, migrations, layer executions)
+  // for the trace recorder and, when the run records causal nodes, interns
+  // the names it did not hold ids for in the attached graph already.
+  void NameOps(engine_internal::ColdRun* run, const Model& model,
+               const ExecutionPlan& plan);
+
   // Writes one finished cold-run op, [start, now()] on `track`, to the trace
   // recorder and (when `request` >= 0) the causal graph. Transfer kinds carry
   // `path`, `bytes` and `latency` into the graph's solo duration and route.
@@ -186,6 +192,9 @@ class Engine {
 
   TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;
+  // Counts set_causal calls, so a pooled run can tell whether the op labels
+  // it holds are ids in the graph attached now.
+  std::uint64_t causal_epoch_ = 0;
   std::vector<CpStrId> link_label_;  // per fabric link, its name in causal_
   int pid_ = 0;
   // Pairs async begin/end events for load/migrate intervals: concurrent cold

@@ -89,8 +89,7 @@ void CausalGraph::AttachSink(CausalSink* sink) {
 }
 
 bool CausalGraph::IsOpen(int request) const {
-  StreamState& s = *stream_;
-  return s.open.contains(request) && s.open[request] != nullptr;
+  return stream_->open.contains(request) && stream_->open[request] != nullptr;
 }
 
 CpRequestRecord* CausalGraph::OpenRecord(int request) const {
@@ -99,9 +98,8 @@ CpRequestRecord* CausalGraph::OpenRecord(int request) const {
 }
 
 CausalGraph::NodeSlot CausalGraph::LiveSlot(CpNodeId node) const {
-  StreamState& s = *stream_;
-  DP_CHECK(s.nodes.contains(node) && "the node's request is open");
-  const NodeSlot slot = s.nodes[node];
+  DP_CHECK(stream_->nodes.contains(node) && "the node's request is open");
+  const NodeSlot slot = stream_->nodes[node];
   DP_CHECK(IsOpen(slot.request) && "the node's request is open");
   return slot;
 }
@@ -112,20 +110,21 @@ CpNode* CausalGraph::LiveNode(CpNodeId node) {
 }
 
 void CausalGraph::RetireLocked(int request) {
-  StreamState& s = *stream_;
   CpRequestRecord* record = OpenRecord(request);
-  s.sink->OnRequestRetired(*record, strings_);
+  stream_->sink->OnRequestRetired(*record, strings_);
   record->nodes.clear();
   record->edges.clear();
-  s.free_records.push_back(record);
-  s.open[request] = nullptr;
+  stream_->free_records.push_back(record);
+  stream_->open[request] = nullptr;
   // Advance both windows past the retired prefix: the oldest open request,
   // and the oldest node still owned by an open request.
-  while (!s.open.empty() && s.open[s.open.begin()] == nullptr) {
-    s.open.pop_front();
+  IdRing<CpRequestRecord*>& open = stream_->open;
+  while (!open.empty() && open[open.begin()] == nullptr) {
+    open.pop_front();
   }
-  while (!s.nodes.empty() && !IsOpen(s.nodes[s.nodes.begin()].request)) {
-    s.nodes.pop_front();
+  IdRing<NodeSlot>& nodes = stream_->nodes;
+  while (!nodes.empty() && !IsOpen(nodes[nodes.begin()].request)) {
+    nodes.pop_front();
   }
 }
 
@@ -152,18 +151,17 @@ int CausalGraph::BeginRequest(int process, int instance, Nanos arrival) {
   root.start = arrival;
   root.end = arrival;
   if (stream_ != nullptr) {
-    StreamState& s = *stream_;
-    MutexLock lock(s.mu);
-    req.id = static_cast<int>(s.open.end());
+    MutexLock lock(stream_->mu);
+    req.id = static_cast<int>(stream_->open.end());
     CpRequestRecord* record = nullptr;
-    if (s.free_records.empty()) {
-      record = &s.records.emplace_back();
+    if (stream_->free_records.empty()) {
+      record = &stream_->records.emplace_back();
     } else {
-      record = s.free_records.back();
-      s.free_records.pop_back();
+      record = stream_->free_records.back();
+      stream_->free_records.pop_back();
     }
     record->request = req;
-    s.open.push_back(record);
+    stream_->open.push_back(record);
     root.label = ArrivalLabel();
     record->request.arrival_node = AddNodeLocked(req.id, root);
     return req.id;
@@ -212,10 +210,9 @@ CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string_view label,
 }
 
 CpNodeId CausalGraph::AddNodeLocked(int request, const CpNode& node) {
-  StreamState& s = *stream_;
   CpRequestRecord* record = OpenRecord(request);
-  const auto id = static_cast<CpNodeId>(s.nodes.end());
-  s.nodes.push_back(
+  const auto id = static_cast<CpNodeId>(stream_->nodes.end());
+  stream_->nodes.push_back(
       NodeSlot{request, static_cast<std::uint32_t>(record->nodes.size())});
   CpNode& added = record->nodes.emplace_back(node);
   added.id = id;
@@ -262,8 +259,11 @@ void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
     MutexLock lock(stream_->mu);
     const int owner = LiveSlot(to).request;
     // The chunked journal's self-containment invariant: edges never cross
-    // requests (every recorder chains a request's own nodes).
-    DP_CHECK(LiveSlot(from).request == owner && "an edge stays in one request");
+    // requests (every recorder chains a request's own nodes), so `from` is a
+    // node of the same open request.
+    DP_CHECK(stream_->nodes.contains(from) &&
+             stream_->nodes[from].request == owner &&
+             "an edge stays in one request");
     stream_->open[owner]->edges.push_back(
         CpEdgeRec{stream_->next_edge++, from, to});
     return;
