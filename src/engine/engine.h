@@ -169,8 +169,8 @@ class Engine {
   const PerfModel* perf_;
 
   // A cold-run op's track or name: the text the trace recorder writes and
-  // its id in the causal graph (interned once per run in RunCold; 0 when the
-  // run records no causal nodes).
+  // its id in the causal graph (unused when the run records no causal
+  // nodes).
   struct OpName {
     std::string_view text;
     CpStrId id = 0;

@@ -45,8 +45,8 @@
 // retired request is a self-contained record. Request and node ids are
 // issued densely and in order, so the open requests and the owners of their
 // nodes are rings indexed by offset from the oldest open id, and retired
-// records are reused with their capacity: a steady-state recording touches
-// neither a map nor the heap.
+// records are reused with their capacity: recording a node costs no lookup
+// by key and, once the rings and records have grown, no allocation.
 #ifndef SRC_OBS_CAUSAL_GRAPH_H_
 #define SRC_OBS_CAUSAL_GRAPH_H_
 
@@ -328,16 +328,16 @@ class CausalGraph {
     std::int64_t end() const { return begin_ + static_cast<std::int64_t>(size_); }
     bool empty() const { return size_ == 0; }
     bool contains(std::int64_t id) const { return id >= begin_ && id < end(); }
-    T& operator[](std::int64_t id) {
-      return ring_[static_cast<std::size_t>(id) & (ring_.size() - 1)];
-    }
+    T& operator[](std::int64_t id) { return ring_[static_cast<std::size_t>(id) & mask_]; }
     void push_back(const T& value) {
       if (size_ == ring_.size()) {
         std::vector<T> grown(ring_.empty() ? 16 : 2 * ring_.size());
+        const std::size_t mask = grown.size() - 1;
         for (std::int64_t id = begin_; id < end(); ++id) {
-          grown[static_cast<std::size_t>(id) & (grown.size() - 1)] = (*this)[id];
+          grown[static_cast<std::size_t>(id) & mask] = (*this)[id];
         }
         ring_ = std::move(grown);
+        mask_ = mask;
       }
       ++size_;
       (*this)[end() - 1] = value;
@@ -349,6 +349,7 @@ class CausalGraph {
 
    private:
     std::vector<T> ring_;
+    std::size_t mask_ = 0;  // ring_.size() - 1
     std::int64_t begin_ = 0;
     std::size_t size_ = 0;
   };
