@@ -176,7 +176,9 @@ std::uint32_t Crc32(std::string_view data, std::uint32_t crc) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-char* JournalBuffer::Reserve(std::size_t n) {
+// ------------------------------------------------------------- JournalWriter
+
+char* JournalWriter::Buffer::Reserve(std::size_t n) {
   if (capacity_ - size_ < n) {
     const std::size_t capacity = std::max(size_ + n, 2 * capacity_);
     auto grown = std::make_unique_for_overwrite<char[]>(capacity);
@@ -188,8 +190,6 @@ char* JournalBuffer::Reserve(std::size_t n) {
   }
   return data_.get() + size_;
 }
-
-// ------------------------------------------------------------- JournalWriter
 
 JournalWriter::~JournalWriter() {
   Finish();  // no-op when never opened or already finished

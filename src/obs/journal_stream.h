@@ -72,24 +72,6 @@ bool ReadZigzag(std::string_view data, std::size_t* pos, std::int64_t* out);
 // `data`, so a CRC runs over pieces: Crc32(b, Crc32(a)) == Crc32(a + b).
 std::uint32_t Crc32(std::string_view data, std::uint32_t crc = 0);
 
-// A growable byte buffer that an encoder writes through a raw cursor:
-// Reserve(n) returns a cursor with room for n more bytes, and Commit(end)
-// ends the buffer where the cursor stopped. Reserved room is left
-// unwritten, and Clear keeps the capacity.
-class JournalBuffer {
- public:
-  char* Reserve(std::size_t n);
-  void Commit(char* end) { size_ = static_cast<std::size_t>(end - data_.get()); }
-  void Clear() { size_ = 0; }
-  std::size_t size() const { return size_; }
-  std::string_view view() const { return {data_.get(), size_}; }
-
- private:
-  std::unique_ptr<char[]> data_;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = 0;
-};
-
 // Footer totals; also the shape of the journal.* metrics counters.
 struct JournalTotals {
   std::uint64_t requests = 0;
@@ -161,6 +143,24 @@ class JournalWriter : public CausalSink {
   }
 
  private:
+  // A growable byte buffer that the encoder writes through a raw cursor:
+  // Reserve(n) returns a cursor with room for n more bytes, and Commit(end)
+  // ends the buffer where the cursor stopped. Reserved room is left
+  // unwritten, and Clear keeps the capacity.
+  class Buffer {
+   public:
+    char* Reserve(std::size_t n);
+    void Commit(char* end) { size_ = static_cast<std::size_t>(end - data_.get()); }
+    void Clear() { size_ = 0; }
+    std::size_t size() const { return size_; }
+    std::string_view view() const { return {data_.get(), size_}; }
+
+   private:
+    std::unique_ptr<char[]> data_;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+  };
+
   // The chunk string-table index of the graph's string `id`, added in
   // first-use order.
   std::uint64_t ChunkString(CpStrId id, const CpStrings& strings)
@@ -190,10 +190,10 @@ class JournalWriter : public CausalSink {
   // chunk_strings_ lists the graph ids set there, so the reset touches only
   // those.
   std::vector<std::string> pending_processes_ GUARDED_BY(mu_);
-  JournalBuffer string_table_ GUARDED_BY(mu_);
+  Buffer string_table_ GUARDED_BY(mu_);
   std::vector<CpStrId> chunk_strings_ GUARDED_BY(mu_);
   std::vector<std::uint32_t> chunk_index_of_ GUARDED_BY(mu_);
-  JournalBuffer body_ GUARDED_BY(mu_);
+  Buffer body_ GUARDED_BY(mu_);
   std::uint64_t chunk_requests_ GUARDED_BY(mu_) = 0;
   std::uint64_t chunk_incomplete_ GUARDED_BY(mu_) = 0;
   std::uint64_t chunk_nodes_ GUARDED_BY(mu_) = 0;
