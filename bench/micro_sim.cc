@@ -110,7 +110,7 @@ void BM_FabricContendedTransfers(benchmark::State& state) {
 BENCHMARK(BM_FabricContendedTransfers)->Arg(4)->Arg(16)->Arg(64);
 
 // A streaming causal journal, as journal_record records one: the graph
-// retires each request into a writer on a scratch file, removed at the end.
+// retires each request into a writer on a temporary file, removed at the end.
 class StreamingJournal {
  public:
   explicit StreamingJournal(const std::string& name)
