@@ -2,15 +2,19 @@
 // throughput (boxed lambdas and plain Actions), stream ops, fabric transfer
 // scheduling alone and under contention, cold-run simulation with and
 // without streaming causal-journal recording, the recording of one warm
+// request, DPJL chunk decode and windowed what-if replay per recorded
 // request, and workload generation. These bound the wall-clock cost of the
 // serving experiments (Figures 13-15); each layer's ns/op reads on its own.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "bench/scaling_common.h"
 #include "src/deepplan.h"
 #include "src/sim/stream.h"
 
@@ -203,6 +207,81 @@ void BM_RecordWarmRequest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RecordWarmRequest);
+
+// A small recorded journal: the synthetic scaling point (BERT-Base, PT+DHA,
+// 120 rps) at 4,000 requests, streamed to a temporary file that is removed
+// at the end.
+class RecordedJournal {
+ public:
+  RecordedJournal()
+      : path_((std::filesystem::temp_directory_path() / "micro_sim_replay.dpj").string()) {
+    bench::ScalingPointOptions options;
+    options.num_requests = 4000;
+    options.journal_out = path_;
+    if (!bench::RunScalingPoint(options).journaled) {
+      std::fprintf(stderr, "cannot record %s\n", path_.c_str());
+      std::abort();
+    }
+  }
+  ~RecordedJournal() { std::remove(path_.c_str()); }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// Decoding the recorded journal's chunks, per request: each iteration reads,
+// CRC-checks and decodes every chunk into one reused JournalChunk, as a
+// windowed replay does for each chunk it makes resident.
+void BM_DecodeJournalRequest(benchmark::State& state) {
+  const RecordedJournal recorded;
+  JournalReader reader;
+  if (!reader.Open(recorded.path())) {
+    state.SkipWithError(reader.error().c_str());
+    return;
+  }
+  JournalChunk chunk;
+  std::vector<std::uint64_t> offsets;
+  std::size_t requests = 0;
+  for (std::uint64_t offset = reader.next_offset();
+       reader.Next(&chunk) == JournalReadStatus::kChunk; offset = reader.next_offset()) {
+    offsets.push_back(offset);
+    requests += chunk.requests.size();
+  }
+  const std::uint64_t processes = reader.num_processes();
+  for (auto _ : state) {
+    for (const std::uint64_t offset : offsets) {
+      if (!reader.ReadChunkAt(offset, processes, &chunk)) {
+        state.SkipWithError(reader.error().c_str());
+        return;
+      }
+    }
+    benchmark::DoNotOptimize(chunk.nodes.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(requests));
+}
+BENCHMARK(BM_DecodeJournalRequest);
+
+// One identity what-if replay of the recorded journal, per request: chunk
+// decode, the replayed fabric and event queue, and the replay's bookkeeping.
+void BM_WindowedReplayRequest(benchmark::State& state) {
+  const RecordedJournal recorded;
+  WindowedJournal journal;
+  std::string error;
+  if (!journal.Open(recorded.path(), &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  WhatIfExperiment identity;
+  identity.name = "baseline";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(journal.Replay(identity));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(journal.requests().size()));
+}
+BENCHMARK(BM_WindowedReplayRequest)->Unit(benchmark::kMillisecond);
 
 void BM_PoissonTraceGeneration(benchmark::State& state) {
   PoissonOptions opts;

@@ -29,6 +29,7 @@
 #ifndef SRC_CHECK_VALIDATOR_H_
 #define SRC_CHECK_VALIDATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,12 +39,28 @@
 namespace deepplan {
 namespace check {
 
+namespace internal {
+// The validation mode in force: 1 on, 0 off, -1 not yet read from the
+// environment (until the first query or SetValidationForTesting call).
+extern std::atomic<int> g_validation_mode;
+// Reads the environment once, caches the result in g_validation_mode unless
+// a test forced a mode first, and returns whether validation is on.
+bool ResolveValidation();
+}  // namespace internal
+
 // True when invariant validation is active (see the gating table above).
-// The environment is read once; the result is cached for the process.
-bool ValidationEnabled();
+// The environment is read once; afterwards this is one relaxed load of the
+// cached mode, inlined at every hook's call site.
+inline bool ValidationEnabled() {
+  const int mode = internal::g_validation_mode.load(std::memory_order_relaxed);
+  if (mode >= 0) [[likely]] {
+    return mode != 0;
+  }
+  return internal::ResolveValidation();
+}
 
 // Test hook: 1 forces validation on, 0 forces it off, -1 restores the
-// environment-derived default.
+// environment-derived default. The cached mode changes at once.
 void SetValidationForTesting(int mode);
 
 // Total number of invariant checks evaluated so far in this process (all
@@ -69,22 +86,46 @@ struct ArenaSpan {
   bool free = false;
 };
 
+// The hooks that fire once per event, stream op or transfer test the cached
+// mode inline and call their out-of-line check only when validation is on,
+// so a disabled hook costs one load and one branch at its call site. The
+// rest fire per request, cold start or solve and test it in their bodies.
 class SimValidator {
  public:
   static bool enabled() { return ValidationEnabled(); }
 
   // -- causality --------------------------------------------------------
   // A schedule request must not target the past.
-  static void OnSchedule(Nanos now, Nanos when);
+  static void OnSchedule(Nanos now, Nanos when) {
+    if (enabled()) {
+      CheckSchedule(now, when);
+    }
+  }
   // A popped event must not fire before the clock it is about to advance.
-  static void OnEventFire(Nanos now, Nanos when);
+  static void OnEventFire(Nanos now, Nanos when) {
+    if (enabled()) {
+      CheckEventFire(now, when);
+    }
+  }
   // Successive event-queue pops must be non-decreasing in time.
-  static void OnQueuePop(Nanos prev_popped, Nanos when);
+  static void OnQueuePop(Nanos prev_popped, Nanos when) {
+    if (enabled()) {
+      CheckQueuePop(prev_popped, when);
+    }
+  }
   // Ops on one stream start in monotone order.
   static void OnStreamOpStart(const std::string& stream, Nanos prev_start,
-                              Nanos start);
+                              Nanos start) {
+    if (enabled()) {
+      CheckStreamOpStart(stream, prev_start, start);
+    }
+  }
   // A sync event fires at most once, never before its creation epoch.
-  static void OnSyncEventFire(const char* what, bool already_fired, Nanos now);
+  static void OnSyncEventFire(const char* what, bool already_fired, Nanos now) {
+    if (enabled()) {
+      CheckSyncEventFire(what, already_fired, now);
+    }
+  }
 
   // -- fabric flow conservation ----------------------------------------
   // After every progressive-filling round: shares non-negative, per-link
@@ -95,7 +136,11 @@ class SimValidator {
   // At completion, bytes moved must integrate to the transfer size (within
   // the ns-rounding residue the fabric itself tolerates).
   static void OnTransferComplete(Nanos now, std::uint64_t transfer,
-                                 double moved_bytes, double total_bytes);
+                                 double moved_bytes, double total_bytes) {
+    if (enabled()) {
+      CheckTransferComplete(now, transfer, moved_bytes, total_bytes);
+    }
+  }
   // The incremental (component-local) fair-share solve must agree with the
   // full progressive-filling re-solve to the last bit; the fabric runs the
   // full solve as a shadow whenever validation is on and reports both rates
@@ -131,6 +176,18 @@ class SimValidator {
   // The critical-path engine's components must sum exactly (integer ns) to
   // the request's end-to-end latency.
   static void OnAttribution(int request, Nanos latency, Nanos attributed);
+
+ private:
+  // Bodies of the inline per-event hooks above, called only when enabled.
+  static void CheckSchedule(Nanos now, Nanos when);
+  static void CheckEventFire(Nanos now, Nanos when);
+  static void CheckQueuePop(Nanos prev_popped, Nanos when);
+  static void CheckStreamOpStart(const std::string& stream, Nanos prev_start,
+                                 Nanos start);
+  static void CheckSyncEventFire(const char* what, bool already_fired,
+                                 Nanos now);
+  static void CheckTransferComplete(Nanos now, std::uint64_t transfer,
+                                    double moved_bytes, double total_bytes);
 };
 
 }  // namespace check

@@ -369,7 +369,7 @@ CpNodeId Engine::Observe(int request, CpKind kind, OpName track, OpName name,
 }
 
 void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
-                     std::vector<GpuId> secondaries, const ColdRunOptions& options,
+                     const std::vector<GpuId>& secondaries, const ColdRunOptions& options,
                      std::function<void(const InferenceResult&)> done) {
   // Times the synchronous DAG construction (per-layer op enqueues); the ops
   // themselves execute later under sim.dispatch / exec.stream.

@@ -141,7 +141,7 @@ class Engine {
   // `done` fires at completion. Multiple concurrent runs interact through the
   // shared fabric.
   void RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
-               std::vector<GpuId> secondaries, const ColdRunOptions& options,
+               const std::vector<GpuId>& secondaries, const ColdRunOptions& options,
                std::function<void(const InferenceResult&)> done);
 
   // Duration a warm inference takes (closed form): parameters already placed

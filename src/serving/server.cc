@@ -31,6 +31,9 @@ struct Server::ModelEntry {
   // serving hot path) is pure waste.
   Nanos warm_duration = 0;
   Nanos warm_dha_pcie = 0;
+  // Per primary GPU, the secondaries a multi-partition plan loads through:
+  // chosen at the first cold start on that GPU (empty until then).
+  std::vector<std::vector<GpuId>> secondaries;
 };
 
 struct PendingRequest {
@@ -66,6 +69,7 @@ struct Server::Impl {
   std::vector<bool> gpu_busy;
   std::vector<InFlight> running;  // per GPU, valid while gpu_busy
   int next_gpu = 0;  // round-robin placement cursor
+  std::vector<int> evicted;  // a cold start's victims; storage reused
   int outstanding = 0;
   bool warmed_up = false;
 
@@ -120,6 +124,7 @@ struct Server::Impl {
                      CpNodeId causal_terminal = -1);
   void NoteQueueDepth(GpuId gpu);
   CpStrId WarmLabel(int instance);
+  const std::vector<GpuId>& Secondaries(ModelEntry& entry, GpuId primary);
 };
 
 Server::Server(const Topology& topology, const PerfModel& perf, ServerOptions options)
@@ -156,6 +161,7 @@ int Server::RegisterModelType(Model model, Strategy strategy_override) {
       s.engine->WarmDuration(entry.model, entry.plan, s.options.batch);
   entry.warm_dha_pcie =
       s.engine->WarmDhaPcieTime(entry.model, entry.plan, s.options.batch);
+  entry.secondaries.resize(Idx(s.topology.num_gpus()));
   s.models.push_back(std::move(entry));
   return static_cast<int>(s.models.size() - 1);
 }
@@ -301,7 +307,7 @@ void Server::Impl::Dispatch(GpuId gpu) {
 
   // Cold start: make room (LRU eviction), pay the eviction cost, then run the
   // strategy's provisioning + inference path.
-  std::vector<int> evicted;
+  evicted.clear();
   const bool fits = instances->MakeResident(instance, start, &evicted);
   DP_CHECK(fits && "instance footprint exceeds GPU capacity");
   flight.num_evicted = static_cast<int>(evicted.size());
@@ -333,19 +339,23 @@ void Server::Impl::FinishWarm(std::uint64_t gpu) {
                 /*cold=*/false, /*evict_delay=*/0, /*load_done=*/0, /*num_evicted=*/0);
 }
 
+const std::vector<GpuId>& Server::Impl::Secondaries(ModelEntry& entry, GpuId primary) {
+  std::vector<GpuId>& chosen = entry.secondaries[Idx(primary)];
+  if (chosen.empty() && entry.plan.num_partitions() > 1) {
+    chosen = TransmissionPlanner::ChooseSecondaries(topology, primary,
+                                                    entry.plan.num_partitions());
+  }
+  return chosen;
+}
+
 void Server::Impl::StartCold(std::uint64_t gpu_arg) {
   const auto gpu = static_cast<GpuId>(gpu_arg);
   const InFlight& flight = running[gpu_arg];
-  const ModelEntry& entry = models[Idx(instance_model[Idx(flight.req.instance)])];
-  std::vector<GpuId> secondaries;
-  if (entry.plan.num_partitions() > 1) {
-    secondaries =
-        TransmissionPlanner::ChooseSecondaries(topology, gpu, entry.plan.num_partitions());
-  }
+  ModelEntry& entry = models[Idx(instance_model[Idx(flight.req.instance)])];
   ColdRunOptions cold_options = MakeColdRunOptions(entry.strategy, options.batch);
   cold_options.causal_request = flight.req.causal;
   cold_options.causal_root = flight.causal_root;
-  engine->RunCold(entry.model, entry.plan, gpu, secondaries, cold_options,
+  engine->RunCold(entry.model, entry.plan, gpu, Secondaries(entry, gpu), cold_options,
                   [this, gpu](const InferenceResult& result) {
                     const InFlight done = running[Idx(gpu)];
                     FinishRequest(gpu, done.req.instance, done.req, done.start,

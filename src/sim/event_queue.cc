@@ -1,6 +1,7 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 #include "src/check/validator.h"
@@ -36,16 +37,6 @@ EventQueue::~EventQueue() {
   for (std::size_t i = head_; i < cur_.size(); ++i) {
     discard(cur_[i]);
   }
-}
-
-std::int64_t EventQueue::EpochOf(Nanos when) const {
-  // Floor division: raw EventQueue users (property tests) may schedule
-  // negative or pre-horizon times, and truncation would misorder them.
-  std::int64_t q = when / width_;
-  if (when % width_ < 0) {
-    --q;
-  }
-  return q;
 }
 
 EventQueue::EventId EventQueue::Schedule(Nanos when, Action action) {
@@ -248,7 +239,8 @@ void EventQueue::Rebuild() {
   mask_ = n - 1;
 
   // Width targets ~2 entries per epoch across the occupied span, so a lap of
-  // the ring covers the whole population.
+  // the ring covers the whole population; it is rounded up to a power of two
+  // so that EpochOf is a shift.
   if (all.size() >= 2) {
     Nanos lo = all.front().when;
     Nanos hi = lo;
@@ -257,7 +249,9 @@ void EventQueue::Rebuild() {
       hi = std::max(hi, e.when);
     }
     const Nanos span = hi - lo;
-    width_ = std::max<Nanos>(1, 2 * (span / static_cast<Nanos>(all.size())));
+    const auto width = static_cast<std::uint64_t>(
+        std::max<Nanos>(1, 2 * (span / static_cast<Nanos>(all.size()))));
+    width_shift_ = std::countr_zero(std::bit_ceil(width));
   }
 
   std::int64_t min_epoch = std::numeric_limits<std::int64_t>::max();

@@ -137,7 +137,10 @@ class EventQueue {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
-  std::int64_t EpochOf(Nanos when) const;
+  // Floor division by the epoch width: an arithmetic shift, so raw
+  // EventQueue users (property tests) that schedule negative or pre-horizon
+  // times still get ordered epochs.
+  std::int64_t EpochOf(Nanos when) const { return when >> width_shift_; }
   std::vector<Entry>& ServeBucket() {
     return buckets_[static_cast<std::size_t>(serve_epoch_) & mask_];
   }
@@ -153,7 +156,7 @@ class EventQueue {
   SlotPool<Action> slots_;
   std::vector<std::vector<Entry>> buckets_;
   std::size_t mask_ = 0;  // buckets_.size() - 1 (power of two)
-  Nanos width_ = 1;       // nanoseconds per epoch
+  int width_shift_ = 0;   // log2 of the nanoseconds per epoch
 
   // Serving state: cur_ holds the serve epoch's entries sorted by
   // (when, seq); head_ is the next unpopped index. Entries scheduled into the

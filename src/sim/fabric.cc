@@ -1,7 +1,6 @@
 #include "src/sim/fabric.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "src/check/validator.h"
@@ -15,6 +14,15 @@ namespace {
 // A transfer is considered drained when fewer than this many bytes remain
 // (guards against floating-point residue never reaching exactly zero).
 constexpr double kEpsilonBytes = 1e-6;
+
+// ceil(secs * 1e9) as whole nanoseconds, without a libm call. The product is
+// non-negative and far below 2^63, so truncation is floor and one compare
+// finds the fractional part: the result is bitwise what std::ceil gives.
+Nanos CeilNanos(double secs) {
+  const double ns = secs * kNanosPerSecond;
+  const auto whole = static_cast<Nanos>(ns);
+  return static_cast<double>(whole) < ns ? whole + 1 : whole;
+}
 }  // namespace
 
 Fabric::Fabric(Simulator* sim) : sim_(sim) { DP_CHECK(sim != nullptr); }
@@ -22,6 +30,7 @@ Fabric::Fabric(Simulator* sim) : sim_(sim) { DP_CHECK(sim != nullptr); }
 LinkId Fabric::AddLink(std::string name, double capacity_bytes_per_sec) {
   DP_CHECK(capacity_bytes_per_sec > 0);
   links_.push_back(Link{std::move(name), capacity_bytes_per_sec});
+  link_users_.push_back(0);
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -33,6 +42,11 @@ const std::string& Fabric::link_name(LinkId id) const {
 double Fabric::link_capacity(LinkId id) const {
   DP_CHECK(id >= 0 && id < num_links());
   return links_[Idx(id)].capacity;
+}
+
+int Fabric::transfers_on(LinkId id) const {
+  DP_CHECK(id >= 0 && id < num_links());
+  return link_users_[Idx(id)];
 }
 
 void Fabric::set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
@@ -74,6 +88,9 @@ TransferId Fabric::Start(LinkPath path, std::int64_t bytes, Nanos latency,
   t.latency = latency;
   t.done = done;
   active_.push_back(std::move(t));
+  for (LinkId l : path) {
+    ++link_users_[Idx(l)];
+  }
   start_seeds_.assign(1, active_.size() - 1);
   Reallocate(start_seeds_, /*seeds_closed=*/false);
   return id;
@@ -84,13 +101,27 @@ Nanos Fabric::SoloDuration(const LinkPath& path, std::int64_t bytes,
   if (bytes == 0 || path.empty()) {
     return latency;
   }
-  double min_capacity = std::numeric_limits<double>::infinity();
   for (LinkId l : path) {
     DP_CHECK(l >= 0 && l < num_links());
+  }
+  return CeilNanos(static_cast<double>(bytes) / MinCapacity(path)) + latency;
+}
+
+bool Fabric::Alone(const LinkPath& path) const {
+  for (LinkId l : path) {
+    if (link_users_[Idx(l)] != 1) {
+      return false;
+    }
+  }
+  return true;
+}
+
+double Fabric::MinCapacity(const LinkPath& path) const {
+  double min_capacity = std::numeric_limits<double>::infinity();
+  for (LinkId l : path) {
     min_capacity = std::min(min_capacity, links_[Idx(l)].capacity);
   }
-  const double secs = static_cast<double>(bytes) / min_capacity;
-  return static_cast<Nanos>(std::ceil(secs * kNanosPerSecond)) + latency;
+  return min_capacity;
 }
 
 double Fabric::AllocatedOn(LinkId id) const {
@@ -259,15 +290,22 @@ void Fabric::ComputeRates(const std::vector<std::size_t>& seeds,
     for (std::size_t i = 0; i < n; ++i) {
       affected_.push_back(i);
     }
+  } else if (seeds.size() == 1 && Alone(active_[seeds[0]].path)) {
+    // A one-transfer component: progressive filling's single round divides
+    // each link's capacity by one user and takes the smallest quotient.
+    affected_.clear();
+    active_[seeds[0]].rate = MinCapacity(active_[seeds[0]].path);
   } else if (seeds_closed) {
     affected_.assign(seeds.begin(), seeds.end());
   } else {
     CollectComponent(seeds, affected_);
   }
   shadow_rates_.resize(n);
-  SolveSubset(affected_, shadow_rates_);
-  for (std::size_t i : affected_) {
-    active_[i].rate = shadow_rates_[i];
+  if (!affected_.empty()) {
+    SolveSubset(affected_, shadow_rates_);
+    for (std::size_t i : affected_) {
+      active_[i].rate = shadow_rates_[i];
+    }
   }
   if (check::ValidationEnabled()) {
     // Shadow full re-solve: the incremental claim is bitwise equality, so
@@ -306,8 +344,7 @@ void Fabric::ScheduleCompletions() {
       t.has_completion_event = false;
     }
     DP_CHECK(t.rate > 0);
-    const double secs = t.remaining_bytes / t.rate;
-    const auto delay = static_cast<Nanos>(std::ceil(secs * kNanosPerSecond));
+    const Nanos delay = CeilNanos(t.remaining_bytes / t.rate);
     t.completion_event = sim_->ScheduleAfter(delay, MakeAction<&Fabric::OnDrained>(this, t.id));
     t.has_completion_event = true;
   }
@@ -327,17 +364,24 @@ void Fabric::Complete(std::size_t index) {
   SettleProgress();
   // The transfers whose fair share changes are exactly the departing
   // transfer's link-connected component; find it before the erase shifts
-  // indices, then drop the departing transfer itself.
-  start_seeds_.assign(1, index);
-  CollectComponent(start_seeds_, completion_seeds_);
-  std::size_t out = 0;
-  for (std::size_t i : completion_seeds_) {
-    if (i != index) {
-      completion_seeds_[out++] = i > index ? i - 1 : i;
+  // indices, then drop the departing transfer itself. A transfer that
+  // shares no link is its own component: nothing else is re-solved.
+  completion_seeds_.clear();
+  if (!Alone(active_[index].path)) {
+    start_seeds_.assign(1, index);
+    CollectComponent(start_seeds_, completion_seeds_);
+    std::size_t out = 0;
+    for (std::size_t i : completion_seeds_) {
+      if (i != index) {
+        completion_seeds_[out++] = i > index ? i - 1 : i;
+      }
     }
+    completion_seeds_.resize(out);
   }
-  completion_seeds_.resize(out);
   Transfer t = std::move(active_[index]);
+  for (LinkId l : t.path) {
+    --link_users_[Idx(l)];
+  }
   check::SimValidator::OnTransferComplete(sim_->now(), t.id,
                                           t.total_bytes - t.remaining_bytes,
                                           t.total_bytes);

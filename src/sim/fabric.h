@@ -146,6 +146,9 @@ class Fabric {
 
   // Number of in-flight transfers (draining bytes; excludes latency tails).
   int active_transfers() const { return static_cast<int>(active_.size()); }
+  // Number of in-flight transfers whose route crosses `id` (a route that
+  // lists a link twice counts twice); 0 means the link is idle.
+  int transfers_on(LinkId id) const;
 
   // Current fair-share rate of a link's busiest direction: total allocated
   // bandwidth on the link (bytes/sec). For tests and bandwidth accounting.
@@ -203,10 +206,19 @@ class Fabric {
   // Recomputes rates for the link-connected component(s) of `seeds` only;
   // other transfers keep their (bitwise-unchanged) rates. When
   // `seeds_closed` the caller guarantees `seeds` is already closed under
-  // link-sharing (a union of components) and the expansion is skipped. When
-  // validation is on, shadows the full re-solve and cross-checks every rate
-  // bit-for-bit.
+  // link-sharing (a union of components) and the expansion is skipped. A
+  // single seed that shares no link with any other transfer (a starting
+  // transfer on idle links, or the one transfer left in a departing
+  // transfer's component) takes its route's smallest capacity in closed
+  // form, which is bitwise what progressive filling computes for a
+  // one-transfer component. When validation is on, shadows the full
+  // re-solve and cross-checks every rate bit-for-bit.
   void ComputeRates(const std::vector<std::size_t>& seeds, bool seeds_closed);
+  // True when every link of `path`, an in-flight transfer's route, counts
+  // that transfer alone. A route listing one link twice is never alone.
+  bool Alone(const LinkPath& path) const;
+  // The smallest capacity along `path`: an uncontended transfer's rate.
+  double MinCapacity(const LinkPath& path) const;
   // Progressive filling restricted to `subset` (ascending indices into
   // active_, closed under link-sharing); writes rates[i] for i in subset.
   void SolveSubset(const std::vector<std::size_t>& subset,
@@ -233,6 +245,9 @@ class Fabric {
     TransferDone done;
   };
   SlotPool<Tail> tails_;
+  // Per link: in-flight transfers whose route crosses it, counted once per
+  // occurrence in the route; kept as transfers start and drain.
+  std::vector<int> link_users_;
   TransferId next_id_ = 1;
   bool force_full_resolve_ = false;
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
@@ -238,6 +239,55 @@ TEST(ValidatorTest, DisabledModeRunsNoChecksAndNeverAborts) {
   SimValidator::OnEvict(/*instance=*/0, /*resident=*/false, /*busy=*/true);
   SimValidator::OnBreakdown(1.0, 2.0, 3.0, 100.0);
   EXPECT_EQ(check::ChecksRun(), before);
+}
+
+// The mode a hook sees changes as soon as SetValidationForTesting returns,
+// in either direction and back to the environment default, within one
+// process: each per-event hook, called directly and from a small simulation,
+// counts a check exactly while validation is on.
+TEST(ValidatorTest, ModeFlipsTakeEffectAtOnce) {
+  const auto checks_of_one_round = [] {
+    const std::uint64_t before = check::ChecksRun();
+    SimValidator::OnSchedule(/*now=*/0, /*when=*/1);
+    SimValidator::OnEventFire(/*now=*/0, /*when=*/1);
+    SimValidator::OnQueuePop(/*prev_popped=*/0, /*when=*/1);
+    SimValidator::OnStreamOpStart("exec", /*prev_start=*/0, /*start=*/1);
+    SimValidator::OnSyncEventFire("SyncEvent::Fire", /*already_fired=*/false, 1);
+    SimValidator::OnTransferComplete(1, /*transfer=*/7, 100.0, 100.0);
+    Simulator sim;
+    int fired = 0;
+    sim.ScheduleAfter(5, [&fired] { ++fired; });
+    sim.Run();
+    EXPECT_EQ(fired, 1);
+    return check::ChecksRun() - before;
+  };
+  // What -1 restores: DEEPPLAN_VALIDATE when set, else on only in Debug.
+  const char* env = std::getenv("DEEPPLAN_VALIDATE");
+#ifdef NDEBUG
+  bool env_default = false;
+#else
+  bool env_default = true;
+#endif
+  if (env != nullptr && env[0] != '\0') {
+    env_default = std::string(env) != "0";
+  }
+
+  check::SetValidationForTesting(1);
+  EXPECT_TRUE(check::ValidationEnabled());
+  const std::uint64_t on_round = checks_of_one_round();
+  EXPECT_GE(on_round, 6u + 3u);  // six direct calls, then schedule, pop, fire
+  check::SetValidationForTesting(0);
+  EXPECT_FALSE(check::ValidationEnabled());
+  EXPECT_EQ(checks_of_one_round(), 0u);
+  check::SetValidationForTesting(1);
+  EXPECT_EQ(checks_of_one_round(), on_round);
+  check::SetValidationForTesting(-1);
+  EXPECT_EQ(check::ValidationEnabled(), env_default);
+  EXPECT_EQ(checks_of_one_round(), env_default ? on_round : 0u);
+  check::SetValidationForTesting(0);
+  EXPECT_EQ(checks_of_one_round(), 0u);
+  check::SetValidationForTesting(-1);
+  EXPECT_EQ(check::ValidationEnabled(), env_default);
 }
 
 // --------------------------------------------------------- trace linting

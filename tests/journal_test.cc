@@ -883,6 +883,10 @@ TEST(CausalStreamDeathTest, MutatingANodeOfARetiredRequestDies) {
 // windowed engine provably holding fewer requests than the journal.
 class WindowedReplayTest : public ::testing::Test {
  protected:
+  static void TearDownTestSuite() { std::remove(TempPath(kJournalName).c_str()); }
+
+  static constexpr const char* kJournalName = "journal_windowed.dpj";
+
   static CausalGraph& Graph() {
     static CausalGraph* graph = [] {
       auto* g = new CausalGraph(/*enabled=*/true);
@@ -906,7 +910,7 @@ class WindowedReplayTest : public ::testing::Test {
 
   static const std::string& JournalPath() {
     static const std::string path = [] {
-      const std::string p = TempPath("journal_windowed.dpj");
+      const std::string p = TempPath(kJournalName);
       JournalWriterOptions small;
       small.chunk_requests = 64;  // many windows
       std::string error;

@@ -439,6 +439,7 @@ TEST(BenchHistoryTest, ScansSortedAndSkipsMalformed) {
   EXPECT_EQ(runs[1].wall_clock_ms, 10.0);
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("BENCH_broken.json"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BenchHistoryTest, CompareTakesBestOfEachSideAndGates) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -381,6 +382,8 @@ TEST(ChromeTraceTest, WriteToRoundTripsAndReportsIoFailure) {
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
   EXPECT_EQ(buffer.str(), ChromeTraceWriter::ToJson(events) + "\n");
   EXPECT_FALSE(
       ChromeTraceWriter::WriteTo("/nonexistent-dir/trace.json", events));
