@@ -10,10 +10,10 @@
 #   DEEPPLAN_TSAN=1  first build the ThreadSanitizer preset
 #                    (cmake -DDEEPPLAN_SANITIZE=thread) into <build-dir>-tsan
 #                    and run the sweep determinism and telemetry tests under it.
-#   DEEPPLAN_ASAN=1  build the AddressSanitizer preset into <build-dir>-asan
-#                    and run the full test suite under it.
-#   DEEPPLAN_UBSAN=1 build the UndefinedBehaviorSanitizer preset into
-#                    <build-dir>-ubsan and run the full test suite under it.
+#   DEEPPLAN_ASAN=1  build the AddressSanitizer+UndefinedBehaviorSanitizer
+#                    preset (cmake -DDEEPPLAN_SANITIZE=address,undefined) into
+#                    <build-dir>-asan and run the full test suite under it;
+#                    any report aborts its test.
 #   DEEPPLAN_TIDY=1  configure <build-dir>-tidy with -DDEEPPLAN_TIDY=ON and
 #                    compile src/ under clang-tidy --warnings-as-errors=*
 #                    (skipped with a notice when clang-tidy is not installed).
@@ -42,23 +42,16 @@ if [ "${DEEPPLAN_TSAN:-0}" = "1" ]; then
   # The scale replay fans point sweeps across threads — and now records one
   # binary journal per point; run it under TSan with maximum fan-out (the
   # differential queue/fabric tests are single-threaded and covered by the
-  # asan/ubsan full-suite legs below).
+  # ASan+UBSan full-suite leg below).
   DEEPPLAN_JOBS=8 "$BUILD_DIR-tsan/tests/scaling_test"
 fi
 
-# Sanitizer matrix: full test suite under asan / ubsan on demand.
-for SAN in address undefined; do
-  case "$SAN" in
-    address)   flag="${DEEPPLAN_ASAN:-0}";  suffix="asan" ;;
-    undefined) flag="${DEEPPLAN_UBSAN:-0}"; suffix="ubsan" ;;
-  esac
-  if [ "$flag" = "1" ]; then
-    echo "== test suite ($SAN sanitizer)"
-    cmake -B "$BUILD_DIR-$suffix" -S . -DDEEPPLAN_SANITIZE="$SAN" >/dev/null
-    cmake --build "$BUILD_DIR-$suffix" -j >/dev/null
-    ctest --test-dir "$BUILD_DIR-$suffix" --output-on-failure
-  fi
-done
+if [ "${DEEPPLAN_ASAN:-0}" = "1" ]; then
+  echo "== test suite (AddressSanitizer+UndefinedBehaviorSanitizer)"
+  cmake -B "$BUILD_DIR-asan" -S . -DDEEPPLAN_SANITIZE=address,undefined >/dev/null
+  cmake --build "$BUILD_DIR-asan" -j >/dev/null
+  ctest --test-dir "$BUILD_DIR-asan" --output-on-failure
+fi
 
 if [ "${DEEPPLAN_TIDY:-0}" = "1" ]; then
   echo "== clang-tidy (src/ via DEEPPLAN_TIDY=ON)"

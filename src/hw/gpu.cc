@@ -49,17 +49,6 @@ GpuSpec GpuSpec::A5000() {
   return spec;
 }
 
-GpuSpec GpuSpec::A100() {
-  GpuSpec spec;
-  spec.name = "A100-SXM4-40GB";
-  spec.fp32_tflops = 19.5;
-  spec.mem_bw_bytes_per_sec = 1555.0 * kGB;
-  spec.mem_bytes = 40 * kGiB;
-  spec.compute_efficiency = 0.62;
-  spec.kernel_overhead = Micros(8.0);
-  return spec;
-}
-
 NvlinkSpec NvlinkSpec::V100Nvlink() {
   NvlinkSpec spec;
   spec.name = "NVLink2";
@@ -73,14 +62,6 @@ NvlinkSpec NvlinkSpec::A5000Bridge() {
   spec.name = "NVLink-Bridge";
   spec.bw_bytes_per_sec = 50.0 * kGB;
   spec.transfer_latency = Micros(4.0);
-  return spec;
-}
-
-NvlinkSpec NvlinkSpec::A100Nvswitch() {
-  NvlinkSpec spec;
-  spec.name = "NVLink3-NVSwitch";
-  spec.bw_bytes_per_sec = 300.0 * kGB;  // 600 GB/s bidirectional per GPU
-  spec.transfer_latency = Micros(3.0);
   return spec;
 }
 

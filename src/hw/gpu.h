@@ -40,7 +40,6 @@ struct GpuSpec {
 
   static GpuSpec V100();
   static GpuSpec A5000();
-  static GpuSpec A100();
 };
 
 // NVLink interconnect between a GPU pair (per-direction bandwidth).
@@ -51,7 +50,6 @@ struct NvlinkSpec {
 
   static NvlinkSpec V100Nvlink();   // NVLink 2.0 as in p3.8xlarge
   static NvlinkSpec A5000Bridge();  // NVLink bridge between two A5000s
-  static NvlinkSpec A100Nvswitch(); // NVLink 3.0 through NVSwitch (HGX A100)
 };
 
 }  // namespace deepplan

@@ -69,21 +69,6 @@ Topology Dgx1Impl() {
 
 Topology Topology::Dgx1() { return Dgx1Impl(); }
 
-Topology Topology::HgxA100() {
-  // HGX A100-style box (the paper's Related Work points at it): 8x A100 on
-  // PCIe 4.0, every two GPUs behind one switch, NVSwitch all-to-all fabric.
-  const PcieSpec pcie = PcieSpec::Gen4();
-  std::vector<std::pair<GpuId, GpuId>> pairs;
-  for (GpuId a = 0; a < 8; ++a) {
-    for (GpuId b = a + 1; b < 8; ++b) {
-      pairs.push_back({a, b});
-    }
-  }
-  return Custom("hgx_a100", GpuSpec::A100(), pcie, NvlinkSpec::A100Nvswitch(),
-                {0, 0, 1, 1, 2, 2, 3, 3}, pcie.effective_bw_bytes_per_sec * 1.05,
-                pairs);
-}
-
 Topology Topology::WithPcieBandwidth(double effective_bw_bytes_per_sec) const {
   DP_CHECK(effective_bw_bytes_per_sec > 0);
   Topology t = *this;

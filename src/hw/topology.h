@@ -21,7 +21,6 @@ class Topology {
   static Topology P3_8xlarge();  // 4x V100, 2 PCIe switches x 2 GPUs, NVLink mesh
   static Topology A5000Box();    // 2x A5000, separate PCIe 4.0 root ports, NV bridge
   static Topology Dgx1();        // 8x V100, 4 PCIe switches x 2 GPUs, NVLink mesh
-  static Topology HgxA100();     // 8x A100, PCIe 4.0, NVSwitch all-to-all
   // Custom builder used by tests: `switch_of[g]` gives each GPU's switch;
   // `nvlink_pairs` lists connected GPU pairs.
   static Topology Custom(std::string name, GpuSpec gpu, PcieSpec pcie, NvlinkSpec nvlink,

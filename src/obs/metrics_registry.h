@@ -1,14 +1,13 @@
 // Named metrics for a simulation run: monotonic counters, last-value gauges,
 // and sample histograms, with deterministic JSON snapshot export. Components
-// (fabric, server, cluster) hold a `MetricsRegistry*` that is nullptr when
+// (fabric, server) hold a `MetricsRegistry*` that is nullptr when
 // telemetry is off; when attached, one registry accumulates a whole run and
 // its snapshot lands in the bench's BENCH_<name>.json report.
 //
 // Naming convention: dotted lowercase paths, component first —
 //   fabric.transfers, fabric.bytes,
 //   server.requests, server.cold_starts, server.warm_hits, server.evictions,
-//   server.queue_depth.gpu<g>, server.latency_ms (histogram),
-//   cluster.routed.server<k>.
+//   server.queue_depth.gpu<g>, server.latency_ms (histogram).
 //
 // Export order is the sorted metric name, so identical runs render to
 // identical bytes regardless of the order metrics were first touched.

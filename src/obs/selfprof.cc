@@ -13,10 +13,6 @@
 namespace deepplan {
 namespace selfprof {
 
-namespace internal {
-thread_local SelfProfiler* g_lane = nullptr;
-}  // namespace internal
-
 const char* PhaseName(Phase phase) {
   switch (phase) {
     case Phase::kTotal:

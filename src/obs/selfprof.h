@@ -230,7 +230,11 @@ class SelfProfiler {
 };
 
 namespace internal {
-extern thread_local SelfProfiler* g_lane;
+// Defined here rather than `extern`, so every reader sees its zero
+// initializer: gcc then reads it as one thread-local load, where an `extern
+// thread_local` goes through a TLS-init wrapper that UBSan reports as a null
+// load.
+inline thread_local SelfProfiler* g_lane = nullptr;
 }  // namespace internal
 
 // The lane scopes on this thread currently accumulate into (nullptr = off).

@@ -23,15 +23,6 @@ void TraceRecorder::Span(int pid, std::string_view track, std::string_view name,
                                    std::string(name), start, duration, 0.0});
 }
 
-void TraceRecorder::Instant(int pid, std::string_view track, std::string_view name,
-                            Nanos ts) {
-  if (!enabled_) {
-    return;
-  }
-  doc_.events.push_back(TraceEvent{TracePhase::kInstant, pid, std::string(track),
-                                   std::string(name), ts, 0, 0.0});
-}
-
 void TraceRecorder::Counter(int pid, std::string_view track, std::string_view series,
                             Nanos ts, double value) {
   if (!enabled_) {

@@ -1,9 +1,8 @@
-// Simulation-wide trace recorder: the single sink for span, instant, and
-// counter events emitted by the fabric (per-link bandwidth shares), the
-// engine (per-layer load/migrate/exec), the server (queue depths, cold-start
-// phases), and the cluster router (routing decisions). One recorder covers a
-// whole run — every GPU, link, and request — and exports one Perfetto-loadable
-// Chrome-trace JSON via ChromeTraceWriter.
+// Simulation-wide trace recorder: the single sink for span, counter and async
+// events emitted by the fabric (per-link bandwidth shares), the engine
+// (per-layer load/migrate/exec), and the server (queue depths, cold-start
+// phases). One recorder covers a whole run — every GPU, link, and request —
+// and exports one Perfetto-loadable Chrome-trace JSON via ChromeTraceWriter.
 //
 // Cost model: components hold a `TraceRecorder*` that is nullptr when
 // telemetry is off, so the disabled hot path is a single pointer test. A
@@ -42,17 +41,14 @@ class TraceRecorder {
 
   bool enabled() const { return enabled_; }
 
-  // Names a process group (one per server in a cluster run, one per strategy
-  // when a bench traces several replays). Returns the pid to tag events with.
+  // Names a process group (one per strategy when a bench traces several
+  // replays). Returns the pid to tag events with.
   // Disabled recorders return 0 without allocating.
   int RegisterProcess(std::string_view name);
 
   // A complete slice [start, start+duration) on `track` of process `pid`.
   void Span(int pid, std::string_view track, std::string_view name, Nanos start,
             Nanos duration);
-
-  // A point-in-time marker (e.g. a routing decision).
-  void Instant(int pid, std::string_view track, std::string_view name, Nanos ts);
 
   // A counter sample: `track` names the counter track (e.g. "bw/pcie/gpu0"),
   // `series` the value key inside it (e.g. "gbps").

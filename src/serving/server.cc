@@ -23,7 +23,6 @@ struct Server::ModelEntry {
   Model model;
   ModelProfile profile;
   ExecutionPlan plan;
-  Strategy strategy = Strategy::kDeepPlanPtDha;
   std::int64_t footprint = 0;
   // Warm-path constants, cached at registration: WarmDuration and
   // WarmDhaPcieTime are pure functions of (model, plan, batch), and the batch
@@ -70,7 +69,6 @@ struct Server::Impl {
   std::vector<InFlight> running;  // per GPU, valid while gpu_busy
   int next_gpu = 0;  // round-robin placement cursor
   std::vector<int> evicted;  // a cold start's victims; storage reused
-  int outstanding = 0;
   bool warmed_up = false;
 
   ServingMetrics metrics;
@@ -137,13 +135,8 @@ Server::Server(Simulator* sim, const Topology& topology, const PerfModel& perf,
 Server::~Server() = default;
 
 int Server::RegisterModelType(Model model) {
-  return RegisterModelType(std::move(model), impl_->options.strategy);
-}
-
-int Server::RegisterModelType(Model model, Strategy strategy_override) {
   Impl& s = *impl_;
   ModelEntry entry;
-  entry.strategy = strategy_override;
   ProfilerOptions popts;
   popts.batch = s.options.batch;
   popts.seed = kProfilerSeed;
@@ -153,8 +146,8 @@ int Server::RegisterModelType(Model model, Strategy strategy_override) {
   pipeline.nvlink = s.topology.nvlink();
   // Degree is topology-wide here; per-primary secondaries resolved at
   // dispatch time.
-  const int degree = StrategyDegree(entry.strategy, s.topology, /*primary=*/0);
-  entry.plan = MakeStrategyPlan(entry.strategy, entry.profile, degree, pipeline);
+  const int degree = StrategyDegree(s.options.strategy, s.topology, /*primary=*/0);
+  entry.plan = MakeStrategyPlan(s.options.strategy, entry.profile, degree, pipeline);
   entry.footprint = entry.plan.GpuResidentBytes(entry.profile);
   entry.model = std::move(model);
   entry.warm_duration =
@@ -168,20 +161,14 @@ int Server::RegisterModelType(Model model, Strategy strategy_override) {
 
 void Server::AddInstances(int model_type, int count) {
   Impl& s = *impl_;
-  for (int i = 0; i < count; ++i) {
-    AddInstanceWithHome(model_type, s.next_gpu);
-    s.next_gpu = (s.next_gpu + 1) % s.topology.num_gpus();
-  }
-}
-
-int Server::AddInstanceWithHome(int model_type, GpuId home) {
-  Impl& s = *impl_;
   DP_CHECK(model_type >= 0 && model_type < static_cast<int>(s.models.size()));
   const ModelEntry& entry = s.models[Idx(model_type)];
-  const int id = s.instances->AddInstance(model_type, home, entry.footprint);
-  s.instance_model.resize(Idx(id + 1));
-  s.instance_model[Idx(id)] = model_type;
-  return id;
+  for (int i = 0; i < count; ++i) {
+    const int id = s.instances->AddInstance(model_type, s.next_gpu, entry.footprint);
+    s.instance_model.resize(Idx(id + 1));
+    s.instance_model[Idx(id)] = model_type;
+    s.next_gpu = (s.next_gpu + 1) % s.topology.num_gpus();
+  }
 }
 
 int Server::num_instances() const { return impl_->instances->num_instances(); }
@@ -275,7 +262,6 @@ void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& 
     }
     causal->EndRequest(req.causal, sim->now(), terminal);
   }
-  --outstanding;
   gpu_busy[Idx(gpu)] = false;
   Dispatch(gpu);
 }
@@ -352,7 +338,7 @@ void Server::Impl::StartCold(std::uint64_t gpu_arg) {
   const auto gpu = static_cast<GpuId>(gpu_arg);
   const InFlight& flight = running[gpu_arg];
   ModelEntry& entry = models[Idx(instance_model[Idx(flight.req.instance)])];
-  ColdRunOptions cold_options = MakeColdRunOptions(entry.strategy, options.batch);
+  ColdRunOptions cold_options = MakeColdRunOptions(options.strategy, options.batch);
   cold_options.causal_request = flight.req.causal;
   cold_options.causal_root = flight.causal_root;
   engine->RunCold(entry.model, entry.plan, gpu, Secondaries(entry, gpu), cold_options,
@@ -365,23 +351,15 @@ void Server::Impl::StartCold(std::uint64_t gpu_arg) {
 }
 
 void Server::Warmup() {
-  std::vector<int> all(Idx(impl_->instances->num_instances()));
-  for (int id = 0; id < static_cast<int>(all.size()); ++id) {
-    all[Idx(id)] = id;
-  }
-  WarmupInstances(all);
-}
-
-void Server::WarmupInstances(const std::vector<int>& instances) {
   DP_SELFPROF_SCOPE(kWarmup);
   Impl& s = *impl_;
   if (s.warmed_up) {
     return;
   }
   s.warmed_up = true;
-  // Provision candidates (in the given order, round-robin homes) until GPUs
-  // are full, mirroring the paper's pre-warmed steady state.
-  for (const int id : instances) {
+  // Provision instances in id order (round-robin homes) until GPUs are full,
+  // mirroring the paper's pre-warmed steady state.
+  for (int id = 0; id < s.instances->num_instances(); ++id) {
     const InstanceState& inst = s.instances->instance(id);
     if (s.instances->used_bytes(inst.home_gpu) + inst.footprint <=
         s.instances->capacity_bytes()) {
@@ -397,7 +375,6 @@ void Server::Submit(int instance) {
   Impl& s = *impl_;
   DP_CHECK(instance >= 0 && instance < s.instances->num_instances());
   const GpuId gpu = s.instances->instance(instance).home_gpu;
-  ++s.outstanding;
   int causal_request = -1;
   if (s.causal != nullptr) {
     causal_request =
@@ -444,8 +421,6 @@ void Server::set_causal(CausalGraph* graph, int process) {
 }
 
 const ServingMetrics& Server::metrics() const { return impl_->metrics; }
-
-int Server::OutstandingRequests() const { return impl_->outstanding; }
 
 ServingMetrics Server::Run(const Trace& trace) {
   Impl& s = *impl_;

@@ -42,9 +42,10 @@ struct ServerOptions {
 class Server {
  public:
   Server(const Topology& topology, const PerfModel& perf, ServerOptions options);
-  // Shares an external simulator (cluster co-simulation): arrivals must then
-  // be fed via Submit() from callbacks scheduled on that simulator, and the
-  // caller drives sim->Run().
+  // Shares an external simulator, for callers that feed arrivals themselves
+  // (a chained feeder that schedules one arrival at a time, as bench_scaling
+  // and the benchmark do): arrivals must then be fed via Submit() from
+  // callbacks scheduled on that simulator, and the caller drives sim->Run().
   Server(Simulator* sim, const Topology& topology, const PerfModel& perf,
          ServerOptions options);
   ~Server();
@@ -52,18 +53,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Registers a model type: profiles it and generates the strategy's plan.
-  // Returns the model-type id used by AddInstances. The optional override
-  // lets different model types use different strategies on one server (e.g.
-  // DHA for GPT-2 where PT adds nothing, PT+DHA for BERT).
+  // Registers a model type: profiles it and generates the server strategy's
+  // plan. Returns the model-type id used by AddInstances.
   int RegisterModelType(Model model);
-  int RegisterModelType(Model model, Strategy strategy_override);
 
   // Adds `count` instances of the model type, placed round-robin over GPUs.
   void AddInstances(int model_type, int count);
-  // Adds one instance with an explicit home GPU (cluster routers use this to
-  // keep a routing shard spread across all GPUs). Returns the instance id.
-  int AddInstanceWithHome(int model_type, GpuId home);
 
   int num_instances() const;
   // Instances resident after warmup (the capacity line of Figure 13).
@@ -74,22 +69,17 @@ class Server {
   // their simulator.
   ServingMetrics Run(const Trace& trace);
 
-  // Co-simulation interface (external-simulator servers): pre-provision
-  // instances, submit one request (call from a simulator callback at the
-  // arrival time), and read the accumulated metrics.
+  // External-simulator interface: pre-provision instances, submit one
+  // request (call from a simulator callback at the arrival time), and read
+  // the accumulated metrics.
   void Warmup();
-  // Warmup restricted to a candidate set, in the given order (used by the
-  // cluster router to pre-warm only the shard this back-end will serve).
-  void WarmupInstances(const std::vector<int>& instances);
   void Submit(int instance);
   const ServingMetrics& metrics() const;
 
-  // Requests queued or executing right now (for least-outstanding routing).
-  int OutstandingRequests() const;
-
   // Attaches telemetry (either pointer may be nullptr) and forwards it to the
   // engine and fabric; call before Warmup()/Run(). `pid` is this server's
-  // process group in the recorder (cluster runs register one per back-end).
+  // process group in the recorder (one per strategy when a bench traces
+  // several replays).
   // While attached: per-GPU queue-depth counters ("queue/gpu<g>"), cold-start
   // phase spans on "coldstart/gpu<g>" (queue/evict/transfer/exec), warm exec
   // spans on "exec/gpu<g>", and registry counters (server.requests,

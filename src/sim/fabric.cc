@@ -320,19 +320,21 @@ void Fabric::ComputeRates(const std::vector<std::size_t>& seeds,
                                                     active_[i].rate,
                                                     shadow_rates_[i]);
     }
-    std::vector<check::FabricLinkShare> shares(links_.size());
+    link_shares_.resize(links_.size());
     for (std::size_t l = 0; l < links_.size(); ++l) {
-      shares[l].name = links_[l].name;
-      shares[l].capacity = links_[l].capacity;
+      link_shares_[l].name = links_[l].name;
+      link_shares_[l].capacity = links_[l].capacity;
+      link_shares_[l].allocated = 0.0;
+      link_shares_[l].transfers = 0;
     }
     for (const auto& t : active_) {
       check::SimValidator::OnTransferRate(sim_->now(), t.id, t.rate);
       for (LinkId l : t.path) {
-        shares[Idx(l)].allocated += t.rate;
-        ++shares[Idx(l)].transfers;
+        link_shares_[Idx(l)].allocated += t.rate;
+        ++link_shares_[Idx(l)].transfers;
       }
     }
-    check::SimValidator::OnFabricAllocation(sim_->now(), shares);
+    check::SimValidator::OnFabricAllocation(sim_->now(), link_shares_);
   }
 }
 

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/check/validator.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace_recorder.h"
 #include "src/sim/simulator.h"
@@ -265,6 +266,7 @@ class Fabric {
   std::vector<std::size_t> completion_seeds_;  // seed buffer for Complete
   std::vector<char> frozen_;        // per subset position
   std::vector<double> shadow_rates_;  // full re-solve result (validation)
+  std::vector<check::FabricLinkShare> link_shares_;  // per link (validation)
 
   TraceRecorder* recorder_ = nullptr;
   MetricsRegistry* registry_ = nullptr;

@@ -154,12 +154,6 @@ std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
         os << "\",\"ts\":" << Json::Num(ToMicros(e.ts))
            << ",\"dur\":" << Json::Num(ToMicros(e.duration)) << "}";
         break;
-      case TracePhase::kInstant:
-        os << "{\"ph\":\"i\",\"pid\":" << e.pid << ",\"tid\":"
-           << tids[{e.pid, e.track}] << ",\"name\":\"";
-        AppendEscaped(os, e.name);
-        os << "\",\"ts\":" << Json::Num(ToMicros(e.ts)) << ",\"s\":\"t\"}";
-        break;
       case TracePhase::kCounter:
         os << "{\"ph\":\"C\",\"pid\":" << e.pid << ",\"name\":\"";
         AppendEscaped(os, e.track);

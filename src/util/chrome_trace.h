@@ -1,10 +1,10 @@
 // Chrome-trace (chrome://tracing / Perfetto) JSON export for simulated
 // timelines. The input is a TraceDocument, the obs-layer TraceRecorder's
-// multi-process event set: span ("X"), instant ("i"), counter ("C") and async
-// ("b"/"e") events grouped under named processes ("M" process_name /
-// thread_name metadata records), so a whole server or cluster run opens in
-// Perfetto as per-GPU/per-link tracks with bandwidth and queue-depth graphs
-// overlaid — the pictures in Figures 7-9 of the paper, generated from a run.
+// multi-process event set: span ("X"), counter ("C") and async ("b"/"e")
+// events grouped under named processes ("M" process_name / thread_name
+// metadata records), so a whole server run opens in Perfetto as
+// per-GPU/per-link tracks with bandwidth and queue-depth graphs overlaid —
+// the pictures in Figures 7-9 of the paper, generated from a run.
 //
 // Output is byte-stable: event/track names are JSON-escaped (including
 // control characters), events are sorted by timestamp with deterministic
@@ -23,7 +23,6 @@ namespace deepplan {
 
 enum class TracePhase {
   kSpan,        // complete slice ("X"): [ts, ts+duration) on a thread track
-  kInstant,     // point-in-time marker ("i") on a thread track
   kCounter,     // sampled value ("C"); `track` names the counter track, `name`
                 // the series key inside it, `value` the sample
   kAsyncBegin,  // async interval start ("b"): intervals with distinct ids may
@@ -34,8 +33,8 @@ enum class TracePhase {
 };
 
 // One event of a multi-process trace. `pid` selects the process group
-// (e.g. one per server in a cluster run); `track` names the thread-level
-// track within it.
+// (e.g. one per replayed strategy); `track` names the thread-level track
+// within it.
 struct TraceEvent {
   TracePhase phase = TracePhase::kSpan;
   int pid = 0;

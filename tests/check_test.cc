@@ -556,12 +556,18 @@ TEST(SchemaMutationTest, ChromeTrace) {
   TraceRecorder recorder;
   const int pid = recorder.RegisterProcess("server0");
   recorder.Span(pid, "exec/gpu0", "request", Micros(10), Micros(100));
-  recorder.Instant(pid, "router", "route", Micros(12));
   recorder.Counter(pid, "cum/requests", "count", Micros(15), 1.0);
   recorder.AsyncBegin(pid, "queue/gpu0", "wait", 1, Micros(10));
   recorder.AsyncEnd(pid, "queue/gpu0", "wait", 1, Micros(40));
+  // The recorder writes no instants, but a trace from another tool may, so
+  // one goes into the document by hand, in timestamp order on exec/gpu0.
+  std::string trace = recorder.ToJson();
+  const std::size_t counter = trace.find(R"({"ph":"C")");
+  ASSERT_NE(counter, std::string::npos);
+  trace.insert(counter,
+               R"({"ph":"i","pid":0,"tid":0,"name":"route","ts":12,"s":"t"},)");
   const std::vector<std::string> expected = {"traceEvents[i].s"};
-  EXPECT_EQ(AcceptedMutants(recorder.ToJson(),
+  EXPECT_EQ(AcceptedMutants(trace,
                             [](const std::string& json) {
                               return LintChromeTrace(json);
                             }),

@@ -1,6 +1,4 @@
-// Tests for the second extension round: grouped transmission, per-model-type
-// strategy overrides, shard-restricted warmup, explicit home placement, and
-// the HGX A100 topology.
+// Tests for grouped transmission: coalescing consecutive layers into one copy.
 #include <gtest/gtest.h>
 
 #include "src/deepplan.h"
@@ -83,101 +81,6 @@ TEST_F(GroupedTransmissionTest, GroupingWorksWithPartitions) {
   ASSERT_EQ(r.partitions.size(), 2u);
   EXPECT_GT(r.partitions[1].bytes, 0);
   EXPECT_GT(r.latency, 0);
-}
-
-// ---------------------------------------------------------------- server bits
-
-TEST(PerTypeStrategyTest, OverridePicksDifferentPlans) {
-  const Topology topology = Topology::P3_8xlarge();
-  const PerfModel perf(topology.gpu(), topology.pcie());
-  ServerOptions options;
-  options.strategy = Strategy::kDeepPlanPtDha;
-  Server server(topology, perf, options);
-  const int bert = server.RegisterModelType(ModelZoo::BertBase());
-  const int gpt2 = server.RegisterModelType(ModelZoo::Gpt2(), Strategy::kDeepPlanDha);
-  server.AddInstances(bert, 2);
-  server.AddInstances(gpt2, 2);
-  PoissonOptions w;
-  w.rate_per_sec = 20;
-  w.num_instances = 4;
-  w.duration = Seconds(3);
-  const ServingMetrics m = server.Run(GeneratePoissonTrace(w));
-  EXPECT_GT(m.count(), 20u);
-  EXPECT_GT(m.Goodput(Millis(150)), 0.95);
-}
-
-TEST(HomePlacementTest, ExplicitHomesAreHonoured) {
-  const Topology topology = Topology::P3_8xlarge();
-  const PerfModel perf(topology.gpu(), topology.pcie());
-  ServerOptions options;
-  Server server(topology, perf, options);
-  const int type = server.RegisterModelType(ModelZoo::ResNet50());
-  const int a = server.AddInstanceWithHome(type, 3);
-  const int b = server.AddInstanceWithHome(type, 3);
-  EXPECT_EQ(a, 0);
-  EXPECT_EQ(b, 1);
-  server.Warmup();
-  // Both live on GPU 3; the other GPUs hold nothing.
-  EXPECT_EQ(server.WarmCapacity(), 2);
-}
-
-TEST(WarmupShardTest, RestrictedWarmupOnlyTouchesShard) {
-  const Topology topology = Topology::P3_8xlarge();
-  const PerfModel perf(topology.gpu(), topology.pcie());
-  ServerOptions options;
-  Server server(topology, perf, options);
-  const int type = server.RegisterModelType(ModelZoo::BertBase());
-  server.AddInstances(type, 40);
-  server.WarmupInstances({0, 2, 4, 6});
-  EXPECT_EQ(server.WarmCapacity(), 4);
-}
-
-// ---------------------------------------------------------------- hgx a100
-
-TEST(HgxA100Test, TopologyShape) {
-  const Topology t = Topology::HgxA100();
-  EXPECT_EQ(t.num_gpus(), 8);
-  EXPECT_EQ(t.num_switches(), 4);
-  EXPECT_EQ(t.MaxParallelDegree(0), 4);
-  EXPECT_EQ(t.gpu().name, "A100-SXM4-40GB");
-  EXPECT_GT(t.nvlink().bw_bytes_per_sec, 2e11);
-}
-
-TEST(HgxA100Test, FasterHardwareStillPrefersDeepPlan) {
-  const Topology t = Topology::HgxA100();
-  const PerfModel perf(t.gpu(), t.pcie());
-  const Model model = ModelZoo::BertLarge();
-  const ModelProfile profile = ExactProfile(perf, model);
-  auto run = [&](Strategy strategy) {
-    const int degree = StrategyDegree(strategy, t, 0);
-    const ExecutionPlan plan = MakeStrategyPlan(strategy, profile, degree);
-    Simulator sim;
-    ServerFabric fabric(&sim, &t);
-    Engine engine(&sim, &fabric, &perf);
-    InferenceResult result;
-    engine.RunCold(model, plan, 0, TransmissionPlanner::ChooseSecondaries(t, 0, degree),
-                   MakeColdRunOptions(strategy),
-                   [&](const InferenceResult& r) { result = r; });
-    sim.Run();
-    return result.latency;
-  };
-  const Nanos pipeswitch = run(Strategy::kPipeSwitch);
-  const Nanos ptdha = run(Strategy::kDeepPlanPtDha);
-  EXPECT_LT(ptdha, pipeswitch);
-  // And it is faster than the V100 box in absolute terms.
-  const Topology v100 = Topology::P3_8xlarge();
-  const PerfModel perf_v100(v100.gpu(), v100.pcie());
-  const ModelProfile profile_v100 = ExactProfile(perf_v100, model);
-  const ExecutionPlan plan_v100 =
-      MakeStrategyPlan(Strategy::kPipeSwitch, profile_v100, 1);
-  Simulator sim;
-  ServerFabric fabric(&sim, &v100);
-  Engine engine(&sim, &fabric, &perf_v100);
-  InferenceResult v100_result;
-  engine.RunCold(model, plan_v100, 0, {}, MakeColdRunOptions(Strategy::kPipeSwitch),
-                 [&](const InferenceResult& r) { v100_result = r; });
-  sim.Run();
-  EXPECT_LT(pipeswitch, v100_result.latency);
 }
 
 }  // namespace

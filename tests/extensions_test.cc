@@ -1,15 +1,12 @@
 // Tests for the extension modules: distributed execution (the Section 2.3
-// road-not-taken), eviction policies, Algorithm 1 ordering ablation, plan
-// repository persistence, Chrome-trace timeline recording, and the DGX-1
-// topology.
+// road-not-taken), eviction policies, Algorithm 1 ordering ablation,
+// Chrome-trace timeline recording, and the DGX-1 topology.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 
-#include "src/core/plan_repository.h"
 #include "src/deepplan.h"
 #include "src/engine/distributed.h"
 
@@ -185,68 +182,6 @@ TEST(CandidateOrderTest, NamesAreStable) {
   EXPECT_STREQ(CandidateOrderName(CandidateOrder::kLoadDescending),
                "Load-descending");
   EXPECT_STREQ(CandidateOrderName(CandidateOrder::kLayerOrder), "Layer-order");
-}
-
-// ---------------------------------------------------------------- repository
-
-TEST(PlanRepositoryTest, MemoryRoundTrip) {
-  PlanRepository repo("");
-  const PerfModel perf(GpuSpec::V100(), PcieSpec::Gen3());
-  const Model model = ModelZoo::BertBase();
-  const ModelProfile profile = ExactProfile(perf, model);
-  const ExecutionPlan plan = Planner(&profile).GeneratePlan();
-  const std::string key = PlanRepository::Key("bert_base", "p3.8xlarge", "pt_dha", 1);
-  EXPECT_FALSE(repo.Contains(key));
-  EXPECT_TRUE(repo.Store(key, plan));
-  ASSERT_TRUE(repo.Contains(key));
-  const auto loaded = repo.Load(key);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->CountDha(), plan.CountDha());
-}
-
-TEST(PlanRepositoryTest, DiskPersistsAcrossInstances) {
-  const std::string dir = ::testing::TempDir() + "/plan_repo_test";
-  std::filesystem::create_directories(dir);
-  const PerfModel perf(GpuSpec::V100(), PcieSpec::Gen3());
-  const Model model = ModelZoo::ResNet50();
-  const ModelProfile profile = ExactProfile(perf, model);
-  const ExecutionPlan plan = Planner(&profile).GeneratePlan();
-  const std::string key = PlanRepository::Key("resnet50", "p3.8xlarge", "dha", 1);
-  {
-    PlanRepository writer(dir);
-    EXPECT_TRUE(writer.Store(key, plan));
-  }
-  PlanRepository reader(dir);
-  EXPECT_EQ(reader.MemoryCacheSize(), 0u);
-  const auto loaded = reader.Load(key);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->num_layers(), plan.num_layers());
-  for (std::size_t i = 0; i < plan.num_layers(); ++i) {
-    EXPECT_EQ(loaded->method(i), plan.method(i));
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PlanRepositoryTest, KeySanitizesUnsafeCharacters) {
-  const std::string key = PlanRepository::Key("a/b", "p3 8xlarge", "pt+dha", 4);
-  EXPECT_EQ(key.find('/'), std::string::npos);
-  EXPECT_EQ(key.find(' '), std::string::npos);
-  EXPECT_EQ(key.find('+'), std::string::npos);
-  EXPECT_NE(key.find("b4"), std::string::npos);
-}
-
-TEST(PlanRepositoryTest, MissingKeyAndCorruptFile) {
-  const std::string dir = ::testing::TempDir() + "/plan_repo_corrupt";
-  std::filesystem::create_directories(dir);
-  PlanRepository repo(dir);
-  EXPECT_FALSE(repo.Load("nope").has_value());
-  {
-    std::FILE* f = std::fopen((dir + "/bad.plan").c_str(), "w");
-    std::fputs("garbage", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(repo.Load("bad").has_value());
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------- timeline

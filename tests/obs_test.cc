@@ -32,7 +32,6 @@ TEST(TraceRecorderTest, DisabledRecorderAllocatesNothing) {
   const std::size_t before = g_allocations;
   const int pid = off.RegisterProcess("server0");
   off.Span(pid, "exec/gpu0", "warm i3", Micros(10), Micros(5));
-  off.Instant(pid, "router", "i3->s1", Micros(10));
   off.Counter(pid, "bw/pcie", "gbps", Micros(10), 12.5);
   const std::size_t after = g_allocations;
   EXPECT_EQ(pid, 0);
@@ -41,17 +40,15 @@ TEST(TraceRecorderTest, DisabledRecorderAllocatesNothing) {
   EXPECT_EQ(off.size(), 0u);
 }
 
-TEST(TraceRecorderTest, RecordsSpansInstantsAndCounters) {
+TEST(TraceRecorderTest, RecordsSpansAndCounters) {
   TraceRecorder rec(/*enabled=*/true);
   const int pid = rec.RegisterProcess("engine");
   rec.Span(pid, "exec/gpu0", "layer0", Micros(1), Micros(2));
-  rec.Instant(pid, "router", "decision", Micros(3));
   rec.Counter(pid, "bw/pcie", "gbps", Micros(4), 10.0);
-  ASSERT_EQ(rec.size(), 3u);
+  ASSERT_EQ(rec.size(), 2u);
   const std::string json = rec.ToJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   // Counter events carry the sample in args under the series key, and the
   // counter's name is the track (one Perfetto counter track per link).
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
@@ -95,7 +92,6 @@ TEST(TraceRecorderTest, ExportIsByteStable) {
     rec.Span(b, "exec/gpu1", "x", Micros(2), Micros(2));
     rec.Span(a, "exec/gpu0", "x", Micros(2), Micros(2));
     rec.Counter(a, "bw/pcie", "gbps", Micros(1), 3.5);
-    rec.Instant(b, "router", "d", Micros(2));
     return rec.ToJson();
   };
   EXPECT_EQ(fill(), fill());

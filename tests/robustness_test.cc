@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/deepplan.h"
-#include "src/model/model_spec.h"
 #include "src/util/rng.h"
 
 namespace deepplan {
@@ -37,19 +36,6 @@ TEST(ParserFuzzTest, PlanParserNeverCrashesOnMutations) {
   }
   // Most single-character corruptions must be rejected.
   EXPECT_LT(accepted, 150);
-}
-
-TEST(ParserFuzzTest, ModelSpecParserNeverCrashesOnGarbage) {
-  Rng rng(321);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string garbage;
-    const auto len = rng.NextBounded(400);
-    for (std::uint64_t i = 0; i < len; ++i) {
-      garbage.push_back(static_cast<char>(rng.NextBounded(256)));
-    }
-    std::string error;
-    ParseModelSpec(garbage, &error);  // must not crash
-  }
 }
 
 TEST(ParserFuzzTest, TraceCsvWithWeirdLines) {
