@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                "ResNet/GPT-2 ~27-37% stall.\n";
 
   if (profiling) {
-    const ProfileSummary summary = AnalyzeCriticalPaths(graph);
+    const ProfileSummary summary = BuildProfileReport(graph).summary;
     DP_CHECK(summary.requests.size() == results.size());
     std::cout << "\nDecomposition derived from causal attribution "
                  "(critical path):\n";

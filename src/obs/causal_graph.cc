@@ -1,10 +1,9 @@
 #include "src/obs/causal_graph.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "src/obs/selfprof.h"
-#include "src/util/json.h"
+#include "src/obs/journal_stream.h"
+#include "src/util/index.h"
 #include "src/util/logging.h"
 
 namespace deepplan {
@@ -255,12 +254,11 @@ void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
   }
   // Edges run forward in append order, so no recorder can close a cycle.
   DP_CHECK(from < to);
+  // The chunked journal's self-containment invariant: edges never cross
+  // requests (every recorder chains a request's own nodes).
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
     const int owner = LiveSlot(to).request;
-    // The chunked journal's self-containment invariant: edges never cross
-    // requests (every recorder chains a request's own nodes), so `from` is a
-    // node of the same open request.
     DP_CHECK(stream_->nodes.contains(from) &&
              stream_->nodes[from].request == owner &&
              "an edge stays in one request");
@@ -268,8 +266,9 @@ void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
         CpEdgeRec{stream_->next_edge++, from, to});
     return;
   }
-  DP_CHECK(from < static_cast<CpNodeId>(nodes_.size()));
   DP_CHECK(to < static_cast<CpNodeId>(nodes_.size()));
+  DP_CHECK(nodes_[Idx(from)].request == nodes_[Idx(to)].request &&
+           "an edge stays in one request");
   edges_.emplace_back(from, to);
 }
 
@@ -359,147 +358,11 @@ void CausalGraph::Adopt(CausalGraph&& other) {
 }
 
 std::string CausalGraph::ToJson() const {
-  // A streaming graph's journal lives in its sink; there is nothing here to
-  // serialize (materialize it back with ReadJournalToGraph instead).
+  // A streaming graph's journal lives in its sink.
   DP_CHECK(stream_ == nullptr);
-  DP_SELFPROF_SCOPE(kJournalSerialize);
-  JsonArray processes;
-  for (const std::string& name : process_names_) {
-    processes.Add(name);
-  }
-  JsonArray requests;
-  for (const CpRequest& req : requests_) {
-    requests.AddRaw(JsonObject()
-                        .Set("id", req.id)
-                        .Set("process", req.process)
-                        .Set("instance", req.instance)
-                        .Set("cold", req.cold)
-                        .Set("arrival_ns", static_cast<std::int64_t>(req.arrival))
-                        .Set("completion_ns",
-                             static_cast<std::int64_t>(req.completion))
-                        .Set("arrival_node", req.arrival_node)
-                        .Set("terminal_node", req.terminal_node)
-                        .Render());
-  }
-  JsonArray nodes;
-  for (const CpNode& node : nodes_) {
-    JsonObject n;
-    n.Set("id", node.id)
-        .Set("request", node.request)
-        .Set("kind", CpKindName(node.kind))
-        .Set("label", strings_[node.label])
-        .Set("resource", strings_[node.resource])
-        .Set("start_ns", static_cast<std::int64_t>(node.start))
-        .Set("end_ns", static_cast<std::int64_t>(node.end))
-        .Set("bytes", node.bytes)
-        .Set("solo_ns", static_cast<std::int64_t>(node.solo));
-    // Optional fields, omitted when unset so journals recorded without them
-    // export the same bytes.
-    if (!node.path.empty()) {
-      JsonArray hops;
-      for (const CpHop& hop : node.path) {
-        hops.AddRaw(JsonObject()
-                        .Set("link", strings_[hop.link])
-                        .Set("capacity", hop.capacity)
-                        .Render());
-      }
-      n.SetRaw("path", hops.Render());
-    }
-    if (node.dha_pcie != 0) {
-      n.Set("dha_pcie_ns", static_cast<std::int64_t>(node.dha_pcie));
-    }
-    nodes.AddRaw(n.Render());
-  }
-  JsonArray edges;
-  for (const auto& [from, to] : edges_) {
-    edges.AddRaw(JsonArray().Add(from).Add(to).Render());
-  }
-  JsonObject journal;
-  journal.SetRaw("processes", processes.Render())
-      .SetRaw("requests", requests.Render())
-      .SetRaw("nodes", nodes.Render())
-      .SetRaw("edges", edges.Render());
-  JsonObject doc;
-  doc.SetRaw("causal_journal", journal.Render());
-  return doc.Render();
-}
-
-bool CausalGraph::Assemble(std::vector<std::string> processes,
-                           CpStrings strings, std::vector<CpRequest> requests,
-                           std::vector<CpNode> nodes,
-                           std::vector<std::pair<CpNodeId, CpNodeId>> edges,
-                           CausalGraph* out, std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
-  }
-  const auto num_nodes = static_cast<std::int64_t>(nodes.size());
-  const auto num_requests = static_cast<std::int64_t>(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const CpRequest& r = requests[i];
-    if (r.id != static_cast<int>(i)) {
-      *error = "request ids are not dense and sorted (duplicate, missing or "
-               "out-of-order request " +
-               std::to_string(i) + ")";
-      return false;
-    }
-    if (r.arrival_node < 0 || r.arrival_node >= num_nodes ||
-        r.terminal_node < -1 || r.terminal_node >= num_nodes) {
-      *error = "request " + std::to_string(r.id) + " references unknown nodes";
-      return false;
-    }
-  }
-  const auto known_string = [&strings](CpStrId id) {
-    return id < strings.size();
-  };
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const CpNode& n = nodes[i];
-    if (n.id != static_cast<CpNodeId>(i)) {
-      *error = "node ids are not dense and sorted (duplicate, missing or "
-               "out-of-order node " +
-               std::to_string(i) + ")";
-      return false;
-    }
-    if (n.request < 0 || n.request >= num_requests) {
-      *error = "node " + std::to_string(n.id) + " references unknown request";
-      return false;
-    }
-    if (n.end < n.start) {
-      *error = "node " + std::to_string(n.id) + " ends before it starts";
-      return false;
-    }
-    bool strings_known = known_string(n.label) && known_string(n.resource);
-    for (const CpHop& hop : n.path) {
-      strings_known = strings_known && known_string(hop.link);
-    }
-    if (!strings_known) {
-      *error = "node " + std::to_string(n.id) + " references unknown strings";
-      return false;
-    }
-  }
-  for (const auto& [from, to] : edges) {
-    if (from < 0 || from >= num_nodes || to < 0 || to >= num_nodes) {
-      *error = "edge references unknown node";
-      return false;
-    }
-    const int request = nodes[static_cast<std::size_t>(to)].request;
-    if (from >= to || nodes[static_cast<std::size_t>(from)].request != request) {
-      *error = "request " + std::to_string(request) + ": edge (" +
-               std::to_string(from) + " -> " + std::to_string(to) +
-               ") does not run forward within the request; every recorder "
-               "adds an edge into the node it just created, so this one "
-               "could close a cycle";
-      return false;
-    }
-  }
-  CausalGraph graph(/*enabled=*/true);
-  graph.process_names_ = std::move(processes);
-  graph.strings_ = std::move(strings);
-  graph.requests_ = std::move(requests);
-  graph.nodes_ = std::move(nodes);
-  graph.edges_ = std::move(edges);
-  *out = std::move(graph);
-  return true;
+  std::vector<JournalChunk> chunks(1);
+  GraphToChunk(*this, &chunks[0]);
+  return CausalJournalJson(chunks);
 }
 
 }  // namespace deepplan

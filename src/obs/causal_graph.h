@@ -30,9 +30,10 @@
 // any DEEPPLAN_JOBS value.
 //
 // On disk a journal is always binary DPJL (src/obs/journal_stream.h):
-// WriteGraphToJournal dumps an accumulated graph, a JournalWriter sink
-// records a streaming one, and ReadJournalToGraph materializes either back
-// through Assemble(). ToJson() is an export for humans and goldens only.
+// WriteGraphToJournal dumps an accumulated graph and a JournalWriter sink
+// records a streaming one. Every analysis reads a journal as decoded chunks,
+// and an accumulated graph as one chunk (GraphToChunk); nothing rebuilds a
+// graph from a file. ToJson() is an export for humans and goldens only.
 //
 // Streaming mode: AttachSink() switches an enabled graph from accumulation
 // to retirement — every call is buffered only per open request, and
@@ -255,8 +256,9 @@ class CausalGraph {
 
   // Happens-before edge `from` -> `to`. Ignores -1 endpoints so call sites
   // can thread "previous node" cursors without branching. Every recorder
-  // adds an edge into the node it just created, so `from` < `to`
-  // (DP_CHECKed): the graph is acyclic by construction.
+  // adds an edge into the node it just created, from a node of the same
+  // request, so `from` < `to` and both share a request (DP_CHECKed): the
+  // graph is acyclic by construction, and each request self-contained.
   void AddEdge(CpNodeId from, CpNodeId to);
 
   // Flags a request as a cold start (known at dispatch, not at arrival).
@@ -298,22 +300,11 @@ class CausalGraph {
   void Adopt(CausalGraph&& other);
 
   // {"causal_journal":{"processes":[...],"requests":[...],"nodes":[...],
-  //  "edges":[[from,to],...]}} — deterministic bytes for a given graph. An
-  // export only (journal_convert --to-json, the engine golden): journals on
-  // disk are DPJL (src/obs/journal_stream.h), and nothing parses this back.
+  //  "edges":[[from,to],...]}} — CausalJournalJson of this graph laid out as
+  // one chunk (src/obs/journal_stream.h), the same bytes journal_convert
+  // --to-json writes for its journal. An export only (journal_convert, the
+  // engine golden): journals on disk are DPJL, and nothing parses this back.
   std::string ToJson() const;
-
-  // The one way to build a graph from parts: reassembles a graph from
-  // complete, id-ordered parts, as the binary journal reader materializes it
-  // (src/obs/journal_stream.h). Returns false and sets `error` unless
-  // requests and nodes are dense and sorted by id, every node/request/string
-  // reference resolves, no node ends before it starts, and every edge runs
-  // from a lower node id to a higher one within one request.
-  static bool Assemble(std::vector<std::string> processes, CpStrings strings,
-                       std::vector<CpRequest> requests,
-                       std::vector<CpNode> nodes,
-                       std::vector<std::pair<CpNodeId, CpNodeId>> edges,
-                       CausalGraph* out, std::string* error);
 
  private:
   // Per-id state for ids issued densely and in order: the window
@@ -369,8 +360,8 @@ class CausalGraph {
   // the graph that is internally synchronized: retirement is the PDES
   // hand-off point, so every field is GUARDED_BY the state's own mutex and
   // helpers that expect it held are REQUIRES-annotated. The state lives
-  // behind a unique_ptr so the graph stays implicitly movable (Adopt and
-  // Assemble move-assign) despite owning a Mutex. Lock order: stream_->mu
+  // behind a unique_ptr so the graph stays implicitly movable (Adopt
+  // move-assigns) despite owning a Mutex. Lock order: stream_->mu
   // before the sink's internal lock (RetireLocked calls the sink while
   // holding mu), never the reverse — the sink never calls back into the
   // graph.

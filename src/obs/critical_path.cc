@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/check/validator.h"
+#include "src/util/index.h"
 #include "src/util/logging.h"
 
 namespace deepplan {
@@ -52,23 +53,23 @@ void Charge(const CpNode& node, Nanos dur, CpAttribution* out) {
 
 }  // namespace
 
-ProfileSummary AnalyzeCriticalPaths(const CausalGraph& graph) {
-  // Predecessor lists, built once for the whole graph.
-  std::vector<std::vector<CpNodeId>> preds(graph.nodes().size());
-  for (const auto& [from, to] : graph.edges()) {
-    preds[static_cast<std::size_t>(to)].push_back(from);
-  }
-  // Per-request exec-busy sums, also in one pass over the nodes.
-  std::vector<Nanos> exec_busy(graph.requests().size(), 0);
-  for (const CpNode& node : graph.nodes()) {
-    if (node.kind == CpKind::kExec) {
-      exec_busy[static_cast<std::size_t>(node.request)] += node.end - node.start;
+void AnalyzeCriticalPaths(const JournalChunk& chunk, ProfileSummary* summary) {
+  const std::vector<CpNode>& nodes = chunk.nodes;
+  // Each node's predecessor that released it last: max end, ties to the
+  // later-recorded node (deterministic — ids are append-ordered); -1 for a
+  // node with none. Every edge stays in its request.
+  std::vector<std::int64_t> released_by(nodes.size(), -1);
+  for (const JournalChunk::Edge& e : chunk.edges) {
+    const CpNode& cand = nodes[e.from];
+    std::int64_t& best = released_by[e.to];
+    if (best < 0 || cand.end > nodes[Idx(best)].end ||
+        (cand.end == nodes[Idx(best)].end && cand.id > nodes[Idx(best)].id)) {
+      best = e.from;
     }
   }
 
-  ProfileSummary summary;
-  summary.requests.reserve(graph.requests().size());
-  for (const CpRequest& req : graph.requests()) {
+  for (const JournalChunk::Record& rec : chunk.requests) {
+    const CpRequest& req = rec.request;
     if (req.completion < 0) {
       continue;  // never finished; nothing to attribute
     }
@@ -85,44 +86,26 @@ ProfileSummary AnalyzeCriticalPaths(const CausalGraph& graph) {
     // be explained; it starts at completion and ends at arrival, and every
     // decrement is charged to exactly one component.
     Nanos cursor = req.completion;
-    CpNodeId at = req.terminal_node >= 0 ? req.terminal_node : req.arrival_node;
+    std::int64_t at =
+        rec.terminal_index >= 0 ? rec.terminal_index : rec.arrival_index;
     std::vector<CpNodeId> rpath;
-    // Cycle guard: a well-formed DAG walk visits each node at most once; the
-    // node count bounds the walk regardless of input.
-    std::size_t steps = 0;
-    const std::size_t max_steps = graph.nodes().size() + 1;
-    while (at >= 0 && steps++ < max_steps) {
-      const CpNode& node = graph.nodes()[static_cast<std::size_t>(at)];
-      rpath.push_back(at);
+    // Every edge runs from a lower node id to a higher one (AddEdge and the
+    // reader check it), so the walk ends.
+    while (at >= 0) {
+      const CpNode& node = nodes[Idx(at)];
+      rpath.push_back(node.id);
       const Nanos covered_start = std::min(node.start, cursor);
       Charge(node, cursor - covered_start, &profile.attribution);
       cursor = covered_start;
-      if (at == req.arrival_node) {
+      const std::int64_t best = released_by[Idx(at)];
+      if (at == rec.arrival_index || best < 0) {
+        // At the root; or an orphan node (no recorded predecessor), whose
+        // remaining wait back to arrival is queue time.
         break;
       }
-      // Pick the predecessor that released this node last: max end, ties to
-      // the later-recorded node (deterministic — ids are append-ordered).
-      CpNodeId best = -1;
-      Nanos best_end = 0;
-      for (const CpNodeId p : preds[static_cast<std::size_t>(at)]) {
-        const CpNode& cand = graph.nodes()[static_cast<std::size_t>(p)];
-        if (cand.request != req.id) {
-          continue;
-        }
-        if (best < 0 || cand.end > best_end ||
-            (cand.end == best_end && p > best)) {
-          best = p;
-          best_end = cand.end;
-        }
-      }
-      if (best < 0) {
-        // Orphan node (no recorded predecessor): the remaining wait back to
-        // arrival is queue time.
-        break;
-      }
-      const CpNode& pred = graph.nodes()[static_cast<std::size_t>(best)];
+      const CpNode& pred = nodes[Idx(best)];
       const Nanos gap = std::max<Nanos>(0, cursor - std::min(pred.end, cursor));
-      if (best == req.arrival_node) {
+      if (best == rec.arrival_index) {
         profile.attribution.queue += gap;
       } else {
         profile.attribution.sync += gap;
@@ -132,21 +115,25 @@ ProfileSummary AnalyzeCriticalPaths(const CausalGraph& graph) {
     }
     // Anything left before the first on-path node is queue wait.
     profile.attribution.queue += std::max<Nanos>(0, cursor - req.arrival);
-    profile.exec_busy = exec_busy[static_cast<std::size_t>(req.id)];
+    for (std::uint32_t i = rec.first_node; i < rec.first_node + rec.num_nodes;
+         ++i) {
+      if (nodes[i].kind == CpKind::kExec) {
+        profile.exec_busy += nodes[i].end - nodes[i].start;
+      }
+    }
 
     std::reverse(rpath.begin(), rpath.end());
     profile.path = std::move(rpath);
 
     check::SimValidator::OnAttribution(req.id, profile.latency,
                                        profile.attribution.Total());
-    summary.total += profile.attribution;
-    summary.total_latency += profile.latency;
+    summary->total += profile.attribution;
+    summary->total_latency += profile.latency;
     if (profile.cold) {
-      ++summary.cold_requests;
+      ++summary->cold_requests;
     }
-    summary.requests.push_back(std::move(profile));
+    summary->requests.push_back(std::move(profile));
   }
-  return summary;
 }
 
 }  // namespace deepplan

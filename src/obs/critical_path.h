@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/obs/causal_graph.h"
+#include "src/obs/journal_stream.h"
 #include "src/util/time.h"
 
 namespace deepplan {
@@ -65,15 +66,16 @@ struct RequestProfile {
 };
 
 struct ProfileSummary {
-  std::vector<RequestProfile> requests;  // in request-id order
+  std::vector<RequestProfile> requests;  // as added; by id in a report
   CpAttribution total;                   // sum over all requests
   Nanos total_latency = 0;
   int cold_requests = 0;
 };
 
-// Attributes every completed request in `graph`. Requests that never ended
-// (completion < 0) are skipped. Deterministic: same graph -> same summary.
-ProfileSummary AnalyzeCriticalPaths(const CausalGraph& graph);
+// Attributes every completed request of one chunk (every edge stays in one
+// request, so this is chunk-local) and adds it to `summary` in record order.
+// Requests that never ended (completion < 0) are skipped.
+void AnalyzeCriticalPaths(const JournalChunk& chunk, ProfileSummary* summary);
 
 }  // namespace deepplan
 

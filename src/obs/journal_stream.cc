@@ -6,9 +6,10 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <tuple>
 
 #include "src/obs/selfprof.h"
+#include "src/util/index.h"
+#include "src/util/json.h"
 #include "src/util/logging.h"
 
 namespace deepplan {
@@ -30,6 +31,16 @@ constexpr std::size_t kMinEdgeBytes = 3;
 
 // Longest LEB128 encoding of a 64-bit value.
 constexpr std::size_t kMaxVarintBytes = 10;
+
+// The ids the sequential pass keeps dense (JournalReader::seen_ids_): their
+// name in a diagnostic, and the fewest payload bytes one takes.
+struct IdKind {
+  const char* name;
+  std::size_t min_bytes;
+};
+constexpr IdKind kIdKinds[] = {{"request", kMinRequestBytes},
+                               {"node", kMinNodeBytes},
+                               {"edge seq", kMinEdgeBytes}};
 
 std::string Hex32(std::uint32_t v) {
   char buf[11];
@@ -475,6 +486,12 @@ bool JournalReader::Open(const std::string& path) {
                 std::to_string(kJournalVersion) +
                 ") — re-record or convert with a matching build");
   }
+  in_.seekg(0, std::ios::end);
+  const auto file_bytes = static_cast<std::uint64_t>(in_.tellg());
+  for (std::size_t k = 0; k < seen_ids_.size(); ++k) {
+    seen_ids_[k].limit = file_bytes / kIdKinds[k].min_bytes;
+  }
+  in_.seekg(sizeof(header));
   offset_ = sizeof(header);
   open_ = true;
   return true;
@@ -595,13 +612,25 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
       Fail("trailing data after the journal footer: corrupt journal");
       return JournalReadStatus::kError;
     }
+    // As many unique ids as the total, none at or past it: dense from 0.
+    const std::uint64_t totals[] = {footer.requests, footer.nodes, footer.edges};
+    for (std::size_t k = 0; k < seen_ids_.size(); ++k) {
+      if (seen_ids_[k].end > totals[k]) {
+        Fail(std::string(kIdKinds[k].name) + " " +
+             std::to_string(seen_ids_[k].end - 1) +
+             " is not below the journal's " + kIdKinds[k].name + " total " +
+             std::to_string(totals[k]));
+        return JournalReadStatus::kError;
+      }
+    }
     totals_ = footer;
     footer_seen_ = true;
     return JournalReadStatus::kFooter;
   }
   std::string decode_error;
   if (!DecodeChunk(process_count_, chunk, &decode_error) ||
-      !CheckLinkCapacities(*chunk, &decode_error)) {
+      !CheckLinkCapacities(*chunk, &decode_error) ||
+      !CheckIds(*chunk, &decode_error)) {
     Fail("chunk " + std::to_string(seen_.chunks + 1) + ": " + decode_error);
     return JournalReadStatus::kError;
   }
@@ -1040,86 +1069,223 @@ bool JournalReader::CheckLinkCapacities(const JournalChunk& chunk,
   return true;
 }
 
+bool JournalReader::CheckIds(const JournalChunk& chunk, std::string* error) {
+  const auto mark = [this, error](std::size_t kind, std::uint64_t id) {
+    SeenIds& seen = seen_ids_[kind];
+    const char* name = kIdKinds[kind].name;
+    if (id >= seen.limit) {
+      *error = std::string(name) + " " + std::to_string(id) +
+               " is not below the journal's " + name +
+               " total: the file holds at most " + std::to_string(seen.limit);
+      return false;
+    }
+    const auto word = static_cast<std::size_t>(id / 64);
+    if (word >= seen.bits.size()) {
+      seen.bits.resize(std::max(word + 1, 2 * seen.bits.size()));
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    if ((seen.bits[word] & bit) != 0) {
+      *error = std::string(name) + " " + std::to_string(id) +
+               " appears twice; each is recorded once";
+      return false;
+    }
+    seen.bits[word] |= bit;
+    seen.end = std::max(seen.end, id + 1);
+    return true;
+  };
+  // Ids are non-negative (DecodeChunk checks them); && keeps the first error.
+  bool ok = true;
+  for (const JournalChunk::Record& rec : chunk.requests) {
+    ok = ok && mark(0, static_cast<std::uint64_t>(rec.request.id));
+  }
+  for (const CpNode& n : chunk.nodes) {
+    ok = ok && mark(1, static_cast<std::uint64_t>(n.id));
+  }
+  for (const JournalChunk::Edge& e : chunk.edges) {
+    ok = ok && mark(2, static_cast<std::uint64_t>(e.seq));
+  }
+  return ok;
+}
+
 // ---------------------------------------------------------------- converters
 
-bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
-                        std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
+void GraphToChunk(const CausalGraph& graph, JournalChunk* out) {
+  const std::vector<CpRequest>& requests = graph.requests();
+  const std::vector<CpNode>& nodes = graph.nodes();
+  const auto& edges = graph.edges();
+  out->new_processes = graph.processes();
+  out->requests.assign(requests.size(), {});
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    out->requests[r].request = requests[r];
   }
-  JournalReader reader;
-  if (!reader.Open(path)) {
-    *error = reader.error();
-    return false;
+  // Lay nodes out request by request (id order within each) and edges by
+  // the request of their source (append order within each).
+  for (const CpNode& n : nodes) {
+    ++out->requests[Idx(n.request)].num_nodes;
   }
-  std::vector<std::string> processes;
-  CpStrings strings;
-  std::vector<CpStrId> remap;  // chunk string id -> graph string id
-  std::vector<CpRequest> requests;
-  std::vector<CpNode> nodes;
-  std::vector<std::tuple<std::int64_t, CpNodeId, CpNodeId>> seq_edges;
-  JournalChunk chunk;
-  for (;;) {
-    const JournalReadStatus status = reader.Next(&chunk);
-    if (status == JournalReadStatus::kError) {
-      *error = reader.error();
-      return false;
+  for (const auto& [from, to] : edges) {
+    ++out->requests[Idx(nodes[Idx(from)].request)].num_edges;
+  }
+  std::uint32_t node_cursor = 0;
+  std::uint32_t edge_cursor = 0;
+  for (JournalChunk::Record& rec : out->requests) {
+    rec.first_node = node_cursor;
+    rec.first_edge = edge_cursor;
+    node_cursor += rec.num_nodes;
+    edge_cursor += rec.num_edges;
+  }
+  std::vector<std::uint32_t> position(nodes.size());  // id -> chunk index
+  std::vector<std::uint32_t> filled(requests.size(), 0);
+  out->nodes.resize(nodes.size());
+  for (const CpNode& n : nodes) {
+    const JournalChunk::Record& rec = out->requests[Idx(n.request)];
+    const std::uint32_t at = rec.first_node + filled[Idx(n.request)]++;
+    out->nodes[at] = n;
+    position[Idx(n.id)] = at;
+  }
+  for (JournalChunk::Record& rec : out->requests) {
+    rec.arrival_index = position[Idx(rec.request.arrival_node)];
+    rec.terminal_index =
+        rec.request.terminal_node >= 0
+            ? static_cast<std::int64_t>(position[Idx(rec.request.terminal_node)])
+            : -1;
+  }
+  out->edges.resize(edges.size());
+  filled.assign(requests.size(), 0);
+  for (std::size_t seq = 0; seq < edges.size(); ++seq) {
+    const auto [from, to] = edges[seq];
+    const int owner = nodes[Idx(from)].request;
+    const JournalChunk::Record& rec = out->requests[Idx(owner)];
+    out->edges[rec.first_edge + filled[Idx(owner)]++] = JournalChunk::Edge{
+        static_cast<std::int64_t>(seq), position[Idx(from)],
+        position[Idx(to)]};
+  }
+  const CpStrings& strings = graph.strings();
+  out->text.clear();
+  out->string_spans.clear();
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    const std::string& s = strings[static_cast<CpStrId>(i)];
+    out->string_spans.emplace_back(static_cast<std::uint32_t>(out->text.size()),
+                                   static_cast<std::uint32_t>(s.size()));
+    out->text += s;
+  }
+}
+
+std::string CausalJournalJson(const std::vector<JournalChunk>& chunks) {
+  DP_SELFPROF_SCOPE(kJournalSerialize);
+  // Each request's, node's and edge's chunk and index there, by id or seq.
+  using Place = std::pair<std::uint32_t, std::uint32_t>;
+  std::vector<Place> request_at, node_at, edge_at;
+  JsonArray processes;
+  for (const JournalChunk& chunk : chunks) {
+    for (const std::string& name : chunk.new_processes) {
+      processes.Add(name);
     }
-    if (status == JournalReadStatus::kFooter) {
-      break;
+    request_at.resize(request_at.size() + chunk.requests.size(), {~0u, 0});
+    node_at.resize(node_at.size() + chunk.nodes.size(), {~0u, 0});
+    edge_at.resize(edge_at.size() + chunk.edges.size(), {~0u, 0});
+  }
+  // As many unique ids as places, each below their count: dense.
+  const auto place = [](std::vector<Place>* at, std::int64_t id, std::size_t c,
+                        std::size_t index) {
+    DP_CHECK(id >= 0 && Idx(id) < at->size() && (*at)[Idx(id)].first == ~0u &&
+             "ids are unique and dense");
+    (*at)[Idx(id)] = {static_cast<std::uint32_t>(c),
+                      static_cast<std::uint32_t>(index)};
+  };
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    const JournalChunk& chunk = chunks[c];
+    for (std::size_t i = 0; i < chunk.requests.size(); ++i) {
+      place(&request_at, chunk.requests[i].request.id, c, i);
     }
-    for (std::string& name : chunk.new_processes) {
-      processes.push_back(std::move(name));
+    for (std::size_t i = 0; i < chunk.nodes.size(); ++i) {
+      place(&node_at, chunk.nodes[i].id, c, i);
     }
-    remap.resize(chunk.num_strings());
-    for (std::size_t i = 0; i < remap.size(); ++i) {
-      remap[i] = strings.Intern(chunk.str(static_cast<CpStrId>(i)));
+    for (std::size_t i = 0; i < chunk.edges.size(); ++i) {
+      place(&edge_at, chunk.edges[i].seq, c, i);
     }
-    for (const JournalChunk::Record& rec : chunk.requests) {
-      requests.push_back(rec.request);
-    }
-    for (CpNode n : chunk.nodes) {
-      n.label = remap[n.label];
-      n.resource = remap[n.resource];
-      for (CpHop& hop : n.path) {
-        hop.link = remap[hop.link];
+  }
+  JsonArray requests;
+  for (const auto& [c, i] : request_at) {
+    const CpRequest& req = chunks[c].requests[i].request;
+    requests.AddRaw(JsonObject()
+                        .Set("id", req.id)
+                        .Set("process", req.process)
+                        .Set("instance", req.instance)
+                        .Set("cold", req.cold)
+                        .Set("arrival_ns", static_cast<std::int64_t>(req.arrival))
+                        .Set("completion_ns",
+                             static_cast<std::int64_t>(req.completion))
+                        .Set("arrival_node", req.arrival_node)
+                        .Set("terminal_node", req.terminal_node)
+                        .Render());
+  }
+  JsonArray nodes;
+  for (const auto& [c, i] : node_at) {
+    const JournalChunk& chunk = chunks[c];
+    const CpNode& node = chunk.nodes[i];
+    JsonObject n;
+    n.Set("id", node.id)
+        .Set("request", node.request)
+        .Set("kind", CpKindName(node.kind))
+        .Set("label", std::string(chunk.str(node.label)))
+        .Set("resource", std::string(chunk.str(node.resource)))
+        .Set("start_ns", static_cast<std::int64_t>(node.start))
+        .Set("end_ns", static_cast<std::int64_t>(node.end))
+        .Set("bytes", node.bytes)
+        .Set("solo_ns", static_cast<std::int64_t>(node.solo));
+    // Optional fields, omitted when unset so journals recorded without them
+    // export the same bytes.
+    if (!node.path.empty()) {
+      JsonArray hops;
+      for (const CpHop& hop : node.path) {
+        hops.AddRaw(JsonObject()
+                        .Set("link", std::string(chunk.str(hop.link)))
+                        .Set("capacity", hop.capacity)
+                        .Render());
       }
-      nodes.push_back(n);
+      n.SetRaw("path", hops.Render());
     }
-    for (const JournalChunk::Edge& e : chunk.edges) {
-      seq_edges.emplace_back(e.seq, chunk.nodes[e.from].id,
-                             chunk.nodes[e.to].id);
+    if (node.dha_pcie != 0) {
+      n.Set("dha_pcie_ns", static_cast<std::int64_t>(node.dha_pcie));
+    }
+    nodes.AddRaw(n.Render());
+  }
+  JsonArray edges;
+  for (const auto& [c, i] : edge_at) {
+    const JournalChunk& chunk = chunks[c];
+    const JournalChunk::Edge& e = chunk.edges[i];
+    edges.AddRaw(JsonArray()
+                     .Add(chunk.nodes[e.from].id)
+                     .Add(chunk.nodes[e.to].id)
+                     .Render());
+  }
+  JsonObject journal;
+  journal.SetRaw("processes", processes.Render())
+      .SetRaw("requests", requests.Render())
+      .SetRaw("nodes", nodes.Render())
+      .SetRaw("edges", edges.Render());
+  JsonObject doc;
+  doc.SetRaw("causal_journal", journal.Render());
+  return doc.Render();
+}
+
+bool ForEachJournalChunk(const std::string& path,
+                         const std::function<void(JournalChunk&)>& visit,
+                         std::string* error, JournalLintInfo* info) {
+  JournalReader reader;
+  JournalChunk chunk;
+  if (reader.Open(path)) {
+    while (reader.Next(&chunk) == JournalReadStatus::kChunk) {
+      visit(chunk);
     }
   }
-  // Requests retire in completion order; node ids and edge seqs are global
-  // append order. Sorting by id/seq reconstructs the exact in-memory layout,
-  // which is what makes the JSON export byte-identical. Assemble() rejects
-  // duplicate or missing ids.
-  std::sort(requests.begin(), requests.end(),
-            [](const CpRequest& a, const CpRequest& b) { return a.id < b.id; });
-  std::sort(nodes.begin(), nodes.end(),
-            [](const CpNode& a, const CpNode& b) { return a.id < b.id; });
-  std::sort(seq_edges.begin(), seq_edges.end());
-  std::vector<std::pair<CpNodeId, CpNodeId>> edges;
-  edges.reserve(seq_edges.size());
-  std::int64_t prev_seq = -1;
-  for (const auto& [seq, from, to] : seq_edges) {
-    if (seq <= prev_seq) {
-      *error = path + ": duplicate edge sequence number " +
-               std::to_string(seq);
-      return false;
-    }
-    prev_seq = seq;
-    edges.emplace_back(from, to);
+  if (info != nullptr) {
+    info->totals = reader.totals();  // zero unless the footer was read
+    info->processes = reader.num_processes();
   }
-  if (!CausalGraph::Assemble(std::move(processes), std::move(strings),
-                             std::move(requests), std::move(nodes),
-                             std::move(edges), out, error)) {
-    *error = path + ": " + *error;
-    return false;
-  }
-  return true;
+  *error = reader.error();
+  return error->empty();
 }
 
 bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
@@ -1130,50 +1296,28 @@ bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
     error = &local_error;
   }
   DP_CHECK(!graph.streaming());
-  const auto& requests = graph.requests();
-  const auto& nodes = graph.nodes();
-  std::vector<std::vector<std::size_t>> req_nodes(requests.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const int r = nodes[i].request;
-    if (r < 0 || r >= static_cast<int>(requests.size())) {
-      *error = "node " + std::to_string(nodes[i].id) +
-               " references unknown request " + std::to_string(r);
-      return false;
-    }
-    req_nodes[static_cast<std::size_t>(r)].push_back(i);
-  }
-  std::vector<std::vector<CpEdgeRec>> req_edges(requests.size());
-  const auto& edges = graph.edges();
-  for (std::size_t seq = 0; seq < edges.size(); ++seq) {
-    const auto [from, to] = edges[seq];
-    const int owner = nodes[static_cast<std::size_t>(from)].request;
-    if (nodes[static_cast<std::size_t>(to)].request != owner || owner < 0) {
-      *error = "edge (" + std::to_string(from) + " -> " + std::to_string(to) +
-               ") crosses requests; the chunked journal format requires "
-               "intra-request edges";
-      return false;
-    }
-    req_edges[static_cast<std::size_t>(owner)].push_back(
-        CpEdgeRec{static_cast<std::int64_t>(seq), from, to});
-  }
+  JournalChunk chunk;
+  GraphToChunk(graph, &chunk);
   JournalWriter writer;
   if (!writer.Open(path, options, metrics)) {
     *error = writer.error();
     return false;
   }
-  const auto& processes = graph.processes();
-  for (std::size_t p = 0; p < processes.size(); ++p) {
-    writer.OnProcess(static_cast<int>(p), processes[p]);
+  for (std::size_t p = 0; p < chunk.new_processes.size(); ++p) {
+    writer.OnProcess(static_cast<int>(p), chunk.new_processes[p]);
   }
-  for (const CpRequest& r : requests) {
-    CpRequestRecord record;
-    record.request = r;
-    const auto ri = static_cast<std::size_t>(r.id);
-    record.nodes.reserve(req_nodes[ri].size());
-    for (const std::size_t ni : req_nodes[ri]) {
-      record.nodes.push_back(nodes[ni]);
+  CpRequestRecord record;
+  for (const JournalChunk::Record& rec : chunk.requests) {
+    record.request = rec.request;
+    const auto first = chunk.nodes.begin() + rec.first_node;
+    record.nodes.assign(first, first + rec.num_nodes);
+    record.edges.clear();
+    for (std::uint32_t i = rec.first_edge; i < rec.first_edge + rec.num_edges;
+         ++i) {
+      const JournalChunk::Edge& e = chunk.edges[i];
+      record.edges.push_back(
+          CpEdgeRec{e.seq, chunk.nodes[e.from].id, chunk.nodes[e.to].id});
     }
-    record.edges = std::move(req_edges[ri]);
     writer.OnRequestRetired(record, graph.strings());
   }
   if (!writer.Finish()) {
@@ -1188,27 +1332,14 @@ bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
 check::TraceLintResult LintJournalFile(const std::string& path,
                                        JournalLintInfo* info) {
   check::TraceLintResult result;
-  check::SchemaChecker check(&result);
-  JournalReader reader;
-  if (!reader.Open(path)) {
-    check.Error(reader.error());
-    return result;
-  }
-  JournalChunk chunk;
-  for (;;) {
-    const JournalReadStatus status = reader.Next(&chunk);
-    if (status == JournalReadStatus::kError) {
-      check.Error(reader.error());
-      break;
-    }
-    if (status == JournalReadStatus::kFooter) {
-      break;
-    }
-    result.num_events += chunk.requests.size();
-  }
-  if (info != nullptr) {
-    info->totals = reader.footer_seen() ? reader.totals() : JournalTotals{};
-    info->processes = reader.num_processes();
+  std::string error;
+  if (!ForEachJournalChunk(
+          path,
+          [&result](JournalChunk& chunk) {
+            result.num_events += chunk.requests.size();
+          },
+          &error, info)) {
+    check::SchemaChecker(&result).Error(error);
   }
   return result;
 }

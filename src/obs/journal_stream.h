@@ -3,9 +3,11 @@
 // requests from a streaming CausalGraph (CausalSink) and appends them in
 // CRC-guarded chunks, so recording a million-request run costs only the
 // in-flight state; WriteGraphToJournal dumps an accumulated graph the same
-// way. A chunk-iterator JournalReader lets consumers (the windowed what-if
-// engine, the lint mode, ReadJournalToGraph) bound their resident set to a
-// window of chunks. JSON (CausalGraph::ToJson) is an export only:
+// way. The chunk-iterator JournalReader is the one judge of a valid journal,
+// and every consumer reads the chunks it decodes: the windowed what-if
+// engine, the lint mode, the profile report and the JSON export. An
+// in-memory graph reaches the same consumers laid out as one chunk
+// (GraphToChunk). JSON (CausalJournalJson) is an export only:
 // `journal_convert --to-json` writes it, byte-identical to ToJson() of the
 // recording run, and no reader accepts it.
 //
@@ -36,8 +38,10 @@
 #ifndef SRC_OBS_JOURNAL_STREAM_H_
 #define SRC_OBS_JOURNAL_STREAM_H_
 
+#include <array>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -241,6 +245,18 @@ struct JournalChunk {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> string_spans;
 };
 
+// Lays an accumulated graph out as one chunk, the one route from memory into
+// the chunk consumers: requests in id order, each with its nodes in id order
+// and the edges from them (seq = the graph's edge order), and its strings.
+void GraphToChunk(const CausalGraph& graph, JournalChunk* out);
+
+// {"causal_journal":{"processes":[...],"requests":[...],"nodes":[...],
+//  "edges":[[from,to],...]}} of a journal's chunks in file order: requests
+// and nodes by id and edges by seq, whatever order the chunks hold them in,
+// so a journal exports byte-identical to ToJson() of the recording graph.
+// The ids must be dense, as the reader's sequential pass checks.
+std::string CausalJournalJson(const std::vector<JournalChunk>& chunks);
+
 enum class JournalReadStatus { kChunk, kFooter, kError };
 
 // Sequential chunk iterator with full structural validation: header magic
@@ -249,9 +265,11 @@ enum class JournalReadStatus { kChunk, kFooter, kError };
 // (dangling edges are rejected here, not downstream), edges running from a
 // lower node id to a higher one (so no journal it accepts has a cycle), one
 // capacity per link name within a process across all chunks (the what-if
-// replay builds one link per process and name), and footer totals matching
-// the chunks read. Any failure latches error() with an actionable message
-// and Next() returns kError from then on.
+// replay builds one link per process and name), footer totals matching the
+// chunks read, and request ids, node ids and edge seqs each appearing once
+// and below the footer's total of their kind (so they are dense). Any
+// failure latches error() with an actionable message and Next() returns
+// kError from then on.
 class JournalReader {
  public:
   JournalReader() = default;
@@ -275,7 +293,6 @@ class JournalReader {
 
   // File offset of the next frame Next() would read.
   std::uint64_t next_offset() const { return offset_; }
-  std::uint64_t chunks_read() const { return seen_.chunks; }
   std::uint64_t num_processes() const { return process_count_; }
   bool footer_seen() const { return footer_seen_; }
   const JournalTotals& totals() const { return totals_; }
@@ -291,6 +308,8 @@ class JournalReader {
   // Sequential pass: every hop of `chunk` names its link at the capacity its
   // process first named it at, in this chunk or an earlier one.
   bool CheckLinkCapacities(const JournalChunk& chunk, std::string* error);
+  // Sequential pass: `chunk`'s ids are new and below what the file can hold.
+  bool CheckIds(const JournalChunk& chunk, std::string* error);
 
   std::ifstream in_;
   std::string frame_;  // the last frame's payload, storage reused
@@ -308,32 +327,40 @@ class JournalReader {
   CpStrings link_names_;
   std::vector<CpStrId> link_of_string_;
   std::vector<std::vector<double>> link_capacity_;
+  // Request ids, node ids and edge seqs seen, one bit each. An id at or past
+  // `limit`, the most the file's bytes could hold, is refused before the set
+  // grows to it, so the sets' memory is bounded by the input.
+  struct SeenIds {
+    std::uint64_t limit = 0;
+    std::uint64_t end = 0;  // one past the largest id seen
+    std::vector<std::uint64_t> bits;
+  };
+  std::array<SeenIds, 3> seen_ids_;  // requests, nodes, edge seqs
 };
 
-// --- whole-journal conversions ---
+// --- whole-journal passes ---
 
-// Reads a complete binary journal into an in-memory CausalGraph. Requires a
-// clean footer; reassembles global node-id and edge-seq order, so
-// out->ToJson() is byte-identical to the graph that wrote the journal
-// regardless of retirement order. Incomplete (flushed) requests keep
-// completion -1.
-bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
-                        std::string* error);
+struct JournalLintInfo {
+  JournalTotals totals;
+  std::uint64_t processes = 0;
+};
+
+// Reads the journal at `path` in one validating sequential pass, handing
+// each chunk to `visit` in file order. False, with `error` set, unless the
+// journal is valid to its footer. `info`, when given, gets the footer's
+// totals (zero unless valid) and the number of processes read.
+bool ForEachJournalChunk(const std::string& path,
+                         const std::function<void(JournalChunk&)>& visit,
+                         std::string* error, JournalLintInfo* info = nullptr);
 
 // Dumps an in-memory graph as a binary journal, requests in id (= arrival)
-// order. Fails on graphs with cross-request edges (the chunked format cannot
-// represent them; no recorder produces them).
+// order. False, with `error` set, when the file cannot be written.
 bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
                          const JournalWriterOptions& options = {},
                          MetricsRegistry* metrics = nullptr,
                          std::string* error = nullptr);
 
 // --- lint (trace_lint --journal) ---
-
-struct JournalLintInfo {
-  JournalTotals totals;
-  std::uint64_t processes = 0;
-};
 
 // Walks the whole journal through the validating reader: header/version
 // check, per-chunk CRC verification, record-level reference checks

@@ -50,16 +50,24 @@ std::string AttributionJson(const CpAttribution& a) {
 
 }  // namespace
 
-ProfileReport BuildProfileReport(const CausalGraph& graph) {
-  ProfileReport report;
-  report.summary = AnalyzeCriticalPaths(graph);
-  report.utilization = ComputeUtilization(graph);
-
-  report.processes.resize(graph.processes().size());
-  for (std::size_t i = 0; i < graph.processes().size(); ++i) {
-    report.processes[i].process = static_cast<int>(i);
-    report.processes[i].name = graph.processes()[i];
+void ProfileReportBuilder::Add(const JournalChunk& chunk) {
+  for (const std::string& name : chunk.new_processes) {
+    ProcessProfile& pp = report_.processes.emplace_back();
+    pp.process = static_cast<int>(report_.processes.size() - 1);
+    pp.name = name;
   }
+  AnalyzeCriticalPaths(chunk, &report_.summary);
+  utilization_.Add(chunk);
+}
+
+ProfileReport ProfileReportBuilder::Finish() {
+  ProfileReport report = std::move(report_);
+  // Chunks hold requests in retirement order; the report lists them by id.
+  std::sort(report.summary.requests.begin(), report.summary.requests.end(),
+            [](const RequestProfile& a, const RequestProfile& b) {
+              return a.request < b.request;
+            });
+  report.utilization = utilization_.Finish();
   for (const RequestProfile& rp : report.summary.requests) {
     if (rp.process < 0 ||
         rp.process >= static_cast<int>(report.processes.size())) {
@@ -78,6 +86,14 @@ ProfileReport BuildProfileReport(const CausalGraph& graph) {
     report.bottleneck = DominantComponent(report.summary.total);
   }
   return report;
+}
+
+ProfileReport BuildProfileReport(const CausalGraph& graph) {
+  JournalChunk chunk;
+  GraphToChunk(graph, &chunk);
+  ProfileReportBuilder builder;
+  builder.Add(chunk);
+  return builder.Finish();
 }
 
 void PrintProfileReport(const ProfileReport& report, std::ostream& os) {

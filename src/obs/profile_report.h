@@ -1,6 +1,6 @@
-// Profile report: the user-facing product of the obs analysis layer. Takes a
-// causal journal, runs the critical-path engine and the utilization module,
-// and renders the result two ways:
+// Profile report: the user-facing product of the obs analysis layer. Reads a
+// causal journal chunk by chunk, runs the critical-path engine and the
+// utilization module over each chunk, and renders the result two ways:
 //
 //   PrintProfileReport  deterministic text tables (per-process attribution,
 //                       bottleneck ranking, resource utilization) for humans
@@ -8,8 +8,8 @@
 //                       {"profile_report":{...}} for tools and the trace
 //                       linter's schema check
 //
-// Consumed by tools/profile_report (offline, from a journal file) and by the
-// bench binaries' --profile_out flag (inline, from the run's own graph).
+// Consumed by tools/profile_report (streaming a journal file) and by the
+// bench binaries' --profile_out flag (the run's own graph as one chunk).
 #ifndef SRC_OBS_PROFILE_REPORT_H_
 #define SRC_OBS_PROFILE_REPORT_H_
 
@@ -18,6 +18,7 @@
 
 #include "src/obs/causal_graph.h"
 #include "src/obs/critical_path.h"
+#include "src/obs/journal_stream.h"
 #include "src/obs/utilization.h"
 
 namespace deepplan {
@@ -43,6 +44,18 @@ struct ProfileReport {
   std::string bottleneck;
 };
 
+// Builds a report from a journal's chunks, added in file order.
+class ProfileReportBuilder {
+ public:
+  void Add(const JournalChunk& chunk);
+  ProfileReport Finish();
+
+ private:
+  ProfileReport report_;  // processes and per-request profiles so far
+  UtilizationBuilder utilization_;
+};
+
+// The report of an in-memory graph (GraphToChunk).
 ProfileReport BuildProfileReport(const CausalGraph& graph);
 
 // Deterministic text rendering (tables + bottleneck line).

@@ -1,7 +1,6 @@
 #include "src/obs/utilization.h"
 
 #include <algorithm>
-#include <map>
 #include <string_view>
 #include <utility>
 
@@ -9,92 +8,95 @@ namespace deepplan {
 
 namespace {
 
-struct RawInterval {
-  Nanos start = 0;
-  Nanos end = 0;
-  Nanos contended = 0;
-  CpKind kind = CpKind::kExec;
-};
+// Merges `added` into `merged` (disjoint, sorted, no two touching), as one
+// sweep over every raw interval in start order would: intervals that overlap
+// or touch join and sum their contended time. Empties `added`.
+void MergeInto(std::vector<UtilInterval>* added,
+               std::vector<UtilInterval>* merged) {
+  const auto by_start = [](const UtilInterval& a, const UtilInterval& b) {
+    return a.start < b.start;
+  };
+  // Only merged intervals ending at or after the earliest added start can
+  // join one; ends rise with starts, so those are a suffix, swept again.
+  const Nanos earliest =
+      std::min_element(added->begin(), added->end(), by_start)->start;
+  const auto first = std::lower_bound(
+      merged->begin(), merged->end(), earliest,
+      [](const UtilInterval& iv, Nanos start) { return iv.end < start; });
+  added->insert(added->end(), first, merged->end());
+  merged->erase(first, merged->end());
+  std::sort(added->begin(), added->end(), by_start);
+  for (const UtilInterval& next : *added) {
+    if (!merged->empty() && next.start <= merged->back().end) {
+      merged->back().end = std::max(merged->back().end, next.end);
+      merged->back().contended += next.contended;
+    } else {
+      merged->push_back(next);
+    }
+  }
+  added->clear();
+}
 
 }  // namespace
 
-UtilizationReport ComputeUtilization(const CausalGraph& graph) {
-  // Observation window per process: [min arrival, max completion].
-  std::map<int, std::pair<Nanos, Nanos>> windows;
-  for (const CpRequest& req : graph.requests()) {
-    if (req.completion < 0) {
-      continue;
+void UtilizationBuilder::Add(const JournalChunk& chunk) {
+  resource_of_string_.assign(chunk.num_strings(), {0, nullptr});
+  for (const JournalChunk::Record& rec : chunk.requests) {
+    const CpRequest& req = rec.request;
+    if (req.completion >= 0) {
+      auto& [first, last] =
+          windows_.try_emplace(req.process, req.arrival, req.completion)
+              .first->second;
+      first = std::min(first, req.arrival);
+      last = std::max(last, req.completion);
     }
-    auto [it, fresh] =
-        windows.emplace(req.process, std::make_pair(req.arrival, req.completion));
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, req.arrival);
-      it->second.second = std::max(it->second.second, req.completion);
+    for (std::uint32_t i = rec.first_node; i < rec.first_node + rec.num_nodes;
+         ++i) {
+      const CpNode& node = chunk.nodes[i];
+      const std::string_view name = chunk.str(node.resource);
+      if (name.empty() || node.end <= node.start) {
+        continue;
+      }
+      // Resolved once per chunk string and process; a chunk's records of one
+      // process mostly follow each other.
+      auto& [process, resource] = resource_of_string_[node.resource];
+      if (resource == nullptr || process != req.process) {
+        process = req.process;
+        resource = &resources_[{req.process, std::string(name)}];
+      }
+      const Nanos duration = node.end - node.start;
+      resource->by_kind[static_cast<std::size_t>(node.kind)] += duration;
+      resource->added.push_back(
+          {node.start, node.end,
+           node.solo >= 0 ? std::max<Nanos>(0, duration - node.solo) : 0});
     }
   }
-
-  // Bucket node intervals by (process, resource). std::map keys give the
-  // deterministic (process, resource-name) output order for free; the names
-  // view the graph's string table.
-  std::map<std::pair<int, std::string_view>, std::vector<RawInterval>> buckets;
-  for (const CpNode& node : graph.nodes()) {
-    const std::string& resource = graph.str(node.resource);
-    if (resource.empty() || node.end <= node.start) {
-      continue;
+  for (auto& [key, resource] : resources_) {
+    if (!resource.added.empty()) {
+      MergeInto(&resource.added, &resource.merged);
     }
-    const CpRequest& req =
-        graph.requests()[static_cast<std::size_t>(node.request)];
-    RawInterval raw;
-    raw.start = node.start;
-    raw.end = node.end;
-    raw.kind = node.kind;
-    if (node.solo >= 0) {
-      raw.contended = std::max<Nanos>(0, (node.end - node.start) - node.solo);
-    }
-    buckets[{req.process, resource}].push_back(raw);
   }
+}
 
+UtilizationReport UtilizationBuilder::Finish() {
   UtilizationReport report;
-  report.resources.reserve(buckets.size());
-  for (auto& [key, raws] : buckets) {
-    std::sort(raws.begin(), raws.end(), [](const RawInterval& a,
-                                           const RawInterval& b) {
-      return a.start != b.start ? a.start < b.start : a.end < b.end;
-    });
+  report.resources.reserve(resources_.size());
+  for (auto& [key, resource] : resources_) {
     ResourceTimeline timeline;
     timeline.process = key.first;
     timeline.resource = key.second;
-    // Dominant kind: the kind covering the most raw (pre-merge) time.
-    std::map<CpKind, Nanos> by_kind;
-    for (const RawInterval& raw : raws) {
-      by_kind[raw.kind] += raw.end - raw.start;
-    }
-    CpKind dominant = raws.front().kind;
-    Nanos dominant_time = -1;
-    for (const auto& [kind, time] : by_kind) {
-      if (time > dominant_time) {
-        dominant = kind;
-        dominant_time = time;
-      }
-    }
-    timeline.kind = CpKindName(dominant);
-
-    for (const RawInterval& raw : raws) {
-      if (!timeline.intervals.empty() &&
-          raw.start <= timeline.intervals.back().end) {
-        UtilInterval& open = timeline.intervals.back();
-        open.end = std::max(open.end, raw.end);
-        open.contended += raw.contended;
-      } else {
-        timeline.intervals.push_back({raw.start, raw.end, raw.contended});
-      }
-    }
+    // Dominant kind: the kind covering the most raw (pre-merge) time, the
+    // first in kind order on a tie.
+    timeline.kind = CpKindName(static_cast<CpKind>(
+        std::max_element(resource.by_kind.begin(), resource.by_kind.end()) -
+        resource.by_kind.begin()));
+    timeline.intervals = std::move(resource.merged);
     for (const UtilInterval& iv : timeline.intervals) {
       timeline.busy += iv.end - iv.start;
       timeline.contended += std::min(iv.contended, iv.end - iv.start);
     }
-    const auto window = windows.find(key.first);
-    if (window != windows.end()) {
+    const auto window = windows_.find(key.first);
+    if (window != windows_.end()) {
       timeline.span = window->second.second - window->second.first;
     }
     timeline.utilization =

@@ -8,14 +8,19 @@
 // Resources are grouped per process (one process per strategy/replay in a
 // sweep) so timelines from independent simulations never blend, and output
 // ordering is (process id, resource name) — deterministic for a given
-// journal.
+// journal. Intervals are merged as chunks arrive, so memory follows the
+// merged timelines, not the journal.
 #ifndef SRC_OBS_UTILIZATION_H_
 #define SRC_OBS_UTILIZATION_H_
 
+#include <array>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/causal_graph.h"
+#include "src/obs/journal_stream.h"
 #include "src/util/time.h"
 
 namespace deepplan {
@@ -43,7 +48,27 @@ struct UtilizationReport {
   std::vector<ResourceTimeline> resources;  // (process, resource) sorted
 };
 
-UtilizationReport ComputeUtilization(const CausalGraph& graph);
+// Accumulates utilization over a journal's chunks, added in any order.
+class UtilizationBuilder {
+ public:
+  void Add(const JournalChunk& chunk);
+  UtilizationReport Finish();
+
+ private:
+  struct Resource {
+    // Merged so far: disjoint, sorted by start, no two touching.
+    std::vector<UtilInterval> merged;
+    std::vector<UtilInterval> added;  // this chunk's, not merged yet
+    // Raw (pre-merge) busy time per node kind, for the dominant kind.
+    std::array<Nanos, 5> by_kind{};
+  };
+
+  // Per process: [min arrival, max completion] of its completed requests.
+  std::map<int, std::pair<Nanos, Nanos>> windows_;
+  std::map<std::pair<int, std::string>, Resource> resources_;
+  // The current chunk's strings resolved to resources, for one process each.
+  std::vector<std::pair<int, Resource*>> resource_of_string_;
+};
 
 }  // namespace deepplan
 

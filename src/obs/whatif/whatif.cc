@@ -152,10 +152,10 @@ struct ResidentChunk {
 };
 
 // What the Replayer reads. Request metadata, the dispatch-domain chain and
-// each request's place are indexed up front; nodes live in chunks that are
-// loaded into ResidentChunk slots on first touch and retired once every
-// replayed request in them has finished. Two implementations: the whole
-// graph pinned in memory as one chunk (InMemorySource), or a binary
+// each request's place are indexed up front, chunk by chunk; nodes live in
+// chunks that are loaded into ResidentChunk slots on first touch and retired
+// once every replayed request in them has finished. Two implementations: the
+// whole graph pinned in memory as one chunk (InMemorySource), or a binary
 // journal's chunks decoded from the file (WindowedJournal::Impl). Both feed
 // the one Replayer, so identical data gives an identical event sequence —
 // and identical predictions.
@@ -163,11 +163,51 @@ class ReplaySource {
  public:
   virtual ~ReplaySource() = default;
 
-  virtual const std::vector<CpRequest>& requests() const = 0;
-  virtual int num_processes() const = 0;
   virtual std::size_t num_chunks() const = 0;
   // Fills `out` with chunk `index`, reusing its storage.
   virtual void Load(std::uint32_t index, JournalChunk* out) = 0;
+
+  // Indexes chunk `index`, chunks in order, taking its process names.
+  void Index(std::uint32_t index, JournalChunk* chunk) {
+    for (std::string& name : chunk->new_processes) {
+      processes.push_back(std::move(name));
+    }
+    resource_of_string_.assign(chunk->num_strings(), -1);
+    // In file order until the footer has bounded the ids.
+    for (std::size_t k = 0; k < chunk->requests.size(); ++k) {
+      const JournalChunk::Record& rec = chunk->requests[k];
+      requests.push_back(rec.request);
+      chunk_of.push_back(index);
+      record_of.push_back(static_cast<std::uint32_t>(k));
+      std::int64_t resource = -1;
+      if (rec.terminal_index >= 0) {
+        const CpStrId s = chunk->nodes[Idx(rec.terminal_index)].resource;
+        if (resource_of_string_[s] < 0) {
+          resource_of_string_[s] = resources_.Intern(chunk->str(s));
+        }
+        resource = resource_of_string_[s];
+      }
+      terminal_resource_.push_back(resource);
+    }
+  }
+
+  // After the last chunk: swaps each entry to its request's id in place (the
+  // ids are dense, as the reader's sequential pass checks) and chains the
+  // dispatch domains.
+  void FinishIndex() {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      for (std::size_t j = Idx(requests[i].id); j != i; j = Idx(requests[i].id)) {
+        DP_CHECK(j < requests.size() && Idx(requests[j].id) != j &&
+                 "request ids are dense");
+        std::swap(requests[i], requests[j]);
+        std::swap(chunk_of[i], chunk_of[j]);
+        std::swap(record_of[i], record_of[j]);
+        std::swap(terminal_resource_[i], terminal_resource_[j]);
+      }
+    }
+    domains = ChainDomains(requests, std::exchange(terminal_resource_, {}));
+    start_events = StartEvents(requests, domains);
+  }
 
   // A free slot; its buffers keep their capacity from earlier loads.
   std::uint32_t AcquireSlot() {
@@ -182,6 +222,8 @@ class ReplaySource {
   void ReleaseSlot(std::uint32_t slot) { free_slots_.push_back(slot); }
   ResidentChunk& slot(std::uint32_t s) { return *slots_[s]; }
 
+  std::vector<std::string> processes;
+  std::vector<CpRequest> requests;       // by id
   DomainChain domains;
   std::vector<StartEvent> start_events;  // StartEvents(requests, domains)
   std::vector<std::uint32_t> chunk_of;   // request id -> chunk index
@@ -189,96 +231,29 @@ class ReplaySource {
   std::size_t max_resident = 0;          // replayed requests, high-water mark
 
  private:
+  // Terminal resources as dense ids, each chunk string looked up once.
+  CpStrings resources_;
+  std::vector<std::int64_t> terminal_resource_;
+  std::vector<std::int64_t> resource_of_string_;
   std::vector<std::unique_ptr<ResidentChunk>> slots_;
   std::vector<std::uint32_t> free_slots_;
 };
 
 // ReplaySource over a fully materialized CausalGraph: one chunk holding
-// every request, its nodes regrouped request by request.
+// every request (GraphToChunk).
 class InMemorySource : public ReplaySource {
  public:
   explicit InMemorySource(const CausalGraph& graph) : graph_(graph) {
-    const std::vector<CpRequest>& requests = graph_.requests();
-    std::vector<std::int64_t> resource(requests.size(), -1);
-    record_of.resize(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      record_of[i] = static_cast<std::uint32_t>(i);
-      if (requests[i].terminal_node >= 0) {
-        resource[i] = graph_.nodes()[Idx(requests[i].terminal_node)].resource;
-      }
-    }
-    chunk_of.assign(requests.size(), 0);
-    domains = ChainDomains(requests, resource);
-    start_events = StartEvents(requests, domains);
+    JournalChunk chunk;
+    GraphToChunk(graph_, &chunk);
+    Index(0, &chunk);
+    FinishIndex();
   }
 
-  const std::vector<CpRequest>& requests() const override {
-    return graph_.requests();
-  }
-  int num_processes() const override {
-    return static_cast<int>(graph_.processes().size());
-  }
   std::size_t num_chunks() const override { return 1; }
 
   void Load(std::uint32_t, JournalChunk* out) override {
-    const std::vector<CpRequest>& requests = graph_.requests();
-    const std::vector<CpNode>& nodes = graph_.nodes();
-    const auto& edges = graph_.edges();
-    out->requests.assign(requests.size(), {});
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-      out->requests[r].request = requests[r];
-    }
-    // Lay nodes out request by request (id order within each) and edges by
-    // the request of their source (append order within each).
-    for (const CpNode& n : nodes) {
-      ++out->requests[Idx(n.request)].num_nodes;
-    }
-    for (const auto& [from, to] : edges) {
-      ++out->requests[Idx(nodes[Idx(from)].request)].num_edges;
-    }
-    std::uint32_t node_cursor = 0;
-    std::uint32_t edge_cursor = 0;
-    for (JournalChunk::Record& rec : out->requests) {
-      rec.first_node = node_cursor;
-      rec.first_edge = edge_cursor;
-      node_cursor += rec.num_nodes;
-      edge_cursor += rec.num_edges;
-    }
-    std::vector<std::uint32_t> position(nodes.size());  // id -> chunk index
-    std::vector<std::uint32_t> filled(requests.size(), 0);
-    out->nodes.resize(nodes.size());
-    for (const CpNode& n : nodes) {
-      const JournalChunk::Record& rec = out->requests[Idx(n.request)];
-      const std::uint32_t at = rec.first_node + filled[Idx(n.request)]++;
-      out->nodes[at] = n;
-      position[Idx(n.id)] = at;
-    }
-    for (JournalChunk::Record& rec : out->requests) {
-      rec.arrival_index = position[Idx(rec.request.arrival_node)];
-      rec.terminal_index =
-          rec.request.terminal_node >= 0
-              ? static_cast<std::int64_t>(position[Idx(rec.request.terminal_node)])
-              : -1;
-    }
-    out->edges.resize(edges.size());
-    filled.assign(requests.size(), 0);
-    for (std::size_t seq = 0; seq < edges.size(); ++seq) {
-      const auto [from, to] = edges[seq];
-      const int owner = nodes[Idx(from)].request;
-      const JournalChunk::Record& rec = out->requests[Idx(owner)];
-      out->edges[rec.first_edge + filled[Idx(owner)]++] = JournalChunk::Edge{
-          static_cast<std::int64_t>(seq), position[Idx(from)],
-          position[Idx(to)]};
-    }
-    const CpStrings& strings = graph_.strings();
-    out->text.clear();
-    out->string_spans.clear();
-    for (std::size_t i = 0; i < strings.size(); ++i) {
-      const std::string& s = strings[static_cast<CpStrId>(i)];
-      out->string_spans.emplace_back(static_cast<std::uint32_t>(out->text.size()),
-                                     static_cast<std::uint32_t>(s.size()));
-      out->text += s;
-    }
+    GraphToChunk(graph_, out);
   }
 
  private:
@@ -300,7 +275,7 @@ class InMemorySource : public ReplaySource {
 class Replayer {
  public:
   Replayer(ReplaySource& src, const WhatIfExperiment& exp)
-      : src_(src), exp_(exp), requests_(src.requests()) {}
+      : src_(src), exp_(exp), requests_(src.requests) {}
 
   WhatIfReplay Run() {
     const std::size_t num_requests = requests_.size();
@@ -309,7 +284,7 @@ class Replayer {
     out_.nvlink_time.assign(num_requests, 0);
     out_.exec_time.assign(num_requests, 0);
 
-    int num_processes = src_.num_processes();
+    int num_processes = static_cast<int>(src_.processes.size());
     for (const CpRequest& r : requests_) {
       num_processes = std::max(num_processes, r.process + 1);
     }
@@ -786,84 +761,33 @@ struct WindowedJournal::Impl : public ReplaySource {
       *error = reader_.error();
       return false;
     }
-    // Terminal resources as dense ids, for the domain chain; each chunk
-    // string is looked up once.
-    CpStrings resources;
-    std::vector<std::int64_t> terminal_resource;
-    std::vector<std::int64_t> resource_of_string;
     // Decoded into a resident slot's chunk, whose storage the replays reuse.
     const std::uint32_t scratch = AcquireSlot();
     JournalChunk& chunk = slot(scratch).chunk;
-    for (;;) {
-      const std::uint64_t offset = reader_.next_offset();
-      const JournalReadStatus status = reader_.Next(&chunk);
-      if (status == JournalReadStatus::kError) {
-        *error = reader_.error();
-        return false;
-      }
-      if (status == JournalReadStatus::kFooter) {
-        break;
-      }
-      const auto chunk_index = static_cast<std::uint32_t>(chunk_offsets_.size());
-      chunk_offsets_.push_back(offset);
-      for (std::string& name : chunk.new_processes) {
-        processes_.push_back(std::move(name));
-      }
-      resource_of_string.assign(chunk.num_strings(), -1);
-      for (std::size_t k = 0; k < chunk.requests.size(); ++k) {
-        const JournalChunk::Record& rec = chunk.requests[k];
-        const auto rid = static_cast<std::size_t>(rec.request.id);
-        if (rid >= requests_.size()) {
-          requests_.resize(rid + 1);
-          chunk_of.resize(rid + 1, 0);
-          record_of.resize(rid + 1, 0);
-          terminal_resource.resize(rid + 1, -1);
-        }
-        if (requests_[rid].id >= 0) {
-          *error = path + ": duplicate request id " + std::to_string(rid);
-          return false;
-        }
-        requests_[rid] = rec.request;
-        chunk_of[rid] = chunk_index;
-        record_of[rid] = static_cast<std::uint32_t>(k);
-        if (rec.terminal_index >= 0) {
-          const CpStrId s = chunk.nodes[Idx(rec.terminal_index)].resource;
-          if (resource_of_string[s] < 0) {
-            resource_of_string[s] = resources.Intern(chunk.str(s));
-          }
-          terminal_resource[rid] = resource_of_string[s];
-        }
-      }
+    for (std::uint64_t at = reader_.next_offset();
+         reader_.Next(&chunk) == JournalReadStatus::kChunk;
+         at = reader_.next_offset()) {
+      Index(static_cast<std::uint32_t>(chunk_offsets_.size()), &chunk);
+      chunk_offsets_.push_back(at);
     }
-    for (std::size_t i = 0; i < requests_.size(); ++i) {
-      if (requests_[i].id != static_cast<int>(i)) {
-        *error = path + ": journal request ids are not dense (missing request " +
-                 std::to_string(i) + ")";
-        return false;
-      }
+    *error = reader_.error();
+    if (!error->empty()) {
+      return false;
     }
     ReleaseSlot(scratch);
-    domains = ChainDomains(requests_, terminal_resource);
-    start_events = StartEvents(requests_, domains);
+    FinishIndex();
     return true;
   }
 
   // --- ReplaySource ---
-  const std::vector<CpRequest>& requests() const override { return requests_; }
-  int num_processes() const override {
-    return static_cast<int>(processes_.size());
-  }
   std::size_t num_chunks() const override { return chunk_offsets_.size(); }
   void Load(std::uint32_t index, JournalChunk* out) override {
     const bool ok =
-        reader_.ReadChunkAt(chunk_offsets_[index], processes_.size(), out);
+        reader_.ReadChunkAt(chunk_offsets_[index], processes.size(), out);
     DP_CHECK(ok);  // the sequential pass already validated this chunk
   }
 
-  // Metadata index (sequential pass; resident for the journal's lifetime).
   JournalReader reader_;
-  std::vector<std::string> processes_;
-  std::vector<CpRequest> requests_;
   std::vector<std::uint64_t> chunk_offsets_;
 };
 
@@ -876,11 +800,11 @@ bool WindowedJournal::Open(const std::string& path, std::string* error) {
 }
 
 const std::vector<std::string>& WindowedJournal::processes() const {
-  return impl_->processes_;
+  return impl_->processes;
 }
 
 const std::vector<CpRequest>& WindowedJournal::requests() const {
-  return impl_->requests_;
+  return impl_->requests;
 }
 
 WhatIfReplay WindowedJournal::Replay(const WhatIfExperiment& exp) {

@@ -108,7 +108,7 @@ class WindowedJournal {
   WindowedJournal& operator=(const WindowedJournal&) = delete;
 
   // False (with `error` set) on unreadable, corrupt, or footer-less
-  // journals, and on journals whose request ids are not dense.
+  // journals, and on any other the reader's sequential pass rejects.
   bool Open(const std::string& path, std::string* error);
 
   // Metadata index from the sequential pass (valid after Open succeeds).

@@ -7,6 +7,25 @@
 
 namespace deepplan {
 
+namespace {
+
+// Percentiles::Percentile(p) of non-empty `samples`, selecting the two order
+// statistics it interpolates between instead of sorting. Reorders `samples`.
+double SelectPercentile(std::vector<double>* samples, double p) {
+  DP_CHECK(p >= 0.0 && p <= 100.0);
+  const double rank = p / 100.0 * static_cast<double>(samples->size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= samples->size()) {
+    return *std::max_element(samples->begin(), samples->end());
+  }
+  const auto at = samples->begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples->begin(), at, samples->end());
+  return *at * (1.0 - frac) + *std::min_element(at + 1, samples->end()) * frac;
+}
+
+}  // namespace
+
 void ServingMetrics::Record(const RequestRecord& record) {
   check::SimValidator::OnRequestComplete(record.arrival, record.start,
                                          record.evict, record.load,
@@ -23,12 +42,12 @@ double ServingMetrics::LatencyPercentileMs(double p) const {
   if (records_.empty()) {
     return 0.0;
   }
-  Percentiles pct;
-  pct.Reserve(records_.size());
+  std::vector<double> latencies;
+  latencies.reserve(records_.size());
   for (const auto& r : records_) {
-    pct.Add(ToMillis(r.Latency()));
+    latencies.push_back(ToMillis(r.Latency()));
   }
-  return pct.Percentile(p);
+  return SelectPercentile(&latencies, p);
 }
 
 double ServingMetrics::MeanLatencyMs() const {
@@ -85,25 +104,23 @@ LatencyBreakdown ServingMetrics::Breakdown() const {
   if (records_.empty()) {
     return b;
   }
-  Percentiles queue, cold, exec, total;
-  queue.Reserve(records_.size());
-  cold.Reserve(records_.size());
-  exec.Reserve(records_.size());
-  total.Reserve(records_.size());
-  for (const auto& r : records_) {
-    queue.Add(ToMillis(r.QueueTime()));
-    cold.Add(ToMillis(r.ColdStartTime()));
-    exec.Add(ToMillis(r.ExecTime()));
-    total.Add(ToMillis(r.Latency()));
-  }
-  b.mean_queue_ms = queue.Mean();
-  b.p99_queue_ms = queue.Percentile(99.0);
-  b.mean_cold_ms = cold.Mean();
-  b.p99_cold_ms = cold.Percentile(99.0);
-  b.mean_exec_ms = exec.Mean();
-  b.p99_exec_ms = exec.Percentile(99.0);
-  b.mean_total_ms = total.Mean();
-  b.p99_total_ms = total.Percentile(99.0);
+  // One buffer for each component in turn; the mean is summed in record
+  // order, as Percentiles::Mean does, before the selection reorders it.
+  std::vector<double> samples(records_.size());
+  const auto summarize = [this, &samples](Nanos (RequestRecord::*part)() const,
+                                          double* mean, double* p99) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      samples[i] = ToMillis((records_[i].*part)());
+      sum += samples[i];
+    }
+    *mean = sum / static_cast<double>(samples.size());
+    *p99 = SelectPercentile(&samples, 99.0);
+  };
+  summarize(&RequestRecord::QueueTime, &b.mean_queue_ms, &b.p99_queue_ms);
+  summarize(&RequestRecord::ColdStartTime, &b.mean_cold_ms, &b.p99_cold_ms);
+  summarize(&RequestRecord::ExecTime, &b.mean_exec_ms, &b.p99_exec_ms);
+  summarize(&RequestRecord::Latency, &b.mean_total_ms, &b.p99_total_ms);
   check::SimValidator::OnBreakdown(b.mean_queue_ms, b.mean_cold_ms,
                                    b.mean_exec_ms, b.mean_total_ms);
   return b;

@@ -1,20 +1,23 @@
 // Tests for the streaming binary causal journal (src/obs/journal_stream.h)
-// and its windowed what-if consumer: encoding primitives, byte-exact round
-// trips (the JSON export of a read-back journal equals the recording
-// graph's) on engine- and server-recorded journals,
-// streaming-writer equivalence with the batch dump, corruption and
-// version-mismatch rejection with actionable messages, dangling-edge
-// diagnosis, cyclic-edge rejection, and the headline differential —
+// and its chunk consumers: encoding primitives, byte-exact round trips (the
+// JSON export of a journal equals the recording graph's) on engine- and
+// server-recorded journals, streaming-writer equivalence with the batch dump
+// (export and profile report), corruption and version-mismatch rejection
+// with actionable messages, one verdict from every reader on repeated or
+// out-of-range request ids, dangling-edge diagnosis, cyclic-edge rejection,
+// and the headline differential —
 // windowed chunk-at-a-time replay must be bit-identical to in-memory replay
 // while keeping fewer requests resident than the journal holds and barely
 // touching the heap.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,6 +28,7 @@
 #include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
 #include "src/obs/metrics_registry.h"
+#include "src/obs/profile_report.h"
 #include "src/obs/whatif/whatif.h"
 #include "src/obs/whatif/whatif_report.h"
 #include "src/serving/server.h"
@@ -50,6 +54,66 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+// The JSON export of the journal at `path` as journal_convert --to-json
+// renders it: every chunk of the validating pass, then CausalJournalJson.
+bool JournalJson(const std::string& path, std::string* json,
+                 std::string* error) {
+  std::vector<JournalChunk> chunks;
+  if (!ForEachJournalChunk(
+          path,
+          [&chunks](JournalChunk& chunk) {
+            chunks.push_back(std::move(chunk));
+          },
+          error)) {
+    return false;
+  }
+  *json = CausalJournalJson(chunks);
+  return true;
+}
+
+// The profile report of the journal at `path` as profile_report streams it.
+bool ReadProfileReport(const std::string& path, ProfileReport* report,
+                       std::string* error) {
+  ProfileReportBuilder builder;
+  if (!ForEachJournalChunk(
+          path,
+          [&builder](JournalChunk& chunk) { builder.Add(chunk); },
+          error)) {
+    return false;
+  }
+  *report = builder.Finish();
+  return true;
+}
+
+// Every journal reader's verdict on the journal at `path`, in order: the
+// lint, the windowed what-if journal, the profile report and the JSON
+// export. Each is its first error, empty when the reader accepts the file.
+std::vector<std::string> ReaderErrors(const std::string& path) {
+  const check::TraceLintResult lint = LintJournalFile(path);
+  std::vector<std::string> errors = {lint.errors.empty() ? "" : lint.errors[0]};
+  WindowedJournal journal;
+  std::string error;
+  journal.Open(path, &error);
+  errors.push_back(error);
+  ProfileReport report;
+  error.clear();
+  ReadProfileReport(path, &report, &error);
+  errors.push_back(error);
+  std::string json;
+  error.clear();
+  JournalJson(path, &json, &error);
+  errors.push_back(error);
+  return errors;
+}
+
+void ExpectEveryReaderRejects(const std::string& path,
+                              const std::string& diagnostic) {
+  for (const std::string& error : ReaderErrors(path)) {
+    EXPECT_NE(error.find(diagnostic), std::string::npos)
+        << "want \"" << diagnostic << "\", got \"" << error << "\"";
+  }
 }
 
 // ------------------------------------------------ encoding primitives
@@ -190,9 +254,9 @@ TEST(JournalRoundTripTest, ColdStartGraphSurvivesBinaryExactly) {
 
   std::string error;
   ASSERT_TRUE(WriteGraphToJournal(graph, path, {}, nullptr, &error)) << error;
-  CausalGraph back(/*enabled=*/true);
-  ASSERT_TRUE(ReadJournalToGraph(path, &back, &error)) << error;
-  EXPECT_EQ(back.ToJson(), json);
+  std::string back;
+  ASSERT_TRUE(JournalJson(path, &back, &error)) << error;
+  EXPECT_EQ(back, json);
   std::remove(path.c_str());
 }
 
@@ -210,9 +274,9 @@ TEST(JournalRoundTripTest, ServedWorkloadSurvivesBinaryExactly) {
   ASSERT_TRUE(WriteGraphToJournal(graph, path, small, nullptr, &error))
       << error;
 
-  CausalGraph back(/*enabled=*/true);
-  ASSERT_TRUE(ReadJournalToGraph(path, &back, &error)) << error;
-  EXPECT_EQ(back.ToJson(), json);
+  std::string back;
+  ASSERT_TRUE(JournalJson(path, &back, &error)) << error;
+  EXPECT_EQ(back, json);
   std::remove(path.c_str());
 }
 
@@ -223,8 +287,8 @@ TEST(JournalRoundTripTest, StreamingWriterRecordsTheSameGraph) {
 
   // Streamed: same run, retiring straight into the chunked writer. Requests
   // retire in completion order (not id order), so the file differs from the
-  // batch dump — but it must decode to the identical graph, and repeated
-  // runs must produce identical bytes.
+  // batch dump — but its JSON export and profile report must equal the
+  // in-memory graph's, and repeated runs must produce identical bytes.
   const std::string path = TempPath("journal_streamed.dpj");
   const auto stream_once = [&] {
     CausalGraph graph(/*enabled=*/true);
@@ -245,10 +309,22 @@ TEST(JournalRoundTripTest, StreamingWriterRecordsTheSameGraph) {
   const std::string first = stream_once();
   EXPECT_EQ(stream_once(), first);
 
-  CausalGraph back(/*enabled=*/true);
+  std::string back;
   std::string error;
-  ASSERT_TRUE(ReadJournalToGraph(path, &back, &error)) << error;
-  EXPECT_EQ(back.ToJson(), reference.ToJson());
+  ASSERT_TRUE(JournalJson(path, &back, &error)) << error;
+  EXPECT_EQ(back, reference.ToJson());
+
+  // The profile report streamed from the file, whose requests retired out of
+  // id order, equals the in-memory graph's, text and JSON.
+  ProfileReport streamed;
+  ASSERT_TRUE(ReadProfileReport(path, &streamed, &error)) << error;
+  const ProfileReport in_memory = BuildProfileReport(reference);
+  ASSERT_GT(in_memory.summary.requests.size(), 100u);
+  std::ostringstream streamed_text, in_memory_text;
+  PrintProfileReport(streamed, streamed_text);
+  PrintProfileReport(in_memory, in_memory_text);
+  EXPECT_EQ(streamed_text.str(), in_memory_text.str());
+  EXPECT_EQ(ProfileReportJson(streamed), ProfileReportJson(in_memory));
   std::remove(path.c_str());
 }
 
@@ -272,9 +348,9 @@ TEST(JournalRoundTripTest, IncompleteRequestsKeepCompletionMinusOne) {
   EXPECT_EQ(writer.totals().requests, 2u);
   EXPECT_EQ(writer.totals().incomplete_requests, 1u);
 
-  CausalGraph back(/*enabled=*/true);
+  WindowedJournal back;
   std::string error;
-  ASSERT_TRUE(ReadJournalToGraph(path, &back, &error)) << error;
+  ASSERT_TRUE(back.Open(path, &error)) << error;
   ASSERT_EQ(back.requests().size(), 2u);
   EXPECT_EQ(back.requests()[0].completion, 20);
   EXPECT_EQ(back.requests()[1].completion, -1);
@@ -399,19 +475,16 @@ TEST_F(JournalCorruptionTest, TrailingBytesAfterTheFooterAreAnError) {
   ExpectLintError(bytes_ + "extra", "trailing data");
 }
 
-TEST_F(JournalCorruptionTest, ReadJournalToGraphRefusesCorruptInput) {
+TEST_F(JournalCorruptionTest, EveryReaderRefusesCorruptInput) {
   std::string mutated = bytes_;
   mutated[20] = static_cast<char>(mutated[20] ^ 0x5A);
   WriteFileBytes(path_, mutated);
-  CausalGraph out(/*enabled=*/true);
-  std::string error;
-  EXPECT_FALSE(ReadJournalToGraph(path_, &out, &error));
-  EXPECT_NE(error.find("CRC mismatch"), std::string::npos) << error;
+  ExpectEveryReaderRejects(path_, "CRC mismatch");
 }
 
-TEST(JournalRoundTripTest, ReadJournalToGraphRefusesDuplicateRequestIds) {
-  // Two well-formed records that both claim request 0: each chunk decodes,
-  // and the materialized graph must still refuse them.
+TEST(JournalRoundTripTest, EveryReaderRefusesDuplicateRequestIds) {
+  // Two well-formed records in one chunk that both claim request 0: the
+  // chunk decodes, and the sequential pass must still refuse it.
   const std::string path = TempPath("journal_duplicate.dpj");
   JournalWriter writer;
   ASSERT_TRUE(writer.Open(path));
@@ -432,12 +505,66 @@ TEST(JournalRoundTripTest, ReadJournalToGraphRefusesDuplicateRequestIds) {
     writer.OnRequestRetired(rec, strings);
   }
   ASSERT_TRUE(writer.Finish());
-  CausalGraph out(/*enabled=*/true);
-  std::string error;
-  EXPECT_FALSE(ReadJournalToGraph(path, &out, &error));
-  EXPECT_NE(error.find("duplicate, missing or out-of-order request 1"),
-            std::string::npos)
-      << error;
+  ExpectEveryReaderRejects(path, "chunk 1: request 0 appears twice");
+  std::remove(path.c_str());
+}
+
+// One request per chunk, handed straight to the writer as (request id, node
+// id) pairs: each record is one arrival node, complete at its arrival.
+void WriteRequests(const std::string& path,
+                   const std::vector<std::pair<int, CpNodeId>>& ids) {
+  JournalWriter writer;
+  JournalWriterOptions one_per_chunk;
+  one_per_chunk.chunk_requests = 1;
+  ASSERT_TRUE(writer.Open(path, one_per_chunk));
+  writer.OnProcess(0, "p");
+  CpStrings strings;
+  for (const auto& [id, node] : ids) {
+    CpRequestRecord rec;
+    rec.request.id = id;
+    rec.request.completion = 0;
+    rec.request.arrival_node = node;
+    rec.request.terminal_node = node;
+    CpNode arrival;
+    arrival.id = node;
+    arrival.request = id;
+    arrival.kind = CpKind::kArrival;
+    arrival.label = strings.Intern("arrival");
+    rec.nodes = {arrival};
+    writer.OnRequestRetired(rec, strings);
+  }
+  ASSERT_TRUE(writer.Finish());
+}
+
+// Every reader gives one verdict on request ids that repeat or are not below
+// the journal's request total, naming the request, and none sizes anything
+// from such an id: a single request numbered INT_MAX used to lint OK and end
+// the what-if replay with bad_alloc, and request 0 written in two chunks
+// used to lint OK while the other readers refused it with two different
+// messages. Node ids are held to the same rule.
+TEST(JournalRoundTripTest, EveryReaderRefusesRequestIdsThatAreNotDense) {
+  const std::string path = TempPath("journal_sparse_ids.dpj");
+  WriteRequests(path, {{INT_MAX, 0}});
+  ExpectEveryReaderRejects(
+      path, "chunk 1: request 2147483647 is not below the journal's request "
+            "total");
+  WriteRequests(path, {{0, 0}, {0, 1}});
+  ExpectEveryReaderRejects(path, "chunk 2: request 0 appears twice");
+  // Unique ids with a gap fit the file, so the footer is what bounds them.
+  WriteRequests(path, {{0, 0}, {2, 1}});
+  ExpectEveryReaderRejects(path,
+                           "request 2 is not below the journal's request "
+                           "total 2");
+  WriteRequests(path, {{0, 0}, {1, 0}});
+  ExpectEveryReaderRejects(path, "chunk 2: node 0 appears twice");
+  WriteRequests(path, {{0, 0}, {1, 5}});
+  ExpectEveryReaderRejects(path, "node 5 is not below the journal's node "
+                                 "total 2");
+  // The control: ids 0 and 1 in either order are accepted by every reader.
+  WriteRequests(path, {{1, 0}, {0, 1}});
+  for (const std::string& error : ReaderErrors(path)) {
+    EXPECT_EQ(error, "");
+  }
   std::remove(path.c_str());
 }
 
@@ -656,20 +783,9 @@ TEST(JournalLintTest, CyclicEdgesAreRejectedByEveryReader) {
           << error;
     };
 
-    const check::TraceLintResult lint = LintJournalFile(path);
-    EXPECT_FALSE(lint.ok()) << shape.edge;
-    ASSERT_FALSE(lint.errors.empty()) << shape.edge;
-    expect_diagnostic(lint.errors[0]);
-
-    CausalGraph graph(/*enabled=*/true);
-    std::string error;
-    EXPECT_FALSE(ReadJournalToGraph(path, &graph, &error)) << shape.edge;
-    expect_diagnostic(error);
-
-    WindowedJournal journal;
-    error.clear();
-    EXPECT_FALSE(journal.Open(path, &error)) << shape.edge;
-    expect_diagnostic(error);
+    for (const std::string& error : ReaderErrors(path)) {
+      expect_diagnostic(error);
+    }
   }
   std::remove(path.c_str());
 }
@@ -754,22 +870,13 @@ TEST(JournalLintTest, ALinkNamedAtTwoCapacitiesInOneProcessIsRejected) {
       "24000000000 B/s, but process 0 named it at 12000000000 B/s before";
 
   write(path, /*two_processes=*/false);
-  const check::TraceLintResult lint = LintJournalFile(path);
-  ASSERT_FALSE(lint.errors.empty());
-  EXPECT_NE(lint.errors[0].find(diagnostic), std::string::npos) << lint.errors[0];
-  CausalGraph graph(/*enabled=*/true);
-  std::string error;
-  EXPECT_FALSE(ReadJournalToGraph(path, &graph, &error));
-  EXPECT_NE(error.find(diagnostic), std::string::npos) << error;
-  WindowedJournal rejected;
-  error.clear();
-  EXPECT_FALSE(rejected.Open(path, &error));
-  EXPECT_NE(error.find(diagnostic), std::string::npos) << error;
+  ExpectEveryReaderRejects(path, diagnostic);
 
   write(path, /*two_processes=*/true);
-  const check::TraceLintResult control = LintJournalFile(path);
-  EXPECT_TRUE(control.ok()) << (control.errors.empty() ? "" : control.errors[0]);
-  ASSERT_TRUE(ReadJournalToGraph(path, &graph, &error)) << error;
+  for (const std::string& control : ReaderErrors(path)) {
+    EXPECT_EQ(control, "");
+  }
+  std::string error;
   WindowedJournal journal;
   ASSERT_TRUE(journal.Open(path, &error)) << error;
   WhatIfExperiment identity;
@@ -819,13 +926,25 @@ TEST(CausalStreamTest, RequestHeldOpenIsFlushedLast) {
   EXPECT_EQ(last.id, held);
   EXPECT_EQ(last.completion, -1);
 
-  CausalGraph back(/*enabled=*/true);
+  WindowedJournal back;
   std::string error;
-  ASSERT_TRUE(ReadJournalToGraph(path, &back, &error)) << error;
+  ASSERT_TRUE(back.Open(path, &error)) << error;
   ASSERT_EQ(back.requests().size(), kLater + 1u);
   EXPECT_EQ(back.requests()[0].completion, -1);
   EXPECT_EQ(back.requests()[1].completion, 2);
-  EXPECT_EQ(back.nodes()[static_cast<std::size_t>(held_node)].dha_pcie, 3);
+  Nanos held_dha_pcie = -1;
+  ASSERT_TRUE(ForEachJournalChunk(
+      path,
+      [&](JournalChunk& c) {
+        for (const CpNode& node : c.nodes) {
+          if (node.id == held_node) {
+            held_dha_pcie = node.dha_pcie;
+          }
+        }
+      },
+      &error))
+      << error;
+  EXPECT_EQ(held_dha_pcie, 3);
   std::remove(path.c_str());
 }
 

@@ -62,7 +62,7 @@ CausalGraph KnownPathGraph() {
 
 TEST(CriticalPathTest, KnownPathAttributesEveryComponent) {
   const CausalGraph graph = KnownPathGraph();
-  const ProfileSummary summary = AnalyzeCriticalPaths(graph);
+  const ProfileSummary summary = BuildProfileReport(graph).summary;
   ASSERT_EQ(summary.requests.size(), 1u);
   const RequestProfile& p = summary.requests[0];
   EXPECT_EQ(p.latency, 2000);
@@ -97,7 +97,7 @@ TEST(CriticalPathTest, GapAfterArrivalChargesQueue) {
   graph.AddEdge(graph.arrival_node(req), exec);
   graph.EndRequest(req, 1500, exec);
 
-  const ProfileSummary summary = AnalyzeCriticalPaths(graph);
+  const ProfileSummary summary = BuildProfileReport(graph).summary;
   ASSERT_EQ(summary.requests.size(), 1u);
   const RequestProfile& p = summary.requests[0];
   EXPECT_EQ(p.attribution.queue, 500);
@@ -111,7 +111,7 @@ TEST(CriticalPathTest, RequestsWithoutCompletionAreSkipped) {
   CausalGraph graph(/*enabled=*/true);
   const int process = graph.RegisterProcess("open");
   graph.BeginRequest(process, 0, 0);  // never ended
-  const ProfileSummary summary = AnalyzeCriticalPaths(graph);
+  const ProfileSummary summary = BuildProfileReport(graph).summary;
   EXPECT_TRUE(summary.requests.empty());
   EXPECT_EQ(summary.total_latency, 0);
 }
@@ -153,7 +153,7 @@ TEST(CriticalPathTest, SharedLinkContentionMatchesFabric) {
     graph.EndRequest(req, elapsed[static_cast<std::size_t>(i)], node);
   }
 
-  const ProfileSummary summary = AnalyzeCriticalPaths(graph);
+  const ProfileSummary summary = BuildProfileReport(graph).summary;
   ASSERT_EQ(summary.requests.size(), 2u);
   for (const RequestProfile& p : summary.requests) {
     EXPECT_EQ(p.attribution.pcie, solo);
@@ -164,7 +164,7 @@ TEST(CriticalPathTest, SharedLinkContentionMatchesFabric) {
 
   // The utilization module sees one merged interval on the shared lane with
   // the contended share pro-rated in.
-  const UtilizationReport util = ComputeUtilization(graph);
+  const UtilizationReport util = BuildProfileReport(graph).utilization;
   ASSERT_EQ(util.resources.size(), 1u);
   EXPECT_EQ(util.resources[0].resource, "pcie/uplink");
   EXPECT_GT(util.resources[0].contended, 0);
@@ -199,7 +199,7 @@ TEST(UtilizationTest, MergesPartialOverlapPerResourceOnly) {
       graph.AddNode(req1, CpKind::kPcie, "x", "pcie/gpu0", 0, 50, 50, 50);
   graph.EndRequest(req1, 50, other);
 
-  const UtilizationReport util = ComputeUtilization(graph);
+  const UtilizationReport util = BuildProfileReport(graph).utilization;
   ASSERT_EQ(util.resources.size(), 3u);
 
   // Output order is (process, resource name).
@@ -247,7 +247,7 @@ TEST(UtilizationTest, ContendedTimeIsCappedAtBusyTime) {
       graph.AddNode(req, CpKind::kPcie, "b", "pcie/gpu0", 0, 100, 100, 10);
   graph.EndRequest(req, 100, b);
 
-  const UtilizationReport util = ComputeUtilization(graph);
+  const UtilizationReport util = BuildProfileReport(graph).utilization;
   ASSERT_EQ(util.resources.size(), 1u);
   EXPECT_EQ(util.resources[0].busy, 100);
   EXPECT_EQ(util.resources[0].contended, 100);  // 90 + 90, capped
@@ -265,13 +265,51 @@ TEST(UtilizationTest, TouchingIntervalsCoalesceAndDegenerateNodesAreIgnored) {
   const CpNodeId tail = graph.AddNode(req, CpKind::kExec, "anon", "", 0, 500);
   graph.EndRequest(req, 200, tail);
 
-  const UtilizationReport util = ComputeUtilization(graph);
+  const UtilizationReport util = BuildProfileReport(graph).utilization;
   ASSERT_EQ(util.resources.size(), 1u);
   EXPECT_EQ(util.resources[0].resource, "gpu0");
   ASSERT_EQ(util.resources[0].intervals.size(), 1u);
   EXPECT_EQ(util.resources[0].intervals[0].start, 0);
   EXPECT_EQ(util.resources[0].intervals[0].end, 200);
   EXPECT_EQ(util.resources[0].busy, 200);
+}
+
+// Chunks arrive in retirement order, so a later chunk's intervals can reach
+// back into, or bridge, a resource's timeline so far. One request per chunk
+// here: request 1's interval starts before request 0's and request 2's
+// bridges the gap between them. Streamed chunk by chunk, the timeline must
+// equal the one-chunk one: a single interval [0, 300].
+TEST(UtilizationTest, MergesAcrossChunksInAnyOrder) {
+  CausalGraph graph(/*enabled=*/true);
+  const int process = graph.RegisterProcess("chunks");
+  for (const auto& [start, end] :
+       {std::pair<Nanos, Nanos>{100, 150}, {0, 60}, {60, 100}, {150, 300}}) {
+    const int req = graph.BeginRequest(process, 0, 0);
+    const CpNodeId exec =
+        graph.AddNode(req, CpKind::kExec, "x", "gpu0", start, end);
+    graph.AddEdge(graph.arrival_node(req), exec);
+    graph.EndRequest(req, end, exec);
+  }
+  const std::string path = ::testing::TempDir() + "/utilization_chunks.dpj";
+  JournalWriterOptions one_per_chunk;
+  one_per_chunk.chunk_requests = 1;
+  std::string error;
+  ASSERT_TRUE(WriteGraphToJournal(graph, path, one_per_chunk, nullptr, &error))
+      << error;
+  ProfileReportBuilder streamed;
+  ASSERT_TRUE(ForEachJournalChunk(
+      path, [&streamed](JournalChunk& chunk) { streamed.Add(chunk); }, &error))
+      << error;
+  std::remove(path.c_str());
+  const ProfileReport report = streamed.Finish();
+  const UtilizationReport& util = report.utilization;
+  ASSERT_EQ(util.resources.size(), 1u);
+  ASSERT_EQ(util.resources[0].intervals.size(), 1u);
+  EXPECT_EQ(util.resources[0].intervals[0].start, 0);
+  EXPECT_EQ(util.resources[0].intervals[0].end, 300);
+  EXPECT_EQ(util.resources[0].busy, 300);
+  EXPECT_EQ(ProfileReportJson(report),
+            ProfileReportJson(BuildProfileReport(graph)));
 }
 
 // ------------------------------------------------ engine-recorded journals
@@ -288,7 +326,7 @@ TEST(CriticalPathTest, EngineColdRunAttributionSumsExactly) {
     const bench::ColdMeasurement m = bench::RunColdWithProfile(
         topology, perf, model, strategy, bench::ExactProfile(perf, model),
         /*batch=*/1, &graph, process);
-    const ProfileSummary summary = AnalyzeCriticalPaths(graph);
+    const ProfileSummary summary = BuildProfileReport(graph).summary;
     ASSERT_EQ(summary.requests.size(), 1u) << StrategyName(strategy);
     const RequestProfile& p = summary.requests[0];
     EXPECT_EQ(p.attribution.Total(), p.latency) << StrategyName(strategy);
@@ -361,11 +399,16 @@ TEST(CriticalPathTest, SweepJournalDeterministicAcrossJobs) {
       << error;
   EXPECT_EQ(ReadFileBytes(serial_path), ReadFileBytes(parallel_path));
 
-  // The report from the journal read back equals the in-process one.
-  CausalGraph parsed;
-  ASSERT_TRUE(ReadJournalToGraph(serial_path, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.requests().size(), models.size());
-  EXPECT_EQ(ProfileReportJson(BuildProfileReport(parsed)),
+  // The report streamed from the journal equals the in-process one.
+  ProfileReportBuilder streamed;
+  ASSERT_TRUE(ForEachJournalChunk(
+      serial_path,
+      [&streamed](JournalChunk& chunk) { streamed.Add(chunk); },
+      &error))
+      << error;
+  const ProfileReport parsed = streamed.Finish();
+  EXPECT_EQ(parsed.summary.requests.size(), models.size());
+  EXPECT_EQ(ProfileReportJson(parsed),
             ProfileReportJson(BuildProfileReport(serial)));
   std::remove(serial_path.c_str());
   std::remove(parallel_path.c_str());
@@ -560,7 +603,7 @@ TEST(CriticalPathTest, ServedWorkloadAttributionIsExactForEveryRequest) {
   const ServingMetrics metrics = server.Run(GeneratePoissonTrace(w));
   ASSERT_GT(metrics.count(), 0u);
 
-  const ProfileSummary summary = AnalyzeCriticalPaths(graph);
+  const ProfileSummary summary = BuildProfileReport(graph).summary;
   EXPECT_EQ(summary.requests.size(), metrics.count());
   EXPECT_EQ(static_cast<std::size_t>(summary.cold_requests),
             metrics.ColdStartCount());

@@ -13,16 +13,21 @@
 #   5. every journal reader handed that JSON export exits non-zero with the
 #      DPJL diagnostic;
 #   6. selfprof_report --min_coverage and bench_history --max_slowdown refuse
-#      a value that is not a number with exit 2.
+#      a value that is not a number with exit 2;
+#   7. the profile report fig13_concurrency_sweep --profile_out prints for its
+#      in-memory graph equals profile_report's on the journal it wrote, byte
+#      for byte (0.1 s at --requests=200).
 #
 # usage: tools_smoke.sh <fig02_stall_decomposition> <profile_report>
 #                       <whatif_report> <journal_convert> <trace_lint>
 #                       <selfprof_report> <bench_history>
+#                       <fig13_concurrency_sweep>
 set -euo pipefail
 
-if [ "$#" -ne 7 ]; then
+if [ "$#" -ne 8 ]; then
   echo "usage: $0 <fig02> <profile_report> <whatif_report>" \
-    "<journal_convert> <trace_lint> <selfprof_report> <bench_history>" >&2
+    "<journal_convert> <trace_lint> <selfprof_report> <bench_history>" \
+    "<fig13>" >&2
   exit 2
 fi
 fig02="$1"
@@ -32,6 +37,7 @@ journal_convert="$4"
 trace_lint="$5"
 selfprof_report="$6"
 bench_history="$7"
+fig13="$8"
 
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -90,4 +96,13 @@ expect_exit_2() {  # expect_exit_2 <command...>
 expect_exit_2 "$selfprof_report" --min_coverage=abc "$dir/whatif_bench.json"
 expect_exit_2 "$bench_history" --max_slowdown=abc "$dir"
 
-echo "PASS: journal tools read DPJL and refuse JSON; gate values are checked"
+echo "== fig13 --profile_out report matches profile_report on its journal"
+DEEPPLAN_BENCH_DIR="$dir" "$fig13" --requests=200 \
+  --profile_out="$dir/fig13.dpj" >"$dir/fig13.txt" 2>/dev/null
+sed -n '/^== profile report ==$/,$p' "$dir/fig13.txt" >"$dir/fig13_report.txt"
+"$profile_report" "$dir/fig13.dpj" >"$dir/fig13_tool.txt"
+test -s "$dir/fig13_report.txt"
+cmp "$dir/fig13_report.txt" "$dir/fig13_tool.txt"
+
+echo "PASS: journal tools read DPJL and refuse JSON; gate values are checked;"\
+  "the streamed profile report matches the in-memory one"

@@ -9,8 +9,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
 
 int main(int argc, char** argv) {
@@ -21,15 +22,21 @@ int main(int argc, char** argv) {
   }
   const std::string in_path = argv[2];
   const std::string out_path = argv[3];
-  deepplan::CausalGraph graph;
+  // The export orders requests and nodes by id, so it needs every chunk.
+  std::vector<deepplan::JournalChunk> chunks;
   std::string error;
-  if (!deepplan::ReadJournalToGraph(in_path, &graph, &error)) {
+  if (!deepplan::ForEachJournalChunk(
+          in_path,
+          [&chunks](deepplan::JournalChunk& chunk) {
+            chunks.push_back(std::move(chunk));
+          },
+          &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
   std::ofstream out(out_path, std::ios::binary);
   if (out) {
-    out << graph.ToJson() << "\n";
+    out << deepplan::CausalJournalJson(chunks) << "\n";
   }
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

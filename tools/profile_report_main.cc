@@ -1,8 +1,8 @@
-// profile_report: offline critical-path analysis of a causal journal. Reads
-// the binary DPJL journal a bench run writes via --profile_out, runs the
-// critical-path engine and utilization module, and prints the deterministic
-// text report; --json=<path> additionally writes the {"profile_report":...}
-// document for tools (lint with `trace_lint --profile`).
+// profile_report: offline critical-path analysis of a causal journal. Streams
+// the binary DPJL journal a bench run writes via --profile_out, chunk by
+// chunk, through the critical-path engine and utilization module, and prints
+// the deterministic text report; --json=<path> additionally writes the
+// {"profile_report":...} document for tools (`trace_lint --profile`).
 //
 //   profile_report results/profile_fig15.dpj [--json=results/report.json]
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include <iostream>
 #include <string>
 
-#include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
 #include "src/obs/profile_report.h"
 
@@ -34,14 +33,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  deepplan::CausalGraph graph;
+  deepplan::ProfileReportBuilder builder;
   std::string error;
-  if (!deepplan::ReadJournalToGraph(journal_path, &graph, &error)) {
+  if (!deepplan::ForEachJournalChunk(
+          journal_path,
+          [&builder](deepplan::JournalChunk& chunk) { builder.Add(chunk); },
+          &error)) {
     std::fprintf(stderr, "bad journal: %s\n", error.c_str());
     return 1;
   }
-
-  const deepplan::ProfileReport report = deepplan::BuildProfileReport(graph);
+  const deepplan::ProfileReport report = builder.Finish();
   deepplan::PrintProfileReport(report, std::cout);
 
   if (!json_path.empty()) {
