@@ -486,12 +486,14 @@ bool JournalReader::Open(const std::string& path) {
                 std::to_string(kJournalVersion) +
                 ") — re-record or convert with a matching build");
   }
-  in_.seekg(0, std::ios::end);
-  const auto file_bytes = static_cast<std::uint64_t>(in_.tellg());
-  for (std::size_t k = 0; k < seen_ids_.size(); ++k) {
-    seen_ids_[k].limit = file_bytes / kIdKinds[k].min_bytes;
+  // The file's size bounds the ids it can hold; a pipe cannot be sized.
+  const std::streamoff file_bytes = in_.seekg(0, std::ios::end).tellg();
+  if (file_bytes < 0 || !in_.seekg(sizeof(header))) {
+    return Fail("cannot size the file: a journal must be a regular file");
   }
-  in_.seekg(sizeof(header));
+  for (std::size_t k = 0; k < seen_ids_.size(); ++k) {
+    seen_ids_[k].limit = Idx(file_bytes) / kIdKinds[k].min_bytes;
+  }
   offset_ = sizeof(header);
   open_ = true;
   return true;

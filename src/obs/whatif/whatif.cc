@@ -240,24 +240,26 @@ class ReplaySource {
 };
 
 // ReplaySource over a fully materialized CausalGraph: one chunk holding
-// every request (GraphToChunk).
+// every request (GraphToChunk), laid out once and handed to the one replay
+// that loads it.
 class InMemorySource : public ReplaySource {
  public:
-  explicit InMemorySource(const CausalGraph& graph) : graph_(graph) {
-    JournalChunk chunk;
-    GraphToChunk(graph_, &chunk);
-    Index(0, &chunk);
+  explicit InMemorySource(const CausalGraph& graph) {
+    GraphToChunk(graph, &chunk_);
+    Index(0, &chunk_);
     FinishIndex();
   }
 
   std::size_t num_chunks() const override { return 1; }
 
   void Load(std::uint32_t, JournalChunk* out) override {
-    GraphToChunk(graph_, out);
+    DP_CHECK(!std::exchange(loaded_, true) && "one replay per source");
+    std::swap(*out, chunk_);
   }
 
  private:
-  const CausalGraph& graph_;
+  JournalChunk chunk_;
+  bool loaded_ = false;
 };
 
 // Event-driven forward re-scheduling of the journal DAG. Every non-arrival

@@ -10,6 +10,7 @@
 // while keeping fewer requests resident than the journal holds and barely
 // touching the heap.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <climits>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -87,32 +89,49 @@ bool ReadProfileReport(const std::string& path, ProfileReport* report,
   return true;
 }
 
-// Every journal reader's verdict on the journal at `path`, in order: the
-// lint, the windowed what-if journal, the profile report and the JSON
-// export. Each is its first error, empty when the reader accepts the file.
-std::vector<std::string> ReaderErrors(const std::string& path) {
+// One journal reader's verdict: whether it accepted the file, and its first
+// error (empty when it accepted).
+struct ReaderVerdict {
+  std::string reader;
+  bool ok = false;
+  std::string error;
+};
+
+// Every journal reader's verdict on the journal at `path`: the lint, the
+// windowed what-if journal, the profile report and the JSON export.
+std::vector<ReaderVerdict> ReaderVerdicts(const std::string& path) {
   const check::TraceLintResult lint = LintJournalFile(path);
-  std::vector<std::string> errors = {lint.errors.empty() ? "" : lint.errors[0]};
+  std::vector<ReaderVerdict> verdicts = {
+      {"lint", lint.ok(), lint.errors.empty() ? "" : lint.errors[0]}};
   WindowedJournal journal;
   std::string error;
-  journal.Open(path, &error);
-  errors.push_back(error);
+  const bool opened = journal.Open(path, &error);
+  verdicts.push_back({"windowed journal", opened, error});
   ProfileReport report;
   error.clear();
-  ReadProfileReport(path, &report, &error);
-  errors.push_back(error);
+  const bool reported = ReadProfileReport(path, &report, &error);
+  verdicts.push_back({"profile report", reported, error});
   std::string json;
   error.clear();
-  JournalJson(path, &json, &error);
-  errors.push_back(error);
-  return errors;
+  const bool exported = JournalJson(path, &json, &error);
+  verdicts.push_back({"JSON export", exported, error});
+  return verdicts;
 }
 
 void ExpectEveryReaderRejects(const std::string& path,
                               const std::string& diagnostic) {
-  for (const std::string& error : ReaderErrors(path)) {
-    EXPECT_NE(error.find(diagnostic), std::string::npos)
-        << "want \"" << diagnostic << "\", got \"" << error << "\"";
+  for (const ReaderVerdict& v : ReaderVerdicts(path)) {
+    EXPECT_FALSE(v.ok) << v.reader << " accepted " << path;
+    EXPECT_NE(v.error.find(diagnostic), std::string::npos)
+        << v.reader << ": want \"" << diagnostic << "\", got \"" << v.error
+        << "\"";
+  }
+}
+
+void ExpectEveryReaderAccepts(const std::string& path) {
+  for (const ReaderVerdict& v : ReaderVerdicts(path)) {
+    EXPECT_TRUE(v.ok) << v.reader << " refused " << path;
+    EXPECT_EQ(v.error, "") << v.reader;
   }
 }
 
@@ -475,6 +494,27 @@ TEST_F(JournalCorruptionTest, TrailingBytesAfterTheFooterAreAnError) {
   ExpectLintError(bytes_ + "extra", "trailing data");
 }
 
+// The file's size bounds the ids a journal can hold, so a pipe, which cannot
+// be sized, is refused by name after its header instead of read unbounded.
+TEST_F(JournalCorruptionTest, APipeIsRefusedAsUnsizable) {
+  const std::string fifo = TempPath("journal_fifo.dpj");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  // Opening either end waits for the other; the writer hands over the header
+  // only, all the reader takes before it refuses the pipe.
+  std::thread writer([this, &fifo] {
+    std::ofstream(fifo, std::ios::binary) << bytes_.substr(0, 8);
+  });
+  const check::TraceLintResult r = LintJournalFile(fifo);
+  writer.join();
+  EXPECT_FALSE(r.ok());
+  ASSERT_FALSE(r.errors.empty());
+  EXPECT_NE(r.errors[0].find("a journal must be a regular file"),
+            std::string::npos)
+      << r.errors[0];
+  std::remove(fifo.c_str());
+}
+
 TEST_F(JournalCorruptionTest, EveryReaderRefusesCorruptInput) {
   std::string mutated = bytes_;
   mutated[20] = static_cast<char>(mutated[20] ^ 0x5A);
@@ -562,9 +602,7 @@ TEST(JournalRoundTripTest, EveryReaderRefusesRequestIdsThatAreNotDense) {
                                  "total 2");
   // The control: ids 0 and 1 in either order are accepted by every reader.
   WriteRequests(path, {{1, 0}, {0, 1}});
-  for (const std::string& error : ReaderErrors(path)) {
-    EXPECT_EQ(error, "");
-  }
+  ExpectEveryReaderAccepts(path);
   std::remove(path.c_str());
 }
 
@@ -775,17 +813,9 @@ TEST(JournalLintTest, CyclicEdgesAreRejectedByEveryReader) {
   const std::string path = TempPath("journal_cyclic.dpj");
   for (const Shape& shape : shapes) {
     WriteHandMadeJournal(path, shape.edges);
-    const auto expect_diagnostic = [&shape](const std::string& error) {
-      EXPECT_NE(error.find("request 0: " + shape.edge), std::string::npos)
-          << error;
-      EXPECT_NE(error.find("does not run from a lower node id to a higher one"),
-                std::string::npos)
-          << error;
-    };
-
-    for (const std::string& error : ReaderErrors(path)) {
-      expect_diagnostic(error);
-    }
+    ExpectEveryReaderRejects(path, "request 0: " + shape.edge);
+    ExpectEveryReaderRejects(
+        path, "does not run from a lower node id to a higher one");
   }
   std::remove(path.c_str());
 }
@@ -810,14 +840,7 @@ TEST(JournalLintTest, RequestsRootAtOneFirstArrivalNode) {
   for (const Shape& shape : shapes) {
     WriteHandMadeJournal(path, {{0, 0, 1}, {1, 1, 2}}, shape.kinds,
                          shape.arrival_node);
-    const check::TraceLintResult lint = LintJournalFile(path);
-    ASSERT_FALSE(lint.errors.empty()) << shape.diagnostic;
-    EXPECT_NE(lint.errors[0].find(shape.diagnostic), std::string::npos)
-        << lint.errors[0];
-    WindowedJournal journal;
-    std::string error;
-    EXPECT_FALSE(journal.Open(path, &error)) << shape.diagnostic;
-    EXPECT_NE(error.find(shape.diagnostic), std::string::npos) << error;
+    ExpectEveryReaderRejects(path, shape.diagnostic);
   }
   std::remove(path.c_str());
 }
@@ -827,8 +850,7 @@ TEST(JournalLintTest, ForwardEdgesOfTheSameShapeAreAccepted) {
   // pointing forward lints clean and replays its recorded latency.
   const std::string path = TempPath("journal_forward.dpj");
   WriteHandMadeJournal(path, {{0, 0, 1}, {1, 1, 2}});
-  const check::TraceLintResult lint = LintJournalFile(path);
-  EXPECT_TRUE(lint.ok()) << (lint.errors.empty() ? "" : lint.errors[0]);
+  ExpectEveryReaderAccepts(path);
   WindowedJournal journal;
   std::string error;
   ASSERT_TRUE(journal.Open(path, &error)) << error;
@@ -873,9 +895,7 @@ TEST(JournalLintTest, ALinkNamedAtTwoCapacitiesInOneProcessIsRejected) {
   ExpectEveryReaderRejects(path, diagnostic);
 
   write(path, /*two_processes=*/true);
-  for (const std::string& control : ReaderErrors(path)) {
-    EXPECT_EQ(control, "");
-  }
+  ExpectEveryReaderAccepts(path);
   std::string error;
   WindowedJournal journal;
   ASSERT_TRUE(journal.Open(path, &error)) << error;
