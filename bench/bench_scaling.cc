@@ -23,11 +23,11 @@
 int main(int argc, char** argv) {
   using namespace deepplan;
   Flags flags;
-  flags.DefineInt("max_requests", 1000000,
+  flags.DefinePositiveInt("max_requests", 1000000,
                   "drop curve points larger than this (CI legs trim the 1M "
                   "point; the golden gate only sees the default full curve)");
-  flags.DefineDouble("rate", 120.0, "offered load (requests/second)");
-  flags.DefineInt("instances", 135, "BERT-Base instances on the 4-GPU server");
+  flags.DefinePositiveDouble("rate", 120.0, "offered load (requests/second)");
+  flags.DefinePositiveInt("instances", 135, "BERT-Base instances on the 4-GPU server");
   flags.DefineString(
       "journal_out", "",
       "stream a binary causal journal per point to <journal_out>.<requests> "

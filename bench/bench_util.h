@@ -260,7 +260,7 @@ inline bool WriteTrace(const TraceRecorder& trace, const std::string& path) {
 
 inline bool WriteJournal(const CausalGraph& graph, const std::string& path) {
   std::string error;
-  const bool ok = WriteGraphToJournal(graph, path, {}, nullptr, &error);
+  const bool ok = WriteGraphToJournal(graph, path, &error);
   return NoteWrite(ok, "profile journal", path, error);
 }
 

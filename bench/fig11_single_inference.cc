@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace deepplan::bench;
 
   Flags flags;
-  flags.DefineInt("runs", 100, "repetitions per (model, strategy)");
+  flags.DefinePositiveInt("runs", 100, "repetitions per (model, strategy)");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }

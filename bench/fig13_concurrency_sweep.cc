@@ -102,8 +102,8 @@ struct PointSpec {
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.DefineInt("requests", 1000, "requests per concurrency point");
-  flags.DefineDouble("rate", 100.0, "offered load (requests/second)");
+  flags.DefinePositiveInt("requests", 1000, "requests per concurrency point");
+  flags.DefinePositiveDouble("rate", 100.0, "offered load (requests/second)");
   bench::DefineOutputFlag(&flags, bench::kTraceOut);
   bench::DefineOutputFlag(&flags, bench::kProfileOut);
   bench::DefineOutputFlag(&flags, bench::kSelfprofOut);

@@ -33,7 +33,7 @@ double P99Point(const Model& model, Strategy strategy, int concurrency, double r
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.DefineInt("requests", 600, "requests per point");
+  flags.DefinePositiveInt("requests", 600, "requests per point");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }

@@ -89,15 +89,15 @@ Outcome Replay(Strategy strategy, const Trace& trace, int instances, bool tracin
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.DefineInt("minutes", 6, "trace length to replay (paper: 180)");
+  flags.DefinePositiveInt("minutes", 6, "trace length to replay (paper: 180)");
   // The paper stresses its server at 150 rps; this simulation's model mix has
   // a slightly heavier mean warm latency (GPT-2 at seq 1024), so 120 rps is
   // the equivalent stress point. Pass --rate=150 for the paper's raw number.
-  flags.DefineDouble("rate", 120.0, "offered load (requests/second)");
+  flags.DefinePositiveDouble("rate", 120.0, "offered load (requests/second)");
   // 135 instances exceed the 4-GPU capacity (PipeSwitch holds ~93, DeepPlan
   // ~115 of this mix), so the replay exercises eviction and cold starts as in
   // the paper's over-committed deployment.
-  flags.DefineInt("instances", 135, "total model instances (4:4:1 mix)");
+  flags.DefinePositiveInt("instances", 135, "total model instances (4:4:1 mix)");
   flags.DefineString("trace", "", "optional MAF-derived CSV to replay instead");
   bench::DefineOutputFlag(&flags, bench::kTraceOut);
   bench::DefineOutputFlag(&flags, bench::kProfileOut);

@@ -103,7 +103,7 @@ int ValidateWhatIf(const Topology& gen4, const PerfModel& perf4,
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.DefineInt("runs", 100, "repetitions per (model, strategy)");
+  flags.DefinePositiveInt("runs", 100, "repetitions per (model, strategy)");
   DefineOutputFlag(&flags, kWhatIfOut);
   if (!flags.Parse(argc, argv)) {
     return 1;

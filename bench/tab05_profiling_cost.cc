@@ -89,17 +89,17 @@ int main() {
       // observes the run, it never steers it.
       DP_CHECK(PointJson(plain.result) == PointJson(recorded.result));
       const std::string journal = graph.ToJson();
+      const JournalTotals totals = ForEachGraphChunk(graph, [](JournalChunk&) {});
       overhead.AddRow({PrettyModelName(name), StrategyName(strategy),
                        FormatDuration(plain.result.latency),
-                       std::to_string(graph.nodes().size()),
-                       std::to_string(graph.edges().size()),
+                       std::to_string(totals.nodes), std::to_string(totals.edges),
                        std::to_string(journal.size())});
       JsonObject& point = report.AddPoint();
       point.Set("model", name)
           .Set("strategy", StrategyName(strategy))
           .SetRaw("result", PointJson(plain.result))
-          .Set("causal_nodes", static_cast<std::int64_t>(graph.nodes().size()))
-          .Set("causal_edges", static_cast<std::int64_t>(graph.edges().size()))
+          .Set("causal_nodes", static_cast<std::int64_t>(totals.nodes))
+          .Set("causal_edges", static_cast<std::int64_t>(totals.edges))
           .Set("journal_bytes", static_cast<std::int64_t>(journal.size()));
     }
   }

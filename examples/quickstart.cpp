@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   flags.DefineString("model", "bert_base",
                      "one of: resnet50 resnet101 bert_base bert_large roberta_base "
                      "roberta_large gpt2 gpt2_medium");
-  flags.DefineInt("batch", 1, "inference batch size");
+  flags.DefinePositiveInt("batch", 1, "inference batch size");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }

@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
   flags.DefineString("model", "bert_base", "zoo model name");
   flags.DefineString("strategy", "pt_dha",
                      "baseline|pipeswitch|dha|pt|pt_dha");
-  flags.DefineInt("instances", 140, "number of model instances");
-  flags.DefineDouble("rate", 100.0, "offered load, requests/second");
-  flags.DefineDouble("seconds", 10.0, "workload duration");
-  flags.DefineDouble("slo_ms", 100.0, "latency SLO in milliseconds");
+  flags.DefinePositiveInt("instances", 140, "number of model instances");
+  flags.DefinePositiveDouble("rate", 100.0, "offered load, requests/second");
+  flags.DefinePositiveDouble("seconds", 10.0, "workload duration");
+  flags.DefinePositiveDouble("slo_ms", 100.0, "latency SLO in milliseconds");
   flags.DefineInt("seed", 42, "workload seed");
   if (!flags.Parse(argc, argv)) {
     return 1;

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace deepplan::bench;
 
   Flags flags;
-  flags.DefineInt("runs", 20, "noisy-profile repetitions per (model, strategy)");
+  flags.DefinePositiveInt("runs", 20, "noisy-profile repetitions per (model, strategy)");
   flags.DefineInt("jobs", 0, "worker threads (0 = DEEPPLAN_JOBS or all cores)");
   if (!flags.Parse(argc, argv)) {
     return 1;

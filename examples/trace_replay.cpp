@@ -15,9 +15,9 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.DefineString("trace", "", "CSV trace to replay (empty = synthesize)");
   flags.DefineString("save", "", "save the synthesized trace to this CSV");
-  flags.DefineInt("minutes", 5, "synthesized trace length");
-  flags.DefineDouble("rate", 120.0, "target request rate (requests/second)");
-  flags.DefineInt("instances", 135, "model instances (BERT:RoBERTa:GPT-2 = 4:4:1)");
+  flags.DefinePositiveInt("minutes", 5, "synthesized trace length");
+  flags.DefinePositiveDouble("rate", 120.0, "target request rate (requests/second)");
+  flags.DefinePositiveInt("instances", 135, "model instances (BERT:RoBERTa:GPT-2 = 4:4:1)");
   flags.DefineString("strategy", "pt_dha", "baseline|pipeswitch|dha|pt|pt_dha");
   if (!flags.Parse(argc, argv)) {
     return 1;

@@ -9,7 +9,8 @@
 #                    output is byte-identical for any value).
 #   DEEPPLAN_TSAN=1  first build the ThreadSanitizer preset
 #                    (cmake -DDEEPPLAN_SANITIZE=thread) into <build-dir>-tsan
-#                    and run the sweep determinism and telemetry tests under it.
+#                    and run the sweep determinism, telemetry and journal-merge
+#                    tests under it.
 #   DEEPPLAN_ASAN=1  build the AddressSanitizer+UndefinedBehaviorSanitizer
 #                    preset (cmake -DDEEPPLAN_SANITIZE=address,undefined) into
 #                    <build-dir>-asan and run the full test suite under it;
@@ -32,13 +33,18 @@ if [ ! -d "$BUILD_DIR/bench" ]; then
 fi
 
 if [ "${DEEPPLAN_TSAN:-0}" = "1" ]; then
-  echo "== sweep_test + obs_test + journal_test + scaling_test (ThreadSanitizer)"
+  echo "== sweep_test + obs_test + journal_test + profile_report_test +" \
+       "whatif_test + scaling_test (ThreadSanitizer)"
   cmake -B "$BUILD_DIR-tsan" -S . -DDEEPPLAN_SANITIZE=thread >/dev/null
-  cmake --build "$BUILD_DIR-tsan" \
-    --target sweep_test obs_test journal_test scaling_test -j >/dev/null
+  cmake --build "$BUILD_DIR-tsan" --target sweep_test obs_test journal_test \
+    profile_report_test whatif_test scaling_test -j >/dev/null
   DEEPPLAN_JOBS=8 "$BUILD_DIR-tsan/tests/sweep_test"
   "$BUILD_DIR-tsan/tests/obs_test"
   "$BUILD_DIR-tsan/tests/journal_test"
+  # Their parallel-sweep cases record one graph per worker thread and Adopt
+  # the graphs' journals on the main thread, the recording hand-off.
+  DEEPPLAN_JOBS=8 "$BUILD_DIR-tsan/tests/profile_report_test"
+  DEEPPLAN_JOBS=8 "$BUILD_DIR-tsan/tests/whatif_test"
   # The scale replay fans point sweeps across threads — and now records one
   # binary journal per point; run it under TSan with maximum fan-out (the
   # differential queue/fabric tests are single-threaded and covered by the
@@ -229,7 +235,7 @@ DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" \
 # per-request prediction within 1%. The offline tool then replays the fig15
 # journal captured above, chunk by chunk, under the default virtual
 # experiments: its report must be byte-identical to the one the run wrote
-# from its in-memory graph, and both reports must lint clean (the linter
+# from its own journal in memory, and both reports must lint clean (the linter
 # rejects any report whose identity replay failed to reproduce its own
 # journal).
 echo "== what-if leg (fig16 validation + fig15 journal replay)"

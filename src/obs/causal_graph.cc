@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/obs/journal_stream.h"
-#include "src/util/index.h"
 #include "src/util/logging.h"
 
 namespace deepplan {
@@ -37,17 +36,29 @@ const char* CpKindName(CpKind kind) {
   return "unknown";
 }
 
+CausalGraph::StreamState::StreamState()
+    : own(std::make_unique<JournalWriter>()), sink(own.get()) {
+  own->OpenInMemory();
+}
+
+CausalGraph::StreamState::StreamState(CausalSink* s) : sink(s) {}
+
+CausalGraph::CausalGraph(bool enabled) : enabled_(enabled) {
+  if (enabled_) {
+    stream_ = std::make_unique<StreamState>();
+  }
+}
+
+CausalGraph::CausalGraph(CausalGraph&&) noexcept = default;
+CausalGraph& CausalGraph::operator=(CausalGraph&&) noexcept = default;
+CausalGraph::~CausalGraph() = default;
+
 int CausalGraph::RegisterProcess(std::string_view name) {
   if (!enabled_) {
     return 0;
   }
-  // process_names_ stays confined to the recording thread even when
-  // streaming; the sink is internally synchronized, so no graph lock here.
-  process_names_.emplace_back(name);
-  const int id = static_cast<int>(process_names_.size() - 1);
-  if (stream_ != nullptr) {
-    stream_->sink->OnProcess(id, process_names_.back());
-  }
+  const int id = num_processes_++;
+  stream_->sink->OnProcess(id, std::string(name));
   return id;
 }
 
@@ -55,10 +66,7 @@ CpStrId CausalGraph::Intern(std::string_view s) {
   if (!enabled_) {
     return 0;
   }
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    return strings_.Intern(s);
-  }
+  MutexLock lock(stream_->mu);
   return strings_.Intern(s);
 }
 
@@ -69,21 +77,17 @@ CpStrId CausalGraph::ArrivalLabel() {
   return arrival_label_;
 }
 
-bool CausalGraph::KnownStrings(const CpNode& node) const {
-  bool known = node.label < strings_.size() && node.resource < strings_.size();
-  for (const CpHop& hop : node.path) {
-    known = known && hop.link < strings_.size();
-  }
-  return known;
-}
-
 void CausalGraph::AttachSink(CausalSink* sink) {
   DP_CHECK(sink != nullptr);
   DP_CHECK(enabled_);
-  // Streaming must start from a clean graph: already-accumulated requests
-  // would never retire, and already-registered processes would never reach
-  // the sink.
-  DP_CHECK(requests_.empty() && nodes_.empty() && process_names_.empty());
+  {
+    // Attaching must start from a clean graph: requests already retired
+    // went to the graph's own journal, and processes already registered
+    // would never reach the sink.
+    MutexLock lock(stream_->mu);
+    DP_CHECK(stream_->open.end() == 0 && num_processes_ == 0 &&
+             "AttachSink needs an empty graph");
+  }
   stream_ = std::make_unique<StreamState>(sink);
 }
 
@@ -108,7 +112,7 @@ CpNode* CausalGraph::LiveNode(CpNodeId node) {
   return &stream_->open[slot.request]->nodes[slot.index];
 }
 
-void CausalGraph::RetireLocked(int request) {
+void CausalGraph::RetireLocked(int request) const {
   CpRequestRecord* record = OpenRecord(request);
   stream_->sink->OnRequestRetired(*record, strings_);
   record->nodes.clear();
@@ -127,9 +131,7 @@ void CausalGraph::RetireLocked(int request) {
   }
 }
 
-void CausalGraph::FlushOpenRequests() {
-  DP_CHECK(stream_ != nullptr);
-  MutexLock lock(stream_->mu);
+void CausalGraph::RetireOpenLocked() const {
   // The oldest open request is always live (RetireLocked drops retired ones
   // off the front), so this retires in request-id order.
   while (!stream_->open.empty()) {
@@ -137,38 +139,40 @@ void CausalGraph::FlushOpenRequests() {
   }
 }
 
+void CausalGraph::FlushOpenRequests() {
+  if (!enabled_) {
+    return;
+  }
+  MutexLock lock(stream_->mu);
+  RetireOpenLocked();
+}
+
 int CausalGraph::BeginRequest(int process, int instance, Nanos arrival) {
   if (!enabled_) {
     return -1;
   }
-  CpRequest req;
+  MutexLock lock(stream_->mu);
+  DP_CHECK(!stream_->closed && "a graph whose journal was read records no more");
+  CpRequestRecord* record = nullptr;
+  if (stream_->free_records.empty()) {
+    record = &stream_->records.emplace_back();
+  } else {
+    record = stream_->free_records.back();
+    stream_->free_records.pop_back();
+  }
+  CpRequest& req = record->request;
+  req = CpRequest{};
+  req.id = static_cast<int>(stream_->open.end());
   req.process = process;
   req.instance = instance;
   req.arrival = arrival;
+  stream_->open.push_back(record);
   CpNode root;
   root.kind = CpKind::kArrival;
+  root.label = ArrivalLabel();
   root.start = arrival;
   root.end = arrival;
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    req.id = static_cast<int>(stream_->open.end());
-    CpRequestRecord* record = nullptr;
-    if (stream_->free_records.empty()) {
-      record = &stream_->records.emplace_back();
-    } else {
-      record = stream_->free_records.back();
-      stream_->free_records.pop_back();
-    }
-    record->request = req;
-    stream_->open.push_back(record);
-    root.label = ArrivalLabel();
-    record->request.arrival_node = AddNodeLocked(req.id, root);
-    return req.id;
-  }
-  req.id = static_cast<int>(requests_.size());
-  requests_.push_back(req);
-  requests_.back().arrival_node =
-      AddNode(req.id, root.kind, ArrivalLabel(), 0, arrival, arrival);
+  req.arrival_node = AddNodeLocked(req.id, root);
   return req.id;
 }
 
@@ -179,7 +183,6 @@ CpNodeId CausalGraph::AddNode(int request, CpKind kind, CpStrId label,
     return -1;
   }
   CpNode node;
-  node.request = request;
   node.kind = kind;
   node.label = label;
   node.resource = resource;
@@ -187,15 +190,8 @@ CpNodeId CausalGraph::AddNode(int request, CpKind kind, CpStrId label,
   node.end = end;
   node.bytes = bytes;
   node.solo = solo;
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    return AddNodeLocked(request, node);
-  }
-  DP_CHECK(KnownStrings(node));
-  DP_CHECK(request < static_cast<int>(requests_.size()));
-  node.id = static_cast<CpNodeId>(nodes_.size());
-  nodes_.push_back(node);
-  return node.id;
+  MutexLock lock(stream_->mu);
+  return AddNodeLocked(request, node);
 }
 
 CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string_view label,
@@ -223,15 +219,8 @@ void CausalGraph::SetNodePath(CpNodeId node, const CpPath& path) {
   if (!enabled_ || node < 0) {
     return;
   }
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    LiveNode(node)->path = path;
-    return;
-  }
-  DP_CHECK(node < static_cast<CpNodeId>(nodes_.size()));
-  CpNode& n = nodes_[static_cast<std::size_t>(node)];
-  n.path = path;
-  DP_CHECK(KnownStrings(n));
+  MutexLock lock(stream_->mu);
+  LiveNode(node)->path = path;
 }
 
 void CausalGraph::SetNodeDhaPcie(CpNodeId node, Nanos dha_pcie) {
@@ -239,13 +228,8 @@ void CausalGraph::SetNodeDhaPcie(CpNodeId node, Nanos dha_pcie) {
     return;
   }
   DP_CHECK(dha_pcie >= 0);
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    LiveNode(node)->dha_pcie = dha_pcie;
-    return;
-  }
-  DP_CHECK(node < static_cast<CpNodeId>(nodes_.size()));
-  nodes_[static_cast<std::size_t>(node)].dha_pcie = dha_pcie;
+  MutexLock lock(stream_->mu);
+  LiveNode(node)->dha_pcie = dha_pcie;
 }
 
 void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
@@ -256,112 +240,127 @@ void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
   DP_CHECK(from < to);
   // The chunked journal's self-containment invariant: edges never cross
   // requests (every recorder chains a request's own nodes).
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    const int owner = LiveSlot(to).request;
-    DP_CHECK(stream_->nodes.contains(from) &&
-             stream_->nodes[from].request == owner &&
-             "an edge stays in one request");
-    stream_->open[owner]->edges.push_back(
-        CpEdgeRec{stream_->next_edge++, from, to});
-    return;
-  }
-  DP_CHECK(to < static_cast<CpNodeId>(nodes_.size()));
-  DP_CHECK(nodes_[Idx(from)].request == nodes_[Idx(to)].request &&
+  MutexLock lock(stream_->mu);
+  const int owner = LiveSlot(to).request;
+  DP_CHECK(stream_->nodes.contains(from) &&
+           stream_->nodes[from].request == owner &&
            "an edge stays in one request");
-  edges_.emplace_back(from, to);
+  stream_->open[owner]->edges.push_back(
+      CpEdgeRec{stream_->next_edge++, from, to});
 }
 
 void CausalGraph::MarkCold(int request) {
   if (!enabled_ || request < 0) {
     return;
   }
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    OpenRecord(request)->request.cold = true;
-    return;
-  }
-  DP_CHECK(request < static_cast<int>(requests_.size()));
-  requests_[static_cast<std::size_t>(request)].cold = true;
+  MutexLock lock(stream_->mu);
+  OpenRecord(request)->request.cold = true;
 }
 
 void CausalGraph::EndRequest(int request, Nanos completion, CpNodeId terminal) {
   if (!enabled_ || request < 0) {
     return;
   }
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    CpRequest& req = OpenRecord(request)->request;
-    req.completion = completion;
-    req.terminal_node = terminal >= 0 ? terminal : req.arrival_node;
-    RetireLocked(request);
-    return;
-  }
-  DP_CHECK(request < static_cast<int>(requests_.size()));
-  CpRequest& req = requests_[static_cast<std::size_t>(request)];
+  MutexLock lock(stream_->mu);
+  CpRequest& req = OpenRecord(request)->request;
   req.completion = completion;
   req.terminal_node = terminal >= 0 ? terminal : req.arrival_node;
+  RetireLocked(request);
 }
 
 CpNodeId CausalGraph::arrival_node(int request) const {
   if (!enabled_ || request < 0) {
     return -1;
   }
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    return OpenRecord(request)->request.arrival_node;
-  }
-  DP_CHECK(request < static_cast<int>(requests_.size()));
-  return requests_[static_cast<std::size_t>(request)].arrival_node;
+  MutexLock lock(stream_->mu);
+  return OpenRecord(request)->request.arrival_node;
 }
 
 void CausalGraph::Adopt(CausalGraph&& other) {
-  if (!enabled_) {
+  if (!enabled_ || !other.enabled_) {
     return;
   }
-  DP_CHECK(stream_ == nullptr && other.stream_ == nullptr);
-  const int process_base = static_cast<int>(process_names_.size());
-  const int request_base = static_cast<int>(requests_.size());
-  const CpNodeId node_base = static_cast<CpNodeId>(nodes_.size());
-  for (std::string& name : other.process_names_) {
-    process_names_.push_back(std::move(name));
-  }
-  std::vector<CpStrId> remap(other.strings_.size());
-  for (std::size_t i = 0; i < remap.size(); ++i) {
-    remap[i] = strings_.Intern(other.strings_[static_cast<CpStrId>(i)]);
-  }
-  for (CpRequest& req : other.requests_) {
-    req.id += request_base;
-    req.process += process_base;
-    if (req.arrival_node >= 0) {
-      req.arrival_node += node_base;
+  MutexLock lock(stream_->mu);
+  DP_CHECK(stream_->open.empty() && !stream_->closed &&
+           "Adopt needs a graph still recording, with no open request");
+  const int process_base = num_processes_;
+  const auto request_base = static_cast<int>(stream_->open.end());
+  const auto node_base = static_cast<CpNodeId>(stream_->nodes.end());
+  const std::int64_t edge_base = stream_->next_edge;
+  std::vector<CpStrId> remap;
+  CpRequestRecord record;
+  const JournalTotals totals = ForEachGraphChunk(other, [&](JournalChunk& chunk) {
+    for (const std::string& name : chunk.new_processes) {
+      stream_->sink->OnProcess(num_processes_++, name);
     }
-    if (req.terminal_node >= 0) {
-      req.terminal_node += node_base;
+    remap.resize(chunk.num_strings());
+    for (std::size_t i = 0; i < remap.size(); ++i) {
+      remap[i] = strings_.Intern(chunk.str(static_cast<CpStrId>(i)));
     }
-    requests_.push_back(req);
-  }
-  for (CpNode& node : other.nodes_) {
-    node.id += node_base;
-    node.request += request_base;
-    node.label = remap[node.label];
-    node.resource = remap[node.resource];
-    for (CpHop& hop : node.path) {
-      hop.link = remap[hop.link];
+    for (const JournalChunk::Record& rec : chunk.requests) {
+      record.request = rec.request;
+      record.request.id += request_base;
+      record.request.process += process_base;
+      record.request.arrival_node += node_base;
+      if (record.request.terminal_node >= 0) {
+        record.request.terminal_node += node_base;
+      }
+      const auto first = chunk.nodes.begin() + rec.first_node;
+      record.nodes.assign(first, first + rec.num_nodes);
+      for (CpNode& node : record.nodes) {
+        node.id += node_base;
+        node.request = record.request.id;
+        node.label = remap[node.label];
+        node.resource = remap[node.resource];
+        for (CpHop& hop : node.path) {
+          hop.link = remap[hop.link];
+        }
+      }
+      record.edges.clear();
+      for (std::uint32_t i = rec.first_edge; i < rec.first_edge + rec.num_edges;
+           ++i) {
+        const JournalChunk::Edge& e = chunk.edges[i];
+        record.edges.push_back(CpEdgeRec{e.seq + edge_base,
+                                         chunk.nodes[e.from].id + node_base,
+                                         chunk.nodes[e.to].id + node_base});
+      }
+      stream_->sink->OnRequestRetired(record, strings_);
     }
-    nodes_.push_back(node);
+  });
+  stream_->open.SkipTo(request_base + static_cast<std::int64_t>(totals.requests));
+  stream_->nodes.SkipTo(node_base + static_cast<std::int64_t>(totals.nodes));
+  stream_->next_edge = edge_base + static_cast<std::int64_t>(totals.edges);
+  other = CausalGraph(/*enabled=*/false);
+}
+
+std::string_view CausalGraph::journal() const {
+  if (!enabled_) {
+    static const std::string kEmpty = [] {
+      JournalWriter writer;
+      writer.OpenInMemory();
+      writer.Finish();
+      return writer.TakeBytes();
+    }();
+    return kEmpty;
   }
-  for (const auto& [from, to] : other.edges_) {
-    edges_.emplace_back(from + node_base, to + node_base);
+  MutexLock lock(stream_->mu);
+  DP_CHECK(stream_->own != nullptr &&
+           "a graph with an attached sink keeps no journal of its own");
+  if (!stream_->closed) {
+    RetireOpenLocked();
+    const bool finished = stream_->own->Finish();
+    DP_CHECK(finished);
+    stream_->bytes = stream_->own->TakeBytes();
+    stream_->closed = true;
   }
-  other = CausalGraph(other.enabled_);
+  return stream_->bytes;
 }
 
 std::string CausalGraph::ToJson() const {
-  // A streaming graph's journal lives in its sink.
-  DP_CHECK(stream_ == nullptr);
-  std::vector<JournalChunk> chunks(1);
-  GraphToChunk(*this, &chunks[0]);
+  std::vector<JournalChunk> chunks;
+  ForEachGraphChunk(*this, [&chunks](JournalChunk& chunk) {
+    chunks.push_back(std::move(chunk));
+  });
   return CausalJournalJson(chunks);
 }
 

@@ -14,40 +14,35 @@
 //
 // Nodes are plain data: labels, resources and hop link names are interned
 // once into the graph's string table (CpStrings) and a node holds their ids,
-// so recording, decoding and replaying a node copy no strings. Recorders
-// intern their names up front (Intern) and hand AddNode and SetNodePath the
-// ids. Every export (ToJson, utilization, the profile report) resolves the
-// ids back to names.
+// so recording a node copies no strings. Recorders intern their names up
+// front (Intern) and hand AddNode and SetNodePath the ids.
 //
 // Cost model mirrors TraceRecorder: components hold a `CausalGraph*` that is
 // nullptr when profiling is off, and a graph constructed disabled drops every
 // call without touching its buffers, so the disabled hot path stays a pointer
 // test and simulation behaviour is bit-for-bit unchanged either way.
 //
-// Determinism: the simulator is single-threaded, so nodes append in
-// simulation order; parallel sweeps build one graph per task and stitch them
-// with Adopt() in task order, making the written journal byte-identical for
-// any DEEPPLAN_JOBS value.
-//
-// On disk a journal is always binary DPJL (src/obs/journal_stream.h):
-// WriteGraphToJournal dumps an accumulated graph and a JournalWriter sink
-// records a streaming one. Every analysis reads a journal as decoded chunks,
-// and an accumulated graph as one chunk (GraphToChunk); nothing rebuilds a
-// graph from a file. ToJson() is an export for humans and goldens only.
-//
-// Streaming mode: AttachSink() switches an enabled graph from accumulation
-// to retirement — every call is buffered only per open request, and
-// EndRequest hands the request's nodes/edges to a CausalSink (the binary
-// JournalWriter, src/obs/journal_stream.h) and reclaims them. Memory is then
-// bounded by in-flight requests instead of journal length, which is what
-// lets the 1M-request scaling point record a journal at all. Streaming
-// relies on the recorder invariant that every edge is intra-request (engine
-// and server only ever chain nodes of the same request; DP_CHECKed), so a
+// A recorded graph is its DPJL journal (src/obs/journal_stream.h). The graph
+// buffers each request only while it is open; EndRequest hands the request's
+// nodes and edges to a CausalSink and reclaims them. The sink is the
+// JournalWriter AttachSink names (a file), or else one the graph owns that
+// writes the journal into memory, read back with journal(). Every analysis of
+// an in-memory graph (the profile report, the what-if replay, ToJson) reads
+// that journal through the same validating reader the tools run on a file,
+// so memory is bounded by in-flight requests plus the encoded journal, and
+// the 1M-request scaling point records to a file at all. Retirement relies
+// on the recorder invariant that every edge is intra-request (engine and
+// server only ever chain nodes of the same request; DP_CHECKed), so a
 // retired request is a self-contained record. Request and node ids are
 // issued densely and in order, so the open requests and the owners of their
 // nodes are rings indexed by offset from the oldest open id, and retired
 // records are reused with their capacity: recording a node costs no lookup
 // by key and, once the rings and records have grown, no allocation.
+//
+// Determinism: the simulator is single-threaded, so requests retire in
+// simulation order; parallel sweeps record one graph per task and stitch
+// their journals with Adopt() in task order, making the merged journal
+// byte-identical for any DEEPPLAN_JOBS value.
 #ifndef SRC_OBS_CAUSAL_GRAPH_H_
 #define SRC_OBS_CAUSAL_GRAPH_H_
 
@@ -202,8 +197,8 @@ struct CpRequestRecord {
   std::vector<CpEdgeRec> edges;
 };
 
-// Receives retired requests from a streaming CausalGraph (and process
-// registrations, which always precede the first request that uses them).
+// Receives retired requests from a CausalGraph (and process registrations,
+// which always precede the first request that uses them).
 // `strings` is the graph's string table the record's ids index; it is the
 // same table on every call.
 class CausalSink {
@@ -214,10 +209,16 @@ class CausalSink {
                                 const CpStrings& strings) = 0;
 };
 
+class JournalWriter;
+
 class CausalGraph {
  public:
-  CausalGraph() = default;
-  explicit CausalGraph(bool enabled) : enabled_(enabled) {}
+  CausalGraph() : CausalGraph(/*enabled=*/true) {}
+  explicit CausalGraph(bool enabled);
+  // A moved-from graph may only be assigned to or destroyed.
+  CausalGraph(CausalGraph&&) noexcept;
+  CausalGraph& operator=(CausalGraph&&) noexcept;
+  ~CausalGraph();
 
   bool enabled() const { return enabled_; }
 
@@ -265,45 +266,41 @@ class CausalGraph {
   void MarkCold(int request);
 
   // Closes a request: `terminal` is the node whose completion finished it.
+  // The request retires to the sink, and its nodes can no longer change.
   void EndRequest(int request, Nanos completion, CpNodeId terminal);
 
   CpNodeId arrival_node(int request) const;
 
-  const std::vector<std::string>& processes() const { return process_names_; }
-  // The string table nodes' label, resource and hop ids index.
-  const CpStrings& strings() const { return strings_; }
-  const std::string& str(CpStrId id) const { return strings_[id]; }
-  const std::vector<CpRequest>& requests() const { return requests_; }
-  const std::vector<CpNode>& nodes() const { return nodes_; }
-  const std::vector<std::pair<CpNodeId, CpNodeId>>& edges() const {
-    return edges_;
-  }
-  bool empty() const { return requests_.empty(); }
-
-  // Switches this (enabled, still-empty) graph into streaming mode: each
-  // EndRequest retires the request's record to `sink` and frees it. The
-  // accessor surface (nodes()/edges()/requests()) stays empty and
-  // Adopt()/ToJson() become invalid — a streaming run's journal lives in the
-  // sink, not the graph. `sink` must outlive the graph's last mutation.
+  // Records into `sink` instead of the graph's own journal: a file, for runs
+  // whose journal is too large to hold. The graph must be enabled and still
+  // empty, and `sink` must outlive its last mutation; journal(), ToJson()
+  // and the analyses of the graph are then invalid — its journal lives in
+  // the sink.
   void AttachSink(CausalSink* sink);
-  bool streaming() const { return stream_ != nullptr; }
 
-  // Streaming only: retires every still-open request (completion -1) to the
-  // sink in request-id order, so an interrupted or tail-truncated run still
-  // journals deterministically. Call once after the simulation drains.
+  // Retires every still-open request (completion -1) in request-id order,
+  // so an interrupted or tail-truncated run still journals
+  // deterministically. Call once after the simulation drains.
   void FlushOpenRequests();
 
-  // Merges `other` into this graph, remapping its processes, requests, and
-  // node ids past the ones already present and its string ids into this
-  // graph's table (stitches per-task graphs from a parallel sweep, in
-  // deterministic task order).
+  // Appends `other`'s journal to this graph's sink, re-encoding each record
+  // with its process, request, node and edge-seq ids moved past the ones
+  // this graph has issued and its strings interned into this graph's table
+  // (stitches per-task graphs from a parallel sweep, in deterministic task
+  // order). This graph must have no open request.
   void Adopt(CausalGraph&& other);
 
+  // The graph's own journal as DPJL bytes: on the first call every open
+  // request retires (FlushOpenRequests) and the journal gets its footer, and
+  // the graph records nothing after. A disabled graph's is the empty
+  // journal. Invalid once AttachSink has named a sink.
+  std::string_view journal() const;
+
   // {"causal_journal":{"processes":[...],"requests":[...],"nodes":[...],
-  //  "edges":[[from,to],...]}} — CausalJournalJson of this graph laid out as
-  // one chunk (src/obs/journal_stream.h), the same bytes journal_convert
-  // --to-json writes for its journal. An export only (journal_convert, the
-  // engine golden): journals on disk are DPJL, and nothing parses this back.
+  //  "edges":[[from,to],...]}} — CausalJournalJson of the graph's journal
+  // (src/obs/journal_stream.h), the same bytes journal_convert --to-json
+  // writes for it. An export only (journal_convert, the engine golden):
+  // journals on disk are DPJL, and nothing parses this back.
   std::string ToJson() const;
 
  private:
@@ -337,6 +334,12 @@ class CausalGraph {
       ++begin_;
       --size_;
     }
+    // Moves the empty window on to start at `id`: the ids before it were
+    // issued elsewhere (Adopt).
+    void SkipTo(std::int64_t id) {
+      DP_CHECK(empty() && id >= begin_);
+      begin_ = id;
+    }
 
    private:
     std::vector<T> ring_;
@@ -345,31 +348,37 @@ class CausalGraph {
     std::size_t size_ = 0;
   };
 
-  // Where a streamed node lives: its request, and its index in that
+  // Where a recorded node lives: its request, and its index in that
   // request's record.
   struct NodeSlot {
     int request = -1;
     std::uint32_t index = 0;
   };
 
-  // Streaming mode: the open requests' records (nullptr once retired, until
-  // the window passes them) and the slots of their nodes, each indexed by id
-  // from the oldest still open; both windows' ends are the next ids to
-  // issue. Records come from a pool that keeps retired records with their
-  // capacity. This is the bounded-memory state, and it is the one part of
-  // the graph that is internally synchronized: retirement is the PDES
-  // hand-off point, so every field is GUARDED_BY the state's own mutex and
-  // helpers that expect it held are REQUIRES-annotated. The state lives
-  // behind a unique_ptr so the graph stays implicitly movable (Adopt
-  // move-assigns) despite owning a Mutex. Lock order: stream_->mu
-  // before the sink's internal lock (RetireLocked calls the sink while
-  // holding mu), never the reverse — the sink never calls back into the
-  // graph.
+  // An enabled graph's recording state: the open requests' records (nullptr
+  // once retired, until the window passes them) and the slots of their
+  // nodes, each indexed by id from the oldest still open; both windows' ends
+  // are the next ids to issue. Records come from a pool that keeps retired
+  // records with their capacity. This is the bounded-memory state, and it is
+  // the one part of the graph that is internally synchronized: retirement is
+  // the PDES hand-off point, so every field is GUARDED_BY the state's own
+  // mutex and helpers that expect it held are REQUIRES-annotated. The state
+  // lives behind a unique_ptr so the graph stays movable despite owning a
+  // Mutex. Lock order: stream_->mu before the sink's internal lock
+  // (RetireLocked calls the sink while holding mu), never the reverse — the
+  // sink never calls back into the graph.
   struct StreamState {
-    explicit StreamState(CausalSink* s) : sink(s) {}
+    // Records into a journal of the graph's own, in memory, or into `sink`.
+    StreamState();
+    explicit StreamState(CausalSink* s);
 
-    CausalSink* const sink;
+    const std::unique_ptr<JournalWriter> own;  // null when a sink is attached
+    CausalSink* const sink;                    // own, or the attached sink
     Mutex mu;
+    // Set, with `bytes`, when journal() first reads the own journal; `bytes`
+    // never changes after.
+    bool closed GUARDED_BY(mu) = false;
+    std::string bytes;
     std::int64_t next_edge GUARDED_BY(mu) = 0;
     IdRing<CpRequestRecord*> open GUARDED_BY(mu);
     IdRing<NodeSlot> nodes GUARDED_BY(mu);
@@ -377,35 +386,28 @@ class CausalGraph {
     std::vector<CpRequestRecord*> free_records GUARDED_BY(mu);
   };
 
-  CpStrId ArrivalLabel();
-  // Whether every string id of `node` is in the table. Checked as an
-  // accumulating graph records; a streaming graph's sink checks the ids it
-  // reads (JournalWriter does).
-  bool KnownStrings(const CpNode& node) const;
-  // Streaming: whether `request` is open; its record, or `node`'s slot,
-  // DP_CHECK-failing unless that request is open.
+  CpStrId ArrivalLabel() REQUIRES(stream_->mu);
+  // Whether `request` is open; its record, or `node`'s slot, DP_CHECK-failing
+  // unless that request is open.
   bool IsOpen(int request) const REQUIRES(stream_->mu);
   CpRequestRecord* OpenRecord(int request) const REQUIRES(stream_->mu);
   NodeSlot LiveSlot(CpNodeId node) const REQUIRES(stream_->mu);
   CpNode* LiveNode(CpNodeId node) REQUIRES(stream_->mu);
   CpNodeId AddNodeLocked(int request, const CpNode& node)
       REQUIRES(stream_->mu);
-  void RetireLocked(int request) REQUIRES(stream_->mu);
+  // Retires `request`, or every open request in id order; const, since
+  // journal() retires what is open when it first reads the journal.
+  void RetireLocked(int request) const REQUIRES(stream_->mu);
+  void RetireOpenLocked() const REQUIRES(stream_->mu);
 
   bool enabled_ = true;
-  // Accumulation surface: thread-confined (one graph per sweep task, stitched
-  // deterministically with Adopt in task order) — deliberately NOT locked,
-  // because append order here is part of the byte-identical-output contract.
-  // A streaming graph interns into strings_ under stream_->mu, which its
-  // sink reads it under too.
-  std::vector<std::string> process_names_;
+  // Registered on the recording thread; the sink is internally
+  // synchronized, so registration takes no graph lock.
+  int num_processes_ = 0;
+  // Interned under stream_->mu, which the sink reads the table under too.
   CpStrings strings_;
   CpStrId arrival_label_ = 0;  // "arrival"'s id, 0 until first interned
-  std::vector<CpRequest> requests_;
-  std::vector<CpNode> nodes_;
-  std::vector<std::pair<CpNodeId, CpNodeId>> edges_;
-
-  std::unique_ptr<StreamState> stream_;  // non-null iff streaming()
+  std::unique_ptr<StreamState> stream_;  // non-null iff enabled_
 };
 
 }  // namespace deepplan

@@ -90,7 +90,7 @@ std::uint32_t LoadU32Le(const char* p) {
   return v;
 }
 
-bool ReadExact(std::ifstream& in, char* out, std::size_t n,
+bool ReadExact(std::istream& in, char* out, std::size_t n,
                std::size_t* got = nullptr) {
   in.read(out, static_cast<std::streamsize>(n));
   const auto count = static_cast<std::size_t>(in.gcount());
@@ -220,16 +220,41 @@ bool JournalWriter::Open(const std::string& path,
   }
   options_ = options;
   metrics_ = metrics;
+  WriteHeader();
+  return static_cast<bool>(out_);
+}
+
+void JournalWriter::OpenInMemory() {
+  MutexLock lock(mu_);
+  DP_CHECK(!open_);
+  in_memory_ = true;
+  WriteHeader();
+}
+
+std::string JournalWriter::TakeBytes() {
+  MutexLock lock(mu_);
+  DP_CHECK(in_memory_ && finished_);
+  return std::move(memory_);
+}
+
+void JournalWriter::WriteHeader() {
   char header[sizeof(kJournalMagic) + 4];
   PutLe(PutBytes(header, std::string_view(kJournalMagic, sizeof(kJournalMagic))),
         kJournalVersion, 4);
-  out_.write(header, sizeof(header));
+  Emit(std::string_view(header, sizeof(header)));
   bytes_written_ = sizeof(header);
   if (metrics_ != nullptr) {
     metrics_->AddCounter("journal.bytes", static_cast<std::int64_t>(sizeof(header)));
   }
   open_ = true;
-  return static_cast<bool>(out_);
+}
+
+void JournalWriter::Emit(std::string_view bytes) {
+  if (in_memory_) {
+    memory_.append(bytes);
+  } else {
+    out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
 }
 
 void JournalWriter::OnProcess(int id, const std::string& name) {
@@ -356,9 +381,9 @@ void JournalWriter::WriteFrame(std::uint8_t marker,
   head[0] = static_cast<char>(marker);
   const auto head_size =
       static_cast<std::size_t>(PutLe(PutVarint(head + 1, size), crc, 4) - head);
-  out_.write(head, static_cast<std::streamsize>(head_size));
+  Emit(std::string_view(head, head_size));
   for (const std::string_view piece : pieces) {
-    out_.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+    Emit(piece);
   }
   const std::uint64_t frame_bytes = head_size + size;
   bytes_written_ += frame_bytes;
@@ -436,10 +461,12 @@ bool JournalWriter::Finish() {
   AppendVarint(&footer, totals_.edges);
   AppendVarint(&footer, totals_.chunks);
   WriteFrame(kJournalFooterMarker, {footer});
-  out_.close();
-  if (!out_ && ok_) {
-    ok_ = false;
-    error_ = "journal close failed";
+  if (!in_memory_) {
+    out_.close();
+    if (!out_ && ok_) {
+      ok_ = false;
+      error_ = "journal close failed";
+    }
   }
   finished_ = true;
   return ok_;
@@ -454,13 +481,43 @@ bool JournalReader::Fail(const std::string& message) {
   return false;
 }
 
+void JournalReader::ByteBuf::Reset(std::string_view bytes) {
+  // The get area is only read: nothing puts characters back.
+  char* begin = const_cast<char*>(bytes.data());
+  setg(begin, begin, begin + bytes.size());
+}
+
+JournalReader::ByteBuf::pos_type JournalReader::ByteBuf::seekoff(
+    off_type off, std::ios_base::seekdir dir, std::ios_base::openmode) {
+  const off_type base = dir == std::ios_base::beg   ? 0
+                        : dir == std::ios_base::cur ? gptr() - eback()
+                                                    : egptr() - eback();
+  if (base + off < 0 || base + off > egptr() - eback()) {
+    return pos_type(off_type(-1));
+  }
+  setg(eback(), eback() + base + off, egptr());
+  return pos_type(base + off);
+}
+
 bool JournalReader::Open(const std::string& path) {
   DP_CHECK(!open_);
   path_ = path;
-  in_.open(path, std::ios::binary);
-  if (!in_) {
+  if (file_.open(path, std::ios::in | std::ios::binary) == nullptr) {
     return Fail("cannot open file");
   }
+  in_.rdbuf(&file_);
+  return ReadHeader();
+}
+
+bool JournalReader::OpenBytes(std::string_view bytes) {
+  DP_CHECK(!open_);
+  path_ = "in-memory journal";
+  bytes_.Reset(bytes);
+  in_.rdbuf(&bytes_);
+  return ReadHeader();
+}
+
+bool JournalReader::ReadHeader() {
   char header[8];
   std::size_t got = 0;
   if (!ReadExact(in_, header, sizeof(header), &got)) {
@@ -486,9 +543,9 @@ bool JournalReader::Open(const std::string& path) {
                 std::to_string(kJournalVersion) +
                 ") — re-record or convert with a matching build");
   }
-  // The file's size bounds the ids it can hold; a pipe cannot be sized.
+  // The journal's size bounds the ids it can hold; a pipe cannot be sized.
   const std::streamoff file_bytes = in_.seekg(0, std::ios::end).tellg();
-  if (file_bytes < 0 || !in_.seekg(sizeof(header))) {
+  if (file_bytes < 0 || !in_.seekg(sizeof(header), std::ios::beg)) {
     return Fail("cannot size the file: a journal must be a regular file");
   }
   for (std::size_t k = 0; k < seen_ids_.size(); ++k) {
@@ -655,7 +712,7 @@ bool JournalReader::ReadChunkAt(std::uint64_t offset,
   DP_CHECK(open_);
   error_.clear();
   in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
+  in_.seekg(static_cast<std::streamoff>(offset), std::ios::beg);
   const std::uint64_t saved_offset = offset_;
   offset_ = offset;
   std::uint8_t marker = 0;
@@ -1111,68 +1168,6 @@ bool JournalReader::CheckIds(const JournalChunk& chunk, std::string* error) {
 
 // ---------------------------------------------------------------- converters
 
-void GraphToChunk(const CausalGraph& graph, JournalChunk* out) {
-  const std::vector<CpRequest>& requests = graph.requests();
-  const std::vector<CpNode>& nodes = graph.nodes();
-  const auto& edges = graph.edges();
-  out->new_processes = graph.processes();
-  out->requests.assign(requests.size(), {});
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    out->requests[r].request = requests[r];
-  }
-  // Lay nodes out request by request (id order within each) and edges by
-  // the request of their source (append order within each).
-  for (const CpNode& n : nodes) {
-    ++out->requests[Idx(n.request)].num_nodes;
-  }
-  for (const auto& [from, to] : edges) {
-    ++out->requests[Idx(nodes[Idx(from)].request)].num_edges;
-  }
-  std::uint32_t node_cursor = 0;
-  std::uint32_t edge_cursor = 0;
-  for (JournalChunk::Record& rec : out->requests) {
-    rec.first_node = node_cursor;
-    rec.first_edge = edge_cursor;
-    node_cursor += rec.num_nodes;
-    edge_cursor += rec.num_edges;
-  }
-  std::vector<std::uint32_t> position(nodes.size());  // id -> chunk index
-  std::vector<std::uint32_t> filled(requests.size(), 0);
-  out->nodes.resize(nodes.size());
-  for (const CpNode& n : nodes) {
-    const JournalChunk::Record& rec = out->requests[Idx(n.request)];
-    const std::uint32_t at = rec.first_node + filled[Idx(n.request)]++;
-    out->nodes[at] = n;
-    position[Idx(n.id)] = at;
-  }
-  for (JournalChunk::Record& rec : out->requests) {
-    rec.arrival_index = position[Idx(rec.request.arrival_node)];
-    rec.terminal_index =
-        rec.request.terminal_node >= 0
-            ? static_cast<std::int64_t>(position[Idx(rec.request.terminal_node)])
-            : -1;
-  }
-  out->edges.resize(edges.size());
-  filled.assign(requests.size(), 0);
-  for (std::size_t seq = 0; seq < edges.size(); ++seq) {
-    const auto [from, to] = edges[seq];
-    const int owner = nodes[Idx(from)].request;
-    const JournalChunk::Record& rec = out->requests[Idx(owner)];
-    out->edges[rec.first_edge + filled[Idx(owner)]++] = JournalChunk::Edge{
-        static_cast<std::int64_t>(seq), position[Idx(from)],
-        position[Idx(to)]};
-  }
-  const CpStrings& strings = graph.strings();
-  out->text.clear();
-  out->string_spans.clear();
-  for (std::size_t i = 0; i < strings.size(); ++i) {
-    const std::string& s = strings[static_cast<CpStrId>(i)];
-    out->string_spans.emplace_back(static_cast<std::uint32_t>(out->text.size()),
-                                   static_cast<std::uint32_t>(s.size()));
-    out->text += s;
-  }
-}
-
 std::string CausalJournalJson(const std::vector<JournalChunk>& chunks) {
   DP_SELFPROF_SCOPE(kJournalSerialize);
   // Each request's, node's and edge's chunk and index there, by id or seq.
@@ -1290,40 +1285,30 @@ bool ForEachJournalChunk(const std::string& path,
   return error->empty();
 }
 
-bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
-                         const JournalWriterOptions& options,
-                         MetricsRegistry* metrics, std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
-  }
-  DP_CHECK(!graph.streaming());
+JournalTotals ForEachGraphChunk(const CausalGraph& graph,
+                                const std::function<void(JournalChunk&)>& visit) {
+  JournalReader reader;
   JournalChunk chunk;
-  GraphToChunk(graph, &chunk);
-  JournalWriter writer;
-  if (!writer.Open(path, options, metrics)) {
-    *error = writer.error();
+  reader.OpenBytes(graph.journal());
+  while (reader.Next(&chunk) == JournalReadStatus::kChunk) {
+    visit(chunk);
+  }
+  DP_CHECK(reader.footer_seen() && "a graph's own journal is valid");
+  return reader.totals();
+}
+
+bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
+                         std::string* error) {
+  const std::string_view bytes = graph.journal();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    *error = "cannot open " + path + " for writing";
     return false;
   }
-  for (std::size_t p = 0; p < chunk.new_processes.size(); ++p) {
-    writer.OnProcess(static_cast<int>(p), chunk.new_processes[p]);
-  }
-  CpRequestRecord record;
-  for (const JournalChunk::Record& rec : chunk.requests) {
-    record.request = rec.request;
-    const auto first = chunk.nodes.begin() + rec.first_node;
-    record.nodes.assign(first, first + rec.num_nodes);
-    record.edges.clear();
-    for (std::uint32_t i = rec.first_edge; i < rec.first_edge + rec.num_edges;
-         ++i) {
-      const JournalChunk::Edge& e = chunk.edges[i];
-      record.edges.push_back(
-          CpEdgeRec{e.seq, chunk.nodes[e.from].id, chunk.nodes[e.to].id});
-    }
-    writer.OnRequestRetired(record, graph.strings());
-  }
-  if (!writer.Finish()) {
-    *error = writer.error();
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) {
+    *error = "journal write failed (disk full or file closed?)";
     return false;
   }
   return true;

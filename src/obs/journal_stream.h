@@ -1,15 +1,16 @@
 // Binary causal journal (DPJL, schema v1): the one format a causal journal
-// is recorded in and read from. A streaming JournalWriter consumes retired
-// requests from a streaming CausalGraph (CausalSink) and appends them in
-// CRC-guarded chunks, so recording a million-request run costs only the
-// in-flight state; WriteGraphToJournal dumps an accumulated graph the same
-// way. The chunk-iterator JournalReader is the one judge of a valid journal,
-// and every consumer reads the chunks it decodes: the windowed what-if
-// engine, the lint mode, the profile report and the JSON export. An
-// in-memory graph reaches the same consumers laid out as one chunk
-// (GraphToChunk). JSON (CausalJournalJson) is an export only:
-// `journal_convert --to-json` writes it, byte-identical to ToJson() of the
-// recording run, and no reader accepts it.
+// is recorded in and read from, on disk and in memory. A JournalWriter
+// consumes the requests a CausalGraph retires (CausalSink) and appends them
+// in CRC-guarded chunks, so recording a million-request run costs only the
+// in-flight state: to a file when the graph has one attached, or else to the
+// graph's own journal in memory (CausalGraph::journal). The chunk-iterator
+// JournalReader, over a file or those bytes, is the one judge of a valid
+// journal, and every consumer reads the chunks it decodes: the windowed
+// what-if engine, the lint mode, the profile report and the JSON export. So
+// a bench's inline reports and the tools' reports are one computation on the
+// same bytes. JSON (CausalJournalJson) is an export only: `journal_convert
+// --to-json` writes it, byte-identical to ToJson() of the recording graph,
+// and no reader accepts it.
 //
 // File layout (all integers little-endian; varint = LEB128, zigzag for
 // signed):
@@ -42,8 +43,10 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <istream>
 #include <initializer_list>
 #include <memory>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -94,8 +97,9 @@ struct JournalWriterOptions {
   std::size_t chunk_bytes = std::size_t{1} << 20;
 };
 
-// Streaming writer; plugs into a streaming CausalGraph as its CausalSink.
-// When a MetricsRegistry is attached, each flushed chunk bumps the
+// Streaming writer; plugs into a CausalGraph as its CausalSink, writing a
+// file (Open) or the graph's own journal in memory (OpenInMemory). When a
+// MetricsRegistry is attached, each flushed chunk bumps the
 // journal.requests / journal.incomplete_requests / journal.nodes /
 // journal.edges / journal.chunks / journal.bytes counters; with no registry
 // (and on the disabled-graph path, which never calls the sink) the writer
@@ -120,6 +124,10 @@ class JournalWriter : public CausalSink {
 
   bool Open(const std::string& path, const JournalWriterOptions& options = {},
             MetricsRegistry* metrics = nullptr) EXCLUDES(mu_);
+  // Writes the journal into memory instead, with default options and no
+  // registry; TakeBytes hands it over after Finish.
+  void OpenInMemory() EXCLUDES(mu_);
+  std::string TakeBytes() EXCLUDES(mu_);
 
   void OnProcess(int id, const std::string& name) override EXCLUDES(mu_);
   void OnRequestRetired(const CpRequestRecord& record,
@@ -172,6 +180,9 @@ class JournalWriter : public CausalSink {
   void EncodeRecord(const CpRequestRecord& record, const CpStrings& strings)
       REQUIRES(mu_);
   void FlushChunk() REQUIRES(mu_);
+  void WriteHeader() REQUIRES(mu_);
+  // Appends `bytes` to the journal: the file, or the bytes in memory.
+  void Emit(std::string_view bytes) REQUIRES(mu_);
   // Writes one frame whose payload is `pieces` in order, without joining
   // them: the size and CRC run over the pieces.
   void WriteFrame(std::uint8_t marker,
@@ -180,6 +191,8 @@ class JournalWriter : public CausalSink {
 
   mutable Mutex mu_;
   std::ofstream out_ GUARDED_BY(mu_);
+  bool in_memory_ GUARDED_BY(mu_) = false;
+  std::string memory_ GUARDED_BY(mu_);  // the journal, when in_memory_
   bool open_ GUARDED_BY(mu_) = false;
   bool finished_ GUARDED_BY(mu_) = false;
   bool ok_ GUARDED_BY(mu_) = true;
@@ -245,11 +258,6 @@ struct JournalChunk {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> string_spans;
 };
 
-// Lays an accumulated graph out as one chunk, the one route from memory into
-// the chunk consumers: requests in id order, each with its nodes in id order
-// and the edges from them (seq = the graph's edge order), and its strings.
-void GraphToChunk(const CausalGraph& graph, JournalChunk* out);
-
 // {"causal_journal":{"processes":[...],"requests":[...],"nodes":[...],
 //  "edges":[[from,to],...]}} of a journal's chunks in file order: requests
 // and nodes by id and edges by seq, whatever order the chunks hold them in,
@@ -276,7 +284,10 @@ class JournalReader {
   JournalReader(const JournalReader&) = delete;
   JournalReader& operator=(const JournalReader&) = delete;
 
+  // Reads the journal in the file at `path`, or in `bytes`, which must
+  // outlive the reader (a graph's own journal, CausalGraph::journal).
   bool Open(const std::string& path);
+  bool OpenBytes(std::string_view bytes);
 
   // Advances one frame. kChunk fills `chunk`; kFooter means the journal
   // ended cleanly (totals() is now valid and Next() keeps returning
@@ -287,11 +298,11 @@ class JournalReader {
   // at `offset` (a value previously observed via next_offset()). Process
   // references are validated against `process_bound` — pass the total from a
   // completed sequential pass. Does not disturb the sequential cursor state
-  // beyond the file position, so use a dedicated reader for random access.
+  // beyond the read position, so use a dedicated reader for random access.
   bool ReadChunkAt(std::uint64_t offset, std::uint64_t process_bound,
                    JournalChunk* chunk);
 
-  // File offset of the next frame Next() would read.
+  // Offset of the next frame Next() would read.
   std::uint64_t next_offset() const { return offset_; }
   std::uint64_t num_processes() const { return process_count_; }
   bool footer_seen() const { return footer_seen_; }
@@ -299,7 +310,20 @@ class JournalReader {
   const std::string& error() const { return error_; }
 
  private:
+  // A read-only stream buffer over bytes it does not own, seekable (by
+  // offset) as a file is, so one reader reads either.
+  class ByteBuf : public std::streambuf {
+   public:
+    void Reset(std::string_view bytes);
+
+   protected:
+    pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                     std::ios_base::openmode which) override;
+  };
+
   bool Fail(const std::string& message);
+  // Checks the header of the journal in_ reads and sizes it.
+  bool ReadHeader();
   // Reads one frame into frame_.
   bool ReadFrame(std::uint8_t* marker, bool* at_eof);
   // Decodes the chunk payload held in frame_ into `chunk`.
@@ -311,7 +335,9 @@ class JournalReader {
   // Sequential pass: `chunk`'s ids are new and below what the file can hold.
   bool CheckIds(const JournalChunk& chunk, std::string* error);
 
-  std::ifstream in_;
+  std::filebuf file_;
+  ByteBuf bytes_;
+  std::istream in_{nullptr};  // over file_ or bytes_, once open
   std::string frame_;  // the last frame's payload, storage reused
   std::string path_;
   bool open_ = false;
@@ -328,8 +354,8 @@ class JournalReader {
   std::vector<CpStrId> link_of_string_;
   std::vector<std::vector<double>> link_capacity_;
   // Request ids, node ids and edge seqs seen, one bit each. An id at or past
-  // `limit`, the most the file's bytes could hold, is refused before the set
-  // grows to it, so the sets' memory is bounded by the input.
+  // `limit`, the most the journal's bytes could hold, is refused before the
+  // set grows to it, so the sets' memory is bounded by the input.
   struct SeenIds {
     std::uint64_t limit = 0;
     std::uint64_t end = 0;  // one past the largest id seen
@@ -353,12 +379,15 @@ bool ForEachJournalChunk(const std::string& path,
                          const std::function<void(JournalChunk&)>& visit,
                          std::string* error, JournalLintInfo* info = nullptr);
 
-// Dumps an in-memory graph as a binary journal, requests in id (= arrival)
-// order. False, with `error` set, when the file cannot be written.
+// The same pass over `graph`'s own journal (CausalGraph::journal), which is
+// valid by construction (DP_CHECKed). Returns the footer's totals.
+JournalTotals ForEachGraphChunk(const CausalGraph& graph,
+                                const std::function<void(JournalChunk&)>& visit);
+
+// Writes `graph`'s own journal to `path`, its requests in retirement order.
+// False, with `error` set, when the file cannot be written.
 bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
-                         const JournalWriterOptions& options = {},
-                         MetricsRegistry* metrics = nullptr,
-                         std::string* error = nullptr);
+                         std::string* error);
 
 // --- lint (trace_lint --journal) ---
 

@@ -89,10 +89,8 @@ ProfileReport ProfileReportBuilder::Finish() {
 }
 
 ProfileReport BuildProfileReport(const CausalGraph& graph) {
-  JournalChunk chunk;
-  GraphToChunk(graph, &chunk);
   ProfileReportBuilder builder;
-  builder.Add(chunk);
+  ForEachGraphChunk(graph, [&builder](JournalChunk& chunk) { builder.Add(chunk); });
   return builder.Finish();
 }
 

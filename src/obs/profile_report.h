@@ -9,7 +9,8 @@
 //                       linter's schema check
 //
 // Consumed by tools/profile_report (streaming a journal file) and by the
-// bench binaries' --profile_out flag (the run's own graph as one chunk).
+// bench binaries' --profile_out flag (streaming the run's own journal from
+// memory, the same bytes the flag writes).
 #ifndef SRC_OBS_PROFILE_REPORT_H_
 #define SRC_OBS_PROFILE_REPORT_H_
 
@@ -55,7 +56,7 @@ class ProfileReportBuilder {
   UtilizationBuilder utilization_;
 };
 
-// The report of an in-memory graph (GraphToChunk).
+// The report of `graph`'s own journal (CausalGraph::journal).
 ProfileReport BuildProfileReport(const CausalGraph& graph);
 
 // Deterministic text rendering (tables + bottleneck line).

@@ -129,9 +129,9 @@ std::vector<StartEvent> StartEvents(const std::vector<CpRequest>& requests,
   return events;
 }
 
-// A span of the journal the replay holds in memory: a decoded chunk (or the
-// whole in-memory graph laid out the same way) plus one replay's scheduling
-// state for its nodes, which are addressed by their index in chunk.nodes.
+// A chunk of the journal the replay holds in memory, plus one replay's
+// scheduling state for its nodes, which are addressed by their index in
+// chunk.nodes.
 struct ResidentChunk {
   JournalChunk chunk;
   // CSR over chunk.edges: node i's successors, in seq order, are
@@ -146,29 +146,40 @@ struct ResidentChunk {
   std::vector<std::uint32_t> remaining;
   // Chunk string id -> the replay's link-name id, resolved on first use.
   std::vector<std::int32_t> link_of_string;
-  std::uint32_t index = 0;     // which chunk of the source this is
+  std::uint32_t index = 0;     // which chunk of the journal this is
   std::uint32_t replayed = 0;  // requests of the chunk the replay runs
   std::uint32_t open = 0;      // of those, still in the window
 };
 
-// What the Replayer reads. Request metadata, the dispatch-domain chain and
-// each request's place are indexed up front, chunk by chunk; nodes live in
-// chunks that are loaded into ResidentChunk slots on first touch and retired
-// once every replayed request in them has finished. Two implementations: the
-// whole graph pinned in memory as one chunk (InMemorySource), or a binary
-// journal's chunks decoded from the file (WindowedJournal::Impl). Both feed
-// the one Replayer, so identical data gives an identical event sequence —
-// and identical predictions.
-class ReplaySource {
- public:
-  virtual ~ReplaySource() = default;
+// What the Replayer reads: a journal, file or bytes, with chunk-windowed
+// residency. Open's one validating sequential pass indexes the request
+// metadata, the dispatch-domain chain, each request's place and each chunk's
+// offset; a replay then decodes a chunk into a ResidentChunk slot the first
+// time one of its requests is dispatched (or its arrival fires) and retires
+// the slot once every replayed request in it has finished.
+struct JournalWindow {
+  // Indexes the journal the reader was just opened on, chunk by chunk.
+  bool Index(std::string* error) {
+    // Decoded into a resident slot's chunk, whose storage the replays reuse.
+    const std::uint32_t scratch = AcquireSlot();
+    JournalChunk& chunk = slot(scratch).chunk;
+    for (std::uint64_t at = reader.next_offset();
+         reader.Next(&chunk) == JournalReadStatus::kChunk;
+         at = reader.next_offset()) {
+      IndexChunk(&chunk);
+      chunk_offsets.push_back(at);
+    }
+    *error = reader.error();
+    if (!error->empty()) {
+      return false;
+    }
+    ReleaseSlot(scratch);
+    FinishIndex();
+    return true;
+  }
 
-  virtual std::size_t num_chunks() const = 0;
-  // Fills `out` with chunk `index`, reusing its storage.
-  virtual void Load(std::uint32_t index, JournalChunk* out) = 0;
-
-  // Indexes chunk `index`, chunks in order, taking its process names.
-  void Index(std::uint32_t index, JournalChunk* chunk) {
+  // Indexes the next chunk, taking its process names.
+  void IndexChunk(JournalChunk* chunk) {
     for (std::string& name : chunk->new_processes) {
       processes.push_back(std::move(name));
     }
@@ -177,7 +188,7 @@ class ReplaySource {
     for (std::size_t k = 0; k < chunk->requests.size(); ++k) {
       const JournalChunk::Record& rec = chunk->requests[k];
       requests.push_back(rec.request);
-      chunk_of.push_back(index);
+      chunk_of.push_back(static_cast<std::uint32_t>(chunk_offsets.size()));
       record_of.push_back(static_cast<std::uint32_t>(k));
       std::int64_t resource = -1;
       if (rec.terminal_index >= 0) {
@@ -209,6 +220,13 @@ class ReplaySource {
     start_events = StartEvents(requests, domains);
   }
 
+  // Fills `out` with chunk `index`, reusing its storage.
+  void Load(std::uint32_t index, JournalChunk* out) {
+    const bool ok =
+        reader.ReadChunkAt(chunk_offsets[index], processes.size(), out);
+    DP_CHECK(ok);  // the sequential pass already validated this chunk
+  }
+
   // A free slot; its buffers keep their capacity from earlier loads.
   std::uint32_t AcquireSlot() {
     if (free_slots_.empty()) {
@@ -222,6 +240,8 @@ class ReplaySource {
   void ReleaseSlot(std::uint32_t slot) { free_slots_.push_back(slot); }
   ResidentChunk& slot(std::uint32_t s) { return *slots_[s]; }
 
+  JournalReader reader;
+  std::vector<std::uint64_t> chunk_offsets;  // per chunk, in file order
   std::vector<std::string> processes;
   std::vector<CpRequest> requests;       // by id
   DomainChain domains;
@@ -239,29 +259,6 @@ class ReplaySource {
   std::vector<std::uint32_t> free_slots_;
 };
 
-// ReplaySource over a fully materialized CausalGraph: one chunk holding
-// every request (GraphToChunk), laid out once and handed to the one replay
-// that loads it.
-class InMemorySource : public ReplaySource {
- public:
-  explicit InMemorySource(const CausalGraph& graph) {
-    GraphToChunk(graph, &chunk_);
-    Index(0, &chunk_);
-    FinishIndex();
-  }
-
-  std::size_t num_chunks() const override { return 1; }
-
-  void Load(std::uint32_t, JournalChunk* out) override {
-    DP_CHECK(!std::exchange(loaded_, true) && "one replay per source");
-    std::swap(*out, chunk_);
-  }
-
- private:
-  JournalChunk chunk_;
-  bool loaded_ = false;
-};
-
 // Event-driven forward re-scheduling of the journal DAG. Every non-arrival
 // node waits for (a) all of its happens-before predecessors and (b) its
 // request's dispatch ("release"). Releases re-derive the server's per-GPU
@@ -276,7 +273,7 @@ class InMemorySource : public ReplaySource {
 // array indexing, and every event is an Action carrying the handle.
 class Replayer {
  public:
-  Replayer(ReplaySource& src, const WhatIfExperiment& exp)
+  Replayer(JournalWindow& src, const WhatIfExperiment& exp)
       : src_(src), exp_(exp), requests_(src.requests) {}
 
   WhatIfReplay Run() {
@@ -292,7 +289,7 @@ class Replayer {
     }
     fabrics_.resize(Idx(num_processes));
     links_.resize(Idx(num_processes));
-    slot_of_chunk_.assign(src_.num_chunks(), kNotLoaded);
+    slot_of_chunk_.assign(src_.chunk_offsets.size(), kNotLoaded);
 
     // Each domain's first request releases at its arrival; every replayed
     // request's arrival node finishes at its recorded time. These events
@@ -652,7 +649,7 @@ class Replayer {
     double capacity = 0.0;
   };
 
-  ReplaySource& src_;
+  JournalWindow& src_;
   const WhatIfExperiment& exp_;
   const std::vector<CpRequest>& requests_;
   Simulator sim_;
@@ -668,6 +665,8 @@ class Replayer {
 };
 
 }  // namespace
+
+struct WindowedJournal::Impl : JournalWindow {};
 
 bool ParseWhatIfExperiment(const std::string& spec, WhatIfExperiment* out,
                            std::string* error) {
@@ -747,58 +746,26 @@ std::vector<WhatIfExperiment> DefaultWhatIfExperiments() {
 
 WhatIfReplay ReplayWhatIf(const CausalGraph& graph,
                           const WhatIfExperiment& exp) {
-  InMemorySource src(graph);
-  return Replayer(src, exp).Run();
+  WindowedJournal journal;
+  std::string error;
+  const bool opened = journal.OpenBytes(graph.journal(), &error);
+  DP_CHECK(opened);
+  return journal.Replay(exp);
 }
-
-// ReplaySource over a binary journal with chunk-windowed residency. Open()
-// runs one sequential validating pass to build the O(requests) metadata
-// index and the dispatch-domain chain; Replay() then decodes a chunk into a
-// resident slot the first time one of its requests is dispatched (or its
-// arrival fires) and retires the slot once every replayed request in it has
-// finished.
-struct WindowedJournal::Impl : public ReplaySource {
-  bool Open(const std::string& path, std::string* error) {
-    if (!reader_.Open(path)) {
-      *error = reader_.error();
-      return false;
-    }
-    // Decoded into a resident slot's chunk, whose storage the replays reuse.
-    const std::uint32_t scratch = AcquireSlot();
-    JournalChunk& chunk = slot(scratch).chunk;
-    for (std::uint64_t at = reader_.next_offset();
-         reader_.Next(&chunk) == JournalReadStatus::kChunk;
-         at = reader_.next_offset()) {
-      Index(static_cast<std::uint32_t>(chunk_offsets_.size()), &chunk);
-      chunk_offsets_.push_back(at);
-    }
-    *error = reader_.error();
-    if (!error->empty()) {
-      return false;
-    }
-    ReleaseSlot(scratch);
-    FinishIndex();
-    return true;
-  }
-
-  // --- ReplaySource ---
-  std::size_t num_chunks() const override { return chunk_offsets_.size(); }
-  void Load(std::uint32_t index, JournalChunk* out) override {
-    const bool ok =
-        reader_.ReadChunkAt(chunk_offsets_[index], processes.size(), out);
-    DP_CHECK(ok);  // the sequential pass already validated this chunk
-  }
-
-  JournalReader reader_;
-  std::vector<std::uint64_t> chunk_offsets_;
-};
 
 WindowedJournal::WindowedJournal() : impl_(std::make_unique<Impl>()) {}
 WindowedJournal::~WindowedJournal() = default;
 
 bool WindowedJournal::Open(const std::string& path, std::string* error) {
   DP_CHECK(error != nullptr);
-  return impl_->Open(path, error);
+  impl_->reader.Open(path);
+  return impl_->Index(error);
+}
+
+bool WindowedJournal::OpenBytes(std::string_view bytes, std::string* error) {
+  DP_CHECK(error != nullptr);
+  impl_->reader.OpenBytes(bytes);
+  return impl_->Index(error);
 }
 
 const std::vector<std::string>& WindowedJournal::processes() const {

@@ -28,21 +28,23 @@
 // bit-exactly (asserted by tests/whatif_test.cc), which is what licenses the
 // perturbed predictions; the validation harness further re-simulates each
 // experiment on correspondingly modified hardware and bounds the error.
-// Windowed mode: WindowedJournal replays a *binary* journal
-// (src/obs/journal_stream.h) chunk-by-chunk. A first pass builds an
-// O(requests) metadata index (arrival/completion/terminal resource + the
-// owning chunk's file offset); during replay, a request's nodes and edges are
-// loaded lazily when its chunk is first touched and freed as soon as the
-// request has fully replayed, so resident node/edge state is bounded by the
-// replay's in-flight window — not journal length — while the event sequence,
-// and therefore every prediction, stays bit-identical to the in-memory
-// engine (enforced by tests/journal_test.cc differentials).
+//
+// One engine, windowed: WindowedJournal replays a binary journal
+// (src/obs/journal_stream.h), a file or the bytes of a graph's own journal,
+// chunk by chunk. A first pass builds an O(requests) metadata index
+// (arrival/completion/terminal resource + the owning chunk's offset); during
+// replay, a request's nodes and edges are loaded lazily when its chunk is
+// first touched and freed as soon as the request has fully replayed, so
+// resident node/edge state is bounded by the replay's in-flight window — not
+// journal length — and the event sequence, and therefore every prediction,
+// does not depend on how the journal is chunked (tests/journal_test.cc).
 #ifndef SRC_OBS_WHATIF_WHATIF_H_
 #define SRC_OBS_WHATIF_WHATIF_H_
 
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/causal_graph.h"
@@ -94,12 +96,13 @@ struct WhatIfReplay {
   std::vector<Nanos> exec_time;
 };
 
+// One replay of `graph`'s own journal (CausalGraph::journal).
 WhatIfReplay ReplayWhatIf(const CausalGraph& graph, const WhatIfExperiment& exp);
 
-// Bounded-memory replay over a binary journal file. Open() makes one
-// validating sequential pass to index request metadata and chunk offsets;
-// each Replay() then streams node/edge state in and out per chunk window.
-// One WindowedJournal can run any number of experiments.
+// Bounded-memory replay over a binary journal. Open() makes one validating
+// sequential pass to index request metadata and chunk offsets; each Replay()
+// then streams node/edge state in and out per chunk window. One
+// WindowedJournal can run any number of experiments.
 class WindowedJournal {
  public:
   WindowedJournal();
@@ -107,15 +110,17 @@ class WindowedJournal {
   WindowedJournal(const WindowedJournal&) = delete;
   WindowedJournal& operator=(const WindowedJournal&) = delete;
 
-  // False (with `error` set) on unreadable, corrupt, or footer-less
-  // journals, and on any other the reader's sequential pass rejects.
+  // Opens the journal in the file at `path`, or in `bytes`, which must
+  // outlive this object. False (with `error` set) on unreadable, corrupt, or
+  // footer-less journals, and on any other the reader's sequential pass
+  // rejects.
   bool Open(const std::string& path, std::string* error);
+  bool OpenBytes(std::string_view bytes, std::string* error);
 
   // Metadata index from the sequential pass (valid after Open succeeds).
   const std::vector<std::string>& processes() const;
   const std::vector<CpRequest>& requests() const;
 
-  // Identical output to ReplayWhatIf() on the equivalent in-memory graph.
   WhatIfReplay Replay(const WhatIfExperiment& exp);
 
   // High-water mark of simultaneously resident request windows across all

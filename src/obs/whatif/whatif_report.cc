@@ -1,7 +1,6 @@
 #include "src/obs/whatif/whatif_report.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "src/util/index.h"
@@ -57,17 +56,24 @@ std::string QuantilesJson(const WhatIfQuantiles& q) {
       .Render();
 }
 
-// Shared aggregation core: everything a report needs is the process list,
-// the request metadata, and a way to run one replay. BuildWhatIfReport feeds
-// it the in-memory engine; BuildWhatIfReportWindowed the windowed one — so a
-// given journal yields byte-identical reports either way by construction.
-WhatIfReport BuildWhatIfReportFrom(
-    const std::vector<std::string>& process_names,
-    const std::vector<CpRequest>& requests,
-    const std::function<WhatIfReplay(const WhatIfExperiment&)>& replay,
+}  // namespace
+
+WhatIfReport BuildWhatIfReport(
+    const CausalGraph& graph,
     const std::vector<WhatIfExperiment>& experiments) {
+  WindowedJournal journal;
+  std::string error;
+  const bool opened = journal.OpenBytes(graph.journal(), &error);
+  DP_CHECK(opened);
+  return BuildWhatIfReportWindowed(journal, experiments);
+}
+
+WhatIfReport BuildWhatIfReportWindowed(
+    WindowedJournal& journal,
+    const std::vector<WhatIfExperiment>& experiments) {
+  const std::vector<CpRequest>& requests = journal.requests();
   WhatIfReport report;
-  report.processes = process_names;
+  report.processes = journal.processes();
 
   // Recorded latencies, indexed by request id (-1 for incomplete requests —
   // the same convention ReplayWhatIf uses).
@@ -86,7 +92,7 @@ WhatIfReport BuildWhatIfReportFrom(
   // recorded latency before its perturbed predictions mean anything.
   WhatIfExperiment identity;
   identity.name = "baseline";
-  const WhatIfReplay base = replay(identity);
+  const WhatIfReplay base = journal.Replay(identity);
   report.baseline_matches_journal = report.requests > 0;
   for (std::size_t i = 0; i < recorded.size(); ++i) {
     if (recorded[i] >= 0 && base.latency[i] != recorded[i]) {
@@ -95,7 +101,7 @@ WhatIfReport BuildWhatIfReportFrom(
   }
 
   for (const WhatIfExperiment& exp : experiments) {
-    const WhatIfReplay predicted = replay(exp);
+    const WhatIfReplay predicted = journal.Replay(exp);
     WhatIfOutcome outcome;
     outcome.experiment = exp;
     outcome.predicted = QuantilesOf(predicted.latency);
@@ -151,7 +157,7 @@ WhatIfReport BuildWhatIfReportFrom(
     WhatIfExperiment nudged;
     nudged.*(knob.scale) = 1.01;
     nudged.name = std::string(knob.name) + "=1.01";
-    const WhatIfReplay perturbed = replay(nudged);
+    const WhatIfReplay perturbed = journal.Replay(nudged);
     const WhatIfQuantiles q = QuantilesOf(perturbed.latency);
     WhatIfSensitivity s;
     s.knob = knob.name;
@@ -170,26 +176,6 @@ WhatIfReport BuildWhatIfReportFrom(
                    });
 
   return report;
-}
-
-}  // namespace
-
-WhatIfReport BuildWhatIfReport(
-    const CausalGraph& graph,
-    const std::vector<WhatIfExperiment>& experiments) {
-  return BuildWhatIfReportFrom(
-      graph.processes(), graph.requests(),
-      [&graph](const WhatIfExperiment& e) { return ReplayWhatIf(graph, e); },
-      experiments);
-}
-
-WhatIfReport BuildWhatIfReportWindowed(
-    WindowedJournal& journal,
-    const std::vector<WhatIfExperiment>& experiments) {
-  return BuildWhatIfReportFrom(
-      journal.processes(), journal.requests(),
-      [&journal](const WhatIfExperiment& e) { return journal.Replay(e); },
-      experiments);
 }
 
 void PrintWhatIfReport(const WhatIfReport& report, std::ostream& os) {

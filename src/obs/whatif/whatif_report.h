@@ -9,7 +9,8 @@
 //                      linter's schema check (trace_lint --whatif)
 //
 // Consumed by tools/whatif_report (offline, from a journal file) and by the
-// bench binaries' --whatif_out flag (inline, from the run's own graph).
+// bench binaries' --whatif_out flag (inline, from the run's own journal in
+// memory); both run the one windowed replay over the same DPJL bytes.
 //
 // Every report starts with an identity replay; `baseline_matches_journal`
 // says whether it reproduced each recorded request latency exactly, which is
@@ -87,15 +88,14 @@ struct WhatIfReport {
   std::vector<WhatIfSensitivity> sensitivity;   // ranked by delta_p99 desc
 };
 
-WhatIfReport BuildWhatIfReport(const CausalGraph& graph,
-                               const std::vector<WhatIfExperiment>& experiments);
-
-// Same report, computed over a binary journal via the bounded-memory
-// windowed replay engine. Byte-identical JSON/text output to
-// BuildWhatIfReport on the equivalent in-memory graph (the two share the
-// aggregation core; only the replay data plane differs).
+// The report of an opened journal: one identity replay, one per experiment
+// and one per sensitivity knob.
 WhatIfReport BuildWhatIfReportWindowed(
     WindowedJournal& journal, const std::vector<WhatIfExperiment>& experiments);
+
+// The same, over `graph`'s own journal (CausalGraph::journal).
+WhatIfReport BuildWhatIfReport(const CausalGraph& graph,
+                               const std::vector<WhatIfExperiment>& experiments);
 
 // Deterministic text rendering (experiment + sensitivity tables).
 void PrintWhatIfReport(const WhatIfReport& report, std::ostream& os);

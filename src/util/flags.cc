@@ -114,6 +114,10 @@ bool Flags::Parse(int argc, char** argv) {
       case Kind::kString:
         break;
     }
+    if (expected == nullptr && it->second.positive &&
+        std::strtod(value.c_str(), nullptr) <= 0) {
+      expected = "a value above zero";
+    }
     if (expected != nullptr) {
       std::fprintf(stderr, "bad value for --%s: \"%s\" (expected %s)\n",
                    name.c_str(), value.c_str(), expected);

@@ -1,6 +1,6 @@
-// Tiny --key=value command-line parser for examples and benches. Unknown flags
-// and values that do not parse whole as the flag's type are errors so typos
-// fail loudly.
+// Tiny --key=value command-line parser for examples and benches. Unknown flags,
+// values that do not parse whole as the flag's type, and values at or below
+// zero for a flag declared positive are errors so typos fail loudly.
 #ifndef SRC_UTIL_FLAGS_H_
 #define SRC_UTIL_FLAGS_H_
 
@@ -27,6 +27,19 @@ class Flags {
                    const std::string& help);
   Flags& DefineDouble(const std::string& name, double default_value,
                       const std::string& help);
+  // A count, rate, duration, SLO or batch: Parse refuses a value <= 0.
+  Flags& DefinePositiveInt(const std::string& name, std::int64_t default_value,
+                           const std::string& help) {
+    DefineInt(name, default_value, help);
+    defs_[name].positive = true;
+    return *this;
+  }
+  Flags& DefinePositiveDouble(const std::string& name, double default_value,
+                              const std::string& help) {
+    DefineDouble(name, default_value, help);
+    defs_[name].positive = true;
+    return *this;
+  }
   Flags& DefineString(const std::string& name, const std::string& default_value,
                       const std::string& help);
   Flags& DefineBool(const std::string& name, bool default_value, const std::string& help);
@@ -45,6 +58,7 @@ class Flags {
     Kind kind;
     std::string value;
     std::string help;
+    bool positive = false;
   };
   std::map<std::string, Def> defs_;
   std::vector<std::string> positional_;

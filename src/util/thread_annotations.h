@@ -14,13 +14,13 @@
 //      genuinely share — ThreadPool's work queue, MetricsRegistry (all its
 //      operations are commutative, so a locked registry stays deterministic
 //      under any interleaving), JournalWriter (the CausalSink hand-off
-//      target), and CausalGraph's streaming retire state. Their shared
+//      target), and CausalGraph's recording state. Their shared
 //      mutable fields are GUARDED_BY a Mutex and helpers that expect the
 //      lock are REQUIRES-annotated.
 //
 //   2. *Thread-confined, deterministic hand-off* (NOT lockable): order-
-//      sensitive sinks — TraceRecorder and CausalGraph's accumulation
-//      vectors — and the sim-internal pools (SlotPool/ObjectPool). Locking
+//      sensitive sinks — TraceRecorder, and one CausalGraph per sweep task —
+//      and the sim-internal pools (SlotPool/ObjectPool). Locking
 //      those would not make them correct: their append *order* is part of
 //      the byte-identical-output contract, and a shared locked instance
 //      would interleave in wall-clock order. They stay owned by one thread

@@ -728,7 +728,8 @@ TEST(JournalLintTest, JsonJournalIsRedirectedToTheRightTool) {
   std::remove(path.c_str());
 }
 
-// Streaming-mode misuse aborts via DP_CHECK before it can corrupt a journal.
+// Attaching a sink wrongly, or reading the own journal of a graph that
+// records into a sink, aborts via DP_CHECK before it can corrupt a journal.
 TEST(JournalDeathTest, AttachSinkToDisabledGraphAborts) {
   EXPECT_DEATH(
       {
@@ -759,7 +760,7 @@ TEST(JournalDeathTest, ToJsonOnStreamingGraphAborts) {
         graph.AttachSink(&writer);
         graph.ToJson();
       },
-      "stream_ == nullptr");
+      "keeps no journal of its own");
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "src/engine/engine.h"
 #include "src/engine/strategies.h"
 #include "src/model/zoo.h"
+#include "src/obs/journal_stream.h"
 
 #ifndef DP_GOLDEN_DIR
 #error "DP_GOLDEN_DIR must name the tests/golden directory"
@@ -141,9 +142,12 @@ ColdOutput RunCase(const ColdCase& c) {
   os << "trace\n" << OnePerLine(recorder.ToJson()) << "\n";
   os << "causal\n" << OnePerLine(causal.ToJson()) << "\n";
   ColdOutput out{os.str(), recorder.document(), {}};
-  for (const CpNode& node : causal.nodes()) {
-    out.nodes.push_back({node, causal.str(node.label), causal.str(node.resource)});
-  }
+  ForEachGraphChunk(causal, [&out](JournalChunk& chunk) {
+    for (const CpNode& node : chunk.nodes) {
+      out.nodes.push_back({node, std::string(chunk.str(node.label)),
+                           std::string(chunk.str(node.resource))});
+    }
+  });
   return out;
 }
 

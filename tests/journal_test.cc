@@ -1,14 +1,15 @@
 // Tests for the streaming binary causal journal (src/obs/journal_stream.h)
 // and its chunk consumers: encoding primitives, byte-exact round trips (the
 // JSON export of a journal equals the recording graph's) on engine- and
-// server-recorded journals, streaming-writer equivalence with the batch dump
-// (export and profile report), corruption and version-mismatch rejection
-// with actionable messages, one verdict from every reader on repeated or
-// out-of-range request ids, dangling-edge diagnosis, cyclic-edge rejection,
-// and the headline differential —
-// windowed chunk-at-a-time replay must be bit-identical to in-memory replay
-// while keeping fewer requests resident than the journal holds and barely
-// touching the heap.
+// server-recorded journals, a graph's own in-memory journal against the same
+// run recorded to a file (bytes, export and reports), Adopt's re-encoding,
+// corruption and version-mismatch rejection with actionable messages, one
+// verdict from every reader on repeated or out-of-range request ids,
+// dangling-edge diagnosis, cyclic-edge rejection, and the headline
+// differential — windowed replay over a small-chunk file must be
+// bit-identical to replay over the run's own one-chunk journal while keeping
+// fewer requests resident than the journal holds and barely touching the
+// heap.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -56,6 +58,19 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+// Records `record` into a journal file at `path` through an attached writer
+// with `options`, retiring whatever it leaves open.
+void RecordToFile(const std::string& path, const JournalWriterOptions& options,
+                  const std::function<void(CausalGraph*)>& record) {
+  JournalWriter writer;
+  ASSERT_TRUE(writer.Open(path, options));
+  CausalGraph graph(/*enabled=*/true);
+  graph.AttachSink(&writer);
+  record(&graph);
+  graph.FlushOpenRequests();
+  ASSERT_TRUE(writer.Finish());
 }
 
 // The JSON export of the journal at `path` as journal_convert --to-json
@@ -272,7 +287,7 @@ TEST(JournalRoundTripTest, ColdStartGraphSurvivesBinaryExactly) {
   const std::string path = TempPath("journal_fig02.dpj");
 
   std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, {}, nullptr, &error)) << error;
+  ASSERT_TRUE(WriteGraphToJournal(graph, path, &error)) << error;
   std::string back;
   ASSERT_TRUE(JournalJson(path, &back, &error)) << error;
   EXPECT_EQ(back, json);
@@ -282,17 +297,17 @@ TEST(JournalRoundTripTest, ColdStartGraphSurvivesBinaryExactly) {
 TEST(JournalRoundTripTest, ServedWorkloadSurvivesBinaryExactly) {
   CausalGraph graph(/*enabled=*/true);
   RunServedWorkload(&graph);
-  ASSERT_GT(graph.requests().size(), 100u);
+  ASSERT_GT(ForEachGraphChunk(graph, [](JournalChunk&) {}).requests, 100u);
   const std::string json = graph.ToJson();
   const std::string path = TempPath("journal_served.dpj");
 
-  // Small chunks force the multi-chunk code paths even on a short run.
+  // The same run to a file in small chunks, which force the multi-chunk code
+  // paths even on a short run.
   JournalWriterOptions small;
   small.chunk_requests = 16;
-  std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, small, nullptr, &error))
-      << error;
+  RecordToFile(path, small, [](CausalGraph* g) { RunServedWorkload(g); });
 
+  std::string error;
   std::string back;
   ASSERT_TRUE(JournalJson(path, &back, &error)) << error;
   EXPECT_EQ(back, json);
@@ -300,14 +315,16 @@ TEST(JournalRoundTripTest, ServedWorkloadSurvivesBinaryExactly) {
 }
 
 TEST(JournalRoundTripTest, StreamingWriterRecordsTheSameGraph) {
-  // Reference: the identical run recorded into an in-memory graph.
+  // Reference: the identical run recorded into a graph's own journal.
   CausalGraph reference(/*enabled=*/true);
   RunServedWorkload(&reference);
+  const JournalTotals totals = ForEachGraphChunk(reference, [](JournalChunk&) {});
 
-  // Streamed: same run, retiring straight into the chunked writer. Requests
-  // retire in completion order (not id order), so the file differs from the
-  // batch dump — but its JSON export and profile report must equal the
-  // in-memory graph's, and repeated runs must produce identical bytes.
+  // Streamed: same run, retiring straight into a file writer with small
+  // chunks. Requests retire in completion order (not id order) and chunk
+  // differently, so the file differs from the reference's journal — but its
+  // JSON export and profile report must equal the reference's, and repeated
+  // runs must produce identical bytes.
   const std::string path = TempPath("journal_streamed.dpj");
   const auto stream_once = [&] {
     CausalGraph graph(/*enabled=*/true);
@@ -316,12 +333,11 @@ TEST(JournalRoundTripTest, StreamingWriterRecordsTheSameGraph) {
     small.chunk_requests = 16;
     EXPECT_TRUE(writer.Open(path, small));
     graph.AttachSink(&writer);
-    EXPECT_TRUE(graph.streaming());
     RunServedWorkload(&graph);
     graph.FlushOpenRequests();
     EXPECT_TRUE(writer.Finish());
-    EXPECT_EQ(writer.totals().requests,
-              reference.requests().size());
+    EXPECT_EQ(writer.totals().requests, totals.requests);
+    EXPECT_EQ(writer.totals().nodes, totals.nodes);
     EXPECT_GT(writer.totals().chunks, 1u);
     return ReadFileBytes(path);
   };
@@ -334,7 +350,7 @@ TEST(JournalRoundTripTest, StreamingWriterRecordsTheSameGraph) {
   EXPECT_EQ(back, reference.ToJson());
 
   // The profile report streamed from the file, whose requests retired out of
-  // id order, equals the in-memory graph's, text and JSON.
+  // id order, equals the reference's, text and JSON.
   ProfileReport streamed;
   ASSERT_TRUE(ReadProfileReport(path, &streamed, &error)) << error;
   const ProfileReport in_memory = BuildProfileReport(reference);
@@ -345,6 +361,66 @@ TEST(JournalRoundTripTest, StreamingWriterRecordsTheSameGraph) {
   EXPECT_EQ(streamed_text.str(), in_memory_text.str());
   EXPECT_EQ(ProfileReportJson(streamed), ProfileReportJson(in_memory));
   std::remove(path.c_str());
+}
+
+// A graph's own journal and the same run recorded into an attached file
+// writer with default options are one format: the same bytes, and so the
+// same reports whether a bench reads its graph in memory or a tool reads the
+// file.
+TEST(JournalRoundTripTest, BothRecordingRoutesWriteTheSameBytes) {
+  CausalGraph graph(/*enabled=*/true);
+  RunServedWorkload(&graph);
+  const std::string path = TempPath("journal_routes.dpj");
+  RecordToFile(path, {}, [](CausalGraph* g) { RunServedWorkload(g); });
+  const std::string file = ReadFileBytes(path);
+  EXPECT_TRUE(graph.journal() == file)
+      << graph.journal().size() << " bytes in memory, " << file.size()
+      << " in the file";
+
+  std::string error;
+  ProfileReport from_file;
+  ASSERT_TRUE(ReadProfileReport(path, &from_file, &error)) << error;
+  const ProfileReport in_memory = BuildProfileReport(graph);
+  ASSERT_GT(in_memory.summary.requests.size(), 100u);
+  std::ostringstream file_text, memory_text;
+  PrintProfileReport(from_file, file_text);
+  PrintProfileReport(in_memory, memory_text);
+  EXPECT_EQ(memory_text.str(), file_text.str());
+  EXPECT_EQ(ProfileReportJson(in_memory), ProfileReportJson(from_file));
+
+  WindowedJournal journal;
+  ASSERT_TRUE(journal.Open(path, &error)) << error;
+  const std::vector<WhatIfExperiment> experiments = DefaultWhatIfExperiments();
+  const WhatIfReport read = BuildWhatIfReportWindowed(journal, experiments);
+  const WhatIfReport recorded = BuildWhatIfReport(graph, experiments);
+  EXPECT_TRUE(recorded.baseline_matches_journal);
+  std::ostringstream read_text, recorded_text;
+  PrintWhatIfReport(read, read_text);
+  PrintWhatIfReport(recorded, recorded_text);
+  EXPECT_EQ(recorded_text.str(), read_text.str());
+  EXPECT_EQ(WhatIfReportJson(recorded), WhatIfReportJson(read));
+  std::remove(path.c_str());
+}
+
+// Adopt re-encodes each task's records with their ids moved past the
+// merged graph's: the stitched journal is the one a single graph records
+// when it runs the tasks one after the other.
+TEST(JournalRoundTripTest, AdoptedJournalsEqualOneRecording) {
+  const Topology topology = Topology::P3_8xlarge();
+  const PerfModel perf(topology.gpu(), topology.pcie());
+  const Model model = ModelZoo::BertBase();
+  CausalGraph single(/*enabled=*/true);
+  for (const Strategy strategy :
+       {Strategy::kBaseline, Strategy::kPipeSwitch, Strategy::kDeepPlanDha,
+        Strategy::kDeepPlanPtDha}) {
+    const int process = single.RegisterProcess(StrategyName(strategy));
+    bench::RunColdWithProfile(topology, perf, model, strategy,
+                              bench::ExactProfile(perf, model),
+                              /*batch=*/1, &single, process);
+  }
+  const CausalGraph adopted = ColdStartGraph();
+  EXPECT_TRUE(adopted.journal() == single.journal());
+  EXPECT_EQ(adopted.ToJson(), single.ToJson());
 }
 
 TEST(JournalRoundTripTest, IncompleteRequestsKeepCompletionMinusOne) {
@@ -382,12 +458,15 @@ TEST(JournalRoundTripTest, IncompleteRequestsKeepCompletionMinusOne) {
 TEST(JournalReaderTest, IteratesChunksAndCrossChecksTheFooter) {
   CausalGraph graph(/*enabled=*/true);
   RunServedWorkload(&graph);
+  std::uint64_t processes = 0;
+  const JournalTotals recorded =
+      ForEachGraphChunk(graph, [&processes](JournalChunk& chunk) {
+        processes += chunk.new_processes.size();
+      });
   const std::string path = TempPath("journal_iter.dpj");
   JournalWriterOptions small;
   small.chunk_requests = 32;
-  std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, small, nullptr, &error))
-      << error;
+  RecordToFile(path, small, [](CausalGraph* g) { RunServedWorkload(g); });
 
   JournalReader reader;
   ASSERT_TRUE(reader.Open(path)) << reader.error();
@@ -402,8 +481,8 @@ TEST(JournalReaderTest, IteratesChunksAndCrossChecksTheFooter) {
   EXPECT_GT(chunks, 1u);
   EXPECT_EQ(chunks, reader.totals().chunks);
   EXPECT_EQ(requests, reader.totals().requests);
-  EXPECT_EQ(requests, graph.requests().size());
-  EXPECT_EQ(reader.num_processes(), graph.processes().size());
+  EXPECT_EQ(requests, recorded.requests);
+  EXPECT_EQ(reader.num_processes(), processes);
   // Past the footer the reader stays parked there.
   EXPECT_EQ(reader.Next(&chunk), JournalReadStatus::kFooter);
   std::remove(path.c_str());
@@ -416,20 +495,18 @@ class JournalCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = TempPath("journal_corrupt.dpj");
-    CausalGraph graph(/*enabled=*/true);
-    const int process = graph.RegisterProcess("p");
-    for (int i = 0; i < 8; ++i) {
-      const int req = graph.BeginRequest(process, i, i * 100);
-      const CpNodeId exec = graph.AddNode(req, CpKind::kExec, "exec",
-                                          "exec/gpu0", i * 100, i * 100 + 50);
-      graph.AddEdge(graph.arrival_node(req), exec);
-      graph.EndRequest(req, i * 100 + 50, exec);
-    }
     JournalWriterOptions small;
     small.chunk_requests = 4;  // two chunks
-    std::string error;
-    ASSERT_TRUE(WriteGraphToJournal(graph, path_, small, nullptr, &error))
-        << error;
+    RecordToFile(path_, small, [](CausalGraph* graph) {
+      const int process = graph->RegisterProcess("p");
+      for (int i = 0; i < 8; ++i) {
+        const int req = graph->BeginRequest(process, i, i * 100);
+        const CpNodeId exec = graph->AddNode(
+            req, CpKind::kExec, "exec", "exec/gpu0", i * 100, i * 100 + 50);
+        graph->AddEdge(graph->arrival_node(req), exec);
+        graph->EndRequest(req, i * 100 + 50, exec);
+      }
+    });
     bytes_ = ReadFileBytes(path_);
     ASSERT_GT(bytes_.size(), 40u);
   }
@@ -868,23 +945,21 @@ TEST(JournalLintTest, ForwardEdgesOfTheSameShapeAreAccepted) {
 // the link and both capacities. In two processes they are two links.
 TEST(JournalLintTest, ALinkNamedAtTwoCapacitiesInOneProcessIsRejected) {
   const auto write = [](const std::string& path, bool two_processes) {
-    CausalGraph graph(/*enabled=*/true);
-    const int first = graph.RegisterProcess("a");
-    const int second = two_processes ? graph.RegisterProcess("b") : first;
-    for (const auto& [process, capacity] :
-         {std::pair{first, 12e9}, std::pair{second, 24e9}}) {
-      const int req = graph.BeginRequest(process, 0, 0);
-      const CpNodeId load = graph.AddNode(req, CpKind::kPcie, "load",
-                                          "pcie/gpu0", 0, 1000, 12000, 1000);
-      graph.SetNodePath(load, {{graph.Intern("pcie/gpu0"), capacity}});
-      graph.AddEdge(graph.arrival_node(req), load);
-      graph.EndRequest(req, 1000, load);
-    }
     JournalWriterOptions one_per_chunk;
     one_per_chunk.chunk_requests = 1;
-    std::string error;
-    ASSERT_TRUE(WriteGraphToJournal(graph, path, one_per_chunk, nullptr, &error))
-        << error;
+    RecordToFile(path, one_per_chunk, [two_processes](CausalGraph* graph) {
+      const int first = graph->RegisterProcess("a");
+      const int second = two_processes ? graph->RegisterProcess("b") : first;
+      for (const auto& [process, capacity] :
+           {std::pair{first, 12e9}, std::pair{second, 24e9}}) {
+        const int req = graph->BeginRequest(process, 0, 0);
+        const CpNodeId load = graph->AddNode(
+            req, CpKind::kPcie, "load", "pcie/gpu0", 0, 1000, 12000, 1000);
+        graph->SetNodePath(load, {{graph->Intern("pcie/gpu0"), capacity}});
+        graph->AddEdge(graph->arrival_node(req), load);
+        graph->EndRequest(req, 1000, load);
+      }
+    });
   };
   const std::string path = TempPath("journal_two_capacities.dpj");
   const std::string diagnostic =
@@ -1016,32 +1091,37 @@ TEST(CausalStreamDeathTest, MutatingANodeOfARetiredRequestDies) {
 
 // ------------------------------------------------ windowed replay
 
-// The tentpole differential: chunk-windowed replay over the binary journal
-// against whole-graph in-memory replay, on a served azure-style workload —
-// every per-request vector identical, every report byte identical, and the
-// windowed engine provably holding fewer requests than the journal.
+// The windowed engine's differential: replay over a file journal in small
+// chunks against replay over the same run's own journal in memory (one
+// chunk), on a served azure-style workload — every per-request vector
+// identical, every report byte identical, and the windowed engine provably
+// holding fewer requests than the journal.
 class WindowedReplayTest : public ::testing::Test {
  protected:
   static void TearDownTestSuite() { std::remove(TempPath(kJournalName).c_str()); }
 
   static constexpr const char* kJournalName = "journal_windowed.dpj";
 
+  static void RunAzureWorkload(CausalGraph* graph) {
+    const Topology topology = Topology::P3_8xlarge();
+    const PerfModel perf(topology.gpu(), topology.pcie());
+    ServerOptions options;
+    options.strategy = Strategy::kDeepPlanDha;
+    Server server(topology, perf, options);
+    const int type = server.RegisterModelType(ModelZoo::BertBase());
+    server.AddInstances(type, 50);
+    server.set_causal(graph, graph->RegisterProcess("azure"));
+    AzureTraceOptions w;
+    w.num_instances = 50;
+    w.duration = Seconds(20);
+    w.target_rate_per_sec = 100.0;
+    server.Run(GenerateAzureTrace(w));
+  }
+
   static CausalGraph& Graph() {
     static CausalGraph* graph = [] {
       auto* g = new CausalGraph(/*enabled=*/true);
-      const Topology topology = Topology::P3_8xlarge();
-      const PerfModel perf(topology.gpu(), topology.pcie());
-      ServerOptions options;
-      options.strategy = Strategy::kDeepPlanDha;
-      Server server(topology, perf, options);
-      const int type = server.RegisterModelType(ModelZoo::BertBase());
-      server.AddInstances(type, 50);
-      server.set_causal(g, g->RegisterProcess("azure"));
-      AzureTraceOptions w;
-      w.num_instances = 50;
-      w.duration = Seconds(20);
-      w.target_rate_per_sec = 100.0;
-      server.Run(GenerateAzureTrace(w));
+      RunAzureWorkload(g);
       return g;
     }();
     return *graph;
@@ -1052,9 +1132,7 @@ class WindowedReplayTest : public ::testing::Test {
       const std::string p = TempPath(kJournalName);
       JournalWriterOptions small;
       small.chunk_requests = 64;  // many windows
-      std::string error;
-      EXPECT_TRUE(WriteGraphToJournal(Graph(), p, small, nullptr, &error))
-          << error;
+      RecordToFile(p, small, RunAzureWorkload);
       return p;
     }();
     return path;
@@ -1065,14 +1143,15 @@ TEST_F(WindowedReplayTest, OpenIndexesTheSameMetadata) {
   WindowedJournal journal;
   std::string error;
   ASSERT_TRUE(journal.Open(JournalPath(), &error)) << error;
-  const CausalGraph& graph = Graph();
-  ASSERT_GT(graph.requests().size(), 500u);
-  EXPECT_EQ(journal.processes(), graph.processes());
-  ASSERT_EQ(journal.requests().size(), graph.requests().size());
-  for (std::size_t i = 0; i < graph.requests().size(); ++i) {
-    EXPECT_EQ(journal.requests()[i].arrival, graph.requests()[i].arrival);
+  WindowedJournal in_memory;
+  ASSERT_TRUE(in_memory.OpenBytes(Graph().journal(), &error)) << error;
+  ASSERT_GT(in_memory.requests().size(), 500u);
+  EXPECT_EQ(journal.processes(), in_memory.processes());
+  ASSERT_EQ(journal.requests().size(), in_memory.requests().size());
+  for (std::size_t i = 0; i < in_memory.requests().size(); ++i) {
+    EXPECT_EQ(journal.requests()[i].arrival, in_memory.requests()[i].arrival);
     EXPECT_EQ(journal.requests()[i].completion,
-              graph.requests()[i].completion);
+              in_memory.requests()[i].completion);
   }
 }
 
@@ -1124,13 +1203,15 @@ TEST_F(WindowedReplayTest, OneReplayBarelyTouchesTheHeap) {
   // The replay's allocation counter: a replay decodes each chunk into
   // reused flat arrays and schedules Actions and TransferDones, so what it
   // allocates is per chunk, per link and per replay, never per node.
-  const CausalGraph& graph = Graph();
   std::size_t replayed_nodes = 0;
-  for (const CpNode& node : graph.nodes()) {
-    if (graph.requests()[static_cast<std::size_t>(node.request)].completion >= 0) {
-      ++replayed_nodes;
-    }
-  }
+  const JournalTotals totals =
+      ForEachGraphChunk(Graph(), [&replayed_nodes](JournalChunk& chunk) {
+        for (const JournalChunk::Record& rec : chunk.requests) {
+          if (rec.request.completion >= 0) {
+            replayed_nodes += rec.num_nodes;
+          }
+        }
+      });
   ASSERT_GT(replayed_nodes, 2000u);
   WindowedJournal journal;
   std::string error;
@@ -1140,7 +1221,7 @@ TEST_F(WindowedReplayTest, OneReplayBarelyTouchesTheHeap) {
   const std::size_t before = g_allocations;
   const WhatIfReplay replay = journal.Replay(identity);
   const std::size_t allocations = g_allocations - before;
-  EXPECT_EQ(replay.latency.size(), graph.requests().size());
+  EXPECT_EQ(replay.latency.size(), totals.requests);
   EXPECT_LT(static_cast<double>(allocations) / static_cast<double>(replayed_nodes), 0.1)
       << allocations << " allocations for " << replayed_nodes << " replayed nodes";
 }

@@ -284,7 +284,7 @@ TEST(CausalGraphTest, DisabledGraphAllocatesNothing) {
   EXPECT_EQ(req, -1);
   EXPECT_EQ(node, -1);
   EXPECT_EQ(after, before);
-  EXPECT_TRUE(off.empty());
+  EXPECT_EQ(ForEachGraphChunk(off, [](JournalChunk&) {}), JournalTotals{});
 }
 
 // ---------------------------------------------------------------- end to end
@@ -385,9 +385,11 @@ TEST_F(ColdStartTraceTest, RecorderAndCausalGraphSeeTheSameOps) {
   EXPECT_GT(async_begins, 0u);  // the PT plan always streams some layers
   EXPECT_EQ(async_begins, async_ends);
   std::size_t work_nodes = 0;
-  for (const CpNode& node : causal.nodes()) {
-    work_nodes += node.kind != CpKind::kArrival ? 1 : 0;
-  }
+  ForEachGraphChunk(causal, [&work_nodes](JournalChunk& chunk) {
+    for (const CpNode& node : chunk.nodes) {
+      work_nodes += node.kind != CpKind::kArrival ? 1 : 0;
+    }
+  });
   EXPECT_EQ(intervals, work_nodes);
 }
 

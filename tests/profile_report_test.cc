@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,6 +32,15 @@ using check::BenchDiffResult;
 using check::DiffBenchReports;
 using check::LintProfileReport;
 using check::TraceLintResult;
+
+// The chunks of `graph`'s own journal, decoded.
+std::vector<JournalChunk> Chunks(const CausalGraph& graph) {
+  std::vector<JournalChunk> chunks;
+  ForEachGraphChunk(graph, [&chunks](JournalChunk& chunk) {
+    chunks.push_back(std::move(chunk));
+  });
+  return chunks;
+}
 
 // ------------------------------------------------ hand-built DAG fixtures
 
@@ -80,10 +90,13 @@ TEST(CriticalPathTest, KnownPathAttributesEveryComponent) {
   // The path runs arrival -> evict -> pcie -> exec; the off-path node (id 4)
   // must not appear.
   ASSERT_EQ(p.path.size(), 4u);
-  EXPECT_EQ(p.path.front(), graph.requests()[0].arrival_node);
-  EXPECT_EQ(p.path.back(), graph.requests()[0].terminal_node);
+  const std::vector<JournalChunk> chunks = Chunks(graph);
+  ASSERT_EQ(chunks.size(), 1u);
+  const JournalChunk& chunk = chunks[0];
+  EXPECT_EQ(p.path.front(), chunk.requests[0].request.arrival_node);
+  EXPECT_EQ(p.path.back(), chunk.requests[0].request.terminal_node);
   for (const CpNodeId id : p.path) {
-    EXPECT_NE(graph.str(graph.nodes()[static_cast<std::size_t>(id)].label),
+    EXPECT_NE(chunk.str(chunk.nodes[static_cast<std::size_t>(id)].label),
               "warmup");
   }
 }
@@ -280,22 +293,31 @@ TEST(UtilizationTest, TouchingIntervalsCoalesceAndDegenerateNodesAreIgnored) {
 // bridges the gap between them. Streamed chunk by chunk, the timeline must
 // equal the one-chunk one: a single interval [0, 300].
 TEST(UtilizationTest, MergesAcrossChunksInAnyOrder) {
+  const auto record = [](CausalGraph* graph) {
+    const int process = graph->RegisterProcess("chunks");
+    for (const auto& [start, end] :
+         {std::pair<Nanos, Nanos>{100, 150}, {0, 60}, {60, 100}, {150, 300}}) {
+      const int req = graph->BeginRequest(process, 0, 0);
+      const CpNodeId exec =
+          graph->AddNode(req, CpKind::kExec, "x", "gpu0", start, end);
+      graph->AddEdge(graph->arrival_node(req), exec);
+      graph->EndRequest(req, end, exec);
+    }
+  };
   CausalGraph graph(/*enabled=*/true);
-  const int process = graph.RegisterProcess("chunks");
-  for (const auto& [start, end] :
-       {std::pair<Nanos, Nanos>{100, 150}, {0, 60}, {60, 100}, {150, 300}}) {
-    const int req = graph.BeginRequest(process, 0, 0);
-    const CpNodeId exec =
-        graph.AddNode(req, CpKind::kExec, "x", "gpu0", start, end);
-    graph.AddEdge(graph.arrival_node(req), exec);
-    graph.EndRequest(req, end, exec);
-  }
+  record(&graph);
   const std::string path = ::testing::TempDir() + "/utilization_chunks.dpj";
-  JournalWriterOptions one_per_chunk;
-  one_per_chunk.chunk_requests = 1;
+  {
+    JournalWriter writer;
+    JournalWriterOptions one_per_chunk;
+    one_per_chunk.chunk_requests = 1;
+    ASSERT_TRUE(writer.Open(path, one_per_chunk));
+    CausalGraph chunked(/*enabled=*/true);
+    chunked.AttachSink(&writer);
+    record(&chunked);
+    ASSERT_TRUE(writer.Finish());
+  }
   std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, one_per_chunk, nullptr, &error))
-      << error;
   ProfileReportBuilder streamed;
   ASSERT_TRUE(ForEachJournalChunk(
       path, [&streamed](JournalChunk& chunk) { streamed.Add(chunk); }, &error))
@@ -352,7 +374,7 @@ TEST(CriticalPathTest, RecordingIsTimingNeutral) {
   EXPECT_EQ(plain.result.latency, recorded.result.latency);
   EXPECT_EQ(plain.result.stall, recorded.result.stall);
   EXPECT_EQ(plain.result.exec_busy, recorded.result.exec_busy);
-  EXPECT_GT(graph.nodes().size(), 1u);
+  EXPECT_GT(ForEachGraphChunk(graph, [](JournalChunk&) {}).nodes, 1u);
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -393,10 +415,8 @@ TEST(CriticalPathTest, SweepJournalDeterministicAcrossJobs) {
   const std::string serial_path = ::testing::TempDir() + "/sweep_jobs1.dpj";
   const std::string parallel_path = ::testing::TempDir() + "/sweep_jobs8.dpj";
   std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(serial, serial_path, {}, nullptr, &error))
-      << error;
-  ASSERT_TRUE(WriteGraphToJournal(run(8), parallel_path, {}, nullptr, &error))
-      << error;
+  ASSERT_TRUE(WriteGraphToJournal(serial, serial_path, &error)) << error;
+  ASSERT_TRUE(WriteGraphToJournal(run(8), parallel_path, &error)) << error;
   EXPECT_EQ(ReadFileBytes(serial_path), ReadFileBytes(parallel_path));
 
   // The report streamed from the journal equals the in-process one.
@@ -424,8 +444,8 @@ TEST(CausalGraphTest, DisabledGraphRecordsNothing) {
   EXPECT_EQ(graph.AddNode(req, CpKind::kExec, "x", "gpu0", 0, 1), -1);
   graph.AddEdge(-1, -1);
   graph.EndRequest(req, 1, -1);
-  EXPECT_TRUE(graph.empty());
-  EXPECT_TRUE(graph.nodes().empty());
+  // Its journal is the empty one.
+  EXPECT_EQ(ForEachGraphChunk(graph, [](JournalChunk&) {}), JournalTotals{});
 }
 
 TEST(CausalGraphTest, AdoptRemapsInternedStrings) {
@@ -446,15 +466,18 @@ TEST(CausalGraphTest, AdoptRemapsInternedStrings) {
   CausalGraph merged(/*enabled=*/true);
   merged.Adopt(task("load a", "pcie/gpu0"));
   merged.Adopt(task("load b", "pcie/gpu1"));
-  ASSERT_EQ(merged.nodes().size(), 4u);
-  const CpNode& a = merged.nodes()[1];
-  const CpNode& b = merged.nodes()[3];
-  EXPECT_EQ(merged.str(a.label), "load a");
-  EXPECT_EQ(merged.str(b.label), "load b");
-  EXPECT_EQ(merged.str(b.resource), "pcie/gpu1");
+  const std::vector<JournalChunk> chunks = Chunks(merged);
+  ASSERT_EQ(chunks.size(), 1u);
+  const JournalChunk& chunk = chunks[0];
+  ASSERT_EQ(chunk.nodes.size(), 4u);
+  const CpNode& a = chunk.nodes[1];
+  const CpNode& b = chunk.nodes[3];
+  EXPECT_EQ(chunk.str(a.label), "load a");
+  EXPECT_EQ(chunk.str(b.label), "load b");
+  EXPECT_EQ(chunk.str(b.resource), "pcie/gpu1");
   ASSERT_EQ(b.path.size(), 2u);
-  EXPECT_EQ(merged.str(b.path.begin()[0].link), "uplink/sw0");
-  EXPECT_EQ(merged.str(b.path.begin()[1].link), "pcie/gpu1");
+  EXPECT_EQ(chunk.str(b.path.begin()[0].link), "uplink/sw0");
+  EXPECT_EQ(chunk.str(b.path.begin()[1].link), "pcie/gpu1");
   EXPECT_EQ(b.path.begin()[0].link, a.path.begin()[0].link);
 }
 
@@ -607,17 +630,20 @@ TEST(CriticalPathTest, ServedWorkloadAttributionIsExactForEveryRequest) {
   EXPECT_EQ(summary.requests.size(), metrics.count());
   EXPECT_EQ(static_cast<std::size_t>(summary.cold_requests),
             metrics.ColdStartCount());
-  for (const RequestProfile& p : summary.requests) {
-    EXPECT_EQ(p.attribution.Total(), p.latency);
-    // exec_busy counts this request's own exec nodes, on-path or not.
-    Nanos exec_busy = 0;
-    for (const CpNode& node : graph.nodes()) {
-      if (node.request == p.request && node.kind == CpKind::kExec) {
-        exec_busy += node.end - node.start;
+  // exec_busy counts a request's own exec nodes, on-path or not.
+  std::map<int, Nanos> exec_busy;
+  ForEachGraphChunk(graph, [&exec_busy](JournalChunk& chunk) {
+    for (const CpNode& node : chunk.nodes) {
+      if (node.kind == CpKind::kExec) {
+        exec_busy[node.request] += node.end - node.start;
       }
     }
-    EXPECT_GT(exec_busy, 0) << "request " << p.request;
-    EXPECT_EQ(p.exec_busy, exec_busy) << "request " << p.request;
+  });
+  for (const RequestProfile& p : summary.requests) {
+    EXPECT_EQ(p.attribution.Total(), p.latency);
+    const Nanos busy = exec_busy[p.request];
+    EXPECT_GT(busy, 0) << "request " << p.request;
+    EXPECT_EQ(p.exec_busy, busy) << "request " << p.request;
   }
   const ProfileReport report = BuildProfileReport(graph);
   EXPECT_TRUE(LintProfileReport(ProfileReportJson(report)).ok());

@@ -13,10 +13,11 @@
 #   5. every journal reader handed that JSON export exits non-zero with the
 #      DPJL diagnostic;
 #   6. selfprof_report --min_coverage and bench_history --max_slowdown refuse
-#      a value that is not a number with exit 2;
-#   7. the profile report fig13_concurrency_sweep --profile_out prints for its
-#      in-memory graph equals profile_report's on the journal it wrote, byte
-#      for byte (0.1 s at --requests=200).
+#      a value that is not a number with exit 2, and fig13_concurrency_sweep
+#      refuses --requests=0 with exit 1, naming the flag;
+#   7. the profile report fig13_concurrency_sweep --profile_out prints from
+#      its journal in memory equals profile_report's on the journal it wrote,
+#      byte for byte (0.1 s at --requests=200).
 #
 # usage: tools_smoke.sh <fig02_stall_decomposition> <profile_report>
 #                       <whatif_report> <journal_convert> <trace_lint>
@@ -83,18 +84,21 @@ expect_refused "$whatif_report" "$dir/fig02.json"
 expect_refused "$journal_convert" --to-json "$dir/fig02.json" "$dir/again.json"
 expect_refused "$trace_lint" --journal "$dir/fig02.json"
 
-echo "== malformed gate values exit 2"
-expect_exit_2() {  # expect_exit_2 <command...>
-  local status=0
+echo "== malformed gate values exit 2, an out-of-range bench flag exits 1"
+expect_exit() {  # expect_exit <status> <command...>
+  local want="$1" status=0
+  shift
   "$@" >"$dir/bad_value.txt" 2>&1 || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "FAIL: '$*' exited $status, expected 2:" >&2
+  if [ "$status" -ne "$want" ]; then
+    echo "FAIL: '$*' exited $status, expected $want:" >&2
     sed 's/^/  | /' "$dir/bad_value.txt" >&2
     exit 1
   fi
 }
-expect_exit_2 "$selfprof_report" --min_coverage=abc "$dir/whatif_bench.json"
-expect_exit_2 "$bench_history" --max_slowdown=abc "$dir"
+expect_exit 2 "$selfprof_report" --min_coverage=abc "$dir/whatif_bench.json"
+expect_exit 2 "$bench_history" --max_slowdown=abc "$dir"
+expect_exit 1 "$fig13" --requests=0
+grep -q 'bad value for --requests: "0"' "$dir/bad_value.txt"
 
 echo "== fig13 --profile_out report matches profile_report on its journal"
 DEEPPLAN_BENCH_DIR="$dir" "$fig13" --requests=200 \

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/chrome_trace.h"
@@ -298,6 +299,37 @@ TEST(FlagsTest, BoolFlagRejectsAnythingButTrueFalseOneZero) {
   for (const char* arg : {"--fast=yes", "--fast=", "--fast=TRUE", "--fast=2"}) {
     EXPECT_FALSE(ParseOne(arg)) << arg;
   }
+}
+
+// A count, rate or duration at or below zero is refused by name, so a bench
+// exits 1 instead of aborting in the workload generator.
+TEST(FlagsTest, PositiveFlagsRefuseZeroAndBelow) {
+  const auto parse = [](const std::string& arg) {
+    Flags flags;
+    flags.DefinePositiveInt("requests", 5, "count");
+    flags.DefinePositiveDouble("rate", 1.5, "rate");
+    const char* argv[] = {"prog", arg.c_str()};
+    return flags.Parse(2, const_cast<char**>(argv));
+  };
+  for (const char* arg : {"--requests=1", "--rate=0.001", "--rate=2"}) {
+    EXPECT_TRUE(parse(arg)) << arg;
+  }
+  const std::pair<const char*, const char*> refused[] = {
+      {"--requests=0", "bad value for --requests: \"0\" (expected a value "
+                       "above zero)"},
+      {"--requests=-3", "bad value for --requests: \"-3\""},
+      {"--rate=0", "bad value for --rate: \"0\" (expected a value above zero)"},
+      {"--rate=-0.5", "bad value for --rate: \"-0.5\""},
+      {"--rate=-0", "bad value for --rate: \"-0\""},
+  };
+  for (const auto& [arg, message] : refused) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse(arg)) << arg;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(message), std::string::npos) << arg << ": " << err;
+  }
+  // Declared positive, a flag still refuses what does not parse.
+  EXPECT_FALSE(parse("--requests=2x"));
 }
 
 TEST(FlagsTest, PositionalArgumentsCollected) {
