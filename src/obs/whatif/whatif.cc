@@ -240,8 +240,6 @@ struct JournalWindow {
   void ReleaseSlot(std::uint32_t slot) { free_slots_.push_back(slot); }
   ResidentChunk& slot(std::uint32_t s) { return *slots_[s]; }
 
-  JournalReader reader;
-  std::vector<std::uint64_t> chunk_offsets;  // per chunk, in file order
   std::vector<std::string> processes;
   std::vector<CpRequest> requests;       // by id
   DomainChain domains;
@@ -249,6 +247,8 @@ struct JournalWindow {
   std::vector<std::uint32_t> chunk_of;   // request id -> chunk index
   std::vector<std::uint32_t> record_of;  // request id -> record in its chunk
   std::size_t max_resident = 0;          // replayed requests, high-water mark
+  std::vector<std::uint64_t> chunk_offsets;  // per chunk, in file order
+  JournalReader reader;
 
  private:
   // Terminal resources as dense ids, each chunk string looked up once.
@@ -666,6 +666,8 @@ class Replayer {
 
 }  // namespace
 
+// The replay engine above keeps internal linkage, so it names the window by
+// a type of its own; WindowedJournal's private Impl is that window.
 struct WindowedJournal::Impl : JournalWindow {};
 
 bool ParseWhatIfExperiment(const std::string& spec, WhatIfExperiment* out,
