@@ -81,7 +81,6 @@ inline ColdMeasurement RunColdWithProfile(const Topology& topology,
     request = causal->BeginRequest(causal_process, causal_instance, sim.now());
     causal->MarkCold(request);
     options.causal_request = request;
-    options.causal_root = causal->arrival_node(request);
   }
   engine.RunCold(model, m.plan, /*primary=*/0,
                  TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
@@ -89,7 +88,7 @@ inline ColdMeasurement RunColdWithProfile(const Topology& topology,
                  [&m, &sim, causal, request](const InferenceResult& r) {
                    m.result = r;
                    if (request >= 0) {
-                     causal->EndRequest(request, sim.now(), r.causal_terminal);
+                     causal->EndRequest(request, sim.now());
                    }
                  });
   sim.Run();

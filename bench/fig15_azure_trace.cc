@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     // Line-at-a-time ingest: MAF CSVs are large, and a malformed or
     // truncated file should fail with the offending line, not load short.
     std::string trace_error;
-    auto loaded = LoadAzureTraceCsv(flags.GetString("trace"), &trace_error);
+    auto loaded = Trace::LoadFrom(flags.GetString("trace"), instances, &trace_error);
     if (!loaded.has_value()) {
       std::cerr << "cannot load trace: " << trace_error << "\n";
       return 1;

@@ -165,12 +165,10 @@ void ColdStartsBertBase(benchmark::State& state, StreamingJournal* journal) {
     if (graph != nullptr) {
       options.causal_request = graph->BeginRequest(journal->process(), 0, sim.now());
     }
-    InferenceResult result;
-    engine.RunCold(model, plan, 0, {2}, options,
-                   [&result](const InferenceResult& r) { result = r; });
+    engine.RunCold(model, plan, 0, {2}, options, [](const InferenceResult&) {});
     sim.Run();
     if (graph != nullptr) {
-      graph->EndRequest(options.causal_request, sim.now(), result.causal_terminal);
+      graph->EndRequest(options.causal_request, sim.now());
     }
   }
 }
@@ -187,8 +185,9 @@ void BM_ColdRunBertBaseRecorded(benchmark::State& state) {
 BENCHMARK(BM_ColdRunBertBaseRecorded);
 
 // The recording calls the server makes for one warm request: its arrival,
-// one exec node with a DHA share, one edge, and its retirement into the
-// journal writer. A warm request costs nothing else to record.
+// one exec node with a DHA share and an edge from the arrival, and its
+// retirement into the journal writer. A warm request costs nothing else to
+// record.
 void BM_RecordWarmRequest(benchmark::State& state) {
   StreamingJournal journal("micro_sim_warm.dpj");
   CausalGraph& graph = journal.graph();
@@ -197,11 +196,15 @@ void BM_RecordWarmRequest(benchmark::State& state) {
   Nanos now = 0;
   for (auto _ : state) {
     const int request = graph.BeginRequest(journal.process(), 7, now);
-    const CpNodeId exec =
-        graph.AddNode(request, CpKind::kExec, label, track, now, now + 1000);
-    graph.SetNodeDhaPcie(exec, 300);
-    graph.AddEdge(graph.arrival_node(request), exec);
-    graph.EndRequest(request, now + 1000, exec);
+    graph.AddNode(request,
+                  {.kind = CpKind::kExec,
+                   .label = label,
+                   .resource = track,
+                   .start = now,
+                   .end = now + 1000,
+                   .dha_pcie = 300},
+                  {graph.last_node(request)});
+    graph.EndRequest(request, now + 1000);
     now += 1000;
   }
   state.SetItemsProcessed(state.iterations());

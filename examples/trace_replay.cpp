@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
 
   Trace trace;
   if (!flags.GetString("trace").empty()) {
-    auto loaded = Trace::LoadFrom(flags.GetString("trace"));
+    std::string error;
+    auto loaded = Trace::LoadFrom(flags.GetString("trace"), instances, &error);
     if (!loaded.has_value()) {
-      std::cerr << "failed to load " << flags.GetString("trace") << "\n";
+      std::cerr << "cannot load trace: " << error << "\n";
       return 1;
     }
     trace = std::move(*loaded);

@@ -101,7 +101,6 @@ struct ItemList {
 struct ExecStep {
   Nanos duration = 0;
   Nanos dha_pcie = 0;
-  bool loads = false;  // waits on a loaded layer's arrival
   std::string name;    // "exec <layer>" or "exec(DHA) <layer>"
   CpStrId label = 0;   // `name` in the causal graph
 };
@@ -112,7 +111,8 @@ struct ExecStep {
 // allocating hundreds of heap objects per run. The record stays owned by the
 // pool for the engine's lifetime, so the raw pointers in in-flight ops' marker
 // Actions can never dangle. Stream names double as trace/causal tracks; a run
-// that records causal nodes interns them (and its op names) up front.
+// that records causal nodes interns them (and its op names) up front, and its
+// streams and events carry the nodes' predecessors (src/sim/stream.h).
 struct ColdRun {
   Engine* engine = nullptr;
   Nanos start = 0;
@@ -141,30 +141,18 @@ struct ColdRun {
   int pending_arrivals = 0;
   // A trace recorder or causal graph wants this run's ops.
   bool observed = false;
-  // Causal-graph cursors (only populated when the run records profiling
-  // nodes): chains thread happens-before edges through these.
+  // The causal request the run records its nodes in; -1 when it records none.
   int causal_request = -1;
-  CpNodeId causal_root = -1;
-  std::vector<CpNodeId> layer_source;      // node that delivered each layer
-  std::vector<CpNodeId> secondary_source;  // PCIe node per layer (partitions>0)
-  std::vector<CpNodeId> pcie_prev;         // per-partition PCIe chain cursor
-  std::vector<CpNodeId> mig_prev;          // per-partition migration cursor
-  CpNodeId last_exec = -1;
-  CpNodeId all_loaded_source = -1;  // node whose arrival fired all_loaded
 
-  // Layer `layer` of `partition` became resident on the primary GPU.
-  void Arrive(std::size_t layer, int partition, Nanos now) {
-    arrived[layer].Fire();
+  // Layer `layer` of `partition` became resident on the primary GPU,
+  // delivered by the op recorded as causal node `node`.
+  void Arrive(std::size_t layer, int partition, Nanos now, CpNodeId node) {
+    arrived[layer].Fire(node);
     auto& ps = result.partitions[Idx(partition)];
     ps.arrival_done = std::max(ps.arrival_done, now - start);
     result.load_done = std::max(result.load_done, now - start);
     if (--pending_arrivals == 0) {
-      if (causal_request >= 0) {
-        // The node that delivered the last layer is what a non-pipelined
-        // Baseline's gated exec ops causally wait on.
-        all_loaded_source = layer_source[layer];
-      }
-      all_loaded.Fire();
+      all_loaded.Fire(node);
     }
   }
 
@@ -202,26 +190,22 @@ void LoadItem::Loaded() {
   // The transfer began when the previous one on this lane finished.
   const Nanos started = run->start + ps.pcie_done;
   ps.pcie_done = now - run->start;
+  CpNodeId node = -1;
   if (run->observed) {
-    const CpNodeId node =
-        e.Observe(run->causal_request, CpKind::kPcie,
-                  {run->load[Idx(partition)].name(), run->load_track[Idx(partition)]},
-                  {load_name, load_label}, started,
-                  e.fabric_->HostToGpuPath(run->part_gpu[Idx(partition)]), bytes,
-                  e.perf_->calibration().pcie_transfer_overhead);
-    if (run->causal_request >= 0) {
-      e.causal_->AddEdge(run->pcie_prev[Idx(partition)], node);
-      run->pcie_prev[Idx(partition)] = node;
-      for (const std::size_t li : layer_indices) {
-        (partition == 0 ? run->layer_source : run->secondary_source)[li] = node;
-      }
-    }
+    node = e.Observe(run->causal_request, &run->load[Idx(partition)],
+                     run->load_track[Idx(partition)], load_name,
+                     {.kind = CpKind::kPcie,
+                      .label = load_label,
+                      .start = started,
+                      .bytes = bytes},
+                     e.fabric_->HostToGpuPath(run->part_gpu[Idx(partition)]),
+                     e.perf_->calibration().pcie_transfer_overhead);
   }
   for (const std::size_t li : layer_indices) {
     if (partition == 0) {
-      run->Arrive(li, partition, now);
+      run->Arrive(li, partition, now, node);
     } else {
-      run->at_secondary[li].Fire();
+      run->at_secondary[li].Fire(node);
     }
   }
 }
@@ -232,6 +216,7 @@ void LoadItem::Migrated(std::uint64_t count) {
   const std::vector<LoadItem>& part = run->part_items[Idx(partition)].items;
   const std::size_t first = index;
   const std::size_t last = first + count;
+  CpNodeId node = -1;
   if (run->observed) {
     // The transfer began once the stream was free (the previous migration
     // landed) and every layer it waited on had reached the secondary GPU.
@@ -243,58 +228,34 @@ void LoadItem::Migrated(std::uint64_t count) {
       }
       moved += part[k].bytes;
     }
-    const CpNodeId node = e.Observe(
-        run->causal_request, CpKind::kNvlink,
-        {run->migration[Idx(partition)].name(), run->migration_track[Idx(partition)]},
-        {migrate_name, migrate_label}, started,
-        e.fabric_->GpuToGpuPath(run->part_gpu[Idx(partition)], run->primary), moved,
-        e.fabric_->topology().nvlink().transfer_latency);
-    if (run->causal_request >= 0) {
-      e.causal_->AddEdge(run->mig_prev[Idx(partition)], node);
-      // The migration waited on each item's PCIe delivery to the secondary
-      // GPU (one PCIe node covers a whole item).
-      for (std::size_t k = first; k < last; ++k) {
-        e.causal_->AddEdge(run->secondary_source[part[k].layer_indices.front()], node);
-      }
-      run->mig_prev[Idx(partition)] = node;
-      for (std::size_t k = first; k < last; ++k) {
-        for (const std::size_t li : part[k].layer_indices) {
-          run->layer_source[li] = node;
-        }
-      }
-    }
+    node = e.Observe(run->causal_request, &run->migration[Idx(partition)],
+                     run->migration_track[Idx(partition)], migrate_name,
+                     {.kind = CpKind::kNvlink,
+                      .label = migrate_label,
+                      .start = started,
+                      .bytes = moved},
+                     e.fabric_->GpuToGpuPath(run->part_gpu[Idx(partition)], run->primary),
+                     e.fabric_->topology().nvlink().transfer_latency);
   }
   for (std::size_t k = first; k < last; ++k) {
     for (const std::size_t li : part[k].layer_indices) {
-      run->Arrive(li, partition, now);
+      run->Arrive(li, partition, now, node);
     }
   }
 }
 
 void ColdRun::Executed(std::uint64_t layer) {
   const ExecStep& step = exec_steps[layer];
-  const CpNodeId node =
-      engine->Observe(causal_request, CpKind::kExec, {exec.name(), exec_track},
-                      {step.name, step.label}, engine->sim_->now() - step.duration);
-  if (causal_request >= 0) {
-    CausalGraph& causal = *engine->causal_;
-    if (step.dha_pcie > 0) {
-      causal.SetNodeDhaPcie(node, step.dha_pcie);
-    }
-    causal.AddEdge(last_exec, node);
-    if (step.loads) {
-      causal.AddEdge(pipelined ? layer_source[layer] : all_loaded_source, node);
-    }
-    last_exec = node;
-  }
+  engine->Observe(causal_request, &exec, exec_track, step.name,
+                  {.kind = CpKind::kExec,
+                   .label = step.label,
+                   .start = engine->sim_->now() - step.duration,
+                   .dha_pcie = step.dha_pcie});
 }
 
 void ColdRun::Finish() {
   result.latency = engine->sim_->now() - start;
   result.stall = exec.wait_time();
-  if (causal_request >= 0 && last_exec != causal_root) {
-    result.causal_terminal = last_exec;
-  }
   // Moved out so the callable dies after this call, as a one-shot should.
   const std::function<void(const InferenceResult&)> callback = std::move(done);
   done = nullptr;
@@ -332,40 +293,40 @@ void Engine::set_causal(CausalGraph* graph) {
   }
 }
 
-CpNodeId Engine::Observe(int request, CpKind kind, OpName track, OpName name,
-                         Nanos start, const LinkPath& path, std::int64_t bytes,
+CpNodeId Engine::Observe(int request, Stream* stream, CpStrId track,
+                         std::string_view name, CpNode node, const LinkPath& path,
                          Nanos latency) {
-  const bool transfer = kind != CpKind::kExec;
+  const Nanos now = sim_->now();
+  const bool transfer = node.kind != CpKind::kExec;
   if (recorder_ != nullptr) {
     if (transfer) {
       // Async interval, not a complete slice: another run's stream may be
       // draining through the same link at the same time.
       const std::uint64_t aid = next_async_id_++;
-      recorder_->AsyncBegin(pid_, track.text, name.text, aid, start);
-      recorder_->AsyncEnd(pid_, track.text, name.text, aid, sim_->now());
+      recorder_->AsyncBegin(pid_, stream->name(), name, aid, node.start);
+      recorder_->AsyncEnd(pid_, stream->name(), name, aid, now);
     } else {
-      recorder_->Span(pid_, track.text, name.text, start, sim_->now() - start);
+      recorder_->Span(pid_, stream->name(), name, node.start, now - node.start);
     }
   }
   if (request < 0) {
     return -1;
   }
-  if (!transfer) {
-    return causal_->AddNode(request, kind, name.id, track.id, start, sim_->now());
+  node.resource = track;
+  node.end = now;
+  if (transfer) {
+    // The solo duration and the route: the per-link overlap export the
+    // what-if replay rebuilds its fabric from.
+    Fabric& fabric = fabric_->fabric();
+    node.solo = fabric.SoloDuration(path, node.bytes, latency);
+    for (const LinkId l : path) {
+      DP_CHECK(Idx(l) < link_label_.size());
+      node.path.push_back(CpHop{link_label_[Idx(l)], fabric.link_capacity(l)});
+    }
   }
-  Fabric& fabric = fabric_->fabric();
-  const CpNodeId node =
-      causal_->AddNode(request, kind, name.id, track.id, start, sim_->now(), bytes,
-                       fabric.SoloDuration(path, bytes, latency));
-  // The route, the per-link overlap export the what-if replay rebuilds its
-  // fabric from.
-  CpPath hops;
-  for (const LinkId l : path) {
-    DP_CHECK(Idx(l) < link_label_.size());
-    hops.push_back(CpHop{link_label_[Idx(l)], fabric.link_capacity(l)});
-  }
-  causal_->SetNodePath(node, hops);
-  return node;
+  const CpNodeId id = causal_->AddNode(request, node, stream->preds());
+  stream->Recorded(id);
+  return id;
 }
 
 void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
@@ -399,13 +360,22 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   run->result.cold = true;
   run->result.partitions.clear();
   run->result.partitions.resize(parts);
-  run->result.causal_terminal = -1;
   if (run->arrived.size() < n) {
     run->arrived.resize(n);
     run->at_secondary.resize(n);
   }
+  // Causal profiling is per-run: active only when a graph is attached AND
+  // this run was given a request to hang its nodes off. Every stream starts
+  // from the request's last recorded node (its arrival, or the eviction
+  // that made room).
+  run->causal_request = -1;
+  CpNodeId root = -1;
+  if (causal_ != nullptr && causal_->enabled() && options.causal_request >= 0) {
+    run->causal_request = options.causal_request;
+    root = causal_->last_node(options.causal_request);
+  }
   run->all_loaded.Reset(sim_);
-  run->exec.Reset(sim_, "exec/gpu" + std::to_string(primary));
+  run->exec.Reset(sim_, "exec/gpu" + std::to_string(primary), root);
   if (run->load.size() < parts) {
     run->load.resize(parts);
     run->migration.resize(parts);
@@ -421,25 +391,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     run->part_gpu[p] = p == 0 ? primary : secondaries[p - 1];
   }
   run->pending_arrivals = 0;
-  run->causal_request = -1;
-  run->causal_root = -1;
-  run->last_exec = -1;
-  run->all_loaded_source = -1;
 
-  // Causal profiling is per-run: active only when a graph is attached AND
-  // this run was given a request to hang its nodes off.
-  if (causal_ != nullptr && causal_->enabled() && options.causal_request >= 0) {
-    run->causal_request = options.causal_request;
-    run->causal_root = options.causal_root >= 0
-                           ? options.causal_root
-                           : causal_->arrival_node(options.causal_request);
-    run->layer_source.assign(n, -1);
-    run->secondary_source.assign(n, -1);
-    run->pcie_prev.assign(parts, run->causal_root);
-    run->mig_prev.assign(parts, run->causal_root);
-    run->last_exec = run->causal_root;
-    run->all_loaded_source = run->causal_root;
-  }
   // Op names are consumed only by the trace recorder and the causal graph;
   // skip them entirely when neither is active for this run (the serving hot
   // path). A run that records causal nodes interns its stream names here and
@@ -499,7 +451,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     const GpuId target = run->part_gpu[p];
     run->result.partitions[p].pcie_start = 0;
     Stream* load = &run->load[p];
-    load->Reset(sim_, "pcie/gpu" + std::to_string(target));
+    load->Reset(sim_, "pcie/gpu" + std::to_string(target), root);
     if (causal) {
       run->load_track[p] = causal_->Intern(load->name());
     }
@@ -522,7 +474,8 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     }
     const GpuId src = run->part_gpu[p];
     Stream* mig = &run->migration[p];
-    mig->Reset(sim_, "nvlink/" + std::to_string(src) + "->" + std::to_string(primary));
+    mig->Reset(sim_, "nvlink/" + std::to_string(src) + "->" + std::to_string(primary),
+               root);
     if (causal) {
       run->migration_track[p] = causal_->Intern(mig->name());
     }
@@ -561,7 +514,6 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     ExecStep& step = run->exec_steps[i];
     step.duration = exec;
     step.dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0;
-    step.loads = loads;
     run->exec.EnqueueMarker(MakeAction<&ColdRun::Executed>(run, i));
   }
   run->exec.EnqueueMarker(MakeAction<&ColdRun::Finish>(run));

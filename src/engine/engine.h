@@ -14,7 +14,10 @@
 //
 // Observation has one path: when a trace recorder or causal graph is
 // attached, a Marker after each finished op computes the op's name, track
-// (the stream's name) and interval once and writes them to both.
+// (the stream's name) and interval once and writes them to both. A causal
+// node is recorded whole, with the predecessors its stream already knows
+// (Stream::preds): the stream's last recorded op and the ops that fired the
+// events it waited on. The engine keeps no edge bookkeeping of its own.
 #ifndef SRC_ENGINE_ENGINE_H_
 #define SRC_ENGINE_ENGINE_H_
 
@@ -80,10 +83,6 @@ struct InferenceResult {
   Nanos load_done = 0;   // all parameters resident on the primary GPU
   bool cold = false;
   std::vector<PartitionStats> partitions;
-  // Last exec node recorded in the causal graph (-1 unless a graph was
-  // attached and ColdRunOptions.causal_request was set); the caller passes it
-  // to CausalGraph::EndRequest as the request's terminal node.
-  CpNodeId causal_terminal = -1;
 };
 
 struct ColdRunOptions {
@@ -98,12 +97,14 @@ struct ColdRunOptions {
   // cost of coarser pipelining. See bench/ablation_group_size.
   int transfer_group_layers = 1;
   // Causal-graph wiring (profiling): the request this cold run belongs to in
-  // the graph attached via set_causal, and the node the run's first
-  // operations hang off (an evict node, or the request's arrival node).
-  // -1 disables node emission for this run.
+  // the graph attached via set_causal. The run's first operations hang off
+  // the request's last recorded node (an evict node, or its arrival node),
+  // and its last exec node ends up the request's last. -1 disables node
+  // emission for this run.
   int causal_request = -1;
-  CpNodeId causal_root = -1;
 };
+
+class Stream;
 
 // Pooled cold-run bookkeeping (defined in engine.cc): an ObjectPool of
 // ColdRun records backed by src/util/arena, so a million-cold-start replay
@@ -168,27 +169,21 @@ class Engine {
   ServerFabric* fabric_;
   const PerfModel* perf_;
 
-  // A cold-run op's track or name: the text the trace recorder writes and
-  // its id in the causal graph (unused when the run records no causal
-  // nodes).
-  struct OpName {
-    std::string_view text;
-    CpStrId id = 0;
-  };
-
   // Names an observed run's ops (load items, migrations, layer executions)
   // for the trace recorder and, when the run records causal nodes, interns
   // the names it did not hold ids for in the attached graph already.
   void NameOps(engine_internal::ColdRun* run, const Model& model,
                const ExecutionPlan& plan);
 
-  // Writes one finished cold-run op, [start, now()] on `track`, to the trace
-  // recorder and (when `request` >= 0) the causal graph. Transfer kinds carry
-  // `path`, `bytes` and `latency` into the graph's solo duration and route.
+  // Writes one finished op of `stream`, [node.start, now()] named `name`, to
+  // the trace recorder and (when `request` >= 0) to the causal graph as
+  // `node` on resource `track`, with the stream's predecessors. `node` gives
+  // the kind, label, start and bytes, and an exec node its DHA share; a
+  // transfer's `path` and `latency` give its solo duration and route.
   // Returns the causal node, or -1 when none was recorded.
-  CpNodeId Observe(int request, CpKind kind, OpName track, OpName name,
-                   Nanos start, const LinkPath& path = {},
-                   std::int64_t bytes = 0, Nanos latency = 0);
+  CpNodeId Observe(int request, Stream* stream, CpStrId track,
+                   std::string_view name, CpNode node, const LinkPath& path = {},
+                   Nanos latency = 0);
 
   TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;

@@ -1,5 +1,6 @@
 #include "src/obs/causal_graph.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/obs/journal_stream.h"
@@ -41,7 +42,7 @@ CausalGraph::StreamState::StreamState()
   own->OpenInMemory();
 }
 
-CausalGraph::StreamState::StreamState(CausalSink* s) : sink(s) {}
+CausalGraph::StreamState::StreamState(JournalWriter* s) : sink(s) {}
 
 CausalGraph::CausalGraph(bool enabled) : enabled_(enabled) {
   if (enabled_) {
@@ -77,7 +78,7 @@ CpStrId CausalGraph::ArrivalLabel() {
   return arrival_label_;
 }
 
-void CausalGraph::AttachSink(CausalSink* sink) {
+void CausalGraph::AttachSink(JournalWriter* sink) {
   DP_CHECK(sink != nullptr);
   DP_CHECK(enabled_);
   {
@@ -91,25 +92,10 @@ void CausalGraph::AttachSink(CausalSink* sink) {
   stream_ = std::make_unique<StreamState>(sink);
 }
 
-bool CausalGraph::IsOpen(int request) const {
-  return stream_->open.contains(request) && stream_->open[request] != nullptr;
-}
-
 CpRequestRecord* CausalGraph::OpenRecord(int request) const {
-  DP_CHECK(IsOpen(request) && "the request is open");
+  DP_CHECK(stream_->open.contains(request) && stream_->open[request] != nullptr &&
+           "the request is open");
   return stream_->open[request];
-}
-
-CausalGraph::NodeSlot CausalGraph::LiveSlot(CpNodeId node) const {
-  DP_CHECK(stream_->nodes.contains(node) && "the node's request is open");
-  const NodeSlot slot = stream_->nodes[node];
-  DP_CHECK(IsOpen(slot.request) && "the node's request is open");
-  return slot;
-}
-
-CpNode* CausalGraph::LiveNode(CpNodeId node) {
-  const NodeSlot slot = LiveSlot(node);
-  return &stream_->open[slot.request]->nodes[slot.index];
 }
 
 void CausalGraph::RetireLocked(int request) const {
@@ -119,15 +105,10 @@ void CausalGraph::RetireLocked(int request) const {
   record->edges.clear();
   stream_->free_records.push_back(record);
   stream_->open[request] = nullptr;
-  // Advance both windows past the retired prefix: the oldest open request,
-  // and the oldest node still owned by an open request.
+  // Advance the window past the retired prefix, to the oldest open request.
   IdRing<CpRequestRecord*>& open = stream_->open;
   while (!open.empty() && open[open.begin()] == nullptr) {
     open.pop_front();
-  }
-  IdRing<NodeSlot>& nodes = stream_->nodes;
-  while (!nodes.empty() && !IsOpen(nodes[nodes.begin()].request)) {
-    nodes.pop_front();
   }
 }
 
@@ -172,81 +153,36 @@ int CausalGraph::BeginRequest(int process, int instance, Nanos arrival) {
   root.label = ArrivalLabel();
   root.start = arrival;
   root.end = arrival;
-  req.arrival_node = AddNodeLocked(req.id, root);
+  req.arrival_node = AddNodeLocked(req.id, root, {});
   return req.id;
 }
 
-CpNodeId CausalGraph::AddNode(int request, CpKind kind, CpStrId label,
-                              CpStrId resource, Nanos start, Nanos end,
-                              std::int64_t bytes, Nanos solo) {
+CpNodeId CausalGraph::AddNode(int request, const CpNode& node,
+                              std::span<const CpNodeId> preds) {
   if (!enabled_ || request < 0) {
     return -1;
   }
-  CpNode node;
-  node.kind = kind;
-  node.label = label;
-  node.resource = resource;
-  node.start = start;
-  node.end = end;
-  node.bytes = bytes;
-  node.solo = solo;
+  DP_CHECK(node.dha_pcie >= 0);
   MutexLock lock(stream_->mu);
-  return AddNodeLocked(request, node);
+  return AddNodeLocked(request, node, preds);
 }
 
-CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string_view label,
-                              std::string_view resource, Nanos start, Nanos end,
-                              std::int64_t bytes, Nanos solo) {
-  if (!enabled_ || request < 0) {
-    return -1;
-  }
-  return AddNode(request, kind, Intern(label), Intern(resource), start, end,
-                 bytes, solo);
-}
-
-CpNodeId CausalGraph::AddNodeLocked(int request, const CpNode& node) {
+CpNodeId CausalGraph::AddNodeLocked(int request, const CpNode& node,
+                                    std::span<const CpNodeId> preds) {
   CpRequestRecord* record = OpenRecord(request);
-  const auto id = static_cast<CpNodeId>(stream_->nodes.end());
-  stream_->nodes.push_back(
-      NodeSlot{request, static_cast<std::uint32_t>(record->nodes.size())});
+  const CpNodeId id = stream_->next_node++;
+  for (const CpNodeId from : preds) {
+    // Edges run forward in id order, so no recorder can close a cycle, and
+    // stay in one request, so a retired request is self-contained. The
+    // record's nodes are in id order.
+    DP_CHECK(std::ranges::binary_search(record->nodes, from, {}, &CpNode::id) &&
+             "a predecessor is an earlier node of the same open request");
+    record->edges.push_back(CpEdgeRec{stream_->next_edge++, from, id});
+  }
   CpNode& added = record->nodes.emplace_back(node);
   added.id = id;
   added.request = request;
   return id;
-}
-
-void CausalGraph::SetNodePath(CpNodeId node, const CpPath& path) {
-  if (!enabled_ || node < 0) {
-    return;
-  }
-  MutexLock lock(stream_->mu);
-  LiveNode(node)->path = path;
-}
-
-void CausalGraph::SetNodeDhaPcie(CpNodeId node, Nanos dha_pcie) {
-  if (!enabled_ || node < 0) {
-    return;
-  }
-  DP_CHECK(dha_pcie >= 0);
-  MutexLock lock(stream_->mu);
-  LiveNode(node)->dha_pcie = dha_pcie;
-}
-
-void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
-  if (!enabled_ || from < 0 || to < 0) {
-    return;
-  }
-  // Edges run forward in append order, so no recorder can close a cycle.
-  DP_CHECK(from < to);
-  // The chunked journal's self-containment invariant: edges never cross
-  // requests (every recorder chains a request's own nodes).
-  MutexLock lock(stream_->mu);
-  const int owner = LiveSlot(to).request;
-  DP_CHECK(stream_->nodes.contains(from) &&
-           stream_->nodes[from].request == owner &&
-           "an edge stays in one request");
-  stream_->open[owner]->edges.push_back(
-      CpEdgeRec{stream_->next_edge++, from, to});
 }
 
 void CausalGraph::MarkCold(int request) {
@@ -262,18 +198,19 @@ void CausalGraph::EndRequest(int request, Nanos completion, CpNodeId terminal) {
     return;
   }
   MutexLock lock(stream_->mu);
-  CpRequest& req = OpenRecord(request)->request;
-  req.completion = completion;
-  req.terminal_node = terminal >= 0 ? terminal : req.arrival_node;
+  CpRequestRecord* record = OpenRecord(request);
+  record->request.completion = completion;
+  record->request.terminal_node =
+      terminal >= 0 ? terminal : record->nodes.back().id;
   RetireLocked(request);
 }
 
-CpNodeId CausalGraph::arrival_node(int request) const {
+CpNodeId CausalGraph::last_node(int request) const {
   if (!enabled_ || request < 0) {
     return -1;
   }
   MutexLock lock(stream_->mu);
-  return OpenRecord(request)->request.arrival_node;
+  return OpenRecord(request)->nodes.back().id;
 }
 
 void CausalGraph::Adopt(CausalGraph&& other) {
@@ -285,7 +222,7 @@ void CausalGraph::Adopt(CausalGraph&& other) {
            "Adopt needs a graph still recording, with no open request");
   const int process_base = num_processes_;
   const auto request_base = static_cast<int>(stream_->open.end());
-  const auto node_base = static_cast<CpNodeId>(stream_->nodes.end());
+  const CpNodeId node_base = stream_->next_node;
   const std::int64_t edge_base = stream_->next_edge;
   std::vector<CpStrId> remap;
   CpRequestRecord record;
@@ -328,7 +265,7 @@ void CausalGraph::Adopt(CausalGraph&& other) {
     }
   });
   stream_->open.SkipTo(request_base + static_cast<std::int64_t>(totals.requests));
-  stream_->nodes.SkipTo(node_base + static_cast<std::int64_t>(totals.nodes));
+  stream_->next_node = node_base + static_cast<CpNodeId>(totals.nodes);
   stream_->next_edge = edge_base + static_cast<std::int64_t>(totals.edges);
   other = CausalGraph(/*enabled=*/false);
 }

@@ -6,6 +6,14 @@
 // what*, which is the input the critical-path engine (src/obs/critical_path)
 // needs to attribute every nanosecond of a request's latency to a cause.
 //
+// One rule makes the edges: a node is recorded whole, in one AddNode call
+// that names its predecessors, and those come from the simulation's own
+// ordering — in a cold run, the stream that ran the op (its last recorded
+// op, and the ops that fired the events it waited on; src/sim/stream.h); in
+// the server, the request's last recorded node. An edge can only enter the
+// node being recorded, from an earlier node of the same request, so the
+// graph is acyclic by construction and each request self-contained.
+//
 // Node timestamps are absolute simulation time. Transfer nodes additionally
 // carry `solo_ns`, the duration the same transfer would have taken alone on
 // its path (min link capacity, same ceil-to-ns rounding and latency tail the
@@ -15,7 +23,7 @@
 // Nodes are plain data: labels, resources and hop link names are interned
 // once into the graph's string table (CpStrings) and a node holds their ids,
 // so recording a node copies no strings. Recorders intern their names up
-// front (Intern) and hand AddNode and SetNodePath the ids.
+// front (Intern) and hand AddNode the ids.
 //
 // Cost model mirrors TraceRecorder: components hold a `CausalGraph*` that is
 // nullptr when profiling is off, and a graph constructed disabled drops every
@@ -24,20 +32,20 @@
 //
 // A recorded graph is its DPJL journal (src/obs/journal_stream.h). The graph
 // buffers each request only while it is open; EndRequest hands the request's
-// nodes and edges to a CausalSink and reclaims them. The sink is the
-// JournalWriter AttachSink names (a file), or else one the graph owns that
-// writes the journal into memory, read back with journal(). Every analysis of
-// an in-memory graph (the profile report, the what-if replay, ToJson) reads
+// nodes and edges to a JournalWriter and reclaims them. The writer is the
+// one AttachSink names (a file), or else one the graph owns that writes the
+// journal into memory, read back with journal(). Every analysis of an
+// in-memory graph (the profile report, the what-if replay, ToJson) reads
 // that journal through the same validating reader the tools run on a file,
 // so memory is bounded by in-flight requests plus the encoded journal, and
-// the 1M-request scaling point records to a file at all. Retirement relies
-// on the recorder invariant that every edge is intra-request (engine and
-// server only ever chain nodes of the same request; DP_CHECKed), so a
-// retired request is a self-contained record. Request and node ids are
-// issued densely and in order, so the open requests and the owners of their
-// nodes are rings indexed by offset from the oldest open id, and retired
-// records are reused with their capacity: recording a node costs no lookup
-// by key and, once the rings and records have grown, no allocation.
+// the 1M-request scaling point records to a file at all. Since every edge is
+// intra-request, a retired request is a self-contained record. Request ids
+// are issued densely and in order, so the open requests are a ring indexed
+// by offset from the oldest open id; an open record's nodes are in id order,
+// so AddNode checks a predecessor by binary search in the one record it
+// writes; and retired records are reused with their capacity: recording a
+// node costs no lookup by key and, once the ring and records have grown, no
+// allocation.
 //
 // Determinism: the simulator is single-threaded, so requests retire in
 // simulation order; parallel sweeps record one graph per task and stitch
@@ -51,6 +59,7 @@
 #include <deque>
 #include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -158,7 +167,7 @@ struct CpNode {
   std::int64_t bytes = 0;  // transfers only
   Nanos solo = -1;         // transfers: contention-free duration; -1 = n/a
   // Transfers: the links crossed, in route order (empty when not recorded).
-  CpPath path;
+  CpPath path{};
   // Exec nodes: the slice of the duration spent streaming parameters over
   // PCIe (direct-host-access), which scales inversely with PCIe bandwidth
   // while the rest of the node does not. 0 for non-DHA work.
@@ -178,7 +187,7 @@ struct CpRequest {
 };
 
 // One happens-before edge with its global append-order sequence number.
-// ToJson() emits edges interleaved across requests in AddEdge order; `seq`
+// ToJson() emits edges interleaved across requests in recording order; `seq`
 // preserves that order through per-request chunking so a journal written in
 // retirement order still exports byte-identical JSON.
 struct CpEdgeRec {
@@ -195,18 +204,6 @@ struct CpRequestRecord {
   CpRequest request;
   std::vector<CpNode> nodes;
   std::vector<CpEdgeRec> edges;
-};
-
-// Receives retired requests from a CausalGraph (and process registrations,
-// which always precede the first request that uses them).
-// `strings` is the graph's string table the record's ids index; it is the
-// same table on every call.
-class CausalSink {
- public:
-  virtual ~CausalSink() = default;
-  virtual void OnProcess(int id, const std::string& name) = 0;
-  virtual void OnRequestRetired(const CpRequestRecord& record,
-                                const CpStrings& strings) = 0;
 };
 
 class JournalWriter;
@@ -227,56 +224,46 @@ class CausalGraph {
   int RegisterProcess(std::string_view name);
 
   // The id of `s` in this graph's string table, added on first use: the
-  // label, resource and hop link ids AddNode and SetNodePath take. Disabled
-  // graphs return 0 without touching the table.
+  // label, resource and hop link ids a node holds. Disabled graphs return 0
+  // without touching the table.
   CpStrId Intern(std::string_view s);
 
   // Opens a request rooted at a zero-duration arrival node. Returns the
   // request id (-1 when disabled).
   int BeginRequest(int process, int instance, Nanos arrival);
 
-  // Records one unit of causally-ordered work; `label` and `resource` are
-  // ids from Intern. Returns the node id (-1 when disabled or `request` is
-  // -1).
-  CpNodeId AddNode(int request, CpKind kind, CpStrId label, CpStrId resource,
-                   Nanos start, Nanos end, std::int64_t bytes = 0,
-                   Nanos solo = -1);
-  // The same, interning `label` and `resource` first: for hand-built graphs
-  // (tests, tools), where a lookup per node does not matter.
-  CpNodeId AddNode(int request, CpKind kind, std::string_view label,
-                   std::string_view resource, Nanos start, Nanos end,
-                   std::int64_t bytes = 0, Nanos solo = -1);
-
-  // Attaches the fabric route a transfer node crossed (link name ids from
-  // Intern + capacities). No-op when disabled or `node` is -1.
-  void SetNodePath(CpNodeId node, const CpPath& path);
-
-  // Records the PCIe-bandwidth-dependent share of an exec node's duration
-  // (direct-host-access parameter streaming). No-op when disabled or -1.
-  void SetNodeDhaPcie(CpNodeId node, Nanos dha_pcie);
-
-  // Happens-before edge `from` -> `to`. Ignores -1 endpoints so call sites
-  // can thread "previous node" cursors without branching. Every recorder
-  // adds an edge into the node it just created, from a node of the same
-  // request, so `from` < `to` and both share a request (DP_CHECKed): the
-  // graph is acyclic by construction, and each request self-contained.
-  void AddEdge(CpNodeId from, CpNodeId to);
+  // Records one unit of causally-ordered work, whole: `node` carries its
+  // kind, label and resource (ids from Intern) and interval, plus a
+  // transfer's bytes, solo duration and route, or an exec node's DHA share;
+  // its id and request are assigned here. Each of `preds` becomes an edge
+  // into it and must be an earlier node of the same open request
+  // (DP_CHECKed). Returns the node id (-1 when disabled or `request` is -1).
+  CpNodeId AddNode(int request, const CpNode& node,
+                   std::span<const CpNodeId> preds);
+  CpNodeId AddNode(int request, const CpNode& node,
+                   std::initializer_list<CpNodeId> preds) {
+    return AddNode(request, node, std::span(preds.begin(), preds.size()));
+  }
 
   // Flags a request as a cold start (known at dispatch, not at arrival).
   void MarkCold(int request);
 
-  // Closes a request: `terminal` is the node whose completion finished it.
-  // The request retires to the sink, and its nodes can no longer change.
-  void EndRequest(int request, Nanos completion, CpNodeId terminal);
+  // Closes a request: `terminal` is the node whose completion finished it,
+  // by default (-1) the request's last recorded node. The request retires to
+  // the writer, and nothing more can be recorded in it.
+  void EndRequest(int request, Nanos completion, CpNodeId terminal = -1);
 
-  CpNodeId arrival_node(int request) const;
+  // The request's most recently recorded node (its arrival node until
+  // another is added); -1 when disabled or `request` is -1. The request
+  // must be open.
+  CpNodeId last_node(int request) const;
 
   // Records into `sink` instead of the graph's own journal: a file, for runs
   // whose journal is too large to hold. The graph must be enabled and still
   // empty, and `sink` must outlive its last mutation; journal(), ToJson()
   // and the analyses of the graph are then invalid — its journal lives in
   // the sink.
-  void AttachSink(CausalSink* sink);
+  void AttachSink(JournalWriter* sink);
 
   // Retires every still-open request (completion -1) in request-id order,
   // so an interrupted or tail-truncated run still journals
@@ -348,52 +335,42 @@ class CausalGraph {
     std::size_t size_ = 0;
   };
 
-  // Where a recorded node lives: its request, and its index in that
-  // request's record.
-  struct NodeSlot {
-    int request = -1;
-    std::uint32_t index = 0;
-  };
-
   // An enabled graph's recording state: the open requests' records (nullptr
-  // once retired, until the window passes them) and the slots of their
-  // nodes, each indexed by id from the oldest still open; both windows' ends
-  // are the next ids to issue. Records come from a pool that keeps retired
-  // records with their capacity. This is the bounded-memory state, and it is
-  // the one part of the graph that is internally synchronized: retirement is
-  // the PDES hand-off point, so every field is GUARDED_BY the state's own
-  // mutex and helpers that expect it held are REQUIRES-annotated. The state
-  // lives behind a unique_ptr so the graph stays movable despite owning a
-  // Mutex. Lock order: stream_->mu before the sink's internal lock
-  // (RetireLocked calls the sink while holding mu), never the reverse — the
-  // sink never calls back into the graph.
+  // once retired, until the window passes them), indexed by id from the
+  // oldest still open; the window's end is the next request id to issue.
+  // Records come from a pool that keeps retired records with their capacity.
+  // This is the bounded-memory state, and it is the one part of the graph
+  // that is internally synchronized: retirement is the PDES hand-off point,
+  // so every field is GUARDED_BY the state's own mutex and helpers that
+  // expect it held are REQUIRES-annotated. The state lives behind a
+  // unique_ptr so the graph stays movable despite owning a Mutex. Lock
+  // order: stream_->mu before the writer's internal lock (RetireLocked calls
+  // the writer while holding mu), never the reverse — the writer never calls
+  // back into the graph.
   struct StreamState {
     // Records into a journal of the graph's own, in memory, or into `sink`.
     StreamState();
-    explicit StreamState(CausalSink* s);
+    explicit StreamState(JournalWriter* s);
 
     const std::unique_ptr<JournalWriter> own;  // null when a sink is attached
-    CausalSink* const sink;                    // own, or the attached sink
+    JournalWriter* const sink;                 // own, or the attached sink
     Mutex mu;
     // Set, with `bytes`, when journal() first reads the own journal; `bytes`
     // never changes after.
     bool closed GUARDED_BY(mu) = false;
     std::string bytes;
+    CpNodeId next_node GUARDED_BY(mu) = 0;
     std::int64_t next_edge GUARDED_BY(mu) = 0;
     IdRing<CpRequestRecord*> open GUARDED_BY(mu);
-    IdRing<NodeSlot> nodes GUARDED_BY(mu);
     std::deque<CpRequestRecord> records GUARDED_BY(mu);  // every record made
     std::vector<CpRequestRecord*> free_records GUARDED_BY(mu);
   };
 
   CpStrId ArrivalLabel() REQUIRES(stream_->mu);
-  // Whether `request` is open; its record, or `node`'s slot, DP_CHECK-failing
-  // unless that request is open.
-  bool IsOpen(int request) const REQUIRES(stream_->mu);
+  // The record of `request`, DP_CHECK-failing unless that request is open.
   CpRequestRecord* OpenRecord(int request) const REQUIRES(stream_->mu);
-  NodeSlot LiveSlot(CpNodeId node) const REQUIRES(stream_->mu);
-  CpNode* LiveNode(CpNodeId node) REQUIRES(stream_->mu);
-  CpNodeId AddNodeLocked(int request, const CpNode& node)
+  CpNodeId AddNodeLocked(int request, const CpNode& node,
+                         std::span<const CpNodeId> preds)
       REQUIRES(stream_->mu);
   // Retires `request`, or every open request in id order; const, since
   // journal() retires what is open when it first reads the journal.

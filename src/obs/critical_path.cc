@@ -89,7 +89,7 @@ void AnalyzeCriticalPaths(const JournalChunk& chunk, ProfileSummary* summary) {
     std::int64_t at =
         rec.terminal_index >= 0 ? rec.terminal_index : rec.arrival_index;
     std::vector<CpNodeId> rpath;
-    // Every edge runs from a lower node id to a higher one (AddEdge and the
+    // Every edge runs from a lower node id to a higher one (AddNode and the
     // reader check it), so the walk ends.
     while (at >= 0) {
       const CpNode& node = nodes[Idx(at)];

@@ -207,8 +207,7 @@ JournalWriter::~JournalWriter() {
 }
 
 bool JournalWriter::Open(const std::string& path,
-                         const JournalWriterOptions& options,
-                         MetricsRegistry* metrics) {
+                         const JournalWriterOptions& options) {
   MutexLock lock(mu_);
   DP_CHECK(!open_);
   DP_CHECK(options.chunk_requests > 0 && options.chunk_bytes > 0);
@@ -219,7 +218,6 @@ bool JournalWriter::Open(const std::string& path,
     return false;
   }
   options_ = options;
-  metrics_ = metrics;
   WriteHeader();
   return static_cast<bool>(out_);
 }
@@ -243,9 +241,6 @@ void JournalWriter::WriteHeader() {
         kJournalVersion, 4);
   Emit(std::string_view(header, sizeof(header)));
   bytes_written_ = sizeof(header);
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("journal.bytes", static_cast<std::int64_t>(sizeof(header)));
-  }
   open_ = true;
 }
 
@@ -385,12 +380,7 @@ void JournalWriter::WriteFrame(std::uint8_t marker,
   for (const std::string_view piece : pieces) {
     Emit(piece);
   }
-  const std::uint64_t frame_bytes = head_size + size;
-  bytes_written_ += frame_bytes;
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("journal.bytes",
-                         static_cast<std::int64_t>(frame_bytes));
-  }
+  bytes_written_ += head_size + size;
   if (!out_) {
     ok_ = false;
     error_ = "journal write failed (disk full or file closed?)";
@@ -420,19 +410,6 @@ void JournalWriter::FlushChunk() {
   totals_.incomplete_requests += chunk_incomplete_;
   totals_.nodes += chunk_nodes_;
   totals_.edges += chunk_edges_;
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("journal.chunks");
-    metrics_->AddCounter("journal.requests",
-                         static_cast<std::int64_t>(chunk_requests_));
-    if (chunk_incomplete_ > 0) {
-      metrics_->AddCounter("journal.incomplete_requests",
-                           static_cast<std::int64_t>(chunk_incomplete_));
-    }
-    metrics_->AddCounter("journal.nodes",
-                         static_cast<std::int64_t>(chunk_nodes_));
-    metrics_->AddCounter("journal.edges",
-                         static_cast<std::int64_t>(chunk_edges_));
-  }
 
   pending_processes_.clear();
   string_table_.Clear();

@@ -1,7 +1,7 @@
 // Binary causal journal (DPJL, schema v1): the one format a causal journal
 // is recorded in and read from, on disk and in memory. A JournalWriter
-// consumes the requests a CausalGraph retires (CausalSink) and appends them
-// in CRC-guarded chunks, so recording a million-request run costs only the
+// consumes the requests a CausalGraph retires and appends them in
+// CRC-guarded chunks, so recording a million-request run costs only the
 // in-flight state: to a file when the graph has one attached, or else to the
 // graph's own journal in memory (CausalGraph::journal). The chunk-iterator
 // JournalReader, over a file or those bytes, is the one judge of a valid
@@ -54,7 +54,6 @@
 
 #include "src/check/trace_lint.h"
 #include "src/obs/causal_graph.h"
-#include "src/obs/metrics_registry.h"
 #include "src/util/thread_annotations.h"
 
 namespace deepplan {
@@ -79,7 +78,7 @@ bool ReadZigzag(std::string_view data, std::size_t* pos, std::int64_t* out);
 // `data`, so a CRC runs over pieces: Crc32(b, Crc32(a)) == Crc32(a + b).
 std::uint32_t Crc32(std::string_view data, std::uint32_t crc = 0);
 
-// Footer totals; also the shape of the journal.* metrics counters.
+// Footer totals.
 struct JournalTotals {
   std::uint64_t requests = 0;
   std::uint64_t incomplete_requests = 0;  // flushed with completion -1
@@ -97,13 +96,9 @@ struct JournalWriterOptions {
   std::size_t chunk_bytes = std::size_t{1} << 20;
 };
 
-// Streaming writer; plugs into a CausalGraph as its CausalSink, writing a
-// file (Open) or the graph's own journal in memory (OpenInMemory). When a
-// MetricsRegistry is attached, each flushed chunk bumps the
-// journal.requests / journal.incomplete_requests / journal.nodes /
-// journal.edges / journal.chunks / journal.bytes counters; with no registry
-// (and on the disabled-graph path, which never calls the sink) the writer
-// touches no metrics at all.
+// Streaming writer; the one sink of a CausalGraph, writing a file (Open,
+// then CausalGraph::AttachSink) or the graph's own journal in memory
+// (OpenInMemory). totals() and bytes_written() report its progress.
 //
 // Internally synchronized: the writer is the retirement hand-off point, so
 // every mutable field sits behind mu_ (GUARDED_BY, compile-checked). What the
@@ -112,26 +107,28 @@ struct JournalWriterOptions {
 // be reproducible; today that order comes from the single-threaded recorder
 // (or FlushOpenRequests' id-ordered sweep). The status accessors return by
 // value for the same reason: a reference into guarded state would escape the
-// lock. Lock order: this is a leaf for the graph (graph's stream mutex is
-// held across OnRequestRetired) but acquires the registry's internal lock via
-// the journal.* counters — so registry < writer < graph, never cyclic.
-class JournalWriter : public CausalSink {
+// lock. Lock order: this is a leaf (the graph's stream mutex is held across
+// OnRequestRetired), so writer < graph, never cyclic.
+class JournalWriter {
  public:
   JournalWriter() = default;
-  ~JournalWriter() override;
+  ~JournalWriter();
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  bool Open(const std::string& path, const JournalWriterOptions& options = {},
-            MetricsRegistry* metrics = nullptr) EXCLUDES(mu_);
-  // Writes the journal into memory instead, with default options and no
-  // registry; TakeBytes hands it over after Finish.
+  bool Open(const std::string& path, const JournalWriterOptions& options = {})
+      EXCLUDES(mu_);
+  // Writes the journal into memory instead, with default options; TakeBytes
+  // hands it over after Finish.
   void OpenInMemory() EXCLUDES(mu_);
   std::string TakeBytes() EXCLUDES(mu_);
 
-  void OnProcess(int id, const std::string& name) override EXCLUDES(mu_);
-  void OnRequestRetired(const CpRequestRecord& record,
-                        const CpStrings& strings) override EXCLUDES(mu_);
+  // A process registration, which always precedes the first request that
+  // uses it, and a retired request: what the graph hands over. `strings` is
+  // the graph's string table the record's ids index, the same on every call.
+  void OnProcess(int id, const std::string& name) EXCLUDES(mu_);
+  void OnRequestRetired(const CpRequestRecord& record, const CpStrings& strings)
+      EXCLUDES(mu_);
 
   // Flushes the tail chunk, writes the footer, and closes. Returns false if
   // any write failed. Safe to call once; the destructor calls it if needed.
@@ -198,7 +195,6 @@ class JournalWriter : public CausalSink {
   bool ok_ GUARDED_BY(mu_) = true;
   std::string error_ GUARDED_BY(mu_);
   JournalWriterOptions options_ GUARDED_BY(mu_);
-  MetricsRegistry* metrics_ GUARDED_BY(mu_) = nullptr;
   JournalTotals totals_ GUARDED_BY(mu_);
   std::uint64_t bytes_written_ GUARDED_BY(mu_) = 0;
   // Current-chunk state, reset at every flush. The chunk's string table and

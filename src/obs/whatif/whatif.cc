@@ -713,6 +713,13 @@ bool ParseWhatIfExperiment(const std::string& spec, WhatIfExperiment* out,
                  "' (want a positive number)";
         return false;
       }
+      if (k < kMinWhatIfScale || k > kMaxWhatIfScale) {
+        *error = "scale out of range in what-if clause '" + tok + "' (want " +
+                 Json::Num(kMinWhatIfScale) + " to " + Json::Num(kMaxWhatIfScale) +
+                 ": replayed nanosecond times and link capacities must stay "
+                 "finite)";
+        return false;
+      }
       if (key == "pcie") {
         exp.pcie_scale = k;
       } else if (key == "nvlink") {

@@ -72,11 +72,18 @@ struct WhatIfExperiment {
   }
 };
 
+// The range of a what-if scale K: a replay divides recorded nanosecond
+// durations by K and multiplies link capacities by it, and both must stay
+// finite and in range.
+inline constexpr double kMinWhatIfScale = 1e-3;
+inline constexpr double kMaxWhatIfScale = 1e3;
+
 // Parses a comma-separated experiment spec: "pcie=K", "nvlink=K", "exec=K"
-// (K > 0), "nocontention", "noevict", or "baseline" (identity), in any
-// combination — e.g. "pcie=2,nocontention". Returns false and sets `error`
-// on malformed input. The parsed experiment's name is the canonical form
-// (fixed clause order, duplicate clauses collapsed).
+// (K in [kMinWhatIfScale, kMaxWhatIfScale]), "nocontention", "noevict", or
+// "baseline" (identity), in any combination — e.g. "pcie=2,nocontention".
+// Returns false and sets `error` on malformed input. The parsed experiment's
+// name is the canonical form (fixed clause order, duplicate clauses
+// collapsed).
 bool ParseWhatIfExperiment(const std::string& spec, WhatIfExperiment* out,
                            std::string* error);
 

@@ -48,7 +48,6 @@ struct InFlight {
   Nanos start = 0;
   Nanos evict_delay = 0;
   int num_evicted = 0;
-  CpNodeId causal_root = -1;  // evict node, or the request's arrival node
 };
 
 struct Server::Impl {
@@ -118,8 +117,7 @@ struct Server::Impl {
   void FinishWarm(std::uint64_t gpu);
   void StartCold(std::uint64_t gpu);
   void FinishRequest(GpuId gpu, int instance, const PendingRequest& req, Nanos start,
-                     bool cold, Nanos evict_delay, Nanos load_done, int num_evicted,
-                     CpNodeId causal_terminal = -1);
+                     bool cold, Nanos evict_delay, Nanos load_done, int num_evicted);
   void NoteQueueDepth(GpuId gpu);
   CpStrId WarmLabel(int instance);
   const std::vector<GpuId>& Secondaries(ModelEntry& entry, GpuId primary);
@@ -199,8 +197,7 @@ CpStrId Server::Impl::WarmLabel(int instance) {
 
 void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& req,
                                  Nanos start, bool cold, Nanos evict_delay,
-                                 Nanos load_done, int num_evicted,
-                                 CpNodeId causal_terminal) {
+                                 Nanos load_done, int num_evicted) {
   instances->SetBusy(instance, false);
   instances->MarkUsed(instance, sim->now());
   RequestRecord record;
@@ -245,22 +242,24 @@ void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& 
     registry->Observe("server.latency_ms", ToMillis(record.Latency()));
   }
   if (causal != nullptr && req.causal >= 0) {
-    CpNodeId terminal = causal_terminal;
     if (!cold) {
       // Warm requests never enter the engine's cold path; their whole DAG is
-      // arrival -> one exec node.
-      terminal = causal->AddNode(req.causal, CpKind::kExec, WarmLabel(instance),
-                                 causal_exec_track[Idx(gpu)], start, sim->now());
-      // DHA plans stream parameters during warm execution too; record the
-      // PCIe-bandwidth-dependent share for the what-if engine.
+      // arrival -> one exec node. DHA plans stream parameters during warm
+      // execution too; the node records the PCIe-bandwidth-dependent share
+      // for the what-if engine.
       const ModelEntry& entry = models[Idx(instance_model[Idx(instance)])];
-      const Nanos dha_pcie = entry.warm_dha_pcie;
-      if (dha_pcie > 0) {
-        causal->SetNodeDhaPcie(terminal, dha_pcie);
-      }
-      causal->AddEdge(causal->arrival_node(req.causal), terminal);
+      causal->AddNode(req.causal,
+                      {.kind = CpKind::kExec,
+                       .label = WarmLabel(instance),
+                       .resource = causal_exec_track[Idx(gpu)],
+                       .start = start,
+                       .end = sim->now(),
+                       .dha_pcie = entry.warm_dha_pcie},
+                      {causal->last_node(req.causal)});
     }
-    causal->EndRequest(req.causal, sim->now(), terminal);
+    // A request ends at its last recorded node: the warm exec node, or the
+    // cold run's last layer execution.
+    causal->EndRequest(req.causal, sim->now());
   }
   gpu_busy[Idx(gpu)] = false;
   Dispatch(gpu);
@@ -304,16 +303,17 @@ void Server::Impl::Dispatch(GpuId gpu) {
   flight.evict_delay = kEvictionCost * static_cast<Nanos>(evicted.size());
   if (causal != nullptr && req.causal >= 0) {
     causal->MarkCold(req.causal);
-    flight.causal_root = causal->arrival_node(req.causal);
     if (flight.evict_delay > 0) {
       // Eviction spans [start, start + evict_delay] deterministically, so
-      // the node can be recorded up front.
-      const CpNodeId evict_node = causal->AddNode(
-          req.causal, CpKind::kEvict,
-          causal->Intern("evict x" + std::to_string(flight.num_evicted)),
-          causal_gpu[Idx(gpu)], start, start + flight.evict_delay);
-      causal->AddEdge(flight.causal_root, evict_node);
-      flight.causal_root = evict_node;
+      // the node can be recorded up front; the cold run hangs off it.
+      causal->AddNode(
+          req.causal,
+          {.kind = CpKind::kEvict,
+           .label = causal->Intern("evict x" + std::to_string(flight.num_evicted)),
+           .resource = causal_gpu[Idx(gpu)],
+           .start = start,
+           .end = start + flight.evict_delay},
+          {causal->last_node(req.causal)});
     }
   }
   sim->ScheduleAfter(flight.evict_delay, MakeAction<&Impl::StartCold>(this, Idx(gpu)));
@@ -340,13 +340,12 @@ void Server::Impl::StartCold(std::uint64_t gpu_arg) {
   ModelEntry& entry = models[Idx(instance_model[Idx(flight.req.instance)])];
   ColdRunOptions cold_options = MakeColdRunOptions(options.strategy, options.batch);
   cold_options.causal_request = flight.req.causal;
-  cold_options.causal_root = flight.causal_root;
   engine->RunCold(entry.model, entry.plan, gpu, Secondaries(entry, gpu), cold_options,
                   [this, gpu](const InferenceResult& result) {
                     const InFlight done = running[Idx(gpu)];
                     FinishRequest(gpu, done.req.instance, done.req, done.start,
                                   /*cold=*/true, done.evict_delay, result.load_done,
-                                  done.num_evicted, result.causal_terminal);
+                                  done.num_evicted);
                   });
 }
 

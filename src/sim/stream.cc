@@ -6,15 +6,16 @@
 
 namespace deepplan {
 
-void SyncEvent::Fire() {
+void SyncEvent::Fire(CpNodeId node) {
   check::SimValidator::OnSyncEventFire("SyncEvent::Fire", fired_, sim_->now());
   DP_CHECK(!fired_);
   fired_ = true;
   fire_time_ = sim_->now();
+  node_ = node;
   // No stream can start waiting once fired_ is set, so the list is stable
   // while the waiters resume.
   for (Stream* waiter : waiters_) {
-    waiter->EndWait();
+    waiter->EndWait(node);
   }
   waiters_.clear();
 }
@@ -31,13 +32,14 @@ Stream::~Stream() {
   }
 }
 
-void Stream::Reset(Simulator* sim, std::string name) {
+void Stream::Reset(Simulator* sim, std::string name, CpNodeId last) {
   DP_CHECK(sim != nullptr);
   DP_CHECK(idle());
   sim_ = sim;
   name_ = std::move(name);
   wait_time_ = 0;
   last_start_ = -1;
+  Recorded(last);
 }
 
 void Stream::EnqueueDelay(Nanos duration) {
@@ -81,8 +83,9 @@ void Stream::Finish() {
   Pump();
 }
 
-void Stream::EndWait() {
+void Stream::EndWait(CpNodeId node) {
   wait_time_ += sim_->now() - wait_start_;
+  Waited(node);
   Finish();
 }
 
@@ -111,6 +114,7 @@ void Stream::Pump() {
         break;
       case OpKind::kWait:
         if (op.event->fired()) {
+          Waited(op.event->node());
           running_ = false;
         } else {
           wait_start_ = sim_->now();
@@ -119,7 +123,7 @@ void Stream::Pump() {
         break;
       case OpKind::kRecord: {
         SyncEvent* event = op.event;
-        event->Fire();
+        event->Fire(preds_.front());
         running_ = false;
         break;
       }

@@ -2,14 +2,23 @@
 // events, mirroring the execution-coordination layer of Section 4.3.4: the
 // load stream records a SyncEvent after each layer transfer
 // (cudaEventRecord), the execute stream waits on it (cudaStreamWaitEvent).
+//
+// The streams and events are also the causal graph's one source of edges
+// (src/obs/causal_graph.h): an event remembers the causal node of the op
+// that fired it, and a stream remembers the node of its last recorded op
+// plus the fire nodes of the events it has waited on since. Those are the
+// predecessors of the next op it records (Stream::preds), so the recorded
+// happens-before DAG is the ordering that actually ran the work.
 #ifndef SRC_SIM_STREAM_H_
 #define SRC_SIM_STREAM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "src/obs/causal_graph.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
 #include "src/util/time.h"
@@ -32,20 +41,26 @@ class SyncEvent {
     sim_ = sim;
     fired_ = false;
     fire_time_ = -1;
+    node_ = -1;
     waiters_.clear();
   }
 
   bool fired() const { return fired_; }
   Nanos fire_time() const { return fire_time_; }
+  // The causal node of the op that fired the event; -1 when none was
+  // recorded.
+  CpNodeId node() const { return node_; }
 
-  // Marks the event fired at the current simulated time and resumes waiters.
-  void Fire();
+  // Marks the event fired at the current simulated time by the op recorded
+  // as causal node `node` (-1: none), and resumes waiters.
+  void Fire(CpNodeId node = -1);
 
  private:
   friend class Stream;
 
   Simulator* sim_ = nullptr;
   bool fired_ = false;
+  CpNodeId node_ = -1;
   Nanos fire_time_ = -1;
   std::vector<Stream*> waiters_;  // streams blocked on a Wait op
 };
@@ -83,9 +98,10 @@ class Stream {
   ~Stream();
   Stream(Stream&&) = default;
 
-  // Rearms a drained stream for reuse (pooled cold-run bookkeeping). The
-  // stream must be idle: no queued ops, no op in flight.
-  void Reset(Simulator* sim, std::string name);
+  // Rearms a drained stream for reuse (pooled cold-run bookkeeping), its
+  // next recorded op hanging off causal node `last` (-1: none). The stream
+  // must be idle: no queued ops, no op in flight.
+  void Reset(Simulator* sim, std::string name, CpNodeId last = -1);
 
   const std::string& name() const { return name_; }
   bool idle() const { return !running_ && next_ == ops_.size(); }
@@ -96,7 +112,8 @@ class Stream {
   // Blocks the stream until `event` fires.
   void EnqueueWait(SyncEvent* event);
 
-  // Fires `event` when the stream reaches this point.
+  // Fires `event`, with the stream's last recorded node, when the stream
+  // reaches this point.
   void EnqueueRecord(SyncEvent* event);
 
   // Moves `bytes` across `path` of `fabric` as one Fabric::Start (`latency`
@@ -117,6 +134,18 @@ class Stream {
   // (approximate pipeline-stall accounting for diagnostics).
   Nanos wait_time() const { return wait_time_; }
 
+  // The causal predecessors of the op the stream records next: the node of
+  // its last recorded op, then the fire nodes of the events it has waited on
+  // since, in wait order, consecutive repeats folded. Nodes of -1 (nothing
+  // recorded) are left out after the first.
+  std::span<const CpNodeId> preds() const { return preds_; }
+  // The op that just finished was recorded as causal node `node`: it is the
+  // next op's one predecessor until the stream waits again.
+  void Recorded(CpNodeId node) {
+    preds_.resize(1);
+    preds_[0] = node;
+  }
+
  private:
   friend class SyncEvent;
 
@@ -125,8 +154,14 @@ class Stream {
   void Pump();
   // The in-flight op finished (delay elapsed or transfer completed).
   void Finish();
-  // The event the in-flight Wait op blocked on fired.
-  void EndWait();
+  // A Wait op passed an event fired by causal node `node`.
+  void Waited(CpNodeId node) {
+    if (node >= 0 && node != preds_.back()) {
+      preds_.push_back(node);
+    }
+  }
+  // The event the in-flight Wait op blocked on fired, by causal node `node`.
+  void EndWait(CpNodeId node);
 
   Simulator* sim_ = nullptr;
   std::string name_;
@@ -139,6 +174,7 @@ class Stream {
   Nanos wait_time_ = 0;
   // When the most recent op started; the validator asserts in-order starts.
   Nanos last_start_ = -1;
+  std::vector<CpNodeId> preds_{-1};  // see preds(); never empty
 };
 
 static_assert(std::is_trivially_copyable_v<Stream::Op>);

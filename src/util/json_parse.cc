@@ -176,59 +176,74 @@ class Parser {
     return true;
   }
 
+  // After the opening '{'.
+  bool ParseObject(JsonValue* out) {
+    std::vector<std::pair<std::string, JsonValue>> fields;
+    if (Eat('}')) {
+      *out = JsonValue::Object(std::move(fields));
+      return true;
+    }
+    do {
+      SkipWs();
+      std::string key;
+      if (!ParseString(&key)) {
+        return false;
+      }
+      if (!Eat(':')) {
+        return Err("expected ':' after object key");
+      }
+      JsonValue value = JsonValue::Null();
+      if (!ParseValue(&value)) {
+        return false;
+      }
+      fields.emplace_back(std::move(key), std::move(value));
+    } while (Eat(','));
+    if (!Eat('}')) {
+      return Err("expected '}' or ','");
+    }
+    *out = JsonValue::Object(std::move(fields));
+    return true;
+  }
+
+  // After the opening '['.
+  bool ParseArray(JsonValue* out) {
+    std::vector<JsonValue> items;
+    if (Eat(']')) {
+      *out = JsonValue::Array(std::move(items));
+      return true;
+    }
+    do {
+      JsonValue value = JsonValue::Null();
+      if (!ParseValue(&value)) {
+        return false;
+      }
+      items.push_back(std::move(value));
+    } while (Eat(','));
+    if (!Eat(']')) {
+      return Err("expected ']' or ','");
+    }
+    *out = JsonValue::Array(std::move(items));
+    return true;
+  }
+
   bool ParseValue(JsonValue* out) {
     SkipWs();
     if (pos_ >= text_.size()) {
       return Err("unexpected end of input");
     }
     const char c = text_[pos_];
-    if (c == '{') {
+    if (c == '{' || c == '[') {
+      // Each level recurses once, so a bound on the depth is a bound on the
+      // stack: a deeper document is refused, never a crash.
+      if (depth_ == kMaxJsonDepth) {
+        return Err("arrays and objects nested deeper than " +
+                   std::to_string(kMaxJsonDepth) + " levels");
+      }
       ++pos_;
-      std::vector<std::pair<std::string, JsonValue>> fields;
-      if (Eat('}')) {
-        *out = JsonValue::Object(std::move(fields));
-        return true;
-      }
-      do {
-        SkipWs();
-        std::string key;
-        if (!ParseString(&key)) {
-          return false;
-        }
-        if (!Eat(':')) {
-          return Err("expected ':' after object key");
-        }
-        JsonValue value = JsonValue::Null();
-        if (!ParseValue(&value)) {
-          return false;
-        }
-        fields.emplace_back(std::move(key), std::move(value));
-      } while (Eat(','));
-      if (!Eat('}')) {
-        return Err("expected '}' or ','");
-      }
-      *out = JsonValue::Object(std::move(fields));
-      return true;
-    }
-    if (c == '[') {
-      ++pos_;
-      std::vector<JsonValue> items;
-      if (Eat(']')) {
-        *out = JsonValue::Array(std::move(items));
-        return true;
-      }
-      do {
-        JsonValue value = JsonValue::Null();
-        if (!ParseValue(&value)) {
-          return false;
-        }
-        items.push_back(std::move(value));
-      } while (Eat(','));
-      if (!Eat(']')) {
-        return Err("expected ']' or ','");
-      }
-      *out = JsonValue::Array(std::move(items));
-      return true;
+      ++depth_;
+      const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return ok;
     }
     if (c == '"') {
       std::string s;
@@ -258,6 +273,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
   std::string error_;
 };
 

@@ -63,8 +63,12 @@ struct JsonParseResult {
   JsonValue value = JsonValue::Null();
 };
 
+// Deepest nesting of arrays and objects ParseJson accepts: far above any
+// document this repo writes, and far below what overflows the parser's stack.
+inline constexpr int kMaxJsonDepth = 1000;
+
 // Parses `text` as one JSON document (trailing whitespace allowed, trailing
-// garbage is an error).
+// garbage is an error, and so is nesting deeper than kMaxJsonDepth).
 JsonParseResult ParseJson(const std::string& text);
 
 }  // namespace deepplan

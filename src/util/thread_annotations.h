@@ -13,8 +13,8 @@
 //   1. *Internally synchronized* (annotated here): structures that threads
 //      genuinely share — ThreadPool's work queue, MetricsRegistry (all its
 //      operations are commutative, so a locked registry stays deterministic
-//      under any interleaving), JournalWriter (the CausalSink hand-off
-//      target), and CausalGraph's recording state. Their shared
+//      under any interleaving), JournalWriter (the target CausalGraph
+//      hands retired requests to), and CausalGraph's recording state. Their shared
 //      mutable fields are GUARDED_BY a Mutex and helpers that expect the
 //      lock are REQUIRES-annotated.
 //

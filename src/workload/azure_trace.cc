@@ -103,11 +103,4 @@ Trace GenerateAzureTrace(const AzureTraceOptions& options) {
   return trace;
 }
 
-std::optional<Trace> LoadAzureTraceCsv(const std::string& path,
-                                       std::string* error) {
-  DP_SELFPROF_SCOPE(kWorkloadGen);
-  DP_CHECK(error != nullptr);
-  return Trace::LoadFrom(path, error);
-}
-
 }  // namespace deepplan

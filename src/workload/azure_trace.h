@@ -34,13 +34,6 @@ struct AzureTraceOptions {
 
 Trace GenerateAzureTrace(const AzureTraceOptions& options);
 
-// Replays a real (or exported) MAF-style arrival CSV. Streams the file
-// line-at-a-time — memory is the decoded arrivals, never the raw text — and
-// rejects malformed or truncated rows with a "path:LINE: ..." diagnosis in
-// `error` instead of silently dropping the tail.
-std::optional<Trace> LoadAzureTraceCsv(const std::string& path,
-                                       std::string* error);
-
 }  // namespace deepplan
 
 #endif  // SRC_WORKLOAD_AZURE_TRACE_H_

@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "src/obs/selfprof.h"
 #include "src/util/index.h"
 #include "src/util/logging.h"
 
@@ -71,9 +72,10 @@ std::string Trace::ToCsv() const {
 
 namespace {
 
-// Strict "<time_ns>,<instance>" row parse. Returns false with a diagnosis on
-// anything else — a missing comma usually means the file was cut mid-row.
-bool ParseArrivalLine(const std::string& line, Arrival* out,
+// Strict "<time_ns>,<instance>" row parse, the instance below
+// `num_instances`. Returns false with a diagnosis on anything else — a
+// missing comma usually means the file was cut mid-row.
+bool ParseArrivalLine(const std::string& line, int num_instances, Arrival* out,
                       std::string* why) {
   const auto comma = line.find(',');
   if (comma == std::string::npos) {
@@ -94,6 +96,11 @@ bool ParseArrivalLine(const std::string& line, Arrival* out,
     *why = "bad instance field (want a non-negative integer)";
     return false;
   }
+  if (instance >= num_instances) {
+    *why = "instance " + std::to_string(instance) + " is not below the " +
+           std::to_string(num_instances) + " instances replaying the trace";
+    return false;
+  }
   out->instance = static_cast<int>(instance);
   return true;
 }
@@ -101,7 +108,7 @@ bool ParseArrivalLine(const std::string& line, Arrival* out,
 // Shared line-at-a-time reader over any istream source.
 std::optional<Trace> ReadArrivalLines(std::istream& is,
                                       const std::string& origin,
-                                      std::string* error) {
+                                      int num_instances, std::string* error) {
   std::string line;
   std::vector<Arrival> arrivals;
   bool first = true;
@@ -122,7 +129,7 @@ std::optional<Trace> ReadArrivalLines(std::istream& is,
     }
     Arrival a;
     std::string why;
-    if (!ParseArrivalLine(line, &a, &why)) {
+    if (!ParseArrivalLine(line, num_instances, &a, &why)) {
       if (error != nullptr) {
         *error = origin + ":" + std::to_string(line_number) +
                  ": malformed row \"" + line + "\": " + why;
@@ -138,7 +145,7 @@ std::optional<Trace> ReadArrivalLines(std::istream& is,
 
 std::optional<Trace> Trace::FromCsv(const std::string& text) {
   std::istringstream is(text);
-  return ReadArrivalLines(is, "<csv>", nullptr);
+  return ReadArrivalLines(is, "<csv>", std::numeric_limits<int>::max(), nullptr);
 }
 
 bool Trace::SaveTo(const std::string& path) const {
@@ -150,21 +157,16 @@ bool Trace::SaveTo(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-std::optional<Trace> Trace::LoadFrom(const std::string& path) {
-  std::string ignored;
-  return LoadFrom(path, &ignored);
-}
-
 std::optional<Trace> Trace::LoadFrom(const std::string& path,
-                                     std::string* error) {
+                                     int num_instances, std::string* error) {
+  DP_SELFPROF_SCOPE(kWorkloadGen);
+  DP_CHECK(error != nullptr);
   std::ifstream in(path);
   if (!in) {
-    if (error != nullptr) {
-      *error = path + ": cannot open file";
-    }
+    *error = path + ": cannot open file";
     return std::nullopt;
   }
-  return ReadArrivalLines(in, path, error);
+  return ReadArrivalLines(in, path, num_instances, error);
 }
 
 }  // namespace deepplan

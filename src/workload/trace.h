@@ -49,12 +49,14 @@ class Trace {
   std::string ToCsv() const;
   static std::optional<Trace> FromCsv(const std::string& text);
   bool SaveTo(const std::string& path) const;
-  // Streams the file line-at-a-time (no whole-file buffer — MAF-scale traces
-  // are larger than the arrivals they decode to). On failure the two-arg
-  // overload reports the offending line: "path:LINE: malformed row ...".
-  static std::optional<Trace> LoadFrom(const std::string& path);
+  // Loads a trace to replay on a server of `num_instances` instances: a real
+  // (or exported) MAF-style CSV. Streams the file line-at-a-time (no
+  // whole-file buffer — MAF-scale traces are larger than the arrivals they
+  // decode to), and refuses a malformed row, or one naming an instance the
+  // server lacks, with the offending line in `error`: "path:LINE: malformed
+  // row ...".
   static std::optional<Trace> LoadFrom(const std::string& path,
-                                       std::string* error);
+                                       int num_instances, std::string* error);
 
  private:
   std::vector<Arrival> arrivals_;  // sorted by time

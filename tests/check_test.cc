@@ -746,7 +746,7 @@ TEST(JournalDeathTest, AttachSinkToNonEmptyGraphAborts) {
         JournalWriter writer;
         CausalGraph graph(/*enabled=*/true);
         const int req = graph.BeginRequest(graph.RegisterProcess("p"), 0, 0);
-        graph.EndRequest(req, 1, graph.arrival_node(req));
+        graph.EndRequest(req, 1);
         graph.AttachSink(&writer);
       },
       "empty");

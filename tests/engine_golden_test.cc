@@ -105,6 +105,7 @@ ColdOutput RunCase(const ColdCase& c) {
   fabric.fabric().set_telemetry(&recorder, nullptr, pid);
 
   std::vector<InferenceResult> results(c.launches.size());
+  std::vector<CpNodeId> terminals(c.launches.size(), -1);
   for (std::size_t i = 0; i < c.launches.size(); ++i) {
     const Launch launch = c.launches[i];
     sim.ScheduleAt(launch.start, [&, i, launch]() {
@@ -124,7 +125,8 @@ ColdOutput RunCase(const ColdCase& c) {
                                                             degree),
                      options, [&, i, request](const InferenceResult& r) {
                        results[i] = r;
-                       causal.EndRequest(request, sim.now(), r.causal_terminal);
+                       terminals[i] = causal.last_node(request);
+                       causal.EndRequest(request, sim.now());
                      });
     });
   }
@@ -136,7 +138,7 @@ ColdOutput RunCase(const ColdCase& c) {
     const InferenceResult& r = results[i];
     os << "run " << i << " latency=" << r.latency << " exec_busy=" << r.exec_busy
        << " stall=" << r.stall << " load_done=" << r.load_done << " cold=" << r.cold
-       << " causal_terminal=" << r.causal_terminal << "\n";
+       << " causal_terminal=" << terminals[i] << "\n";
     AppendPartitions(os, r);
   }
   os << "trace\n" << OnePerLine(recorder.ToJson()) << "\n";

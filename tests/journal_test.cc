@@ -38,6 +38,7 @@
 #include "src/serving/server.h"
 #include "src/workload/azure_trace.h"
 #include "src/workload/poisson.h"
+#include "tests/causal_node.h"
 #include "tests/counting_new.h"
 
 namespace deepplan {
@@ -431,12 +432,13 @@ TEST(JournalRoundTripTest, IncompleteRequestsKeepCompletionMinusOne) {
   graph.AttachSink(&writer);
   const int process = graph.RegisterProcess("p");
   const int done = graph.BeginRequest(process, 0, 10);
-  const CpNodeId exec =
-      graph.AddNode(done, CpKind::kExec, "exec", "exec/gpu0", 10, 20);
-  graph.AddEdge(graph.arrival_node(done), exec);
-  graph.EndRequest(done, 20, exec);
+  graph.AddNode(done,
+                MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", 10, 20),
+                {graph.last_node(done)});
+  graph.EndRequest(done, 20);
   const int open = graph.BeginRequest(process, 1, 15);
-  graph.AddNode(open, CpKind::kExec, "exec", "exec/gpu0", 15, 25);
+  graph.AddNode(open,
+                MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", 15, 25), {});
   // `open` never ends: FlushOpenRequests retires it with completion -1.
   graph.FlushOpenRequests();
   ASSERT_TRUE(writer.Finish());
@@ -501,10 +503,11 @@ class JournalCorruptionTest : public ::testing::Test {
       const int process = graph->RegisterProcess("p");
       for (int i = 0; i < 8; ++i) {
         const int req = graph->BeginRequest(process, i, i * 100);
-        const CpNodeId exec = graph->AddNode(
-            req, CpKind::kExec, "exec", "exec/gpu0", i * 100, i * 100 + 50);
-        graph->AddEdge(graph->arrival_node(req), exec);
-        graph->EndRequest(req, i * 100 + 50, exec);
+        graph->AddNode(req,
+                       MakeNode(*graph, CpKind::kExec, "exec", "exec/gpu0",
+                                i * 100, i * 100 + 50),
+                       {graph->last_node(req)});
+        graph->EndRequest(req, i * 100 + 50);
       }
     });
     bytes_ = ReadFileBytes(path_);
@@ -953,11 +956,11 @@ TEST(JournalLintTest, ALinkNamedAtTwoCapacitiesInOneProcessIsRejected) {
       for (const auto& [process, capacity] :
            {std::pair{first, 12e9}, std::pair{second, 24e9}}) {
         const int req = graph->BeginRequest(process, 0, 0);
-        const CpNodeId load = graph->AddNode(
-            req, CpKind::kPcie, "load", "pcie/gpu0", 0, 1000, 12000, 1000);
-        graph->SetNodePath(load, {{graph->Intern("pcie/gpu0"), capacity}});
-        graph->AddEdge(graph->arrival_node(req), load);
-        graph->EndRequest(req, 1000, load);
+        CpNode load = MakeNode(*graph, CpKind::kPcie, "load", "pcie/gpu0", 0,
+                               1000, 12000, 1000);
+        load.path = {{graph->Intern("pcie/gpu0"), capacity}};
+        graph->AddNode(req, load, {graph->last_node(req)});
+        graph->EndRequest(req, 1000);
       }
     });
   };
@@ -982,9 +985,10 @@ TEST(JournalLintTest, ALinkNamedAtTwoCapacitiesInOneProcessIsRejected) {
 
 // ------------------------------------------------ streaming state
 
-// The streaming graph indexes open requests and their nodes from the oldest
-// open one: a request held open while thousands of later requests retire
-// stays addressable, and FlushOpenRequests retires it last, incomplete.
+// The streaming graph indexes open requests from the oldest open one: a
+// request held open while thousands of later requests retire stays
+// addressable, its early nodes still predecessors of a node recorded late,
+// and FlushOpenRequests retires it last, incomplete.
 TEST(CausalStreamTest, RequestHeldOpenIsFlushedLast) {
   const std::string path = TempPath("journal_held_open.dpj");
   CausalGraph graph(/*enabled=*/true);
@@ -992,19 +996,21 @@ TEST(CausalStreamTest, RequestHeldOpenIsFlushedLast) {
   ASSERT_TRUE(writer.Open(path));
   graph.AttachSink(&writer);
   const int process = graph.RegisterProcess("p");
-  const CpStrId exec = graph.Intern("exec");
-  const CpStrId gpu = graph.Intern("exec/gpu0");
   const int held = graph.BeginRequest(process, 0, 0);
-  const CpNodeId held_node = graph.AddNode(held, CpKind::kExec, exec, gpu, 0, 5);
-  graph.AddEdge(graph.arrival_node(held), held_node);
+  const CpNodeId held_node = graph.AddNode(
+      held, MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", 0, 5),
+      {graph.last_node(held)});
   constexpr int kLater = 5000;
   for (int i = 1; i <= kLater; ++i) {
     const int req = graph.BeginRequest(process, 1, i);
-    const CpNodeId node = graph.AddNode(req, CpKind::kExec, exec, gpu, i, i + 1);
-    graph.AddEdge(graph.arrival_node(req), node);
-    graph.EndRequest(req, i + 1, node);
+    graph.AddNode(req,
+                  MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", i, i + 1),
+                  {graph.last_node(req)});
+    graph.EndRequest(req, i + 1);
   }
-  graph.SetNodeDhaPcie(held_node, 3);
+  CpNode late = MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", 5, 9);
+  late.dha_pcie = 3;
+  const CpNodeId late_node = graph.AddNode(held, late, {held_node});
   graph.FlushOpenRequests();
   ASSERT_TRUE(writer.Finish());
   EXPECT_EQ(writer.totals().requests, kLater + 1u);
@@ -1027,66 +1033,77 @@ TEST(CausalStreamTest, RequestHeldOpenIsFlushedLast) {
   ASSERT_EQ(back.requests().size(), kLater + 1u);
   EXPECT_EQ(back.requests()[0].completion, -1);
   EXPECT_EQ(back.requests()[1].completion, 2);
-  Nanos held_dha_pcie = -1;
+  Nanos late_dha_pcie = -1;
+  std::vector<std::pair<CpNodeId, CpNodeId>> late_edges;
   ASSERT_TRUE(ForEachJournalChunk(
       path,
       [&](JournalChunk& c) {
         for (const CpNode& node : c.nodes) {
-          if (node.id == held_node) {
-            held_dha_pcie = node.dha_pcie;
+          if (node.id == late_node) {
+            late_dha_pcie = node.dha_pcie;
+          }
+        }
+        for (const JournalChunk::Edge& e : c.edges) {
+          if (c.nodes[e.to].id == late_node) {
+            late_edges.emplace_back(c.nodes[e.from].id, c.nodes[e.to].id);
           }
         }
       },
       &error))
       << error;
-  EXPECT_EQ(held_dha_pcie, 3);
+  EXPECT_EQ(late_dha_pcie, 3);
+  EXPECT_EQ(late_edges,
+            (std::vector<std::pair<CpNodeId, CpNodeId>>{{held_node, late_node}}));
   std::remove(path.c_str());
 }
 
-// A streaming graph holds only open requests, each retired as one
-// self-contained record: an edge between two open requests, or a change to
-// a node of a retired one, dies rather than writing a wrong journal.
-TEST(CausalStreamDeathTest, EdgeAcrossTwoOpenRequestsDies) {
-  const std::string path = TempPath("journal_death_edge.dpj");
+// A graph holds only open requests, each retired as one self-contained
+// record, and an edge only enters the node being recorded: a predecessor
+// from another open request, one not earlier than the new node, or one of a
+// retired request dies rather than writing a wrong journal.
+constexpr const char* kPredecessorCheck =
+    "a predecessor is an earlier node of the same open request";
+
+TEST(CausalStreamDeathTest, PredecessorFromAnotherOpenRequestDies) {
   EXPECT_DEATH(
       {
-        JournalWriter writer;
-        writer.Open(path);
         CausalGraph graph(/*enabled=*/true);
-        graph.AttachSink(&writer);
         const int process = graph.RegisterProcess("p");
         const int a = graph.BeginRequest(process, 0, 0);
         const int b = graph.BeginRequest(process, 1, 0);
-        graph.AddEdge(graph.arrival_node(a), graph.arrival_node(b));
+        graph.AddNode(b, MakeNode(graph, CpKind::kExec, "exec", "gpu0", 0, 5),
+                      {graph.last_node(a)});
       },
-      "an edge stays in one request");
-  std::remove(path.c_str());
+      kPredecessorCheck);
 }
 
-TEST(CausalStreamDeathTest, MutatingANodeOfARetiredRequestDies) {
-  const std::string path = TempPath("journal_death_retired.dpj");
-  // With no older request open the window has moved past the node; with one
-  // held open the node is still in the window, but its request is retired.
-  for (const bool hold_older : {false, true}) {
+TEST(CausalStreamDeathTest, PredecessorNotEarlierThanTheNodeDies) {
+  // The id the new node is about to get, and one past it.
+  for (const CpNodeId ahead : {1, 2}) {
     EXPECT_DEATH(
         {
-          JournalWriter writer;
-          writer.Open(path);
           CausalGraph graph(/*enabled=*/true);
-          graph.AttachSink(&writer);
-          const int process = graph.RegisterProcess("p");
-          if (hold_older) {
-            graph.BeginRequest(process, 0, 0);
-          }
-          const int req = graph.BeginRequest(process, 1, 0);
-          const CpNodeId node =
-              graph.AddNode(req, CpKind::kExec, "exec", "exec/gpu0", 0, 5);
-          graph.EndRequest(req, 5, node);
-          graph.SetNodeDhaPcie(node, 1);
+          const int req = graph.BeginRequest(graph.RegisterProcess("p"), 0, 0);
+          graph.AddNode(req, MakeNode(graph, CpKind::kExec, "exec", "gpu0", 0, 5),
+                        {graph.last_node(req) + ahead});
         },
-        "the node's request is open");
+        kPredecessorCheck);
   }
-  std::remove(path.c_str());
+}
+
+TEST(CausalStreamDeathTest, PredecessorOfARetiredRequestDies) {
+  EXPECT_DEATH(
+      {
+        CausalGraph graph(/*enabled=*/true);
+        const int process = graph.RegisterProcess("p");
+        const int retired = graph.BeginRequest(process, 0, 0);
+        const CpNodeId node = graph.last_node(retired);
+        graph.EndRequest(retired, 0);
+        const int req = graph.BeginRequest(process, 1, 0);
+        graph.AddNode(req, MakeNode(graph, CpKind::kExec, "exec", "gpu0", 0, 5),
+                      {node});
+      },
+      kPredecessorCheck);
 }
 
 // ------------------------------------------------ windowed replay

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace_recorder.h"
 #include "src/util/chrome_trace.h"
+#include "tests/causal_node.h"
 #include "tests/counting_new.h"
 #include "tests/json_checker.h"
 
@@ -204,63 +206,37 @@ TEST(MetricsRegistryTest, JsonExportIsSortedAndValid) {
 
 // ------------------------------------------------------- journal counters
 
-// The streaming journal writer threads its progress through the registry:
-// exact counter values, stable sorted-key snapshots, and nothing at all when
-// no registry is attached.
+// The streaming journal writer's progress, exactly: its totals per chunk
+// flushed, and every byte it wrote.
 TEST(MetricsRegistryTest, JournalCountersTrackTheWriterExactly) {
   const std::string path = ::testing::TempDir() + "/obs_journal.dpj";
-  MetricsRegistry reg;
   CausalGraph graph(/*enabled=*/true);
   JournalWriter writer;
   JournalWriterOptions small;
   small.chunk_requests = 2;
-  ASSERT_TRUE(writer.Open(path, small, &reg));
+  ASSERT_TRUE(writer.Open(path, small));
   graph.AttachSink(&writer);
   const int process = graph.RegisterProcess("p");
   for (int i = 0; i < 5; ++i) {
     const int req = graph.BeginRequest(process, i, i * 10);
-    const CpNodeId exec = graph.AddNode(req, CpKind::kExec, "exec",
-                                        "exec/gpu0", i * 10, i * 10 + 5);
-    graph.AddEdge(graph.arrival_node(req), exec);
+    graph.AddNode(req,
+                  MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", i * 10,
+                           i * 10 + 5),
+                  {graph.last_node(req)});
     if (i != 4) {
-      graph.EndRequest(req, i * 10 + 5, exec);
+      graph.EndRequest(req, i * 10 + 5);
     }
   }
   graph.FlushOpenRequests();  // retires request 4 with completion -1
   ASSERT_TRUE(writer.Finish());
 
-  EXPECT_EQ(reg.counter("journal.requests"), 5);
-  EXPECT_EQ(reg.counter("journal.incomplete_requests"), 1);
-  EXPECT_EQ(reg.counter("journal.nodes"), 10);  // arrival + exec per request
-  EXPECT_EQ(reg.counter("journal.edges"), 5);
-  EXPECT_EQ(reg.counter("journal.chunks"), 3);  // 2 + 2 + 1
-  EXPECT_EQ(reg.counter("journal.bytes"),
-            static_cast<std::int64_t>(writer.bytes_written()));
-  EXPECT_EQ(writer.totals().chunks, 3u);
-
-  // The snapshot renders journal.* in sorted key order, byte-stable.
-  const std::string json = reg.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_LT(json.find("journal.bytes"), json.find("journal.chunks"));
-  EXPECT_LT(json.find("journal.chunks"), json.find("journal.edges"));
-  EXPECT_LT(json.find("journal.edges"), json.find("journal.incomplete"));
-  EXPECT_LT(json.find("journal.incomplete"), json.find("journal.nodes"));
-  EXPECT_LT(json.find("journal.nodes"), json.find("journal.requests"));
-  EXPECT_EQ(reg.ToJson(), json);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsRegistryTest, WriterWithoutRegistryTouchesNoMetrics) {
-  const std::string path = ::testing::TempDir() + "/obs_journal_noreg.dpj";
-  CausalGraph graph(/*enabled=*/true);
-  JournalWriter writer;
-  ASSERT_TRUE(writer.Open(path));  // no registry attached
-  graph.AttachSink(&writer);
-  const int process = graph.RegisterProcess("p");
-  const int req = graph.BeginRequest(process, 0, 0);
-  graph.EndRequest(req, 1, graph.arrival_node(req));
-  ASSERT_TRUE(writer.Finish());
-  EXPECT_EQ(writer.totals().requests, 1u);
+  const JournalTotals totals = writer.totals();
+  EXPECT_EQ(totals.requests, 5u);
+  EXPECT_EQ(totals.incomplete_requests, 1u);
+  EXPECT_EQ(totals.nodes, 10u);  // arrival + exec per request
+  EXPECT_EQ(totals.edges, 5u);
+  EXPECT_EQ(totals.chunks, 3u);  // 2 + 2 + 1
+  EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
   std::remove(path.c_str());
 }
 
@@ -273,10 +249,9 @@ TEST(CausalGraphTest, DisabledGraphAllocatesNothing) {
   const std::size_t before = g_allocations;
   const int process = off.RegisterProcess("serve");
   const int req = off.BeginRequest(process, 3, 100);
-  const CpNodeId node =
-      off.AddNode(req, CpKind::kPcie, "load", "pcie/gpu0", 100, 200, 64, 50);
-  off.SetNodeDhaPcie(node, 0);
-  off.AddEdge(off.arrival_node(req), node);
+  const CpNodeId node = off.AddNode(
+      req, MakeNode(off, CpKind::kPcie, "load", "pcie/gpu0", 100, 200, 64, 50),
+      {off.last_node(req)});
   off.MarkCold(req);
   off.EndRequest(req, 200, node);
   const std::size_t after = g_allocations;

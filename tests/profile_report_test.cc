@@ -23,6 +23,7 @@
 #include "src/obs/utilization.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
+#include "tests/causal_node.h"
 
 namespace deepplan {
 namespace {
@@ -53,19 +54,21 @@ CausalGraph KnownPathGraph() {
   const int process = graph.RegisterProcess("fixture");
   const int req = graph.BeginRequest(process, /*instance=*/7, /*arrival=*/1000);
   graph.MarkCold(req);
-  const CpNodeId arrival = graph.arrival_node(req);
-  const CpNodeId evict =
-      graph.AddNode(req, CpKind::kEvict, "evict", "gpu0", 1000, 1200);
-  const CpNodeId pcie = graph.AddNode(req, CpKind::kPcie, "load", "pcie/gpu0",
-                                      1200, 2200, /*bytes=*/1000, /*solo=*/800);
-  const CpNodeId exec =
-      graph.AddNode(req, CpKind::kExec, "exec", "exec/gpu0", 2300, 3000);
-  const CpNodeId off_path =
-      graph.AddNode(req, CpKind::kExec, "warmup", "exec/gpu0", 1500, 1600);
-  graph.AddEdge(arrival, evict);
-  graph.AddEdge(evict, pcie);
-  graph.AddEdge(pcie, exec);
-  graph.AddEdge(arrival, off_path);
+  const CpNodeId arrival = graph.last_node(req);
+  const CpNodeId evict = graph.AddNode(
+      req, MakeNode(graph, CpKind::kEvict, "evict", "gpu0", 1000, 1200),
+      {arrival});
+  const CpNodeId pcie = graph.AddNode(
+      req,
+      MakeNode(graph, CpKind::kPcie, "load", "pcie/gpu0", 1200, 2200,
+               /*bytes=*/1000, /*solo=*/800),
+      {evict});
+  const CpNodeId exec = graph.AddNode(
+      req, MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", 2300, 3000),
+      {pcie});
+  graph.AddNode(
+      req, MakeNode(graph, CpKind::kExec, "warmup", "exec/gpu0", 1500, 1600),
+      {arrival});
   graph.EndRequest(req, 3000, exec);
   return graph;
 }
@@ -105,10 +108,10 @@ TEST(CriticalPathTest, GapAfterArrivalChargesQueue) {
   CausalGraph graph(/*enabled=*/true);
   const int process = graph.RegisterProcess("queued");
   const int req = graph.BeginRequest(process, 0, /*arrival=*/0);
-  const CpNodeId exec =
-      graph.AddNode(req, CpKind::kExec, "warm", "exec/gpu1", 500, 1500);
-  graph.AddEdge(graph.arrival_node(req), exec);
-  graph.EndRequest(req, 1500, exec);
+  graph.AddNode(req,
+                MakeNode(graph, CpKind::kExec, "warm", "exec/gpu1", 500, 1500),
+                {graph.last_node(req)});
+  graph.EndRequest(req, 1500);
 
   const ProfileSummary summary = BuildProfileReport(graph).summary;
   ASSERT_EQ(summary.requests.size(), 1u);
@@ -159,11 +162,11 @@ TEST(CriticalPathTest, SharedLinkContentionMatchesFabric) {
   const std::vector<Nanos> elapsed = {elapsed_a, elapsed_b};
   for (int i = 0; i < 2; ++i) {
     const int req = graph.BeginRequest(process, i, 0);
-    const CpNodeId node = graph.AddNode(
-        req, CpKind::kPcie, "load", "pcie/uplink", 0,
-        elapsed[static_cast<std::size_t>(i)], bytes, solo);
-    graph.AddEdge(graph.arrival_node(req), node);
-    graph.EndRequest(req, elapsed[static_cast<std::size_t>(i)], node);
+    graph.AddNode(req,
+                  MakeNode(graph, CpKind::kPcie, "load", "pcie/uplink", 0,
+                           elapsed[static_cast<std::size_t>(i)], bytes, solo),
+                  {graph.last_node(req)});
+    graph.EndRequest(req, elapsed[static_cast<std::size_t>(i)]);
   }
 
   const ProfileSummary summary = BuildProfileReport(graph).summary;
@@ -198,19 +201,24 @@ TEST(UtilizationTest, MergesPartialOverlapPerResourceOnly) {
   // pcie/gpu0: [0,100] (solo 60 => 40 contended) partially overlaps [50,150]
   // (solo 100 => 0 contended); [160,250] (solo 60 => 30 contended) is
   // disjoint. Merged: [0,150] + [160,250].
-  graph.AddNode(req0, CpKind::kPcie, "a", "pcie/gpu0", 0, 100, 100, 60);
-  graph.AddNode(req0, CpKind::kPcie, "b", "pcie/gpu0", 50, 150, 100, 100);
-  graph.AddNode(req0, CpKind::kPcie, "c", "pcie/gpu0", 160, 250, 90, 60);
+  graph.AddNode(
+      req0, MakeNode(graph, CpKind::kPcie, "a", "pcie/gpu0", 0, 100, 100, 60), {});
+  graph.AddNode(
+      req0, MakeNode(graph, CpKind::kPcie, "b", "pcie/gpu0", 50, 150, 100, 100),
+      {});
+  graph.AddNode(
+      req0, MakeNode(graph, CpKind::kPcie, "c", "pcie/gpu0", 160, 250, 90, 60),
+      {});
   // exec/gpu0 overlaps [120,220] in wall-clock time but is its own resource.
-  const CpNodeId exec =
-      graph.AddNode(req0, CpKind::kExec, "e", "exec/gpu0", 120, 220);
-  graph.EndRequest(req0, 250, exec);
+  graph.AddNode(req0, MakeNode(graph, CpKind::kExec, "e", "exec/gpu0", 120, 220),
+                {});
+  graph.EndRequest(req0, 250);
 
   // A second process busy on a resource with the *same name* stays separate.
   const int req1 = graph.BeginRequest(p1, 0, /*arrival=*/0);
-  const CpNodeId other =
-      graph.AddNode(req1, CpKind::kPcie, "x", "pcie/gpu0", 0, 50, 50, 50);
-  graph.EndRequest(req1, 50, other);
+  graph.AddNode(
+      req1, MakeNode(graph, CpKind::kPcie, "x", "pcie/gpu0", 0, 50, 50, 50), {});
+  graph.EndRequest(req1, 50);
 
   const UtilizationReport util = BuildProfileReport(graph).utilization;
   ASSERT_EQ(util.resources.size(), 3u);
@@ -255,10 +263,11 @@ TEST(UtilizationTest, ContendedTimeIsCappedAtBusyTime) {
   CausalGraph graph(/*enabled=*/true);
   const int process = graph.RegisterProcess("capped");
   const int req = graph.BeginRequest(process, 0, 0);
-  graph.AddNode(req, CpKind::kPcie, "a", "pcie/gpu0", 0, 100, 100, 10);
-  const CpNodeId b =
-      graph.AddNode(req, CpKind::kPcie, "b", "pcie/gpu0", 0, 100, 100, 10);
-  graph.EndRequest(req, 100, b);
+  graph.AddNode(
+      req, MakeNode(graph, CpKind::kPcie, "a", "pcie/gpu0", 0, 100, 100, 10), {});
+  graph.AddNode(
+      req, MakeNode(graph, CpKind::kPcie, "b", "pcie/gpu0", 0, 100, 100, 10), {});
+  graph.EndRequest(req, 100);
 
   const UtilizationReport util = BuildProfileReport(graph).utilization;
   ASSERT_EQ(util.resources.size(), 1u);
@@ -272,11 +281,12 @@ TEST(UtilizationTest, TouchingIntervalsCoalesceAndDegenerateNodesAreIgnored) {
   CausalGraph graph(/*enabled=*/true);
   const int process = graph.RegisterProcess("touch");
   const int req = graph.BeginRequest(process, 0, 0);
-  graph.AddNode(req, CpKind::kExec, "a", "gpu0", 0, 100);
-  graph.AddNode(req, CpKind::kExec, "b", "gpu0", 100, 200);
-  graph.AddNode(req, CpKind::kExec, "zero", "gpu0", 150, 150);  // zero-length
-  const CpNodeId tail = graph.AddNode(req, CpKind::kExec, "anon", "", 0, 500);
-  graph.EndRequest(req, 200, tail);
+  graph.AddNode(req, MakeNode(graph, CpKind::kExec, "a", "gpu0", 0, 100), {});
+  graph.AddNode(req, MakeNode(graph, CpKind::kExec, "b", "gpu0", 100, 200), {});
+  graph.AddNode(req, MakeNode(graph, CpKind::kExec, "zero", "gpu0", 150, 150),
+                {});  // zero-length
+  graph.AddNode(req, MakeNode(graph, CpKind::kExec, "anon", "", 0, 500), {});
+  graph.EndRequest(req, 200);
 
   const UtilizationReport util = BuildProfileReport(graph).utilization;
   ASSERT_EQ(util.resources.size(), 1u);
@@ -298,10 +308,9 @@ TEST(UtilizationTest, MergesAcrossChunksInAnyOrder) {
     for (const auto& [start, end] :
          {std::pair<Nanos, Nanos>{100, 150}, {0, 60}, {60, 100}, {150, 300}}) {
       const int req = graph->BeginRequest(process, 0, 0);
-      const CpNodeId exec =
-          graph->AddNode(req, CpKind::kExec, "x", "gpu0", start, end);
-      graph->AddEdge(graph->arrival_node(req), exec);
-      graph->EndRequest(req, end, exec);
+      graph->AddNode(req, MakeNode(*graph, CpKind::kExec, "x", "gpu0", start, end),
+                     {graph->last_node(req)});
+      graph->EndRequest(req, end);
     }
   };
   CausalGraph graph(/*enabled=*/true);
@@ -441,9 +450,11 @@ TEST(CausalGraphTest, DisabledGraphRecordsNothing) {
   EXPECT_EQ(graph.RegisterProcess("p"), 0);
   const int req = graph.BeginRequest(0, 0, 0);
   EXPECT_EQ(req, -1);
-  EXPECT_EQ(graph.AddNode(req, CpKind::kExec, "x", "gpu0", 0, 1), -1);
-  graph.AddEdge(-1, -1);
-  graph.EndRequest(req, 1, -1);
+  EXPECT_EQ(graph.last_node(req), -1);
+  EXPECT_EQ(graph.AddNode(req, MakeNode(graph, CpKind::kExec, "x", "gpu0", 0, 1),
+                          {graph.last_node(req)}),
+            -1);
+  graph.EndRequest(req, 1);
   // Its journal is the empty one.
   EXPECT_EQ(ForEachGraphChunk(graph, [](JournalChunk&) {}), JournalTotals{});
 }
@@ -455,12 +466,10 @@ TEST(CausalGraphTest, AdoptRemapsInternedStrings) {
   const auto task = [](std::string_view label, std::string_view lane) {
     CausalGraph graph(/*enabled=*/true);
     const int req = graph.BeginRequest(graph.RegisterProcess(label), 0, 0);
-    const CpNodeId node =
-        graph.AddNode(req, CpKind::kPcie, label, lane, 0, 10, 10, 10);
-    graph.SetNodePath(node, {{graph.Intern("uplink/sw0"), 2e9},
-                             {graph.Intern(lane), 1e9}});
-    graph.AddEdge(graph.arrival_node(req), node);
-    graph.EndRequest(req, 10, node);
+    CpNode node = MakeNode(graph, CpKind::kPcie, label, lane, 0, 10, 10, 10);
+    node.path = {{graph.Intern("uplink/sw0"), 2e9}, {graph.Intern(lane), 1e9}};
+    graph.AddNode(req, node, {graph.last_node(req)});
+    graph.EndRequest(req, 10);
     return graph;
   };
   CausalGraph merged(/*enabled=*/true);

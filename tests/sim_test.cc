@@ -477,6 +477,94 @@ TEST(SyncEventTest, WaitAfterFireCompletesInlineWithoutAnEvent) {
   EXPECT_EQ(sim.event_queue().total_scheduled(), scheduled);
 }
 
+// Causal provenance: a stream's next recorded op hangs off its last
+// recorded node and the nodes that fired the events it waited on since.
+std::vector<CpNodeId> Preds(const Stream& stream) {
+  return {stream.preds().begin(), stream.preds().end()};
+}
+
+TEST(StreamProvenanceTest, AWaitAddsTheFiringNode) {
+  Simulator sim;
+  SyncEvent event(&sim);
+  Stream stream(&sim, "s");
+  stream.Recorded(5);
+  std::vector<CpNodeId> seen;
+  stream.EnqueueWait(&event);
+  stream.EnqueueMarker([&] { seen = Preds(stream); });
+  sim.ScheduleAfter(100, [&] { event.Fire(3); });
+  sim.Run();
+  EXPECT_EQ(event.node(), 3);
+  EXPECT_EQ(seen, (std::vector<CpNodeId>{5, 3}));
+  // Recording the next op makes it the one predecessor.
+  stream.Recorded(8);
+  EXPECT_EQ(Preds(stream), (std::vector<CpNodeId>{8}));
+}
+
+TEST(StreamProvenanceTest, RepeatedWaitsOnOneSourceFold) {
+  Simulator sim;
+  std::vector<SyncEvent> events(5, SyncEvent(&sim));
+  Stream stream(&sim, "s");
+  stream.Recorded(5);
+  // Consecutive waits on events one node fired count it once; a node that
+  // comes back after another, or an event fired with no node, changes
+  // nothing it should not.
+  for (SyncEvent& event : events) {
+    stream.EnqueueWait(&event);
+  }
+  const CpNodeId fired_by[] = {3, 3, 4, -1, 3};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    sim.ScheduleAfter(static_cast<Nanos>(10 * (i + 1)),
+                      [&events, &fired_by, i] { events[i].Fire(fired_by[i]); });
+  }
+  sim.Run();
+  EXPECT_TRUE(stream.idle());
+  EXPECT_EQ(Preds(stream), (std::vector<CpNodeId>{5, 3, 4, 3}));
+}
+
+TEST(StreamProvenanceTest, AWaitThatPassesInlineStillCounts) {
+  Simulator sim;
+  SyncEvent event(&sim);
+  event.Fire(7);
+  Stream stream(&sim, "s");
+  stream.Recorded(5);
+  stream.EnqueueWait(&event);
+  EXPECT_TRUE(stream.idle());  // passed before the simulator ran
+  EXPECT_EQ(Preds(stream), (std::vector<CpNodeId>{5, 7}));
+}
+
+TEST(StreamProvenanceTest, ARecordOpFiresWithTheLastNode) {
+  Simulator sim;
+  SyncEvent event(&sim);
+  Stream producer(&sim, "load");
+  Stream consumer(&sim, "exec");
+  producer.Recorded(9);
+  consumer.Recorded(2);
+  producer.EnqueueDelay(200);
+  producer.EnqueueRecord(&event);
+  consumer.EnqueueWait(&event);
+  sim.Run();
+  EXPECT_EQ(event.node(), 9);
+  EXPECT_EQ(Preds(consumer), (std::vector<CpNodeId>{2, 9}));
+}
+
+TEST(StreamProvenanceTest, ResetClearsBoth) {
+  Simulator sim;
+  SyncEvent event(&sim);
+  event.Fire(3);
+  Stream stream(&sim, "s");
+  EXPECT_EQ(Preds(stream), (std::vector<CpNodeId>{-1}));
+  stream.Recorded(5);
+  stream.EnqueueWait(&event);
+  ASSERT_EQ(Preds(stream), (std::vector<CpNodeId>{5, 3}));
+  stream.Reset(&sim, "s", 11);
+  EXPECT_EQ(Preds(stream), (std::vector<CpNodeId>{11}));
+  stream.Reset(&sim, "s");
+  EXPECT_EQ(Preds(stream), (std::vector<CpNodeId>{-1}));
+  event.Reset(&sim);
+  EXPECT_FALSE(event.fired());
+  EXPECT_EQ(event.node(), -1);
+}
+
 TEST(StreamTest, UnreachedMarkersDieWithTheStream) {
   Simulator sim;
   SyncEvent never(&sim);

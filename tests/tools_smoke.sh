@@ -14,7 +14,10 @@
 #      DPJL diagnostic;
 #   6. selfprof_report --min_coverage and bench_history --max_slowdown refuse
 #      a value that is not a number with exit 2, and fig13_concurrency_sweep
-#      refuses --requests=0 with exit 1, naming the flag;
+#      refuses --requests=0 with exit 1, naming the flag; trace_lint refuses
+#      JSON nested 50,000 deep and fig15_azure_trace a replayed CSV row
+#      naming an instance it lacks, both with exit 1 (not a signal), and
+#      whatif_report a scale outside its range with exit 2;
 #   7. the profile report fig13_concurrency_sweep --profile_out prints from
 #      its journal in memory equals profile_report's on the journal it wrote,
 #      byte for byte (0.1 s at --requests=200).
@@ -22,13 +25,13 @@
 # usage: tools_smoke.sh <fig02_stall_decomposition> <profile_report>
 #                       <whatif_report> <journal_convert> <trace_lint>
 #                       <selfprof_report> <bench_history>
-#                       <fig13_concurrency_sweep>
+#                       <fig13_concurrency_sweep> <fig15_azure_trace>
 set -euo pipefail
 
-if [ "$#" -ne 8 ]; then
+if [ "$#" -ne 9 ]; then
   echo "usage: $0 <fig02> <profile_report> <whatif_report>" \
     "<journal_convert> <trace_lint> <selfprof_report> <bench_history>" \
-    "<fig13>" >&2
+    "<fig13> <fig15>" >&2
   exit 2
 fi
 fig02="$1"
@@ -39,6 +42,7 @@ trace_lint="$5"
 selfprof_report="$6"
 bench_history="$7"
 fig13="$8"
+fig15="$9"
 
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -100,6 +104,15 @@ expect_exit 2 "$bench_history" --max_slowdown=abc "$dir"
 expect_exit 1 "$fig13" --requests=0
 grep -q 'bad value for --requests: "0"' "$dir/bad_value.txt"
 
+echo "== deep JSON, a trace row past the instances, an extreme scale: no signal"
+printf '%*s' 50000 '' | tr ' ' '[' >"$dir/deep.json"
+expect_exit 1 "$trace_lint" --selfprof "$dir/deep.json"
+printf 'time_ns,instance\n1000,0\n2000,500\n' >"$dir/far_instance.csv"
+expect_exit 1 env DEEPPLAN_BENCH_DIR="$dir" "$fig15" \
+  --trace="$dir/far_instance.csv"
+grep -q 'far_instance.csv:3: malformed row' "$dir/bad_value.txt"
+expect_exit 2 "$whatif_report" --exp=pcie=1e300 "$dir/fig02.dpj"
+
 echo "== fig13 --profile_out report matches profile_report on its journal"
 DEEPPLAN_BENCH_DIR="$dir" "$fig13" --requests=200 \
   --profile_out="$dir/fig13.dpj" >"$dir/fig13.txt" 2>/dev/null
@@ -108,5 +121,6 @@ sed -n '/^== profile report ==$/,$p' "$dir/fig13.txt" >"$dir/fig13_report.txt"
 test -s "$dir/fig13_report.txt"
 cmp "$dir/fig13_report.txt" "$dir/fig13_tool.txt"
 
-echo "PASS: journal tools read DPJL and refuse JSON; gate values are checked;"\
-  "the streamed profile report matches the in-memory one"
+echo "PASS: journal tools read DPJL and refuse JSON; gate values and"\
+  "outside inputs are checked; the streamed profile report matches the"\
+  "in-memory one"

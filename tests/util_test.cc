@@ -13,6 +13,7 @@
 #include "src/util/chrome_trace.h"
 #include "src/util/flags.h"
 #include "src/util/json.h"
+#include "src/util/json_parse.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -359,6 +360,29 @@ TEST(JsonTest, ObjectsKeepInsertionOrderAndNest) {
   EXPECT_EQ(obj.Render(), "{\"b\":2,\"a\":\"x\",\"list\":[1,2.5,\"three\"],\"ok\":true}");
   EXPECT_EQ(JsonObject().Render(), "{}");
   EXPECT_EQ(JsonArray().Render(), "[]");
+}
+
+// The parser recurses once per nesting level: a document nested past
+// kMaxJsonDepth is refused with the offset where the bound was crossed,
+// however deep it goes, instead of overflowing the stack.
+TEST(JsonTest, ParserRefusesNestingPastTheDepthBound) {
+  const JsonParseResult deep = ParseJson(std::string(100'000, '['));
+  EXPECT_FALSE(deep.ok);
+  EXPECT_EQ(deep.error, "arrays and objects nested deeper than " +
+                            std::to_string(kMaxJsonDepth) + " levels at byte " +
+                            std::to_string(kMaxJsonDepth));
+  // At the bound itself a well-formed document parses, objects and arrays
+  // alike.
+  std::string at_bound;
+  for (int i = 0; i < kMaxJsonDepth; ++i) {
+    at_bound += i % 2 == 0 ? "[" : "{\"k\":";
+  }
+  at_bound += "0";
+  for (int i = kMaxJsonDepth - 1; i >= 0; --i) {
+    at_bound += i % 2 == 0 ? "]" : "}";
+  }
+  EXPECT_TRUE(ParseJson(at_bound).ok) << ParseJson(at_bound).error;
+  EXPECT_FALSE(ParseJson("[" + at_bound + "]").ok);
 }
 
 // ---------------------------------------------------------------- chrome trace

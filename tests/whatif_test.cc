@@ -17,6 +17,7 @@
 #include "src/obs/whatif/whatif_report.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
+#include "tests/causal_node.h"
 
 namespace deepplan {
 namespace {
@@ -65,7 +66,8 @@ TEST(WhatIfParseTest, RejectsMalformedSpecs) {
   std::string error;
   for (const char* bad : {"", "pcie=0", "pcie=-1", "pcie=abc", "pcie=2x",
                           "pcie=", "warp=2", "pcie=2,,noevict", "pcie=inf",
-                          "pcie=nan", "nocontention=1"}) {
+                          "pcie=nan", "nocontention=1", "pcie=1e-300",
+                          "pcie=1e300", "exec=1e-300"}) {
     error.clear();
     EXPECT_FALSE(ParseWhatIfExperiment(bad, &exp, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
@@ -96,15 +98,15 @@ CausalGraph SingleTransferGraph() {
   const int process = graph.RegisterProcess("fixture");
   const int req = graph.BeginRequest(process, 0, /*arrival=*/0);
   graph.MarkCold(req);
-  const CpNodeId load =
-      graph.AddNode(req, CpKind::kPcie, "load", "pcie/gpu0", 0, 1'000'000,
-                    /*bytes=*/1'000'000, /*solo=*/1'000'000);
-  graph.SetNodePath(load, {{graph.Intern("pcie/gpu0"), 1e9}});
-  const CpNodeId exec = graph.AddNode(req, CpKind::kExec, "exec", "exec/gpu0",
-                                      1'000'000, 1'000'100);
-  graph.AddEdge(graph.arrival_node(req), load);
-  graph.AddEdge(load, exec);
-  graph.EndRequest(req, 1'000'100, exec);
+  CpNode load = MakeNode(graph, CpKind::kPcie, "load", "pcie/gpu0", 0, 1'000'000,
+                         /*bytes=*/1'000'000, /*solo=*/1'000'000);
+  load.path = {{graph.Intern("pcie/gpu0"), 1e9}};
+  const CpNodeId load_node = graph.AddNode(req, load, {graph.last_node(req)});
+  graph.AddNode(req,
+                MakeNode(graph, CpKind::kExec, "exec", "exec/gpu0", 1'000'000,
+                         1'000'100),
+                {load_node});
+  graph.EndRequest(req, 1'000'100);
   return graph;
 }
 
@@ -128,12 +130,11 @@ TEST(WhatIfReplayTest, NvlinkKnobTargetsOnlyNvlinkLinks) {
   CausalGraph graph(/*enabled=*/true);
   const int process = graph.RegisterProcess("fixture");
   const int req = graph.BeginRequest(process, 0, 0);
-  const CpNodeId migrate =
-      graph.AddNode(req, CpKind::kNvlink, "migrate", "nvlink/0-1", 0, 400'000,
-                    /*bytes=*/1'000'000, /*solo=*/400'000);
-  graph.SetNodePath(migrate, {{graph.Intern("nvlink/0-1"), 2.5e9}});
-  graph.AddEdge(graph.arrival_node(req), migrate);
-  graph.EndRequest(req, 400'000, migrate);
+  CpNode migrate = MakeNode(graph, CpKind::kNvlink, "migrate", "nvlink/0-1", 0,
+                            400'000, /*bytes=*/1'000'000, /*solo=*/400'000);
+  migrate.path = {{graph.Intern("nvlink/0-1"), 2.5e9}};
+  graph.AddNode(req, migrate, {graph.last_node(req)});
+  graph.EndRequest(req, 400'000);
 
   EXPECT_EQ(ReplayWhatIf(graph, Parse("baseline")).latency[0], 400'000);
   EXPECT_EQ(ReplayWhatIf(graph, Parse("nvlink=2")).latency[0], 200'000);
@@ -144,15 +145,14 @@ TEST(WhatIfReplayTest, NoEvictDropsEvictionTimeFromTheChain) {
   CausalGraph graph(/*enabled=*/true);
   const int process = graph.RegisterProcess("fixture");
   const int req = graph.BeginRequest(process, 0, 0);
-  const CpNodeId evict =
-      graph.AddNode(req, CpKind::kEvict, "evict", "gpu0", 0, 200'000);
-  const CpNodeId load =
-      graph.AddNode(req, CpKind::kPcie, "load", "pcie/gpu0", 200'000,
-                    1'200'000, /*bytes=*/1'000'000, /*solo=*/1'000'000);
-  graph.SetNodePath(load, {{graph.Intern("pcie/gpu0"), 1e9}});
-  graph.AddEdge(graph.arrival_node(req), evict);
-  graph.AddEdge(evict, load);
-  graph.EndRequest(req, 1'200'000, load);
+  const CpNodeId evict = graph.AddNode(
+      req, MakeNode(graph, CpKind::kEvict, "evict", "gpu0", 0, 200'000),
+      {graph.last_node(req)});
+  CpNode load = MakeNode(graph, CpKind::kPcie, "load", "pcie/gpu0", 200'000,
+                         1'200'000, /*bytes=*/1'000'000, /*solo=*/1'000'000);
+  load.path = {{graph.Intern("pcie/gpu0"), 1e9}};
+  graph.AddNode(req, load, {evict});
+  graph.EndRequest(req, 1'200'000);
 
   EXPECT_EQ(ReplayWhatIf(graph, Parse("baseline")).latency[0], 1'200'000);
   EXPECT_EQ(ReplayWhatIf(graph, Parse("noevict")).latency[0], 1'000'000);
@@ -166,11 +166,11 @@ TEST(WhatIfReplayTest, DhaShareOfExecScalesWithPcie) {
   CausalGraph graph(/*enabled=*/true);
   const int process = graph.RegisterProcess("fixture");
   const int req = graph.BeginRequest(process, 0, 0);
-  const CpNodeId exec = graph.AddNode(req, CpKind::kExec, "exec(DHA)",
-                                      "exec/gpu0", 0, 1'000'000);
-  graph.SetNodeDhaPcie(exec, 600'000);
-  graph.AddEdge(graph.arrival_node(req), exec);
-  graph.EndRequest(req, 1'000'000, exec);
+  CpNode exec =
+      MakeNode(graph, CpKind::kExec, "exec(DHA)", "exec/gpu0", 0, 1'000'000);
+  exec.dha_pcie = 600'000;
+  graph.AddNode(req, exec, {graph.last_node(req)});
+  graph.EndRequest(req, 1'000'000);
 
   EXPECT_EQ(ReplayWhatIf(graph, Parse("baseline")).latency[0], 1'000'000);
   EXPECT_EQ(ReplayWhatIf(graph, Parse("pcie=2")).latency[0], 700'000);
@@ -208,17 +208,17 @@ TEST(WhatIfReplayTest, RederivesContentionExactlyFromRebuiltFabric) {
   for (int i = 0; i < 2; ++i) {
     const int req = graph.BeginRequest(process, i, 0);
     const Nanos end = elapsed[static_cast<std::size_t>(i)];
-    const CpNodeId load = graph.AddNode(req, CpKind::kPcie, "load",
-                                        "uplink/sw0", 0, end, bytes, solo);
-    graph.SetNodePath(load, {{graph.Intern("uplink/sw0"), 1e9}});
+    CpNode load =
+        MakeNode(graph, CpKind::kPcie, "load", "uplink/sw0", 0, end, bytes, solo);
+    load.path = {{graph.Intern("uplink/sw0"), 1e9}};
+    const CpNodeId load_node = graph.AddNode(req, load, {graph.last_node(req)});
     // Distinct terminal resources so the two requests replay concurrently
     // (same GPU would serialize them under the FIFO dispatch rule).
-    const CpNodeId exec =
-        graph.AddNode(req, CpKind::kExec, "exec",
-                      i == 0 ? "exec/gpu0" : "exec/gpu1", end, end + 100);
-    graph.AddEdge(graph.arrival_node(req), load);
-    graph.AddEdge(load, exec);
-    graph.EndRequest(req, end + 100, exec);
+    graph.AddNode(req,
+                  MakeNode(graph, CpKind::kExec, "exec",
+                           i == 0 ? "exec/gpu0" : "exec/gpu1", end, end + 100),
+                  {load_node});
+    graph.EndRequest(req, end + 100);
   }
 
   const WhatIfReport report =

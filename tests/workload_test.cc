@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "src/workload/azure_trace.h"
 #include "src/workload/poisson.h"
@@ -58,31 +59,40 @@ TEST(TraceTest, FileRoundTrip) {
   Trace t({{Millis(5), 1}, {Millis(9), 2}});
   const std::string path = ::testing::TempDir() + "/trace_test.csv";
   ASSERT_TRUE(t.SaveTo(path));
-  const auto loaded = Trace::LoadFrom(path);
-  ASSERT_TRUE(loaded.has_value());
+  std::string error;
+  const auto loaded = Trace::LoadFrom(path, /*num_instances=*/3, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->size(), 2u);
   std::remove(path.c_str());
 }
 
 TEST(TraceTest, LoadFromMissingFileFails) {
-  EXPECT_FALSE(Trace::LoadFrom("/nonexistent/definitely/missing.csv").has_value());
+  std::string error;
+  EXPECT_FALSE(Trace::LoadFrom("/nonexistent/definitely/missing.csv", 1, &error)
+                   .has_value());
 }
 
 // The streaming line-at-a-time loader fails fast with the file, the line
 // number, and the offending text — a mangled multi-GB Azure CSV must not
-// load short or silently zero-fill.
+// load short or silently zero-fill, and a row naming an instance the
+// replaying server lacks must not reach the server.
 TEST(TraceTest, MalformedRowReportsFileLineAndReason) {
   const std::string path = ::testing::TempDir() + "/trace_malformed.csv";
-  {
-    std::ofstream out(path);
-    out << "time_ns,instance\n100,1\n200,banana\n300,0\n";
+  for (const auto& [rows, needle] :
+       {std::pair{"time_ns,instance\n100,1\n200,banana\n300,0\n", "banana"},
+        std::pair{"time_ns,instance\n1000,0\n2000,500\n",
+                  "instance 500 is not below the 2 instances"}}) {
+    {
+      std::ofstream out(path);
+      out << rows;
+    }
+    std::string error;
+    const auto loaded = Trace::LoadFrom(path, /*num_instances=*/2, &error);
+    EXPECT_FALSE(loaded.has_value());
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    EXPECT_NE(error.find(":3:"), std::string::npos) << error;  // header is line 1
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
   }
-  std::string error;
-  const auto loaded = Trace::LoadFrom(path, &error);
-  EXPECT_FALSE(loaded.has_value());
-  EXPECT_NE(error.find(path), std::string::npos) << error;
-  EXPECT_NE(error.find(":3:"), std::string::npos) << error;  // header is line 1
-  EXPECT_NE(error.find("banana"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 
@@ -93,7 +103,7 @@ TEST(TraceTest, TruncatedRowWithoutCommaIsDiagnosed) {
     out << "100,1\n200,2\n30";  // file cut mid-row
   }
   std::string error;
-  EXPECT_FALSE(Trace::LoadFrom(path, &error).has_value());
+  EXPECT_FALSE(Trace::LoadFrom(path, /*num_instances=*/3, &error).has_value());
   EXPECT_NE(error.find("no comma"), std::string::npos) << error;
   EXPECT_NE(error.find(":3:"), std::string::npos) << error;
   std::remove(path.c_str());
@@ -101,7 +111,7 @@ TEST(TraceTest, TruncatedRowWithoutCommaIsDiagnosed) {
 
 TEST(TraceTest, RejectsNegativeAndOverflowingFields) {
   std::string error;
-  EXPECT_FALSE(Trace::LoadFrom("/nonexistent/x.csv", &error).has_value());
+  EXPECT_FALSE(Trace::LoadFrom("/nonexistent/x.csv", 1, &error).has_value());
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
   EXPECT_FALSE(Trace::FromCsv("-5,0\n").has_value());
   EXPECT_FALSE(Trace::FromCsv("100,-1\n").has_value());
@@ -246,14 +256,14 @@ TEST(AzureTest, CsvLoaderStreamsAndReportsErrors) {
     out << "time_ns,instance\n1000,3\n2000,1\n";
   }
   std::string error;
-  const auto loaded = LoadAzureTraceCsv(path, &error);
+  const auto loaded = Trace::LoadFrom(path, /*num_instances=*/4, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->size(), 2u);
   {
     std::ofstream out(path);
     out << "1000,3\nbroken line\n";
   }
-  EXPECT_FALSE(LoadAzureTraceCsv(path, &error).has_value());
+  EXPECT_FALSE(Trace::LoadFrom(path, /*num_instances=*/4, &error).has_value());
   EXPECT_NE(error.find(":2:"), std::string::npos) << error;
   std::remove(path.c_str());
 }
