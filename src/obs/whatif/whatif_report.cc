@@ -224,13 +224,26 @@ void PrintWhatIfReport(const WhatIfReport& report, std::ostream& os) {
 }
 
 std::string WhatIfReportJson(const WhatIfReport& report) {
+  // One string, appended in document order, with each per-request row (one
+  // per request per experiment: nearly all of the document) rendered
+  // straight into it. Rendering every level into its own string and copying
+  // it into the next costs several times the document's size.
   JsonArray processes;
   for (const std::string& name : report.processes) {
     processes.Add(name);
   }
-
-  JsonArray experiments;
-  for (const WhatIfOutcome& o : report.outcomes) {
+  std::string out = "{\"whatif_report\":";
+  out += JsonObject()
+             .Set("requests", report.requests)
+             .Set("skipped_requests", report.skipped_requests)
+             .Set("baseline_matches_journal", report.baseline_matches_journal)
+             .SetRaw("baseline", QuantilesJson(report.baseline))
+             .SetRaw("processes", processes.Render())
+             .Render();
+  out.pop_back();  // reopen the body for its experiments
+  out += ",\"experiments\":[";
+  for (std::size_t e = 0; e < report.outcomes.size(); ++e) {
+    const WhatIfOutcome& o = report.outcomes[e];
     JsonArray per_process;
     for (const WhatIfProcessOutcome& po : o.processes) {
       per_process.AddRaw(JsonObject()
@@ -241,44 +254,51 @@ std::string WhatIfReportJson(const WhatIfReport& report) {
                              .SetRaw("predicted", QuantilesJson(po.predicted))
                              .Render());
     }
-    JsonArray per_request;
-    for (const WhatIfPerRequest& row : o.per_request) {
-      per_request.AddRaw(
-          JsonObject()
-              .Set("request", row.request)
-              .Set("process", row.process)
-              .Set("cold", row.cold)
-              .Set("baseline_ns", static_cast<std::int64_t>(row.baseline_ns))
-              .Set("predicted_ns", static_cast<std::int64_t>(row.predicted_ns))
-              .Set("delta_ns", static_cast<std::int64_t>(row.delta_ns))
-              .Render());
+    out += e > 0 ? "," : "";
+    out += JsonObject()
+               .Set("name", o.experiment.name)
+               .Set("pcie_scale", o.experiment.pcie_scale)
+               .Set("nvlink_scale", o.experiment.nvlink_scale)
+               .Set("exec_scale", o.experiment.exec_scale)
+               .Set("zero_contention", o.experiment.zero_contention)
+               .Set("remove_evictions", o.experiment.remove_evictions)
+               .SetRaw("predicted", QuantilesJson(o.predicted))
+               .SetRaw("delta",
+                       JsonObject()
+                           .Set("p50_ms",
+                                o.predicted.p50_ms - report.baseline.p50_ms)
+                           .Set("p95_ms",
+                                o.predicted.p95_ms - report.baseline.p95_ms)
+                           .Set("p99_ms",
+                                o.predicted.p99_ms - report.baseline.p99_ms)
+                           .Set("mean_ms",
+                                o.predicted.mean_ms - report.baseline.mean_ms)
+                           .Set("max_ms",
+                                o.predicted.max_ms - report.baseline.max_ms)
+                           .Render())
+               .SetRaw("processes", per_process.Render())
+               .Render();
+    out.pop_back();  // reopen the experiment for its rows
+    out += ",\"per_request\":[";
+    for (std::size_t i = 0; i < o.per_request.size(); ++i) {
+      const WhatIfPerRequest& row = o.per_request[i];
+      out += i > 0 ? ",{\"request\":" : "{\"request\":";
+      out += Json::Int(row.request);
+      out += ",\"process\":";
+      out += Json::Int(row.process);
+      out += ",\"cold\":";
+      out += Json::Bool(row.cold);
+      out += ",\"baseline_ns\":";
+      out += Json::Int(row.baseline_ns);
+      out += ",\"predicted_ns\":";
+      out += Json::Int(row.predicted_ns);
+      out += ",\"delta_ns\":";
+      out += Json::Int(row.delta_ns);
+      out += "}";
     }
-    experiments.AddRaw(
-        JsonObject()
-            .Set("name", o.experiment.name)
-            .Set("pcie_scale", o.experiment.pcie_scale)
-            .Set("nvlink_scale", o.experiment.nvlink_scale)
-            .Set("exec_scale", o.experiment.exec_scale)
-            .Set("zero_contention", o.experiment.zero_contention)
-            .Set("remove_evictions", o.experiment.remove_evictions)
-            .SetRaw("predicted", QuantilesJson(o.predicted))
-            .SetRaw("delta",
-                    JsonObject()
-                        .Set("p50_ms",
-                             o.predicted.p50_ms - report.baseline.p50_ms)
-                        .Set("p95_ms",
-                             o.predicted.p95_ms - report.baseline.p95_ms)
-                        .Set("p99_ms",
-                             o.predicted.p99_ms - report.baseline.p99_ms)
-                        .Set("mean_ms",
-                             o.predicted.mean_ms - report.baseline.mean_ms)
-                        .Set("max_ms",
-                             o.predicted.max_ms - report.baseline.max_ms)
-                        .Render())
-            .SetRaw("processes", per_process.Render())
-            .SetRaw("per_request", per_request.Render())
-            .Render());
+    out += "]}";
   }
+  out += "]";
 
   JsonArray sensitivity;
   for (const WhatIfSensitivity& s : report.sensitivity) {
@@ -291,19 +311,10 @@ std::string WhatIfReportJson(const WhatIfReport& report) {
                            .Set("p99_leverage", s.leverage_p99)
                            .Render());
   }
-
-  JsonObject body;
-  body.Set("requests", report.requests)
-      .Set("skipped_requests", report.skipped_requests)
-      .Set("baseline_matches_journal", report.baseline_matches_journal)
-      .SetRaw("baseline", QuantilesJson(report.baseline))
-      .SetRaw("processes", processes.Render())
-      .SetRaw("experiments", experiments.Render())
-      .SetRaw("sensitivity", sensitivity.Render());
-
-  JsonObject doc;
-  doc.SetRaw("whatif_report", body.Render());
-  return doc.Render();
+  out += ",\"sensitivity\":";
+  out += sensitivity.Render();
+  out += "}}";
+  return out;
 }
 
 }  // namespace deepplan

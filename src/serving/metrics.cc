@@ -35,92 +35,79 @@ void ServingMetrics::Record(const RequestRecord& record) {
   DP_CHECK(record.start >= record.arrival);
   DP_CHECK(record.evict >= 0 && record.load >= 0 && record.evictions >= 0);
   DP_CHECK(record.completion >= record.start + record.evict + record.load);
-  records_.push_back(record);
+  arrival_.push_back(record.arrival);
+  queue_.push_back(record.QueueTime());
+  cold_time_.push_back(record.ColdStartTime());
+  latency_.push_back(record.Latency());
+  cold_.push_back(record.cold);
+  cold_starts_ += record.cold ? 1 : 0;
+  evictions_ += static_cast<std::size_t>(record.evictions);
 }
 
 double ServingMetrics::LatencyPercentileMs(double p) const {
-  if (records_.empty()) {
+  if (latency_.empty()) {
     return 0.0;
   }
   std::vector<double> latencies;
-  latencies.reserve(records_.size());
-  for (const auto& r : records_) {
-    latencies.push_back(ToMillis(r.Latency()));
+  latencies.reserve(latency_.size());
+  for (const Nanos latency : latency_) {
+    latencies.push_back(ToMillis(latency));
   }
   return SelectPercentile(&latencies, p);
 }
 
 double ServingMetrics::MeanLatencyMs() const {
-  if (records_.empty()) {
+  if (latency_.empty()) {
     return 0.0;
   }
   double sum = 0.0;
-  for (const auto& r : records_) {
-    sum += ToMillis(r.Latency());
+  for (const Nanos latency : latency_) {
+    sum += ToMillis(latency);
   }
-  return sum / static_cast<double>(records_.size());
+  return sum / static_cast<double>(latency_.size());
 }
 
 double ServingMetrics::Goodput(Nanos slo) const {
-  if (records_.empty()) {
+  if (latency_.empty()) {
     return 0.0;
   }
-  std::size_t good = 0;
-  for (const auto& r : records_) {
-    if (r.Latency() <= slo) {
-      ++good;
-    }
-  }
-  return static_cast<double>(good) / static_cast<double>(records_.size());
+  const auto good = std::count_if(latency_.begin(), latency_.end(),
+                                  [slo](Nanos latency) { return latency <= slo; });
+  return static_cast<double>(good) / static_cast<double>(latency_.size());
 }
 
 double ServingMetrics::ColdStartRate() const {
-  if (records_.empty()) {
+  if (latency_.empty()) {
     return 0.0;
   }
-  return static_cast<double>(ColdStartCount()) / static_cast<double>(records_.size());
-}
-
-std::size_t ServingMetrics::ColdStartCount() const {
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    if (r.cold) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::size_t ServingMetrics::EvictionCount() const {
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    n += static_cast<std::size_t>(r.evictions);
-  }
-  return n;
+  return static_cast<double>(cold_starts_) / static_cast<double>(latency_.size());
 }
 
 LatencyBreakdown ServingMetrics::Breakdown() const {
   LatencyBreakdown b;
-  if (records_.empty()) {
+  if (latency_.empty()) {
     return b;
   }
   // One buffer for each component in turn; the mean is summed in record
   // order, as Percentiles::Mean does, before the selection reorders it.
-  std::vector<double> samples(records_.size());
-  const auto summarize = [this, &samples](Nanos (RequestRecord::*part)() const,
-                                          double* mean, double* p99) {
+  std::vector<double> samples(latency_.size());
+  const auto summarize = [&samples](const auto& part, double* mean, double* p99) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      samples[i] = ToMillis((records_[i].*part)());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      samples[i] = ToMillis(part(i));
       sum += samples[i];
     }
     *mean = sum / static_cast<double>(samples.size());
     *p99 = SelectPercentile(&samples, 99.0);
   };
-  summarize(&RequestRecord::QueueTime, &b.mean_queue_ms, &b.p99_queue_ms);
-  summarize(&RequestRecord::ColdStartTime, &b.mean_cold_ms, &b.p99_cold_ms);
-  summarize(&RequestRecord::ExecTime, &b.mean_exec_ms, &b.p99_exec_ms);
-  summarize(&RequestRecord::Latency, &b.mean_total_ms, &b.p99_total_ms);
+  summarize([this](std::size_t i) { return queue_[i]; }, &b.mean_queue_ms,
+            &b.p99_queue_ms);
+  summarize([this](std::size_t i) { return cold_time_[i]; }, &b.mean_cold_ms,
+            &b.p99_cold_ms);
+  summarize([this](std::size_t i) { return latency_[i] - queue_[i] - cold_time_[i]; },
+            &b.mean_exec_ms, &b.p99_exec_ms);
+  summarize([this](std::size_t i) { return latency_[i]; }, &b.mean_total_ms,
+            &b.p99_total_ms);
   check::SimValidator::OnBreakdown(b.mean_queue_ms, b.mean_cold_ms,
                                    b.mean_exec_ms, b.mean_total_ms);
   return b;
@@ -130,20 +117,20 @@ MinuteSeries ServingMetrics::PerMinute(Nanos slo) const {
   MinuteSeries series;
   std::vector<Percentiles> latencies;
   std::vector<std::size_t> good;
-  for (const auto& r : records_) {
-    const auto minute = static_cast<std::size_t>(r.arrival / (60 * kNanosPerSecond));
+  for (std::size_t i = 0; i < latency_.size(); ++i) {
+    const auto minute = static_cast<std::size_t>(arrival_[i] / (60 * kNanosPerSecond));
     if (minute >= latencies.size()) {
       latencies.resize(minute + 1);
       good.resize(minute + 1, 0);
       series.requests.resize(minute + 1, 0);
       series.cold_starts.resize(minute + 1, 0);
     }
-    latencies[minute].Add(ToMillis(r.Latency()));
+    latencies[minute].Add(ToMillis(latency_[i]));
     ++series.requests[minute];
-    if (r.Latency() <= slo) {
+    if (latency_[i] <= slo) {
       ++good[minute];
     }
-    if (r.cold) {
+    if (cold_[i]) {
       ++series.cold_starts[minute];
     }
   }

@@ -1,6 +1,6 @@
-// Serving metrics: per-request records, tail latency, goodput against an SLO,
-// cold-start rate, and per-minute time series (the three panels of
-// Figures 13-15).
+// Serving metrics: tail latency, goodput against an SLO, cold-start rate, the
+// latency breakdown, and per-minute time series (the three panels of
+// Figures 13-15), from per-request records.
 #ifndef SRC_SERVING_METRICS_H_
 #define SRC_SERVING_METRICS_H_
 
@@ -53,12 +53,19 @@ struct MinuteSeries {
   std::vector<std::size_t> cold_starts;
 };
 
+// Keeps, per finished request, only what its queries read: five columns
+// (arrival, queue time, cold-start time, latency, cold flag), in completion
+// order, plus running cold-start and eviction counts. A request costs four
+// 8-byte columns and one bit, not a 56-byte RequestRecord; exec time is
+// latency - queue - cold-start time, the same integer as
+// RequestRecord::ExecTime.
 class ServingMetrics {
  public:
   void Record(const RequestRecord& record);
 
-  std::size_t count() const { return records_.size(); }
-  const std::vector<RequestRecord>& records() const { return records_; }
+  std::size_t count() const { return latency_.size(); }
+  // Each request's latency (completion - arrival), in completion order.
+  const std::vector<Nanos>& latencies() const { return latency_; }
 
   // Latency percentile in milliseconds (p in [0,100]).
   double LatencyPercentileMs(double p) const;
@@ -69,10 +76,10 @@ class ServingMetrics {
 
   // Fraction of requests that triggered a cold start.
   double ColdStartRate() const;
-  std::size_t ColdStartCount() const;
+  std::size_t ColdStartCount() const { return cold_starts_; }
 
   // Instances evicted across all recorded requests.
-  std::size_t EvictionCount() const;
+  std::size_t EvictionCount() const { return evictions_; }
 
   // Per-request latency decomposition (queue vs. cold-start vs. exec).
   LatencyBreakdown Breakdown() const;
@@ -81,7 +88,13 @@ class ServingMetrics {
   MinuteSeries PerMinute(Nanos slo) const;
 
  private:
-  std::vector<RequestRecord> records_;
+  std::vector<Nanos> arrival_;
+  std::vector<Nanos> queue_;      // start - arrival
+  std::vector<Nanos> cold_time_;  // evict + load
+  std::vector<Nanos> latency_;    // completion - arrival
+  std::vector<bool> cold_;
+  std::size_t cold_starts_ = 0;
+  std::size_t evictions_ = 0;
 };
 
 }  // namespace deepplan

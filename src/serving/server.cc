@@ -1,6 +1,7 @@
 #include "src/serving/server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/core/profiler.h"
 #include "src/core/transmission.h"
@@ -16,6 +17,30 @@ namespace {
 constexpr Nanos kEvictionCost = Micros(200);
 // Seed of the noisy profiling run behind each registered model's plan.
 constexpr std::uint64_t kProfilerSeed = 42;
+
+// Feeds Server::Run's trace to the server one arrival at a time. Arrival i
+// fires at the sequence number reserved for it, first_seq + i, so the pop
+// order is the one of queueing the whole trace up front; but arrival i + 1
+// is queued only when arrival i fires, so the queue holds one pending arrival
+// instead of one per request.
+struct ArrivalFeed {
+  Simulator* sim;
+  Server* server;
+  const std::vector<Arrival>* arrivals;
+  std::uint64_t first_seq;
+
+  void Schedule(std::uint64_t i) {
+    sim->ScheduleReserved((*arrivals)[i].time, first_seq + i,
+                          MakeAction<&ArrivalFeed::Fire>(this, i));
+  }
+  // Event: arrival i is due; the next one is queued first.
+  void Fire(std::uint64_t i) {
+    if (i + 1 < arrivals->size()) {
+      Schedule(i + 1);
+    }
+    server->Submit((*arrivals)[i].instance);
+  }
+};
 
 }  // namespace
 
@@ -426,13 +451,13 @@ ServingMetrics Server::Run(const Trace& trace) {
   Warmup();
   for (const Arrival& a : trace.arrivals()) {
     DP_CHECK(a.instance >= 0 && a.instance < s.instances->num_instances());
-    s.sim->ScheduleAt(a.time, {[](void* server, std::uint64_t instance) {
-                                 static_cast<Server*>(server)->Submit(static_cast<int>(instance));
-                               },
-                               this, Idx(a.instance)});
+  }
+  ArrivalFeed feed{s.sim, this, &trace.arrivals(), s.sim->ReserveSeq(trace.size())};
+  if (!trace.empty()) {
+    feed.Schedule(0);
   }
   s.sim->Run();
-  return s.metrics;
+  return std::move(s.metrics);
 }
 
 }  // namespace deepplan

@@ -44,8 +44,9 @@ class Server {
   Server(const Topology& topology, const PerfModel& perf, ServerOptions options);
   // Shares an external simulator, for callers that feed arrivals themselves
   // (a chained feeder that schedules one arrival at a time, as bench_scaling
-  // and the benchmark do): arrivals must then be fed via Submit() from
-  // callbacks scheduled on that simulator, and the caller drives sim->Run().
+  // and the benchmark do): arrivals are then fed via Submit() from callbacks
+  // scheduled on that simulator, and the caller drives sim->Run(). Run()
+  // works here too.
   Server(Simulator* sim, const Topology& topology, const PerfModel& perf,
          ServerOptions options);
   ~Server();
@@ -64,9 +65,14 @@ class Server {
   // Instances resident after warmup (the capacity line of Figure 13).
   int WarmCapacity() const;
 
-  // Replays the trace (instance ids must be < num_instances). Returns the
-  // metrics. Can be called once per Server. Only valid for servers that own
-  // their simulator.
+  // Replays the trace (instance ids must be < num_instances) and runs the
+  // simulator until it drains; on a shared simulator that includes every
+  // other event queued there. Returns the metrics, moved out of the server
+  // (metrics() is empty afterwards). Can be called once per Server.
+  // Arrivals are fed one at a time, each at a sequence number reserved up
+  // front (Simulator::ReserveSeq), so events pop in the order of scheduling
+  // the whole trace at once while the queue holds one pending arrival, not
+  // one per request.
   ServingMetrics Run(const Trace& trace);
 
   // External-simulator interface: pre-provision instances, submit one

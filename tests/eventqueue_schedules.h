@@ -9,6 +9,8 @@
 #ifndef TESTS_EVENTQUEUE_SCHEDULES_H_
 #define TESTS_EVENTQUEUE_SCHEDULES_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -56,6 +58,68 @@ struct ScheduleLog {
   }
 };
 
+// The live events of a run, by tag. Tags are issued in increasing order, so
+// a Fenwick tree of 0/1 counts over tags finds the k-th smallest live tag
+// (a cancel's pick) and retires a popped tag in O(log n) each, where a
+// tag-ordered vector needs a scan and a middle erase: the live set of a
+// dense-burst regime reaches tens of thousands of events.
+template <typename Id>
+class LiveTags {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  bool contains(int tag) const { return live_[Idx(tag)] != 0; }
+  Id id(int tag) const { return ids_[Idx(tag)]; }
+
+  // Adds the next tag (the number of tags added so far) with its event id.
+  void Push(Id id) {
+    ids_.push_back(id);
+    live_.push_back(1);
+    // Node i counts the live tags in [i - lowbit(i), i): its own, plus those
+    // before it in that range.
+    const std::size_t i = ids_.size();
+    tree_.push_back(1 + Prefix(i - 1) - Prefix(i - LowBit(i)));
+    ++size_;
+  }
+
+  void Remove(int tag) {
+    live_[Idx(tag)] = 0;
+    for (std::size_t i = Idx(tag) + 1; i < tree_.size(); i += LowBit(i)) {
+      --tree_[i];
+    }
+    --size_;
+  }
+
+  // The k-th smallest live tag (k < size()).
+  int Kth(std::size_t k) const {
+    std::size_t pos = 0;
+    for (std::size_t step = std::bit_floor(ids_.size()); step > 0; step >>= 1) {
+      if (pos + step < tree_.size() && tree_[pos + step] <= k) {
+        pos += step;
+        k -= tree_[pos];
+      }
+    }
+    return static_cast<int>(pos);
+  }
+
+ private:
+  static std::size_t Idx(int tag) { return static_cast<std::size_t>(tag); }
+  static std::size_t LowBit(std::size_t i) { return i & (~i + 1); }
+  // Live tags among [0, n).
+  std::size_t Prefix(std::size_t n) const {
+    std::size_t sum = 0;
+    for (; n > 0; n -= LowBit(n)) {
+      sum += tree_[n];
+    }
+    return sum;
+  }
+
+  std::vector<Id> ids_;
+  std::vector<char> live_;
+  std::vector<std::size_t> tree_{0};  // 1-based; tree_[0] is unused
+  std::size_t size_ = 0;
+};
+
 // Runs one randomized schedule against `q` (any type with the EventQueue
 // interface: Schedule, Cancel, PopNext, NextTime, size, empty) and returns
 // the observable log. Fired callbacks record a per-run monotone tag — the
@@ -65,11 +129,7 @@ ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
                               const ScheduleRegime& regime) {
   Rng rng(seed);
   ScheduleLog log;
-  struct Live {
-    typename Queue::EventId id;
-    int tag;
-  };
-  std::vector<Live> live;
+  LiveTags<typename Queue::EventId> live;
   std::vector<typename Queue::EventId> retired;  // fired or cancelled
   std::vector<int> fired;
   int next_tag = 0;
@@ -78,9 +138,7 @@ ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
 
   const auto schedule_at = [&](Nanos when) {
     const int tag = next_tag++;
-    const typename Queue::EventId id =
-        q.Schedule(when, [&fired, tag] { fired.push_back(tag); });
-    live.push_back({id, tag});
+    live.Push(q.Schedule(when, [&fired, tag] { fired.push_back(tag); }));
     ++log.scheduled;
   };
 
@@ -109,10 +167,10 @@ ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
         const auto id = retired[rng.NextBounded(retired.size())];
         log.cancel_results.push_back(q.Cancel(id) ? 1 : 0);
       } else {
-        const std::size_t pick = rng.NextBounded(live.size());
-        log.cancel_results.push_back(q.Cancel(live[pick].id) ? 1 : 0);
-        retired.push_back(live[pick].id);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        const int tag = live.Kth(rng.NextBounded(live.size()));
+        log.cancel_results.push_back(q.Cancel(live.id(tag)) ? 1 : 0);
+        retired.push_back(live.id(tag));
+        live.Remove(tag);
       }
     } else {
       log.next_times.push_back(q.NextTime());
@@ -120,12 +178,9 @@ ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
       popped.second();
       const int tag = fired.back();
       log.pops.emplace_back(popped.first, tag);
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i].tag == tag) {
-          retired.push_back(live[i].id);
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
+      if (live.contains(tag)) {
+        retired.push_back(live.id(tag));
+        live.Remove(tag);
       }
     }
     if (regime.drift > 0) {

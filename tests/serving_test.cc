@@ -1,9 +1,17 @@
+#include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/model/zoo.h"
+#include "src/obs/causal_graph.h"
 #include "src/serving/instance.h"
 #include "src/serving/metrics.h"
 #include "src/serving/server.h"
+#include "src/util/rng.h"
+#include "src/workload/azure_trace.h"
 #include "src/workload/poisson.h"
 
 namespace deepplan {
@@ -119,6 +127,120 @@ TEST(MetricsTest, PerMinuteSeries) {
   EXPECT_DOUBLE_EQ(s.goodput[1], 0.0);
   EXPECT_EQ(s.cold_starts[1], 10u);
   EXPECT_GT(s.p99_ms[1], s.p99_ms[0]);
+}
+
+// Four thousand records in completion order: warm and cold requests, some
+// with evictions, a third queued, arrivals spread over five minutes, and 40
+// equal latencies holding the 99th rank (sorted ranks 3950-3989; p99
+// interpolates between ranks 3959 and 3960).
+std::vector<RequestRecord> MixedRecords() {
+  Rng rng(2026);
+  std::vector<RequestRecord> records;
+  for (int i = 0; i < 4000; ++i) {
+    RequestRecord r;
+    r.arrival = static_cast<Nanos>(rng.NextBounded(Seconds(300)));
+    r.start = r.arrival;
+    if (i % 3 == 0) {
+      r.start += static_cast<Nanos>(rng.NextBounded(Millis(40)));
+    }
+    r.instance = i % 9;
+    r.cold = i % 7 == 0;
+    if (r.cold) {
+      r.evictions = static_cast<int>(rng.NextBounded(3));
+      r.evict = Micros(200) * r.evictions;
+      r.load = Millis(5) + static_cast<Nanos>(rng.NextBounded(Millis(30)));
+    }
+    r.completion = r.start + r.evict + r.load + Millis(2) +
+                   static_cast<Nanos>(rng.NextBounded(Millis(20)));
+    if (i % 80 == 40) {
+      // The 50 slowest requests: 40 tied at 150 ms, then 10 slower still.
+      const int slow = i / 80;
+      r.completion = r.arrival + Millis(slow < 40 ? 150 : 150 + slow);
+    }
+    records.push_back(r);
+  }
+  return records;
+}
+
+// Every query against its answer computed the long way from the whole
+// records: percentiles by a full sort (Percentiles), means summed in record
+// order, counts by a scan.
+TEST(MetricsTest, ColumnsAnswerEveryQueryAsTheWholeRecordsDo) {
+  const std::vector<RequestRecord> records = MixedRecords();
+  ServingMetrics m;
+  for (const RequestRecord& r : records) {
+    m.Record(r);
+  }
+  ASSERT_EQ(m.count(), records.size());
+
+  Percentiles latency, queue, cold, exec;
+  std::size_t cold_starts = 0;
+  std::size_t evictions = 0;
+  std::vector<Nanos> latencies;
+  for (const RequestRecord& r : records) {
+    latency.Add(ToMillis(r.Latency()));
+    queue.Add(ToMillis(r.QueueTime()));
+    cold.Add(ToMillis(r.ColdStartTime()));
+    exec.Add(ToMillis(r.ExecTime()));
+    cold_starts += r.cold ? 1 : 0;
+    evictions += static_cast<std::size_t>(r.evictions);
+    latencies.push_back(r.Latency());
+  }
+  ASSERT_GT(cold_starts, 0u);
+  ASSERT_GT(evictions, 0u);
+  // Summed in record order, before Percentile() sorts the samples.
+  const double mean_latency = latency.Mean();
+  EXPECT_EQ(m.latencies(), latencies);
+  for (const double p : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(m.LatencyPercentileMs(p), latency.Percentile(p)) << "p" << p;
+  }
+  EXPECT_DOUBLE_EQ(m.LatencyPercentileMs(99), 150.0);  // the tied block holds it
+  EXPECT_EQ(m.MeanLatencyMs(), mean_latency);
+  for (const Nanos slo : {Millis(25), Millis(100)}) {
+    const auto good = std::count_if(records.begin(), records.end(),
+                                    [slo](const RequestRecord& r) {
+                                      return r.Latency() <= slo;
+                                    });
+    EXPECT_EQ(m.Goodput(slo),
+              static_cast<double>(good) / static_cast<double>(records.size()));
+  }
+  EXPECT_EQ(m.ColdStartCount(), cold_starts);
+  EXPECT_EQ(m.ColdStartRate(), static_cast<double>(cold_starts) /
+                                   static_cast<double>(records.size()));
+  EXPECT_EQ(m.EvictionCount(), evictions);
+
+  const LatencyBreakdown b = m.Breakdown();
+  EXPECT_EQ(b.mean_queue_ms, queue.Mean());
+  EXPECT_EQ(b.p99_queue_ms, queue.Percentile(99));
+  EXPECT_EQ(b.mean_cold_ms, cold.Mean());
+  EXPECT_EQ(b.p99_cold_ms, cold.Percentile(99));
+  EXPECT_EQ(b.mean_exec_ms, exec.Mean());
+  EXPECT_EQ(b.p99_exec_ms, exec.Percentile(99));
+  EXPECT_EQ(b.mean_total_ms, mean_latency);
+  EXPECT_EQ(b.p99_total_ms, latency.Percentile(99));
+
+  const Nanos slo = Millis(30);
+  std::vector<Percentiles> minute_latency(5);
+  std::vector<std::size_t> requests(5, 0), good(5, 0), colds(5, 0);
+  for (const RequestRecord& r : records) {
+    const auto minute = static_cast<std::size_t>(r.arrival / Seconds(60));
+    minute_latency[minute].Add(ToMillis(r.Latency()));
+    ++requests[minute];
+    good[minute] += r.Latency() <= slo ? 1 : 0;
+    colds[minute] += r.cold ? 1 : 0;
+  }
+  const MinuteSeries series = m.PerMinute(slo);
+  ASSERT_EQ(series.requests.size(), 5u);
+  EXPECT_EQ(series.requests, requests);
+  EXPECT_EQ(series.cold_starts, colds);
+  ASSERT_EQ(series.p99_ms.size(), 5u);
+  ASSERT_EQ(series.goodput.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(series.p99_ms[i], minute_latency[i].Percentile(99)) << "minute " << i;
+    EXPECT_EQ(series.goodput[i], static_cast<double>(good[i]) /
+                                     static_cast<double>(requests[i]))
+        << "minute " << i;
+  }
 }
 
 // ---------------------------------------------------------------- server
@@ -239,6 +361,95 @@ TEST_F(ServerTest, MixedModelTypes) {
   const ServingMetrics m = server.Run(GeneratePoissonTrace(w));
   EXPECT_GT(m.count(), 50u);
   EXPECT_GT(m.Goodput(Millis(100)), 0.9);
+}
+
+// An Azure-like trace over capacity in which every 20th arrival brings four
+// more at the same nanosecond, on other instances: equal-time arrivals fire
+// in trace order.
+Trace BurstyAzureTrace(int instances) {
+  AzureTraceOptions w;
+  w.num_instances = instances;
+  w.duration = Seconds(30);
+  w.target_rate_per_sec = 60;
+  const Trace base = GenerateAzureTrace(w);
+  std::vector<Arrival> arrivals;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const Arrival& a = base.arrivals()[i];
+    arrivals.push_back(a);
+    for (int k = 1; i % 20 == 0 && k <= 4; ++k) {
+      arrivals.push_back({a.time, (a.instance + 7 * k) % instances});
+    }
+  }
+  return Trace(std::move(arrivals));
+}
+
+// Run() feeds one arrival at a time at sequence numbers reserved up front;
+// the oracle queues every arrival before the run. Both must pop every event
+// in the same order: the same answers, the same journal, the same number of
+// events scheduled. Only the queue's size differs.
+TEST_F(ServerTest, RunFeedsArrivalsAsIfAllWereQueuedUpFront) {
+  const Topology topo = Topology::P3_8xlarge();
+  const PerfModel perf(topo.gpu(), topo.pcie());
+  ServerOptions options = BaseOptions(Strategy::kDeepPlanPtDha);
+  options.usable_bytes_per_gpu = 2LL * 1024 * 1024 * 1024;  // force churn
+  const Trace trace = BurstyAzureTrace(40);
+
+  struct Replay {
+    Simulator sim;
+    std::unique_ptr<Server> server;
+    CausalGraph causal{true};
+  };
+  const auto make = [&](Replay* r) {
+    r->server = std::make_unique<Server>(&r->sim, topo, perf, options);
+    r->server->AddInstances(r->server->RegisterModelType(ModelZoo::BertBase()), 40);
+    r->server->set_causal(&r->causal, r->causal.RegisterProcess("server"));
+  };
+  Replay run;
+  make(&run);
+  const ServingMetrics got = run.server->Run(trace);
+
+  Replay oracle;
+  make(&oracle);
+  oracle.server->Warmup();
+  for (const Arrival& a : trace.arrivals()) {
+    oracle.sim.ScheduleAt(a.time, [server = oracle.server.get(), instance = a.instance] {
+      server->Submit(instance);
+    });
+  }
+  oracle.sim.Run();
+  const ServingMetrics& want = oracle.server->metrics();
+
+  ASSERT_EQ(got.count(), trace.size());
+  ASSERT_GT(got.EvictionCount(), 0u);
+  EXPECT_EQ(got.latencies(), want.latencies());
+  for (const double p : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(got.LatencyPercentileMs(p), want.LatencyPercentileMs(p)) << "p" << p;
+  }
+  EXPECT_EQ(got.MeanLatencyMs(), want.MeanLatencyMs());
+  EXPECT_EQ(got.Goodput(options.slo), want.Goodput(options.slo));
+  EXPECT_EQ(got.ColdStartCount(), want.ColdStartCount());
+  EXPECT_EQ(got.EvictionCount(), want.EvictionCount());
+  const LatencyBreakdown gb = got.Breakdown();
+  const LatencyBreakdown wb = want.Breakdown();
+  EXPECT_EQ(gb.mean_queue_ms, wb.mean_queue_ms);
+  EXPECT_EQ(gb.p99_queue_ms, wb.p99_queue_ms);
+  EXPECT_EQ(gb.mean_cold_ms, wb.mean_cold_ms);
+  EXPECT_EQ(gb.p99_cold_ms, wb.p99_cold_ms);
+  EXPECT_EQ(gb.mean_exec_ms, wb.mean_exec_ms);
+  EXPECT_EQ(gb.p99_exec_ms, wb.p99_exec_ms);
+  const MinuteSeries gs = got.PerMinute(options.slo);
+  const MinuteSeries ws = want.PerMinute(options.slo);
+  EXPECT_EQ(gs.p99_ms, ws.p99_ms);
+  EXPECT_EQ(gs.goodput, ws.goodput);
+  EXPECT_EQ(gs.requests, ws.requests);
+  EXPECT_EQ(gs.cold_starts, ws.cold_starts);
+  EXPECT_TRUE(run.causal.journal() == oracle.causal.journal());
+
+  const EventQueue& fed = run.sim.event_queue();
+  const EventQueue& queued = oracle.sim.event_queue();
+  EXPECT_EQ(fed.total_scheduled(), queued.total_scheduled());
+  EXPECT_GE(queued.slot_capacity(), trace.size());
+  EXPECT_LT(fed.slot_capacity() * 20, trace.size());
 }
 
 // ---------------------------------------------------------------- telemetry
