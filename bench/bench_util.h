@@ -2,8 +2,9 @@
 // repeated cold-start measurement on a chosen topology, with exact or noisy
 // profiling. Every bench prints the paper's rows through util::Table and can
 // additionally emit a machine-readable BENCH_<name>.json via BenchReport and
-// observation artifacts (trace, causal journal, what-if and selfprof
-// reports) through the output flags and writers at the end of this file.
+// observation artifacts (causal journal, what-if and selfprof reports)
+// through the output flags and writers at the end of this file. A run's
+// Chrome trace is an export of its journal: `journal_convert --to-chrome`.
 //
 // Repetition loops run on SweepRunner: tasks fan out over DEEPPLAN_JOBS
 // worker threads, results aggregate in task order, so bench output is
@@ -218,7 +219,7 @@ class BenchReport {
 };
 
 // Observation outputs: each is a `--<name>=<path>` flag whose default is read
-// from a DEEPPLAN_* variable; an empty path turns the output off. The four
+// from a DEEPPLAN_* variable; an empty path turns the output off. The three
 // flags are defined here once, and a bench offers the ones it supports with
 // DefineOutputFlag.
 struct OutputFlag {
@@ -226,8 +227,6 @@ struct OutputFlag {
   const char* env;   // variable the default is read from
   const char* what;  // the artifact, for --help
 };
-inline constexpr OutputFlag kTraceOut{"trace_out", "DEEPPLAN_TRACE",
-                                      "a Chrome/Perfetto trace JSON"};
 inline constexpr OutputFlag kProfileOut{"profile_out", "DEEPPLAN_PROFILE",
                                         "the causal journal (binary DPJL)"};
 inline constexpr OutputFlag kWhatIfOut{"whatif_out", "DEEPPLAN_WHATIF",
@@ -251,10 +250,6 @@ inline bool NoteWrite(bool ok, const char* what, const std::string& path,
   std::cerr << (ok ? "wrote " : "cannot write ") << what << " " << path
             << (ok || error.empty() ? "" : ": " + error) << "\n";
   return ok;
-}
-
-inline bool WriteTrace(const TraceRecorder& trace, const std::string& path) {
-  return NoteWrite(trace.WriteTo(path), "trace", path);
 }
 
 inline bool WriteJournal(const CausalGraph& graph, const std::string& path) {

@@ -9,14 +9,13 @@
 //
 // Every (concurrency, strategy) point replays its own server, so the sweep
 // fans out over DEEPPLAN_JOBS threads; tables aggregate in point order and
-// are byte-identical for any thread count. With --trace_out=<path> (default:
-// $DEEPPLAN_TRACE), the three loose-SLO points at concurrency 140 — the knee
-// of the figure — record telemetry; their recorders stitch into one Chrome
-// trace and their metrics snapshots land in the matching BENCH points. With
-// --profile_out=<path> (default: $DEEPPLAN_PROFILE) the same knee points
-// record causal journals; the stitched journal is written to <path> in the
+// are byte-identical for any thread count. With --profile_out=<path>
+// (default: $DEEPPLAN_PROFILE) the three loose-SLO points at concurrency 140
+// — the knee of the figure — record causal journals, one process per point
+// named "<strategy> c140"; the stitched journal is written to <path> in the
 // binary DPJL format and the critical-path attribution report prints after
-// the tables. With --selfprof_out=<path> (default: $DEEPPLAN_SELFPROF) every
+// the tables. Their Chrome trace is `journal_convert --to-chrome <path>
+// <trace.json>`. With --selfprof_out=<path> (default: $DEEPPLAN_SELFPROF) every
 // point carries a host self-profiling lane (src/obs/selfprof.h) and the
 // per-point wall-clock attribution report lands at <path> (inspect with
 // tools/selfprof_report).
@@ -35,8 +34,6 @@ struct Point {
   double goodput_tight = 0.0;  // against a 50 ms SLO
   double cold_rate = 0.0;
   int capacity = 0;
-  TraceRecorder recorder{false};
-  MetricsRegistry registry;
   CausalGraph causal{false};
   // Host wall-clock attribution for this point; merged into the
   // --selfprof_out report in spec order (never feeds the BENCH point).
@@ -44,8 +41,7 @@ struct Point {
 };
 
 Point RunPoint(Strategy strategy, int concurrency, int requests, double rate,
-               std::uint64_t seed, bool tracing, bool profiling,
-               bool profiling_host) {
+               std::uint64_t seed, bool profiling, bool profiling_host) {
   Point p;
   {
     // Scope: the lane's root "total" closes when this block exits, before
@@ -60,13 +56,6 @@ Point RunPoint(Strategy strategy, int concurrency, int requests, double rate,
     const int type = server.RegisterModelType(ModelZoo::BertBase());
     server.AddInstances(type, concurrency);
 
-    if (tracing) {
-      p.recorder = TraceRecorder(/*enabled=*/true);
-      server.set_telemetry(&p.recorder, &p.registry,
-                           p.recorder.RegisterProcess(
-                               std::string(StrategyName(strategy)) + " c" +
-                               std::to_string(concurrency)));
-    }
     if (profiling) {
       p.causal = CausalGraph(/*enabled=*/true);
       server.set_causal(&p.causal, p.causal.RegisterProcess(
@@ -94,8 +83,8 @@ struct PointSpec {
   Strategy strategy;
   bool tight;  // belongs to the tight-SLO table
 
-  // Keep traces bounded: only the loose-SLO knee of the sweep records.
-  bool Traced() const { return !tight && concurrency == 140; }
+  // Keep journals bounded: only the loose-SLO knee of the sweep records.
+  bool Recorded() const { return !tight && concurrency == 140; }
 };
 
 }  // namespace
@@ -104,7 +93,6 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.DefinePositiveInt("requests", 1000, "requests per concurrency point");
   flags.DefinePositiveDouble("rate", 100.0, "offered load (requests/second)");
-  bench::DefineOutputFlag(&flags, bench::kTraceOut);
   bench::DefineOutputFlag(&flags, bench::kProfileOut);
   bench::DefineOutputFlag(&flags, bench::kSelfprofOut);
   if (!flags.Parse(argc, argv)) {
@@ -112,8 +100,6 @@ int main(int argc, char** argv) {
   }
   const int requests = static_cast<int>(flags.GetInt("requests"));
   const double rate = flags.GetDouble("rate");
-  const std::string trace_out = flags.GetString(bench::kTraceOut.name);
-  const bool tracing = !trace_out.empty();
   const std::string profile_out = flags.GetString(bench::kProfileOut.name);
   const bool profiling = !profile_out.empty();
   const std::string selfprof_out = flags.GetString(bench::kSelfprofOut.name);
@@ -146,8 +132,7 @@ int main(int argc, char** argv) {
       runner.Map(static_cast<int>(specs.size()), [&](int i) {
         const PointSpec& s = specs[static_cast<std::size_t>(i)];
         return RunPoint(s.strategy, s.concurrency, requests, rate, 42,
-                        tracing && s.Traced(), profiling && s.Traced(),
-                        !selfprof_out.empty());
+                        profiling && s.Recorded(), !selfprof_out.empty());
       });
 
   std::cout << "Figure 13: BERT-Base serving, " << rate
@@ -176,11 +161,6 @@ int main(int argc, char** argv) {
         .Set("goodput_50ms", p.goodput_tight)
         .Set("cold_start_rate", p.cold_rate)
         .Set("resident", p.capacity);
-    if (tracing && s.Traced()) {
-      // Only enriched when telemetry is on so the disabled report stays
-      // byte-identical to pre-telemetry behaviour.
-      point.SetRaw("metrics", p.registry.ToJsonObject().Render());
-    }
   }
   table.Print(std::cout);
   std::cout << "\nPaper reference: PipeSwitch keeps 100 instances resident "
@@ -200,7 +180,7 @@ int main(int argc, char** argv) {
     // any DEEPPLAN_JOBS) and print the critical-path attribution report.
     CausalGraph merged(/*enabled=*/true);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].Traced()) {
+      if (specs[i].Recorded()) {
         merged.Adopt(std::move(points[i].causal));
       }
     }
@@ -211,17 +191,6 @@ int main(int argc, char** argv) {
     }
   }
   report.Write(&std::cerr);
-  if (tracing) {
-    TraceRecorder merged(/*enabled=*/true);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].Traced()) {
-        merged.Adopt(std::move(points[i].recorder));
-      }
-    }
-    if (!bench::WriteTrace(merged, trace_out)) {
-      return 1;
-    }
-  }
   if (!selfprof_out.empty()) {
     // Lanes in spec order (the sweep aggregates in task-index order).
     std::vector<selfprof::LaneView> lanes;

@@ -10,15 +10,15 @@
 //
 // The three strategies replay the same (immutable) trace on independent
 // servers, so they fan out over DEEPPLAN_JOBS threads; output renders in
-// strategy order and is byte-identical for any thread count. With
-// --trace_out=<path> (default: $DEEPPLAN_TRACE), each replay records into its
-// own TraceRecorder/MetricsRegistry; the recorders are stitched in strategy
-// order into one Perfetto-loadable Chrome trace, and each strategy's metrics
-// snapshot lands in its BENCH point. With --profile_out=<path> (default:
-// $DEEPPLAN_PROFILE) each replay additionally records a causal journal; the
-// stitched journal is written to <path> in the binary DPJL format
-// (src/obs/journal_stream.h) and the critical-path attribution report prints
-// after the tables. With --whatif_out=<path> (default: $DEEPPLAN_WHATIF) the
+// strategy order and is byte-identical for any thread count. Each replay
+// keeps only the figures it prints, not its per-request metrics, so the
+// three strategies' columns are never held at once. With
+// --profile_out=<path> (default: $DEEPPLAN_PROFILE) each replay records a
+// causal journal, one process per strategy; the stitched journal is written
+// to <path> in the binary DPJL format (src/obs/journal_stream.h) and the
+// critical-path attribution report prints after the tables. Its Chrome trace
+// is `journal_convert --to-chrome <path> <trace.json>`. With
+// --whatif_out=<path> (default: $DEEPPLAN_WHATIF) the
 // stitched journal is replayed under the default virtual-hardware
 // experiments (src/obs/whatif) and the {"whatif_report":...} JSON lands at
 // <path> — byte-identical to tools/whatif_report on the --profile_out
@@ -37,18 +37,21 @@ namespace {
 
 using namespace deepplan;
 
+// What main prints of one strategy's replay.
 struct Outcome {
-  ServingMetrics metrics;
+  double p99_ms = 0.0;
+  double goodput = 0.0;
+  std::size_t cold_starts = 0;
+  std::size_t evictions = 0;
+  LatencyBreakdown breakdown;
   MinuteSeries series;
-  TraceRecorder recorder{false};
-  MetricsRegistry registry;
   CausalGraph causal{false};
   // Host wall-clock attribution for this strategy's replay; merged into the
   // --selfprof_out report in strategy order (never feeds the BENCH point).
   selfprof::SelfProfiler selfprof;
 };
 
-Outcome Replay(Strategy strategy, const Trace& trace, int instances, bool tracing,
+Outcome Replay(Strategy strategy, const Trace& trace, int instances,
                bool journaling, bool profiling_host) {
   Outcome out;
   {
@@ -69,18 +72,18 @@ Outcome Replay(Strategy strategy, const Trace& trace, int instances, bool tracin
     server.AddInstances(bert, 4 * unit);
     server.AddInstances(roberta, 4 * unit);
     server.AddInstances(gpt2, instances - 8 * unit);
-    if (tracing) {
-      out.recorder = TraceRecorder(/*enabled=*/true);
-      server.set_telemetry(&out.recorder, &out.registry,
-                           out.recorder.RegisterProcess(StrategyName(strategy)));
-    }
     if (journaling) {
       out.causal = CausalGraph(/*enabled=*/true);
       server.set_causal(&out.causal,
                         out.causal.RegisterProcess(StrategyName(strategy)));
     }
-    out.metrics = server.Run(trace);
-    out.series = out.metrics.PerMinute(Millis(100));
+    const ServingMetrics metrics = server.Run(trace);
+    out.p99_ms = metrics.LatencyPercentileMs(99);
+    out.goodput = metrics.Goodput(Millis(100));
+    out.cold_starts = metrics.ColdStartCount();
+    out.evictions = metrics.EvictionCount();
+    out.breakdown = metrics.Breakdown();
+    out.series = metrics.PerMinute(Millis(100));
   }
   return out;
 }
@@ -99,7 +102,6 @@ int main(int argc, char** argv) {
   // the paper's over-committed deployment.
   flags.DefinePositiveInt("instances", 135, "total model instances (4:4:1 mix)");
   flags.DefineString("trace", "", "optional MAF-derived CSV to replay instead");
-  bench::DefineOutputFlag(&flags, bench::kTraceOut);
   bench::DefineOutputFlag(&flags, bench::kProfileOut);
   bench::DefineOutputFlag(&flags, bench::kWhatIfOut);
   bench::DefineOutputFlag(&flags, bench::kSelfprofOut);
@@ -107,8 +109,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const int instances = static_cast<int>(flags.GetInt("instances"));
-  const std::string trace_out = flags.GetString(bench::kTraceOut.name);
-  const bool tracing = !trace_out.empty();
   const std::string profile_out = flags.GetString(bench::kProfileOut.name);
   const bool profiling = !profile_out.empty();
   const std::string whatif_out = flags.GetString(bench::kWhatIfOut.name);
@@ -164,21 +164,20 @@ int main(int argc, char** argv) {
   std::vector<Outcome> outcomes =
       runner.Map(static_cast<int>(strategies.size()), [&](int i) {
         return Replay(strategies[static_cast<std::size_t>(i)], trace, instances,
-                      tracing, journaling, !selfprof_out.empty());
+                      journaling, !selfprof_out.empty());
       });
 
   for (std::size_t s = 0; s < strategies.size(); ++s) {
     const Strategy strategy = strategies[s];
     const Outcome& out = outcomes[s];
     std::cout << StrategyName(strategy) << ": overall p99 "
-              << Table::Num(out.metrics.LatencyPercentileMs(99), 1) << " ms, goodput "
-              << Table::Pct(out.metrics.Goodput(Millis(100))) << ", cold-starts "
-              << out.metrics.ColdStartCount() << " (evictions "
-              << out.metrics.EvictionCount() << ")\n";
+              << Table::Num(out.p99_ms, 1) << " ms, goodput "
+              << Table::Pct(out.goodput) << ", cold-starts " << out.cold_starts
+              << " (evictions " << out.evictions << ")\n";
     // Where the latency goes (mean / p99 per component; the components tile
     // each request exactly: queue + cold-start + exec == total).
     {
-      const LatencyBreakdown b = out.metrics.Breakdown();
+      const LatencyBreakdown& b = out.breakdown;
       Table breakdown({"component", "mean (ms)", "p99 (ms)"});
       breakdown.AddRow({"queue", Table::Num(b.mean_queue_ms, 2),
                         Table::Num(b.p99_queue_ms, 2)});
@@ -209,15 +208,10 @@ int main(int argc, char** argv) {
     std::cout << "\n";
     JsonObject& point = report.AddPoint();
     point.Set("strategy", StrategyName(strategy))
-        .Set("p99_ms", out.metrics.LatencyPercentileMs(99))
-        .Set("goodput", out.metrics.Goodput(Millis(100)))
-        .Set("cold_starts", static_cast<std::int64_t>(out.metrics.ColdStartCount()))
+        .Set("p99_ms", out.p99_ms)
+        .Set("goodput", out.goodput)
+        .Set("cold_starts", static_cast<std::int64_t>(out.cold_starts))
         .SetRaw("minutes", minutes.Render());
-    if (tracing) {
-      // Only enriched when telemetry is on so the disabled report stays
-      // byte-identical to pre-telemetry behaviour.
-      point.SetRaw("metrics", out.registry.ToJsonObject().Render());
-    }
   }
   std::cout << "Paper reference: DeepPlan variants hold 98-99% goodput; "
                "PipeSwitch drops to ~81% in loaded minutes.\n";
@@ -249,15 +243,6 @@ int main(int argc, char** argv) {
     }
   }
   report.Write(&std::cerr);
-  if (tracing) {
-    TraceRecorder merged(/*enabled=*/true);
-    for (Outcome& out : outcomes) {
-      merged.Adopt(std::move(out.recorder));
-    }
-    if (!bench::WriteTrace(merged, trace_out)) {
-      return 1;
-    }
-  }
   if (!selfprof_out.empty()) {
     // Lanes in strategy order (the sweep aggregates in task-index order).
     std::vector<selfprof::LaneView> lanes;

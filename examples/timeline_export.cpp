@@ -1,9 +1,8 @@
-// Timeline export: run one cold start with a trace recorder attached to the
-// engine and the fabric, and write a Chrome-trace JSON (open in
-// chrome://tracing or ui.perfetto.dev). The resulting picture is the paper's
-// Figure 9 — PCIe loads, NVLink migration, and execution overlapping across
-// tracks, with per-link bandwidth counters — generated from an actual
-// simulated run.
+// Timeline export: journal one cold start and write its Chrome trace, the
+// export of that journal (open in chrome://tracing or ui.perfetto.dev). The
+// resulting picture is the paper's Figure 9 — PCIe loads, NVLink migration,
+// and execution overlapping across tracks, with transfers in flight per
+// link — generated from an actual simulated run.
 //
 //   ./build/examples/timeline_export --model=bert_base --strategy=pt_dha
 //       --out=timeline.json
@@ -38,23 +37,29 @@ int main(int argc, char** argv) {
   Simulator sim;
   ServerFabric fabric(&sim, &topology);
   Engine engine(&sim, &fabric, &perf);
-  TraceRecorder recorder;
-  const int pid = recorder.RegisterProcess(StrategyName(strategy));
-  engine.set_telemetry(&recorder, pid);
-  fabric.fabric().set_telemetry(&recorder, nullptr, pid);
+  CausalGraph journal(/*enabled=*/true);
+  engine.set_causal(&journal);
+  ColdRunOptions options = MakeColdRunOptions(strategy);
+  const int request =
+      journal.BeginRequest(journal.RegisterProcess(StrategyName(strategy)), 0, 0);
+  journal.MarkCold(request);
+  options.causal_request = request;
   InferenceResult result;
   engine.RunCold(model, plan, 0,
-                 TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
-                 MakeColdRunOptions(strategy),
-                 [&](const InferenceResult& r) { result = r; });
+                 TransmissionPlanner::ChooseSecondaries(topology, 0, degree), options,
+                 [&](const InferenceResult& r) {
+                   result = r;
+                   journal.EndRequest(request, sim.now());
+                 });
   sim.Run();
 
-  if (!recorder.WriteTo(flags.GetString("out"))) {
+  const auto trace = GraphChromeTrace(journal);
+  if (!trace.WriteTo(flags.GetString("out"))) {
     std::cerr << "failed to write " << flags.GetString("out") << "\n";
     return 1;
   }
   std::cout << StrategyName(strategy) << " cold start of " << model.name() << ": "
-            << FormatDuration(result.latency) << " (" << recorder.size()
+            << FormatDuration(result.latency) << " (" << trace.size()
             << " trace events)\n"
             << "wrote " << flags.GetString("out")
             << " — open in chrome://tracing or ui.perfetto.dev\n";

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every paper table/figure and ablation into results/, including
 # each bench's machine-readable BENCH_<name>.json (written next to the .txt),
-# then captures and validates a Chrome/Perfetto telemetry trace.
+# then records causal journals and validates the reports and the
+# Chrome/Perfetto trace exported from them.
 # Usage: scripts/run_all.sh [build-dir] [results-dir]
 #
 # Env:
@@ -9,7 +10,7 @@
 #                    output is byte-identical for any value).
 #   DEEPPLAN_TSAN=1  first build the ThreadSanitizer preset
 #                    (cmake -DDEEPPLAN_SANITIZE=thread) into <build-dir>-tsan
-#                    and run the sweep determinism, telemetry and journal-merge
+#                    and run the sweep determinism, trace-export and journal-merge
 #                    tests under it.
 #   DEEPPLAN_ASAN=1  build the AddressSanitizer+UndefinedBehaviorSanitizer
 #                    preset (cmake -DDEEPPLAN_SANITIZE=address,undefined) into
@@ -75,11 +76,9 @@ scripts/check_lint.sh "$BUILD_DIR"
 
 mkdir -p "$RESULTS_DIR"
 export DEEPPLAN_BENCH_DIR="$RESULTS_DIR"
-# Keep the main sweep untraced and unprofiled (byte-stable baseline outputs)
-# even when the caller has a global DEEPPLAN_TRACE/DEEPPLAN_PROFILE/
-# DEEPPLAN_WHATIF/DEEPPLAN_SELFPROF/DEEPPLAN_PROGRESS; the dedicated steps
-# below capture each artifact.
-unset DEEPPLAN_TRACE
+# Keep the main sweep unprofiled (byte-stable baseline outputs) even when
+# the caller has a global DEEPPLAN_PROFILE/DEEPPLAN_WHATIF/DEEPPLAN_SELFPROF/
+# DEEPPLAN_PROGRESS; the dedicated steps below capture each artifact.
 unset DEEPPLAN_PROFILE
 unset DEEPPLAN_WHATIF
 unset DEEPPLAN_SELFPROF
@@ -139,52 +138,6 @@ DEEPPLAN_BENCH_DIR="$RESULTS_DIR/scaling_jobs2" DEEPPLAN_JOBS=2 \
 cmp "$RESULTS_DIR/scaling_jobs1/bench_scaling.txt" \
   "$RESULTS_DIR/scaling_jobs2/bench_scaling.txt"
 
-# Telemetry: capture a short traced replay and validate the artifact parses
-# and carries the expected tracks (load it in ui.perfetto.dev to explore).
-# DEEPPLAN_VALIDATE=1 runs the simulation invariant checker alongside; it
-# writes nothing to stdout, so the bench output stays byte-identical.
-echo "== trace validation (fig15_azure_trace, 2 minutes)"
-TRACE_FILE="$RESULTS_DIR/trace_fig15.json"
-DEEPPLAN_TRACE="$TRACE_FILE" DEEPPLAN_VALIDATE=1 \
-  "$BUILD_DIR/bench/fig15_azure_trace" --minutes=2 \
-  >"$RESULTS_DIR/fig15_azure_trace_traced.txt" 2>&1
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$TRACE_FILE" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-events = doc["traceEvents"]
-phases = {e["ph"] for e in events}
-assert {"M", "X", "C"} <= phases, f"missing event phases: {phases}"
-tracks = {e["args"]["name"] for e in events
-          if e["ph"] == "M" and e["name"] == "thread_name"}
-tracks |= {e["name"] for e in events if e["ph"] == "C"}
-for prefix in ("exec/gpu", "coldstart/gpu", "queue/gpu", "pcie/gpu", "bw/"):
-    assert any(t.startswith(prefix) for t in tracks), f"no {prefix} track"
-print(f"trace OK: {len(events)} events, {len(tracks)} tracks")
-EOF
-else
-  # Fallback: structural spot checks only.
-  grep -q '"traceEvents"' "$TRACE_FILE"
-  grep -q '"ph":"C"' "$TRACE_FILE"
-  grep -q 'coldstart/gpu' "$TRACE_FILE"
-  grep -q 'bw/' "$TRACE_FILE"
-  echo "trace OK (grep checks; python3 unavailable)"
-fi
-
-# Deep structural lint (slice nesting, async pairing, metadata coverage) via
-# the dedicated tool — catches artifact corruption the track check above
-# cannot.
-echo "== trace_lint"
-"$BUILD_DIR/tools/trace_lint" "$TRACE_FILE"
-
-# The single-cold-start Figure 9 picture goes through the same recorder and
-# the same lint: PCIe/NVLink intervals, exec slices and bandwidth counters.
-echo "== timeline_export + trace_lint"
-TIMELINE_FILE="$RESULTS_DIR/timeline_bert_base.json"
-"$BUILD_DIR/examples/timeline_export" --model=bert_base --strategy=pt_dha \
-  --out="$TIMELINE_FILE" >"$RESULTS_DIR/timeline_export.txt"
-"$BUILD_DIR/tools/trace_lint" "$TIMELINE_FILE"
-
 # Critical-path profiling: capture a causal journal (binary DPJL) from a
 # short profiled replay, re-analyze it with the offline tool, and lint the
 # report JSON schema (attribution must tile each request's latency exactly).
@@ -204,6 +157,48 @@ DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" DEEPPLAN_VALIDATE=1 \
 "$BUILD_DIR/tools/profile_report" "$PROFILE_JOURNAL" \
   --json="$PROFILE_REPORT" >"$RESULTS_DIR/profile_fig15_report.txt"
 "$BUILD_DIR/tools/trace_lint" --profile "$PROFILE_REPORT"
+
+# Trace leg: the same run's Chrome trace, exported from its journal. Check
+# that it parses and carries the expected tracks (load it in ui.perfetto.dev
+# to explore), then the deep structural lint (slice nesting, async pairing,
+# metadata coverage) the track check cannot do.
+echo "== trace leg (journal_convert --to-chrome on the fig15 journal)"
+TRACE_FILE="$RESULTS_DIR/trace_fig15.json"
+"$BUILD_DIR/tools/journal_convert" --to-chrome "$PROFILE_JOURNAL" \
+  "$TRACE_FILE" 2>/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$TRACE_FILE" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+events = doc["traceEvents"]
+phases = {e["ph"] for e in events}
+assert {"M", "X", "C", "b", "e"} <= phases, f"missing event phases: {phases}"
+tracks = {e["args"]["name"] for e in events
+          if e["ph"] == "M" and e["name"] == "thread_name"}
+tracks |= {e["name"] for e in events if e["ph"] == "C"}
+for prefix in ("exec/gpu", "pcie/gpu", "queue", "inflight/pcie/gpu",
+               "inflight/uplink/", "queued"):
+    assert any(t.startswith(prefix) for t in tracks), f"no {prefix} track"
+print(f"trace OK: {len(events)} events, {len(tracks)} tracks")
+EOF
+else
+  # Fallback: structural spot checks only.
+  grep -q '"traceEvents"' "$TRACE_FILE"
+  grep -q '"ph":"C"' "$TRACE_FILE"
+  grep -q '"exec/gpu' "$TRACE_FILE"
+  grep -q 'inflight/' "$TRACE_FILE"
+  echo "trace OK (grep checks; python3 unavailable)"
+fi
+"$BUILD_DIR/tools/trace_lint" "$TRACE_FILE"
+
+# The single-cold-start Figure 9 picture is the same export of a one-run
+# journal, through the same lint: PCIe/NVLink intervals, exec slices and
+# in-flight counters.
+echo "== timeline_export + trace_lint"
+TIMELINE_FILE="$RESULTS_DIR/timeline_bert_base.json"
+"$BUILD_DIR/examples/timeline_export" --model=bert_base --strategy=pt_dha \
+  --out="$TIMELINE_FILE" >"$RESULTS_DIR/timeline_export.txt"
+"$BUILD_DIR/tools/trace_lint" "$TIMELINE_FILE"
 
 # The cold-start decomposition and concurrency-sweep journals go through the
 # same journal -> offline report -> schema lint round trip.

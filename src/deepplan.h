@@ -31,6 +31,7 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/profile_report.h"
 #include "src/obs/selfprof.h"
+#include "src/obs/trace_export.h"
 #include "src/obs/trace_recorder.h"
 #include "src/obs/utilization.h"
 #include "src/obs/whatif/whatif.h"

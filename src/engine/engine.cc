@@ -48,11 +48,6 @@ LinkPath ServerFabric::GpuToGpuPath(GpuId from, GpuId to) const {
   return {link};
 }
 
-LinkId ServerFabric::pcie_link(GpuId gpu) const {
-  DP_CHECK(gpu >= 0 && gpu < topology_->num_gpus());
-  return pcie_of_gpu_[Idx(gpu)];
-}
-
 // Every route the fabric can carry fits a journal node, and back.
 static_assert(LinkPath::kMax == kCpMaxHops);
 
@@ -69,9 +64,8 @@ struct LoadItem {
   std::size_t index = 0;  // position in its partition's item list
   std::vector<std::size_t> layer_indices;
   std::int64_t bytes = 0;
-  // Observed runs only (see Engine::NameOps): the names of this item's load
-  // and migration ops, as text for the trace recorder and as ids in the
-  // causal graph.
+  // Recording runs only (see Engine::NameOps): the names of this item's load
+  // and migration ops, and their ids in the causal graph.
   std::string load_name;     // "load <layer>[+<layer>...]"
   std::string migrate_name;  // "migrate <layer>[+...]" or "migrate bulk p<k>"
   CpStrId load_label = 0;
@@ -97,7 +91,7 @@ struct ItemList {
   LoadItem& back() { return items[size - 1]; }
 };
 
-// What the exec stream's per-layer marker records (observed runs only).
+// What the exec stream's per-layer marker records (recording runs only).
 struct ExecStep {
   Nanos duration = 0;
   Nanos dha_pcie = 0;
@@ -110,8 +104,8 @@ struct ExecStep {
 // lists — so a million-cold-start replay reuses the same buffers instead of
 // allocating hundreds of heap objects per run. The record stays owned by the
 // pool for the engine's lifetime, so the raw pointers in in-flight ops' marker
-// Actions can never dangle. Stream names double as trace/causal tracks; a run
-// that records causal nodes interns them (and its op names) up front, and its
+// Actions can never dangle. Stream names double as causal tracks; a run that
+// records causal nodes interns them (and its op names) up front, and its
 // streams and events carry the nodes' predecessors (src/sim/stream.h).
 struct ColdRun {
   Engine* engine = nullptr;
@@ -137,12 +131,12 @@ struct ColdRun {
   std::uint64_t labels_epoch = 0;
   std::vector<GpuId> part_gpu;    // per partition, the GPU it loads onto
   std::vector<ItemList> part_items;
-  std::vector<ExecStep> exec_steps;  // per layer (observed runs only)
+  std::vector<ExecStep> exec_steps;  // per layer (recording runs only)
   int pending_arrivals = 0;
-  // A trace recorder or causal graph wants this run's ops.
-  bool observed = false;
   // The causal request the run records its nodes in; -1 when it records none.
   int causal_request = -1;
+
+  bool recording() const { return causal_request >= 0; }
 
   // Layer `layer` of `partition` became resident on the primary GPU,
   // delivered by the op recorded as causal node `node`.
@@ -156,7 +150,7 @@ struct ColdRun {
     }
   }
 
-  // Exec-stream markers: layer `layer` executed (observed runs), and the
+  // Exec-stream markers: layer `layer` executed (recording runs), and the
   // last op of the run finished.
   void Executed(std::uint64_t layer);
   void Finish();
@@ -191,9 +185,9 @@ void LoadItem::Loaded() {
   const Nanos started = run->start + ps.pcie_done;
   ps.pcie_done = now - run->start;
   CpNodeId node = -1;
-  if (run->observed) {
+  if (run->recording()) {
     node = e.Observe(run->causal_request, &run->load[Idx(partition)],
-                     run->load_track[Idx(partition)], load_name,
+                     run->load_track[Idx(partition)],
                      {.kind = CpKind::kPcie,
                       .label = load_label,
                       .start = started,
@@ -217,7 +211,7 @@ void LoadItem::Migrated(std::uint64_t count) {
   const std::size_t first = index;
   const std::size_t last = first + count;
   CpNodeId node = -1;
-  if (run->observed) {
+  if (run->recording()) {
     // The transfer began once the stream was free (the previous migration
     // landed) and every layer it waited on had reached the secondary GPU.
     Nanos started = run->start + run->result.partitions[Idx(partition)].arrival_done;
@@ -229,7 +223,7 @@ void LoadItem::Migrated(std::uint64_t count) {
       moved += part[k].bytes;
     }
     node = e.Observe(run->causal_request, &run->migration[Idx(partition)],
-                     run->migration_track[Idx(partition)], migrate_name,
+                     run->migration_track[Idx(partition)],
                      {.kind = CpKind::kNvlink,
                       .label = migrate_label,
                       .start = started,
@@ -246,7 +240,7 @@ void LoadItem::Migrated(std::uint64_t count) {
 
 void ColdRun::Executed(std::uint64_t layer) {
   const ExecStep& step = exec_steps[layer];
-  engine->Observe(causal_request, &exec, exec_track, step.name,
+  engine->Observe(causal_request, &exec, exec_track,
                   {.kind = CpKind::kExec,
                    .label = step.label,
                    .start = engine->sim_->now() - step.duration,
@@ -276,11 +270,6 @@ Engine::Engine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf)
 
 Engine::~Engine() = default;
 
-void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
-  recorder_ = recorder;
-  pid_ = pid;
-}
-
 void Engine::set_causal(CausalGraph* graph) {
   causal_ = graph;
   ++causal_epoch_;
@@ -293,28 +282,11 @@ void Engine::set_causal(CausalGraph* graph) {
   }
 }
 
-CpNodeId Engine::Observe(int request, Stream* stream, CpStrId track,
-                         std::string_view name, CpNode node, const LinkPath& path,
-                         Nanos latency) {
-  const Nanos now = sim_->now();
-  const bool transfer = node.kind != CpKind::kExec;
-  if (recorder_ != nullptr) {
-    if (transfer) {
-      // Async interval, not a complete slice: another run's stream may be
-      // draining through the same link at the same time.
-      const std::uint64_t aid = next_async_id_++;
-      recorder_->AsyncBegin(pid_, stream->name(), name, aid, node.start);
-      recorder_->AsyncEnd(pid_, stream->name(), name, aid, now);
-    } else {
-      recorder_->Span(pid_, stream->name(), name, node.start, now - node.start);
-    }
-  }
-  if (request < 0) {
-    return -1;
-  }
+CpNodeId Engine::Observe(int request, Stream* stream, CpStrId track, CpNode node,
+                         const LinkPath& path, Nanos latency) {
   node.resource = track;
-  node.end = now;
-  if (transfer) {
+  node.end = sim_->now();
+  if (node.kind != CpKind::kExec) {
     // The solo duration and the route: the per-link overlap export the
     // what-if replay rebuilds its fabric from.
     Fabric& fabric = fabric_->fabric();
@@ -392,17 +364,16 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   }
   run->pending_arrivals = 0;
 
-  // Op names are consumed only by the trace recorder and the causal graph;
-  // skip them entirely when neither is active for this run (the serving hot
-  // path). A run that records causal nodes interns its stream names here and
-  // its op names in NameOps, so its markers hand the graph ids.
-  run->observed = recorder_ != nullptr || run->causal_request >= 0;
-  const bool causal = run->causal_request >= 0;
+  // Op names are consumed only by the causal graph; skip them entirely when
+  // this run records no nodes (the serving hot path). A recording run interns
+  // its stream names here and its op names in NameOps, so its markers hand
+  // the graph ids.
+  const bool causal = run->recording();
   if (causal) {
     run->exec_track = causal_->Intern(run->exec.name());
-  }
-  if (run->observed && run->exec_steps.size() < n) {
-    run->exec_steps.resize(n);
+    if (run->exec_steps.size() < n) {
+      run->exec_steps.resize(n);
+    }
   }
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -432,7 +403,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   if (run->pending_arrivals == 0) {
     run->all_loaded.Fire();
   }
-  if (run->observed) {
+  if (causal) {
     NameOps(run, model, plan);
   }
 
@@ -508,7 +479,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
                            : perf_->ExecInMemory(layer, options.batch);
     run->exec.EnqueueDelay(exec);
     run->result.exec_busy += exec;
-    if (!run->observed) {
+    if (!causal) {
       continue;
     }
     ExecStep& step = run->exec_steps[i];
@@ -520,8 +491,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
 }
 
 void Engine::NameOps(ColdRun* run, const Model& model, const ExecutionPlan& plan) {
-  const bool causal = run->causal_request >= 0;
-  const bool current = causal && run->labels_epoch == causal_epoch_;
+  const bool current = run->labels_epoch == causal_epoch_;
   std::string& text = scratch_->name;
   // Gives an op the name in `text`: a pooled record keeps its names and
   // labels from run to run, so the graph is asked only for a name that
@@ -531,7 +501,7 @@ void Engine::NameOps(ColdRun* run, const Model& model, const ExecutionPlan& plan
     if (changed) {
       name->swap(text);
     }
-    if (causal && (changed || !current)) {
+    if (changed || !current) {
       *label = causal_->Intern(*name);
     }
   };
@@ -567,7 +537,7 @@ void Engine::NameOps(ColdRun* run, const Model& model, const ExecutionPlan& plan
     text.assign(dha ? "exec(DHA) " : "exec ").append(model.layer(i).name);
     name_op(&run->exec_steps[i].name, &run->exec_steps[i].label);
   }
-  run->labels_epoch = causal ? causal_epoch_ : 0;
+  run->labels_epoch = causal_epoch_;
 }
 
 Nanos Engine::WarmDuration(const Model& model, const ExecutionPlan& plan,

@@ -12,12 +12,13 @@
 // execute stream on the primary GPU: a Wait on each loaded layer's arrival
 // event (cudaStreamWaitEvent semantics) and a Delay per layer.
 //
-// Observation has one path: when a trace recorder or causal graph is
-// attached, a Marker after each finished op computes the op's name, track
-// (the stream's name) and interval once and writes them to both. A causal
-// node is recorded whole, with the predecessors its stream already knows
-// (Stream::preds): the stream's last recorded op and the ops that fired the
-// events it waited on. The engine keeps no edge bookkeeping of its own.
+// Observation has one path: when a run records causal nodes, a Marker after
+// each finished op records it whole — kind, label, track (the stream's name),
+// interval, and a transfer's bytes and route — with the predecessors its
+// stream already knows (Stream::preds): the stream's last recorded op and the
+// ops that fired the events it waited on. The engine keeps no edge
+// bookkeeping of its own, and its Chrome trace is an export of that journal
+// (src/obs/trace_export.h).
 #ifndef SRC_ENGINE_ENGINE_H_
 #define SRC_ENGINE_ENGINE_H_
 
@@ -25,13 +26,11 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/core/plan.h"
 #include "src/hw/topology.h"
 #include "src/obs/causal_graph.h"
-#include "src/obs/trace_recorder.h"
 #include "src/model/model.h"
 #include "src/perf/perf_model.h"
 #include "src/sim/fabric.h"
@@ -51,8 +50,6 @@ class ServerFabric {
 
   LinkPath HostToGpuPath(GpuId gpu) const;
   LinkPath GpuToGpuPath(GpuId from, GpuId to) const;
-
-  LinkId pcie_link(GpuId gpu) const;
 
  private:
   Simulator* sim_;
@@ -121,20 +118,13 @@ class Engine {
   Engine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf);
   ~Engine();
 
-  // Attaches a trace recorder: every cold-run load/migrate/exec operation is
-  // then recorded in *absolute* simulation time on the track of the stream
-  // that ran it ("pcie/gpu<g>", "nvlink/<a>-><b>", "exec/gpu<g>"), so one
-  // recorder covers all GPUs and requests of a whole server run. Transfers
-  // export as async intervals, layer executions as complete slices. nullptr
-  // detaches; the disabled cost is one pointer test.
-  void set_telemetry(TraceRecorder* recorder, int pid = 0);
-
   // Attaches a causal graph: cold runs whose options carry a causal_request
   // then record every PCIe transfer, NVLink migration, and layer execution as
-  // a happens-before DAG node (with solo durations and routes on transfers
-  // for contention attribution). The fabric's link names are interned here,
-  // once per attached graph. nullptr detaches; disabled cost is one pointer
-  // test per operation.
+  // a happens-before DAG node, in absolute simulation time on the track of
+  // the stream that ran it ("pcie/gpu<g>", "nvlink/<a>-><b>", "exec/gpu<g>"),
+  // with solo durations and routes on transfers for contention attribution.
+  // The fabric's link names are interned here, once per attached graph.
+  // nullptr detaches; disabled cost is one pointer test per operation.
   void set_causal(CausalGraph* graph);
 
   // Cold start: provision `model` according to `plan` onto `primary`
@@ -169,33 +159,25 @@ class Engine {
   ServerFabric* fabric_;
   const PerfModel* perf_;
 
-  // Names an observed run's ops (load items, migrations, layer executions)
-  // for the trace recorder and, when the run records causal nodes, interns
-  // the names it did not hold ids for in the attached graph already.
+  // Names a recording run's ops (load items, migrations, layer executions)
+  // and interns the names it did not hold ids for in the attached graph
+  // already.
   void NameOps(engine_internal::ColdRun* run, const Model& model,
                const ExecutionPlan& plan);
 
-  // Writes one finished op of `stream`, [node.start, now()] named `name`, to
-  // the trace recorder and (when `request` >= 0) to the causal graph as
-  // `node` on resource `track`, with the stream's predecessors. `node` gives
-  // the kind, label, start and bytes, and an exec node its DHA share; a
-  // transfer's `path` and `latency` give its solo duration and route.
-  // Returns the causal node, or -1 when none was recorded.
-  CpNodeId Observe(int request, Stream* stream, CpStrId track,
-                   std::string_view name, CpNode node, const LinkPath& path = {},
-                   Nanos latency = 0);
+  // Records one finished op of `stream`, [node.start, now()], in the causal
+  // graph as `node` of `request` on resource `track`, with the stream's
+  // predecessors. `node` gives the kind, label, start and bytes, and an exec
+  // node its DHA share; a transfer's `path` and `latency` give its solo
+  // duration and route. Returns the node.
+  CpNodeId Observe(int request, Stream* stream, CpStrId track, CpNode node,
+                   const LinkPath& path = {}, Nanos latency = 0);
 
-  TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;
   // Counts set_causal calls, so a pooled run can tell whether the op labels
   // it holds are ids in the graph attached now.
   std::uint64_t causal_epoch_ = 0;
   std::vector<CpStrId> link_label_;  // per fabric link, its name in causal_
-  int pid_ = 0;
-  // Pairs async begin/end events for load/migrate intervals: concurrent cold
-  // runs share PCIe/NVLink tracks, so their transfer slices may overlap and
-  // cannot be exported as complete (nesting) slices.
-  std::uint64_t next_async_id_ = 0;
   std::unique_ptr<EngineScratch> scratch_;
 };
 

@@ -1,10 +1,11 @@
 // Causal journal of a simulated run: an explicit happens-before DAG per
 // request, recorded at the same chokepoints the runtime validator already
 // hooks — queue pop (dispatch), stream op chaining, sync-event fire, and
-// fabric transfer completion. Where the TraceRecorder captures *what happened
-// when* for a human in Perfetto, the CausalGraph captures *what waited on
-// what*, which is the input the critical-path engine (src/obs/critical_path)
-// needs to attribute every nanosecond of a request's latency to a cause.
+// fabric transfer completion. It is the one observer of a simulated run: it
+// captures *what waited on what*, which is the input the critical-path
+// engine (src/obs/critical_path) needs to attribute every nanosecond of a
+// request's latency to a cause, and *what happened when*, which its Chrome
+// trace export (src/obs/trace_export.h) draws for a human in Perfetto.
 //
 // One rule makes the edges: a node is recorded whole, in one AddNode call
 // that names its predecessors, and those come from the simulation's own
@@ -25,9 +26,9 @@
 // so recording a node copies no strings. Recorders intern their names up
 // front (Intern) and hand AddNode the ids.
 //
-// Cost model mirrors TraceRecorder: components hold a `CausalGraph*` that is
-// nullptr when profiling is off, and a graph constructed disabled drops every
-// call without touching its buffers, so the disabled hot path stays a pointer
+// Cost model: components hold a `CausalGraph*` that is nullptr when
+// profiling is off, and a graph constructed disabled drops every call
+// without touching its buffers, so the disabled hot path stays a pointer
 // test and simulation behaviour is bit-for-bit unchanged either way.
 //
 // A recorded graph is its DPJL journal (src/obs/journal_stream.h). The graph

@@ -90,6 +90,50 @@ std::uint32_t LoadU32Le(const char* p) {
   return v;
 }
 
+// The offset of the first byte of `s` that starts no well-formed UTF-8
+// sequence (RFC 3629: no overlong forms, surrogates or code points past
+// U+10FFFF), or npos when all of `s` is valid UTF-8.
+std::size_t InvalidUtf8At(std::string_view s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const auto lead = static_cast<unsigned char>(s[i]);
+    // The sequence's length (0: no sequence starts so), and the range of its
+    // second byte; the bytes after that are 0x80-0xBF.
+    const std::size_t n = lead < 0x80   ? 1
+                          : lead < 0xC2 ? 0
+                          : lead < 0xE0 ? 2
+                          : lead < 0xF0 ? 3
+                          : lead < 0xF5 ? 4
+                                        : 0;
+    const unsigned lo = lead == 0xE0 ? 0xA0 : lead == 0xF0 ? 0x90 : 0x80;
+    const unsigned hi = lead == 0xED ? 0x9F : lead == 0xF4 ? 0x8F : 0xBF;
+    if (n == 0 || n > s.size() - i) {
+      return i;
+    }
+    for (std::size_t k = 1; k < n; ++k) {
+      const auto c = static_cast<unsigned char>(s[i + k]);
+      if (c < (k == 1 ? lo : 0x80) || c > (k == 1 ? hi : 0xBF)) {
+        return i;
+      }
+    }
+    i += n;
+  }
+  return std::string_view::npos;
+}
+
+// `s` for a diagnostic: its first 80 bytes, those outside printable ASCII
+// as \xHH.
+std::string Printable(std::string_view s) {
+  std::string out;
+  for (const char c : s.substr(0, 80)) {
+    const auto byte = static_cast<unsigned char>(c);
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), byte < 0x20 || byte >= 0x7F ? "\\x%02x" : "%c",
+                  byte);
+    out += buf;
+  }
+  return s.size() > 80 ? out + "..." : out;
+}
+
 bool ReadExact(std::istream& in, char* out, std::size_t n,
                std::size_t* got = nullptr) {
   in.read(out, static_cast<std::streamsize>(n));
@@ -666,7 +710,7 @@ JournalReadStatus JournalReader::Next(JournalChunk* chunk) {
   std::string decode_error;
   if (!DecodeChunk(process_count_, chunk, &decode_error) ||
       !CheckLinkCapacities(*chunk, &decode_error) ||
-      !CheckIds(*chunk, &decode_error)) {
+      !CheckIds(*chunk, &decode_error) || !CheckUtf8(*chunk, &decode_error)) {
     Fail("chunk " + std::to_string(seen_.chunks + 1) + ": " + decode_error);
     return JournalReadStatus::kError;
   }
@@ -1141,6 +1185,25 @@ bool JournalReader::CheckIds(const JournalChunk& chunk, std::string* error) {
     ok = ok && mark(2, static_cast<std::uint64_t>(e.seq));
   }
   return ok;
+}
+
+bool JournalReader::CheckUtf8(const JournalChunk& chunk, std::string* error) {
+  // The new process names, then the string table.
+  const std::size_t names = chunk.new_processes.size();
+  for (std::size_t i = 0; i < names + chunk.num_strings(); ++i) {
+    const std::string_view s =
+        i < names ? chunk.new_processes[i] : chunk.str(static_cast<CpStrId>(i - names));
+    const std::size_t at = InvalidUtf8At(s);
+    if (at != std::string_view::npos) {
+      *error = (i < names ? "process name " + std::to_string(process_count_ + i)
+                          : "string-table entry " + std::to_string(i - names)) +
+               " \"" + Printable(s) + "\" is not valid UTF-8 (byte " +
+               std::to_string(at) +
+               "); a journal's strings are UTF-8, as its JSON exports require";
+      return false;
+    }
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------- converters

@@ -264,7 +264,8 @@ std::string CausalJournalJson(const std::vector<JournalChunk>& chunks);
 enum class JournalReadStatus { kChunk, kFooter, kError };
 
 // Sequential chunk iterator with full structural validation: header magic
-// and version, per-frame CRC, in-range string/process references, strictly
+// and version, per-frame CRC, in-range string/process references, process
+// names and string-table entries that are valid UTF-8, strictly
 // increasing node ids, edge endpoints resolving to nodes of the same request
 // (dangling edges are rejected here, not downstream), edges running from a
 // lower node id to a higher one (so no journal it accepts has a cycle), one
@@ -330,6 +331,9 @@ class JournalReader {
   bool CheckLinkCapacities(const JournalChunk& chunk, std::string* error);
   // Sequential pass: `chunk`'s ids are new and below what the file can hold.
   bool CheckIds(const JournalChunk& chunk, std::string* error);
+  // Sequential pass: `chunk`'s process names and string-table entries are
+  // valid UTF-8, so every export of the journal is valid JSON.
+  bool CheckUtf8(const JournalChunk& chunk, std::string* error);
 
   std::filebuf file_;
   ByteBuf bytes_;

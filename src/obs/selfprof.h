@@ -3,7 +3,7 @@
 // dispatch, fair-share solves, exec-stream modelling, validator hooks,
 // journal/trace serialization, ...) accumulate into a thread-confined
 // SelfProfiler "lane", stitched across SweepRunner workers in task order the
-// same way TraceRecorder::Adopt() stitches traces. The report answers
+// same way CausalGraph::Adopt() stitches journals. The report answers
 // ROADMAP item 1's open question ("where do the remaining seconds of the 1M
 // request run go?") and is the partitioning data PDES (item 2) needs.
 //
@@ -73,7 +73,7 @@ enum class Phase : std::uint8_t {
   kValidate,          // check.validate: heavy SimValidator hooks (sampled)
   kJournalSerialize,  // journal.serialize: causal-journal encode/flush
   kTraceSerialize,    // trace.serialize: Chrome-trace JSON render
-  kMetricsSnapshot,   // metrics.snapshot: registry/serving-metric extraction
+  kMetricsSnapshot,   // metrics.snapshot: serving-metric extraction
   kReportRender,      // report.render: BENCH json + stdout table render
 };
 inline constexpr int kNumPhases = 13;

@@ -97,12 +97,6 @@ struct Server::Impl {
 
   ServingMetrics metrics;
 
-  TraceRecorder* recorder = nullptr;
-  MetricsRegistry* registry = nullptr;
-  int pid = 0;
-  // Pairs async queue-wait begin/end events; waits overlap whenever several
-  // requests queue behind one GPU, so they cannot be complete slices.
-  std::uint64_t next_queue_span_id = 0;
   CausalGraph* causal = nullptr;
   int causal_process = 0;
   // Names in `causal`, interned once per attached graph: per GPU its exec
@@ -111,7 +105,6 @@ struct Server::Impl {
   std::vector<CpStrId> causal_exec_track;
   std::vector<CpStrId> causal_gpu;
   std::vector<CpStrId> causal_warm_label;
-  std::int64_t cumulative_requests = 0;  // cum/requests counter track
   // Requests retired so far, surfaced to the simulator's DEEPPLAN_PROGRESS
   // heartbeat (registered below, removed in ~Impl).
   std::uint64_t retired = 0;
@@ -143,7 +136,6 @@ struct Server::Impl {
   void StartCold(std::uint64_t gpu);
   void FinishRequest(GpuId gpu, int instance, const PendingRequest& req, Nanos start,
                      bool cold, Nanos evict_delay, Nanos load_done, int num_evicted);
-  void NoteQueueDepth(GpuId gpu);
   CpStrId WarmLabel(int instance);
   const std::vector<GpuId>& Secondaries(ModelEntry& entry, GpuId primary);
 };
@@ -198,17 +190,6 @@ int Server::num_instances() const { return impl_->instances->num_instances(); }
 
 int Server::WarmCapacity() const { return impl_->instances->ResidentCount(); }
 
-void Server::Impl::NoteQueueDepth(GpuId gpu) {
-  if (recorder != nullptr) {
-    recorder->Counter(pid, "queue/gpu" + std::to_string(gpu), "depth", sim->now(),
-                      static_cast<double>(queues[Idx(gpu)].size()));
-  }
-  if (registry != nullptr) {
-    registry->SetGauge("server.queue_depth.gpu" + std::to_string(gpu),
-                       static_cast<double>(queues[Idx(gpu)].size()));
-  }
-}
-
 CpStrId Server::Impl::WarmLabel(int instance) {
   if (Idx(instance) >= causal_warm_label.size()) {
     causal_warm_label.resize(Idx(instances->num_instances()), 0);
@@ -236,36 +217,6 @@ void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& 
   record.evictions = num_evicted;
   metrics.Record(record);
   ++retired;
-  if (recorder != nullptr) {
-    const Nanos done = sim->now();
-    if (cold) {
-      // Phase decomposition of this cold start on its own track: the four
-      // spans tile [arrival, completion] exactly (exec is the post-load tail;
-      // execution overlaps the transfer under pipelining).
-      const std::string track = "coldstart/gpu" + std::to_string(gpu);
-      const std::string suffix = " i" + std::to_string(instance);
-      // Queue waits of back-to-back cold starts overlap (B arrives while A is
-      // still queued), so they go out as async intervals, which Perfetto
-      // permits to overlap on one track — complete slices must nest.
-      const std::uint64_t qid = next_queue_span_id++;
-      const std::string queued = "queued/gpu" + std::to_string(gpu);
-      recorder->AsyncBegin(pid, queued, "queue" + suffix, qid, req.arrival);
-      recorder->AsyncEnd(pid, queued, "queue" + suffix, qid, start);
-      if (evict_delay > 0) {
-        recorder->Span(pid, track, "evict x" + std::to_string(num_evicted) + suffix,
-                       start, evict_delay);
-      }
-      recorder->Span(pid, track, "transfer" + suffix, start + evict_delay, load_done);
-      recorder->Span(pid, track, "exec" + suffix, start + evict_delay + load_done,
-                     done - start - evict_delay - load_done);
-    } else {
-      recorder->Span(pid, "exec/gpu" + std::to_string(gpu),
-                     "warm i" + std::to_string(instance), start, done - start);
-    }
-  }
-  if (registry != nullptr) {
-    registry->Observe("server.latency_ms", ToMillis(record.Latency()));
-  }
   if (causal != nullptr && req.causal >= 0) {
     if (!cold) {
       // Warm requests never enter the engine's cold path; their whole DAG is
@@ -297,7 +248,6 @@ void Server::Impl::Dispatch(GpuId gpu) {
   const PendingRequest req = queues[Idx(gpu)].front();
   queues[Idx(gpu)].pop_front();
   gpu_busy[Idx(gpu)] = true;
-  NoteQueueDepth(gpu);
 
   const int instance = req.instance;
   const ModelEntry& entry = models[Idx(instance_model[Idx(instance)])];
@@ -308,9 +258,6 @@ void Server::Impl::Dispatch(GpuId gpu) {
   flight = InFlight{.req = req, .start = start};
   if (instances->instance(instance).resident) {
     instances->MarkUsed(instance, start);
-    if (registry != nullptr) {
-      registry->AddCounter("server.warm_hits");
-    }
     sim->ScheduleAfter(entry.warm_duration, MakeAction<&Impl::FinishWarm>(this, Idx(gpu)));
     return;
   }
@@ -321,10 +268,6 @@ void Server::Impl::Dispatch(GpuId gpu) {
   const bool fits = instances->MakeResident(instance, start, &evicted);
   DP_CHECK(fits && "instance footprint exceeds GPU capacity");
   flight.num_evicted = static_cast<int>(evicted.size());
-  if (registry != nullptr) {
-    registry->AddCounter("server.cold_starts");
-    registry->AddCounter("server.evictions", flight.num_evicted);
-  }
   flight.evict_delay = kEvictionCost * static_cast<Nanos>(evicted.size());
   if (causal != nullptr && req.causal >= 0) {
     causal->MarkCold(req.causal);
@@ -406,26 +349,11 @@ void Server::Submit(int instance) {
   }
   s.queues[Idx(gpu)].push_back(
       PendingRequest{instance, s.sim->now(), causal_request});
-  if (s.registry != nullptr) {
-    s.registry->AddCounter("server.requests");
-  }
-  if (s.recorder != nullptr) {
-    ++s.cumulative_requests;
-    s.recorder->Counter(s.pid, "cum/requests", "count", s.sim->now(),
-                        static_cast<double>(s.cumulative_requests));
-  }
-  s.NoteQueueDepth(gpu);
   s.Dispatch(gpu);
 }
 
-void Server::set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                           int pid) {
-  Impl& s = *impl_;
-  s.recorder = recorder;
-  s.registry = registry;
-  s.pid = pid;
-  s.fabric->fabric().set_telemetry(recorder, registry, pid);
-  s.engine->set_telemetry(recorder, pid);
+void Server::set_telemetry(std::nullptr_t, MetricsRegistry* registry) {
+  impl_->fabric->fabric().set_telemetry(nullptr, registry);
 }
 
 void Server::set_causal(CausalGraph* graph, int process) {

@@ -10,6 +10,7 @@
 #ifndef SRC_SERVING_SERVER_H_
 #define SRC_SERVING_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -19,7 +20,6 @@
 #include "src/engine/strategies.h"
 #include "src/obs/causal_graph.h"
 #include "src/obs/metrics_registry.h"
-#include "src/obs/trace_recorder.h"
 #include "src/serving/instance.h"
 #include "src/serving/metrics.h"
 #include "src/workload/trace.h"
@@ -82,17 +82,12 @@ class Server {
   void Submit(int instance);
   const ServingMetrics& metrics() const;
 
-  // Attaches telemetry (either pointer may be nullptr) and forwards it to the
-  // engine and fabric; call before Warmup()/Run(). `pid` is this server's
-  // process group in the recorder (one per strategy when a bench traces
-  // several replays).
-  // While attached: per-GPU queue-depth counters ("queue/gpu<g>"), cold-start
-  // phase spans on "coldstart/gpu<g>" (queue/evict/transfer/exec), warm exec
-  // spans on "exec/gpu<g>", and registry counters (server.requests,
-  // server.cold_starts, server.warm_hits, server.evictions) plus a
-  // server.latency_ms histogram. Detached cost: one null test per hook.
-  void set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                     int pid = 0);
+  // Forwards `registry` to the fabric (Fabric::set_telemetry); nullptr
+  // detaches. The unused first parameter keeps the call shape the benchmark
+  // compiles against, until its change in ROADMAP item 7, step 2. Every
+  // other count lives in ServingMetrics, and the trace is an export of the
+  // causal journal (set_causal).
+  void set_telemetry(std::nullptr_t, MetricsRegistry* registry);
 
   // Attaches a causal graph for critical-path profiling; call before
   // Warmup()/Run(). `process` is this server's process group in the graph.

@@ -49,11 +49,8 @@ int Fabric::transfers_on(LinkId id) const {
   return link_users_[Idx(id)];
 }
 
-void Fabric::set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                           int pid) {
-  recorder_ = recorder;
+void Fabric::set_telemetry(std::nullptr_t, MetricsRegistry* registry, int) {
   registry_ = registry;
-  pid_ = pid;
 }
 
 TransferId Fabric::Start(LinkPath path, std::int64_t bytes, Nanos latency,
@@ -66,13 +63,6 @@ TransferId Fabric::Start(LinkPath path, std::int64_t bytes, Nanos latency,
   if (registry_ != nullptr) {
     registry_->AddCounter("fabric.transfers");
     registry_->AddCounter("fabric.bytes", bytes);
-  }
-  if (recorder_ != nullptr) {
-    // Cumulative byte track: the "cum/" namespace promises monotone samples,
-    // which the offline trace linter re-checks.
-    cumulative_bytes_ += bytes;
-    recorder_->Counter(pid_, "cum/fabric.bytes", "bytes", sim_->now(),
-                       static_cast<double>(cumulative_bytes_));
   }
   if (bytes == 0 || path.empty()) {
     ScheduleTail(latency, sim_->now(), done);
@@ -395,7 +385,6 @@ void Fabric::Complete(std::size_t index) {
     ComputeRates(completion_seeds_, /*seeds_closed=*/true);
     ScheduleCompletions();
   }
-  EmitLinkCounters();
   ScheduleTail(t.latency, t.started, t.done);
 }
 
@@ -423,27 +412,6 @@ void Fabric::Reallocate(const std::vector<std::size_t>& seeds, bool seeds_closed
   SettleProgress();
   ComputeRates(seeds, seeds_closed);
   ScheduleCompletions();
-  EmitLinkCounters();
-}
-
-void Fabric::EmitLinkCounters() {
-  if (recorder_ == nullptr) {
-    return;
-  }
-  last_emitted_.resize(links_.size(), 0.0);
-  std::vector<double> allocated(links_.size(), 0.0);
-  for (const auto& t : active_) {
-    for (LinkId l : t.path) {
-      allocated[Idx(l)] += t.rate;
-    }
-  }
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    if (allocated[l] != last_emitted_[l]) {
-      recorder_->Counter(pid_, "bw/" + links_[l].name, "gbps", sim_->now(),
-                         allocated[l] * 1e-9);
-      last_emitted_[l] = allocated[l];
-    }
-  }
 }
 
 }  // namespace deepplan

@@ -8,6 +8,7 @@
 #define SRC_SIM_FABRIC_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -19,7 +20,6 @@
 
 #include "src/check/validator.h"
 #include "src/obs/metrics_registry.h"
-#include "src/obs/trace_recorder.h"
 #include "src/sim/simulator.h"
 #include "src/util/arena.h"
 #include "src/util/logging.h"
@@ -162,12 +162,11 @@ class Fabric {
   // actual >= solo always.
   Nanos SoloDuration(const LinkPath& path, std::int64_t bytes, Nanos latency) const;
 
-  // Attaches telemetry (either pointer may be nullptr). While a recorder is
-  // attached, every progressive-filling rate change emits one counter sample
-  // per link whose allocation moved ("bw/<link name>", GB/s, tagged `pid`);
-  // the registry counts transfers and bytes. Disabled cost: one null test.
-  void set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                     int pid = 0);
+  // Attaches a registry (nullptr detaches) that counts every started
+  // transfer and its bytes ("fabric.transfers", "fabric.bytes"). The unused
+  // first and third parameters keep the call shape the benchmark compiles
+  // against, until its change in ROADMAP item 7, step 2.
+  void set_telemetry(std::nullptr_t, MetricsRegistry* registry, int = 0);
 
   // Test hook: disables the incremental (component-local) fair-share solve
   // and re-solves every active transfer on each change, as the original
@@ -235,7 +234,6 @@ class Fabric {
   void ScheduleTail(Nanos latency, Nanos started, TransferDone done);
   // Latency-tail event (an Action arg: the tails_ handle).
   void OnTail(std::uint64_t handle);
-  void EmitLinkCounters();
 
   Simulator* sim_;
   std::vector<Link> links_;
@@ -268,11 +266,7 @@ class Fabric {
   std::vector<double> shadow_rates_;  // full re-solve result (validation)
   std::vector<check::FabricLinkShare> link_shares_;  // per link (validation)
 
-  TraceRecorder* recorder_ = nullptr;
   MetricsRegistry* registry_ = nullptr;
-  int pid_ = 0;
-  std::vector<double> last_emitted_;  // last counter sample per link
-  std::int64_t cumulative_bytes_ = 0;  // cum/fabric.bytes counter track
 };
 
 }  // namespace deepplan

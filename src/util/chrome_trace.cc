@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -14,7 +15,7 @@ namespace deepplan {
 
 namespace {
 
-void AppendEscaped(std::ostringstream& os, const std::string& s) {
+void AppendEscaped(std::ostream& os, const std::string& s) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -77,19 +78,26 @@ bool EventBefore(const TraceEvent& a, const TraceEvent& b) {
   return a.id < b.id;
 }
 
-}  // namespace
-
-std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
-  std::vector<TraceEvent> events = doc.events;
-  std::stable_sort(events.begin(), events.end(), EventBefore);
+// Renders `doc` into `os`. The events are sorted through pointers, so a
+// large document is neither copied nor held a second time as text.
+void Render(std::ostream& os, const TraceDocument& doc) {
+  std::vector<const TraceEvent*> events;
+  events.reserve(doc.events.size());
+  for (const TraceEvent& e : doc.events) {
+    events.push_back(&e);
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     return EventBefore(*a, *b);
+                   });
 
   // Track ids from the sorted (pid, track) set of thread-track events; tids
   // restart per process. Counter events carry no tid (their `track` is the
   // counter name itself).
   std::map<std::pair<int, std::string>, int> tids;
-  for (const TraceEvent& e : events) {
-    if (e.phase != TracePhase::kCounter) {
-      tids.emplace(std::make_pair(e.pid, e.track), 0);
+  for (const TraceEvent* e : events) {
+    if (e->phase != TracePhase::kCounter) {
+      tids.emplace(std::make_pair(e->pid, e->track), 0);
     }
   }
   {
@@ -104,7 +112,6 @@ std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
     }
   }
 
-  std::ostringstream os;
   os << "{\"traceEvents\":[";
   bool first = true;
   const auto comma = [&os, &first]() {
@@ -118,15 +125,15 @@ std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
   // pid any event references.
   if (!doc.process_names.empty()) {
     std::map<int, std::string> pids;
-    for (const TraceEvent& e : events) {
-      if (pids.count(e.pid) != 0) {
+    for (const TraceEvent* e : events) {
+      if (pids.count(e->pid) != 0) {
         continue;
       }
-      const auto idx = static_cast<std::size_t>(e.pid);
-      std::string name = e.pid >= 0 && idx < doc.process_names.size()
+      const auto idx = static_cast<std::size_t>(e->pid);
+      std::string name = e->pid >= 0 && idx < doc.process_names.size()
                              ? doc.process_names[idx]
                              : "";
-      pids.emplace(e.pid, name.empty() ? "pid " + std::to_string(e.pid) : name);
+      pids.emplace(e->pid, name.empty() ? "pid " + std::to_string(e->pid) : name);
     }
     for (const auto& [pid, name] : pids) {
       comma();
@@ -144,7 +151,8 @@ std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
     os << "\"}}";
   }
 
-  for (const TraceEvent& e : events) {
+  for (const TraceEvent* event : events) {
+    const TraceEvent& e = *event;
     comma();
     switch (e.phase) {
       case TracePhase::kSpan:
@@ -174,6 +182,13 @@ std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
     }
   }
   os << "]}";
+}
+
+}  // namespace
+
+std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
+  std::ostringstream os;
+  Render(os, doc);
   return os.str();
 }
 
@@ -182,7 +197,8 @@ bool ChromeTraceWriter::WriteTo(const std::string& path, const TraceDocument& do
   if (!out) {
     return false;
   }
-  out << ToJson(doc) << "\n";
+  Render(out, doc);
+  out << "\n";
   return static_cast<bool>(out);
 }
 

@@ -1,10 +1,11 @@
 // Chrome-trace (chrome://tracing / Perfetto) JSON export for simulated
-// timelines. The input is a TraceDocument, the obs-layer TraceRecorder's
-// multi-process event set: span ("X"), counter ("C") and async ("b"/"e")
-// events grouped under named processes ("M" process_name / thread_name
-// metadata records), so a whole server run opens in Perfetto as
-// per-GPU/per-link tracks with bandwidth and queue-depth graphs overlaid —
-// the pictures in Figures 7-9 of the paper, generated from a run.
+// timelines. The input is a TraceDocument, the multi-process event set the
+// obs-layer TraceRecorder builds (for a simulated run, from its causal
+// journal: src/obs/trace_export.h): span ("X"), counter ("C") and async
+// ("b"/"e") events grouped under named processes ("M" process_name /
+// thread_name metadata records), so a whole server run opens in Perfetto as
+// per-GPU/per-link tracks with in-flight and queue counters overlaid — the
+// pictures in Figures 7-9 of the paper, generated from a run.
 //
 // Output is byte-stable: event/track names are JSON-escaped (including
 // control characters), events are sorted by timestamp with deterministic
@@ -47,7 +48,7 @@ struct TraceEvent {
 };
 
 // A full trace: process names (index = pid; missing/empty entries render as
-// "pid <n>") plus the event set. Produced by obs::TraceRecorder.
+// "pid <n>") plus the event set. Built by obs::TraceRecorder.
 struct TraceDocument {
   std::vector<std::string> process_names;
   std::vector<TraceEvent> events;

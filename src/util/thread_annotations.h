@@ -11,22 +11,21 @@
 // first:
 //
 //   1. *Internally synchronized* (annotated here): structures that threads
-//      genuinely share — ThreadPool's work queue, MetricsRegistry (all its
-//      operations are commutative, so a locked registry stays deterministic
-//      under any interleaving), JournalWriter (the target CausalGraph
-//      hands retired requests to), and CausalGraph's recording state. Their shared
-//      mutable fields are GUARDED_BY a Mutex and helpers that expect the
-//      lock are REQUIRES-annotated.
+//      genuinely share — ThreadPool's work queue, JournalWriter (the target
+//      CausalGraph hands retired requests to), and CausalGraph's recording
+//      state. Their shared mutable fields are GUARDED_BY a Mutex and helpers
+//      that expect the lock are REQUIRES-annotated.
 //
 //   2. *Thread-confined, deterministic hand-off* (NOT lockable): order-
-//      sensitive sinks — TraceRecorder, and one CausalGraph per sweep task —
-//      and the sim-internal pools (SlotPool/ObjectPool). Locking
-//      those would not make them correct: their append *order* is part of
-//      the byte-identical-output contract, and a shared locked instance
-//      would interleave in wall-clock order. They stay owned by one thread
-//      and are stitched in deterministic task order (TraceRecorder::Adopt,
-//      CausalGraph::Adopt, SweepRunner's task-index result slots); the
-//      happens-before edge for the hand-off is ThreadPool::Wait. See
+//      sensitive sinks — one CausalGraph per sweep task, and the
+//      TraceRecorder a journal's Chrome trace is exported into — the
+//      per-run MetricsRegistry, and the sim-internal pools
+//      (SlotPool/ObjectPool). Locking those would not make them correct:
+//      their append *order* is part of the byte-identical-output contract,
+//      and a shared locked instance would interleave in wall-clock order.
+//      They stay owned by one thread and are stitched in deterministic task
+//      order (CausalGraph::Adopt, SweepRunner's task-index result slots);
+//      the happens-before edge for the hand-off is ThreadPool::Wait. See
 //      DESIGN.md §14.
 //
 // Negative-compile tests in tests/static_analysis/ prove the annotations

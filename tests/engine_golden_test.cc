@@ -1,11 +1,10 @@
 // Byte-for-byte golden of the cold-start engine's observable output. A fixed
 // set of BERT-Base cold runs (all five strategies on two topologies, bulk
 // migration, grouped transfers, and two cold starts contending for one PCIe
-// uplink) each record their InferenceResult fields, the Chrome trace of the
-// engine and fabric telemetry, and the causal-graph journal; one
-// DistributedEngine run adds its timing fields. Any change to event order,
-// timing, trace content or causal structure is a diff against
-// tests/golden/engine_golden.txt.
+// uplink) each record their InferenceResult fields, the causal-graph journal,
+// and the Chrome trace exported from that journal; one DistributedEngine run
+// adds its timing fields. Any change to event order, timing, trace content
+// or causal structure is a diff against tests/golden/engine_golden.txt.
 //
 // On a mismatch the test writes the actual output to a file and prints its
 // path; re-blessing an intended change is copying that file over the golden.
@@ -23,6 +22,7 @@
 #include "src/engine/strategies.h"
 #include "src/model/zoo.h"
 #include "src/obs/journal_stream.h"
+#include "src/obs/trace_export.h"
 
 #ifndef DP_GOLDEN_DIR
 #error "DP_GOLDEN_DIR must name the tests/golden directory"
@@ -96,13 +96,9 @@ ColdOutput RunCase(const ColdCase& c) {
   Simulator sim;
   ServerFabric fabric(&sim, &c.topology);
   Engine engine(&sim, &fabric, &perf);
-  TraceRecorder recorder(/*enabled=*/true);
   CausalGraph causal(/*enabled=*/true);
-  const int pid = recorder.RegisterProcess(c.label);
   const int process = causal.RegisterProcess(c.label);
-  engine.set_telemetry(&recorder, pid);
   engine.set_causal(&causal);
-  fabric.fabric().set_telemetry(&recorder, nullptr, pid);
 
   std::vector<InferenceResult> results(c.launches.size());
   std::vector<CpNodeId> terminals(c.launches.size(), -1);
@@ -141,9 +137,10 @@ ColdOutput RunCase(const ColdCase& c) {
        << " causal_terminal=" << terminals[i] << "\n";
     AppendPartitions(os, r);
   }
-  os << "trace\n" << OnePerLine(recorder.ToJson()) << "\n";
+  const TraceRecorder trace = GraphChromeTrace(causal);
+  os << "trace\n" << OnePerLine(trace.ToJson()) << "\n";
   os << "causal\n" << OnePerLine(causal.ToJson()) << "\n";
-  ColdOutput out{os.str(), recorder.document(), {}};
+  ColdOutput out{os.str(), trace.document(), {}};
   ForEachGraphChunk(causal, [&out](JournalChunk& chunk) {
     for (const CpNode& node : chunk.nodes) {
       out.nodes.push_back({node, std::string(chunk.str(node.label)),

@@ -195,18 +195,21 @@ TEST(TimelineTest, RecordingCapturesLoadsMigrationsAndExecs) {
   Simulator sim;
   ServerFabric fabric(&sim, &topology);
   Engine engine(&sim, &fabric, &perf);
-  TraceRecorder recorder;
-  engine.set_telemetry(&recorder);
+  CausalGraph journal(/*enabled=*/true);
+  engine.set_causal(&journal);
+  ColdRunOptions options;
+  options.causal_request = journal.BeginRequest(journal.RegisterProcess("run"), 0, 0);
   InferenceResult result;
-  engine.RunCold(model, plan, 0, {2}, ColdRunOptions{},
+  engine.RunCold(model, plan, 0, {2}, options,
                  [&](const InferenceResult& r) { result = r; });
   sim.Run();
-  ASSERT_FALSE(recorder.empty());
+  const TraceRecorder trace = GraphChromeTrace(journal);
+  ASSERT_FALSE(trace.empty());
   bool saw_load = false;
   bool saw_migrate = false;
   bool saw_exec = false;
   std::size_t execs = 0;
-  for (const TraceEvent& e : recorder.document().events) {
+  for (const TraceEvent& e : trace.document().events) {
     EXPECT_GE(e.ts, 0);
     EXPECT_GE(e.duration, 0);
     EXPECT_LE(e.ts + e.duration, result.latency);
@@ -220,30 +223,6 @@ TEST(TimelineTest, RecordingCapturesLoadsMigrationsAndExecs) {
   EXPECT_TRUE(saw_exec);
   // Exactly one exec slice per layer.
   EXPECT_EQ(execs, model.num_layers());
-}
-
-TEST(TimelineTest, RecordingDoesNotChangeLatency) {
-  const Topology topology = Topology::P3_8xlarge();
-  const PerfModel perf(topology.gpu(), topology.pcie());
-  const Model model = ModelZoo::ResNet50();
-  const ModelProfile profile = ExactProfile(perf, model);
-  const ExecutionPlan plan = MakeStrategyPlan(Strategy::kDeepPlanDha, profile, 1);
-  Nanos latency[2];
-  for (int recording = 0; recording < 2; ++recording) {
-    Simulator sim;
-    ServerFabric fabric(&sim, &topology);
-    Engine engine(&sim, &fabric, &perf);
-    TraceRecorder recorder;
-    if (recording == 1) {
-      engine.set_telemetry(&recorder);
-    }
-    InferenceResult result;
-    engine.RunCold(model, plan, 0, {}, ColdRunOptions{},
-                   [&](const InferenceResult& r) { result = r; });
-    sim.Run();
-    latency[recording] = result.latency;
-  }
-  EXPECT_EQ(latency[0], latency[1]);
 }
 
 TEST(ChromeTraceTest, JsonIsWellFormedAndEscaped) {

@@ -31,8 +31,8 @@
 #include "src/model/zoo.h"
 #include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
-#include "src/obs/metrics_registry.h"
 #include "src/obs/profile_report.h"
+#include "src/obs/trace_export.h"
 #include "src/obs/whatif/whatif.h"
 #include "src/obs/whatif/whatif_report.h"
 #include "src/serving/server.h"
@@ -114,7 +114,8 @@ struct ReaderVerdict {
 };
 
 // Every journal reader's verdict on the journal at `path`: the lint, the
-// windowed what-if journal, the profile report and the JSON export.
+// windowed what-if journal, the profile report, and the JSON and Chrome
+// exports.
 std::vector<ReaderVerdict> ReaderVerdicts(const std::string& path) {
   const check::TraceLintResult lint = LintJournalFile(path);
   std::vector<ReaderVerdict> verdicts = {
@@ -131,6 +132,11 @@ std::vector<ReaderVerdict> ReaderVerdicts(const std::string& path) {
   error.clear();
   const bool exported = JournalJson(path, &json, &error);
   verdicts.push_back({"JSON export", exported, error});
+  JournalTraceExport trace;
+  error.clear();
+  const bool traced = ForEachJournalChunk(
+      path, [&trace](JournalChunk& chunk) { trace.Add(chunk); }, &error);
+  verdicts.push_back({"Chrome export", traced, error});
   return verdicts;
 }
 
@@ -600,6 +606,34 @@ TEST_F(JournalCorruptionTest, EveryReaderRefusesCorruptInput) {
   mutated[20] = static_cast<char>(mutated[20] ^ 0x5A);
   WriteFileBytes(path_, mutated);
   ExpectEveryReaderRejects(path_, "CRC mismatch");
+}
+
+// One complete request whose exec node is labelled `label`.
+void RecordLabel(const std::string& path, std::string_view process,
+                 std::string_view label) {
+  RecordToFile(path, JournalWriterOptions{}, [&](CausalGraph* graph) {
+    const int req = graph->BeginRequest(graph->RegisterProcess(process), 0, 0);
+    graph->AddNode(req,
+                   MakeNode(*graph, CpKind::kExec, label, "exec/gpu0", 0, 10),
+                   {graph->last_node(req)});
+    graph->EndRequest(req, 10);
+  });
+}
+
+TEST(JournalRoundTripTest, EveryReaderRefusesStringsThatAreNotUtf8) {
+  // The bytes 0xFF 0xFE in an exec label, or in a process name: the chunk
+  // decodes, and the sequential pass must refuse it, or the JSON and Chrome
+  // exports would write a document no JSON parser reads.
+  const std::string path = TempPath("journal_not_utf8.dpj");
+  RecordLabel(path, "p", "exec \xFF\xFE");
+  ExpectEveryReaderRejects(path, "chunk 1: string-table entry ");
+  ExpectEveryReaderRejects(path, "\"exec \\xff\\xfe\" is not valid UTF-8");
+  RecordLabel(path, "p\xC0\xAF", "exec");  // an overlong '/'
+  ExpectEveryReaderRejects(path, "chunk 1: process name 0 ");
+  // Two-, three- and four-byte sequences are valid UTF-8.
+  RecordLabel(path, "p\xC3\xA9", "exec \xE2\x86\x92 \xF0\x9F\x98\x80");
+  ExpectEveryReaderAccepts(path);
+  std::remove(path.c_str());
 }
 
 TEST(JournalRoundTripTest, EveryReaderRefusesDuplicateRequestIds) {

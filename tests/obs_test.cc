@@ -11,10 +11,12 @@
 #include "src/core/transmission.h"
 #include "src/engine/engine.h"
 #include "src/engine/strategies.h"
+#include "src/check/trace_lint.h"
 #include "src/model/zoo.h"
 #include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
 #include "src/obs/metrics_registry.h"
+#include "src/obs/trace_export.h"
 #include "src/obs/trace_recorder.h"
 #include "src/util/chrome_trace.h"
 #include "tests/causal_node.h"
@@ -99,28 +101,6 @@ TEST(TraceRecorderTest, ExportIsByteStable) {
   EXPECT_EQ(fill(), fill());
 }
 
-TEST(TraceRecorderTest, AdoptRemapsProcessIds) {
-  TraceRecorder master(/*enabled=*/true);
-  const int a = master.RegisterProcess("strategyA");
-  master.Span(a, "exec/gpu0", "warm", 0, Micros(1));
-
-  TraceRecorder task(/*enabled=*/true);
-  const int b = task.RegisterProcess("strategyB");
-  EXPECT_EQ(b, 0);  // task recorders number their own processes from zero
-  task.Span(b, "exec/gpu0", "warm", 0, Micros(1));
-
-  master.Adopt(std::move(task));
-  ASSERT_EQ(master.document().process_names.size(), 2u);
-  EXPECT_EQ(master.document().process_names[1], "strategyB");
-  ASSERT_EQ(master.size(), 2u);
-  // The adopted event moved past the processes already registered here.
-  EXPECT_EQ(master.document().events[1].pid, 1);
-  const std::string json = master.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\"strategyA\""), std::string::npos);
-  EXPECT_NE(json.find("\"strategyB\""), std::string::npos);
-}
-
 TEST(TraceRecorderTest, EscapesControlCharactersInNames) {
   TraceRecorder rec(/*enabled=*/true);
   const int pid = rec.RegisterProcess("p");
@@ -132,76 +112,6 @@ TEST(TraceRecorderTest, EscapesControlCharactersInNames) {
   EXPECT_NE(json.find("\\\""), std::string::npos) << json;
   // The raw control byte must not leak into the document.
   EXPECT_EQ(json.find('\x01'), std::string::npos);
-}
-
-// ---------------------------------------------------------------- registry
-
-TEST(MetricsRegistryTest, CountersGaugesHistograms) {
-  MetricsRegistry reg;
-  EXPECT_TRUE(reg.empty());
-  EXPECT_EQ(reg.counter("server.requests"), 0);
-  reg.AddCounter("server.requests");
-  reg.AddCounter("server.requests", 4);
-  EXPECT_EQ(reg.counter("server.requests"), 5);
-
-  reg.SetGauge("server.queue_depth.gpu0", 3.0);
-  reg.SetGauge("server.queue_depth.gpu0", 1.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("server.queue_depth.gpu0"), 1.0);
-
-  for (int i = 1; i <= 100; ++i) {
-    reg.Observe("server.latency_ms", static_cast<double>(i));
-  }
-  const HistogramSummary h = reg.histogram("server.latency_ms");
-  EXPECT_EQ(h.count, 100u);
-  EXPECT_DOUBLE_EQ(h.mean, 50.5);
-  EXPECT_DOUBLE_EQ(h.min, 1.0);
-  EXPECT_DOUBLE_EQ(h.max, 100.0);
-  EXPECT_NEAR(h.p50, 50.0, 1.1);
-  EXPECT_NEAR(h.p99, 99.0, 1.1);
-  EXPECT_FALSE(reg.empty());
-}
-
-// Degenerate histogram summaries are pinned: a never-observed histogram is
-// all zeros, and a single observation puts that value in every field.
-TEST(MetricsRegistryTest, ZeroAndOneSampleHistogramSummaries) {
-  MetricsRegistry reg;
-  const HistogramSummary none = reg.histogram("server.latency_ms");
-  EXPECT_EQ(none.count, 0u);
-  EXPECT_DOUBLE_EQ(none.mean, 0.0);
-  EXPECT_DOUBLE_EQ(none.min, 0.0);
-  EXPECT_DOUBLE_EQ(none.max, 0.0);
-  EXPECT_DOUBLE_EQ(none.p50, 0.0);
-  EXPECT_DOUBLE_EQ(none.p95, 0.0);
-  EXPECT_DOUBLE_EQ(none.p99, 0.0);
-
-  reg.Observe("server.latency_ms", 42.0);
-  const HistogramSummary one = reg.histogram("server.latency_ms");
-  EXPECT_EQ(one.count, 1u);
-  EXPECT_DOUBLE_EQ(one.mean, 42.0);
-  EXPECT_DOUBLE_EQ(one.min, 42.0);
-  EXPECT_DOUBLE_EQ(one.max, 42.0);
-  EXPECT_DOUBLE_EQ(one.p50, 42.0);
-  EXPECT_DOUBLE_EQ(one.p95, 42.0);
-  EXPECT_DOUBLE_EQ(one.p99, 42.0);
-  // Both shapes export as valid JSON.
-  EXPECT_TRUE(JsonChecker(reg.ToJson()).Valid()) << reg.ToJson();
-}
-
-TEST(MetricsRegistryTest, JsonExportIsSortedAndValid) {
-  MetricsRegistry reg;
-  EXPECT_EQ(MetricsRegistry().ToJson(), "{}");  // empty sections are omitted
-  reg.AddCounter("b.second");
-  reg.AddCounter("a.first");
-  reg.SetGauge("g.depth", 2.0);
-  reg.Observe("h.latency", 7.0);
-  const std::string json = reg.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  // Keys render in sorted order regardless of first-touch order.
-  EXPECT_LT(json.find("a.first"), json.find("b.second"));
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_EQ(reg.ToJson(), json);  // export does not perturb the registry
 }
 
 // ------------------------------------------------------- journal counters
@@ -264,25 +174,23 @@ TEST(CausalGraphTest, DisabledGraphAllocatesNothing) {
 
 // ---------------------------------------------------------------- end to end
 
-// One PT+DHA cold start on the 2-GPU A5000 box with telemetry attached: the
-// golden path of the observability stack. The exported document must be
-// valid, Perfetto-loadable (metadata + spans + counters) and byte-stable.
+// One PT+DHA cold start on the 2-GPU A5000 box, journaled, and the Chrome
+// trace exported from its journal: the golden path of the observability
+// stack. The exported document must be valid, Perfetto-loadable (metadata +
+// spans + counters), lint clean and byte-stable.
 class ColdStartTraceTest : public ::testing::Test {
  protected:
-  static std::string RunOnce(TraceRecorder* out_recorder,
-                             MetricsRegistry* out_registry,
-                             CausalGraph* causal = nullptr) {
+  static TraceRecorder RunOnce(MetricsRegistry* registry = nullptr,
+                               CausalGraph* out_graph = nullptr) {
     const Topology topology = Topology::A5000Box();
     const PerfModel perf(topology.gpu(), topology.pcie());
     Simulator sim;
     ServerFabric fabric(&sim, &topology);
     Engine engine(&sim, &fabric, &perf);
-
-    TraceRecorder local(/*enabled=*/true);
-    TraceRecorder* recorder = out_recorder != nullptr ? out_recorder : &local;
-    const int pid = recorder->RegisterProcess("PT+DHA cold start");
-    engine.set_telemetry(recorder, pid);
-    fabric.fabric().set_telemetry(recorder, out_registry, pid);
+    fabric.fabric().set_telemetry(nullptr, registry);
+    CausalGraph local(/*enabled=*/true);
+    CausalGraph* graph = out_graph != nullptr ? out_graph : &local;
+    engine.set_causal(graph);
 
     const Model model = ModelZoo::BertBase();
     ProfilerOptions popts;
@@ -294,35 +202,37 @@ class ColdStartTraceTest : public ::testing::Test {
     pipeline.nvlink = topology.nvlink();
     const ExecutionPlan plan = MakeStrategyPlan(strategy, profile, degree, pipeline);
     ColdRunOptions options = MakeColdRunOptions(strategy);
-    if (causal != nullptr) {
-      engine.set_causal(causal);
-      options.causal_request =
-          causal->BeginRequest(causal->RegisterProcess("PT+DHA cold start"), 0, 0);
-    }
+    options.causal_request =
+        graph->BeginRequest(graph->RegisterProcess("PT+DHA cold start"), 0, 0);
     InferenceResult result;
     engine.RunCold(model, plan, /*primary=*/0,
                    TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
-                   options, [&](const InferenceResult& r) { result = r; });
+                   options, [&](const InferenceResult& r) {
+                     result = r;
+                     graph->EndRequest(options.causal_request, sim.now());
+                   });
     sim.Run();
     EXPECT_GT(result.latency, 0);
-    return recorder->ToJson();
+    return GraphChromeTrace(*graph);
   }
 };
 
 TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
-  TraceRecorder recorder(/*enabled=*/true);
   MetricsRegistry registry;
-  const std::string json = RunOnce(&recorder, &registry);
-  EXPECT_FALSE(recorder.empty());
+  const TraceRecorder trace = RunOnce(&registry);
+  EXPECT_FALSE(trace.empty());
+  const std::string json = trace.ToJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  const check::TraceLintResult lint = check::LintChromeTrace(json);
+  EXPECT_TRUE(lint.ok()) << (lint.errors.empty() ? "" : lint.errors[0]);
   // Per-GPU PCIe load tracks (PT splits the model over both GPUs), the
-  // primary's exec track, NVLink migration, and per-link bandwidth counters.
+  // primary's exec track, NVLink migration, and per-link in-flight counters.
   EXPECT_NE(json.find("\"pcie/gpu0\""), std::string::npos);
   EXPECT_NE(json.find("\"pcie/gpu1\""), std::string::npos);
   EXPECT_NE(json.find("\"exec/gpu0\""), std::string::npos);
   EXPECT_NE(json.find("nvlink/"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("bw/"), std::string::npos);
+  EXPECT_NE(json.find("\"inflight/pcie/gpu1\""), std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   // The fabric counted the PT transfers.
   EXPECT_GT(registry.counter("fabric.transfers"), 0);
@@ -330,23 +240,18 @@ TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
 }
 
 TEST_F(ColdStartTraceTest, IdenticalRunsExportIdenticalBytes) {
-  const std::string a = RunOnce(nullptr, nullptr);
-  const std::string b = RunOnce(nullptr, nullptr);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(RunOnce().ToJson(), RunOnce().ToJson());
 }
 
-TEST_F(ColdStartTraceTest, RecorderAndCausalGraphSeeTheSameOps) {
-  // Both observers are written from one place per finished op, so the trace
-  // holds one interval per causal work node. Exec operations export as
-  // complete slices; load/migrate intervals export as async begin/end pairs
-  // (they may overlap across concurrent runs).
-  TraceRecorder recorder(/*enabled=*/true);
+TEST_F(ColdStartTraceTest, ExportHasOneIntervalPerWorkNode) {
+  // Exec operations export as complete slices; load/migrate intervals as
+  // async begin/end pairs (they may overlap across concurrent runs).
   CausalGraph causal(/*enabled=*/true);
-  RunOnce(&recorder, nullptr, &causal);
+  const TraceRecorder trace = RunOnce(nullptr, &causal);
   std::size_t intervals = 0;
   std::size_t async_begins = 0;
   std::size_t async_ends = 0;
-  for (const TraceEvent& e : recorder.document().events) {
+  for (const TraceEvent& e : trace.document().events) {
     if (e.phase == TracePhase::kSpan || e.phase == TracePhase::kAsyncBegin) {
       ++intervals;
     }
@@ -365,38 +270,42 @@ TEST_F(ColdStartTraceTest, RecorderAndCausalGraphSeeTheSameOps) {
       work_nodes += node.kind != CpKind::kArrival ? 1 : 0;
     }
   });
+  // The request never queued, so it has no queue-wait interval.
   EXPECT_EQ(intervals, work_nodes);
 }
 
-TEST(FabricTelemetryTest, ContendedLinkEmitsChangingCounterSamples) {
+TEST(FabricTelemetryTest, ContendedLinkShareFollowsContention) {
   Simulator sim;
   Fabric fabric(&sim);
-  // Uplink X carries both transfers; Y is B's private downstream link. The
-  // per-link counter records total allocation, so the saturated uplink holds
-  // steady at capacity while Y's track shows B's fair share moving as the
-  // contention on X comes and goes: 6 (sharing) -> 12 (A done) -> 0 (B done).
+  // Uplink X carries both transfers; Y is B's private downstream link. A
+  // link's allocation is the total over its transfers, so the saturated
+  // uplink holds steady at capacity while Y shows B's fair share moving as
+  // the contention on X comes and goes: 6 (sharing, from B's start at 10 ms)
+  // -> 12 (A done at 40 ms) -> 0 (B done at 75 ms). Each is probed at the
+  // instant it changes.
   const LinkId x = fabric.AddLink("pcie/uplink", 12.0e9);
   const LinkId y = fabric.AddLink("pcie/gpu1", 20.0e9);
-  TraceRecorder recorder(/*enabled=*/true);
   MetricsRegistry registry;
-  fabric.set_telemetry(&recorder, &registry, recorder.RegisterProcess("fabric"));
-  fabric.Start({x}, 300'000'000, 0, [](Nanos) {});
+  fabric.set_telemetry(nullptr, &registry);
+  std::vector<std::pair<Nanos, double>> y_share;  // (time, GB/s)
+  const auto probe = [&] {
+    y_share.emplace_back(sim.now(), fabric.AllocatedOn(y) * 1e-9);
+  };
+  fabric.Start({x}, 300'000'000, 0, [&probe](Nanos) { probe(); });
   sim.ScheduleAt(Millis(10), [&] {
-    fabric.Start({x, y}, 600'000'000, 0, [](Nanos) {});
+    fabric.Start({x, y}, 600'000'000, 0, [&probe](Nanos) { probe(); });
+    probe();
   });
   sim.Run();
-  std::vector<double> y_samples;
-  for (const TraceEvent& e : recorder.document().events) {
-    if (e.phase == TracePhase::kCounter && e.track == "bw/pcie/gpu1") {
-      y_samples.push_back(e.value);
-    }
-  }
   EXPECT_EQ(registry.counter("fabric.transfers"), 2);
   EXPECT_EQ(registry.counter("fabric.bytes"), 900'000'000);
-  ASSERT_GE(y_samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(y_samples[0], 6.0);   // fair half of the shared uplink
-  EXPECT_DOUBLE_EQ(y_samples[1], 12.0);  // A finished, B gets the full uplink
-  EXPECT_DOUBLE_EQ(y_samples.back(), 0.0);
+  ASSERT_EQ(y_share.size(), 3u);
+  EXPECT_EQ(y_share[0].first, Millis(10));
+  EXPECT_DOUBLE_EQ(y_share[0].second, 6.0);   // fair half of the shared uplink
+  EXPECT_EQ(y_share[1].first, Millis(40));
+  EXPECT_DOUBLE_EQ(y_share[1].second, 12.0);  // A finished, B gets the full uplink
+  EXPECT_EQ(y_share[2].first, Millis(75));
+  EXPECT_DOUBLE_EQ(y_share[2].second, 0.0);
 }
 
 }  // namespace

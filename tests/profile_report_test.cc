@@ -594,25 +594,6 @@ TEST(BenchDiffTest, MalformedInputReportsParseError) {
   EXPECT_FALSE(result.ok());
 }
 
-// ------------------------------------------------ histogram percentiles
-
-TEST(MetricsSnapshotTest, HistogramsExportPercentiles) {
-  MetricsRegistry registry;
-  for (int i = 1; i <= 100; ++i) {
-    registry.Observe("server.latency_ms", static_cast<double>(i));
-  }
-  const HistogramSummary summary = registry.histogram("server.latency_ms");
-  EXPECT_EQ(summary.count, 100);
-  EXPECT_DOUBLE_EQ(summary.min, 1.0);
-  EXPECT_DOUBLE_EQ(summary.max, 100.0);
-  EXPECT_GE(summary.p95, summary.p50);
-  EXPECT_GE(summary.p99, summary.p95);
-  const std::string json = registry.Snapshot().Render();
-  EXPECT_NE(json.find("\"p50\""), std::string::npos);
-  EXPECT_NE(json.find("\"p95\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
-}
-
 // ------------------------------------------------ served workload journal
 
 TEST(CriticalPathTest, ServedWorkloadAttributionIsExactForEveryRequest) {

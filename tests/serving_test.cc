@@ -7,6 +7,8 @@
 
 #include "src/model/zoo.h"
 #include "src/obs/causal_graph.h"
+#include "src/obs/journal_stream.h"
+#include "src/obs/metrics_registry.h"
 #include "src/serving/instance.h"
 #include "src/serving/metrics.h"
 #include "src/serving/server.h"
@@ -454,45 +456,50 @@ TEST_F(ServerTest, RunFeedsArrivalsAsIfAllWereQueuedUpFront) {
 
 // ---------------------------------------------------------------- telemetry
 
-TEST_F(ServerTest, TelemetryCountersMatchServingMetrics) {
+// The fabric counters the benchmark reads through set_telemetry(nullptr,
+// registry) count exactly the transfers the journal records: one PCIe or
+// NVLink node per fabric transfer, with its bytes.
+TEST_F(ServerTest, FabricCountersMatchJournalTransfers) {
   const Topology topo = Topology::P3_8xlarge();
   const PerfModel perf(topo.gpu(), topo.pcie());
-  ServerOptions options = BaseOptions(Strategy::kDeepPlanPtDha);
-  options.usable_bytes_per_gpu = 2LL * 1024 * 1024 * 1024;  // force churn
-  Server server(topo, perf, options);
-  const int type = server.RegisterModelType(ModelZoo::BertBase());
-  server.AddInstances(type, 40);
+  for (const Strategy strategy : AllStrategies()) {
+    ServerOptions options = BaseOptions(strategy);
+    options.usable_bytes_per_gpu = 2LL * 1024 * 1024 * 1024;  // force churn
+    Server server(topo, perf, options);
+    const int type = server.RegisterModelType(ModelZoo::BertBase());
+    server.AddInstances(type, 40);
 
-  TraceRecorder recorder(/*enabled=*/true);
-  MetricsRegistry registry;
-  server.set_telemetry(&recorder, &registry, recorder.RegisterProcess("server"));
+    MetricsRegistry registry;
+    server.set_telemetry(nullptr, &registry);
+    CausalGraph graph(/*enabled=*/true);
+    server.set_causal(&graph, graph.RegisterProcess("server"));
 
-  PoissonOptions w;
-  w.rate_per_sec = 60;
-  w.num_instances = 40;
-  w.duration = Seconds(5);
-  const ServingMetrics m = server.Run(GeneratePoissonTrace(w));
-  ASSERT_GT(m.ColdStartCount(), 0u);
-  ASSERT_GT(m.EvictionCount(), 0u);
+    PoissonOptions w;
+    w.rate_per_sec = 60;
+    w.num_instances = 40;
+    w.duration = Seconds(5);
+    const ServingMetrics m = server.Run(GeneratePoissonTrace(w));
+    ASSERT_GT(m.ColdStartCount(), 0u) << StrategyName(strategy);
+    ASSERT_GT(m.EvictionCount(), 0u) << StrategyName(strategy);
 
-  // The registry's counters are the live view of what ServingMetrics records.
-  EXPECT_EQ(registry.counter("server.requests"),
-            static_cast<std::int64_t>(m.count()));
-  EXPECT_EQ(registry.counter("server.cold_starts"),
-            static_cast<std::int64_t>(m.ColdStartCount()));
-  EXPECT_EQ(registry.counter("server.evictions"),
-            static_cast<std::int64_t>(m.EvictionCount()));
-  EXPECT_EQ(registry.counter("server.warm_hits"),
-            static_cast<std::int64_t>(m.count() - m.ColdStartCount()));
-  EXPECT_EQ(registry.histogram("server.latency_ms").count, m.count());
-
-  // The recorder saw the cold-start phase decomposition and queue depths.
-  EXPECT_FALSE(recorder.empty());
-  const std::string json = recorder.ToJson();
-  EXPECT_NE(json.find("coldstart/gpu"), std::string::npos);
-  EXPECT_NE(json.find("\"transfer i"), std::string::npos);
-  EXPECT_NE(json.find("queue/gpu"), std::string::npos);
-  EXPECT_NE(json.find("bw/"), std::string::npos);
+    std::int64_t transfers = 0;
+    std::int64_t bytes = 0;
+    ForEachGraphChunk(graph, [&](JournalChunk& chunk) {
+      for (const CpNode& node : chunk.nodes) {
+        if (node.kind == CpKind::kPcie || node.kind == CpKind::kNvlink) {
+          ++transfers;
+          bytes += node.bytes;
+        }
+      }
+    });
+    EXPECT_EQ(registry.counter("fabric.transfers"), transfers)
+        << StrategyName(strategy);
+    EXPECT_EQ(registry.counter("fabric.bytes"), bytes) << StrategyName(strategy);
+    if (strategy == Strategy::kDeepPlanPtDha) {
+      EXPECT_EQ(transfers, 19'240);
+      EXPECT_EQ(bytes, 73'091'665'920);
+    }
+  }
 }
 
 TEST_F(ServerTest, LatencyBreakdownComponentsTileTotal) {

@@ -9,7 +9,8 @@
 #   3. whatif_report --json on the journal must equal fig02's own report
 #      byte for byte, and trace_lint --whatif lints it;
 #   4. journal_convert --to-json exports the journal (and it must parse as
-#      JSON), and trace_lint --journal validates it;
+#      JSON), trace_lint --journal validates it, and journal_convert
+#      --to-chrome renders its Chrome trace, which trace_lint accepts;
 #   5. every journal reader handed that JSON export exits non-zero with the
 #      DPJL diagnostic;
 #   6. selfprof_report --min_coverage and bench_history --max_slowdown refuse
@@ -20,7 +21,8 @@
 #      whatif_report a scale outside its range with exit 2;
 #   7. the profile report fig13_concurrency_sweep --profile_out prints from
 #      its journal in memory equals profile_report's on the journal it wrote,
-#      byte for byte (0.1 s at --requests=200).
+#      byte for byte (0.1 s at --requests=200), and the Chrome traces of that
+#      journal recorded at DEEPPLAN_JOBS=1 and 3 are byte-identical.
 #
 # usage: tools_smoke.sh <fig02_stall_decomposition> <profile_report>
 #                       <whatif_report> <journal_convert> <trace_lint>
@@ -61,7 +63,7 @@ echo "== whatif_report --json matches fig02 --whatif_out, trace_lint --whatif"
 cmp "$dir/whatif_bench.json" "$dir/whatif_tool.json"
 "$trace_lint" --whatif "$dir/whatif_bench.json"
 
-echo "== journal_convert --to-json, trace_lint --journal"
+echo "== journal_convert --to-json, trace_lint --journal, --to-chrome"
 "$journal_convert" --to-json "$dir/fig02.dpj" "$dir/fig02.json"
 if command -v python3 >/dev/null 2>&1; then
   python3 -c 'import json, sys; json.load(open(sys.argv[1]))["causal_journal"]' \
@@ -70,6 +72,8 @@ else
   grep -q '^{"causal_journal":' "$dir/fig02.json"
 fi
 "$trace_lint" --journal "$dir/fig02.dpj"
+"$journal_convert" --to-chrome "$dir/fig02.dpj" "$dir/fig02_trace.json"
+"$trace_lint" "$dir/fig02_trace.json"
 
 echo "== JSON input is refused with the DPJL diagnostic"
 expect_refused() {  # expect_refused <command...>
@@ -86,6 +90,7 @@ expect_refused() {  # expect_refused <command...>
 expect_refused "$profile_report" "$dir/fig02.json"
 expect_refused "$whatif_report" "$dir/fig02.json"
 expect_refused "$journal_convert" --to-json "$dir/fig02.json" "$dir/again.json"
+expect_refused "$journal_convert" --to-chrome "$dir/fig02.json" "$dir/again.json"
 expect_refused "$trace_lint" --journal "$dir/fig02.json"
 
 echo "== malformed gate values exit 2, an out-of-range bench flag exits 1"
@@ -114,13 +119,23 @@ grep -q 'far_instance.csv:3: malformed row' "$dir/bad_value.txt"
 expect_exit 2 "$whatif_report" --exp=pcie=1e300 "$dir/fig02.dpj"
 
 echo "== fig13 --profile_out report matches profile_report on its journal"
-DEEPPLAN_BENCH_DIR="$dir" "$fig13" --requests=200 \
+DEEPPLAN_BENCH_DIR="$dir" DEEPPLAN_JOBS=1 "$fig13" --requests=200 \
   --profile_out="$dir/fig13.dpj" >"$dir/fig13.txt" 2>/dev/null
 sed -n '/^== profile report ==$/,$p' "$dir/fig13.txt" >"$dir/fig13_report.txt"
 "$profile_report" "$dir/fig13.dpj" >"$dir/fig13_tool.txt"
 test -s "$dir/fig13_report.txt"
 cmp "$dir/fig13_report.txt" "$dir/fig13_tool.txt"
 
+echo "== fig13's Chrome trace is the same for DEEPPLAN_JOBS=1 and 3"
+DEEPPLAN_BENCH_DIR="$dir" DEEPPLAN_JOBS=3 "$fig13" --requests=200 \
+  --profile_out="$dir/fig13_jobs3.dpj" >/dev/null 2>&1
+"$journal_convert" --to-chrome "$dir/fig13.dpj" "$dir/fig13_trace.json" \
+  2>/dev/null
+"$journal_convert" --to-chrome "$dir/fig13_jobs3.dpj" \
+  "$dir/fig13_jobs3_trace.json" 2>/dev/null
+cmp "$dir/fig13_trace.json" "$dir/fig13_jobs3_trace.json"
+
 echo "PASS: journal tools read DPJL and refuse JSON; gate values and"\
   "outside inputs are checked; the streamed profile report matches the"\
-  "in-memory one"
+  "in-memory one; the Chrome export lints clean and is byte-identical"\
+  "for any DEEPPLAN_JOBS"
