@@ -11,7 +11,7 @@
 // The headline column is simulated requests per wall-second: the old
 // heap-backed queue and per-run allocation churn degraded superlinearly with
 // trace length (id-indexed bookkeeping never shrank), so this curve is where
-// the calendar queue + arena work shows up — and the 1M point completing in
+// the event queue + arena work shows up — and the 1M point completing in
 // bounded memory is itself part of the claim (tests/scaling_test.cc).
 #include <iostream>
 #include <string>

@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the simulation substrate: event-queue
-// throughput (boxed lambdas and plain Actions), stream ops, fabric transfer
+// throughput (boxed lambdas and plain Actions, and near-term churn in front
+// of a backlog queued in key order), stream ops, fabric transfer
 // scheduling alone and under contention, cold-run simulation with and
 // without streaming causal-journal recording, the recording of one warm
 // request, DPJL chunk decode and windowed what-if replay per recorded
@@ -39,6 +40,48 @@ struct FireCounter {
   std::int64_t fired = 0;
   void Fire() { ++fired; }
 };
+
+// Near-term events that each schedule their successor a few microseconds
+// ahead when they fire, until `until`.
+struct Churn {
+  Simulator* sim;
+  Nanos until;
+  std::int64_t fired = 0;
+  void Fire(std::uint64_t k) {
+    ++fired;
+    if (sim->now() < until) {
+      sim->ScheduleAfter(Micros(90 + static_cast<Nanos>(k % 7) * 10),
+                         MakeAction<&Churn::Fire>(this, k + 1));
+    }
+  }
+};
+
+// fig15's queue when its trace is queued up front: ~148k arrivals scheduled
+// in key order, 8 us apart, then a dozen near-term events churning in front
+// of them (each schedules the next ~100 us ahead) until the backlog drains.
+// Items are events fired, the backlog's and the churn's.
+void BM_EventQueueInOrderBacklog(benchmark::State& state) {
+  constexpr int kBacklog = 148000;
+  constexpr Nanos kSpacing = Micros(8);
+  FireCounter counter;
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    for (int i = 0; i < kBacklog; ++i) {
+      sim.ScheduleAt(kSpacing * i, MakeAction<&FireCounter::Fire>(&counter));
+    }
+    Churn churn{&sim, kSpacing * kBacklog};
+    for (std::uint64_t k = 0; k < 12; ++k) {
+      sim.ScheduleAfter(static_cast<Nanos>(k) * Micros(8),
+                        MakeAction<&Churn::Fire>(&churn, k * 100));
+    }
+    sim.Run();
+    events += kBacklog + churn.fired;
+  }
+  benchmark::DoNotOptimize(counter.fired);
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_EventQueueInOrderBacklog)->Unit(benchmark::kMillisecond);
 
 void BM_ScheduleActionFire(benchmark::State& state) {
   FireCounter counter;
@@ -95,6 +138,39 @@ void BM_FabricStartComplete(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_FabricStartComplete);
+
+// Three transfers share one uplink, each on its own lane, and each one's
+// completion starts its lane's next transfer: every start and every
+// completion re-solves the three and re-keys the others' pending
+// completions. Items are transfers.
+struct SharedUplink {
+  Fabric* fabric;
+  LinkId uplink;
+  LinkId lanes[3];
+  int left = 1000;
+  void Next(std::uint64_t lane, Nanos /*elapsed*/ = 0) {
+    if (left-- > 0) {
+      fabric->Start({uplink, lanes[lane]}, 1'000'000 + 250'000 * static_cast<std::int64_t>(lane),
+                    1000, MakeTransferDone<&SharedUplink::Next>(this, lane));
+    }
+  }
+};
+
+void BM_FabricCompletionRekey(benchmark::State& state) {
+  for (auto _ : state) {
+    Simulator sim;
+    Fabric fabric(&sim);
+    SharedUplink shared{&fabric, fabric.AddLink("uplink", 12e9),
+                        {fabric.AddLink("a", 12e9), fabric.AddLink("b", 12e9),
+                         fabric.AddLink("c", 12e9)}};
+    for (std::uint64_t lane = 0; lane < 3; ++lane) {
+      shared.Next(lane);
+    }
+    benchmark::DoNotOptimize(sim.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_FabricCompletionRekey);
 
 void BM_FabricContendedTransfers(benchmark::State& state) {
   const int transfers = static_cast<int>(state.range(0));

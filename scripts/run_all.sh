@@ -14,8 +14,9 @@
 #                    tests under it.
 #   DEEPPLAN_ASAN=1  build the AddressSanitizer+UndefinedBehaviorSanitizer
 #                    preset (cmake -DDEEPPLAN_SANITIZE=address,undefined) into
-#                    <build-dir>-asan and run the full test suite under it;
-#                    any report aborts its test.
+#                    <build-dir>-asan with -DDEEPPLAN_WERROR=ON (any
+#                    compiler warning fails the build) and run the full
+#                    test suite under it; any report aborts its test.
 #   DEEPPLAN_TIDY=1  configure <build-dir>-tidy with -DDEEPPLAN_TIDY=ON and
 #                    compile src/ under clang-tidy --warnings-as-errors=*
 #                    (skipped with a notice when clang-tidy is not installed).
@@ -55,7 +56,8 @@ fi
 
 if [ "${DEEPPLAN_ASAN:-0}" = "1" ]; then
   echo "== test suite (AddressSanitizer+UndefinedBehaviorSanitizer)"
-  cmake -B "$BUILD_DIR-asan" -S . -DDEEPPLAN_SANITIZE=address,undefined >/dev/null
+  cmake -B "$BUILD_DIR-asan" -S . -DDEEPPLAN_SANITIZE=address,undefined \
+    -DDEEPPLAN_WERROR=ON >/dev/null
   cmake --build "$BUILD_DIR-asan" -j >/dev/null
   ctest --test-dir "$BUILD_DIR-asan" --output-on-failure
 fi

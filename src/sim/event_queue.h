@@ -1,13 +1,18 @@
-// Calendar queue of timestamped actions with a deterministic tiebreak
+// Event queue of timestamped actions with a deterministic tiebreak
 // (insertion sequence), so equal-time events fire in schedule order — the
 // same pop order, bit for bit, as the original binary-heap backend (kept as
 // ReferenceEventQueue and enforced by tests/eventqueue_diff_test.cc).
 //
-// Design (DESIGN.md §12): time is divided into fixed-width epochs hashed
-// into a power-of-two ring of buckets. Pops serve one epoch at a time from a
-// sorted working vector; schedules append to a bucket (O(1)). Width and
-// bucket count adapt to the live population, so both schedule and pop are
-// amortized O(1) instead of the heap's O(log n).
+// Design (DESIGN.md §12): an entry keyed (when, seq) sits in one of two
+// places. One keyed after the last entry ever appended to the in-order run
+// (a trace queued up front, an arrival fed one at a time) is appended to
+// that sorted vector in O(1); any other goes into a 4-ary min-heap, which in
+// a simulation holds the dozen near-term events in flight. A pop takes the
+// smaller of the run's front and the heap's top. Each pending event's slot
+// records where its entry sits, so Cancel takes a heap entry out at once and
+// marks a run entry dead, and Reschedule re-keys a heap entry in place. The
+// run drops its consumed prefix and dead entries once they outnumber its
+// live ones, so its memory, like the heap's, follows the pending events.
 //
 // Every event is one trivially-copyable Action — a function pointer plus a
 // context pointer and a 64-bit argument — held in a generation-checked
@@ -47,7 +52,7 @@ class EventQueue {
   };
   using EventId = std::uint64_t;
 
-  EventQueue();
+  EventQueue() = default;
   // Destroys the boxed callables of events that never fired.
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
@@ -89,6 +94,12 @@ class EventQueue {
   // no-op and returns false. A cancelled id is never resurrected: the slot it
   // named is recycled under a new generation, so stale ids stay dead.
   bool Cancel(EventId id);
+  // Moves pending event `id` to `when` under a fresh sequence number: it pops
+  // exactly where Cancel(id) and a Schedule(when, ...) of its action would
+  // put it, and counts once in total_scheduled() as that Schedule would, but
+  // it keeps its id and slot. A fired, cancelled or unknown id returns false
+  // and takes no sequence number.
+  bool Reschedule(EventId id, Nanos when);
 
   bool empty() const { return slots_.live_count() == 0; }
   std::size_t size() const { return slots_.live_count(); }
@@ -112,15 +123,22 @@ class EventQueue {
   // events, not total_scheduled() — the arena-reuse invariant scaling_test
   // asserts on.
   std::size_t slot_capacity() const { return slots_.capacity(); }
-  std::size_t bucket_count() const { return buckets_.size(); }
 
  private:
   struct Entry {
     Nanos when;
     std::uint64_t seq;   // global schedule order; FIFO tiebreak at equal when
-    std::uint32_t slot;  // SlotPool handle (action location)
-    std::uint32_t gen;   // SlotPool generation; mismatch = cancelled/stale
+    std::uint32_t slot;  // SlotPool handle (kDead: a cancelled run entry)
+    std::uint32_t gen;
   };
+  // A pending event's slot: its action and where its entry sits, a heap
+  // index or kInRun | a run index.
+  struct Pending {
+    Action action;
+    std::uint32_t pos = 0;
+  };
+  static constexpr std::uint32_t kInRun = std::uint32_t{1} << 31;
+  static constexpr std::uint32_t kDead = std::numeric_limits<std::uint32_t>::max();
 
   // Heap block of a boxed callable; `call` runs it (run = true) or not, and
   // deletes the block either way.
@@ -129,48 +147,47 @@ class EventQueue {
   };
   // Action::fn of heap-boxed callables; ctx is the BoxedCall.
   static void RunBoxed(void* ctx, std::uint64_t arg);
-  // Pops the entry EnsureFront positioned at cur_[head_].
-  std::pair<Nanos, Action> PopFront();
-  EventId Insert(Nanos when, std::uint64_t seq, Action action);
 
   static bool EntryLess(const Entry& a, const Entry& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
+  Pending& PendingOf(const Entry& e) { return slots_.Get({e.slot, e.gen}); }
 
-  // Floor division by the epoch width: an arithmetic shift, so raw
-  // EventQueue users (property tests) that schedule negative or pre-horizon
-  // times still get ordered epochs.
-  std::int64_t EpochOf(Nanos when) const { return when >> width_shift_; }
-  std::vector<Entry>& ServeBucket() {
-    return buckets_[static_cast<std::size_t>(serve_epoch_) & mask_];
+  EventId Insert(Nanos when, std::uint64_t seq, Action action);
+  // Files the entry of a live slot in the run or the heap.
+  void Place(const Entry& e);
+  // Takes the entry at `pos` out of the run or the heap.
+  void Unlink(std::uint32_t pos);
+  // True when the earliest entry is the run's front; not when empty.
+  bool FrontInRun() const {
+    return !run_.empty() && (heap_.empty() || EntryLess(run_[head_], heap_[0]));
   }
+  std::pair<Nanos, Action> PopFront(bool in_run);
 
-  // Positions the next live entry at cur_[head_]; false when nothing is live.
-  bool EnsureFront();
-  void ExtractServeBucket();
-  void AdvanceEpoch();
-  void Rewind(std::int64_t epoch);
-  void MaybeResize();
-  void Rebuild();
+  // heap_[i] = e, recorded in e's slot.
+  void HeapSet(std::size_t i, const Entry& e);
+  // Moves the hole at heap index i up (down) until `e` fits, then fills it.
+  void SiftUp(std::size_t i, Entry e);
+  void SiftDown(std::size_t i, Entry e);
+  // Replaces heap_[i] with `e`, of another key, and restores heap order.
+  void HeapRekey(std::size_t i, Entry e);
+  void HeapRemove(std::size_t i);
+  // After a run entry is consumed or marked dead: compacts the run once
+  // garbage outnumbers its live entries, else skips dead entries at head_.
+  void SettleRun();
 
-  SlotPool<Action> slots_;
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t mask_ = 0;  // buckets_.size() - 1 (power of two)
-  int width_shift_ = 0;   // log2 of the nanoseconds per epoch
-
-  // Serving state: cur_ holds the serve epoch's entries sorted by
-  // (when, seq); head_ is the next unpopped index. Entries scheduled into the
-  // serve epoch after extraction are inserted in order.
-  std::vector<Entry> cur_;
+  SlotPool<Pending> slots_;
+  std::vector<Entry> heap_;  // 4-ary min-heap on (when, seq)
+  // Sorted by (when, seq). [0, head_) is consumed; run_[head_] is live
+  // whenever run_ is non-empty.
+  std::vector<Entry> run_;
   std::size_t head_ = 0;
-  std::vector<Entry> rebuild_scratch_;
-  std::int64_t serve_epoch_ = 0;
-  bool extracted_ = false;
+  std::size_t run_live_ = 0;
+  // Key of the last entry appended to the run, consumed or not: an entry
+  // keyed after it keeps the run sorted.
+  Entry run_back_{std::numeric_limits<Nanos>::min(), 0, 0, 0};
 
   std::uint64_t seq_ = 0;
-  // Entries physically resident in buckets_/cur_, including
-  // cancelled ones not yet pruned.
-  std::size_t total_entries_ = 0;
   // Latest popped timestamp; the validator asserts pops are monotone.
   Nanos last_popped_ = std::numeric_limits<Nanos>::min();
 };

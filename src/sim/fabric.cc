@@ -329,16 +329,18 @@ void Fabric::ComputeRates(const std::vector<std::size_t>& seeds,
 }
 
 void Fabric::ScheduleCompletions() {
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    auto& t = active_[i];
-    if (t.has_completion_event) {
-      sim_->Cancel(t.completion_event);
-      t.has_completion_event = false;
-    }
+  for (auto& t : active_) {
     DP_CHECK(t.rate > 0);
     const Nanos delay = CeilNanos(t.remaining_bytes / t.rate);
-    t.completion_event = sim_->ScheduleAfter(delay, MakeAction<&Fabric::OnDrained>(this, t.id));
-    t.has_completion_event = true;
+    if (t.has_completion_event) {
+      // Pending: only a transfer's own completion erases it from active_.
+      const bool pending = sim_->Reschedule(t.completion_event, delay);
+      DP_CHECK(pending);
+    } else {
+      t.completion_event =
+          sim_->ScheduleAfter(delay, MakeAction<&Fabric::OnDrained>(this, t.id));
+      t.has_completion_event = true;
+    }
   }
 }
 

@@ -196,11 +196,11 @@ class Fabric {
 
   // Settles progress to now(), recomputes the max-min allocation of the
   // transfers whose flow set changed (`seeds`: indices into active_), and
-  // reschedules every transfer's completion event. Settling and completion
-  // rescheduling stay global on purpose: completion times are re-quantized
-  // (ceil to whole ns) from freshly settled remaining_bytes, and skipping
-  // that for "unchanged" transfers would shift completions by a nanosecond
-  // relative to the original implementation.
+  // re-keys every transfer's completion event. Settling and re-keying stay
+  // global on purpose: completion times are re-quantized (ceil to whole ns)
+  // from freshly settled remaining_bytes, and skipping that for "unchanged"
+  // transfers would shift completions by a nanosecond relative to the
+  // original implementation.
   void Reallocate(const std::vector<std::size_t>& seeds, bool seeds_closed);
   void SettleProgress();
   // Recomputes rates for the link-connected component(s) of `seeds` only;
@@ -226,6 +226,10 @@ class Fabric {
   // Expands `seeds` to their link-connected component(s), ascending.
   void CollectComponent(const std::vector<std::size_t>& seeds,
                         std::vector<std::size_t>& out);
+  // Schedules each in-flight transfer's completion at its current rate. A
+  // pending completion is re-keyed in place (Simulator::Reschedule): one
+  // scheduled event and the pop order of a cancel and a fresh schedule,
+  // without freeing and taking a slot.
   void ScheduleCompletions();
   // Completion event of transfer `id` (an Action arg): drained its bytes.
   void OnDrained(std::uint64_t id);

@@ -5,11 +5,30 @@
 namespace deepplan {
 
 ReferenceEventQueue::EventId ReferenceEventQueue::Schedule(Nanos when, Callback cb) {
-  const EventId id = next_id_++;
+  return Add(when, next_seq_++, std::move(cb));
+}
+
+std::uint64_t ReferenceEventQueue::ReserveSeq(std::uint64_t n) {
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+ReferenceEventQueue::EventId ReferenceEventQueue::ScheduleReserved(Nanos when,
+                                                                   std::uint64_t seq,
+                                                                   Callback cb) {
+  DP_CHECK(seq < next_seq_);
+  return Add(when, seq, std::move(cb));
+}
+
+ReferenceEventQueue::EventId ReferenceEventQueue::Add(Nanos when, std::uint64_t seq,
+                                                      Callback cb) {
+  const EventId id = callbacks_.size();
   callbacks_.push_back(std::move(cb));
   live_.push_back(true);
+  seq_of_.push_back(seq);
   ++live_count_;
-  heap_.push(Entry{when, id});
+  heap_.push(Entry{when, seq, id});
   return id;
 }
 
@@ -23,10 +42,20 @@ bool ReferenceEventQueue::Cancel(EventId id) {
   return true;
 }
 
-void ReferenceEventQueue::SkipCancelled() const {
+bool ReferenceEventQueue::Reschedule(EventId id, Nanos when) {
+  if (id >= live_.size() || !live_[id]) {
+    return false;
+  }
+  // The old entry goes stale; the callback stays under the same id.
+  seq_of_[id] = next_seq_++;
+  heap_.push(Entry{when, seq_of_[id], id});
+  return true;
+}
+
+void ReferenceEventQueue::SkipStale() const {
   while (!heap_.empty()) {
     const Entry& top = heap_.top();
-    if (top.id < live_.size() && live_[top.id]) {
+    if (live_[top.id] && seq_of_[top.id] == top.seq) {
       return;
     }
     heap_.pop();
@@ -34,13 +63,13 @@ void ReferenceEventQueue::SkipCancelled() const {
 }
 
 Nanos ReferenceEventQueue::NextTime() const {
-  SkipCancelled();
+  SkipStale();
   DP_CHECK(!heap_.empty());
   return heap_.top().when;
 }
 
 std::pair<Nanos, ReferenceEventQueue::Callback> ReferenceEventQueue::PopNext() {
-  SkipCancelled();
+  SkipStale();
   DP_CHECK(!heap_.empty());
   const Entry top = heap_.top();
   heap_.pop();

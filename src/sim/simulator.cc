@@ -45,6 +45,12 @@ EventQueue::EventId Simulator::ScheduleAt(Nanos when, Action action) {
   return queue_.Schedule(when, action);
 }
 
+bool Simulator::Reschedule(EventQueue::EventId id, Nanos delay) {
+  check::SimValidator::OnSchedule(now_, now_ + delay);
+  DP_CHECK(delay >= 0);
+  return queue_.Reschedule(id, now_ + delay);
+}
+
 EventQueue::EventId Simulator::ScheduleReserved(Nanos when, std::uint64_t seq,
                                                Action action) {
   check::SimValidator::OnSchedule(now_, when);

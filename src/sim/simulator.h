@@ -41,6 +41,11 @@ class Simulator {
     return ScheduleAt(when, EventQueue::Box(std::forward<F>(fn)));
   }
   bool Cancel(EventQueue::EventId id) { return queue_.Cancel(id); }
+  // Moves pending event `id` to `delay` after the current time (delay >= 0)
+  // under a fresh sequence number (EventQueue::Reschedule): the pop order
+  // and total_scheduled() of Cancel plus ScheduleAfter, with the same id.
+  // False, and nothing scheduled, when `id` is not pending.
+  bool Reschedule(EventQueue::EventId id, Nanos delay);
   // EventQueue::ReserveSeq / ScheduleReserved, at absolute time `when`
   // (>= now()).
   std::uint64_t ReserveSeq(std::uint64_t n) { return queue_.ReserveSeq(n); }

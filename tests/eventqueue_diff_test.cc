@@ -1,10 +1,11 @@
-// Differential lockdown of the calendar-queue EventQueue against the
-// original binary-heap backend (ReferenceEventQueue): ~1M randomized
-// schedule/pop/cancel operations across five time-distribution regimes must
-// produce bit-identical observable logs — pop order including FIFO ties,
-// NextTime before every pop, Cancel outcomes, and live sizes after every op.
-// The reference backend defines "correct"; see tests/eventqueue_schedules.h
-// for the shared generator.
+// Differential lockdown of EventQueue (indexed heap plus in-order run)
+// against the original binary-heap backend (ReferenceEventQueue): ~1M
+// randomized schedule/pop/cancel/reschedule operations across six
+// time-distribution regimes must produce bit-identical observable logs — pop
+// order including FIFO ties, NextTime before every pop, Cancel and
+// Reschedule outcomes, and live sizes after every op. The reference backend
+// defines "correct"; see tests/eventqueue_schedules.h for the shared
+// generator.
 #include <algorithm>
 #include <cstdint>
 
@@ -35,13 +36,14 @@ class EventQueueDiffTest : public ::testing::Test {
 };
 
 void ExpectSameLogs(std::uint64_t seed, const ScheduleRegime& regime) {
-  EventQueue calendar;
+  EventQueue queue;
   ReferenceEventQueue reference;
-  const ScheduleLog got = RunRandomSchedule(calendar, seed, regime);
+  const ScheduleLog got = RunRandomSchedule(queue, seed, regime);
   const ScheduleLog want = RunRandomSchedule(reference, seed, regime);
 
   ASSERT_EQ(got.scheduled, want.scheduled) << "seed " << seed;
   EXPECT_EQ(got.cancel_results, want.cancel_results) << "seed " << seed;
+  EXPECT_EQ(got.reschedule_results, want.reschedule_results) << "seed " << seed;
   EXPECT_EQ(got.sizes, want.sizes) << "seed " << seed;
   EXPECT_EQ(got.next_times, want.next_times) << "seed " << seed;
   ASSERT_EQ(got.pops.size(), want.pops.size()) << "seed " << seed;
@@ -49,15 +51,15 @@ void ExpectSameLogs(std::uint64_t seed, const ScheduleRegime& regime) {
     ASSERT_EQ(got.pops[i], want.pops[i])
         << "seed " << seed << " divergence at pop " << i;
   }
-  EXPECT_TRUE(calendar.empty());
+  EXPECT_TRUE(queue.empty());
   EXPECT_TRUE(reference.empty());
 
   // Arena-reuse invariant: callback slots are recycled, so the pool never
   // grows past the peak number of simultaneously pending events.
   const std::size_t peak =
       got.sizes.empty() ? 0 : *std::max_element(got.sizes.begin(), got.sizes.end());
-  EXPECT_LE(calendar.slot_capacity(), peak);
-  EXPECT_EQ(calendar.total_scheduled(), got.scheduled);
+  EXPECT_LE(queue.slot_capacity(), peak);
+  EXPECT_EQ(queue.total_scheduled(), got.scheduled);
 }
 
 // Tiny time domain: nearly every event collides with others at the same
@@ -72,9 +74,9 @@ TEST_F(EventQueueDiffTest, DenseEqualTimestampBursts) {
   ExpectSameLogs(0x1001, regime);
 }
 
-// Wide time domain with a drifting base: entries spread across many epochs
-// and the serve pointer sweeps forward (AdvanceEpoch) and occasionally back
-// (Rewind) when a pre-horizon schedule lands behind it.
+// Wide time domain with a drifting base: many schedules land after every
+// earlier one and join the in-order run, the rest go into the heap, and
+// pops interleave the two.
 TEST_F(EventQueueDiffTest, WideDomainWithDrift) {
   ScheduleRegime regime;
   regime.ops = 200000;
@@ -83,8 +85,9 @@ TEST_F(EventQueueDiffTest, WideDomainWithDrift) {
   ExpectSameLogs(0x2002, regime);
 }
 
-// Cancel-heavy: most non-schedule ops cancel live or stale ids, leaving
-// tombstones the calendar queue must skip without perturbing order.
+// Cancel-heavy: most non-schedule ops cancel or reschedule live or stale
+// ids, taking entries out of the heap and leaving dead run entries that the
+// run must skip and compact away without perturbing order.
 TEST_F(EventQueueDiffTest, CancelHeavy) {
   ScheduleRegime regime;
   regime.ops = 200000;
@@ -93,8 +96,9 @@ TEST_F(EventQueueDiffTest, CancelHeavy) {
   ExpectSameLogs(0x3003, regime);
 }
 
-// Far-future outliers force bucket-ring wraparound: an epoch many widths
-// ahead shares a bucket with near-term epochs and must not fire early.
+// Far-future outliers: each lands after the run's last entry and is
+// appended to it, so near-term schedules that follow go into the heap and
+// must fire first.
 TEST_F(EventQueueDiffTest, FarFutureOutliers) {
   ScheduleRegime regime;
   regime.ops = 200000;
@@ -102,6 +106,28 @@ TEST_F(EventQueueDiffTest, FarFutureOutliers) {
   regime.far_every = 7;
   regime.far_offset = Seconds(100);
   ExpectSameLogs(0x4004, regime);
+}
+
+// Shaped like a fig15 replay that queues its trace up front: 60k events in
+// key order (three per timestamp) fill the run, a feed at sequence numbers
+// reserved before them ties with them at equal times, and near-term churn
+// drifting through the backlog schedules into the heap, cancels and
+// reschedules run entries (most live events are backlog) and pops from
+// both, so the run compacts as it drains.
+TEST_F(EventQueueDiffTest, InOrderBacklogWithNearTermChurn) {
+  ScheduleRegime regime;
+  regime.ops = 200000;
+  regime.backlog = 60000;
+  regime.backlog_step = 10;
+  regime.feed = 20000;
+  regime.feed_step = 10;
+  regime.domain = 30;
+  regime.drift = 3;
+  regime.burst_every = 9;
+  regime.burst_size = 3;
+  regime.far_every = 50;
+  regime.far_offset = Millis(1);
+  ExpectSameLogs(0x6006, regime);
 }
 
 // Everything at once, two seeds: ties, drift, bursts, outliers, cancels.

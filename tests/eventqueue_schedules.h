@@ -1,11 +1,11 @@
 // Shared randomized schedule generator for event-queue implementations. The
-// driver makes every decision (op choice, timestamps, cancel victims) from
-// its own Rng and its own bookkeeping — never from queue-returned values,
-// which are opaque handles — so driving two different implementations with
-// the same seed produces the same structural schedule, and their observable
-// logs (pop sequence, cancel outcomes, sizes) must agree exactly. Used by
-// eventqueue_diff_test.cc (calendar queue vs the reference binary heap) and
-// property_test.cc (calendar queue vs a brute-force model).
+// driver makes every decision (op choice, timestamps, cancel and reschedule
+// victims) from its own Rng and its own bookkeeping — never from
+// queue-returned values, which are opaque handles — so driving two different
+// implementations with the same seed produces the same structural schedule,
+// and their observable logs (pop sequence, cancel and reschedule outcomes,
+// sizes) must agree exactly. Used by eventqueue_diff_test.cc (EventQueue vs
+// the reference binary heap) and property_test.cc (EventQueue alone).
 #ifndef TESTS_EVENTQUEUE_SCHEDULES_H_
 #define TESTS_EVENTQUEUE_SCHEDULES_H_
 
@@ -23,16 +23,27 @@ namespace testing_schedules {
 
 // Shapes the time distribution of one randomized run.
 struct ScheduleRegime {
-  // Ops to perform (schedules + cancels + pops; the final drain is extra).
+  // Ops to perform (schedules + cancels + reschedules + pops; the final
+  // drain is extra).
   int ops = 10000;
   // Timestamps are drawn from [base, base + domain); a small domain makes
   // equal-timestamp ties common (the FIFO tie-break stress).
   Nanos domain = 50;
-  // When > 0, the base drifts forward by [0, drift) after every op, sweeping
-  // the calendar queue across epochs (exercises AdvanceEpoch/Rewind).
+  // When > 0, the base drifts forward by [0, drift) after every op, so later
+  // schedules land after earlier ones (the queue's in-order run).
   Nanos drift = 0;
-  // Out of 10: weight of schedule ops (the rest split cancels and pops).
+  // Out of 10: weight of schedule ops (the rest split cancels, reschedules
+  // and pops).
   int schedule_weight = 5;
+  // Events queued before the first op, in key order, three per timestamp,
+  // backlog_step apart: a trace queued up front.
+  int backlog = 0;
+  Nanos backlog_step = 10;
+  // Events fed one at a time at sequence numbers reserved before the
+  // backlog (ReserveSeq / ScheduleReserved): the next is scheduled when the
+  // previous pops, feed_step later.
+  int feed = 0;
+  Nanos feed_step = 10;
   // Every burst_every-th schedule emits a burst of equal-timestamp events.
   int burst_every = 0;
   int burst_size = 8;
@@ -48,12 +59,14 @@ struct ScheduleLog {
   std::vector<std::pair<Nanos, int>> pops;  // (when, tag) in pop order
   std::vector<Nanos> next_times;            // NextTime() before each pop
   std::vector<char> cancel_results;         // Cancel() outcomes in op order
+  std::vector<char> reschedule_results;     // Reschedule() outcomes
   std::vector<std::size_t> sizes;           // size() after every op
   std::uint64_t scheduled = 0;              // total events scheduled
 
   bool operator==(const ScheduleLog& other) const {
     return pops == other.pops && next_times == other.next_times &&
-           cancel_results == other.cancel_results && sizes == other.sizes &&
+           cancel_results == other.cancel_results &&
+           reschedule_results == other.reschedule_results && sizes == other.sizes &&
            scheduled == other.scheduled;
   }
 };
@@ -120,10 +133,23 @@ class LiveTags {
   std::size_t size_ = 0;
 };
 
+// `fn` as the callback type `Queue` schedules: EventQueue boxes it into an
+// Action.
+template <typename Queue, typename F>
+auto AsCallback(F fn) {
+  if constexpr (requires { Queue::Box(fn); }) {
+    return Queue::Box(std::move(fn));
+  } else {
+    return typename Queue::Callback(std::move(fn));
+  }
+}
+
 // Runs one randomized schedule against `q` (any type with the EventQueue
-// interface: Schedule, Cancel, PopNext, NextTime, size, empty) and returns
-// the observable log. Fired callbacks record a per-run monotone tag — the
-// insertion order, which is the documented equal-time tie-break.
+// interface: Schedule, ReserveSeq, ScheduleReserved, Cancel, Reschedule,
+// PopNext, NextTime, size, empty) and returns the observable log. Every
+// schedule and successful reschedule issues the next tag, so tags count
+// insertion order, the documented equal-time tie-break; a fired callback
+// reports its event, and the log its event's latest tag.
 template <typename Queue>
 ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
                               const ScheduleRegime& regime) {
@@ -131,28 +157,78 @@ ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
   ScheduleLog log;
   LiveTags<typename Queue::EventId> live;
   std::vector<typename Queue::EventId> retired;  // fired or cancelled
-  std::vector<int> fired;
-  int next_tag = 0;
+  std::vector<int> fired;                        // events, in firing order
+  std::vector<int> tag_of;                       // event -> latest tag
+  std::vector<int> event_of;                     // tag -> event
   Nanos base = 0;
   int schedules = 0;
 
+  const auto issue_tag = [&](int event, typename Queue::EventId id) {
+    tag_of[static_cast<std::size_t>(event)] = static_cast<int>(event_of.size());
+    event_of.push_back(event);
+    live.Push(id);
+  };
+  const auto callback = [&fired](int event) {
+    return AsCallback<Queue>([&fired, event] { fired.push_back(event); });
+  };
   const auto schedule_at = [&](Nanos when) {
-    const int tag = next_tag++;
-    live.Push(q.Schedule(when, [&fired, tag] { fired.push_back(tag); }));
+    const int event = static_cast<int>(tag_of.size());
+    tag_of.push_back(0);
+    issue_tag(event, q.Schedule(when, callback(event)));
     ++log.scheduled;
   };
+  // Feed: event feed_event fires at reserved sequence number feed_seq +
+  // feed_next - 1; its pop schedules the next.
+  const std::uint64_t feed_seq = q.ReserveSeq(static_cast<std::uint64_t>(regime.feed));
+  log.scheduled += static_cast<std::uint64_t>(regime.feed);
+  int feed_next = 0;
+  int feed_event = -1;
+  const auto feed = [&] {
+    feed_event = static_cast<int>(tag_of.size());
+    tag_of.push_back(0);
+    issue_tag(feed_event,
+              q.ScheduleReserved(regime.feed_step * feed_next,
+                                 feed_seq + static_cast<std::uint64_t>(feed_next),
+                                 callback(feed_event)));
+    ++feed_next;
+  };
+  const auto draw_time = [&] {
+    ++schedules;
+    Nanos when = base + static_cast<Nanos>(
+                            rng.NextBounded(static_cast<std::uint64_t>(regime.domain)));
+    if (regime.far_every > 0 && schedules % regime.far_every == 0) {
+      when += regime.far_offset;
+    }
+    return when;
+  };
+  const auto pop = [&] {
+    log.next_times.push_back(q.NextTime());
+    auto popped = q.PopNext();
+    popped.second();
+    const int event = fired.back();
+    const int tag = tag_of[static_cast<std::size_t>(event)];
+    log.pops.emplace_back(popped.first, tag);
+    if (live.contains(tag)) {
+      retired.push_back(live.id(tag));
+      live.Remove(tag);
+    }
+    if (event == feed_event && feed_next < regime.feed) {
+      feed();
+    }
+  };
 
+  for (int i = 0; i < regime.backlog; ++i) {
+    schedule_at(regime.backlog_step * (i / 3));
+  }
+  if (regime.feed > 0) {
+    feed();
+  }
   for (int step = 0; step < regime.ops; ++step) {
     const std::uint64_t op = rng.NextBounded(10);
     const bool want_schedule =
         op < static_cast<std::uint64_t>(regime.schedule_weight) || live.empty();
     if (want_schedule) {
-      ++schedules;
-      Nanos when = base + static_cast<Nanos>(
-                              rng.NextBounded(static_cast<std::uint64_t>(regime.domain)));
-      if (regime.far_every > 0 && schedules % regime.far_every == 0) {
-        when += regime.far_offset;
-      }
+      const Nanos when = draw_time();
       if (regime.burst_every > 0 && schedules % regime.burst_every == 0) {
         for (int b = 0; b < regime.burst_size; ++b) {
           schedule_at(when);
@@ -161,27 +237,29 @@ ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
         schedule_at(when);
       }
     } else if (op < 7) {
-      // Cancel: half the time a live event, half a retired (stale) id. Both
-      // outcomes are part of the observable log.
+      // Cancel, or one time in three reschedule: half the time a live event,
+      // half a retired (stale) id. Every outcome is part of the observable
+      // log.
+      const bool reschedule = rng.NextBounded(3) == 0;
+      const Nanos when = reschedule ? draw_time() : 0;
+      std::vector<char>& results = reschedule ? log.reschedule_results : log.cancel_results;
       if (!retired.empty() && rng.NextBounded(2) == 0) {
         const auto id = retired[rng.NextBounded(retired.size())];
-        log.cancel_results.push_back(q.Cancel(id) ? 1 : 0);
+        results.push_back((reschedule ? q.Reschedule(id, when) : q.Cancel(id)) ? 1 : 0);
       } else {
         const int tag = live.Kth(rng.NextBounded(live.size()));
-        log.cancel_results.push_back(q.Cancel(live.id(tag)) ? 1 : 0);
-        retired.push_back(live.id(tag));
+        const auto id = live.id(tag);
+        results.push_back((reschedule ? q.Reschedule(id, when) : q.Cancel(id)) ? 1 : 0);
         live.Remove(tag);
+        if (reschedule) {
+          issue_tag(event_of[static_cast<std::size_t>(tag)], id);
+          ++log.scheduled;
+        } else {
+          retired.push_back(id);
+        }
       }
     } else {
-      log.next_times.push_back(q.NextTime());
-      auto popped = q.PopNext();
-      popped.second();
-      const int tag = fired.back();
-      log.pops.emplace_back(popped.first, tag);
-      if (live.contains(tag)) {
-        retired.push_back(live.id(tag));
-        live.Remove(tag);
-      }
+      pop();
     }
     if (regime.drift > 0) {
       base += static_cast<Nanos>(
@@ -192,10 +270,7 @@ ScheduleLog RunRandomSchedule(Queue& q, std::uint64_t seed,
 
   // Drain: remaining events must come out in (when, insertion order).
   while (!q.empty()) {
-    log.next_times.push_back(q.NextTime());
-    auto popped = q.PopNext();
-    popped.second();
-    log.pops.emplace_back(popped.first, fired.back());
+    pop();
     log.sizes.push_back(q.size());
   }
   return log;

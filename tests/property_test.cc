@@ -262,9 +262,10 @@ TEST(EventQueuePropertyTest, EqualTimesFireInScheduleOrder) {
 
 // Reuses the shared randomized-schedule driver (tests/eventqueue_schedules.h,
 // the same generator eventqueue_diff_test.cc runs differentially) to check a
-// pure FIFO property on the calendar queue alone: among all pops that share a
-// timestamp, tags — which count insertion order — must appear in increasing
-// order, no matter how schedules, cancels, and pops interleave.
+// pure FIFO property on EventQueue alone: among all pops that share a
+// timestamp, tags — which count insertion order, a reschedule counting as
+// an insertion — must appear in increasing order, no matter how schedules,
+// cancels, reschedules and pops interleave.
 TEST(EventQueuePropertyTest, SharedDriverEqualTimePopsRespectInsertionOrder) {
   check::SetValidationForTesting(0);  // raw-queue fuzz pops non-monotonically
   for (const std::uint64_t seed : {7ull, 77ull, 777ull}) {
@@ -286,10 +287,14 @@ TEST(EventQueuePropertyTest, SharedDriverEqualTimePopsRespectInsertionOrder) {
         last_tag_at.emplace(when, tag);
       }
     }
-    EXPECT_EQ(log.scheduled, log.pops.size() + log.cancel_results.size() -
-                                 static_cast<std::uint64_t>(std::count(
-                                     log.cancel_results.begin(),
-                                     log.cancel_results.end(), 0)));
+    // Every schedule ends in a pop or a cancel, or is superseded by a
+    // reschedule; each counts once.
+    const auto succeeded = [](const std::vector<char>& results) {
+      return static_cast<std::uint64_t>(std::count(results.begin(), results.end(), 1));
+    };
+    EXPECT_EQ(log.scheduled, log.pops.size() + succeeded(log.cancel_results) +
+                                 succeeded(log.reschedule_results));
+    EXPECT_GT(succeeded(log.reschedule_results), 0u) << "seed " << seed;
   }
   check::SetValidationForTesting(-1);
 }

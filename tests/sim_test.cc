@@ -50,10 +50,8 @@ TEST(EventQueueTest, CancelSuppressesEvent) {
   EXPECT_FALSE(fired);
 }
 
-// The next few tests pin the Cancel/stale-entry contract the rest of the sim
-// relies on (the fabric cancels and reschedules completion events on every
-// rate change): ids are never resurrected, cancelled entries left inside the
-// queue's internal structure never surface through NextTime/PopNext, and
+// The next few tests pin the Cancel/stale-id contract: ids are never
+// resurrected, cancelled events never surface through NextTime/PopNext, and
 // tie-breaking among survivors stays schedule-order.
 
 TEST(EventQueueTest, CancelledIdIsNeverResurrectedByLaterSchedules) {
@@ -121,6 +119,84 @@ TEST(EventQueueTest, CancelAndRescheduleChurnKeepsQueueConsistent) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.Cancel(id));  // already fired
+}
+
+// Reschedule is Cancel plus Schedule of the same action under the same id
+// (the fabric re-keys every in-flight completion on each rate change).
+TEST(EventQueueTest, RescheduleToAnUnchangedTimePopsAfterTiesScheduledSince) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto first = q.Schedule(100, [&] { order.push_back(0); });
+  q.Schedule(100, [&] { order.push_back(1); });
+  q.Schedule(50, [&] { order.push_back(2); });
+  EXPECT_EQ(q.total_scheduled(), 3u);
+  ASSERT_TRUE(q.Reschedule(first, 100));
+  EXPECT_EQ(q.total_scheduled(), 4u);  // one fresh sequence number
+  q.Schedule(100, [&] { order.push_back(3); });
+  EXPECT_EQ(q.size(), 4u);
+  while (!q.empty()) {
+    q.PopNext().second();
+  }
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 0, 3}));
+}
+
+TEST(EventQueueTest, RescheduleOfAFiredOrCancelledIdFailsAndTakesNoSequenceNumber) {
+  EventQueue q;
+  int fired = 0;
+  const auto done = q.Schedule(10, [&] { ++fired; });
+  const auto cancelled = q.Schedule(20, [&] { ++fired; });
+  q.Schedule(30, [&] { ++fired; });
+  q.PopNext().second();
+  ASSERT_TRUE(q.Cancel(cancelled));
+  const std::uint64_t scheduled = q.total_scheduled();
+  EXPECT_FALSE(q.Reschedule(done, 40));
+  EXPECT_FALSE(q.Reschedule(cancelled, 40));
+  EXPECT_EQ(q.total_scheduled(), scheduled);
+  EXPECT_EQ(q.size(), 1u);
+  q.PopNext().second();
+  EXPECT_EQ(fired, 2);
+  // The sequence number the failed reschedules did not take goes to the next
+  // schedule: it pops after an earlier schedule at the same time.
+  std::vector<int> order;
+  q.Schedule(50, [&] { order.push_back(0); });
+  q.Schedule(50, [&] { order.push_back(1); });
+  EXPECT_EQ(q.total_scheduled(), scheduled + 2);
+  while (!q.empty()) {
+    q.PopNext().second();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(EventQueueTest, RescheduleMovesAnEventQueuedInKeyOrder) {
+  // Events scheduled in key order sit in the in-order run; rescheduling one
+  // earlier or later moves it past the others either way.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventQueue::EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(q.Schedule(10 * (i + 1), [&, i] { order.push_back(i); }));
+  }
+  ASSERT_TRUE(q.Reschedule(ids[4], 5));    // 50 -> 5: first
+  ASSERT_TRUE(q.Reschedule(ids[0], 100));  // 10 -> 100: last
+  ASSERT_TRUE(q.Reschedule(ids[2], 20));   // 30 -> 20: after the 20 event
+  EXPECT_EQ(q.NextTime(), 5);
+  while (!q.empty()) {
+    q.PopNext().second();
+  }
+  EXPECT_EQ(order, (std::vector<int>{4, 1, 2, 3, 5, 0}));
+}
+
+TEST(SimulatorTest, RescheduleIsRelativeToNowAndKeepsTheId) {
+  Simulator sim;
+  std::vector<Nanos> fired_at;
+  const auto id = sim.ScheduleAfter(100, [&] { fired_at.push_back(sim.now()); });
+  sim.ScheduleAfter(10, [&] {
+    EXPECT_TRUE(sim.Reschedule(id, 5));  // now 10: fires at 15
+  });
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<Nanos>{15}));
+  EXPECT_FALSE(sim.Reschedule(id, 5));
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(EventQueueTest, ScheduleDuringPopAtSameTimeFiresAfterExistingTies) {

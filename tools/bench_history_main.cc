@@ -4,7 +4,7 @@
 // bench's recorded wall clock per snapshot.
 //
 //   bench_history results/2026-08-01 results/2026-08-05 results/today
-//   bench_history --max_slowdown=1.03 baseline1 baseline2 \
+//   bench_history --max_slowdown=1.03 baseline1 baseline2
 //       --candidate=cand1 --candidate=cand2
 //
 // --candidate=DIR    repeatable: dirs holding the runs under test. Without
